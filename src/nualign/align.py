@@ -55,6 +55,11 @@ DEFAULT_COSTS = CostTable()
 DEFAULT_NODE_BUDGET = 2_000_000
 
 
+class SoundnessError(RuntimeError):
+    """A condition the result's soundness rests on does not hold, such as an
+    integer weight that no longer separates the terms it scales."""
+
+
 class SearchBudgetError(RuntimeError):
     def __init__(self, visited, frontier, best_cost):
         super().__init__(
@@ -249,6 +254,34 @@ def _resource_assignments(model: RcNuNet, t, event: Event):
     return assignments
 
 
+def _sync_partners(model: RcNuNet, event: Event):
+    """The model transitions an event can synchronize with, as (transition,
+    case variable) pairs, and a warning for each reason it cannot."""
+    candidates = [t for t in model.transitions if model.labels[t] == event.activity]
+    if not candidates:
+        return [], [
+            f"activity {event.activity!r} (event {event.index}) has no "
+            f"model transition; it can only be a log move"
+        ]
+    partners = []
+    warnings = []
+    for t in candidates:
+        case = _case_binding(model, t)
+        if case is None:
+            warnings.append(
+                f"transition {t} has no unambiguous case variable; "
+                f"not synchronizable"
+            )
+        else:
+            partners.append((t, case[0]))
+    return partners, warnings
+
+
+def sync_warnings(model: RcNuNet, log: EventLog) -> list:
+    """The warnings of the log's synchronous product, in the same order."""
+    return [w for e in log.events for w in _sync_partners(model, e)[1]]
+
+
 def build_sync_product(model: RcNuNet, log_net: LogNet,
                        spare_count=None) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
@@ -278,26 +311,11 @@ def build_sync_product(model: RcNuNet, log_net: LogNet,
         for p in log_net.output_places(lt):
             flow[(tid, f"l::{p}")] = log_net.arc(lt, p)
 
-    model_labels = {model.labels[t] for t in model.transitions if model.labels[t]}
     for lt in log_net.transitions:
         event = log_net.event_of[lt]
-        if event.activity not in model_labels:
-            warnings.append(
-                f"activity {event.activity!r} (event {event.index}) has no "
-                f"model transition; it can only be a log move"
-            )
-            continue
-        for t in model.transitions:
-            if model.labels[t] != event.activity:
-                continue
-            case = _case_binding(model, t)
-            if case is None:
-                warnings.append(
-                    f"transition {t} has no unambiguous case variable; "
-                    f"not synchronizable"
-                )
-                continue
-            case_var, _ = case
+        partners, notes = _sync_partners(model, event)
+        warnings.extend(notes)
+        for t, case_var in partners:
             for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
                 tid = f"s::{t}::e{event.index}" + (f"::{k}" if k else "")
                 transitions.append(tid)
@@ -381,10 +399,12 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
             tau_moves = sum(
                 1 for m in moves if m.kind == "model" and m.label is None
             )
-            assert tau_moves < costs.visible, (
-                "tau-move count reached the visible-move cost; integer cost "
-                "scaling no longer mirrors the infinitesimal scheme"
-            )
+            if tau_moves >= costs.visible:
+                raise SoundnessError(
+                    f"{tau_moves} tau moves reached the visible-move cost "
+                    f"{costs.visible}; integer cost scaling no longer mirrors "
+                    f"the infinitesimal scheme"
+                )
             return alignment
         if len(settled) > node_budget:
             raise SearchBudgetError(len(settled), len(heap), cost)

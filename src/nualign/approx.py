@@ -4,9 +4,11 @@ Pipeline: align each case in isolation, union the per-case alignments
 under the log's chronology, then let a 0/1 program adjust the cross-case
 order so every resource capacity is respected.  Reversed order pairs mark
 regions that cannot merely be rescheduled; each such region becomes an
-interval that is re-aligned locally (an exact search between its boundary
-markings) and substituted back.  The result is always a valid alignment,
-with cost at least the exact optimum.
+interval that is re-aligned locally and substituted back.  The local
+search is exact between the region's boundary markings, projected onto the
+region's own cases: other cases' production tokens are dropped, every
+resource token stays (see ``realign_interval``).  The result is always a
+valid alignment, with cost at least the exact optimum.
 
 The program over the order matrix X (R is the composed order):
 
@@ -15,7 +17,7 @@ The program over the order matrix X (R is the composed order):
   1000);
 - pairs absent from R cost 1 when added (the infinitesimal tie-breaker of
   the underlying scheme, scaled to integers -- sound while any solution
-  adds fewer than 1000 pairs, which is asserted);
+  adds fewer than 1000 pairs, which is checked);
 - transitivity rows close the order (eager for interacting triples, lazy
   cuts for the rest);
 - per move and resource instance, the claims of everything not ordered
@@ -39,10 +41,13 @@ from .align import (
     Move,
     PseudoMarking,
     SearchBudgetError,
+    SoundnessError,
+    _prefix_marking,
     build_sync_product,
     is_valid_alignment,
     optimal_alignment,
     pseudo_fire,
+    sync_warnings,
 )
 from .eventlog import EventLog
 from .ilp import BinaryProgram, IlpBudgetError, InfeasibleError, constraint, solve
@@ -283,32 +288,30 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     # cuts for the rest (composed alignments at that scale are dominated by
     # already-ordered pairs, so few cuts ever fire)
     full_eager = n <= FULL_TRANSITIVITY_LIMIT
-    touched = []
-    for i in range(n):
-        inst_set = frozenset(
-            k for k in range(len(instances)) if C_clm[i][k] or C_rls[i][k]
-        )
-        touched.append(inst_set)
-
-    def interact(i, j):
-        return (i, j) in same_case or bool(touched[i] & touched[j])
+    if full_eager:
+        neighbours = [[j for j in range(n) if j != i] for i in range(n)]
+    else:
+        touched = [
+            {k for k in range(len(instances)) if C_clm[i][k] or C_rls[i][k]}
+            for i in range(n)
+        ]
+        neighbours = [
+            [j for j in range(n) if j != i
+             and ((i, j) in same_case or touched[i] & touched[j])]
+            for i in range(n)
+        ]
+    neighbour_sets = [set(row) for row in neighbours]
 
     seen = set()
     for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                if full_eager or (interact(i, j) and interact(j, k) and interact(i, k)):
-                    key = (i, j, k)
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(constraint(
-                            {var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
-                            f"const_trans_clos[{i},{j},{k}]",
-                        ))
+        for j in neighbours[i]:
+            both = neighbour_sets[i] & neighbour_sets[j]
+            for k in sorted(both):
+                seen.add((i, j, k))
+                rows.append(constraint(
+                    {var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
+                    f"const_trans_clos[{i},{j},{k}]",
+                ))
 
     def lazy_transitivity(assignment):
         violated = []
@@ -418,7 +421,7 @@ def _solve_lexicographic(inst: IlpInstance, node_budget: int):
     """Minimum reversals first, then additions.
 
     A reversal (weight 1000) always outweighs the additions it could save
-    (fewer than 1000, asserted), so the optimum has the smallest feasible
+    (fewer than 1000, checked), so the optimum has the smallest feasible
     reversal count.  Solving under an increasing reversal-cardinality cap
     lets propagation fix every other kept pair the moment one flips, which
     collapses the search tree that a single flat solve would explore.
@@ -467,10 +470,12 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
                         reversals.append((i, j))
                     else:
                         additions.append((i, j))
-    assert len(additions) < REVERSAL_WEIGHT, (
-        "added-pair count reached the reversal weight; the integer objective "
-        "no longer separates the two terms"
-    )
+    if len(additions) >= REVERSAL_WEIGHT:
+        raise SoundnessError(
+            f"{len(additions)} added pairs reached the reversal weight "
+            f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
+            f"the two terms"
+        )
     x_order = Poset(range(n), x_pairs)
 
     # elements disturbed by reversals: the original-order stretch j..i
@@ -506,7 +511,8 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
             regions.append(sorted(region.elements))
     # regions are pairwise disjoint: overlap would merge the components
     flat = [i for region in regions for i in region]
-    assert len(flat) == len(set(flat)), "interval regions overlap"
+    if len(flat) != len(set(flat)):
+        raise SoundnessError("interval regions overlap")
     return OrderSolution(tuple(assignment), objective, reversals, additions,
                          x_order, intervals, regions)
 
@@ -574,6 +580,16 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
     return Alignment(tuple(moves), Poset(range(len(moves)), pairs).transitive_closure())
 
 
+def _without_cases(net: RcNuNet, marking: ColoredMarking, cases) -> ColoredMarking:
+    """``marking`` minus the production-place tokens of ``cases``; resource
+    places, availability and busy alike, keep every token."""
+    return ColoredMarking({
+        p: Multiset({tok: n for tok, n in marking.get(p).items() if tok[0] not in cases})
+        if net.place_kind(p) == "production" else marking.get(p)
+        for p in marking.places()
+    })
+
+
 def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
                      a, b, log: EventLog,
                      costs: CostTable = DEFAULT_COSTS,
@@ -589,6 +605,23 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     boundary marking would be re-derived inside the realignment and then
     fire twice in the substituted alignment.  (The substitution orders
     exactly those moves before the block, so the boundary is consistent.)
+
+    The search runs over the region's own cases: both boundary markings
+    drop the production-place tokens of every case that owns no move in
+    the region, and keep every resource-place token.  Otherwise the
+    search spends its budget interleaving idle cases' silent moves.  This
+    is sound:
+
+    - extra tokens never disable a transition, so every run from the
+      projected start, with the dropped tokens put back untouched, is a
+      run from the full boundary marking;
+    - a case with no move in the region holds the same tokens at both
+      bounds (the pre-marking and the post-marking differ only by region
+      moves), so that run also ends at the full goal;
+    - fresh names are decided alike: the product's pool draws only from
+      the sub-log's case ids, all owned by region cases whose tokens are
+      kept, plus one spare, and the resource identifiers stay in the
+      marking.
     """
     region = sorted(x_order.interval(a, b).elements)
     region_set = set(region)
@@ -602,6 +635,7 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
         key=lambda e: e.index,
     )
     sub_log = log.restrict(events)
+    idle = set(comp.case_of).difference(comp.case_of[i] for i in region)
     try:
         m_a = _pseudo_to_marking(pseudo_fire(
             net, [comp.moves[i] for i in sorted(pre_set)]
@@ -611,9 +645,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
         ))
         sub_net = build_log_net(sub_log)
         prod = build_sync_product(net, sub_net, spare_count=spare_count)
-        from .align import _prefix_marking
-        start = _prefix_marking(m_a, "m::") | _prefix_marking(sub_net.initial, "l::")
-        goal = _prefix_marking(m_b, "m::") | _prefix_marking(sub_net.final, "l::")
+        start = (_prefix_marking(_without_cases(net, m_a, idle), "m::")
+                 | _prefix_marking(sub_net.initial, "l::"))
+        goal = (_prefix_marking(_without_cases(net, m_b, idle), "m::")
+                | _prefix_marking(sub_net.final, "l::"))
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
         return IntervalRealignment((a, b), tuple(region), alignment, False)
     except (SearchBudgetError, FiringError):
@@ -673,6 +708,7 @@ class ApproxResult:
     realignments: list
     valid: bool
     witness: str | None
+    warnings: list           # the sync product's warnings, as the exact engine reports them
 
     def cost(self, costs: CostTable = DEFAULT_COSTS) -> int:
         return self.alignment.cost(costs)
@@ -703,4 +739,5 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
         gamma = _substitute(comp, sol.x_order, realignments)
 
     ok, witness = is_valid_alignment(scaled, log, gamma)
-    return ApproxResult(gamma, comp, per_case, sol, realignments, ok, witness)
+    return ApproxResult(gamma, comp, per_case, sol, realignments, ok, witness,
+                        sync_warnings(net, log))

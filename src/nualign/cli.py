@@ -6,9 +6,11 @@ Subcommands: ``validate`` (structural checks on a net file), ``align``
 export of a net, log, or report).
 
 Exit codes: 0 success, 1 deviations found (``align --fail-on-deviation``)
-or validation violations (``validate``), 2 input/parse errors, 3 search
-or solver budget exhausted.  All randomness flows through ``--seed``;
-repeated runs produce byte-identical outputs.
+or validation violations (``validate``), 2 input/parse errors and broken
+soundness conditions (for example a cost table whose visible cost no
+longer outweighs the tau moves), 3 search or solver budget exhausted.
+All randomness flows through ``--seed``; repeated runs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import sys
 from .align import (
     CostTable,
     SearchBudgetError,
+    SoundnessError,
     build_sync_product,
     optimal_alignment,
 )
@@ -122,10 +125,13 @@ def cmd_align(args) -> int:
                 violation_entry(r, result.composed) for r in result.realignments
             ]
             report = build_report(result.alignment, "approx", costs, scaled,
-                                  violations=violations)
+                                  warnings=result.warnings, violations=violations)
     except (SearchBudgetError, IlpBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except SoundnessError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
     _write(args.out, dumps_report(report))
     if args.dot:

@@ -208,11 +208,17 @@ class _Engine:
             var = queue.pop()
             for entry in self.watch[var]:
                 idx = entry[0]
+                lo = self.row_lo[idx]
+                hi = self.row_hi[idx]
+                # a settled row (every variable with a nonzero coefficient
+                # is set) can force nothing, and assign() already reported
+                # any conflict it has (a tight cardinality row forces all
+                # its free variables, and each would rescan it otherwise)
+                if lo == hi:
+                    continue
                 if self.row_conflict(idx):
                     return False
                 coeffs, op, bound, _ = self.rows[idx]
-                lo = self.row_lo[idx]
-                hi = self.row_hi[idx]
                 maxabs = self.row_maxabs[idx]
                 # nothing can be forced while every coefficient fits the slack
                 if bound - lo >= maxabs and (op == "<=" or hi - bound >= maxabs):

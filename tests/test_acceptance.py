@@ -80,9 +80,8 @@ def claim_release_log(times, instance="x"):
     return parse_log("\n".join(rows) + "\n")
 
 
-def small_composed_fixtures():
-    """Composed alignments with <= 8 moves, varied contention patterns."""
-    out = []
+def claim_release_fixtures():
+    """(net, log) pairs with <= 8 moves, varied contention patterns."""
     patterns = [
         ((1, 2), (3, 4)),        # disjoint spans
         ((1, 4), (2, 3)),        # nested: c2 inside c1's span
@@ -91,14 +90,19 @@ def small_composed_fixtures():
         ((1, 2), (3, 4), (5, 6)),   # three serialized cases
         ((1, 4), (2, 5), (3, 6)),   # three interleaved cases
     ]
-    for capacities in ({"x": 1}, {"x": 2}):
-        for times in patterns:
-            net = claim_release_net(capacities)
-            log = claim_release_log(times)
-            scaled = scale_cases(net, log.cases())
-            comp = compose(align_cases(net, log), log)
-            out.append((scaled, comp))
-    return out
+    return [
+        (claim_release_net(capacities), claim_release_log(times))
+        for capacities in ({"x": 1}, {"x": 2})
+        for times in patterns
+    ]
+
+
+def small_composed_fixtures():
+    """Composed alignments of the claim/release fixtures."""
+    return [
+        (scale_cases(net, log.cases()), compose(align_cases(net, log), log))
+        for net, log in claim_release_fixtures()
+    ]
 
 
 def pipeline_fixture_specs(count):

@@ -11,6 +11,7 @@ from nualign.align import (
     CostTable,
     Move,
     SearchBudgetError,
+    SoundnessError,
     align_log,
     antichain_marking,
     build_sync_product,
@@ -142,6 +143,15 @@ def test_search_deterministic():
     a1 = optimal_alignment(prod1)
     a2 = optimal_alignment(prod2)
     assert [repr(m) for m in a1.moves] == [repr(m) for m in a2.moves]
+
+
+def test_tau_count_reaching_visible_cost_raises():
+    # skipping the intake silently is the only cost-1 completion, and with
+    # visible moves at cost 1 that one tau move already weighs as much
+    log = parse_log("c1,o_p,1,\nc1,o_sc,2,s:s1\n")
+    _, prod = product_for(log)
+    with pytest.raises(SoundnessError):
+        optimal_alignment(prod, CostTable(visible=1))
 
 
 def test_budget_error_carries_stats():

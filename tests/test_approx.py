@@ -3,9 +3,21 @@ oracles and the exact aligner."""
 
 import pytest
 
-from nualign.align import Alignment, Move, is_valid_alignment, replay
+from nualign.align import (
+    Alignment,
+    Move,
+    SearchBudgetError,
+    _prefix_marking,
+    is_valid_alignment,
+    pseudo_fire,
+    replay,
+)
 from nualign.approx import (
+    FULL_TRANSITIVITY_LIMIT,
     ComposedAlignment,
+    IntervalRealignment,
+    _pseudo_to_marking,
+    _substitute,
     align_cases,
     approximate_alignment,
     block_triangular_assignment,
@@ -19,12 +31,15 @@ from nualign.approx import (
 from nualign.eventlog import parse_log
 from nualign.fixtures import (
     claim_release_net,
+    clinic_log,
+    clinic_net,
     hospital_concurrent_log,
     hospital_forced_overlap_log,
     hospital_log,
     hospital_net,
 )
-from nualign.ilp import check_feasible
+from nualign.ilp import check_feasible, constraint
+from nualign.petri import FiringError
 from nualign.oracles import (
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
@@ -34,6 +49,8 @@ from nualign.align import build_sync_product, optimal_alignment
 from nualign.lognet import build_log_net
 from nualign.poset import Poset
 from nualign.rcnu import scale_cases
+
+from test_acceptance import claim_release_fixtures, generate_pipeline_fixtures
 
 
 def hand_composed(overlap_forced, instances=None):
@@ -169,6 +186,34 @@ def test_ilp_free_vars_are_cross_case_pairs():
             assert v in inst.program.fixings
         else:
             assert v not in inst.program.fixings
+
+
+def test_lazy_mode_eager_triples_match_all_triples_filter():
+    net = clinic_net()
+    log = clinic_log(5)
+    comp = compose(align_cases(net, log), log)
+    assert len(comp) > FULL_TRANSITIVITY_LIMIT
+    inst = build_ilp(scale_cases(net, log.cases()), comp)
+    n = inst.n
+    touched = [
+        {k for k in range(len(inst.instances)) if inst.C_clm[i][k] or inst.C_rls[i][k]}
+        for i in range(n)
+    ]
+
+    def interact(i, j):
+        return comp.case_of[i] == comp.case_of[j] or bool(touched[i] & touched[j])
+
+    expected = [
+        constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1},
+                   "<=", 1, f"const_trans_clos[{i},{j},{k}]")
+        for i in range(n) for j in range(n) for k in range(n)
+        if len({i, j, k}) == 3
+        and interact(i, j) and interact(j, k) and interact(i, k)
+    ]
+    rows = inst.program.constraints
+    first = rows.index(expected[0])
+    assert rows[first:first + len(expected)] == expected
+    assert not set(expected) & set(rows[:first] + rows[first + len(expected):])
 
 
 def test_block_triangular_always_feasible():
@@ -317,3 +362,83 @@ def test_prefix_reachability_matches_nonviolation():
                 net, comp.moves, sub
             )
             assert reachable == not_violating
+
+
+def _unprojected_realignment(net, comp, x_order, a, b, log, node_budget):
+    """The region's search from the full boundary markings, every case's
+    tokens included: the reference for the case-projected search."""
+    region = sorted(x_order.interval(a, b).elements)
+    pre = sorted(
+        x for x in x_order.elements
+        if x not in region and any(x_order.precedes(x, m) for m in region)
+    )
+    events = sorted(
+        (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
+        key=lambda e: e.index,
+    )
+    sub_net = build_log_net(log.restrict(events))
+    prod = build_sync_product(net, sub_net)
+    m_a = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
+    m_b = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre + region]))
+    start = _prefix_marking(m_a, "m::") | _prefix_marking(sub_net.initial, "l::")
+    goal = _prefix_marking(m_b, "m::") | _prefix_marking(sub_net.final, "l::")
+    return optimal_alignment(prod, node_budget=node_budget, start=start, goal=goal)
+
+
+def _differential_fixtures():
+    hospital = [(hospital_net(), log) for log in (
+        hospital_log(), hospital_forced_overlap_log(), hospital_concurrent_log(),
+    )]
+    clinic = [(clinic_net(), clinic_log(4, overlap_at=0))]
+    return (hospital + claim_release_fixtures() + clinic
+            + generate_pipeline_fixtures(200))
+
+
+def test_projected_realignment_matches_full_marking_search():
+    """Every region realigns at the cost of the full-marking search wherever
+    that search finishes, substituting the full-marking alignments gives the
+    same validity verdict, and approx never beats the exact optimum."""
+    budget = 20_000
+    regions = compared = 0
+    for net, log in _differential_fixtures():
+        scaled = scale_cases(net, log.cases())
+        result = approximate_alignment(net, log, node_budget=budget)
+        x_order = result.solution.x_order
+        reference = []
+        for re in result.realignments:
+            regions += 1
+            try:
+                full = _unprojected_realignment(scaled, result.composed, x_order,
+                                                *re.bounds, log, budget)
+            except (SearchBudgetError, FiringError):
+                reference.append(re)
+                continue
+            assert not re.fallback
+            assert re.alignment.cost() == full.cost()
+            reference.append(IntervalRealignment(re.bounds, re.region, full, False))
+            compared += 1
+        if reference:
+            gamma = _substitute(result.composed, x_order, reference)
+            assert is_valid_alignment(scaled, log, gamma)[0] == result.valid
+        if len(log) <= 10:
+            prod = build_sync_product(scaled, build_log_net(log))
+            try:
+                exact = optimal_alignment(prod, node_budget=budget)
+            except SearchBudgetError:
+                continue
+            assert result.cost() >= exact.cost()
+    assert regions >= 10 and compared == regions
+
+
+def test_clinic_overlap_realigns_over_region_cases_only():
+    # the smallest clinic overlap log whose realignment from the full
+    # boundary markings exhausts 10 000 nodes: the seven cases after the
+    # overlap have not started and offer two silent skips each
+    net = clinic_net()
+    log = clinic_log(9, overlap_at=0)
+    result = approximate_alignment(net, log, node_budget=10_000)
+    assert result.valid, result.witness
+    (re,) = result.realignments
+    assert not re.fallback
+    assert re.alignment.cost() == 20_000
+    assert result.cost() == 20_000

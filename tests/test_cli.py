@@ -172,6 +172,20 @@ def test_cli_align_approx_with_violations(net_file, tmp_path):
     assert doc["violations"][0]["fallback"] is False
 
 
+def test_cli_align_reports_warnings_in_both_modes(net_file, tmp_path):
+    log = tmp_path / "mystery.csv"
+    log.write_text(HOSPITAL_LOG_CSV + "c2,mystery,11,\nc1,mystery,12,\n")
+    warnings = {}
+    for mode in ("exact", "approx"):
+        out = tmp_path / f"{mode}.json"
+        assert main(["align", net_file, str(log), "--mode", mode,
+                     "--out", str(out)]) == 0
+        warnings[mode] = load_report(out)["warnings"]
+    assert len(warnings["exact"]) == 2
+    assert all("mystery" in w for w in warnings["exact"])
+    assert warnings["approx"] == warnings["exact"]
+
+
 def test_cli_align_fail_on_deviation(net_file, tmp_path):
     log = tmp_path / "overlap.csv"
     log.write_text(HOSPITAL_FORCED_OVERLAP_CSV)
@@ -193,6 +207,13 @@ def test_cli_align_undeclared_resource(net_file, tmp_path, capsys):
     log.write_text("c1,i_s,1,g:nobody\n")
     assert main(["align", net_file, str(log)]) == 2
     assert "not declared" in capsys.readouterr().err
+
+
+def test_cli_align_cost_scaling_error_exit(net_file, tmp_path, capsys):
+    log = tmp_path / "skip.csv"
+    log.write_text("c1,o_p,1,\nc1,o_sc,2,s:s1\n")
+    assert main(["align", net_file, str(log), "--costs", "visible=1"]) == 2
+    assert "visible-move cost" in capsys.readouterr().err
 
 
 def test_cli_align_custom_costs(net_file, log_file, tmp_path):

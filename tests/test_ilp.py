@@ -77,6 +77,18 @@ def test_budget_error_carries_incumbent():
         solve(p, node_budget=3)
 
 
+def _assert_matches_enumeration(p):
+    expected = brute_force(p)
+    if expected is None:
+        with pytest.raises(InfeasibleError):
+            solve(p)
+    else:
+        got_assignment, got_value = solve(p)
+        assert got_value == expected[1]
+        ok, why = check_feasible(p, list(got_assignment))
+        assert ok, why
+
+
 def test_random_instances_match_enumeration():
     rng = random.Random(42)
     for _ in range(120):
@@ -95,16 +107,15 @@ def test_random_instances_match_enumeration():
         fixings = {
             v: rng.randrange(2) for v in range(n) if rng.random() < 0.25
         }
-        p = BinaryProgram(n, objective=objective, constraints=rows, fixings=fixings)
-        expected = brute_force(p)
-        if expected is None:
-            with pytest.raises(InfeasibleError):
-                solve(p)
-        else:
-            got_assignment, got_value = solve(p)
-            assert got_value == expected[1]
-            ok, why = check_feasible(p, list(got_assignment))
-            assert ok, why
+        _assert_matches_enumeration(BinaryProgram(
+            n, objective=objective, constraints=rows, fixings=fixings))
+        # plus one long row over every free variable, shaped like the
+        # reversal cap (at least m ones), at every m from infeasible to slack
+        free = [v for v in range(n) if v not in fixings]
+        for m in range(len(free) + 1, -1, -1):
+            cap = constraint({v: -1 for v in free}, "<=", -m, f"cap[{m}]")
+            _assert_matches_enumeration(BinaryProgram(
+                n, objective=objective, constraints=rows + [cap], fixings=fixings))
 
 
 def test_solution_passes_check_feasible():
