@@ -18,14 +18,17 @@ Optimal alignments come from uniform-cost search over product markings
 (Dijkstra; the classical marking-equation heuristic is unsound under
 variable bindings, so no heuristic is applied).  Costs are integers:
 synchronous moves are free, silent model moves cost ``tau``, visible
-log/model moves cost ``visible``.  States are canonical marking keys and
-ties break on the lowest key, making the search fully deterministic.
+log/model moves cost ``visible``.  States are the markings themselves,
+which hash and compare by content.  Equal-cost frontier entries pop in
+push order; transitions expand in net order and modes come sorted, so
+the search is fully deterministic and independent of string hashing.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import count
 
 from .eventlog import Event, EventLog
 from .lognet import LogNet
@@ -37,9 +40,9 @@ from .rcnu import (
     Nu,
     RcNuNet,
     Var,
-    bind_pairs,
     enabled_modes,
     fire_mode,
+    firing_effect,
 )
 
 
@@ -367,33 +370,31 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                       goal: ColoredMarking | None = None) -> Alignment:
     """Minimum-cost run of the product from start to goal, as a chain poset.
 
-    Deterministic: equal-cost frontier entries pop in canonical marking-key
-    order.  Raises SearchBudgetError with frontier statistics when the
-    node budget is exhausted before the goal settles.
+    Markings are their own table keys.  Deterministic: equal-cost frontier
+    entries pop in push order.  Raises SearchBudgetError with frontier
+    statistics when the node budget is exhausted before the goal settles.
     """
     start = prod.initial if start is None else start
     goal = prod.final if goal is None else goal
-    goal_key = prod.marking_key(goal)
-    start_key = prod.marking_key(start)
 
-    best = {start_key: 0}
-    parent = {start_key: None}
-    markings = {start_key: start}
-    heap = [(0, start_key)]
+    best = {start: 0}
+    parent = {start: None}
+    pushes = count(1)
+    heap = [(0, 0, start)]
     settled = set()
 
     while heap:
-        cost, key = heapq.heappop(heap)
-        if key in settled or cost > best.get(key, float("inf")):
+        cost, _, m = heapq.heappop(heap)
+        if m in settled or cost > best[m]:
             continue
-        settled.add(key)
-        if key == goal_key:
+        settled.add(m)
+        if m == goal:
             moves = []
-            cursor = key
+            cursor = m
             while parent[cursor] is not None:
-                prev_key, t, mode = parent[cursor]
+                prev, t, mode = parent[cursor]
                 moves.append(_decode_move(prod, t, mode))
-                cursor = prev_key
+                cursor = prev
             moves.reverse()
             alignment = Alignment.chain(moves)
             tau_moves = sum(
@@ -408,19 +409,16 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
             return alignment
         if len(settled) > node_budget:
             raise SearchBudgetError(len(settled), len(heap), cost)
-        m = markings[key]
         fresh = prod.fresh_candidates(m)
         for t in prod.transitions:
             forced = prod.forced.get(t, {})
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh, forced=forced):
                 m2 = fire_mode(prod, m, t, mode)
-                key2 = prod.marking_key(m2)
                 cost2 = cost + product_move_cost(prod, t, costs)
-                if cost2 < best.get(key2, float("inf")):
-                    best[key2] = cost2
-                    parent[key2] = (key, t, mode)
-                    markings[key2] = m2
-                    heapq.heappush(heap, (cost2, key2))
+                if cost2 < best.get(m2, float("inf")):
+                    best[m2] = cost2
+                    parent[m2] = (m, t, mode)
+                    heapq.heappush(heap, (cost2, next(pushes), m2))
     raise SearchBudgetError(len(settled), 0, None)
 
 
@@ -463,16 +461,6 @@ class PseudoMarking:
     def items(self):
         return self._counts.items()
 
-    def shifted(self, place, token, delta) -> "PseudoMarking":
-        out = dict(self._counts)
-        key = (place, token)
-        new = out.get(key, 0) + delta
-        if new:
-            out[key] = new
-        else:
-            out.pop(key, None)
-        return PseudoMarking(out)
-
     def is_nonnegative(self):
         return all(v >= 0 for v in self._counts.values())
 
@@ -493,28 +481,21 @@ class PseudoMarking:
 
 
 def move_effects(net: RcNuNet, move: Move):
-    """Signed (place, token, delta) effects of a non-log move's firing."""
+    """Signed (place, token, delta) effects of a non-log move's firing:
+    what it takes, negated, then what it gives back."""
     if move.kind == "log":
         return []
-    mode = move.binding()
-    out = []
-    t = move.transition
-    for p in net.input_places(t):
-        for tok, n in bind_pairs(net.arc(p, t), mode).items():
-            out.append((p, tok, -n))
-    for p in net.output_places(t):
-        for tok, n in bind_pairs(net.arc(t, p), mode).items():
-            out.append((p, tok, n))
-    return out
+    taken, given = firing_effect(net, move.transition, move.binding())
+    return [(p, tok, -n) for p, tok, n in taken] + given
 
 
 def pseudo_fire(net: RcNuNet, moves) -> PseudoMarking:
     """Initial marking plus the summed effects of the given moves."""
-    pm = PseudoMarking.from_marking(net.initial)
+    counts = dict(PseudoMarking.from_marking(net.initial).items())
     for move in moves:
         for p, tok, delta in move_effects(net, move):
-            pm = pm.shifted(p, tok, delta)
-    return pm
+            counts[(p, tok)] = counts.get((p, tok), 0) + delta
+    return PseudoMarking(counts)
 
 
 def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> PseudoMarking:

@@ -20,9 +20,9 @@ The program over the order matrix X (R is the composed order):
   adds fewer than 1000 pairs, which is checked);
 - transitivity rows close the order (eager for interacting triples, lazy
   cuts for the rest);
-- per move and resource instance, the claims of everything not ordered
-  after the move, minus the releases ordered strictly before it, fit the
-  capacity.
+- per move and resource instance the move claims, the claims of everything
+  not ordered after the move, minus the releases ordered strictly before
+  it, fit the capacity.
 
 The composed alignment is violating exactly when the optimum needs a
 reversal, so the violation decision reads the reversal component of the
@@ -54,7 +54,7 @@ from .ilp import BinaryProgram, IlpBudgetError, InfeasibleError, constraint, sol
 from .lognet import build_log_net
 from .petri import FiringError
 from .poset import Multiset, Poset
-from .rcnu import ColoredMarking, RcNuNet, bind_pairs, scale_cases
+from .rcnu import ColoredMarking, RcNuNet, firing_effect, scale_cases
 
 REVERSAL_WEIGHT = 1000
 ADDITION_WEIGHT = 1
@@ -143,29 +143,17 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
 # Violation criteria
 # ---------------------------------------------------------------------------
 
-def _claims(net: RcNuNet, move) -> Multiset:
-    """Instances a move takes from availability places."""
+def _claims_and_releases(net: RcNuNet, move):
+    """Availability-place effects of a move: ({instance: claimed}, {instance: released})."""
+    claims, releases = {}, {}
     if move.kind == "log":
-        return Multiset()
-    mode = move.binding()
-    out = Multiset()
-    for role in net.roles:
-        for (c, r), n in bind_pairs(net.arc(role.available_place, move.transition), mode).items():
-            if r is not None:
-                out = out + Multiset({r: n})
-    return out
-
-
-def _releases(net: RcNuNet, move) -> Multiset:
-    if move.kind == "log":
-        return Multiset()
-    mode = move.binding()
-    out = Multiset()
-    for role in net.roles:
-        for (c, r), n in bind_pairs(net.arc(move.transition, role.available_place), mode).items():
-            if r is not None:
-                out = out + Multiset({r: n})
-    return out
+        return claims, releases
+    for effect, out in zip(firing_effect(net, move.transition, move.binding()),
+                           (claims, releases)):
+        for p, (_, r), n in effect:
+            if r is not None and net.place_kind(p) == "resource":
+                out[r] = out.get(r, 0) + n
+    return claims, releases
 
 
 def violating_antichain(net: RcNuNet, comp: ComposedAlignment, g) -> bool:
@@ -176,14 +164,14 @@ def violating_antichain(net: RcNuNet, comp: ComposedAlignment, g) -> bool:
         raise ValueError("not an antichain of the composed alignment")
     prefix = comp.order.prefix(g, closed=False)
     pm = pseudo_fire(net, [comp.moves[i] for i in sorted(prefix.elements)])
-    demand = Multiset()
+    demand = {}
     for i in g:
-        demand = demand + _claims(net, comp.moves[i])
+        for inst, n in _claims_and_releases(net, comp.moves[i])[0].items():
+            demand[inst] = demand.get(inst, 0) + n
     for role in net.roles:
-        for inst in demand.support():
+        for inst, n in demand.items():
             if net.role_of_instance(inst) == role.name:
-                avail = pm.value(role.available_place, (None, inst))
-                if avail < demand.count(inst):
+                if pm.value(role.available_place, (None, inst)) < n:
                     return True
     return False
 
@@ -211,6 +199,16 @@ class IlpInstance:
 
 
 def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
+    """The order-adjustment program of a composed alignment.
+
+    Capacity rows exist only at moves that claim the instance.  This is
+    sound: availability falls only at a claim, so in every linearization an
+    instance's usage peaks right after some claim fires.  When move ``i``
+    claims, the moves fired so far are among those not ordered after ``i``,
+    and every release ordered strictly before ``i`` has fired, so the row's
+    left side (claims not after ``i`` minus releases strictly before ``i``)
+    bounds that usage.  The rows at claims therefore bound every peak.
+    """
     n = len(comp.moves)
     instances = sorted(net.resource_instances().support())
     capacities = tuple(net.resource_instances().count(r) for r in instances)
@@ -222,9 +220,10 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     C_clm = [[0] * len(instances) for _ in range(n)]
     C_rls = [[0] * len(instances) for _ in range(n)]
     for i, mv in enumerate(comp.moves):
-        for r, c in _claims(net, mv).items():
+        claims, releases = _claims_and_releases(net, mv)
+        for r, c in claims.items():
             C_clm[i][inst_index[r]] = c
-        for r, c in _releases(net, mv).items():
+        for r, c in releases.items():
             C_rls[i][inst_index[r]] = c
 
     def var(i, j):
@@ -277,7 +276,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
                         coeffs[var(i, j)] = coeffs.get(var(i, j), 0) - C_clm[j][k]
                 if C_rls[j][k] and j != i:
                     coeffs[var(j, i)] = coeffs.get(var(j, i), 0) - C_rls[j][k]
-            if total_claims > capacities[k]:
+            if C_clm[i][k] and total_claims > capacities[k]:
                 rows.append(constraint(
                     coeffs, "<=", capacities[k] - total_claims,
                     f"const_vio[{i},{inst}]",

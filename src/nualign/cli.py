@@ -8,7 +8,8 @@ export of a net, log, or report).
 Exit codes: 0 success, 1 deviations found (``align --fail-on-deviation``)
 or validation violations (``validate``), 2 input/parse errors and broken
 soundness conditions (for example a cost table whose visible cost no
-longer outweighs the tau moves), 3 search or solver budget exhausted.
+longer outweighs the tau moves), 3 search or solver budget exhausted,
+4 approximated alignment failed its validity check.
 All randomness flows through ``--seed``; repeated runs produce
 byte-identical outputs.
 """
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_DEVIATIONS = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_INVALID = 4
 
 
 def _parse_costs(text: str) -> CostTable:
@@ -120,7 +122,7 @@ def cmd_align(args) -> int:
             if not result.valid:
                 print(f"error: approximated alignment failed validation: "
                       f"{result.witness}", file=sys.stderr)
-                return EXIT_INPUT
+                return EXIT_INVALID
             violations = [
                 violation_entry(r, result.composed) for r in result.realignments
             ]

@@ -95,8 +95,10 @@ def check_feasible(program: BinaryProgram, assignment):
 class _Engine:
     """Trailed assignment, watch lists, incremental row bounds.
 
-    Variables fixed by the program are assigned before rows are installed,
-    so fixed variables are folded into row constants and never watched.
+    Variables fixed by the program are folded into row constants and never
+    watched.  Every other variable of a row is watched, also one that is
+    already assigned when the row is installed (a lazy cut added at a
+    leaf), so undoing the assignment restores the row exactly.
     """
 
     def __init__(self, program: BinaryProgram):
@@ -122,25 +124,28 @@ class _Engine:
             self.add_row(row)
 
     def add_row(self, row: Constraint):
-        """Install a row, folding in already-assigned variables."""
+        """Install a row; its bounds reflect the current assignment."""
         idx = len(self.rows)
+        fixings = self.program.fixings
         active = []
         lo = hi = 0
         maxabs = 0
         for v, c in row.coeffs:
+            if v in fixings:
+                lo += c * fixings[v]
+                hi += c * fixings[v]
+                continue
+            lo += min(0, c)
+            hi += max(0, c)
+            active.append((v, c))
+            maxabs = max(maxabs, abs(c))
+            # deltas applied to (lo, hi) when v is set to 1 or 0
+            entry = (idx, c - min(0, c), c - max(0, c), -min(0, c), -max(0, c))
+            self.watch[v].append(entry)
             val = self.assignment[v]
-            if val is None:
-                lo += min(0, c)
-                hi += max(0, c)
-                active.append((v, c))
-                maxabs = max(maxabs, abs(c))
-                # deltas applied to (lo, hi) when v is set to 1 or 0
-                self.watch[v].append(
-                    (idx, c - min(0, c), c - max(0, c), -min(0, c), -max(0, c))
-                )
-            else:
-                lo += c * val
-                hi += c * val
+            if val is not None:
+                lo += entry[1] if val else entry[3]
+                hi += entry[2] if val else entry[4]
         self.rows.append((active, row.op, row.bound, row.label))
         self.row_lo.append(lo)
         self.row_hi.append(hi)
@@ -340,12 +345,9 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
                     program.lazy_rows(candidate) if program.lazy_rows else []
                 )
                 if violated:
-                    conflict = False
                     for row in violated:
-                        idx = engine.add_row(row)
-                        if engine.row_conflict(idx):
-                            conflict = True
-                    return True  # leaf closed either way; cuts persist
+                        engine.add_row(row)
+                    return True  # leaf closed; the cuts persist
                 value = program.objective_value(candidate)
                 if best_value is None or value < best_value:
                     best_assignment = candidate

@@ -22,21 +22,21 @@ def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     returns None if the goal is unreachable.  Raises SizeLimitError past
     ``node_cap`` explored nodes.
     """
-    goal_key = prod.marking_key(prod.final)
+    goal = prod.final
     best = [None]
     seen = {}
     nodes = [0]
 
-    def dfs(m, key, cost):
+    def dfs(m, cost):
         nodes[0] += 1
         if nodes[0] > node_cap:
             raise SizeLimitError(f"oracle exceeded {node_cap} nodes")
-        if best[0] is not None and cost >= best[0] and key != goal_key:
+        if best[0] is not None and cost >= best[0] and m != goal:
             return
-        if seen.get(key, float("inf")) <= cost:
+        if seen.get(m, float("inf")) <= cost:
             return
-        seen[key] = cost
-        if key == goal_key:
+        seen[m] = cost
+        if m == goal:
             if best[0] is None or cost < best[0]:
                 best[0] = cost
             return
@@ -44,10 +44,10 @@ def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
         for t in prod.transitions:
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
                                       forced=prod.forced.get(t, {})):
-                m2 = fire_mode(prod, m, t, mode)
-                dfs(m2, prod.marking_key(m2), cost + product_move_cost(prod, t, costs))
+                dfs(fire_mode(prod, m, t, mode),
+                    cost + product_move_cost(prod, t, costs))
 
-    dfs(prod.initial, prod.marking_key(prod.initial), 0)
+    dfs(prod.initial, 0)
     return best[0]
 
 

@@ -81,13 +81,16 @@ _EMPTY_MS = Multiset()
 
 
 class ColoredMarking:
-    """Immutable mapping place -> multiset of tokens."""
+    """Immutable mapping place -> multiset of tokens.
 
-    __slots__ = ("_tokens", "_key_cache")
+    Markings hash and compare by content, so a marking is its own search
+    key; the hash is computed on first use."""
+
+    __slots__ = ("_tokens", "_hash")
 
     def __init__(self, tokens=None):
         self._tokens = {}
-        self._key_cache = None
+        self._hash = None
         for p, ms in (tokens or {}).items():
             ms = ms if isinstance(ms, Multiset) else Multiset(ms)
             if ms:
@@ -109,68 +112,19 @@ class ColoredMarking:
                     ids.add(r)
         return ids
 
-    def case_ids(self):
-        return {
-            c
-            for ms in self._tokens.values()
-            for (c, _) in ms.support()
-            if c is not None
-        }
-
-    def add(self, place, ms: Multiset) -> "ColoredMarking":
-        out = dict(self._tokens)
-        out[place] = self.get(place) + ms
-        return ColoredMarking(out)
-
-    def sub(self, place, ms: Multiset) -> "ColoredMarking":
-        have = self.get(place)
-        if not ms <= have:
-            missing = next(x for x in ms.support() if ms.count(x) > have.count(x))
-            raise FiringError(
-                f"place {place} holds {have.count(missing)} of token {missing}, "
-                f"needs {ms.count(missing)}"
-            )
-        out = dict(self._tokens)
-        rest = have - ms
-        if rest:
-            out[place] = rest
-        else:
-            out.pop(place, None)
-        return ColoredMarking(out)
-
     def __or__(self, other: "ColoredMarking") -> "ColoredMarking":
         out = dict(self._tokens)
         for p, ms in other._tokens.items():
             out[p] = out.get(p, Multiset()) + ms
         return ColoredMarking(out)
 
-    def total(self):
-        return sum(ms.total() for ms in self._tokens.values())
-
-    def key(self, place_order=None):
-        """Canonical, totally comparable form (None fields encoded away)."""
-        cache_tag = id(place_order)
-        if self._key_cache is not None and self._key_cache[0] == cache_tag:
-            return self._key_cache[1]
-        places = place_order if place_order is not None else sorted(self._tokens)
-        out = tuple(
-            (
-                p,
-                tuple(sorted(
-                    (token_key(tok), n) for tok, n in self._tokens[p].items()
-                )),
-            )
-            for p in places
-            if p in self._tokens
-        )
-        self._key_cache = (cache_tag, out)
-        return out
-
     def __eq__(self, other):
         return isinstance(other, ColoredMarking) and self._tokens == other._tokens
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(frozenset(self._tokens.items()))
+        return self._hash
 
     def __repr__(self):
         return f"ColoredMarking({dict(self._tokens)!r})"
@@ -264,9 +218,6 @@ class ColoredNet:
     def is_silent(self, t):
         return self.labels.get(t) is TAU
 
-    def marking_key(self, marking: ColoredMarking):
-        return marking.key(self.places)
-
 
 class RcNuNet(ColoredNet):
     def __init__(self, production_places, roles, transitions, labels, flow,
@@ -353,15 +304,35 @@ def _fresh_is_case(net, t, name):
     return False
 
 
+def firing_effect(net: ColoredNet, t, mode):
+    """The tokens a firing of ``t`` in ``mode`` takes and gives back.
+
+    Returns ``(taken, given)``: lists of ``(place, token, count)`` with one
+    entry per input (output) place and bound token, in arc order.  This is
+    the one place where arc inscriptions are bound; firing, pseudo-markings,
+    resource claims and recorded resources all derive from it.  A token a
+    firing takes and returns (a self-loop) appears in both lists.
+    """
+    taken = [
+        (p, tok, n)
+        for p in net.input_places(t)
+        for tok, n in bind_pairs(net.arc(p, t), mode).items()
+    ]
+    given = [
+        (p, tok, n)
+        for p in net.output_places(t)
+        for tok, n in bind_pairs(net.arc(t, p), mode).items()
+    ]
+    return taken, given
+
+
 def involved_resources(net: RcNuNet, t, mode) -> Multiset:
     """Instances a firing touches: tokens consumed from role places."""
-    out = Multiset()
-    for role in net.roles:
-        for p in (role.available_place, role.busy_place):
-            for (c, r), n in bind_pairs(net.arc(p, t), mode).items():
-                if r is not None:
-                    out = out + Multiset({r: n})
-    return out
+    out = {}
+    for p, (_, r), n in firing_effect(net, t, mode)[0]:
+        if r is not None and net.place_role(p) is not None:
+            out[r] = out.get(r, 0) + n
+    return Multiset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +569,19 @@ def enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
 
 def fire_mode(net: RcNuNet, marking: ColoredMarking, t, mode) -> ColoredMarking:
     """Fire ``t`` with ``mode``; raises FiringError on missing tokens."""
-    m = marking
-    for p in net.input_places(t):
-        m = m.sub(p, bind_pairs(net.arc(p, t), mode))
-    for p in net.output_places(t):
-        m = m.add(p, bind_pairs(net.arc(t, p), mode))
-    return m
+    taken, given = firing_effect(net, t, mode)
+    changed = {}
+    for sign, effect in ((-1, taken), (1, given)):
+        for p, tok, n in effect:
+            if p not in changed:
+                changed[p] = dict(marking.get(p).items())
+            have = changed[p].get(tok, 0)
+            if have + sign * n < 0:
+                raise FiringError(f"place {p} holds {have} of token {tok}, needs {n}")
+            changed[p][tok] = have + sign * n
+    tokens = dict(marking._tokens)
+    tokens.update((p, Multiset(counts)) for p, counts in changed.items())
+    return ColoredMarking(tokens)
 
 
 def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):

@@ -4,12 +4,15 @@ The optimality tests compare the Dijkstra result against the exhaustive
 DFS oracle, which explores the product with no search-order assumptions.
 """
 
+import random
+
 import pytest
 
 from nualign.align import (
     Alignment,
     CostTable,
     Move,
+    PseudoMarking,
     SearchBudgetError,
     SoundnessError,
     align_log,
@@ -25,7 +28,7 @@ from nualign.fixtures import hospital_log, hospital_net
 from nualign.lognet import build_log_net
 from nualign.oracles import min_cost_exhaustive
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import EPS, scale_cases
+from nualign.rcnu import EPS, enabled_modes, fire_mode, scale_cases
 
 
 def product_for(log, cases=None):
@@ -214,6 +217,24 @@ def test_pseudo_fire_release_before_claim_goes_negative():
     assert pm.value("p_g_busy", ("c1", "g1")) == -1
     assert not pm.is_nonnegative()
     assert ("p_g_busy", ("c1", "g1"), -1) in pm.negatives()
+
+
+@pytest.mark.parametrize("cases", [["c1"], ["c1", "c2"], ["c1", "c2", "c3"]])
+def test_fire_mode_agrees_with_pseudo_fire_on_random_walks(cases):
+    net = scale_cases(hospital_net(), cases)
+    rng = random.Random(len(cases))
+    for _ in range(40):
+        m, moves = net.initial, []
+        for _ in range(rng.randrange(16)):
+            options = [(t, mode) for t in net.transitions
+                       for mode in enabled_modes(net, m, t)]
+            if not options:
+                break
+            t, mode = options[rng.randrange(len(options))]
+            m = fire_mode(net, m, t, mode)
+            moves.append(Move("model", transition=t, mode=tuple(sorted(mode.items())),
+                              label=net.labels[t]))
+            assert PseudoMarking.from_marking(m) == pseudo_fire(net, moves)
 
 
 def test_antichain_marking_boundaries():

@@ -16,6 +16,7 @@ from nualign.approx import (
     FULL_TRANSITIVITY_LIMIT,
     ComposedAlignment,
     IntervalRealignment,
+    _claims_and_releases,
     _pseudo_to_marking,
     _substitute,
     align_cases,
@@ -40,6 +41,7 @@ from nualign.fixtures import (
 )
 from nualign.ilp import check_feasible, constraint
 from nualign.petri import FiringError
+from nualign.oracles import _claims_and_releases as oracle_claims_and_releases
 from nualign.oracles import (
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
@@ -329,6 +331,34 @@ def test_approximate_forced_overlap_dominates_exact():
     assert len(result.realignments) == 1
 
 
+def _clinic_missing_discharge(n_cases):
+    """Contention-free clinic cases in disjoint time windows; ``c1`` lacks
+    its last event ``d_c``, which claims no resource."""
+    trace = (("i_s", "g:g1"), ("i_p", "g:g1"), ("o_p", ""),
+             ("o_so", "s:s1"), ("o_c", "s:s1"), ("d_c", ""))
+    return parse_log("".join(
+        f"c{k + 1},{activity},{k * 10 + stamp},{res}\n"
+        for k in range(n_cases)
+        for (activity, res), stamp in zip(trace, (1, 2, 3, 4, 6, 8))
+        if (k, activity) != (0, "d_c")
+    ))
+
+
+def test_no_capacity_row_at_a_move_that_claims_nothing():
+    # a row at the model move d_c would count the claims of every case
+    # not ordered after it and force order pairs no resource needs
+    net, log = clinic_net(), _clinic_missing_discharge(4)
+    result = approximate_alignment(net, log)
+    assert result.solution.additions == [] and result.solution.reversals == []
+    assert result.valid and result.cost() == 10_000
+
+
+def test_missing_discharge_solves_within_a_small_order_budget():
+    result = approximate_alignment(clinic_net(), _clinic_missing_discharge(5),
+                                   ilp_budget=2_000)
+    assert result.valid and result.cost() == 10_000
+
+
 def test_approximate_valid_on_simulated_deviations():
     from nualign.rcnu import DeviationConfig, simulate
     net = hospital_net()
@@ -392,6 +422,20 @@ def _differential_fixtures():
     clinic = [(clinic_net(), clinic_log(4, overlap_at=0))]
     return (hospital + claim_release_fixtures() + clinic
             + generate_pipeline_fixtures(200))
+
+
+def test_claims_and_releases_match_oracle():
+    """The firing effect's claims and releases equal the oracle's own
+    binding of the availability arcs, on every move of every composed and
+    approximated alignment."""
+    moves = 0
+    for net, log in _differential_fixtures():
+        scaled = scale_cases(net, log.cases())
+        result = approximate_alignment(net, log, node_budget=20_000)
+        for mv in result.composed.moves + result.alignment.moves:
+            assert _claims_and_releases(scaled, mv) == oracle_claims_and_releases(scaled, mv)
+            moves += 1
+    assert moves > 1000
 
 
 def test_projected_realignment_matches_full_marking_search():

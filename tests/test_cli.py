@@ -1,10 +1,16 @@
 """File formats and CLI commands: round-trips, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from nualign.cli import main
+import nualign
+import nualign.approx
+from nualign.cli import EXIT_INVALID, main
 from nualign.dot import log_to_dot, net_to_dot, report_to_dot
 from nualign.fixtures import (
     HOSPITAL_FORCED_OVERLAP_CSV,
@@ -202,6 +208,13 @@ def test_cli_align_budget_exit(net_file, log_file, tmp_path):
     assert code == 3
 
 
+def test_cli_align_invalid_approximation_exit(net_file, log_file, monkeypatch, capsys):
+    monkeypatch.setattr(nualign.approx, "is_valid_alignment",
+                        lambda *args, **kwargs: (False, "forced witness"))
+    assert main(["align", net_file, log_file, "--mode", "approx"]) == EXIT_INVALID == 4
+    assert "forced witness" in capsys.readouterr().err
+
+
 def test_cli_align_undeclared_resource(net_file, tmp_path, capsys):
     log = tmp_path / "bad.csv"
     log.write_text("c1,i_s,1,g:nobody\n")
@@ -278,3 +291,24 @@ def test_cli_outputs_deterministic(net_file, log_file, tmp_path):
         assert main(["simulate", net_file, "--seed", "7", "--out", str(sim)]) == 0
         sims.append(sim.read_bytes())
     assert sims[0] == sims[1]
+
+
+@pytest.mark.parametrize("csv", [HOSPITAL_LOG_CSV, HOSPITAL_FORCED_OVERLAP_CSV],
+                         ids=["fit", "forced_overlap"])
+def test_cli_reports_independent_of_hash_seed(net_file, tmp_path, csv):
+    log = tmp_path / "log.csv"
+    log.write_text(csv)
+    src = str(Path(nualign.__file__).resolve().parents[1])
+    reports = {}
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for mode in ("exact", "approx"):
+            out = tmp_path / f"{mode}{seed}.json"
+            subprocess.run(
+                [sys.executable, "-m", "nualign.cli", "align", net_file, str(log),
+                 "--mode", mode, "--out", str(out)],
+                env=env, check=True, timeout=300,
+            )
+            reports[seed, mode] = out.read_bytes()
+    for mode in ("exact", "approx"):
+        assert reports["1", mode] == reports["2", mode]

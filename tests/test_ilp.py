@@ -161,6 +161,43 @@ def test_lazy_rows_added_as_cuts():
     assert calls, "lazy family must have been consulted"
 
 
+def test_lazy_cut_at_a_full_leaf_is_undone():
+    # the cut arrives when every variable is set; once backtracked, it must
+    # reject only the assignments that violate it
+    def lazy(assignment):
+        if all(assignment):
+            return [constraint({0: 1, 1: 1, 2: 1}, "<=", 2, "not-all-three")]
+        return []
+
+    p = BinaryProgram(3, objective={0: -1, 1: -1, 2: -1},
+                      preferred={0: 1, 1: 1, 2: 1}, lazy_rows=lazy)
+    assignment, value = solve(p)
+    assert value == -2 and sum(assignment) == 2
+
+
+def test_random_instances_with_lazy_rows_match_enumeration():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randrange(1, 8)
+        objective = {v: rng.randrange(-4, 5) for v in range(n)}
+
+        def random_row():
+            coeffs = {v: rng.randrange(-2, 3) for v in range(n) if rng.random() < 0.7}
+            return constraint(coeffs, "<=", rng.randrange(-1, 3))
+
+        eager = [random_row() for _ in range(rng.randrange(0, 3))]
+        hidden = [random_row() for _ in range(rng.randrange(1, 4))]
+        fixings = {v: rng.randrange(2) for v in range(n) if rng.random() < 0.2}
+        preferred = {v: rng.randrange(2) for v in range(n)}
+
+        def lazy(assignment, hidden=hidden):
+            return [row for row in hidden if not row.holds(assignment)]
+
+        _assert_matches_enumeration(BinaryProgram(
+            n, objective=objective, constraints=eager, fixings=fixings,
+            preferred=preferred, lazy_rows=lazy))
+
+
 def test_determinism():
     rng = random.Random(5)
     n = 10

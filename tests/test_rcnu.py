@@ -156,6 +156,24 @@ def test_release_restores_availability():
     assert m == net.final
 
 
+def test_marking_equality_ignores_insertion_order():
+    tokens = [
+        ("p_r", (EPS, "x"), 1), ("p_busy", ("c1", "y"), 1),
+        ("p_r", (EPS, "z"), 2), ("q", ("c2", EPS), 1),
+    ]
+
+    def build(order):
+        places = {}
+        for p, tok, n in order:
+            places.setdefault(p, {})[tok] = n
+        return ColoredMarking({p: Multiset(d) for p, d in places.items()})
+
+    a, b = build(tokens), build(tokens[::-1])
+    assert list(a._tokens) != list(b._tokens)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_fire_unbound_requirement_raises():
     net = claim_release_net()
     with pytest.raises(FiringError):
