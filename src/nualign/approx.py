@@ -50,7 +50,7 @@ from .align import (
     sync_warnings,
 )
 from .eventlog import EventLog
-from .ilp import BinaryProgram, IlpBudgetError, InfeasibleError, constraint, solve
+from .ilp import BinaryProgram, constraint, solve
 from .lognet import build_log_net
 from .petri import FiringError
 from .poset import Multiset, Poset
@@ -198,11 +198,16 @@ class IlpInstance:
         return divmod(v, self.n)
 
 
-def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
-    """The order-adjustment program of a composed alignment.
+def capacity_rows(net: RcNuNet, comp: ComposedAlignment):
+    """Resource use of the composed moves and the capacity rows it induces.
 
-    Capacity rows exist only at moves that claim the instance.  This is
-    sound: availability falls only at a claim, so in every linearization an
+    Returns ``(instances, capacities, C_clm, C_rls, rows)``: the resource
+    instances in a fixed order, their capacities, the per-move claim and
+    release counts, and the rows ``const_vio[i,inst]`` over the order
+    variables ``X[i][j] = i * n + j``.
+
+    Rows exist only at moves that claim the instance.  This is sound:
+    availability falls only at a claim, so in every linearization an
     instance's usage peaks right after some claim fires.  When move ``i``
     claims, the moves fired so far are among those not ordered after ``i``,
     and every release ordered strictly before ``i`` has fired, so the row's
@@ -213,10 +218,6 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     instances = sorted(net.resource_instances().support())
     capacities = tuple(net.resource_instances().count(r) for r in instances)
     inst_index = {r: k for k, r in enumerate(instances)}
-
-    R = [[0] * n for _ in range(n)]
-    for i, j in comp.order.closed_pairs():
-        R[i][j] = 1
     C_clm = [[0] * len(instances) for _ in range(n)]
     C_rls = [[0] * len(instances) for _ in range(n)]
     for i, mv in enumerate(comp.moves):
@@ -225,6 +226,69 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
             C_clm[i][inst_index[r]] = c
         for r, c in releases.items():
             C_rls[i][inst_index[r]] = c
+
+    rows = []
+    for i in range(n):
+        for k, inst in enumerate(instances):
+            coeffs = {}
+            total_claims = 0
+            for j in range(n):
+                if C_clm[j][k]:
+                    total_claims += C_clm[j][k]
+                    if j != i:
+                        coeffs[i * n + j] = coeffs.get(i * n + j, 0) - C_clm[j][k]
+                if C_rls[j][k] and j != i:
+                    coeffs[j * n + i] = coeffs.get(j * n + i, 0) - C_rls[j][k]
+            if C_clm[i][k] and total_claims > capacities[k]:
+                rows.append(constraint(
+                    coeffs, "<=", capacities[k] - total_claims,
+                    f"const_vio[{i},{inst}]",
+                ))
+    return instances, capacities, C_clm, C_rls, rows
+
+
+def composed_assignment(comp: ComposedAlignment) -> list:
+    """The composed order R as an assignment of the order variables."""
+    n = len(comp.moves)
+    assignment = [0] * (n * n)
+    for i, j in comp.order.closed_pairs():
+        assignment[i * n + j] = 1
+    return assignment
+
+
+def composed_order_fits(net: RcNuNet, comp: ComposedAlignment) -> bool:
+    """Whether the composed order R satisfies its own capacity rows.
+
+    Then R is the order program's optimum, and the program need not be
+    built: every other row family holds at R by construction (the
+    reversal-removal rows keep R's pairs, antisymmetry and transitivity
+    hold in a closed partial order, the same-case fixings and the level-0
+    reversal cap are R's own values), every objective coefficient is
+    nonnegative, and R scores 0.  The solver would return exactly R too:
+    its preferred values are R, and propagation cannot force a value R
+    contradicts.
+    """
+    R = composed_assignment(comp)
+    return all(row.holds(R) for row in capacity_rows(net, comp)[-1])
+
+
+def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
+    """The order-adjustment program of a composed alignment.
+
+    Minimum reversals first, then additions: the program's cap row bounds
+    the number of kept pairs of R that flip, starting at none, and the
+    solver raises it until the program is feasible.  A reversal (weight
+    1000) always outweighs the additions it could save (fewer than 1000,
+    checked), so this is the optimum of the weighted objective; the cap
+    lets propagation fix every other kept pair the moment one flips, which
+    collapses the search tree that a single flat solve would explore.
+    """
+    n = len(comp.moves)
+    instances, capacities, C_clm, C_rls, capacity = capacity_rows(net, comp)
+
+    R = [[0] * n for _ in range(n)]
+    for i, j in comp.order.closed_pairs():
+        R[i][j] = 1
 
     def var(i, j):
         return i * n + j
@@ -264,23 +328,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
                 {var(i, j): 1, var(j, i): 1}, "<=", 1,
                 f"const_trans_clos[{i},{j},{i}]",
             ))
-    # capacity rows
-    for i in range(n):
-        for k, inst in enumerate(instances):
-            coeffs = {}
-            total_claims = 0
-            for j in range(n):
-                if C_clm[j][k]:
-                    total_claims += C_clm[j][k]
-                    if j != i:
-                        coeffs[var(i, j)] = coeffs.get(var(i, j), 0) - C_clm[j][k]
-                if C_rls[j][k] and j != i:
-                    coeffs[var(j, i)] = coeffs.get(var(j, i), 0) - C_rls[j][k]
-            if C_clm[i][k] and total_claims > capacities[k]:
-                rows.append(constraint(
-                    coeffs, "<=", capacities[k] - total_claims,
-                    f"const_vio[{i},{inst}]",
-                ))
+    rows.extend(capacity)
 
     # transitivity: all triples eagerly while the cubic count is cheap;
     # beyond that, eager rows for pairwise-interacting triples plus lazy
@@ -364,6 +412,8 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     ordered.extend(
         v for v in range(n * n) if v not in fixings and v not in placed
     )
+    reversal_cap = constraint({v: -1 for v in keep_vars}, "<=", -len(keep_vars),
+                              "reversal_cap")
     program = BinaryProgram(
         n_vars=n * n,
         objective=objective,
@@ -373,6 +423,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
         warm_starts=[block_triangular_assignment_raw(n, R, case_blocks)],
         lazy_rows=None if full_eager else lazy_transitivity,
         branch_order=ordered,
+        cap=reversal_cap,
     )
     return IlpInstance(n, tuple(instances), capacities, R, C_clm, C_rls,
                        program, case_blocks)
@@ -416,45 +467,19 @@ class OrderSolution:
         return bool(self.reversals)
 
 
-def _solve_lexicographic(inst: IlpInstance, node_budget: int):
-    """Minimum reversals first, then additions.
-
-    A reversal (weight 1000) always outweighs the additions it could save
-    (fewer than 1000, checked), so the optimum has the smallest feasible
-    reversal count.  Solving under an increasing reversal-cardinality cap
-    lets propagation fix every other kept pair the moment one flips, which
-    collapses the search tree that a single flat solve would explore.
-    """
-    from dataclasses import replace as dc_replace
-
-    n = inst.n
-    keep_vars = []
-    for i in range(n):
-        for j in range(n):
-            v = inst.var(i, j)
-            if inst.R[i][j] and v not in inst.program.fixings:
-                keep_vars.append(v)
-    spent = 0
-    for k in range(len(keep_vars) + 1):
-        cardinality = constraint(
-            {v: -1 for v in keep_vars}, "<=", k - len(keep_vars),
-            f"reversal_cap[{k}]",
-        )
-        program_k = dc_replace(
-            inst.program,
-            constraints=inst.program.constraints + [cardinality],
-        )
-        try:
-            return solve(program_k, node_budget - spent)
-        except InfeasibleError:
-            continue
-    raise InfeasibleError("no feasible order at any reversal count")
-
-
 def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
                       inst: IlpInstance, node_budget: int = 2_000_000) -> OrderSolution:
-    assignment, objective = _solve_lexicographic(inst, node_budget)
-    n = inst.n
+    """Solve the order program; ``node_budget`` counts the nodes of every
+    reversal level."""
+    assignment, objective = solve(inst.program, node_budget)
+    return extract_solution(comp, assignment, objective)
+
+
+def extract_solution(comp: ComposedAlignment, assignment, objective) -> OrderSolution:
+    """Reversals, additions and realignment regions of an adjusted order,
+    given as an assignment of the order variables."""
+    n = len(comp.moves)
+    R = composed_assignment(comp)
     reversals = []
     additions = []
     x_pairs = []
@@ -462,10 +487,10 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
         for j in range(n):
             if i == j:
                 continue
-            if assignment[inst.var(i, j)]:
+            if assignment[i * n + j]:
                 x_pairs.append((i, j))
-                if not inst.R[i][j]:
-                    if inst.R[j][i]:
+                if not R[i * n + j]:
+                    if R[j * n + i]:
                         reversals.append((i, j))
                     else:
                         additions.append((i, j))
@@ -516,13 +541,20 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
                          x_order, intervals, regions)
 
 
+def adjust_order(net: RcNuNet, comp: ComposedAlignment,
+                 node_budget: int = 2_000_000) -> OrderSolution:
+    """The optimal adjusted order: the composed order itself when it fits
+    (see ``composed_order_fits``), else the order program's solution."""
+    if composed_order_fits(net, comp):
+        return extract_solution(comp, composed_assignment(comp), 0)
+    return solve_and_extract(net, comp, build_ilp(net, comp), node_budget)
+
+
 def is_violating(net: RcNuNet, comp: ComposedAlignment,
                  node_budget: int = 2_000_000) -> bool:
     """Composed-alignment violation, decided by the order program: some
     reversal is unavoidable iff no permutation respects the capacities."""
-    inst = build_ilp(net, comp)
-    sol = solve_and_extract(net, comp, inst, node_budget)
-    return sol.violating
+    return adjust_order(net, comp, node_budget).violating
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +755,7 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
     scaled = scale_cases(net, log.cases())
     per_case = align_cases(net, log, costs, node_budget, spare_count)
     comp = compose(per_case, log)
-    inst = build_ilp(scaled, comp)
-    sol = solve_and_extract(scaled, comp, inst, ilp_budget)
+    sol = adjust_order(scaled, comp, ilp_budget)
 
     if not sol.intervals:
         gamma = Alignment(comp.moves, sol.x_order)

@@ -12,6 +12,12 @@ be generated lazily: a callback inspects complete candidate assignments
 and returns violated rows, which are added as cuts (used for the cubic
 family of transitivity constraints, where eagerly materializing every
 triple would dominate build time).
+
+A program may carry a cap row that is minimised before the objective:
+the solver raises the cap's bound one step at a time and returns the
+optimum at the first bound that admits a feasible assignment.  Every
+level runs on the same engine, so rows are installed and the root is
+propagated once, and lazy cuts found at one level prune the next.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ class BinaryProgram:
     warm_starts: list = field(default_factory=list) # known-feasible assignments
     lazy_rows: object = None   # callable(assignment) -> [Constraint] violated
     branch_order: list = None  # optional static variable order for branching
+    cap: Constraint = None     # "<=" row whose bound solve() raises until feasible;
+                               # an objective level, so check_feasible ignores it
 
     def objective_value(self, assignment):
         return self.constant + sum(
@@ -252,71 +260,90 @@ class _Engine:
     def all_rows_hold(self):
         return not any(self.row_conflict(i) for i in range(len(self.rows)))
 
+    def _force_row(self, idx, queue):
+        """Assign every variable row ``idx`` forces, queueing each; False on conflict."""
+        if self.row_conflict(idx):
+            return False
+        coeffs, op, bound, _ = self.rows[idx]
+        lo = self.row_lo[idx]
+        hi = self.row_hi[idx]
+        for v, c in coeffs:
+            if self.assignment[v] is not None:
+                continue
+            forced = None
+            if c > 0 and lo + c > bound:
+                forced = 0
+            elif c < 0 and lo - c > bound:
+                forced = 1
+            if forced is None and op == "==":
+                if c > 0 and hi - c < bound:
+                    forced = 1
+                elif c < 0 and hi + c < bound:
+                    forced = 0
+            if forced is not None:
+                if not self.assign(v, forced):
+                    return False
+                queue.append(v)
+                lo = self.row_lo[idx]
+                hi = self.row_hi[idx]
+        return True
+
     def propagate_all(self):
         """One full sweep followed by queue propagation (root node)."""
         queue = []
         for idx in range(len(self.rows)):
-            if self.row_conflict(idx):
+            if not self._force_row(idx, queue):
                 return False
-            coeffs, op, bound, _ = self.rows[idx]
-            lo = self.row_lo[idx]
-            hi = self.row_hi[idx]
-            for v, c in coeffs:
-                if self.assignment[v] is not None:
-                    continue
-                forced = None
-                if c > 0 and lo + c > bound:
-                    forced = 0
-                elif c < 0 and lo - c > bound:
-                    forced = 1
-                if forced is None and op == "==":
-                    if c > 0 and hi - c < bound:
-                        forced = 1
-                    elif c < 0 and hi + c < bound:
-                        forced = 0
-                if forced is not None:
-                    if not self.assign(v, forced):
-                        return False
-                    queue.append(v)
-                    lo = self.row_lo[idx]
-                    hi = self.row_hi[idx]
         return self.propagate(queue)
+
+    def set_bound(self, idx, bound):
+        """Give row ``idx`` a new bound and propagate it; False on conflict."""
+        coeffs, op, _, label = self.rows[idx]
+        self.rows[idx] = (coeffs, op, bound, label)
+        queue = []
+        return self._force_row(idx, queue) and self.propagate(queue)
 
 
 def solve(program: BinaryProgram, node_budget: int = 1_000_000):
     """Provably optimal 0/1 assignment, or raises InfeasibleError.
 
-    Deterministic: branches on the lowest-index free variable, preferred
-    value first.  Raises IlpBudgetError (carrying the best incumbent) when
-    the budget runs out before optimality is proven.
+    Deterministic: branches on the first free variable of the branch order,
+    preferred value first.  With a cap row, the optimum at the first
+    feasible cap bound (see the module docstring).  ``node_budget`` counts
+    the nodes of every level; IlpBudgetError (carrying the best incumbent)
+    is raised when it runs out before optimality is proven.
     """
     n = program.n_vars
     engine = _Engine(program)
-    best_assignment = None
-    best_value = None
+    cap = program.cap
+    if cap is not None and cap.op != "<=":
+        raise ValueError(f"cap row must be '<=', not {cap.op!r}")
 
-    for warm in program.warm_starts:
-        ok, _ = check_feasible(program, warm)
-        if ok:
-            value = program.objective_value(warm)
-            if best_value is None or value < best_value:
-                best_assignment = list(warm)
-                best_value = value
+    # checked once; a feasible warm start is an incumbent at every level
+    # whose cap bound its cap lhs meets
+    warm = []
+    for assignment in program.warm_starts:
+        if check_feasible(program, assignment)[0]:
+            warm.append((cap.lhs(assignment) if cap else 0,
+                         program.objective_value(assignment), list(assignment)))
 
     # fixings were folded into the rows at engine construction; apply the
     # root implications they trigger
     if not engine.propagate_all():
         raise InfeasibleError("fixings conflict with constraints")
 
-    nodes = 0
-    # stack frames: (trail mark, branch var, remaining values, search hint)
-    stack = []
     if program.branch_order is not None:
         order = list(program.branch_order)
         present = set(order)
         order.extend(v for v in range(n) if v not in present)
     else:
         order = list(range(n))
+
+    nodes = 0
+    best_assignment = None
+    best_value = None
+    # stack frames: (trail mark, branch var, remaining values, search hint)
+    stack = []
 
     def next_free(hint):
         for pos in range(hint, n):
@@ -326,7 +353,7 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
         return None
 
     def open_node(hint):
-        """Bound, pick a branch variable, push a frame; True if leaf handled."""
+        """Bound, then close the leaf or push a frame for the next variable."""
         nonlocal best_assignment, best_value, nodes
         nodes += 1
         if nodes > node_budget:
@@ -336,7 +363,7 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
                 else (tuple(best_assignment), best_value),
             )
         if best_value is not None and engine.obj_lb >= best_value:
-            return True
+            return
         pos = next_free(hint)
         if pos is None:
             candidate = list(engine.assignment)
@@ -347,51 +374,40 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
                 if violated:
                     for row in violated:
                         engine.add_row(row)
-                    return True  # leaf closed; the cuts persist
+                    return  # leaf closed; the cuts persist
                 value = program.objective_value(candidate)
                 if best_value is None or value < best_value:
                     best_assignment = candidate
                     best_value = value
-            return True
+            return
         var = order[pos]
         first = program.preferred.get(var, 0)
-        stack.append([engine.trail_mark(), var, [first, 1 - first], pos])
-        return False
-
-    engine.trail_mark = lambda: len(engine.trail)
+        stack.append([len(engine.trail), var, [first, 1 - first], pos])
 
     root_mark = len(engine.trail)
-    done = open_node(0)
-    while stack:
-        frame = stack[-1]
-        mark, var, values, hint = frame
-        engine.undo_to(mark)
-        if not values:
-            stack.pop()
-            continue
-        value = values.pop(0)
-        if not engine.assign(var, value) or not engine.propagate([var]):
-            continue
-        open_node(hint)
-
-    engine.undo_to(root_mark)
-    if best_assignment is None:
-        raise InfeasibleError("no feasible assignment")
-    return tuple(best_assignment), best_value
-
-
-def dump_lp(program: BinaryProgram) -> str:
-    """Plain-text rendering of the instance, exact integers."""
-    lines = []
-    obj = " + ".join(
-        f"{c} x{v}" for v, c in sorted(program.objective.items()) if c
-    )
-    const = f" + {program.constant}" if program.constant else ""
-    lines.append(f"min {obj or '0'}{const}")
-    for var, value in sorted(program.fixings.items()):
-        lines.append(f"x{var} = {value}  ; fixing")
-    for row in program.constraints:
-        body = " + ".join(f"{c} x{v}" for v, c in row.coeffs).replace("+ -", "- ")
-        label = f"  ; {row.label}" if row.label else ""
-        lines.append(f"{body or '0'} {row.op} {row.bound}{label}")
-    return "\n".join(lines) + "\n"
+    cap_row = None if cap is None else engine.add_row(cap)
+    bound = None if cap is None else cap.bound
+    while True:
+        for lhs, value, assignment in warm:
+            if (cap is None or lhs <= bound) and (best_value is None or value < best_value):
+                best_assignment = assignment
+                best_value = value
+        if cap is None or engine.set_bound(cap_row, bound):
+            open_node(0)
+        while stack:
+            mark, var, values, hint = stack[-1]
+            engine.undo_to(mark)
+            if not values:
+                stack.pop()
+                continue
+            value = values.pop(0)
+            if not engine.assign(var, value) or not engine.propagate([var]):
+                continue
+            open_node(hint)
+        engine.undo_to(root_mark)
+        if best_assignment is not None:
+            return tuple(best_assignment), best_value
+        # past the row's largest lhs a higher bound changes nothing
+        if cap is None or bound >= engine.row_hi[cap_row]:
+            raise InfeasibleError("no feasible assignment")
+        bound += 1

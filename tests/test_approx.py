@@ -1,7 +1,11 @@
 """Composition + order-program pipeline, checked against the permutation
 oracles and the exact aligner."""
 
+from dataclasses import replace
+
 import pytest
+
+import nualign.approx as approx
 
 from nualign.align import (
     Alignment,
@@ -24,6 +28,9 @@ from nualign.approx import (
     block_triangular_assignment,
     build_ilp,
     compose,
+    composed_assignment,
+    composed_order_fits,
+    extract_solution,
     is_violating,
     realign_interval,
     solve_and_extract,
@@ -39,7 +46,14 @@ from nualign.fixtures import (
     hospital_log,
     hospital_net,
 )
-from nualign.ilp import check_feasible, constraint
+from nualign.ilp import (
+    Constraint,
+    IlpBudgetError,
+    InfeasibleError,
+    check_feasible,
+    constraint,
+    solve,
+)
 from nualign.petri import FiringError
 from nualign.oracles import _claims_and_releases as oracle_claims_and_releases
 from nualign.oracles import (
@@ -52,7 +66,11 @@ from nualign.lognet import build_log_net
 from nualign.poset import Poset
 from nualign.rcnu import scale_cases
 
-from test_acceptance import claim_release_fixtures, generate_pipeline_fixtures
+from test_acceptance import (
+    claim_release_fixtures,
+    claim_release_log,
+    generate_pipeline_fixtures,
+)
 
 
 def hand_composed(overlap_forced, instances=None):
@@ -486,3 +504,106 @@ def test_clinic_overlap_realigns_over_region_cases_only():
     assert not re.fallback
     assert re.alignment.cost() == 20_000
     assert result.cost() == 20_000
+
+
+# -- the composed-order shortcut and the one-engine reversal levels ----------------
+
+def _per_level_reference(program, node_budget):
+    """The reversal levels as separate programs: a fresh solve per level,
+    with the cap as an explicit ``reversal_cap[k]`` row at bound ``k`` minus
+    the number of kept pairs, and the whole budget for every level."""
+    cap = program.cap
+    kept = len(cap.coeffs)
+    for k in range(kept + 1):
+        level = replace(program, cap=None, constraints=program.constraints + [
+            Constraint(cap.coeffs, "<=", k - kept, f"reversal_cap[{k}]"),
+        ])
+        try:
+            return solve(level, node_budget)
+        except InfeasibleError:
+            continue
+    raise InfeasibleError("no feasible order at any reversal count")
+
+
+def _solution_fields(sol):
+    return (sol.assignment, sol.objective, sol.reversals, sol.additions,
+            sol.intervals, sol.regions)
+
+
+def _slow_adjust_order(net, comp, node_budget=2_000_000):
+    """The order program built and solved level by level, whether or not
+    the composed order fits."""
+    program = build_ilp(net, comp).program
+    return extract_solution(comp, *_per_level_reference(program, node_budget))
+
+
+def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
+    """On every differential fixture: the one-engine solve and the pipeline's
+    order (shortcut or program) equal the per-level reference, the fits check
+    holds exactly when that reference is R at objective 0, and the pipeline
+    gives the same result and validity verdict as with the reference order,
+    at no less than the exact cost."""
+    budget = 20_000
+    fixtures = _differential_fixtures()
+    fitting = 0
+    for net, log in fixtures:
+        scaled = scale_cases(net, log.cases())
+        comp = compose(align_cases(net, log, node_budget=budget), log)
+        inst = build_ilp(scaled, comp)
+        reference = extract_solution(comp, *_per_level_reference(inst.program, 2_000_000))
+        one_engine = solve_and_extract(scaled, comp, inst)
+        assert _solution_fields(one_engine) == _solution_fields(reference)
+        fits = composed_order_fits(scaled, comp)
+        assert fits == (list(reference.assignment) == composed_assignment(comp)
+                        and reference.objective == 0)
+        fitting += fits
+
+        result = approximate_alignment(net, log, node_budget=budget)
+        assert _solution_fields(result.solution) == _solution_fields(reference)
+        with monkeypatch.context() as m:
+            m.setattr(approx, "adjust_order", _slow_adjust_order)
+            slow = approximate_alignment(net, log, node_budget=budget)
+        assert result.valid == slow.valid
+        assert result.cost() == slow.cost()
+        assert result.alignment.moves == slow.alignment.moves
+        assert (set(result.alignment.order.closed_pairs())
+                == set(slow.alignment.order.closed_pairs()))
+        if len(log) <= 10:
+            prod = build_sync_product(scaled, build_log_net(log))
+            try:
+                exact = optimal_alignment(prod, node_budget=budget)
+            except SearchBudgetError:
+                continue
+            assert result.cost() >= exact.cost()
+    assert 10 <= fitting < len(fixtures) - 10
+
+
+def test_order_budget_spans_every_reversal_level():
+    # three interleaved claim/release cases on one instance: the levels of
+    # zero, one and two reversals are infeasible, and each level alone
+    # proves its answer within 8 nodes, but together they need more
+    net = claim_release_net({"x": 1})
+    log = claim_release_log(((1, 4), (2, 5), (3, 6)))
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log), log)
+    inst = build_ilp(scaled, comp)
+    _per_level_reference(inst.program, 8)
+    with pytest.raises(IlpBudgetError):
+        solve_and_extract(scaled, comp, inst, node_budget=8)
+    sol = solve_and_extract(scaled, comp, inst, node_budget=100)
+    assert len(sol.reversals) == 3
+
+
+def test_fitting_composed_order_skips_the_order_program(monkeypatch):
+    calls = []
+
+    def spy(net, comp):
+        calls.append(len(comp.moves))
+        return build_ilp(net, comp)
+
+    monkeypatch.setattr(approx, "build_ilp", spy)
+    net = clinic_net()
+    result = approximate_alignment(net, clinic_log(5), node_budget=10_000)
+    assert calls == [] and result.valid and result.cost() == 0
+    result = approximate_alignment(net, clinic_log(9, overlap_at=0), node_budget=10_000)
+    assert len(calls) == 1 and result.solution.violating

@@ -1,6 +1,7 @@
 """Branch-and-bound 0/1 solver: optimality vs enumeration, determinism."""
 
 import random
+from dataclasses import replace
 from itertools import product as iproduct
 
 import pytest
@@ -12,7 +13,6 @@ from nualign.ilp import (
     InfeasibleError,
     check_feasible,
     constraint,
-    dump_lp,
     solve,
 )
 
@@ -89,6 +89,25 @@ def _assert_matches_enumeration(p):
         assert ok, why
 
 
+def _assert_levels_match_enumeration(p):
+    """A program with a cap row returns the optimum at the first cap bound,
+    counting up from the row's own, that admits a feasible assignment."""
+    cap = p.cap
+    top = sum(max(0, c) for _, c in cap.coeffs)   # no lhs exceeds this
+    for bound in range(cap.bound, max(cap.bound, top) + 1):
+        level = replace(p, cap=None,
+                        constraints=p.constraints + [replace(cap, bound=bound)])
+        expected = brute_force(level)
+        if expected is not None:
+            got_assignment, got_value = solve(p)
+            assert got_value == expected[1]
+            ok, why = check_feasible(level, list(got_assignment))
+            assert ok, why
+            return
+    with pytest.raises(InfeasibleError):
+        solve(p)
+
+
 def test_random_instances_match_enumeration():
     rng = random.Random(42)
     for _ in range(120):
@@ -110,12 +129,15 @@ def test_random_instances_match_enumeration():
         _assert_matches_enumeration(BinaryProgram(
             n, objective=objective, constraints=rows, fixings=fixings))
         # plus one long row over every free variable, shaped like the
-        # reversal cap (at least m ones), at every m from infeasible to slack
+        # reversal cap (at least m ones), at every m from infeasible to
+        # slack: as a plain row, and as a cap row whose levels start at m
         free = [v for v in range(n) if v not in fixings]
         for m in range(len(free) + 1, -1, -1):
             cap = constraint({v: -1 for v in free}, "<=", -m, f"cap[{m}]")
             _assert_matches_enumeration(BinaryProgram(
                 n, objective=objective, constraints=rows + [cap], fixings=fixings))
+            _assert_levels_match_enumeration(BinaryProgram(
+                n, objective=objective, constraints=rows, fixings=fixings, cap=cap))
 
 
 def test_solution_passes_check_feasible():
@@ -193,9 +215,21 @@ def test_random_instances_with_lazy_rows_match_enumeration():
         def lazy(assignment, hidden=hidden):
             return [row for row in hidden if not row.holds(assignment)]
 
-        _assert_matches_enumeration(BinaryProgram(
+        program = BinaryProgram(
             n, objective=objective, constraints=eager, fixings=fixings,
-            preferred=preferred, lazy_rows=lazy))
+            preferred=preferred, lazy_rows=lazy)
+        _assert_matches_enumeration(program)
+        # the same program under a cap that starts at all free variables
+        # set, so cuts found at the infeasible levels stay for the next
+        free = [v for v in range(n) if v not in fixings]
+        _assert_levels_match_enumeration(replace(program, cap=constraint(
+            {v: -1 for v in free}, "<=", -len(free), "cap")))
+
+
+def test_cap_row_must_be_an_upper_bound():
+    p = BinaryProgram(1, cap=constraint({0: 1}, "==", 1))
+    with pytest.raises(ValueError):
+        solve(p)
 
 
 def test_determinism():
@@ -219,6 +253,23 @@ def test_warm_start_used_as_incumbent():
     )
     assignment, value = solve(p)
     assert value == 1
+
+
+def dump_lp(program):
+    """Plain-text rendering of a program, exact integers."""
+    lines = []
+    obj = " + ".join(
+        f"{c} x{v}" for v, c in sorted(program.objective.items()) if c
+    )
+    const = f" + {program.constant}" if program.constant else ""
+    lines.append(f"min {obj or '0'}{const}")
+    for var, value in sorted(program.fixings.items()):
+        lines.append(f"x{var} = {value}  ; fixing")
+    for row in program.constraints:
+        body = " + ".join(f"{c} x{v}" for v, c in row.coeffs).replace("+ -", "- ")
+        label = f"  ; {row.label}" if row.label else ""
+        lines.append(f"{body or '0'} {row.op} {row.bound}{label}")
+    return "\n".join(lines) + "\n"
 
 
 def test_dump_lp_roundtrip_text():
