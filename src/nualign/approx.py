@@ -10,7 +10,20 @@ region's own cases: other cases' production tokens are dropped, every
 resource token stays (see ``realign_interval``).  The result is always a
 valid alignment, with cost at least the exact optimum.
 
-The program over the order matrix X (R is the composed order):
+The order program is local to the contention.  R is the composed order;
+when it breaks no capacity row it is the optimum and no program is built.
+Otherwise the contending cases are the case of each broken row's own move
+and every case whose net claim in a broken row, counted at R, is positive.
+Groups of them that share no case get separate programs, each the full
+program of the composition restricted to the group's moves: a variable per
+ordered pair of those moves, and every pair with a move outside the group
+keeps R's value.  The local optimum is a lower bound on the full
+program's, and R scores 0 on the outside pairs, so a lifted order that
+satisfies the full capacity rows and stays a partial order is the full
+optimum; one that does not widens its group by the cases the failing rows
+name, at most up to all cases (see ``adjust_order``).
+
+The program over the order matrix X of a group's moves:
 
 - same-case entries are fixed to R: individual alignments are preserved;
 - removing a pair forces the reverse pair (reversal, objective weight
@@ -50,7 +63,7 @@ from .align import (
     sync_warnings,
 )
 from .eventlog import EventLog
-from .ilp import BinaryProgram, constraint, solve
+from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
 from .petri import FiringError
 from .poset import Multiset, Poset
@@ -181,30 +194,79 @@ def violating_antichain(net: RcNuNet, comp: ComposedAlignment, g) -> bool:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class IlpInstance:
-    n: int
+class CapacityRows:
+    """The composed order R and the capacity rows it is checked against.
+
+    Computed once per ``adjust_order`` and shared by the fits check, the
+    contending-case finder, every program built and the extraction.
+    """
+
+    R: list                 # flat n x n binary, R[i * n + j] = 1 iff i before j
     instances: tuple        # resource instance ids, fixed order
     capacities: tuple
-    R: list                 # n x n binary, R[i][j] = 1 iff i before j
     C_clm: list             # n x n_r claim counts
     C_rls: list             # n x n_r release counts
-    program: BinaryProgram
-    case_blocks: list       # index lists per case, in case order
+    rows: list              # const_vio rows over the variables X[i][j] = i * n + j
+    at: list                # per row, (its move, its instance's index)
 
-    def var(self, i, j) -> int:
-        return i * self.n + j
+    def broken(self) -> list:
+        """Indices of the rows that R itself violates."""
+        return [r for r, row in enumerate(self.rows) if not row.holds(self.R)]
 
-    def pair(self, v) -> tuple:
-        return divmod(v, self.n)
+    def named_cases(self, comp: ComposedAlignment, rows, X) -> set:
+        """The cases the given rows name at the order assignment ``X``: the
+        case of each row's own move, and every case whose net claim in the
+        row (its claims not ordered after the move minus its releases
+        ordered before it) is positive."""
+        n = len(comp.moves)
+        named = set()
+        for r in rows:
+            i, k = self.at[r]
+            named.add(comp.case_of[i])
+            net_claim = {}
+            for j in range(n):
+                if j == i:
+                    continue
+                amount = (self.C_clm[j][k] * (1 - X[i * n + j])
+                          - self.C_rls[j][k] * X[j * n + i])
+                if amount:
+                    c = comp.case_of[j]
+                    net_claim[c] = net_claim.get(c, 0) + amount
+            named.update(c for c, amount in net_claim.items() if amount > 0)
+        return named
 
 
-def capacity_rows(net: RcNuNet, comp: ComposedAlignment):
+def _capacity_rows(moves, C_clm, C_rls, instances, capacities):
+    """The ``const_vio`` rows of a program over ``moves``: its variables are
+    ``a * m + b`` for positions ``a``, ``b`` in ``moves``, the claim and
+    release counts are per position, and the labels name the moves.
+    Returns the rows and, per row, its (move, instance index)."""
+    m = len(moves)
+    totals = [sum(claims[k] for claims in C_clm) for k in range(len(instances))]
+    rows, at = [], []
+    for a in range(m):
+        for k, inst in enumerate(instances):
+            if not C_clm[a][k] or totals[k] <= capacities[k]:
+                continue
+            coeffs = {}
+            for b in range(m):
+                if b != a:
+                    if C_clm[b][k]:
+                        coeffs[a * m + b] = -C_clm[b][k]
+                    if C_rls[b][k]:
+                        coeffs[b * m + a] = -C_rls[b][k]
+            rows.append(constraint(coeffs, "<=", capacities[k] - totals[k],
+                                   f"const_vio[{moves[a]},{inst}]"))
+            at.append((moves[a], k))
+    return rows, at
+
+
+def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
     """Resource use of the composed moves and the capacity rows it induces.
 
-    Returns ``(instances, capacities, C_clm, C_rls, rows)``: the resource
-    instances in a fixed order, their capacities, the per-move claim and
-    release counts, and the rows ``const_vio[i,inst]`` over the order
-    variables ``X[i][j] = i * n + j``.
+    The rows ``const_vio[i,inst]`` are over the order variables
+    ``X[i][j] = i * n + j``: the claims of the moves not ordered after
+    ``i``, minus the releases ordered strictly before it, fit the capacity.
 
     Rows exist only at moves that claim the instance.  This is sound:
     availability falls only at a claim, so in every linearization an
@@ -226,25 +288,9 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment):
             C_clm[i][inst_index[r]] = c
         for r, c in releases.items():
             C_rls[i][inst_index[r]] = c
-
-    rows = []
-    for i in range(n):
-        for k, inst in enumerate(instances):
-            coeffs = {}
-            total_claims = 0
-            for j in range(n):
-                if C_clm[j][k]:
-                    total_claims += C_clm[j][k]
-                    if j != i:
-                        coeffs[i * n + j] = coeffs.get(i * n + j, 0) - C_clm[j][k]
-                if C_rls[j][k] and j != i:
-                    coeffs[j * n + i] = coeffs.get(j * n + i, 0) - C_rls[j][k]
-            if C_clm[i][k] and total_claims > capacities[k]:
-                rows.append(constraint(
-                    coeffs, "<=", capacities[k] - total_claims,
-                    f"const_vio[{i},{inst}]",
-                ))
-    return instances, capacities, C_clm, C_rls, rows
+    rows, at = _capacity_rows(range(n), C_clm, C_rls, instances, capacities)
+    return CapacityRows(composed_assignment(comp), tuple(instances), capacities,
+                        C_clm, C_rls, rows, at)
 
 
 def composed_assignment(comp: ComposedAlignment) -> list:
@@ -256,24 +302,38 @@ def composed_assignment(comp: ComposedAlignment) -> list:
     return assignment
 
 
-def composed_order_fits(net: RcNuNet, comp: ComposedAlignment) -> bool:
-    """Whether the composed order R satisfies its own capacity rows.
+@dataclass
+class IlpInstance:
+    moves: tuple            # the composed move at each program position
+    instances: tuple        # resource instance ids, fixed order
+    capacities: tuple
+    R: list                 # m x m binary over positions, R[a][b] = 1 iff a before b
+    C_clm: list             # m x n_r claim counts
+    C_rls: list             # m x n_r release counts
+    program: BinaryProgram
+    case_blocks: list       # position lists per case, in case order
 
-    Then R is the order program's optimum, and the program need not be
-    built: every other row family holds at R by construction (the
-    reversal-removal rows keep R's pairs, antisymmetry and transitivity
-    hold in a closed partial order, the same-case fixings and the level-0
-    reversal cap are R's own values), every objective coefficient is
-    nonnegative, and R scores 0.  The solver would return exactly R too:
-    its preferred values are R, and propagation cannot force a value R
-    contradicts.
-    """
-    R = composed_assignment(comp)
-    return all(row.holds(R) for row in capacity_rows(net, comp)[-1])
+    @property
+    def n(self) -> int:
+        return len(self.moves)
+
+    def var(self, a, b) -> int:
+        return a * self.n + b
+
+    def pair(self, v) -> tuple:
+        return divmod(v, self.n)
 
 
-def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
-    """The order-adjustment program of a composed alignment.
+def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
+              use: CapacityRows | None = None) -> IlpInstance:
+    """The order-adjustment program of the composed alignment restricted to
+    the moves of ``cases`` (all cases when None: the full program).
+
+    The program is exactly the full program of the composition that has
+    only those cases' moves: its variables are the ordered pairs among
+    them, ``a * m + b`` over their positions, and its rows mention no other
+    move.  Row labels name the composed moves.  ``use`` is the composed
+    order's ``capacity_rows``, computed here when not given.
 
     Minimum reversals first, then additions: the program's cap row bounds
     the number of kept pairs of R that flip, starting at none, and the
@@ -283,12 +343,16 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     lets propagation fix every other kept pair the moment one flips, which
     collapses the search tree that a single flat solve would explore.
     """
-    n = len(comp.moves)
-    instances, capacities, C_clm, C_rls, capacity = capacity_rows(net, comp)
-
-    R = [[0] * n for _ in range(n)]
-    for i, j in comp.order.closed_pairs():
-        R[i][j] = 1
+    if use is None:
+        use = capacity_rows(net, comp)
+    total = len(comp.moves)
+    moves = tuple(i for i in range(total)
+                  if cases is None or comp.case_of[i] in cases)
+    n = len(moves)
+    R = [[use.R[i * total + j] for j in moves] for i in moves]
+    C_clm = [use.C_clm[i] for i in moves]
+    C_rls = [use.C_rls[i] for i in moves]
+    capacity, _ = _capacity_rows(moves, C_clm, C_rls, use.instances, use.capacities)
 
     def var(i, j):
         return i * n + j
@@ -296,8 +360,10 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
     objective = {}
     fixings = {}
     preferred = {}
-    by_case = comp.case_indices()
-    case_blocks = [by_case[c] for c in sorted(by_case)]
+    position = {mv: i for i, mv in enumerate(moves)}
+    case_blocks = [[position[mv] for mv in block]
+                   for c, block in sorted(comp.case_indices().items())
+                   if cases is None or c in cases]
     same_case = set()
     for block in case_blocks:
         for i in block:
@@ -319,14 +385,14 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
             if i != j and R[i][j]:
                 rows.append(constraint(
                     {var(i, j): -1, var(j, i): -1}, "<=", -1,
-                    f"const_rev_rem[{i},{j}]",
+                    f"const_rev_rem[{moves[i]},{moves[j]}]",
                 ))
     # antisymmetry (transitivity row with k = i)
     for i in range(n):
         for j in range(i + 1, n):
             rows.append(constraint(
                 {var(i, j): 1, var(j, i): 1}, "<=", 1,
-                f"const_trans_clos[{i},{j},{i}]",
+                f"const_trans_clos[{moves[i]},{moves[j]},{moves[i]}]",
             ))
     rows.extend(capacity)
 
@@ -339,7 +405,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
         neighbours = [[j for j in range(n) if j != i] for i in range(n)]
     else:
         touched = [
-            {k for k in range(len(instances)) if C_clm[i][k] or C_rls[i][k]}
+            {k for k in range(len(use.instances)) if C_clm[i][k] or C_rls[i][k]}
             for i in range(n)
         ]
         neighbours = [
@@ -349,16 +415,17 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
         ]
     neighbour_sets = [set(row) for row in neighbours]
 
+    def transitivity(i, j, k):
+        return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
+                          f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
+
     seen = set()
     for i in range(n):
         for j in neighbours[i]:
             both = neighbour_sets[i] & neighbour_sets[j]
             for k in sorted(both):
                 seen.add((i, j, k))
-                rows.append(constraint(
-                    {var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
-                    f"const_trans_clos[{i},{j},{k}]",
-                ))
+                rows.append(transitivity(i, j, k))
 
     def lazy_transitivity(assignment):
         violated = []
@@ -370,10 +437,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
                 if i != j and before[i][j]:
                     for k in range(n):
                         if k not in (i, j) and before[j][k] and not before[i][k]:
-                            violated.append(constraint(
-                                {var(i, j): 1, var(j, k): 1, var(i, k): -1},
-                                "<=", 1, f"const_trans_clos[{i},{j},{k}]",
-                            ))
+                            violated.append(transitivity(i, j, k))
         return violated
 
     # one witness transitivity row per transitively implied kept pair, so
@@ -393,10 +457,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
                     key = (i, witness, j)
                     if key not in seen:
                         seen.add(key)
-                        rows.append(constraint(
-                            {var(i, witness): 1, var(witness, j): 1, var(i, j): -1},
-                            "<=", 1, f"const_trans_clos[{i},{witness},{j}]",
-                        ))
+                        rows.append(transitivity(i, witness, j))
                 span[var(i, j)] = mid
                 keep_vars.append(var(i, j))
 
@@ -425,7 +486,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment) -> IlpInstance:
         branch_order=ordered,
         cap=reversal_cap,
     )
-    return IlpInstance(n, tuple(instances), capacities, R, C_clm, C_rls,
+    return IlpInstance(moves, use.instances, use.capacities, R, C_clm, C_rls,
                        program, case_blocks)
 
 
@@ -452,7 +513,7 @@ def block_triangular_assignment(inst: IlpInstance):
     return block_triangular_assignment_raw(inst.n, inst.R, inst.case_blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OrderSolution:
     assignment: tuple
     objective: int
@@ -461,25 +522,129 @@ class OrderSolution:
     x_order: Poset           # the adjusted order over move indices
     intervals: list          # (A, B) antichain pairs under the adjusted order
     regions: list            # per interval, the sorted move indices it spans
+    free_cases: tuple        # sorted ids of the cases whose pairs were variables
+    widenings: int           # widening steps before every lifted order held
 
     @property
     def violating(self) -> bool:
         return bool(self.reversals)
 
 
-def solve_and_extract(net: RcNuNet, comp: ComposedAlignment,
-                      inst: IlpInstance, node_budget: int = 2_000_000) -> OrderSolution:
-    """Solve the order program; ``node_budget`` counts the nodes of every
-    reversal level."""
-    assignment, objective = solve(inst.program, node_budget)
-    return extract_solution(comp, assignment, objective)
+def contending_groups(comp: ComposedAlignment, use: CapacityRows) -> list:
+    """The case sets of the broken capacity rows, merged where they meet.
+
+    A broken row's cases are the case of its own move and every case whose
+    net claim in it, counted at R, is positive (``named_cases``).  Rows
+    whose case sets share a case fall into one group; the groups are
+    disjoint, sorted by their smallest case id, and empty when R fits.
+    """
+    groups = []
+    for r in use.broken():
+        cases = use.named_cases(comp, [r], use.R)
+        for other in [g for g in groups if g & cases]:
+            cases |= other
+            groups.remove(other)
+        groups.append(cases)
+    return sorted((frozenset(g) for g in groups), key=min)
 
 
-def extract_solution(comp: ComposedAlignment, assignment, objective) -> OrderSolution:
-    """Reversals, additions and realignment regions of an adjusted order,
-    given as an assignment of the order variables."""
+def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance,
+                   changes: dict) -> set:
+    """The outside cases named by the full-program rows that the lift of a
+    local program's order breaks.
+
+    The lift is R with the program's pairs set as in ``changes`` (composed
+    order variable -> value).  Two kinds of rows can break there: a
+    capacity row at one of the program's moves, whose terms for outside
+    moves the program left out, and a transitivity triple with exactly one
+    move outside the program, through a changed pair.  Every other row is
+    a row of the program, or reads only pairs the lift keeps at R (a
+    capacity row at an outside move: R breaks it only if its move belongs
+    to another group, which settles it).  A broken capacity row names the
+    cases with positive net claim in it at the lift, a broken triple the
+    case of its outside move.
+    """
     n = len(comp.moves)
-    R = composed_assignment(comp)
+    R = use.R
+    X = list(R)
+    for v, value in changes.items():
+        X[v] = value
+    local = set(inst.moves)
+    failing = [r for r, (i, _) in enumerate(use.at)
+               if i in local and not use.rows[r].holds(X)]
+    outside = [o for o in range(n) if o not in local]
+    named = use.named_cases(comp, failing, X)
+    for v, value in changes.items():
+        a, b = divmod(v, n)
+        for o in outside:
+            if value:
+                broken = ((R[b * n + o] and not R[a * n + o])
+                          or (R[o * n + a] and not R[o * n + b]))
+            else:
+                broken = R[a * n + o] and R[o * n + b]
+            if broken:
+                named.add(comp.case_of[o])
+    named.difference_update(comp.case_of[i] for i in inst.moves)
+    if failing and not named:
+        raise SoundnessError(
+            f"capacity rows {[use.rows[r].label for r in failing]} fail at the "
+            f"lifted order without any outside case claiming"
+        )
+    return named
+
+
+def solve_and_extract(net: RcNuNet, comp: ComposedAlignment, use: CapacityRows,
+                      groups, node_budget: int = 2_000_000) -> OrderSolution:
+    """Solve the local order program of every group of contending cases
+    (see ``adjust_order``), widening a group until its lifted order holds,
+    and extract the adjusted order.  ``node_budget`` counts the nodes of
+    every program solved, across groups, widening steps and reversal
+    levels."""
+    n = len(comp.moves)
+    budget = NodeBudget(node_budget)
+    pending = list(groups)
+    solved = {}              # case set -> (changed variables, objective)
+    widenings = 0
+    while pending:
+        cases = pending.pop(0)
+        inst = build_ilp(net, comp, cases, use)
+        local, objective = solve(inst.program, budget)
+        changes = {}
+        for v, value in enumerate(local):
+            a, b = inst.pair(v)
+            if value != inst.R[a][b]:
+                changes[inst.moves[a] * n + inst.moves[b]] = value
+        named = _lift_failures(comp, use, inst, changes)
+        if not named:
+            solved[cases] = (changes, objective)
+            continue
+        # a wider group absorbs every group it meets, solved ones included
+        widenings += 1
+        wider = cases | named
+        for other in [g for g in pending + list(solved) if g & wider]:
+            wider |= other
+            if other in solved:
+                del solved[other]
+            else:
+                pending.remove(other)
+        pending.insert(0, wider)
+
+    assignment = list(use.R)
+    for changes, _ in solved.values():
+        for v, value in changes.items():
+            assignment[v] = value
+    return extract_solution(
+        comp, use.R, assignment, sum(objective for _, objective in solved.values()),
+        tuple(sorted(set().union(*solved))), widenings,
+    )
+
+
+def extract_solution(comp: ComposedAlignment, R, assignment, objective,
+                     free_cases=(), widenings=0) -> OrderSolution:
+    """Reversals, additions and realignment regions of an adjusted order,
+    given as an assignment of the order variables; ``R`` is the composed
+    order's (``composed_assignment``)."""
+    n = len(comp.moves)
     reversals = []
     additions = []
     x_pairs = []
@@ -538,16 +703,57 @@ def extract_solution(comp: ComposedAlignment, assignment, objective) -> OrderSol
     if len(flat) != len(set(flat)):
         raise SoundnessError("interval regions overlap")
     return OrderSolution(tuple(assignment), objective, reversals, additions,
-                         x_order, intervals, regions)
+                         x_order, intervals, regions, free_cases, widenings)
 
 
 def adjust_order(net: RcNuNet, comp: ComposedAlignment,
                  node_budget: int = 2_000_000) -> OrderSolution:
-    """The optimal adjusted order: the composed order itself when it fits
-    (see ``composed_order_fits``), else the order program's solution."""
-    if composed_order_fits(net, comp):
-        return extract_solution(comp, composed_assignment(comp), 0)
-    return solve_and_extract(net, comp, build_ilp(net, comp), node_budget)
+    """The optimal adjusted order of a composed alignment.
+
+    When R satisfies its own capacity rows it is the optimum, and no
+    program is built: every other row family holds at R by construction
+    (the reversal-removal rows keep R's pairs, antisymmetry and
+    transitivity hold in a closed partial order, the same-case fixings and
+    the level-0 reversal cap are R's own values), every objective
+    coefficient is nonnegative, and R scores 0.  The solver would return
+    exactly R too: its preferred values are R, and propagation cannot force
+    a value R contradicts.
+
+    Otherwise each group of contending cases (``contending_groups``) gets
+    the program of the composition restricted to its cases (``build_ilp``),
+    and the program's optimum is lifted: every pair with a move outside the
+    group keeps R's value.  The lift is the full program's optimum once it
+    satisfies the full program's rows, for two reasons:
+
+    - the local optimum is a lower bound.  Restricting any feasible full
+      order to the group's pairs satisfies the local program: its
+      reversal-removal, antisymmetry, transitivity and same-case rows are
+      rows of the full program, and in a capacity row every outside case's
+      net claim is nonnegative (its moves ordered before the row's move
+      form a prefix of the case's own order, whose releases never exceed
+      its claims, and the row counts all those claims), so dropping those
+      terms keeps the row.  Its objective counts a subset of the full
+      order's changed pairs, and its reversals a subset of the full
+      order's reversals.  Groups are disjoint in cases, hence in pairs, so
+      the bounds add up;
+    - the lift attains the bound: outside pairs keep R's values, which
+      score 0.
+
+    Capacity rows at moves outside the group read only pairs the lift
+    keeps at R: R satisfies them unless their move belongs to another
+    group, whose own program settles them (groups share no pair).  So the
+    lift is checked against the capacity rows at the group's moves and the
+    transitivity triples with one outside move (``_lift_failures``).  When
+    one fails, the group widens by the cases the failing rows name and
+    absorbs every group it meets; the program is built again.  Each step
+    adds a case, so the widening ends at all cases at the latest, where the
+    program is the full program and its lift is its own optimum.
+    """
+    use = capacity_rows(net, comp)
+    groups = contending_groups(comp, use)
+    if not groups:
+        return extract_solution(comp, use.R, use.R, 0)
+    return solve_and_extract(net, comp, use, groups, node_budget)
 
 
 def is_violating(net: RcNuNet, comp: ComposedAlignment,

@@ -36,6 +36,14 @@ class IlpBudgetError(RuntimeError):
         self.incumbent = incumbent
 
 
+@dataclass
+class NodeBudget:
+    """Branch-and-bound nodes that several solves draw from together."""
+
+    limit: int
+    used: int = 0
+
+
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple          # ((var, coefficient), ...) sorted by var
@@ -304,15 +312,19 @@ class _Engine:
         return self._force_row(idx, queue) and self.propagate(queue)
 
 
-def solve(program: BinaryProgram, node_budget: int = 1_000_000):
+def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
     """Provably optimal 0/1 assignment, or raises InfeasibleError.
 
     Deterministic: branches on the first free variable of the branch order,
     preferred value first.  With a cap row, the optimum at the first
     feasible cap bound (see the module docstring).  ``node_budget`` counts
-    the nodes of every level; IlpBudgetError (carrying the best incumbent)
-    is raised when it runs out before optimality is proven.
+    the nodes of every level, and a ``NodeBudget`` also those of earlier
+    solves that drew from it; IlpBudgetError (carrying the best incumbent
+    and the nodes counted) is raised when it runs out before optimality is
+    proven.
     """
+    budget = (node_budget if isinstance(node_budget, NodeBudget)
+              else NodeBudget(node_budget))
     n = program.n_vars
     engine = _Engine(program)
     cap = program.cap
@@ -339,7 +351,6 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
     else:
         order = list(range(n))
 
-    nodes = 0
     best_assignment = None
     best_value = None
     # stack frames: (trail mark, branch var, remaining values, search hint)
@@ -354,11 +365,11 @@ def solve(program: BinaryProgram, node_budget: int = 1_000_000):
 
     def open_node(hint):
         """Bound, then close the leaf or push a frame for the next variable."""
-        nonlocal best_assignment, best_value, nodes
-        nodes += 1
-        if nodes > node_budget:
+        nonlocal best_assignment, best_value
+        budget.used += 1
+        if budget.used > budget.limit:
             raise IlpBudgetError(
-                nodes,
+                budget.used,
                 None if best_assignment is None
                 else (tuple(best_assignment), best_value),
             )

@@ -1,7 +1,7 @@
 """Composition + order-program pipeline, checked against the permutation
 oracles and the exact aligner."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -26,17 +26,17 @@ from nualign.approx import (
     align_cases,
     approximate_alignment,
     block_triangular_assignment,
+    adjust_order,
     build_ilp,
+    capacity_rows,
     compose,
     composed_assignment,
-    composed_order_fits,
     extract_solution,
     is_violating,
     realign_interval,
-    solve_and_extract,
     violating_antichain,
 )
-from nualign.eventlog import parse_log
+from nualign.eventlog import parse_log, serialize_log
 from nualign.fixtures import (
     claim_release_net,
     clinic_log,
@@ -50,6 +50,7 @@ from nualign.ilp import (
     Constraint,
     IlpBudgetError,
     InfeasibleError,
+    NodeBudget,
     check_feasible,
     constraint,
     solve,
@@ -185,6 +186,14 @@ def test_violating_composition_never_fires():
 
 # -- the order program ------------------------------------------------------------
 
+def _full_program_solution(net, comp, node_budget=2_000_000):
+    """The all-cases order program solved on one engine, whether or not
+    the composed order fits."""
+    inst = build_ilp(net, comp)
+    return extract_solution(comp, composed_assignment(comp),
+                            *solve(inst.program, node_budget))
+
+
 def test_ilp_same_case_pairs_all_fixed():
     net = hospital_net()
     log = hospital_log().project_case("c1")
@@ -256,8 +265,7 @@ def test_solution_nonviolating_zero_cost():
     net = hospital_net()
     log = hospital_log()
     comp = compose(align_cases(net, log), log)
-    inst = build_ilp(scale_cases(net, log.cases()), comp)
-    sol = solve_and_extract(scale_cases(net, log.cases()), comp, inst)
+    sol = _full_program_solution(scale_cases(net, log.cases()), comp)
     assert sol.objective == 0
     assert not sol.violating and sol.intervals == []
 
@@ -268,8 +276,7 @@ def test_solution_concurrent_contention_added_pairs_only():
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
     assert not is_violating_by_linearizations(scaled, comp.moves, comp.order)
-    inst = build_ilp(scaled, comp)
-    sol = solve_and_extract(scaled, comp, inst)
+    sol = _full_program_solution(scaled, comp)
     assert not sol.violating
     assert sol.additions, "serializing the claims needs added pairs"
     assert sol.intervals == []
@@ -281,8 +288,7 @@ def test_solution_forced_overlap_reversal_and_interval():
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
     assert is_violating_by_linearizations(scaled, comp.moves, comp.order)
-    inst = build_ilp(scaled, comp)
-    sol = solve_and_extract(scaled, comp, inst)
+    sol = _full_program_solution(scaled, comp)
     assert sol.violating
     assert len(sol.intervals) >= 1
     # the region covers the reversed claim/release pair
@@ -300,8 +306,7 @@ def test_realign_interval_forced_overlap_pays_one_split():
     log = hospital_forced_overlap_log()
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
-    inst = build_ilp(scaled, comp)
-    sol = solve_and_extract(scaled, comp, inst)
+    sol = _full_program_solution(scaled, comp)
     (a, b) = sol.intervals[0]
     re = realign_interval(scaled, comp, sol.x_order, a, b, log)
     assert not re.fallback
@@ -534,7 +539,8 @@ def _slow_adjust_order(net, comp, node_budget=2_000_000):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
     program = build_ilp(net, comp).program
-    return extract_solution(comp, *_per_level_reference(program, node_budget))
+    return extract_solution(comp, composed_assignment(comp),
+                            *_per_level_reference(program, node_budget))
 
 
 def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
@@ -550,10 +556,11 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=budget), log)
         inst = build_ilp(scaled, comp)
-        reference = extract_solution(comp, *_per_level_reference(inst.program, 2_000_000))
-        one_engine = solve_and_extract(scaled, comp, inst)
+        reference = extract_solution(comp, composed_assignment(comp),
+                                     *_per_level_reference(inst.program, 2_000_000))
+        one_engine = _full_program_solution(scaled, comp)
         assert _solution_fields(one_engine) == _solution_fields(reference)
-        fits = composed_order_fits(scaled, comp)
+        fits = not capacity_rows(scaled, comp).broken()
         assert fits == (list(reference.assignment) == composed_assignment(comp)
                         and reference.objective == 0)
         fitting += fits
@@ -589,17 +596,18 @@ def test_order_budget_spans_every_reversal_level():
     inst = build_ilp(scaled, comp)
     _per_level_reference(inst.program, 8)
     with pytest.raises(IlpBudgetError):
-        solve_and_extract(scaled, comp, inst, node_budget=8)
-    sol = solve_and_extract(scaled, comp, inst, node_budget=100)
+        adjust_order(scaled, comp, node_budget=8)
+    sol = adjust_order(scaled, comp, node_budget=100)
     assert len(sol.reversals) == 3
 
 
 def test_fitting_composed_order_skips_the_order_program(monkeypatch):
     calls = []
 
-    def spy(net, comp):
-        calls.append(len(comp.moves))
-        return build_ilp(net, comp)
+    def spy(*args):
+        inst = build_ilp(*args)
+        calls.append(inst.n)
+        return inst
 
     monkeypatch.setattr(approx, "build_ilp", spy)
     net = clinic_net()
@@ -607,3 +615,112 @@ def test_fitting_composed_order_skips_the_order_program(monkeypatch):
     assert calls == [] and result.valid and result.cost() == 0
     result = approximate_alignment(net, clinic_log(9, overlap_at=0), node_budget=10_000)
     assert len(calls) == 1 and result.solution.violating
+
+
+# -- the contention-local order program ---------------------------------------------
+
+def _build_ilp_spy(monkeypatch):
+    """Record the size and the case ids of every program ``build_ilp`` builds."""
+    calls = []
+
+    def spy(net, comp, *args):
+        inst = build_ilp(net, comp, *args)
+        calls.append((inst.n, tuple(sorted({comp.case_of[i] for i in inst.moves}))))
+        return inst
+
+    monkeypatch.setattr(approx, "build_ilp", spy)
+    return calls
+
+
+def _clinic_two_overlaps(n, first, second):
+    """``clinic_log(n)`` with the surgeon overlaps of both
+    ``clinic_log(n, overlap_at=first)`` and ``clinic_log(n, overlap_at=second)``."""
+    late = f"c{second + 2},"
+    rows = [row for row in serialize_log(clinic_log(n, overlap_at=first)).splitlines()
+            if not row.startswith(late)]
+    rows += [row for row in serialize_log(clinic_log(n, overlap_at=second)).splitlines()
+             if row.startswith(late)]
+    return parse_log("\n".join(rows) + "\n")
+
+
+def _widening_log():
+    """c2 and c3 overlap on instance x; c1 claims and releases y in between
+    (c3's claim < c1's moves < c2's release), so the local program's
+    reversal of c3's claim after c2's release closes a cycle through c1."""
+    return parse_log("c1,claim,2.5,r:y\nc1,release,2.7,r:y\n"
+                     "c2,claim,1,r:x\nc2,release,3,r:x\n"
+                     "c3,claim,2,r:x\nc3,release,4,r:x\n")
+
+
+def test_local_program_matches_full_program_on_clinic_overlaps():
+    # every n <= 20 matches; the full program takes 52 s over n = 13..20,
+    # so the test keeps n <= 12 and the benchmark's 17 cases
+    net = clinic_net()
+    for n in [*range(2, 13), 17]:
+        log = clinic_log(n, overlap_at=n // 2)
+        scaled = scale_cases(net, log.cases())
+        comp = compose(align_cases(net, log, node_budget=10_000), log)
+        sol = adjust_order(scaled, comp)
+        assert _solution_fields(sol) == _solution_fields(
+            _full_program_solution(scaled, comp)), n
+        overlap = n // 2 + 1 < n
+        assert sol.free_cases == (
+            tuple(sorted([f"c{n // 2 + 1}", f"c{n // 2 + 2}"])) if overlap else ())
+        assert sol.widenings == 0 and sol.violating == overlap
+
+
+def test_clinic_overlap_program_spans_the_two_overlapping_cases(monkeypatch):
+    calls = _build_ilp_spy(monkeypatch)
+    result = approximate_alignment(clinic_net(), clinic_log(30, overlap_at=15),
+                                   node_budget=10_000)
+    assert calls == [(12, ("c16", "c17"))]
+    assert result.solution.free_cases == ("c16", "c17")
+    assert result.solution.widenings == 0
+    assert result.valid and result.cost() == 20_000
+    assert not any(re.fallback for re in result.realignments)
+    with pytest.raises(FrozenInstanceError):
+        result.solution.widenings = 1
+
+
+def test_separate_overlaps_give_separate_programs(monkeypatch):
+    net = clinic_net()
+    log = _clinic_two_overlaps(8, 1, 5)
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log, node_budget=10_000), log)
+    reference = _full_program_solution(scaled, comp)
+    calls = _build_ilp_spy(monkeypatch)
+    sol = adjust_order(scaled, comp)
+    assert calls == [(12, ("c2", "c3")), (12, ("c6", "c7"))]
+    assert sol.free_cases == ("c2", "c3", "c6", "c7") and sol.widenings == 0
+    assert len(sol.reversals) == 2
+    assert _solution_fields(sol) == _solution_fields(reference)
+
+
+def test_failing_lift_widens_to_the_full_program(monkeypatch):
+    net = claim_release_net({"x": 1, "y": 1})
+    log = _widening_log()
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log), log)
+    reference = _full_program_solution(scaled, comp)
+    calls = _build_ilp_spy(monkeypatch)
+    sol = adjust_order(scaled, comp)
+    assert calls == [(4, ("c2", "c3")), (6, ("c1", "c2", "c3"))]
+    assert sol.free_cases == ("c1", "c2", "c3") and sol.widenings == 1
+    assert _solution_fields(sol) == _solution_fields(reference)
+    assert len(sol.reversals) == 3
+
+
+def test_order_budget_spans_every_widening_step():
+    net = claim_release_net({"x": 1, "y": 1})
+    log = _widening_log()
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log), log)
+    steps = []
+    for cases in ({"c2", "c3"}, None):
+        budget = NodeBudget(10_000)
+        solve(build_ilp(scaled, comp, cases).program, budget)
+        steps.append(budget.used)
+    assert max(steps) < sum(steps)
+    with pytest.raises(IlpBudgetError):
+        adjust_order(scaled, comp, node_budget=max(steps))
+    assert adjust_order(scaled, comp, node_budget=sum(steps)).widenings == 1
