@@ -3,7 +3,9 @@
 An alignment is a poset of moves reconciling an event log with a process
 execution.  Three move kinds exist: a log move carries an event the model
 could not mimic, a model move carries a firing the log did not record, and
-a synchronous move carries both, with matching label and identifiers.
+a synchronous move carries both, with matching label and identifiers.  It
+is valid when every linearization of its transition moves fires from the
+initial to the final marking, checked exactly at every size.
 
 The synchronous product unions the process net (places prefixed ``m::``)
 with the log net (``l::``) and adds one transition per compatible
@@ -514,9 +516,6 @@ def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> Pseu
 # Alignment validity
 # ---------------------------------------------------------------------------
 
-EXHAUSTIVE_VALIDITY_LIMIT = 8
-
-
 def replay(net: RcNuNet, moves) -> ColoredMarking:
     """Fire the non-log moves in sequence from the net's initial marking."""
     m = net.initial
@@ -527,17 +526,20 @@ def replay(net: RcNuNet, moves) -> ColoredMarking:
     return m
 
 
-def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment,
-                       exhaustive_limit=EXHAUSTIVE_VALIDITY_LIMIT):
+def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
     """Check the two alignment properties; returns (ok, first witness).
 
     Property 1: the log/sync moves carry exactly the log's events and the
-    alignment order contains the log order.  Property 2: every
-    linearization of the transition moves fires initial -> final --
-    checked exhaustively up to ``exhaustive_limit`` transition moves, and
-    otherwise by the availability criterion on every (place, token)
-    subposet of moves touching that token, which is what reachability
-    reduces to for antichain prefixes.
+    alignment order contains the log order.  Property 2, checked exactly at
+    every size: every linearization of the transition moves fires initial
+    -> final.  Firing compares counts per (place, token), and all
+    linearizations end at the initial marking plus the summed effects.  So
+    each move ``t`` must find what it takes after the fewest tokens a
+    linearization can leave: the initial count, plus the effects of ``t``'s
+    predecessors, plus the least summed effect of a down-closed set of the
+    moves incomparable to ``t``.  That minimum closure (Picard 1976) is every
+    net consumer of the token, plus a minimum cut paying either for leaving
+    a consumer out or for the net producers ordered before it.
     """
     moves = alignment.moves
     # property 1: event coverage
@@ -558,53 +560,59 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment,
         if not alignment.order.precedes(carrying[e1], carrying[e2]):
             return False, f"log order {e1!r} < {e2!r} not preserved"
 
-    # property 2: transition projection fires initial -> final
+    # property 2: every linearization of the transition moves fires
     t_indices = alignment.transition_indices()
-    sub = alignment.order.restrict(t_indices)
-    if len(t_indices) <= exhaustive_limit:
-        for lin in sub.linearizations():
-            try:
-                final = replay(net, [moves[i] for i in lin])
-            except Exception as exc:
-                return False, f"linearization {list(lin)} not firable: {exc}"
-            if final != net.final:
-                return False, (
-                    f"linearization {list(lin)} ends at {final!r}, "
-                    f"not the final marking"
-                )
-        return True, None
-    return _check_by_availability(net, alignment, sub)
-
-
-def _check_by_availability(net: RcNuNet, alignment: Alignment, sub: Poset):
-    moves = alignment.moves
-    effects = {i: move_effects(net, moves[i]) for i in sub.elements}
-    final = pseudo_fire(net, [moves[i] for i in sub.elements])
-    if final != PseudoMarking.from_marking(net.final):
+    if pseudo_fire(net, [moves[i] for i in t_indices]) != PseudoMarking.from_marking(net.final):
         return False, "summed effects do not reach the final marking"
-
-    touched = {}
-    for i in sub.elements:
-        for p, tok, delta in effects[i]:
-            touched.setdefault((p, tok), set()).add(i)
-    for (p, tok), movers in sorted(touched.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1]))):
-        subposet = sub.restrict(sorted(movers))
-        initial_avail = net.initial.get(p).count(tok)
-        for g in subposet.maximal_antichains(limit=None):
-            avail = initial_avail
-            for j in subposet.prefix(g, closed=False).elements:
-                for pp, tt, delta in effects[j]:
-                    if (pp, tt) == (p, tok):
-                        avail += delta
-            demand = 0
-            for j in g:
-                for pp, tt, delta in effects[j]:
-                    if (pp, tt) == (p, tok) and delta < 0:
-                        demand += -delta
-            if avail < demand:
-                witness = sorted(g)
-                return False, (
-                    f"moves {witness} jointly need {demand} of token {tok!r} "
-                    f"on {p} but only {avail} can be available"
-                )
+    use = {}    # (place, token) -> {move: [taken, net effect]}
+    for i in t_indices:
+        for p, tok, delta in move_effects(net, moves[i]):
+            entry = use.setdefault((p, tok), {}).setdefault(i, [0, 0])
+            entry[0] += max(0, -delta)
+            entry[1] += delta
+    order = alignment.order
+    for (p, tok), moved in use.items():
+        for t, (taken, _) in moved.items():
+            free = {s: d for s, (_, d) in moved.items() if d and order.incomparable(s, t)}
+            least = (net.initial.get(p).count(tok) + sum(min(d, 0) for d in free.values())
+                     + sum(d for s, (_, d) in moved.items() if order.precedes(s, t)))
+            if taken and least < taken:
+                supply = {c: -d for c, d in free.items() if d < 0}
+                capacity = {x: d for x, d in free.items() if d > 0}
+                arcs = {c: [x for x in capacity if order.precedes(x, c)] for c in supply}
+                least += _max_flow(supply, capacity, arcs, taken - least)
+                if least < taken:
+                    return False, (
+                        f"move {t} takes {taken} of token {tok!r} on {p}, but a "
+                        f"linearization leaves only {least} available before it")
     return True, None
+
+
+def _max_flow(supply, capacity, arcs, enough):
+    """Flow source -> consumer ``c`` (``supply[c]``) -> producer ``x`` in
+    ``arcs[c]`` (unbounded) -> sink (``capacity[x]``) over disjoint moves,
+    one unit per breadth-first residual path, until maximum or ``enough``."""
+    left, into, total = dict(capacity), {x: {} for x in capacity}, 0
+    for c0, rem in supply.items():
+        while rem and total < enough:
+            came, queue = {c0: None}, [c0]
+            for c in queue:
+                for x in arcs[c]:
+                    if x not in came:
+                        came[x] = c
+                        for d, f in into[x].items():
+                            if f and d not in came:
+                                came[d] = x
+                                queue.append(d)
+            end = next((x for x in came if left.get(x)), None)
+            if end is None:
+                break
+            x = end
+            while x is not None:
+                c = came[x]
+                into[x][c] = into[x].get(c, 0) + 1
+                x = came[c]
+                if x is not None:
+                    into[x][c] -= 1
+            left[end], rem, total = left[end] - 1, rem - 1, total + 1
+    return total

@@ -274,7 +274,9 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
     claims, the moves fired so far are among those not ordered after ``i``,
     and every release ordered strictly before ``i`` has fired, so the row's
     left side (claims not after ``i`` minus releases strictly before ``i``)
-    bounds that usage.  The rows at claims therefore bound every peak.
+    bounds that usage.  The rows at claims therefore bound every peak.  They
+    are sufficient, not necessary: a self-loop's claim counts without its
+    same-firing release, so concurrent self-loop uses get ordered anyway.
     """
     n = len(comp.moves)
     instances = sorted(net.resource_instances().support())

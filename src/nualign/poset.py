@@ -396,8 +396,8 @@ class Poset:
 
     def restrict(self, members):
         """Subposet on ``members`` with the closed order restricted to them."""
-        keep = [x for x in self._elements if x in set(members)]
-        kept = set(keep)
+        kept = set(members)
+        keep = [x for x in self._elements if x in kept]
         pairs = [
             (x, y) for x, y in self.closed_pairs() if x in kept and y in kept
         ]

@@ -8,6 +8,8 @@ import random
 
 import pytest
 
+import nualign.align as align_module
+
 from nualign.align import (
     Alignment,
     CostTable,
@@ -22,13 +24,18 @@ from nualign.align import (
     move_cost,
     optimal_alignment,
     pseudo_fire,
+    replay,
 )
+from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, build_order, parse_log
 from nualign.fixtures import hospital_log, hospital_net
 from nualign.lognet import build_log_net
 from nualign.oracles import min_cost_exhaustive
+from nualign.petri import FiringError
 from nualign.poset import Multiset, Poset
 from nualign.rcnu import EPS, enabled_modes, fire_mode, scale_cases
+
+from test_acceptance import generate_pipeline_fixtures
 
 
 def product_for(log, cases=None):
@@ -316,12 +323,95 @@ def test_validity_rejects_foreign_event():
     assert not ok and "foreign" in why
 
 
-def test_validity_large_path_uses_availability_criterion():
-    log = hospital_log()
-    net, prod = product_for(log)
-    al = optimal_alignment(prod)
-    ok, why = is_valid_alignment(net, log, al, exhaustive_limit=2)
-    assert ok, why
+def exhaustive_verdict(net, alignment):
+    """Reference for validity property 2: replay every linearization of the
+    transition moves and require each to fire and end at the final marking."""
+    sub = alignment.order.restrict(alignment.transition_indices())
+    for lin in sub.linearizations():
+        try:
+            if replay(net, [alignment.moves[i] for i in lin]) != net.final:
+                return False
+        except FiringError:
+            return False
+    return True
+
+
+def _loosened(log, alignment, rng):
+    """The alignment with a random subset of its order pairs, keeping every
+    pair the log order needs, so property 1 still holds."""
+    keep_p = rng.random()
+    event = {i: m.event for i, m in enumerate(alignment.moves) if m.kind != "model"}
+    pairs = [
+        (i, j) for i, j in alignment.order.closed_pairs()
+        if (i in event and j in event and log.order.precedes(event[i], event[j]))
+        or rng.random() < keep_p
+    ]
+    return Alignment(alignment.moves, Poset(range(len(alignment.moves)), pairs))
+
+
+def _concurrent_self_loops(n):
+    """``n`` hospital cases, each logging ``o_p`` at t=1 and a surgeon
+    closing-up (``o_sc``, which takes and returns ``s1``) at t=2."""
+    log = parse_log(
+        "".join(f"c{k},o_p,1,\n" for k in range(1, n + 1))
+        + "".join(f"c{k},o_sc,2,s:s1\n" for k in range(1, n + 1))
+    )
+    comp = compose(align_cases(hospital_net(), log), log)
+    net = scale_cases(hospital_net(), log.cases())
+    return net, log, Alignment(comp.moves, comp.order)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_validity_accepts_concurrent_self_loops(n):
+    # the o_sc moves of different cases are mutually unordered, and one
+    # surgeon serves them all because each returns s1 as it takes it;
+    # summing their claims (step semantics) wrongly rejected three cases
+    net, log, al = _concurrent_self_loops(n)
+    assert len(al.transition_indices()) == 3 * n
+    sc = [i for i, m in enumerate(al.moves) if m.label == "o_sc"]
+    assert all(al.order.incomparable(a, b) for a in sc for b in sc if a != b)
+    assert is_valid_alignment(net, log, al) == (True, None)
+    assert exhaustive_verdict(net, al)
+
+
+def test_validity_matches_exhaustive_replay(monkeypatch):
+    # verdicts of the exact check against replaying every linearization, on
+    # random loosenings of composed and approximated alignments with at most
+    # eight transition moves and of the concurrent self-loop logs
+    decided_by_cut = []
+    max_flow = align_module._max_flow
+
+    def spy(supply, capacity, arcs, enough):
+        flow = max_flow(supply, capacity, arcs, enough)
+        decided_by_cut.append(flow >= enough)
+        return flow
+
+    monkeypatch.setattr(align_module, "_max_flow", spy)
+    rng = random.Random(7)
+    cases = []
+    for net, log in generate_pipeline_fixtures(200):
+        comp = compose(align_cases(net, log), log)
+        scaled = scale_cases(net, log.cases())
+        for base in (Alignment(comp.moves, comp.order),
+                     approximate_alignment(net, log).alignment):
+            if len(base.transition_indices()) <= 8:
+                cases += [(scaled, log, base)] + [
+                    (scaled, log, _loosened(log, base, rng)) for _ in range(3)]
+    for n in (2, 3):
+        net, log, al = _concurrent_self_loops(n)
+        cases.append((net, log, al))
+    net, log, al = _concurrent_self_loops(2)
+    cases += [(net, log, _loosened(log, al, rng)) for _ in range(20)]
+    verdicts = []
+    for net, log, al in cases:
+        ok, why = is_valid_alignment(net, log, al)
+        assert ok == exhaustive_verdict(net, al), why
+        assert ok or "available" in why or "summed effects" in why
+        verdicts.append(ok)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    # some valid verdicts need producers ordered before incomparable
+    # consumers, not just the floor of every consumer firing first
+    assert any(decided_by_cut)
 
 
 def test_pseudo_fire_linearity():
