@@ -18,7 +18,7 @@ from .align import (
     optimal_alignment,
 )
 from .approx import approximate_alignment
-from .eventlog import Event, EventLog, build_order, parse_log, serialize_log
+from .eventlog import Event, EventLog, parse_log, serialize_log
 from .lognet import build_log_net
 from .netfile import load_net, net_from_dict, net_to_dict, save_net
 from .poset import Multiset, Poset
@@ -38,7 +38,7 @@ __all__ = [
     "Alignment", "ColoredMarking", "CostTable", "DeviationConfig", "Event",
     "EventLog", "Move", "Multiset", "Poset", "RcNuNet", "Role",
     "SearchBudgetError", "align_log", "approximate_alignment",
-    "build_log_net", "build_order", "build_sync_product",
+    "build_log_net", "build_sync_product",
     "is_valid_alignment", "load_net", "net_from_dict", "net_to_dict",
     "optimal_alignment", "parse_log", "save_net", "scale_cases",
     "serialize_log", "simulate", "validate_structure",

@@ -556,7 +556,7 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
         return False, f"log event {next(iter(missing))!r} not in alignment"
     if extra:
         return False, f"alignment carries foreign event {next(iter(extra))!r}"
-    for e1, e2 in log.order.closed_pairs():
+    for e1, e2 in log.covering_pairs():
         if not alignment.order.precedes(carrying[e1], carrying[e2]):
             return False, f"log order {e1!r} < {e2!r} not preserved"
 

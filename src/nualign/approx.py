@@ -137,14 +137,13 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
             case_of.append(c)
         for i, j in alignment.order.closed_pairs():
             pairs.append((index_map[i], index_map[j]))
-    # log chronology on event-carrying moves
+    # log chronology on event-carrying moves (the log restricted to them)
     move_of_event = {}
     for idx, mv in enumerate(moves):
         if mv.kind != "model":
             move_of_event[mv.event] = idx
-    for e1, e2 in log.order.closed_pairs():
-        if e1 in move_of_event and e2 in move_of_event:
-            pairs.append((move_of_event[e1], move_of_event[e2]))
+    for e1, e2 in log.restrict(move_of_event).covering_pairs():
+        pairs.append((move_of_event[e1], move_of_event[e2]))
     try:
         order = Poset(range(len(moves)), pairs).transitive_closure()
     except Exception as exc:
@@ -788,8 +787,8 @@ class IntervalRealignment:
 
 def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventLog) -> Alignment:
     """Split every synchronous move of the region into a model move plus a
-    log move: the model parts keep the adjusted order, the log parts keep
-    the log order.  Always a valid sub-alignment."""
+    log move: the model parts keep the adjusted order, the log parts the
+    order of ``log`` (restricted to the region).  Always a valid sub-alignment."""
     moves = []
     model_part = {}
     log_part = {}
@@ -813,9 +812,8 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
             if i != j and i in model_part and j in model_part and x_order.precedes(i, j):
                 pairs.append((model_part[i], model_part[j]))
     event_move = {comp.moves[i].event: k for i, k in log_part.items()}
-    for e1, e2 in log.order.closed_pairs():
-        if e1 in event_move and e2 in event_move:
-            pairs.append((event_move[e1], event_move[e2]))
+    for e1, e2 in log.covering_pairs():
+        pairs.append((event_move[e1], event_move[e2]))
     return Alignment(tuple(moves), Poset(range(len(moves)), pairs).transitive_closure())
 
 
@@ -891,7 +889,7 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
         return IntervalRealignment((a, b), tuple(region), alignment, False)
     except (SearchBudgetError, FiringError):
-        alignment = _split_fallback(comp, x_order, region, log)
+        alignment = _split_fallback(comp, x_order, region, sub_log)
         return IntervalRealignment((a, b), tuple(region), alignment, True)
 
 

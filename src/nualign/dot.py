@@ -89,8 +89,7 @@ def log_to_dot(log: EventLog) -> str:
             )
             label += f"\\n[{res}]"
         lines.append(f"  e{e.index} [label={_quote(label)}];")
-    reduction = log.order.transitive_reduction()
-    for e1, e2 in sorted(reduction.pairs(), key=lambda p: (p[0].index, p[1].index)):
+    for e1, e2 in log.covering_pairs():
         style = "" if e1.case == e2.case else " [style=dashed]"
         lines.append(f"  e{e1.index} -> e{e2.index}{style};")
     lines.append("}")

@@ -2,7 +2,7 @@
 
 An event records an activity occurrence: activity name, timestamp, case
 id, and the multiset of resource instances that executed it.  A log is a
-set of events with a partial order that respects chronology:
+set of events ordered by a fixed chronology rule:
 
 - within one case, events are totally ordered by (timestamp, input
   position) -- traces must be replayable sequences, and the file position
@@ -11,7 +11,15 @@ set of events with a partial order that respects chronology:
   strictly; equal-timestamp events of different cases stay incomparable,
   which is what lets the aligner reorder concurrent events.
 
-Timestamps only induce the order; alignment costs never read them.
+The rule is transitive, so the log stores no pairs.  For ``a < b < c``:
+if ``a, b`` share a case and ``c`` does not, ``ts(a) <= ts(b) < ts(c)``;
+if ``b, c`` share a case and ``a`` does not, ``ts(a) < ts(b) <= ts(c)``;
+the other mixes work the same way.  The *covering pairs* (the transitive
+reduction) are the consecutive trace events on equal or consecutive
+distinct log timestamps, and, for consecutive distinct timestamps
+``s < t``, each case's last event at ``s`` paired with every other case's
+first event at ``t``.  Timestamps only induce the order; alignment costs
+never read them.
 
 CSV format (one event per row, optional header)::
 
@@ -30,7 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 
-from .poset import Multiset, Poset
+from .poset import Multiset
 
 LOG_HEADER = ["case", "activity", "timestamp", "resources"]
 
@@ -65,22 +73,22 @@ class Event:
 
 
 class EventLog:
-    """Poset of events; per-case projections are totally ordered traces."""
+    """Events under the chronology rule; per-case projections are traces."""
 
-    def __init__(self, events, order: Poset):
+    def __init__(self, events):
         self.events = tuple(events)
-        self.order = order
-        for e1, e2 in order.pairs():
-            if e1.timestamp > e2.timestamp:
-                raise ValueError(
-                    f"order violates chronology: {e1!r} precedes {e2!r}"
-                )
-        self._by_case = {}
+        self._traces = {}
         for e in self.events:
-            self._by_case.setdefault(e.case, []).append(e)
+            self._traces.setdefault(e.case, []).append(e)
+        self._position = {}
+        for trace in self._traces.values():
+            trace.sort(key=lambda e: (e.timestamp, e.index))
+            self._position.update((e, i) for i, e in enumerate(trace))
+        if len(self._position) != len(self.events):
+            raise ValueError("duplicate events")
 
     def cases(self):
-        return sorted(self._by_case)
+        return sorted(self._traces)
 
     def __len__(self):
         return len(self.events)
@@ -90,47 +98,42 @@ class EventLog:
 
     def trace(self, case):
         """The case's events in trace order (chronology + input position)."""
-        return sorted(
-            self._by_case.get(case, []), key=lambda e: (e.timestamp, e.index)
-        )
+        return list(self._traces.get(case, ()))
 
     def activities(self):
         return sorted({e.activity for e in self.events})
 
+    def precedes(self, e1, e2):
+        """Strict precedence under the chronology rule."""
+        if e1.case == e2.case:
+            return self._position[e1] < self._position[e2]
+        return e1.timestamp < e2.timestamp
+
+    def covering_pairs(self):
+        """The order's transitive reduction, sorted by (index, index)."""
+        times = sorted({e.timestamp for e in self.events})
+        following = dict(zip(times, times[1:]))
+        first, last, pairs = {}, {}, []    # {timestamp: {case: event}}
+        for case, trace in self._traces.items():
+            for a, b in zip(trace, trace[1:]):
+                if b.timestamp in (a.timestamp, following.get(a.timestamp)):
+                    pairs.append((a, b))
+            for e in trace:
+                first.setdefault(e.timestamp, {}).setdefault(case, e)
+                last.setdefault(e.timestamp, {})[case] = e
+        for s, t in following.items():
+            pairs.extend((a, b) for ca, a in last[s].items()
+                         for cb, b in first[t].items() if ca != cb)
+        return sorted(pairs, key=lambda p: (p[0].index, p[1].index))
+
     def project_case(self, case) -> "EventLog":
         """Subposet of one case's events; unknown cases give an empty trace."""
-        events = self.trace(case)
-        keep = set(events)
-        pairs = [
-            (a, b) for a, b in self.order.closed_pairs() if a in keep and b in keep
-        ]
-        return EventLog(events, Poset(events, pairs))
+        return EventLog(self.trace(case))
 
     def restrict(self, events) -> "EventLog":
-        """Subposet on an arbitrary event subset, order restricted."""
+        """Subposet on an arbitrary event subset, in the log's event order."""
         keep = set(events)
-        kept = [e for e in self.events if e in keep]
-        pairs = [
-            (a, b) for a, b in self.order.closed_pairs() if a in keep and b in keep
-        ]
-        return EventLog(kept, Poset(kept, pairs))
-
-
-def build_order(events) -> EventLog:
-    """Order events per the chronology rules and return the closed log."""
-    events = list(events)
-    pairs = []
-    by_case = {}
-    for e in events:
-        by_case.setdefault(e.case, []).append(e)
-    for trace in by_case.values():
-        trace.sort(key=lambda e: (e.timestamp, e.index))
-        pairs.extend(zip(trace, trace[1:]))
-    for e1 in events:
-        for e2 in events:
-            if e1.case != e2.case and e1.timestamp < e2.timestamp:
-                pairs.append((e1, e2))
-    return EventLog(events, Poset(events, pairs).transitive_closure())
+        return EventLog(e for e in self.events if e in keep)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def parse_log(source) -> EventLog:
         events.append(
             Event(len(events), activity, timestamp, case, resources, roles)
         )
-    return build_order(events)
+    return EventLog(events)
 
 
 def _format_timestamp(value: float) -> str:

@@ -237,32 +237,15 @@ class _Engine:
                 # its free variables, and each would rescan it otherwise)
                 if lo == hi:
                     continue
-                if self.row_conflict(idx):
-                    return False
-                coeffs, op, bound, _ = self.rows[idx]
+                _, op, bound, _ = self.rows[idx]
                 maxabs = self.row_maxabs[idx]
-                # nothing can be forced while every coefficient fits the slack
+                # nothing can be forced while every coefficient fits the
+                # slack; a conflicting row never fits, and _force_row
+                # reports it
                 if bound - lo >= maxabs and (op == "<=" or hi - bound >= maxabs):
                     continue
-                for v, c in coeffs:
-                    if self.assignment[v] is not None:
-                        continue
-                    forced = None
-                    if c > 0 and lo + c > bound:
-                        forced = 0
-                    elif c < 0 and lo - c > bound:
-                        forced = 1
-                    if forced is None and op == "==":
-                        if c > 0 and hi - c < bound:
-                            forced = 1
-                        elif c < 0 and hi + c < bound:
-                            forced = 0
-                    if forced is not None:
-                        if not self.assign(v, forced):
-                            return False
-                        queue.append(v)
-                        lo = self.row_lo[idx]
-                        hi = self.row_hi[idx]
+                if not self._force_row(idx, queue):
+                    return False
         return True
 
     def all_rows_hold(self):

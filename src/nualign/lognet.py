@@ -7,12 +7,12 @@ of places wire the observed behavior together:
   input place holding ``(eps, instance)`` tokens with the observed
   multiplicity, consumed entirely by the event's transition -- the
   recorded resource demand;
-- ``ord_<e1>_<e2>``: per pair in the transitive *reduction* of the log
-  order, a connecting place whose token carries the case id when both
-  events belong to one case and is plain otherwise.  The reduction gives
-  the same firing constraints as the full order with linearly many places;
-- ``src_<case>`` / ``snk_<case>``: a source place per globally minimal
-  event (marked initially) and a sink place per globally maximal event
+- ``ord_<e1>_<e2>``: per covering pair of the log order (its transitive
+  reduction, ``EventLog.covering_pairs``), a connecting place whose token
+  carries the case id when both events belong to one case and is plain
+  otherwise.  These give the full order's firing constraints;
+- ``src_<case>`` / ``snk_<case>``: a source place per event no covering
+  pair enters (marked initially) and a sink place per event none leaves
   (required finally), carrying the event's case id.
 
 Inscriptions use concrete identifiers, so log transitions have no
@@ -62,20 +62,22 @@ def build_log_net(log: EventLog) -> LogNet:
             flow[(p, t)] = Multiset({(EPS, inst): n})
             initial_tokens[p] = Multiset({(EPS, inst): n})
 
-    reduction = log.order.transitive_reduction()
-    for e1, e2 in sorted(reduction.pairs(), key=lambda pr: (pr[0].index, pr[1].index)):
+    covering = log.covering_pairs()
+    for e1, e2 in covering:
         p = f"ord_e{e1.index}_e{e2.index}"
         places.append(p)
         token = (e1.case, EPS) if e1.case == e2.case else (EPS, EPS)
         flow[(transition_id(e1), p)] = Multiset([token])
         flow[(p, transition_id(e2))] = Multiset([token])
 
-    for e in sorted(log.order.minimum(), key=lambda e: e.index):
+    entered = {e2 for _, e2 in covering}
+    left = {e1 for e1, _ in covering}
+    for e in sorted(set(log.events) - entered, key=lambda e: e.index):
         p = f"src_{e.case}"
         places.append(p)
         flow[(p, transition_id(e))] = Multiset([(e.case, EPS)])
         initial_tokens[p] = Multiset({(e.case, EPS): 1})
-    for e in sorted(log.order.maximum(), key=lambda e: e.index):
+    for e in sorted(set(log.events) - left, key=lambda e: e.index):
         p = f"snk_{e.case}"
         places.append(p)
         flow[(transition_id(e), p)] = Multiset([(e.case, EPS)])

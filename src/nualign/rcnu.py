@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .eventlog import Event, EventLog, build_order
+from .eventlog import Event, EventLog
 from .petri import TAU, FiringError, LabeledNet
 from .poset import Multiset, SizeLimitError
 
@@ -773,7 +773,7 @@ def _apply_deviations(net, recorded, dev: DeviationConfig, rng):
         Event(i, label, ts, case, res, roles)
         for i, (label, ts, case, res, roles) in enumerate(rows)
     ]
-    return build_order(events)
+    return EventLog(events)
 
 
 def undeclared_log_resources(net: RcNuNet, log: EventLog):

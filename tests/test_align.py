@@ -27,7 +27,7 @@ from nualign.align import (
     replay,
 )
 from nualign.approx import align_cases, approximate_alignment, compose
-from nualign.eventlog import Event, build_order, parse_log
+from nualign.eventlog import Event, EventLog, parse_log
 from nualign.fixtures import hospital_log, hospital_net
 from nualign.lognet import build_log_net
 from nualign.oracles import min_cost_exhaustive
@@ -56,7 +56,7 @@ def test_move_costs():
 # -- product construction ------------------------------------------------------
 
 def test_empty_log_product_is_model():
-    log = build_order([])
+    log = EventLog([])
     net, prod = product_for(log, cases=["c1"])
     kinds = set(prod.move_kind.values())
     assert kinds == {"model"}
@@ -110,7 +110,7 @@ def test_perfect_log_aligns_all_sync_cost_zero():
 
 def test_missing_event_costs_one_model_move():
     rows = [r for r in hospital_log().events if not (r.case == "c2" and r.activity == "o_p")]
-    log = build_order([
+    log = EventLog([
         Event(i, e.activity, e.timestamp, e.case, e.resources, e.roles)
         for i, e in enumerate(rows)
     ])
@@ -323,6 +323,33 @@ def test_validity_rejects_foreign_event():
     assert not ok and "foreign" in why
 
 
+def test_validity_rejects_dropped_log_order_pair():
+    """Property 1's log-order branch: a composed hospital alignment loses
+    one cross-case covering pair of the log, together with every pair from
+    the same move into the interval it spans (so each pair implying it loses
+    a part), and the remaining relation stays closed."""
+    log = hospital_log()
+    net = scale_cases(hospital_net(), log.cases())
+    comp = compose(align_cases(hospital_net(), log), log)
+    ok, why = is_valid_alignment(net, log, Alignment(comp.moves, comp.order))
+    assert ok, why
+    carrying = {m.event: i for i, m in enumerate(comp.moves) if m.kind != "model"}
+    cross = [(a, b) for a, b in log.covering_pairs() if a.case != b.case]
+    assert cross
+    e1, e2 = cross[0]
+    i, j = carrying[e1], carrying[e2]
+    dropped = {(i, j)} | {
+        (i, k) for k in range(len(comp.moves))
+        if comp.order.precedes(i, k) and comp.order.precedes(k, j)
+    }
+    kept = [p for p in comp.order.closed_pairs() if p not in dropped]
+    order = Poset(range(len(comp.moves)), kept)
+    assert order.is_closed() and not order.precedes(i, j)
+    ok, why = is_valid_alignment(net, log, Alignment(comp.moves, order))
+    assert not ok
+    assert why.startswith(f"log order {e1!r} < ") and why.endswith("not preserved")
+
+
 def exhaustive_verdict(net, alignment):
     """Reference for validity property 2: replay every linearization of the
     transition moves and require each to fire and end at the final marking."""
@@ -343,7 +370,7 @@ def _loosened(log, alignment, rng):
     event = {i: m.event for i, m in enumerate(alignment.moves) if m.kind != "model"}
     pairs = [
         (i, j) for i, j in alignment.order.closed_pairs()
-        if (i in event and j in event and log.order.precedes(event[i], event[j]))
+        if (i in event and j in event and log.precedes(event[i], event[j]))
         or rng.random() < keep_p
     ]
     return Alignment(alignment.moves, Poset(range(len(alignment.moves)), pairs))

@@ -30,6 +30,8 @@ from nualign.align import build_sync_product, optimal_alignment
 from nualign.lognet import build_log_net
 from nualign.rcnu import scale_cases, validate_structure
 
+from test_eventlog import reference_order
+
 
 @pytest.fixture
 def net_file(tmp_path):
@@ -123,7 +125,7 @@ def test_net_dot_mentions_every_node():
 def test_log_dot_uses_reduction():
     log = hospital_log()
     text = log_to_dot(log)
-    assert text.count("->") == len(log.order.transitive_reduction().pairs())
+    assert text.count("->") == len(reference_order(log.events).transitive_reduction().pairs())
 
 
 def test_report_dot_reduction_edges():

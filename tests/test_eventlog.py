@@ -1,52 +1,91 @@
 """Event log model: ordering rules, projections, CSV round-trips."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from nualign.eventlog import (
     Event,
+    EventLog,
     LogParseError,
-    build_order,
     parse_log,
     serialize_log,
 )
-from nualign.poset import Multiset
+from nualign.fixtures import clinic_log
+from nualign.lognet import build_log_net
+from nualign.poset import Multiset, Poset
 
 
 def ev(index, activity, t, case, res=None, roles=()):
     return Event(index, activity, t, case, Multiset(res or {}), roles)
 
 
-# -- build_order -------------------------------------------------------------
+def reference_order(events) -> Poset:
+    """The log order built pair by pair and closed: per-case chains by
+    (timestamp, index) plus every strictly-earlier cross-case pair.  The
+    independent reference for ``EventLog``'s implicit order."""
+    events = list(events)
+    pairs = []
+    by_case = {}
+    for e in events:
+        by_case.setdefault(e.case, []).append(e)
+    for trace in by_case.values():
+        trace.sort(key=lambda e: (e.timestamp, e.index))
+        pairs.extend(zip(trace, trace[1:]))
+    for e1 in events:
+        for e2 in events:
+            if e1.case != e2.case and e1.timestamp < e2.timestamp:
+                pairs.append((e1, e2))
+    return Poset(events, pairs).transitive_closure()
+
+
+def assert_matches_reference(log, ref):
+    """``log``'s order, covering pairs and extremes equal the closed ``ref``."""
+    assert set(log.events) == set(ref.elements)
+    for a, b in permutations(log.events, 2):
+        assert log.precedes(a, b) == ref.precedes(a, b), (a, b)
+    covering = log.covering_pairs()
+    assert covering == sorted(
+        ref.transitive_reduction().pairs(), key=lambda p: (p[0].index, p[1].index)
+    )
+    entered = {b for _, b in covering}
+    left = {a for a, _ in covering}
+    assert {e for e in log.events if e not in entered} == ref.minimum()
+    assert {e for e in log.events if e not in left} == ref.maximum()
+
+
+# -- the chronology rule ----------------------------------------------------
 
 def test_two_rows_one_case_chain():
     log = parse_log("c1,a,1,\nc1,b,2,\n")
     assert len(log) == 2
     e1, e2 = log.events
-    assert log.order.precedes(e1, e2)
+    assert log.precedes(e1, e2)
 
 
 def test_same_timestamp_across_cases_incomparable():
-    log = build_order([ev(0, "a", 5, "c1"), ev(1, "b", 5, "c2")])
+    log = EventLog([ev(0, "a", 5, "c1"), ev(1, "b", 5, "c2")])
     e1, e2 = log.events
-    assert log.order.incomparable(e1, e2)
+    assert not log.precedes(e1, e2) and not log.precedes(e2, e1)
 
 
 def test_same_timestamp_same_case_ordered_by_position():
-    log = build_order([ev(0, "a", 5, "c1"), ev(1, "b", 5, "c1")])
+    log = EventLog([ev(0, "a", 5, "c1"), ev(1, "b", 5, "c1")])
     e1, e2 = log.events
-    assert log.order.precedes(e1, e2)
+    assert log.precedes(e1, e2)
     # stable under re-parse of the serialized form
     again = parse_log(serialize_log(log))
     f1, f2 = again.trace("c1")
     assert (f1.activity, f2.activity) == ("a", "b")
-    assert again.order.precedes(f1, f2)
+    assert again.precedes(f1, f2)
 
 
 def test_strictly_increasing_timestamps_total_order():
-    log = build_order([ev(i, "x", i, f"c{i % 2}") for i in range(5)])
-    assert log.order.is_total()
+    log = EventLog([ev(i, "x", i, f"c{i % 2}") for i in range(5)])
+    for a, b in permutations(log.events, 2):
+        assert log.precedes(a, b) or log.precedes(b, a)
+    assert len(log.covering_pairs()) == 4
 
 
 def test_chronology_invariant():
@@ -56,13 +95,47 @@ def test_chronology_invariant():
             ev(i, "a", rng.randrange(5), f"c{rng.randrange(3)}")
             for i in range(6)
         ]
-        log = build_order(events)
-        for e1, e2 in log.order.closed_pairs():
-            assert not e1.timestamp > e2.timestamp
+        log = EventLog(events)
+        for e1, e2 in permutations(log.events, 2):
+            if log.precedes(e1, e2):
+                assert not e1.timestamp > e2.timestamp
         for c in log.cases():
             trace = log.trace(c)
             for a, b in zip(trace, trace[1:]):
-                assert log.order.precedes(a, b)
+                assert log.precedes(a, b)
+
+
+def test_duplicate_events_rejected():
+    e = ev(0, "a", 1, "c")
+    with pytest.raises(ValueError, match="duplicate"):
+        EventLog([e, e])
+
+
+def test_order_matches_closed_reference_on_random_logs():
+    """Implicit order against the pairwise-built closure: 2 000 seeded logs
+    with timestamp ties (0-14 events, 1-4 cases, at most 7 timestamps),
+    passed in shuffled input order; projections and random restrictions
+    against the restricted reference."""
+    rng = random.Random(8)
+    for _ in range(2000):
+        n_cases = rng.randint(1, 4)
+        n_times = rng.randint(1, 7)
+        events = [
+            ev(i, "a", rng.randrange(n_times) * 1.5, f"c{rng.randrange(n_cases)}")
+            for i in range(rng.randint(0, 14))
+        ]
+        rng.shuffle(events)
+        log = EventLog(events)
+        ref = reference_order(events)
+        assert_matches_reference(log, ref)
+        for c in log.cases():
+            proj = log.project_case(c)
+            assert list(proj.events) == log.trace(c)
+            assert_matches_reference(proj, ref.restrict(log.trace(c)))
+        subset = [e for e in events if rng.random() < 0.5]
+        sub = log.restrict(subset)
+        assert list(sub.events) == subset
+        assert_matches_reference(sub, ref.restrict(subset))
 
 
 # -- projections ------------------------------------------------------------
@@ -72,27 +145,29 @@ def test_project_case_partitions_log():
         ev(0, "a", 1, "c1"), ev(1, "b", 2, "c2"),
         ev(2, "c", 3, "c1"), ev(3, "d", 4, "c2"),
     ]
-    log = build_order(events)
+    log = EventLog(events)
     seen = []
     for c in log.cases():
         proj = log.project_case(c)
         assert all(e.case == c for e in proj.events)
         # order restricted to same-case pairs only
-        for e1, e2 in proj.order.pairs():
+        for e1, e2 in proj.covering_pairs():
             assert e1.case == e2.case == c
         seen.extend(proj.events)
     assert sorted(seen, key=lambda e: e.index) == list(log.events)
 
 
 def test_project_single_case_log_is_identity():
-    log = build_order([ev(0, "a", 1, "c"), ev(1, "b", 2, "c")])
+    log = EventLog([ev(0, "a", 1, "c"), ev(1, "b", 2, "c")])
     proj = log.project_case("c")
     assert list(proj.events) == list(log.events)
-    assert set(proj.order.closed_pairs()) == set(log.order.closed_pairs())
+    assert proj.covering_pairs() == log.covering_pairs()
+    for a, b in permutations(log.events, 2):
+        assert proj.precedes(a, b) == log.precedes(a, b)
 
 
 def test_project_unknown_case_empty():
-    log = build_order([ev(0, "a", 1, "c")])
+    log = EventLog([ev(0, "a", 1, "c")])
     assert len(log.project_case("zzz")) == 0
 
 
@@ -156,8 +231,24 @@ def test_roundtrip_identity_on_model():
 
 
 def test_quoting_rfc4180():
-    log = build_order([ev(0, 'say "hi"', 1, "c,1")])
+    log = EventLog([ev(0, 'say "hi"', 1, "c,1")])
     text = serialize_log(log)
     reparsed = parse_log(text)
     assert reparsed.events[0].case == "c,1"
     assert reparsed.events[0].activity == 'say "hi"'
+
+
+# -- scale ------------------------------------------------------------------
+
+def test_clinic_log_of_6000_events_stays_linear():
+    """A guard against a quadratic log order (no timing assertion): 1 000
+    clinic cases with every timestamp distinct form one chain."""
+    log = clinic_log(1000, overlap_at=500)
+    assert len(log) == 6000
+    assert len(log.covering_pairs()) == 5999
+    for c in log.cases():
+        proj = log.project_case(c)
+        assert list(proj.events) == log.trace(c) and len(proj) == 6
+        assert len(proj.covering_pairs()) == 5
+        net = build_log_net(proj)
+        assert sum(p.startswith("ord_") for p in net.places) == 5

@@ -2,11 +2,13 @@
 
 import random
 
-from nualign.eventlog import Event, build_order, parse_log
+from nualign.eventlog import Event, EventLog, parse_log
 from nualign.fixtures import hospital_log
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset
 from nualign.rcnu import EPS, enumerate_executions
+
+from test_eventlog import reference_order
 
 
 def ev(index, activity, t, case, res=None):
@@ -19,7 +21,7 @@ def executions_as_events(net, max_len):
 
 
 def test_single_event_no_resources():
-    log = build_order([ev(0, "a", 1, "c1")])
+    log = EventLog([ev(0, "a", 1, "c1")])
     net = build_log_net(log)
     assert len(net.transitions) == 1
     assert set(net.places) == {"src_c1", "snk_c1"}
@@ -28,7 +30,7 @@ def test_single_event_no_resources():
 
 
 def test_resource_multiplicity():
-    log = build_order([ev(0, "a", 1, "c1", {"x": 2})])
+    log = EventLog([ev(0, "a", 1, "c1", {"x": 2})])
     net = build_log_net(log)
     p = "res_e0_x"
     assert net.initial.get(p) == Multiset({(EPS, "x"): 2})
@@ -36,7 +38,7 @@ def test_resource_multiplicity():
 
 
 def test_order_place_inscriptions():
-    log = build_order([ev(0, "a", 1, "c1"), ev(1, "b", 2, "c1"), ev(2, "c", 3, "c2")])
+    log = EventLog([ev(0, "a", 1, "c1"), ev(1, "b", 2, "c1"), ev(2, "c", 3, "c2")])
     net = build_log_net(log)
     e0, e1, e2 = log.events
     # same case: token carries the case id
@@ -46,20 +48,20 @@ def test_order_place_inscriptions():
 
 
 def test_uses_transitive_reduction():
-    log = build_order([ev(i, "a", i, "c1") for i in range(4)])
+    log = EventLog([ev(i, "a", i, "c1") for i in range(4)])
     net = build_log_net(log)
     order_places = [p for p in net.places if p.startswith("ord_")]
     assert sorted(order_places) == ["ord_e0_e1", "ord_e1_e2", "ord_e2_e3"]
 
 
 def test_executions_are_linearizations_two_cases():
-    log = build_order([
+    log = EventLog([
         ev(0, "a", 1, "c1"), ev(1, "b", 1, "c2"),
         ev(2, "c", 2, "c1"), ev(3, "d", 2, "c2"),
     ])
     net = build_log_net(log)
     got = executions_as_events(net, len(log))
-    assert got == set(log.order.linearizations())
+    assert got == set(reference_order(log.events).linearizations())
 
 
 def test_executions_are_linearizations_random():
@@ -71,10 +73,10 @@ def test_executions_are_linearizations_random():
                {"x": 1} if rng.random() < 0.3 else None)
             for i in range(n)
         ]
-        log = build_order(events)
+        log = EventLog(events)
         net = build_log_net(log)
         got = executions_as_events(net, n)
-        assert got == set(log.order.linearizations())
+        assert got == set(reference_order(log.events).linearizations())
 
 
 def test_every_transition_fires_exactly_once():

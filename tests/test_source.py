@@ -17,3 +17,9 @@ def test_package_has_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert len(list(PACKAGE.glob("*.py"))) > 10
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in nualign.__all__ if not hasattr(nualign, name)]
+    assert not missing, f"nualign.__all__ names missing from the package: {missing}"
+    assert len(set(nualign.__all__)) == len(nualign.__all__)
