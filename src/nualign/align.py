@@ -145,7 +145,7 @@ def _prefix_marking(marking: ColoredMarking, prefix: str) -> ColoredMarking:
 
 class SyncProduct(ColoredNet):
     def __init__(self, model: RcNuNet, log_net: LogNet, places, transitions,
-                 labels, flow, initial, final, meta, warnings, spare_count=None):
+                 labels, flow, initial, final, meta, warnings):
         super().__init__(places, transitions, labels, flow, initial, final)
         self.model = model
         self.log_net = log_net
@@ -156,9 +156,7 @@ class SyncProduct(ColoredNet):
         self.warnings = list(warnings)
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
-        if spare_count is None:
-            spare_count = len(log_events) or 1
-        self.spare_ids = [f"_nu{i + 1}" for i in range(spare_count)]
+        self.spare_ids = [f"_nu{i + 1}" for i in range(len(log_events) or 1)]
 
     def fresh_candidates(self, marking: ColoredMarking):
         """Fresh-name pool: the log's case ids plus one canonical spare.
@@ -287,8 +285,7 @@ def sync_warnings(model: RcNuNet, log: EventLog) -> list:
     return [w for e in log.events for w in _sync_partners(model, e)[1]]
 
 
-def build_sync_product(model: RcNuNet, log_net: LogNet,
-                       spare_count=None) -> SyncProduct:
+def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
     transitions = []
     labels = {}
@@ -339,7 +336,7 @@ def build_sync_product(model: RcNuNet, log_net: LogNet,
     initial = _prefix_marking(model.initial, "m::") | _prefix_marking(log_net.initial, "l::")
     final = _prefix_marking(model.final, "m::") | _prefix_marking(log_net.final, "l::")
     return SyncProduct(model, log_net, places, transitions, labels, flow,
-                       initial, final, meta, warnings, spare_count)
+                       initial, final, meta, warnings)
 
 
 def _decode_move(prod: SyncProduct, t, mode) -> Move:

@@ -31,8 +31,8 @@ The program over the order matrix X of a group's moves:
 - pairs absent from R cost 1 when added (the infinitesimal tie-breaker of
   the underlying scheme, scaled to integers -- sound while any solution
   adds fewer than 1000 pairs, which is checked);
-- transitivity rows close the order (eager for interacting triples, lazy
-  cuts for the rest);
+- transitivity closes the order: antisymmetry rows, one witness row per
+  transitively implied pair of R, and lazy cuts for every other triple;
 - per move and resource instance the move claims, the claims of everything
   not ordered after the move, minus the releases ordered strictly before
   it, fit the capacity.
@@ -72,9 +72,6 @@ from .rcnu import ColoredMarking, RcNuNet, firing_effect, scale_cases
 REVERSAL_WEIGHT = 1000
 ADDITION_WEIGHT = 1
 
-#: all-triples transitivity fits comfortably up to this many moves
-FULL_TRANSITIVITY_LIMIT = 26
-
 
 class CompositionError(RuntimeError):
     pass
@@ -102,14 +99,12 @@ class ComposedAlignment:
 
 def align_cases(net: RcNuNet, log: EventLog,
                 costs: CostTable = DEFAULT_COSTS,
-                node_budget: int = DEFAULT_NODE_BUDGET,
-                spare_count=None) -> dict:
+                node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Optimal alignment of each case's trace against the single-case model."""
     out = {}
     for c in log.cases():
         single = scale_cases(net, [c])
-        prod = build_sync_product(single, build_log_net(log.project_case(c)),
-                                  spare_count=spare_count)
+        prod = build_sync_product(single, build_log_net(log.project_case(c)))
         out[c] = optimal_alignment(prod, costs, node_budget)
     return out
 
@@ -312,7 +307,6 @@ class IlpInstance:
     C_clm: list             # m x n_r claim counts
     C_rls: list             # m x n_r release counts
     program: BinaryProgram
-    case_blocks: list       # position lists per case, in case order
 
     @property
     def n(self) -> int:
@@ -343,6 +337,15 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     checked), so this is the optimum of the weighted objective; the cap
     lets propagation fix every other kept pair the moment one flips, which
     collapses the search tree that a single flat solve would explore.
+
+    Transitivity is enforced by the antisymmetry rows, one witness row per
+    transitively implied kept pair, and lazy cuts for every other triple,
+    added when a complete candidate breaks one (the separation scheme of
+    Groetschel, Juenger and Reinelt's cutting-plane algorithm for linear
+    ordering, Oper. Res. 32(6), 1984).  How many triples are rows up front
+    does not change the answer: at the first feasible reversal level the
+    solver returns the first optimal leaf of its fixed branch order, and
+    rows or cuts only prune subtrees that hold no feasible leaf.
     """
     if use is None:
         use = capacity_rows(net, comp)
@@ -361,20 +364,12 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     objective = {}
     fixings = {}
     preferred = {}
-    position = {mv: i for i, mv in enumerate(moves)}
-    case_blocks = [[position[mv] for mv in block]
-                   for c, block in sorted(comp.case_indices().items())
-                   if cases is None or c in cases]
-    same_case = set()
-    for block in case_blocks:
-        for i in block:
-            for j in block:
-                same_case.add((i, j))
+    case_of = [comp.case_of[mv] for mv in moves]
     for i in range(n):
         for j in range(n):
             v = var(i, j)
             preferred[v] = R[i][j]
-            if i == j or (i, j) in same_case:
+            if case_of[i] == case_of[j]:
                 fixings[v] = R[i][j]
             if R[i][j] == 0 and i != j:
                 objective[v] = REVERSAL_WEIGHT if R[j][i] else ADDITION_WEIGHT
@@ -397,36 +392,9 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
             ))
     rows.extend(capacity)
 
-    # transitivity: all triples eagerly while the cubic count is cheap;
-    # beyond that, eager rows for pairwise-interacting triples plus lazy
-    # cuts for the rest (composed alignments at that scale are dominated by
-    # already-ordered pairs, so few cuts ever fire)
-    full_eager = n <= FULL_TRANSITIVITY_LIMIT
-    if full_eager:
-        neighbours = [[j for j in range(n) if j != i] for i in range(n)]
-    else:
-        touched = [
-            {k for k in range(len(use.instances)) if C_clm[i][k] or C_rls[i][k]}
-            for i in range(n)
-        ]
-        neighbours = [
-            [j for j in range(n) if j != i
-             and ((i, j) in same_case or touched[i] & touched[j])]
-            for i in range(n)
-        ]
-    neighbour_sets = [set(row) for row in neighbours]
-
     def transitivity(i, j, k):
         return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
                           f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
-
-    seen = set()
-    for i in range(n):
-        for j in neighbours[i]:
-            both = neighbour_sets[i] & neighbour_sets[j]
-            for k in sorted(both):
-                seen.add((i, j, k))
-                rows.append(transitivity(i, j, k))
 
     def lazy_transitivity(assignment):
         violated = []
@@ -455,10 +423,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
                 mid = 0
                 if witness is not None:
                     mid = sum(1 for x in range(n) if R[i][x] and R[x][j])
-                    key = (i, witness, j)
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(transitivity(i, witness, j))
+                    rows.append(transitivity(i, witness, j))
                 span[var(i, j)] = mid
                 keep_vars.append(var(i, j))
 
@@ -482,36 +447,12 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
         constraints=rows,
         fixings=fixings,
         preferred=preferred,
-        warm_starts=[block_triangular_assignment_raw(n, R, case_blocks)],
-        lazy_rows=None if full_eager else lazy_transitivity,
+        lazy_rows=lazy_transitivity,
         branch_order=ordered,
         cap=reversal_cap,
     )
     return IlpInstance(moves, use.instances, use.capacities, R, C_clm, C_rls,
-                       program, case_blocks)
-
-
-def block_triangular_assignment_raw(n, R, case_blocks):
-    """The always-feasible order: cases fully serialized in block order,
-    each case keeping its own alignment order."""
-    assignment = [0] * (n * n)
-    block_of = {}
-    for b, block in enumerate(case_blocks):
-        for i in block:
-            block_of[i] = b
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if block_of[i] == block_of[j]:
-                assignment[i * n + j] = R[i][j]
-            elif block_of[i] < block_of[j]:
-                assignment[i * n + j] = 1
-    return assignment
-
-
-def block_triangular_assignment(inst: IlpInstance):
-    return block_triangular_assignment_raw(inst.n, inst.R, inst.case_blocks)
+                       program)
 
 
 @dataclass(frozen=True)
@@ -830,8 +771,7 @@ def _without_cases(net: RcNuNet, marking: ColoredMarking, cases) -> ColoredMarki
 def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
                      a, b, log: EventLog,
                      costs: CostTable = DEFAULT_COSTS,
-                     node_budget: int = DEFAULT_NODE_BUDGET,
-                     spare_count=None) -> IntervalRealignment:
+                     node_budget: int = DEFAULT_NODE_BUDGET) -> IntervalRealignment:
     """Optimal alignment of the interval's events between its boundary
     markings; falls back to the sync-splitting construction when the local
     search cannot connect them.
@@ -881,7 +821,7 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
             net, [comp.moves[i] for i in sorted(pre_set) + region]
         ))
         sub_net = build_log_net(sub_log)
-        prod = build_sync_product(net, sub_net, spare_count=spare_count)
+        prod = build_sync_product(net, sub_net)
         start = (_prefix_marking(_without_cases(net, m_a, idle), "m::")
                  | _prefix_marking(sub_net.initial, "l::"))
         goal = (_prefix_marking(_without_cases(net, m_b, idle), "m::")
@@ -954,12 +894,11 @@ class ApproxResult:
 def approximate_alignment(net: RcNuNet, log: EventLog,
                           costs: CostTable = DEFAULT_COSTS,
                           node_budget: int = DEFAULT_NODE_BUDGET,
-                          ilp_budget: int = 2_000_000,
-                          spare_count=None) -> ApproxResult:
+                          ilp_budget: int = 2_000_000) -> ApproxResult:
     """The full pipeline: per-case alignments, composition, order program,
     local realignments, substitution, and a validity check of the result."""
     scaled = scale_cases(net, log.cases())
-    per_case = align_cases(net, log, costs, node_budget, spare_count)
+    per_case = align_cases(net, log, costs, node_budget)
     comp = compose(per_case, log)
     sol = adjust_order(scaled, comp, ilp_budget)
 
@@ -969,7 +908,7 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
     else:
         realignments = [
             realign_interval(scaled, comp, sol.x_order, a, b, log, costs,
-                             node_budget, spare_count)
+                             node_budget)
             for a, b in sol.intervals
         ]
         gamma = _substitute(comp, sol.x_order, realignments)

@@ -111,14 +111,13 @@ def cmd_align(args) -> int:
     scaled = scale_cases(net, log.cases())
     try:
         if args.mode == "exact":
-            prod = build_sync_product(scaled, build_log_net(log),
-                                      spare_count=args.fresh_pool)
+            prod = build_sync_product(scaled, build_log_net(log))
             alignment = optimal_alignment(prod, costs, args.node_budget)
             report = build_report(alignment, "exact", costs, scaled,
                                   warnings=prod.warnings)
         else:
             result = approximate_alignment(net, log, costs, args.node_budget,
-                                           args.ilp_budget, args.fresh_pool)
+                                           args.ilp_budget)
             if not result.valid:
                 print(f"error: approximated alignment failed validation: "
                       f"{result.witness}", file=sys.stderr)
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--dot", default=None, help="also write a DOT rendering")
     p_align.add_argument("--node-budget", type=int, default=2_000_000)
     p_align.add_argument("--ilp-budget", type=int, default=2_000_000)
-    p_align.add_argument("--fresh-pool", type=int, default=None,
-                         help="synthetic fresh-identifier pool size")
     p_align.add_argument("--costs", default="",
                          help="e.g. sync=0,tau=1,visible=10000")
     p_align.add_argument("--fail-on-deviation", action="store_true",

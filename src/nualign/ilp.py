@@ -74,7 +74,6 @@ class BinaryProgram:
     constraints: list = field(default_factory=list)
     fixings: dict = field(default_factory=dict)     # var -> 0/1
     preferred: dict = field(default_factory=dict)   # var -> value to try first
-    warm_starts: list = field(default_factory=list) # known-feasible assignments
     lazy_rows: object = None   # callable(assignment) -> [Constraint] violated
     branch_order: list = None  # optional static variable order for branching
     cap: Constraint = None     # "<=" row whose bound solve() raises until feasible;
@@ -314,14 +313,6 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
     if cap is not None and cap.op != "<=":
         raise ValueError(f"cap row must be '<=', not {cap.op!r}")
 
-    # checked once; a feasible warm start is an incumbent at every level
-    # whose cap bound its cap lhs meets
-    warm = []
-    for assignment in program.warm_starts:
-        if check_feasible(program, assignment)[0]:
-            warm.append((cap.lhs(assignment) if cap else 0,
-                         program.objective_value(assignment), list(assignment)))
-
     # fixings were folded into the rows at engine construction; apply the
     # root implications they trigger
     if not engine.propagate_all():
@@ -382,10 +373,6 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
     cap_row = None if cap is None else engine.add_row(cap)
     bound = None if cap is None else cap.bound
     while True:
-        for lhs, value, assignment in warm:
-            if (cap is None or lhs <= bound) and (best_value is None or value < best_value):
-                best_assignment = assignment
-                best_value = value
         if cap is None or engine.set_bound(cap_row, bound):
             open_node(0)
         while stack:

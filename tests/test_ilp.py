@@ -244,17 +244,6 @@ def test_determinism():
     assert solve(p1) == solve(p2)
 
 
-def test_warm_start_used_as_incumbent():
-    p = BinaryProgram(
-        3,
-        objective={0: 1, 1: 1, 2: 1},
-        constraints=[constraint({0: -1, 1: -1, 2: -1}, "<=", -1)],
-        warm_starts=[[1, 1, 1]],
-    )
-    assignment, value = solve(p)
-    assert value == 1
-
-
 def dump_lp(program):
     """Plain-text rendering of a program, exact integers."""
     lines = []

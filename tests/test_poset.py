@@ -199,6 +199,28 @@ def test_interval_closed_is_open_plus_endpoints():
     assert set(closed.elements) == set(opened.elements) | {"a"} | {"d"}
 
 
+def test_restrict_matches_closed_pairs_filter():
+    # reference: filter every closed pair of the whole order to the members
+    rng = random.Random(21)
+    for _ in range(300):
+        n = rng.randrange(0, 40)
+        labels = [f"e{k}" for k in range(n)]
+        rng.shuffle(labels)
+        pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.15]
+        rng.shuffle(labels)
+        p = Poset(labels, pairs)
+        members = [x for x in labels if rng.random() < 0.4]
+        rng.shuffle(members)
+        kept = set(members)
+        expected = Poset([x for x in p.elements if x in kept],
+                         [(x, y) for x, y in p.closed_pairs() if x in kept and y in kept])
+        got = p.restrict(members)
+        assert got.elements == expected.elements
+        assert got.pairs() == expected.pairs()
+        assert got.closed_pairs() == expected.closed_pairs()
+
+
 # -- linearizations ----------------------------------------------------------
 
 def brute_force_linearizations(p):

@@ -1,9 +1,12 @@
 """Source-level rules for the package itself."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import nualign
+from nualign.cli import build_parser
 
 PACKAGE = Path(nualign.__file__).resolve().parent
 
@@ -23,3 +26,27 @@ def test_every_exported_name_resolves():
     missing = [name for name in nualign.__all__ if not hasattr(nualign, name)]
     assert not missing, f"nualign.__all__ names missing from the package: {missing}"
     assert len(set(nualign.__all__)) == len(nualign.__all__)
+
+
+def _subcommand_options():
+    """Long options per ``nualign`` subcommand, ``--help`` left out."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: {opt for action in p._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_readme_cli_section_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    flag = r"--[a-z][a-z-]*"
+    options = _subcommand_options()
+    documented = set(re.findall(flag, readme))
+    undocumented = sorted(f"{name} {opt}" for name, opts in options.items()
+                          for opt in opts - documented)
+    assert not undocumented, f"options missing from README.md: {undocumented}"
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    stale = sorted(set(re.findall(flag, section)) - set().union(*options.values()))
+    assert not stale, f"README's CLI section names options no subcommand has: {stale}"
