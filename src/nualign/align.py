@@ -20,8 +20,10 @@ Optimal alignments come from uniform-cost search over product markings
 (Dijkstra; the classical marking-equation heuristic is unsound under
 variable bindings, so no heuristic is applied).  Costs are integers:
 synchronous moves are free, silent model moves cost ``tau``, visible
-log/model moves cost ``visible``.  States are the markings themselves,
-which hash and compare by content.  Equal-cost frontier entries pop in
+log/model moves cost ``visible``.  A search state is a tuple of token
+counts over (place, token) pairs interned per search, a (transition,
+mode) is bound once into a count delta, and only transitions whose input
+places are all marked are tried.  Equal-cost frontier entries pop in
 push order; transitions expand in net order and modes come sorted, so
 the search is fully deterministic and independent of string hashing.
 """
@@ -34,6 +36,7 @@ from itertools import count
 
 from .eventlog import Event, EventLog
 from .lognet import LogNet
+from .petri import FiringError
 from .poset import Multiset, Poset
 from .rcnu import (
     EPS,
@@ -45,6 +48,7 @@ from .rcnu import (
     enabled_modes,
     fire_mode,
     firing_effect,
+    token_key,
 )
 
 
@@ -66,8 +70,15 @@ class SoundnessError(RuntimeError):
 
 
 class SearchBudgetError(RuntimeError):
+    """The search stopped without settling the goal: the node budget ran
+    out, or (``best_cost`` None) every marking reachable from the start
+    settled and the goal was not among them."""
+
     def __init__(self, visited, frontier, best_cost):
         super().__init__(
+            f"goal unreachable from the start: all {visited} reachable "
+            f"markings settled without reaching it"
+            if best_cost is None else
             f"search exhausted after {visited} settled markings "
             f"(frontier {frontier}, cheapest open cost {best_cost})"
         )
@@ -339,18 +350,19 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
                        initial, final, meta, warnings)
 
 
-def _decode_move(prod: SyncProduct, t, mode) -> Move:
+def _decode_move(prod: SyncProduct, t, mode: tuple) -> Move:
+    """The move of firing product transition ``t``; ``mode`` is sorted
+    (variable, identifier) pairs."""
     kind = prod.move_kind[t]
     if kind == "log":
         event = prod.event[t]
         return Move("log", event=event, label=event.activity)
     model_t = prod.model_transition[t]
-    items = tuple(sorted(mode.items()))
     if kind == "model":
-        return Move("model", transition=model_t, mode=items,
+        return Move("model", transition=model_t, mode=mode,
                     label=prod.model.labels[model_t])
     event = prod.event[t]
-    return Move("sync", event=event, transition=model_t, mode=items,
+    return Move("sync", event=event, transition=model_t, mode=mode,
                 label=event.activity)
 
 
@@ -369,31 +381,86 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                       goal: ColoredMarking | None = None) -> Alignment:
     """Minimum-cost run of the product from start to goal, as a chain poset.
 
-    Markings are their own table keys.  Deterministic: equal-cost frontier
-    entries pop in push order.  Raises SearchBudgetError with frontier
-    statistics when the node budget is exhausted before the goal settles.
+    A state is the tuple of token counts indexed by interned (place, token)
+    ids, trailing zeros stripped: the start's and goal's pairs sorted by
+    place and token, then new pairs as firings produce them.  A (transition,
+    mode) is bound once by ``firing_effect`` into interned (taken, given)
+    lists that every later firing of it applies.  At a settled state only
+    the transitions whose input places are all marked are tried, in net
+    order, with modes enumerated on the state decoded once.  Deterministic:
+    equal-cost frontier entries pop in push order.  Raises SearchBudgetError
+    with frontier statistics when the node budget is exhausted before the
+    goal settles, or when every marking reachable from the start settled
+    without reaching the goal.
     """
-    start = prod.initial if start is None else start
-    goal = prod.final if goal is None else goal
+    pairs = []          # id -> (place, token)
+    ids = {}            # (place, token) -> id
 
+    def intern(pair):
+        i = ids.get(pair)
+        if i is None:
+            i = ids[pair] = len(pairs)
+            pairs.append(pair)
+        return i
+
+    def encode(marking: ColoredMarking) -> tuple:
+        counts = {
+            intern((p, tok)): n
+            for p in sorted(marking.places())
+            for tok, n in sorted(marking.get(p).items(), key=lambda kv: token_key(kv[0]))
+        }
+        state = [0] * (max(counts, default=-1) + 1)
+        for i, n in counts.items():
+            state[i] = n
+        return tuple(state)
+
+    def decode(state: tuple) -> dict:
+        tokens = {}
+        for (p, tok), n in zip(pairs, state):
+            if n:
+                tokens.setdefault(p, {})[tok] = n
+        return tokens
+
+    effects = {}        # (transition, mode items) -> (taken, given, length)
+
+    def effect(key):
+        entry = effects.get(key)
+        if entry is None:
+            taken, given = firing_effect(prod, key[0], dict(key[1]))
+            taken = [(intern((p, tok)), n) for p, tok, n in taken]
+            given = [(intern((p, tok)), n) for p, tok, n in given]
+            entry = effects[key] = (
+                taken, given, 1 + max((i for i, _ in taken + given), default=-1))
+        return entry
+
+    consumers = {}      # place -> positions of the transitions taking from it
+    inputs = []         # per transition position, its number of input places
+    unconditional = []  # positions of transitions with no input place
+    for k, t in enumerate(prod.transitions):
+        inputs.append(len(prod.input_places(t)))
+        if not inputs[k]:
+            unconditional.append(k)
+        for p in prod.input_places(t):
+            consumers.setdefault(p, []).append(k)
+
+    start = encode(prod.initial if start is None else start)
+    goal = encode(prod.final if goal is None else goal)
     best = {start: 0}
     parent = {start: None}
     pushes = count(1)
     heap = [(0, 0, start)]
-    settled = set()
+    settled = 0
 
     while heap:
-        cost, _, m = heapq.heappop(heap)
-        if m in settled or cost > best[m]:
-            continue
-        settled.add(m)
-        if m == goal:
+        cost, _, state = heapq.heappop(heap)
+        if cost > best[state]:
+            continue    # stale: pushes only lower a cost, so a state pops at its final cost once
+        settled += 1
+        if state == goal:
             moves = []
-            cursor = m
-            while parent[cursor] is not None:
-                prev, t, mode = parent[cursor]
+            while parent[state] is not None:
+                state, (t, mode) = parent[state]
                 moves.append(_decode_move(prod, t, mode))
-                cursor = prev
             moves.reverse()
             alignment = Alignment.chain(moves)
             tau_moves = sum(
@@ -406,19 +473,41 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                     f"the infinitesimal scheme"
                 )
             return alignment
-        if len(settled) > node_budget:
-            raise SearchBudgetError(len(settled), len(heap), cost)
-        fresh = prod.fresh_candidates(m)
-        for t in prod.transitions:
-            forced = prod.forced.get(t, {})
-            for mode in enabled_modes(prod, m, t, fresh_pool=fresh, forced=forced):
-                m2 = fire_mode(prod, m, t, mode)
-                cost2 = cost + product_move_cost(prod, t, costs)
-                if cost2 < best.get(m2, float("inf")):
-                    best[m2] = cost2
-                    parent[m2] = (m, t, mode)
-                    heapq.heappush(heap, (cost2, next(pushes), m2))
-    raise SearchBudgetError(len(settled), 0, None)
+        if settled > node_budget:
+            raise SearchBudgetError(settled, len(heap), cost)
+        tokens = decode(state)
+        hits = {}
+        for p in tokens:
+            for k in consumers.get(p, ()):
+                hits[k] = hits.get(k, 0) + 1
+        candidates = sorted(unconditional + [k for k, h in hits.items() if h == inputs[k]])
+        marking = ColoredMarking(tokens)
+        fresh = prod.fresh_candidates(marking)
+        for k in candidates:
+            t = prod.transitions[k]
+            cost2 = cost + product_move_cost(prod, t, costs)
+            for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
+                                      forced=prod.forced.get(t, {})):
+                key = (t, tuple(sorted(mode.items())))
+                taken, given, length = effect(key)
+                counts = list(state)
+                counts.extend([0] * (length - len(counts)))
+                for i, n in taken:
+                    if counts[i] < n:
+                        p, tok = pairs[i]
+                        raise FiringError(
+                            f"place {p} holds {counts[i]} of token {tok}, needs {n}")
+                    counts[i] -= n
+                for i, n in given:
+                    counts[i] += n
+                while counts and not counts[-1]:
+                    counts.pop()
+                state2 = tuple(counts)
+                if cost2 < best.get(state2, float("inf")):
+                    best[state2] = cost2
+                    parent[state2] = (state, key)
+                    heapq.heappush(heap, (cost2, next(pushes), state2))
+    raise SearchBudgetError(settled, 0, None)
 
 
 def align_log(model: RcNuNet, log: EventLog,

@@ -83,8 +83,9 @@ _EMPTY_MS = Multiset()
 class ColoredMarking:
     """Immutable mapping place -> multiset of tokens.
 
-    Markings hash and compare by content, so a marking is its own search
-    key; the hash is computed on first use."""
+    Markings hash and compare by content, so a marking can key a table;
+    the hash is computed on first use.  The exact search keys its states
+    by interned token counts instead (``align.optimal_alignment``)."""
 
     __slots__ = ("_tokens", "_hash")
 

@@ -4,11 +4,14 @@ The optimality tests compare the Dijkstra result against the exhaustive
 DFS oracle, which explores the product with no search-order assumptions.
 """
 
+import heapq
+import itertools
 import random
 
 import pytest
 
 import nualign.align as align_module
+import nualign.approx as approx
 
 from nualign.align import (
     Alignment,
@@ -33,9 +36,10 @@ from nualign.lognet import build_log_net
 from nualign.oracles import min_cost_exhaustive
 from nualign.petri import FiringError
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import EPS, enabled_modes, fire_mode, scale_cases
+from nualign.rcnu import EPS, ColoredMarking, RcNuNet, enabled_modes, fire_mode, scale_cases
 
 from test_acceptance import generate_pipeline_fixtures
+from test_approx import _differential_fixtures
 
 
 def product_for(log, cases=None):
@@ -169,8 +173,21 @@ def test_budget_error_carries_stats():
     _, prod = product_for(log)
     with pytest.raises(SearchBudgetError) as info:
         optimal_alignment(prod, node_budget=3)
-    assert info.value.visited >= 3
-    assert info.value.frontier >= 0
+    exc = info.value
+    assert (exc.visited, exc.frontier, exc.best_cost) == (4, 13, 0)
+    assert "search exhausted after 4 settled markings" in str(exc)
+
+
+def test_unreachable_goal_says_so():
+    # a token no firing produces: the frontier empties with the budget unspent
+    _, prod = product_for(hospital_log())
+    goal = prod.final | ColoredMarking({"m::q5": Multiset({("zz", EPS): 1})})
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_alignment(prod, goal=goal)
+    exc = info.value
+    assert (exc.visited, exc.frontier, exc.best_cost) == (374, 0, None)
+    assert str(exc) == ("goal unreachable from the start: all 374 reachable "
+                        "markings settled without reaching it")
 
 
 def test_align_log_wrapper():
@@ -198,6 +215,114 @@ def test_exact_matches_exhaustive_oracle(csv):
     _, prod = product_for(log)
     al = optimal_alignment(prod)
     assert al.cost() == min_cost_exhaustive(prod, node_cap=300_000)
+
+
+# -- interned-state search against the marking-keyed reference ------------------
+
+def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
+                                node_budget=align_module.DEFAULT_NODE_BUDGET,
+                                start=None, goal=None):
+    """The search with markings as states: every transition is tried at every
+    settled marking, and each push binds its arcs anew through
+    ``fire_mode``.  The reference for ``optimal_alignment``."""
+    start = prod.initial if start is None else start
+    goal = prod.final if goal is None else goal
+    best = {start: 0}
+    parent = {start: None}
+    pushes = itertools.count(1)
+    heap = [(0, 0, start)]
+    settled = set()
+    while heap:
+        cost, _, m = heapq.heappop(heap)
+        if m in settled or cost > best[m]:
+            continue
+        settled.add(m)
+        if m == goal:
+            moves = []
+            while parent[m] is not None:
+                m, t, mode = parent[m]
+                moves.append(align_module._decode_move(prod, t, tuple(sorted(mode.items()))))
+            return Alignment.chain(reversed(moves))
+        if len(settled) > node_budget:
+            raise SearchBudgetError(len(settled), len(heap), cost)
+        fresh = prod.fresh_candidates(m)
+        for t in prod.transitions:
+            for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
+                                      forced=prod.forced.get(t, {})):
+                m2 = fire_mode(prod, m, t, mode)
+                cost2 = cost + align_module.product_move_cost(prod, t, costs)
+                if cost2 < best.get(m2, float("inf")):
+                    best[m2] = cost2
+                    parent[m2] = (m, t, mode)
+                    heapq.heappush(heap, (cost2, next(pushes), m2))
+    raise SearchBudgetError(len(settled), 0, None)
+
+
+def _search_outcome(search, prod, node_budget, start=None, goal=None):
+    try:
+        al = search(prod, node_budget=node_budget, start=start, goal=goal)
+    except SearchBudgetError as exc:
+        return "budget", exc.visited, exc.frontier, exc.best_cost
+    return al.moves, al.cost()
+
+
+def product_for_net(net, log):
+    return build_sync_product(scale_cases(net, log.cases()), build_log_net(log))
+
+
+def _differential_searches(monkeypatch):
+    """(product, start, goal) of every search the differential fixtures give:
+    the whole-log product of logs with at most ten events, each case's own
+    product, and each realignment region's projected boundary markings as
+    ``realign_interval`` builds them."""
+    searches = []
+    search = approx.optimal_alignment
+
+    def record(prod, costs=align_module.DEFAULT_COSTS,
+               node_budget=align_module.DEFAULT_NODE_BUDGET, start=None, goal=None):
+        if start is not None:
+            searches.append((prod, start, goal))
+        return search(prod, costs, node_budget, start=start, goal=goal)
+
+    monkeypatch.setattr(approx, "optimal_alignment", record)
+    for net, log in _differential_fixtures():
+        if len(log) <= 10:
+            searches.append((product_for_net(net, log), None, None))
+        for c in log.cases():
+            searches.append((product_for_net(net, log.project_case(c)), None, None))
+        approximate_alignment(net, log, node_budget=20_000)
+    return searches
+
+
+def test_interned_search_matches_marking_reference(monkeypatch):
+    """Same moves and cost as the marking-keyed search on every whole-log,
+    per-case and realignment search of the differential fixtures, and the
+    same budget-error fields where a small budget runs out."""
+    searches = _differential_searches(monkeypatch)
+    solved = exhausted = 0
+    for prod, start, goal in searches:
+        for budget in (20_000, 50):
+            new = _search_outcome(optimal_alignment, prod, budget, start, goal)
+            ref = _search_outcome(reference_optimal_alignment, prod, budget, start, goal)
+            assert new == ref
+            if new[0] == "budget":
+                exhausted += 1
+            else:
+                solved += 1
+    realignments = sum(1 for _, start, _ in searches if start is not None)
+    assert realignments >= 10 and exhausted >= 50 and solved >= 500
+
+
+def test_transition_without_input_place_is_always_tried():
+    # no marked place indexes ``gen``; only its model move explains the
+    # final token on p
+    net = RcNuNet(["p"], [], ["gen"], {"gen": "a"},
+                  {("gen", "p"): Multiset({("c1", EPS): 1})},
+                  ColoredMarking(), ColoredMarking({"p": Multiset({("c1", EPS): 1})}))
+    prod = build_sync_product(net, build_log_net(parse_log("c1,b,1,\n")))
+    al = optimal_alignment(prod)
+    assert [repr(m) for m in al.moves] == ["model(gen[])", "log(b@0)"]
+    assert al.moves == reference_optimal_alignment(prod).moves
 
 
 # -- pseudo-markings -------------------------------------------------------------

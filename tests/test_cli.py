@@ -12,9 +12,12 @@ import nualign
 import nualign.approx
 from nualign.cli import EXIT_INVALID, main
 from nualign.dot import log_to_dot, net_to_dot, report_to_dot
+from nualign.eventlog import serialize_log
 from nualign.fixtures import (
     HOSPITAL_FORCED_OVERLAP_CSV,
     HOSPITAL_LOG_CSV,
+    clinic_log,
+    clinic_net,
     hospital_log,
     hospital_net,
 )
@@ -295,11 +298,16 @@ def test_cli_outputs_deterministic(net_file, log_file, tmp_path):
     assert sims[0] == sims[1]
 
 
-@pytest.mark.parametrize("csv", [HOSPITAL_LOG_CSV, HOSPITAL_FORCED_OVERLAP_CSV],
-                         ids=["fit", "forced_overlap"])
-def test_cli_reports_independent_of_hash_seed(net_file, tmp_path, csv):
+@pytest.mark.parametrize("make_net, csv", [
+    (hospital_net, lambda: HOSPITAL_LOG_CSV),
+    (hospital_net, lambda: HOSPITAL_FORCED_OVERLAP_CSV),
+    (clinic_net, lambda: serialize_log(clinic_log(3, overlap_at=1))),
+], ids=["fit", "forced_overlap", "clinic_overlap"])
+def test_cli_reports_independent_of_hash_seed(tmp_path, make_net, csv):
+    net_file = str(tmp_path / "net.json")
+    save_net(make_net(), net_file)
     log = tmp_path / "log.csv"
-    log.write_text(csv)
+    log.write_text(csv())
     src = str(Path(nualign.__file__).resolve().parents[1])
     reports = {}
     for seed in ("1", "2"):
