@@ -126,7 +126,7 @@ class Alignment:
     def chain(cls, moves):
         moves = tuple(moves)
         idx = range(len(moves))
-        return cls(moves, Poset(idx, list(zip(idx, idx[1:]))).transitive_closure())
+        return cls(moves, Poset(idx, list(zip(idx, idx[1:]))))
 
     def cost(self, costs: CostTable = DEFAULT_COSTS) -> int:
         return sum(move_cost(m, costs) for m in self.moves)

@@ -79,11 +79,11 @@ class CompositionError(RuntimeError):
 
 @dataclass
 class ComposedAlignment:
-    """Union of per-case alignments, ordered by their own chains plus the
+    """Union of per-case alignments, ordered by their own orders plus the
     log order on event-carrying moves."""
 
     moves: tuple
-    order: Poset            # over move indices, transitively closed
+    order: Poset            # over move indices; queries answer against its closure
     case_of: tuple          # per move, the owning case id
     per_case: dict          # case id -> Alignment
 
@@ -110,7 +110,13 @@ def align_cases(net: RcNuNet, log: EventLog,
 
 
 def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
-    """Union of the per-case alignments; indices are (case id, chain position) ordered."""
+    """Union of the per-case alignments, cases in id order.
+
+    Move ``i`` of case ``c`` gets composed index ``base + i``, where
+    ``base`` counts the moves of the cases before ``c``, and keeps its
+    case's order.  The log's covering pairs, restricted to the
+    event-carrying moves, order those moves across cases.
+    """
     if set(per_case) != set(log.cases()):
         raise CompositionError(
             f"per-case keys {sorted(per_case)} != log cases {log.cases()}"
@@ -121,18 +127,9 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
     for c in sorted(per_case):
         alignment = per_case[c]
         base = len(moves)
-        chain = sorted(
-            range(len(alignment.moves)),
-            key=lambda i: (len(alignment.order.prefix(frozenset([i])).elements), i),
-        )
-        index_map = {}
-        for pos, i in enumerate(chain):
-            index_map[i] = base + pos
-            moves.append(alignment.moves[i])
-            case_of.append(c)
-        for i, j in alignment.order.closed_pairs():
-            pairs.append((index_map[i], index_map[j]))
-    # log chronology on event-carrying moves (the log restricted to them)
+        moves.extend(alignment.moves)
+        case_of.extend([c] * len(alignment.moves))
+        pairs.extend((base + i, base + j) for i, j in alignment.order.pairs())
     move_of_event = {}
     for idx, mv in enumerate(moves):
         if mv.kind != "model":
@@ -140,7 +137,7 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
     for e1, e2 in log.restrict(move_of_event).covering_pairs():
         pairs.append((move_of_event[e1], move_of_event[e2]))
     try:
-        order = Poset(range(len(moves)), pairs).transitive_closure()
+        order = Poset(range(len(moves)), pairs)
     except Exception as exc:
         raise CompositionError(f"composed order is cyclic: {exc}") from None
     return ComposedAlignment(tuple(moves), order, tuple(case_of), dict(per_case))
@@ -189,88 +186,80 @@ def violating_antichain(net: RcNuNet, comp: ComposedAlignment, g) -> bool:
 
 @dataclass
 class CapacityRows:
-    """The composed order R and the capacity rows it is checked against.
+    """Claim and release counts of the composed moves, and the sites of the
+    capacity rows they induce.
 
     Computed once per ``adjust_order`` and shared by the fits check, the
-    contending-case finder, every program built and the extraction.
+    contending-case finder, every program built and the lift check.  A
+    row is read under an order ``before(i, j)``: R itself
+    (``comp.order.precedes``), or R with a program's changed pairs.
     """
 
-    R: list                 # flat n x n binary, R[i * n + j] = 1 iff i before j
     instances: tuple        # resource instance ids, fixed order
     capacities: tuple
     C_clm: list             # n x n_r claim counts
     C_rls: list             # n x n_r release counts
-    rows: list              # const_vio rows over the variables X[i][j] = i * n + j
-    at: list                # per row, (its move, its instance's index)
+    sites: list             # per capacity row, (its move, its instance's index)
+    users: list             # per instance index, the moves that claim or release it
 
-    def broken(self) -> list:
-        """Indices of the rows that R itself violates."""
-        return [r for r, row in enumerate(self.rows) if not row.holds(self.R)]
-
-    def named_cases(self, comp: ComposedAlignment, rows, X) -> set:
-        """The cases the given rows name at the order assignment ``X``: the
-        case of each row's own move, and every case whose net claim in the
-        row (its claims not ordered after the move minus its releases
-        ordered before it) is positive."""
-        n = len(comp.moves)
-        named = set()
-        for r in rows:
-            i, k = self.at[r]
-            named.add(comp.case_of[i])
-            net_claim = {}
-            for j in range(n):
-                if j == i:
-                    continue
-                amount = (self.C_clm[j][k] * (1 - X[i * n + j])
-                          - self.C_rls[j][k] * X[j * n + i])
+    def net_claims(self, comp: ComposedAlignment, site, before) -> dict:
+        """Per case, its net claim in the row at ``site`` under ``before``:
+        the claims of its moves not ordered after the row's move, minus the
+        releases ordered strictly before it.  The row's own move is left
+        out, and a case whose terms cancel is absent."""
+        i, k = site
+        C_clm, C_rls = self.C_clm, self.C_rls
+        claims = {}
+        for j in self.users[k]:
+            if j != i:
+                amount = (C_clm[j][k] * (not before(i, j))
+                          - C_rls[j][k] * before(j, i))
                 if amount:
                     c = comp.case_of[j]
-                    net_claim[c] = net_claim.get(c, 0) + amount
-            named.update(c for c, amount in net_claim.items() if amount > 0)
+                    claims[c] = claims.get(c, 0) + amount
+        return claims
+
+    def fits(self, comp: ComposedAlignment, site, before) -> bool:
+        """Whether the row at ``site`` holds under ``before``: the move's own
+        claim plus every case's net claim fit the instance's capacity."""
+        i, k = site
+        return (self.C_clm[i][k] + sum(self.net_claims(comp, site, before).values())
+                <= self.capacities[k])
+
+    def broken(self, comp: ComposedAlignment) -> list:
+        """The sites whose rows R itself violates."""
+        return [s for s in self.sites if not self.fits(comp, s, comp.order.precedes)]
+
+    def named_cases(self, comp: ComposedAlignment, sites, before) -> set:
+        """The cases the rows at ``sites`` name under ``before``: the case of
+        each row's own move, and every case whose net claim in the row is
+        positive."""
+        named = set()
+        for site in sites:
+            named.add(comp.case_of[site[0]])
+            named.update(c for c, amount in self.net_claims(comp, site, before).items()
+                         if amount > 0)
         return named
 
 
-def _capacity_rows(moves, C_clm, C_rls, instances, capacities):
-    """The ``const_vio`` rows of a program over ``moves``: its variables are
-    ``a * m + b`` for positions ``a``, ``b`` in ``moves``, the claim and
-    release counts are per position, and the labels name the moves.
-    Returns the rows and, per row, its (move, instance index)."""
-    m = len(moves)
-    totals = [sum(claims[k] for claims in C_clm) for k in range(len(instances))]
-    rows, at = [], []
-    for a in range(m):
-        for k, inst in enumerate(instances):
-            if not C_clm[a][k] or totals[k] <= capacities[k]:
-                continue
-            coeffs = {}
-            for b in range(m):
-                if b != a:
-                    if C_clm[b][k]:
-                        coeffs[a * m + b] = -C_clm[b][k]
-                    if C_rls[b][k]:
-                        coeffs[b * m + a] = -C_rls[b][k]
-            rows.append(constraint(coeffs, "<=", capacities[k] - totals[k],
-                                   f"const_vio[{moves[a]},{inst}]"))
-            at.append((moves[a], k))
-    return rows, at
-
-
 def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
-    """Resource use of the composed moves and the capacity rows it induces.
+    """Resource use of the composed moves and the sites of the capacity rows.
 
-    The rows ``const_vio[i,inst]`` are over the order variables
-    ``X[i][j] = i * n + j``: the claims of the moves not ordered after
-    ``i``, minus the releases ordered strictly before it, fit the capacity.
+    The row ``const_vio[i,inst]`` at site ``(i, inst)`` says that the claims
+    of the moves not ordered after ``i``, minus the releases ordered
+    strictly before it, fit the capacity (``CapacityRows.fits``).  Only the
+    users of ``inst``, the moves that claim or release it, have terms in it.
 
-    Rows exist only at moves that claim the instance.  This is sound:
-    availability falls only at a claim, so in every linearization an
-    instance's usage peaks right after some claim fires.  When move ``i``
-    claims, the moves fired so far are among those not ordered after ``i``,
-    and every release ordered strictly before ``i`` has fired, so the row's
-    left side (claims not after ``i`` minus releases strictly before ``i``)
-    bounds that usage.  The rows at claims therefore bound every peak.  They
-    are sufficient, not necessary: a self-loop's claim counts without its
-    same-firing release, so concurrent self-loop uses get ordered anyway.
+    Rows exist only at moves that claim an instance whose claims, summed
+    over every move, exceed its capacity.  This is sound: availability
+    falls only at a claim, so in every linearization an instance's usage
+    peaks right after some claim fires.  When move ``i`` claims, the moves
+    fired so far are among those not ordered after ``i``, and every release
+    ordered strictly before ``i`` has fired, so the row's left side (claims
+    not after ``i`` minus releases strictly before ``i``) bounds that usage.
+    The rows at claims therefore bound every peak.  They are sufficient,
+    not necessary: a self-loop's claim counts without its same-firing
+    release, so concurrent self-loop uses get ordered anyway.
     """
     n = len(comp.moves)
     instances = sorted(net.resource_instances().support())
@@ -284,28 +273,17 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
             C_clm[i][inst_index[r]] = c
         for r, c in releases.items():
             C_rls[i][inst_index[r]] = c
-    rows, at = _capacity_rows(range(n), C_clm, C_rls, instances, capacities)
-    return CapacityRows(composed_assignment(comp), tuple(instances), capacities,
-                        C_clm, C_rls, rows, at)
-
-
-def composed_assignment(comp: ComposedAlignment) -> list:
-    """The composed order R as an assignment of the order variables."""
-    n = len(comp.moves)
-    assignment = [0] * (n * n)
-    for i, j in comp.order.closed_pairs():
-        assignment[i * n + j] = 1
-    return assignment
+    ks = range(len(instances))
+    over = [sum(claims[k] for claims in C_clm) > capacities[k] for k in ks]
+    sites = [(i, k) for i in range(n) for k in ks if C_clm[i][k] and over[k]]
+    users = [[i for i in range(n) if C_clm[i][k] or C_rls[i][k]] for k in ks]
+    return CapacityRows(tuple(instances), capacities, C_clm, C_rls, sites, users)
 
 
 @dataclass
 class IlpInstance:
     moves: tuple            # the composed move at each program position
-    instances: tuple        # resource instance ids, fixed order
-    capacities: tuple
     R: list                 # m x m binary over positions, R[a][b] = 1 iff a before b
-    C_clm: list             # m x n_r claim counts
-    C_rls: list             # m x n_r release counts
     program: BinaryProgram
 
     @property
@@ -317,6 +295,16 @@ class IlpInstance:
 
     def pair(self, v) -> tuple:
         return divmod(v, self.n)
+
+    def changes(self, assignment) -> dict:
+        """The composed pairs whose value ``assignment`` changes from R,
+        ``(i, j) -> 0/1``."""
+        out = {}
+        for v, value in enumerate(assignment):
+            a, b = self.pair(v)
+            if value != self.R[a][b]:
+                out[self.moves[a], self.moves[b]] = value
+        return out
 
 
 def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
@@ -349,14 +337,12 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     """
     if use is None:
         use = capacity_rows(net, comp)
-    total = len(comp.moves)
-    moves = tuple(i for i in range(total)
+    moves = tuple(i for i in range(len(comp.moves))
                   if cases is None or comp.case_of[i] in cases)
     n = len(moves)
-    R = [[use.R[i * total + j] for j in moves] for i in moves]
+    R = [[int(comp.order.precedes(i, j)) for j in moves] for i in moves]
     C_clm = [use.C_clm[i] for i in moves]
     C_rls = [use.C_rls[i] for i in moves]
-    capacity, _ = _capacity_rows(moves, C_clm, C_rls, use.instances, use.capacities)
 
     def var(i, j):
         return i * n + j
@@ -380,20 +366,34 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
         for j in range(n):
             if i != j and R[i][j]:
                 rows.append(constraint(
-                    {var(i, j): -1, var(j, i): -1}, "<=", -1,
+                    {var(i, j): -1, var(j, i): -1}, -1,
                     f"const_rev_rem[{moves[i]},{moves[j]}]",
                 ))
     # antisymmetry (transitivity row with k = i)
     for i in range(n):
         for j in range(i + 1, n):
             rows.append(constraint(
-                {var(i, j): 1, var(j, i): 1}, "<=", 1,
+                {var(i, j): 1, var(j, i): 1}, 1,
                 f"const_trans_clos[{moves[i]},{moves[j]},{moves[i]}]",
             ))
-    rows.extend(capacity)
+    # the capacity rows of these moves alone (see ``capacity_rows``)
+    totals = [sum(claims[k] for claims in C_clm) for k in range(len(use.instances))]
+    for i in range(n):
+        for k, inst in enumerate(use.instances):
+            if not C_clm[i][k] or totals[k] <= use.capacities[k]:
+                continue
+            coeffs = {}
+            for j in range(n):
+                if j != i:
+                    if C_clm[j][k]:
+                        coeffs[var(i, j)] = -C_clm[j][k]
+                    if C_rls[j][k]:
+                        coeffs[var(j, i)] = -C_rls[j][k]
+            rows.append(constraint(coeffs, use.capacities[k] - totals[k],
+                                   f"const_vio[{moves[i]},{inst}]"))
 
     def transitivity(i, j, k):
-        return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, "<=", 1,
+        return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, 1,
                           f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
 
     def lazy_transitivity(assignment):
@@ -439,7 +439,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     ordered.extend(
         v for v in range(n * n) if v not in fixings and v not in placed
     )
-    reversal_cap = constraint({v: -1 for v in keep_vars}, "<=", -len(keep_vars),
+    reversal_cap = constraint({v: -1 for v in keep_vars}, -len(keep_vars),
                               "reversal_cap")
     program = BinaryProgram(
         n_vars=n * n,
@@ -451,13 +451,12 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
         branch_order=ordered,
         cap=reversal_cap,
     )
-    return IlpInstance(moves, use.instances, use.capacities, R, C_clm, C_rls,
-                       program)
+    return IlpInstance(moves, R, program)
 
 
 @dataclass(frozen=True)
 class OrderSolution:
-    assignment: tuple
+    changes: dict            # composed pairs (i, j) -> 0/1 whose value differs from R
     objective: int
     reversals: list          # (i, j) pairs newly ordered i before j, reversing j<i
     additions: list          # (i, j) pairs newly ordered with no prior relation
@@ -481,8 +480,8 @@ def contending_groups(comp: ComposedAlignment, use: CapacityRows) -> list:
     disjoint, sorted by their smallest case id, and empty when R fits.
     """
     groups = []
-    for r in use.broken():
-        cases = use.named_cases(comp, [r], use.R)
+    for site in use.broken(comp):
+        cases = use.named_cases(comp, [site], comp.order.precedes)
         for other in [g for g in groups if g & cases]:
             cases |= other
             groups.remove(other)
@@ -496,41 +495,41 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
     local program's order breaks.
 
     The lift is R with the program's pairs set as in ``changes`` (composed
-    order variable -> value).  Two kinds of rows can break there: a
-    capacity row at one of the program's moves, whose terms for outside
-    moves the program left out, and a transitivity triple with exactly one
-    move outside the program, through a changed pair.  Every other row is
-    a row of the program, or reads only pairs the lift keeps at R (a
-    capacity row at an outside move: R breaks it only if its move belongs
-    to another group, which settles it).  A broken capacity row names the
-    cases with positive net claim in it at the lift, a broken triple the
-    case of its outside move.
+    pair -> value).  Two kinds of rows can break there: a capacity row at
+    one of the program's moves, whose terms for outside moves the program
+    left out, and a transitivity triple with exactly one move outside the
+    program, through a changed pair.  Every other row is a row of the
+    program, or reads only pairs the lift keeps at R (a capacity row at an
+    outside move: R breaks it only if its move belongs to another group,
+    which settles it).  A broken capacity row names the cases with
+    positive net claim in it at the lift, a broken triple the case of its
+    outside move.
     """
-    n = len(comp.moves)
-    R = use.R
-    X = list(R)
-    for v, value in changes.items():
-        X[v] = value
+    R = comp.order.precedes
+
+    def lifted(i, j):
+        value = changes.get((i, j))
+        return R(i, j) if value is None else value
+
     local = set(inst.moves)
-    failing = [r for r, (i, _) in enumerate(use.at)
-               if i in local and not use.rows[r].holds(X)]
-    outside = [o for o in range(n) if o not in local]
-    named = use.named_cases(comp, failing, X)
-    for v, value in changes.items():
-        a, b = divmod(v, n)
+    failing = [s for s in use.sites
+               if s[0] in local and not use.fits(comp, s, lifted)]
+    named = use.named_cases(comp, failing, lifted)
+    outside = [o for o in range(len(comp.moves)) if o not in local]
+    for (a, b), value in changes.items():
         for o in outside:
             if value:
-                broken = ((R[b * n + o] and not R[a * n + o])
-                          or (R[o * n + a] and not R[o * n + b]))
+                broken = (R(b, o) and not R(a, o)) or (R(o, a) and not R(o, b))
             else:
-                broken = R[a * n + o] and R[o * n + b]
+                broken = R(a, o) and R(o, b)
             if broken:
                 named.add(comp.case_of[o])
     named.difference_update(comp.case_of[i] for i in inst.moves)
     if failing and not named:
+        labels = [f"const_vio[{i},{use.instances[k]}]" for i, k in failing]
         raise SoundnessError(
-            f"capacity rows {[use.rows[r].label for r in failing]} fail at the "
-            f"lifted order without any outside case claiming"
+            f"capacity rows {labels} fail at the lifted order without any "
+            f"outside case claiming"
         )
     return named
 
@@ -542,20 +541,15 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment, use: CapacityRows,
     and extract the adjusted order.  ``node_budget`` counts the nodes of
     every program solved, across groups, widening steps and reversal
     levels."""
-    n = len(comp.moves)
     budget = NodeBudget(node_budget)
     pending = list(groups)
-    solved = {}              # case set -> (changed variables, objective)
+    solved = {}              # case set -> (changed pairs, objective)
     widenings = 0
     while pending:
         cases = pending.pop(0)
         inst = build_ilp(net, comp, cases, use)
         local, objective = solve(inst.program, budget)
-        changes = {}
-        for v, value in enumerate(local):
-            a, b = inst.pair(v)
-            if value != inst.R[a][b]:
-                changes[inst.moves[a] * n + inst.moves[b]] = value
+        changes = inst.changes(local)
         named = _lift_failures(comp, use, inst, changes)
         if not named:
             solved[cases] = (changes, objective)
@@ -571,49 +565,41 @@ def solve_and_extract(net: RcNuNet, comp: ComposedAlignment, use: CapacityRows,
                 pending.remove(other)
         pending.insert(0, wider)
 
-    assignment = list(use.R)
-    for changes, _ in solved.values():
-        for v, value in changes.items():
-            assignment[v] = value
+    changes = {}
+    for group_changes, _ in solved.values():
+        changes.update(group_changes)
     return extract_solution(
-        comp, use.R, assignment, sum(objective for _, objective in solved.values()),
+        comp, changes, sum(objective for _, objective in solved.values()),
         tuple(sorted(set().union(*solved))), widenings,
     )
 
 
-def extract_solution(comp: ComposedAlignment, R, assignment, objective,
+def extract_solution(comp: ComposedAlignment, changes, objective,
                      free_cases=(), widenings=0) -> OrderSolution:
-    """Reversals, additions and realignment regions of an adjusted order,
-    given as an assignment of the order variables; ``R`` is the composed
-    order's (``composed_assignment``)."""
+    """Reversals, additions and realignment regions of an adjusted order:
+    R with the composed pairs of ``changes`` (``(i, j) -> 0/1``, each
+    differing from R) set to their value."""
     n = len(comp.moves)
+    R = comp.order.precedes
     reversals = []
     additions = []
-    x_pairs = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if assignment[i * n + j]:
-                x_pairs.append((i, j))
-                if not R[i * n + j]:
-                    if R[j * n + i]:
-                        reversals.append((i, j))
-                    else:
-                        additions.append((i, j))
+    for (i, j), value in sorted(changes.items()):
+        if value:
+            (reversals if R(j, i) else additions).append((i, j))
     if len(additions) >= REVERSAL_WEIGHT:
         raise SoundnessError(
             f"{len(additions)} added pairs reached the reversal weight "
             f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
             f"the two terms"
         )
-    x_order = Poset(range(n), x_pairs)
+    kept = [p for p in comp.order.closed_pairs() if changes.get(p, 1)]
+    x_order = Poset(range(n), kept + reversals + additions)
 
     # elements disturbed by reversals: the original-order stretch j..i
     disturbed = set()
     for i, j in reversals:
-        stretch = comp.order.interval(frozenset([j]), frozenset([i]))
-        disturbed.update(stretch.elements)
+        disturbed.update((i, j))
+        disturbed.update(k for k in range(n) if R(j, k) and R(k, i))
 
     intervals = []
     regions = []
@@ -644,7 +630,7 @@ def extract_solution(comp: ComposedAlignment, R, assignment, objective,
     flat = [i for region in regions for i in region]
     if len(flat) != len(set(flat)):
         raise SoundnessError("interval regions overlap")
-    return OrderSolution(tuple(assignment), objective, reversals, additions,
+    return OrderSolution(changes, objective, reversals, additions,
                          x_order, intervals, regions, free_cases, widenings)
 
 
@@ -694,7 +680,7 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
     use = capacity_rows(net, comp)
     groups = contending_groups(comp, use)
     if not groups:
-        return extract_solution(comp, use.R, use.R, 0)
+        return extract_solution(comp, {}, 0)
     return solve_and_extract(net, comp, use, groups, node_budget)
 
 
@@ -755,7 +741,7 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
     event_move = {comp.moves[i].event: k for i, k in log_part.items()}
     for e1, e2 in log.covering_pairs():
         pairs.append((event_move[e1], event_move[e2]))
-    return Alignment(tuple(moves), Poset(range(len(moves)), pairs).transitive_closure())
+    return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
 
 
 def _without_cases(net: RcNuNet, marking: ColoredMarking, cases) -> ColoredMarking:
@@ -856,11 +842,8 @@ def _substitute(comp: ComposedAlignment, x_order: Poset,
             moves.append(mv)
         block_members.append(members)
 
-    pairs = []
-    for i in remainder:
-        for j in remainder:
-            if i != j and x_order.precedes(i, j):
-                pairs.append((new_index[i], new_index[j]))
+    pairs = [(new_index[i], new_index[j]) for i, j in x_order.closed_pairs()
+             if i in new_index and j in new_index]
     for r, members in zip(realignments, block_members):
         base = members[0]
         for i, j in r.alignment.order.closed_pairs():
@@ -873,7 +856,7 @@ def _substitute(comp: ComposedAlignment, x_order: Poset,
                 pairs.extend((new_index[i], m) for m in members)
             elif after:
                 pairs.extend((m, new_index[i]) for m in members)
-    return Alignment(tuple(moves), Poset(range(len(moves)), pairs).transitive_closure())
+    return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
 
 
 @dataclass

@@ -7,7 +7,7 @@ quadratic per-node work: rows are indexed by variable (watch lists), the
 assignment lives in a single trailed array, and each row keeps running
 lower/upper bounds that are updated incrementally.
 
-Constraints are linear rows ``coeffs . x (<=|==) bound``.  Rows can also
+Constraints are linear rows ``coeffs . x <= bound``.  Rows can also
 be generated lazily: a callback inspects complete candidate assignments
 and returns violated rows, which are added as cuts (used for the cubic
 family of transitivity constraints, where eagerly materializing every
@@ -47,7 +47,6 @@ class NodeBudget:
 @dataclass(frozen=True)
 class Constraint:
     coeffs: tuple          # ((var, coefficient), ...) sorted by var
-    op: str                # "<=" or "=="
     bound: int
     label: str = ""
 
@@ -55,15 +54,12 @@ class Constraint:
         return sum(c * assignment[v] for v, c in self.coeffs)
 
     def holds(self, assignment):
-        value = self.lhs(assignment)
-        return value == self.bound if self.op == "==" else value <= self.bound
+        return self.lhs(assignment) <= self.bound
 
 
-def constraint(coeffs: dict, op: str, bound: int, label: str = "") -> Constraint:
-    if op not in ("<=", "=="):
-        raise ValueError(f"unsupported comparator {op!r}")
+def constraint(coeffs: dict, bound: int, label: str = "") -> Constraint:
     items = tuple(sorted((v, int(c)) for v, c in coeffs.items() if c))
-    return Constraint(items, op, int(bound), label)
+    return Constraint(items, int(bound), label)
 
 
 @dataclass
@@ -76,7 +72,7 @@ class BinaryProgram:
     preferred: dict = field(default_factory=dict)   # var -> value to try first
     lazy_rows: object = None   # callable(assignment) -> [Constraint] violated
     branch_order: list = None  # optional static variable order for branching
-    cap: Constraint = None     # "<=" row whose bound solve() raises until feasible;
+    cap: Constraint = None     # row whose bound solve() raises until feasible;
                                # an objective level, so check_feasible ignores it
 
     def objective_value(self, assignment):
@@ -124,7 +120,7 @@ class _Engine:
             self.assignment[var] = value
         self.trail = []
         self.watch = [[] for _ in range(n)]
-        self.rows = []          # [active coeff-list, op, bound, label]
+        self.rows = []          # [active coeff-list, bound, label]
         self.row_lo = []        # achievable minimum of the lhs
         self.row_hi = []        # achievable maximum
         self.row_maxabs = []    # largest |coefficient| among active vars
@@ -161,19 +157,14 @@ class _Engine:
             if val is not None:
                 lo += entry[1] if val else entry[3]
                 hi += entry[2] if val else entry[4]
-        self.rows.append((active, row.op, row.bound, row.label))
+        self.rows.append((active, row.bound, row.label))
         self.row_lo.append(lo)
         self.row_hi.append(hi)
         self.row_maxabs.append(maxabs)
         return idx
 
     def row_conflict(self, idx):
-        _, op, bound, _ = self.rows[idx]
-        if self.row_lo[idx] > bound:
-            return True
-        if op == "==" and self.row_hi[idx] < bound:
-            return True
-        return False
+        return self.row_lo[idx] > self.rows[idx][1]
 
     def assign(self, var, value):
         """Set a variable; returns False on immediate row conflict.
@@ -191,18 +182,14 @@ class _Engine:
             for idx, dlo1, dhi1, _, _ in self.watch[var]:
                 lo = row_lo[idx] = row_lo[idx] + dlo1
                 row_hi[idx] += dhi1
-                if ok:
-                    _, op, bound, _ = rows[idx]
-                    if lo > bound or (op == "==" and row_hi[idx] < bound):
-                        ok = False
+                if ok and lo > rows[idx][1]:
+                    ok = False
         else:
             for idx, _, _, dlo0, dhi0 in self.watch[var]:
                 lo = row_lo[idx] = row_lo[idx] + dlo0
                 row_hi[idx] += dhi0
-                if ok:
-                    _, op, bound, _ = rows[idx]
-                    if lo > bound or (op == "==" and row_hi[idx] < bound):
-                        ok = False
+                if ok and lo > rows[idx][1]:
+                    ok = False
         return ok
 
     def undo_to(self, mark):
@@ -236,12 +223,10 @@ class _Engine:
                 # its free variables, and each would rescan it otherwise)
                 if lo == hi:
                     continue
-                _, op, bound, _ = self.rows[idx]
-                maxabs = self.row_maxabs[idx]
                 # nothing can be forced while every coefficient fits the
                 # slack; a conflicting row never fits, and _force_row
                 # reports it
-                if bound - lo >= maxabs and (op == "<=" or hi - bound >= maxabs):
+                if self.rows[idx][1] - lo >= self.row_maxabs[idx]:
                     continue
                 if not self._force_row(idx, queue):
                     return False
@@ -254,28 +239,21 @@ class _Engine:
         """Assign every variable row ``idx`` forces, queueing each; False on conflict."""
         if self.row_conflict(idx):
             return False
-        coeffs, op, bound, _ = self.rows[idx]
+        coeffs, bound, _ = self.rows[idx]
         lo = self.row_lo[idx]
-        hi = self.row_hi[idx]
         for v, c in coeffs:
             if self.assignment[v] is not None:
                 continue
-            forced = None
             if c > 0 and lo + c > bound:
                 forced = 0
             elif c < 0 and lo - c > bound:
                 forced = 1
-            if forced is None and op == "==":
-                if c > 0 and hi - c < bound:
-                    forced = 1
-                elif c < 0 and hi + c < bound:
-                    forced = 0
-            if forced is not None:
-                if not self.assign(v, forced):
-                    return False
-                queue.append(v)
-                lo = self.row_lo[idx]
-                hi = self.row_hi[idx]
+            else:
+                continue
+            if not self.assign(v, forced):
+                return False
+            queue.append(v)
+            lo = self.row_lo[idx]
         return True
 
     def propagate_all(self):
@@ -288,8 +266,8 @@ class _Engine:
 
     def set_bound(self, idx, bound):
         """Give row ``idx`` a new bound and propagate it; False on conflict."""
-        coeffs, op, _, label = self.rows[idx]
-        self.rows[idx] = (coeffs, op, bound, label)
+        coeffs, _, label = self.rows[idx]
+        self.rows[idx] = (coeffs, bound, label)
         queue = []
         return self._force_row(idx, queue) and self.propagate(queue)
 
@@ -310,8 +288,6 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
     n = program.n_vars
     engine = _Engine(program)
     cap = program.cap
-    if cap is not None and cap.op != "<=":
-        raise ValueError(f"cap row must be '<=', not {cap.op!r}")
 
     # fixings were folded into the rows at engine construction; apply the
     # root implications they trigger

@@ -44,16 +44,20 @@ class Multiset:
     __slots__ = ("_counts",)
 
     def __init__(self, items=()):
-        counts = {}
         if isinstance(items, Multiset):
-            counts.update(items._counts)
+            counts = dict(items._counts)
         elif isinstance(items, dict):
-            for x, n in items.items():
-                if n < 0:
-                    raise ValueError(f"negative multiplicity {n} for {x!r}")
-                if n:
-                    counts[x] = counts.get(x, 0) + n
+            # one C-level copy and one check; only a zero or negative count
+            # takes the per-element pass
+            counts = dict(items)
+            if counts and min(counts.values()) <= 0:
+                for x, n in items.items():
+                    if n < 0:
+                        raise ValueError(f"negative multiplicity {n} for {x!r}")
+                    if not n:
+                        del counts[x]
         else:
+            counts = {}
             for x in items:
                 counts[x] = counts.get(x, 0) + 1
         self._counts = counts

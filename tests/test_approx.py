@@ -28,7 +28,6 @@ from nualign.approx import (
     build_ilp,
     capacity_rows,
     compose,
-    composed_assignment,
     extract_solution,
     is_violating,
     realign_interval,
@@ -119,6 +118,45 @@ def test_compose_hospital_structure():
     assert comp.order.precedes(i_c1_is, i_c2_is)
 
 
+def _assert_cases_keep_their_moves_and_order(per_case, comp):
+    """Move ``i`` of case ``c`` sits at ``base + i``, and the composed order
+    restricted to the case is the case's own closed order, shifted."""
+    base = 0
+    for c in sorted(per_case):
+        alignment = per_case[c]
+        m = len(alignment.moves)
+        block = range(base, base + m)
+        assert [comp.moves[base + i] for i in range(m)] == list(alignment.moves)
+        assert {comp.case_of[k] for k in block} == {c}
+        assert set(comp.order.restrict(block).closed_pairs()) == {
+            (base + i, base + j) for i, j in alignment.order.closed_pairs()}
+        base += m
+    assert base == len(comp.moves)
+
+
+def test_compose_places_each_case_at_base_plus_index():
+    for net, log in generate_pipeline_fixtures(200):
+        per_case = align_cases(net, log)
+        _assert_cases_keep_their_moves_and_order(per_case, compose(per_case, log))
+
+
+def test_compose_keeps_a_case_order_that_is_not_a_chain():
+    # c1's alignment lists its release before its claim and has a model
+    # move concurrent with both: composition neither sorts nor chains it
+    net = claim_release_net({"x": 1})
+    log = claim_release_log(((1, 2), (3, 4)))
+    per_case = align_cases(net, log)
+    claim, release = per_case["c1"].moves
+    extra = Move("model", transition="claim", mode=(("c", "c1"), ("v", "x")),
+                 label="claim")
+    per_case["c1"] = Alignment((release, claim, extra), Poset(range(3), [(1, 0)]))
+    comp = compose(per_case, log)
+    _assert_cases_keep_their_moves_and_order(per_case, comp)
+    assert comp.order.incomparable(0, 2) and comp.order.incomparable(1, 2)
+    # the log order still reaches c2 from both of c1's events
+    assert comp.order.precedes(0, 3) and comp.order.precedes(1, 3)
+
+
 def test_compose_no_cross_order_without_chronology():
     # both cases at identical timestamps: only within-case order remains
     log = parse_log("c1,i_s,1,g:g1\nc1,i_p,2,g:g1\nc2,i_s,1,g:g1\nc2,i_p,2,g:g1\n")
@@ -189,8 +227,49 @@ def _full_program_solution(net, comp, node_budget=2_000_000):
     """The all-cases order program solved on one engine, whether or not
     the composed order fits."""
     inst = build_ilp(net, comp)
-    return extract_solution(comp, composed_assignment(comp),
-                            *solve(inst.program, node_budget))
+    assignment, objective = solve(inst.program, node_budget)
+    return extract_solution(comp, inst.changes(assignment), objective)
+
+
+def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
+    """The capacity rows read through ``precedes`` are the full program's
+    dense ``const_vio`` rows: on every differential fixture the sites are
+    those rows, in order, and at R and at every lifted order the pipeline
+    checks, each site's check agrees with its row on the full program's
+    assignment of that order."""
+    lifts = []
+
+    def spy(comp, use, inst, changes):
+        lifts.append(dict(changes))
+        return lift_failures(comp, use, inst, changes)
+
+    lift_failures = approx._lift_failures
+    monkeypatch.setattr(approx, "_lift_failures", spy)
+    orders = 0
+    verdicts = []
+    for net, log in _differential_fixtures():
+        scaled = scale_cases(net, log.cases())
+        comp = compose(align_cases(net, log, node_budget=20_000), log)
+        use = capacity_rows(scaled, comp)
+        full = build_ilp(scaled, comp, use=use)
+        dense = [row for row in full.program.constraints
+                 if row.label.startswith("const_vio[")]
+        assert [row.label for row in dense] == [
+            f"const_vio[{i},{use.instances[k]}]" for i, k in use.sites]
+        lifts.clear()
+        adjust_order(scaled, comp)
+        for changes in [{}] + lifts:
+            def before(i, j, changes=changes):
+                value = changes.get((i, j))
+                return comp.order.precedes(i, j) if value is None else value
+
+            X = [int(before(i, j)) for i in range(full.n) for j in range(full.n)]
+            for site, row in zip(use.sites, dense):
+                assert use.fits(comp, site, before) == row.holds(X)
+                verdicts.append(row.holds(X))
+            orders += 1
+    assert orders > len(_differential_fixtures()) + 50
+    assert verdicts.count(False) > 50 and verdicts.count(True) > 300
 
 
 def test_ilp_same_case_pairs_all_fixed():
@@ -492,7 +571,7 @@ def _per_level_reference(program, node_budget):
     kept = len(cap.coeffs)
     for k in range(kept + 1):
         level = replace(program, cap=None, constraints=program.constraints + [
-            Constraint(cap.coeffs, "<=", k - kept, f"reversal_cap[{k}]"),
+            Constraint(cap.coeffs, k - kept, f"reversal_cap[{k}]"),
         ])
         try:
             return solve(level, node_budget)
@@ -507,7 +586,7 @@ def _all_triples_reference(inst, node_budget):
     n = inst.n
     triples = [
         constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1},
-                   "<=", 1, f"triple[{i},{j},{k}]")
+                   1, f"triple[{i},{j},{k}]")
         for i in range(n) for j in range(n) for k in range(n) if len({i, j, k}) == 3
     ]
     program = replace(inst.program, lazy_rows=None,
@@ -516,16 +595,16 @@ def _all_triples_reference(inst, node_budget):
 
 
 def _solution_fields(sol):
-    return (sol.assignment, sol.objective, sol.reversals, sol.additions,
+    return (sol.changes, sol.objective, sol.reversals, sol.additions,
             sol.intervals, sol.regions)
 
 
 def _slow_adjust_order(net, comp, node_budget=2_000_000):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
-    program = build_ilp(net, comp).program
-    return extract_solution(comp, composed_assignment(comp),
-                            *_per_level_reference(program, node_budget))
+    inst = build_ilp(net, comp)
+    assignment, objective = _per_level_reference(inst.program, node_budget)
+    return extract_solution(comp, inst.changes(assignment), objective)
 
 
 def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
@@ -542,15 +621,15 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=budget), log)
         inst = build_ilp(scaled, comp)
-        reference = extract_solution(comp, composed_assignment(comp),
-                                     *_per_level_reference(inst.program, 2_000_000))
+        assignment, objective = _per_level_reference(inst.program, 2_000_000)
+        reference = extract_solution(comp, inst.changes(assignment), objective)
         one_engine = _full_program_solution(scaled, comp)
         assert _solution_fields(one_engine) == _solution_fields(reference)
-        assert (_all_triples_reference(inst, 2_000_000)
-                == (one_engine.assignment, one_engine.objective))
-        fits = not capacity_rows(scaled, comp).broken()
-        assert fits == (list(reference.assignment) == composed_assignment(comp)
-                        and reference.objective == 0)
+        assignment, objective = _all_triples_reference(inst, 2_000_000)
+        assert ((inst.changes(assignment), objective)
+                == (one_engine.changes, one_engine.objective))
+        fits = not capacity_rows(scaled, comp).broken(comp)
+        assert fits == (reference.changes == {} and reference.objective == 0)
         fitting += fits
 
         result = approximate_alignment(net, log, node_budget=budget)

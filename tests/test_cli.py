@@ -1,5 +1,6 @@
 """File formats and CLI commands: round-trips, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from nualign.fixtures import (
     HOSPITAL_LOG_CSV,
     clinic_log,
     clinic_net,
+    hospital_forced_overlap_log,
     hospital_log,
     hospital_net,
 )
@@ -322,3 +324,33 @@ def test_cli_reports_independent_of_hash_seed(tmp_path, make_net, csv):
             reports[seed, mode] = out.read_bytes()
     for mode in ("exact", "approx"):
         assert reports["1", mode] == reports["2", mode]
+
+
+#: sha256 of the report bytes of ``nualign align`` at its default options;
+#: a change to the report bytes has to update these on purpose
+PINNED_REPORTS = {
+    ("hospital_forced_overlap", "exact"):
+        "cec165e9084439c3066838bb3f4a332872daa154ff8504da77d3f10c4d0a29e2",
+    ("hospital_forced_overlap", "approx"):
+        "e532b269ea4ec4173da2b9d2d907c3b4794612cfae4498df21db336a35fa1f18",
+    ("clinic_6_overlap_at_2", "exact"):
+        "667ef79bd244b9a63f056d2d2b9b6550889e0c2a936062110baf0ccf452d6a0b",
+    ("clinic_6_overlap_at_2", "approx"):
+        "69f450abd8d7a6aa725de6fe992df403329d767618fb36d478b167fd450077f6",
+}
+
+PINNED_INPUTS = {
+    "hospital_forced_overlap": (hospital_net, hospital_forced_overlap_log),
+    "clinic_6_overlap_at_2": (clinic_net, lambda: clinic_log(6, overlap_at=2)),
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, name, mode):
+    make_net, make_log = PINNED_INPUTS[name]
+    net_path, log_path, out = tmp_path / "net.json", tmp_path / "log.csv", tmp_path / "r.json"
+    save_net(make_net(), net_path)
+    log_path.write_text(serialize_log(make_log()))
+    assert main(["align", str(net_path), str(log_path), "--mode", mode,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name, mode]

@@ -29,6 +29,12 @@ def brute_force(program):
     return best
 
 
+def equality(coeffs, bound, label=""):
+    """``coeffs . x == bound`` as the pair of rows ``<= bound`` and ``>= bound``."""
+    return [constraint(coeffs, bound, label),
+            constraint({v: -c for v, c in coeffs.items()}, -bound, label)]
+
+
 def test_all_fixed():
     p = BinaryProgram(2, objective={0: 3, 1: 5}, fixings={0: 1, 1: 0})
     assignment, value = solve(p)
@@ -40,7 +46,7 @@ def test_cover_constraint():
     p = BinaryProgram(
         2,
         objective={0: 1, 1: 1},
-        constraints=[constraint({0: -1, 1: -1}, "<=", -1, "cover")],
+        constraints=[constraint({0: -1, 1: -1}, -1, "cover")],
     )
     assignment, value = solve(p)
     assert value == 1 and sum(assignment) == 1
@@ -50,7 +56,7 @@ def test_equality_constraint():
     p = BinaryProgram(
         3,
         objective={0: 2, 1: 1, 2: 1},
-        constraints=[constraint({0: 1, 1: 1, 2: 1}, "==", 2, "pick-two")],
+        constraints=equality({0: 1, 1: 1, 2: 1}, 2, "pick-two"),
     )
     assignment, value = solve(p)
     assert sum(assignment) == 2 and value == 2
@@ -59,7 +65,7 @@ def test_equality_constraint():
 def test_infeasible():
     p = BinaryProgram(
         1,
-        constraints=[constraint({0: 1}, "==", 1), constraint({0: 1}, "==", 0)],
+        constraints=equality({0: 1}, 1) + equality({0: 1}, 0),
     )
     with pytest.raises(InfeasibleError):
         solve(p)
@@ -69,7 +75,7 @@ def test_budget_error_carries_incumbent():
     rng = random.Random(0)
     n = 14
     rows = [
-        constraint({v: rng.choice([-2, -1, 1, 2]) for v in range(n)}, "<=", 2)
+        constraint({v: rng.choice([-2, -1, 1, 2]) for v in range(n)}, 2)
         for _ in range(6)
     ]
     p = BinaryProgram(n, objective={v: 1 for v in range(n)}, constraints=rows)
@@ -122,7 +128,8 @@ def test_random_instances_match_enumeration():
             }
             op = "<=" if rng.random() < 0.8 else "=="
             bound = rng.randrange(-3, 5)
-            rows.append(constraint(coeffs, op, bound))
+            rows.extend([constraint(coeffs, bound)] if op == "<="
+                        else equality(coeffs, bound))
         fixings = {
             v: rng.randrange(2) for v in range(n) if rng.random() < 0.25
         }
@@ -133,7 +140,7 @@ def test_random_instances_match_enumeration():
         # slack: as a plain row, and as a cap row whose levels start at m
         free = [v for v in range(n) if v not in fixings]
         for m in range(len(free) + 1, -1, -1):
-            cap = constraint({v: -1 for v in free}, "<=", -m, f"cap[{m}]")
+            cap = constraint({v: -1 for v in free}, -m, f"cap[{m}]")
             _assert_matches_enumeration(BinaryProgram(
                 n, objective=objective, constraints=rows + [cap], fixings=fixings))
             _assert_levels_match_enumeration(BinaryProgram(
@@ -144,7 +151,7 @@ def test_solution_passes_check_feasible():
     p = BinaryProgram(
         4,
         objective={0: 1, 1: 2, 2: 3, 3: 4},
-        constraints=[constraint({0: -1, 1: -1, 2: -1, 3: -1}, "<=", -2, "two")],
+        constraints=[constraint({0: -1, 1: -1, 2: -1, 3: -1}, -2, "two")],
     )
     assignment, _ = solve(p)
     ok, why = check_feasible(p, list(assignment))
@@ -152,7 +159,7 @@ def test_solution_passes_check_feasible():
 
 
 def test_check_feasible_names_violated_row():
-    p = BinaryProgram(2, constraints=[constraint({0: 1, 1: 1}, "<=", 1, "const_trans_clos[0,1,0]")])
+    p = BinaryProgram(2, constraints=[constraint({0: 1, 1: 1}, 1, "const_trans_clos[0,1,0]")])
     ok, why = check_feasible(p, [1, 1])
     assert not ok and why == "const_trans_clos[0,1,0]"
 
@@ -170,7 +177,7 @@ def test_lazy_rows_added_as_cuts():
         calls.append(tuple(assignment))
         # forbid the all-ones corner lazily
         if all(v == 1 for v in assignment):
-            return [constraint({0: 1, 1: 1}, "<=", 1, "lazy-cut")]
+            return [constraint({0: 1, 1: 1}, 1, "lazy-cut")]
         return []
 
     p = BinaryProgram(
@@ -188,7 +195,7 @@ def test_lazy_cut_at_a_full_leaf_is_undone():
     # reject only the assignments that violate it
     def lazy(assignment):
         if all(assignment):
-            return [constraint({0: 1, 1: 1, 2: 1}, "<=", 2, "not-all-three")]
+            return [constraint({0: 1, 1: 1, 2: 1}, 2, "not-all-three")]
         return []
 
     p = BinaryProgram(3, objective={0: -1, 1: -1, 2: -1},
@@ -205,7 +212,7 @@ def test_random_instances_with_lazy_rows_match_enumeration():
 
         def random_row():
             coeffs = {v: rng.randrange(-2, 3) for v in range(n) if rng.random() < 0.7}
-            return constraint(coeffs, "<=", rng.randrange(-1, 3))
+            return constraint(coeffs, rng.randrange(-1, 3))
 
         eager = [random_row() for _ in range(rng.randrange(0, 3))]
         hidden = [random_row() for _ in range(rng.randrange(1, 4))]
@@ -223,20 +230,14 @@ def test_random_instances_with_lazy_rows_match_enumeration():
         # set, so cuts found at the infeasible levels stay for the next
         free = [v for v in range(n) if v not in fixings]
         _assert_levels_match_enumeration(replace(program, cap=constraint(
-            {v: -1 for v in free}, "<=", -len(free), "cap")))
-
-
-def test_cap_row_must_be_an_upper_bound():
-    p = BinaryProgram(1, cap=constraint({0: 1}, "==", 1))
-    with pytest.raises(ValueError):
-        solve(p)
+            {v: -1 for v in free}, -len(free), "cap")))
 
 
 def test_determinism():
     rng = random.Random(5)
     n = 10
     rows = [
-        constraint({v: rng.randrange(-2, 3) for v in range(n)}, "<=", 1)
+        constraint({v: rng.randrange(-2, 3) for v in range(n)}, 1)
         for _ in range(5)
     ]
     p1 = BinaryProgram(n, objective={v: (v % 3) - 1 for v in range(n)}, constraints=rows)
@@ -257,7 +258,7 @@ def dump_lp(program):
     for row in program.constraints:
         body = " + ".join(f"{c} x{v}" for v, c in row.coeffs).replace("+ -", "- ")
         label = f"  ; {row.label}" if row.label else ""
-        lines.append(f"{body or '0'} {row.op} {row.bound}{label}")
+        lines.append(f"{body or '0'} <= {row.bound}{label}")
     return "\n".join(lines) + "\n"
 
 
@@ -265,7 +266,7 @@ def test_dump_lp_roundtrip_text():
     p = BinaryProgram(
         2,
         objective={0: 1000, 1: 1},
-        constraints=[constraint({0: 1, 1: -1}, "<=", 0, "rev")],
+        constraints=[constraint({0: 1, 1: -1}, 0, "rev")],
         fixings={1: 1},
     )
     text = dump_lp(p)
