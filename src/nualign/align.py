@@ -134,9 +134,6 @@ class Alignment:
     def transition_indices(self):
         return [i for i, m in enumerate(self.moves) if m.kind != "log"]
 
-    def event_indices(self):
-        return [i for i, m in enumerate(self.moves) if m.kind != "model"]
-
     def __len__(self):
         return len(self.moves)
 

@@ -83,7 +83,7 @@ class ComposedAlignment:
     log order on event-carrying moves."""
 
     moves: tuple
-    order: Poset            # over move indices; queries answer against its closure
+    order: Poset            # over move indices, held as its reachability rows
     case_of: tuple          # per move, the owning case id
     per_case: dict          # case id -> Alignment
 
@@ -129,7 +129,7 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
         base = len(moves)
         moves.extend(alignment.moves)
         case_of.extend([c] * len(alignment.moves))
-        pairs.extend((base + i, base + j) for i, j in alignment.order.pairs())
+        pairs.extend((base + i, base + j) for i, j in alignment.order.covering_pairs())
     move_of_event = {}
     for idx, mv in enumerate(moves):
         if mv.kind != "model":
@@ -592,8 +592,10 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
             f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
             f"the two terms"
         )
-    kept = [p for p in comp.order.closed_pairs() if changes.get(p, 1)]
-    x_order = Poset(range(n), kept + reversals + additions)
+    rows = list(comp.order.rows())
+    for (i, j), value in changes.items():
+        rows[i] = (rows[i] & ~(1 << j)) | (value << j)
+    x_order = Poset.of_rows(range(n), rows)
 
     # elements disturbed by reversals: the original-order stretch j..i
     disturbed = set()
@@ -788,11 +790,9 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     """
     region = sorted(x_order.interval(a, b).elements)
     region_set = set(region)
-    pre_set = [
-        x for x in x_order.elements
-        if x not in region_set
-        and any(x_order.precedes(x, m) for m in region)
-    ]
+    region_mask = sum(1 << m for m in region)
+    pre_set = [x for x, row in enumerate(x_order.rows())
+               if x not in region_set and row & region_mask]
     events = sorted(
         (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
         key=lambda e: e.index,
@@ -827,36 +827,26 @@ def _substitute(comp: ComposedAlignment, x_order: Poset,
     for r in realignments:
         replaced.update(r.region)
     remainder = [i for i in range(len(comp.moves)) if i not in replaced]
-
-    moves = []
-    new_index = {}
-    for i in remainder:
-        new_index[i] = len(moves)
-        moves.append(comp.moves[i])
-    block_members = []
+    moves = [comp.moves[i] for i in remainder]
+    rows = list(x_order.restrict(remainder).rows())
+    x_rows = x_order.rows()
     for r in realignments:
         base = len(moves)
-        members = []
-        for k, mv in enumerate(r.alignment.moves):
-            members.append(base + k)
-            moves.append(mv)
-        block_members.append(members)
-
-    pairs = [(new_index[i], new_index[j]) for i, j in x_order.closed_pairs()
-             if i in new_index and j in new_index]
-    for r, members in zip(realignments, block_members):
-        base = members[0]
-        for i, j in r.alignment.order.closed_pairs():
-            pairs.append((base + i, base + j))
-        region = set(r.region)
-        for i in remainder:
-            before = any(x_order.precedes(i, k) for k in region)
-            after = any(x_order.precedes(k, i) for k in region)
-            if before:
-                pairs.extend((new_index[i], m) for m in members)
-            elif after:
-                pairs.extend((m, new_index[i]) for m in members)
-    return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
+        moves.extend(r.alignment.moves)
+        block = ((1 << len(r.alignment.moves)) - 1) << base
+        region = 0
+        follows = 0          # what some region move precedes
+        for k in r.region:
+            region |= 1 << k
+            follows |= x_rows[k]
+        after = 0            # the remainder moves after the region
+        for p, i in enumerate(remainder):
+            if x_rows[i] & region:
+                rows[p] |= block
+            elif follows & (1 << i):
+                after |= 1 << p
+        rows.extend((row << base) | after for row in r.alignment.order.rows())
+    return Alignment(tuple(moves), Poset.of_rows(range(len(moves)), rows))
 
 
 @dataclass

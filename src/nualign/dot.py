@@ -114,10 +114,8 @@ def report_to_dot(doc: dict) -> str:
             f"  m{i} [shape=box style=filled fillcolor={_quote(color)} "
             f"label={_quote(label)}];"
         )
-    order = Poset(
-        [m["index"] for m in moves], [tuple(p) for p in doc["order"]]
-    ).transitive_reduction()
-    for i, j in sorted(order.pairs()):
+    order = Poset([m["index"] for m in moves], [tuple(p) for p in doc["order"]])
+    for i, j in sorted(order.covering_pairs()):
         lines.append(f"  m{i} -> m{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

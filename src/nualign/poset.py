@@ -8,12 +8,13 @@ two structures in this module:
   ``<=`` order.
 - ``Poset``: a finite set of elements with a strict (irreflexive, acyclic)
   precedence relation, plus the operations needed by the alignment engine:
-  transitive closure/reduction, antichains, intervals, prefixes and
+  covering pairs, antichains, intervals, prefixes, restriction and
   linearizations.
 
-Posets assign each element a stable integer index at construction; all
-internal pair storage and all iteration is in ascending index order, so
-results are deterministic.
+Posets assign each element a stable integer index at construction and
+hold the order only as its reachability rows, one int bitmask per element,
+closed once by a depth-first pass.  All iteration is in ascending index
+order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -185,44 +186,75 @@ MAX_ANTICHAIN_ELEMENTS = 25
 MAX_LINEARIZATIONS = 500_000
 
 
-class Poset:
-    """Finite strict partial order over arbitrary hashable elements.
+def _close(rows):
+    """Reachability rows of the relation ``rows`` (bit j of row i: i -> j).
 
-    The stored relation is the one given at construction (irreflexive and
-    acyclic, both checked); it need not be transitively closed.  Queries
-    that depend on closure (``precedes``, antichain tests, intervals) are
-    answered against the closure, which is computed once and cached.
-    """
+    One depth-first pass, lowest index first.  A row is finished after its
+    successors' rows, as their OR, skipping every successor that an earlier
+    one reaches: a closed input in index order costs one OR per element.
+    Raises CycleError when a successor is still on the depth-first path."""
+    n = len(rows)
+    closed = [0] * n
+    done = 0
+    for root in range(n):
+        if done >> root & 1:
+            continue
+        path = [root]
+        on_path = 1 << root
+        while path:
+            i = path[-1]
+            todo = rows[i] & ~done
+            fresh = todo & ~on_path
+            if fresh:
+                low = fresh & -fresh
+                path.append(low.bit_length() - 1)
+                on_path |= low
+                continue
+            if todo:
+                raise CycleError("order relation contains a cycle")
+            reach = 0
+            pending = rows[i]
+            while pending:
+                low = pending & -pending
+                reach |= low | closed[low.bit_length() - 1]
+                pending &= ~reach
+            closed[i] = reach
+            done |= 1 << i
+            on_path ^= 1 << i
+            path.pop()
+    return tuple(closed)
+
+
+class Poset:
+    """Finite strict partial order over arbitrary hashable elements, held
+    only as its reachability rows: an int per element, in index order, with
+    bit j of row i set iff element i precedes element j.  Both constructors
+    close their relation (``Poset`` of pairs, ``of_rows`` of rows) and raise
+    ``CycleError`` on a reflexive or cyclic one."""
 
     def __init__(self, elements, pairs=()):
         self._elements = tuple(elements)
         self._index = {x: i for i, x in enumerate(self._elements)}
         if len(self._index) != len(self._elements):
             raise ValueError("duplicate elements")
-        n = len(self._elements)
-        succ = [0] * n
+        rows = [0] * len(self._elements)
         for a, b in pairs:
             i, j = self._index[a], self._index[b]
             if i == j:
                 raise CycleError(f"reflexive pair on {a!r}")
-            succ[i] |= 1 << j
-        self._succ_raw = succ
-        self._closed_succ = self._close(succ, n)
+            rows[i] |= 1 << j
+        self._rows = _close(rows)
 
-    @staticmethod
-    def _close(succ, n):
-        """Reachability masks; raises CycleError if the relation has a cycle."""
-        closed = list(succ)
-        for k in range(n):
-            kbit = 1 << k
-            kmask = closed[k]
-            for i in range(n):
-                if closed[i] & kbit:
-                    closed[i] |= kmask
-        for i in range(n):
-            if closed[i] & (1 << i):
-                raise CycleError("order relation contains a cycle")
-        return closed
+    @classmethod
+    def of_rows(cls, elements, rows):
+        """The order over ``elements`` in which element i precedes element
+        j iff bit j of ``rows[i]`` is set, closed."""
+        poset = cls(elements)
+        n = len(poset)
+        if len(rows) != n or any(row >> n for row in rows):
+            raise ValueError(f"rows do not fit {n} elements")
+        poset._rows = _close(rows)
+        return poset
 
     # -- basic queries ------------------------------------------------
 
@@ -242,48 +274,46 @@ class Poset:
     def index(self, x):
         return self._index[x]
 
-    def pairs(self):
-        """The stored (not necessarily closed) pairs, index-ordered."""
-        return self._mask_pairs(self._succ_raw)
+    def rows(self):
+        """Reachability rows, index-ordered: bit j of row i is set iff
+        element i precedes element j."""
+        return self._rows
 
     def closed_pairs(self):
-        return self._mask_pairs(self._closed_succ)
-
-    def _mask_pairs(self, succ):
         elements = self._elements
         return [(elements[i], elements[j])
-                for i, mask in enumerate(succ) for j in _bits(mask)]
+                for i, row in enumerate(self._rows) for j in _bits(row)]
+
+    def covering_pairs(self):
+        """The pairs of the transitive reduction, index-ordered: i covers
+        j when no successor of i precedes j."""
+        rows = self._rows
+        elements = self._elements
+        out = []
+        for i, row in enumerate(rows):
+            cover = pending = row
+            while pending:
+                low = pending & -pending
+                beyond = rows[low.bit_length() - 1]
+                cover &= ~beyond
+                pending &= ~(low | beyond)
+            out.extend((elements[i], elements[j]) for j in _bits(cover))
+        return out
 
     def precedes(self, x, y):
-        """Strict precedence in the transitive closure."""
-        return bool(self._closed_succ[self._index[x]] & (1 << self._index[y]))
+        """Strict precedence."""
+        return bool(self._rows[self._index[x]] & (1 << self._index[y]))
 
     def incomparable(self, x, y):
         return x != y and not self.precedes(x, y) and not self.precedes(y, x)
 
-    def is_closed(self):
-        return self._succ_raw == self._closed_succ
-
-    def transitive_closure(self):
-        if self.is_closed():
-            return self
-        return Poset(self._elements, self.closed_pairs())
-
-    def transitive_reduction(self):
-        """Smallest relation with the same closure (unique for finite posets)."""
-        n = len(self._elements)
-        closed = self._closed_succ
-        red = []
-        for i in range(n):
-            mask = closed[i]
-            keep = mask
-            j = 0
-            while mask >> j:
-                if (mask >> j) & 1 and closed[j] & keep:
-                    keep &= ~(closed[j] & ~(1 << j))
-                j += 1
-            red.append(keep)
-        return Poset(self._elements, self._mask_pairs(red))
+    def _preds(self):
+        """Per element, the mask of its predecessors."""
+        preds = [0] * len(self._elements)
+        for i, row in enumerate(self._rows):
+            for j in _bits(row):
+                preds[j] |= 1 << i
+        return preds
 
     # -- antichains ----------------------------------------------------
 
@@ -296,19 +326,16 @@ class Poset:
 
     def minimum(self):
         """Elements with no predecessor (a maximal antichain)."""
-        unpreceded = [True] * len(self._elements)
-        for i, mask in enumerate(self._closed_succ):
-            j = 0
-            while mask >> j:
-                if (mask >> j) & 1:
-                    unpreceded[j] = False
-                j += 1
-        return frozenset(x for i, x in enumerate(self._elements) if unpreceded[i])
+        preceded = 0
+        for row in self._rows:
+            preceded |= row
+        return frozenset(x for i, x in enumerate(self._elements)
+                         if not preceded & (1 << i))
 
     def maximum(self):
         """Elements with no successor (a maximal antichain)."""
         return frozenset(
-            x for i, x in enumerate(self._elements) if not self._closed_succ[i]
+            x for i, x in enumerate(self._elements) if not self._rows[i]
         )
 
     def maximal_antichains(self, limit=MAX_ANTICHAIN_ELEMENTS):
@@ -323,15 +350,9 @@ class Poset:
             raise SizeLimitError(
                 f"maximal_antichains limited to {limit} elements, got {n}"
             )
-        closed = self._closed_succ
         full = (1 << n) - 1
-        incomp = []
-        for i in range(n):
-            mask = 0
-            for j in range(n):
-                if j != i and not (closed[i] >> j) & 1 and not (closed[j] >> i) & 1:
-                    mask |= 1 << j
-            incomp.append(mask)
+        incomp = [full & ~(row | pred | 1 << i)
+                  for i, (row, pred) in enumerate(zip(self._rows, self._preds()))]
 
         out = []
 
@@ -351,12 +372,7 @@ class Poset:
                 cand &= ~vbit
 
         expand(0, full, 0)
-        result = set()
-        for mask in out:
-            result.add(
-                frozenset(self._elements[i] for i in range(n) if (mask >> i) & 1)
-            )
-        return result
+        return {frozenset(self._elements[i] for i in _bits(mask)) for mask in out}
 
     # -- intervals, prefixes, postfixes ---------------------------------
 
@@ -402,32 +418,28 @@ class Poset:
         return self.interval(a, TOP, "closed" if closed else "open_left")
 
     def restrict(self, members):
-        """Subposet on ``members`` with the closed order restricted to them.
-
-        Reads only the members' closure rows, each masked by the member set.
-        """
+        """Subposet on ``members``, in this poset's element order: the
+        members' rows with every non-member's bit deleted, run by run of
+        consecutive member indices."""
         kept = set(members)
-        elements = self._elements
-        rows = [i for i, x in enumerate(elements) if x in kept]
-        within = 0
-        for i in rows:
-            within |= 1 << i
-        pairs = [(elements[i], elements[j])
-                 for i in rows for j in _bits(self._closed_succ[i] & within)]
-        return Poset([elements[i] for i in rows], pairs)
+        keep = [i for i, x in enumerate(self._elements) if x in kept]
+        runs = []           # (first index, width mask, first new index)
+        for new, i in enumerate(keep):
+            if new and keep[new - 1] == i - 1:
+                lo, width, start = runs[-1]
+                runs[-1] = (lo, width << 1 | 1, start)
+            else:
+                runs.append((i, 1, new))
+        rows = [sum((self._rows[i] >> lo & width) << start for lo, width, start in runs)
+                for i in keep]
+        return Poset.of_rows([self._elements[i] for i in keep], rows)
 
     # -- linearizations --------------------------------------------------
 
     def linearizations(self, cap=MAX_LINEARIZATIONS):
         """All topological orders, as tuples. Oracle use: small posets only."""
         n = len(self._elements)
-        preds = [0] * n
-        for i, mask in enumerate(self._closed_succ):
-            j = 0
-            while mask >> j:
-                if (mask >> j) & 1:
-                    preds[j] |= 1 << i
-                j += 1
+        preds = self._preds()
         out = []
 
         def backtrack(done_mask, acc):
@@ -452,4 +464,5 @@ class Poset:
         )
 
     def __repr__(self):
-        return f"Poset({len(self._elements)} elements, {len(self.pairs())} pairs)"
+        pairs = sum(row.bit_count() for row in self._rows)
+        return f"Poset({len(self._elements)} elements, {pairs} pairs)"

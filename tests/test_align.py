@@ -469,7 +469,7 @@ def test_validity_rejects_dropped_log_order_pair():
     }
     kept = [p for p in comp.order.closed_pairs() if p not in dropped]
     order = Poset(range(len(comp.moves)), kept)
-    assert order.is_closed() and not order.precedes(i, j)
+    assert order.closed_pairs() == kept and not order.precedes(i, j)
     ok, why = is_valid_alignment(net, log, Alignment(comp.moves, order))
     assert not ok
     assert why.startswith(f"log order {e1!r} < ") and why.endswith("not preserved")

@@ -85,7 +85,7 @@ def hand_composed(overlap_forced, instances=None):
     pairs = [(0, 1), (2, 3)]
     if overlap_forced:
         pairs += [(0, 2), (2, 1), (1, 3)]
-    order = Poset(range(4), pairs).transitive_closure()
+    order = Poset(range(4), pairs)
     comp = ComposedAlignment(tuple(moves), order, ("c1", "c1", "c2", "c2"), {})
     return net, comp
 
@@ -792,3 +792,89 @@ def test_order_budget_spans_every_widening_step():
     with pytest.raises(IlpBudgetError):
         adjust_order(scaled, comp, node_budget=max(steps))
     assert adjust_order(scaled, comp, node_budget=sum(steps)).widenings == 1
+
+
+# -- derived orders against their pair-list constructions -------------------
+
+def _x_order_from_pairs(comp, sol):
+    """Reference adjusted order: R's closed pairs the changes keep, plus the
+    reversals and additions, closed."""
+    kept = [p for p in comp.order.closed_pairs() if sol.changes.get(p, 1)]
+    return Poset(range(len(comp.moves)), kept + sol.reversals + sol.additions)
+
+
+def _substitute_from_pairs(comp, x_order, realignments):
+    """Reference substitution: the remainder's closed pairs reindexed, each
+    realignment's closed pairs shifted to its block, and block pairs to
+    every remainder move ordered before or after its region, closed."""
+    replaced = set()
+    for r in realignments:
+        replaced.update(r.region)
+    remainder = [i for i in range(len(comp.moves)) if i not in replaced]
+    moves = []
+    new_index = {}
+    for i in remainder:
+        new_index[i] = len(moves)
+        moves.append(comp.moves[i])
+    blocks = []
+    for r in realignments:
+        blocks.append((len(moves), range(len(moves), len(moves) + len(r.alignment.moves))))
+        moves.extend(r.alignment.moves)
+    pairs = [(new_index[i], new_index[j]) for i, j in x_order.closed_pairs()
+             if i in new_index and j in new_index]
+    for r, (base, members) in zip(realignments, blocks):
+        pairs.extend((base + i, base + j) for i, j in r.alignment.order.closed_pairs())
+        for i in remainder:
+            if any(x_order.precedes(i, k) for k in r.region):
+                pairs.extend((new_index[i], m) for m in members)
+            elif any(x_order.precedes(k, i) for k in r.region):
+                pairs.extend((m, new_index[i]) for m in members)
+    return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
+
+
+def test_derived_orders_match_their_pair_list_constructions():
+    """The adjusted order (R's rows with the changed bits set or cleared)
+    and the substituted alignment (rows of the remainder, the blocks and
+    their neighbours) have the closed pairs of the pair-list constructions,
+    on every differential fixture the programs change, on two clinic
+    overlaps whose joint region falls back, and on one clinic overlap."""
+    runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
+    runs += [(clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000),
+             (clinic_net(), clinic_log(30, overlap_at=15), 10_000)]
+    changed = substituted = fallbacks = 0
+    for net, log, budget in runs:
+        result = approximate_alignment(net, log, node_budget=budget)
+        comp, sol = result.composed, result.solution
+        if not sol.changes:
+            continue
+        changed += 1
+        assert (sol.x_order.closed_pairs()
+                == _x_order_from_pairs(comp, sol).closed_pairs())
+        if result.realignments:
+            substituted += 1
+            fallbacks += any(r.fallback for r in result.realignments)
+            reference = _substitute_from_pairs(comp, sol.x_order, result.realignments)
+            assert result.alignment.moves == reference.moves
+            assert (result.alignment.order.closed_pairs()
+                    == reference.order.closed_pairs())
+    assert changed >= 20 and substituted >= 10 and fallbacks >= 1, (
+        changed, substituted, fallbacks)
+
+
+def test_substitute_with_an_empty_realignment_keeps_the_remainder_order():
+    log = hospital_forced_overlap_log()
+    net = scale_cases(hospital_net(), log.cases())
+    comp = compose(align_cases(hospital_net(), log), log)
+    sol = adjust_order(net, comp)
+    (a, b), = sol.intervals
+    (region,) = sol.regions
+    empty = IntervalRealignment((a, b), tuple(region), Alignment((), Poset(())), False)
+    got = _substitute(comp, sol.x_order, [empty])
+    reference = _substitute_from_pairs(comp, sol.x_order, [empty])
+    assert got.moves == reference.moves
+    assert len(got.moves) == len(comp.moves) - len(region)
+    assert got.order.closed_pairs() == reference.order.closed_pairs()
+    remainder = [i for i in range(len(comp.moves)) if i not in region]
+    assert got.order.closed_pairs() == [
+        (p, q) for p, i in enumerate(remainder) for q, j in enumerate(remainder)
+        if sol.x_order.precedes(i, j)]

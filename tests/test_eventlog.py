@@ -37,7 +37,7 @@ def reference_order(events) -> Poset:
         for e2 in events:
             if e1.case != e2.case and e1.timestamp < e2.timestamp:
                 pairs.append((e1, e2))
-    return Poset(events, pairs).transitive_closure()
+    return Poset(events, pairs)
 
 
 def assert_matches_reference(log, ref):
@@ -47,7 +47,7 @@ def assert_matches_reference(log, ref):
         assert log.precedes(a, b) == ref.precedes(a, b), (a, b)
     covering = log.covering_pairs()
     assert covering == sorted(
-        ref.transitive_reduction().pairs(), key=lambda p: (p[0].index, p[1].index)
+        ref.covering_pairs(), key=lambda p: (p[0].index, p[1].index)
     )
     entered = {b for _, b in covering}
     left = {a for a, _ in covering}

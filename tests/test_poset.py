@@ -6,10 +6,12 @@ linearizations) and compared against the implementation.
 """
 
 import random
+import sys
 from itertools import chain, combinations, permutations
 
 import pytest
 
+import nualign.poset as poset_module
 from nualign.poset import (
     BOTTOM,
     TOP,
@@ -81,13 +83,23 @@ def test_negative_multiplicity_rejected():
 
 def test_closure_basic():
     p = Poset("abc", [("a", "b"), ("b", "c")])
-    q = p.transitive_closure()
-    assert set(q.pairs()) == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert set(p.closed_pairs()) == {("a", "b"), ("b", "c"), ("a", "c")}
+    assert p.rows() == (0b110, 0b100, 0)
 
 
 def test_closure_idempotent():
-    p = Poset("abc", [("a", "b"), ("b", "c")]).transitive_closure()
-    assert p.transitive_closure() is p
+    p = Poset("abc", [("a", "b"), ("b", "c")])
+    q = Poset.of_rows(p.elements, p.rows())
+    assert q.elements == p.elements and q.rows() == p.rows()
+    assert Poset.of_rows("abc", [0b010, 0b100, 0]).rows() == p.rows()
+
+
+def test_rows_constructor_rejects_rows_that_do_not_fit():
+    for rows in ([0b1000, 0, 0], [0, 0], [-1, 0, 0]):
+        with pytest.raises(ValueError):
+            Poset.of_rows("abc", rows)
+    with pytest.raises(ValueError):
+        Poset.of_rows("aa", [0, 0])
 
 
 def test_cycle_rejected():
@@ -95,6 +107,102 @@ def test_cycle_rejected():
         Poset("ab", [("a", "b"), ("b", "a")])
     with pytest.raises(CycleError):
         Poset("a", [("a", "a")])
+    with pytest.raises(CycleError):
+        Poset.of_rows("a", [0b1])
+    with pytest.raises(CycleError):
+        Poset.of_rows("abc", [0b010, 0b100, 0b001])
+
+
+def floyd_warshall_rows(rows):
+    """Reference closure of reachability rows (bit j of row i: i -> j), by
+    Floyd-Warshall; raises CycleError on a cycle."""
+    closed = list(rows)
+    n = len(rows)
+    for k in range(n):
+        kbit = 1 << k
+        kmask = closed[k]
+        for i in range(n):
+            if closed[i] & kbit:
+                closed[i] |= kmask
+    for i in range(n):
+        if closed[i] & (1 << i):
+            raise CycleError("order relation contains a cycle")
+    return closed
+
+
+def test_closure_matches_floyd_warshall_on_random_relations():
+    # half the relations are acyclic under a random rank, so index order is
+    # not the order; the other half draw any pair, and some a reflexive one
+    rng = random.Random(13)
+    outcomes = {"cyclic": 0, "acyclic": 0}
+    for trial in range(4000):
+        n = rng.randrange(0, 26)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        ranked = trial % 2 == 0
+        density = rng.choice([0.03, 0.1, 0.3])
+        rows = [0] * n
+        for i in range(n):
+            for j in range(n):
+                if (i != j and (not ranked or rank[i] < rank[j])
+                        and rng.random() < density):
+                    rows[i] |= 1 << j
+        if not ranked and n and rng.random() < 0.1:
+            k = rng.randrange(n)
+            rows[k] |= 1 << k
+        elements = [f"e{k}" for k in range(n)]
+        pairs = [(elements[i], elements[j]) for i in range(n) for j in range(n)
+                 if rows[i] >> j & 1]
+        try:
+            expected = floyd_warshall_rows(rows)
+        except CycleError:
+            outcomes["cyclic"] += 1
+            with pytest.raises(CycleError):
+                Poset.of_rows(elements, rows)
+            with pytest.raises(CycleError):
+                Poset(elements, pairs)
+            continue
+        outcomes["acyclic"] += 1
+        assert Poset.of_rows(elements, rows).rows() == tuple(expected)
+        assert Poset(elements, pairs).rows() == tuple(expected)
+        assert Poset.of_rows(elements, expected).rows() == tuple(expected)
+    assert min(outcomes.values()) > 1000, outcomes
+
+
+def _lines_run_closing(rows):
+    """Lines of ``poset._close`` executed while it closes ``rows``: a
+    count of its work that does not depend on the machine."""
+    code = poset_module._close.__code__
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        closed = poset_module._close(rows)
+    finally:
+        sys.settrace(previous)
+    return closed, count
+
+
+def test_closing_a_closed_order_costs_about_one_or_per_element():
+    # closed orders whose index order follows the order: a chain, and a
+    # width-2 order where each element precedes those two or more places
+    # later; each row ORs the closed rows of its lowest successors, which
+    # reach every other one
+    n = 400
+    for gap in (1, 2):
+        rows = [((1 << n) - 1) & ~((1 << (i + gap)) - 1) for i in range(n)]
+        closed, lines = _lines_run_closing(rows)
+        assert list(closed) == rows
+        assert lines < 40 * n, (gap, lines)
 
 
 # -- maximal antichains ------------------------------------------------------
@@ -217,7 +325,7 @@ def test_restrict_matches_closed_pairs_filter():
                          [(x, y) for x, y in p.closed_pairs() if x in kept and y in kept])
         got = p.restrict(members)
         assert got.elements == expected.elements
-        assert got.pairs() == expected.pairs()
+        assert got.rows() == expected.rows()
         assert got.closed_pairs() == expected.closed_pairs()
 
 
@@ -283,10 +391,9 @@ def test_transitive_reduction_roundtrip():
             if rng.random() < 0.5
         ]
         p = Poset(range(n), pairs)
-        red = p.transitive_reduction()
-        assert set(red.closed_pairs()) == set(p.closed_pairs())
+        rp = p.covering_pairs()
+        assert set(Poset(range(n), rp).closed_pairs()) == set(p.closed_pairs())
         # reduction is minimal: dropping any pair changes the closure
-        rp = red.pairs()
         for k in range(len(rp)):
             smaller = Poset(range(n), rp[:k] + rp[k + 1:])
             assert set(smaller.closed_pairs()) != set(p.closed_pairs())
