@@ -16,28 +16,39 @@ multiplicities; the assignment and the event's case id become forced
 bindings on the product transition, so a synchronous firing replays
 exactly what was observed.
 
-Optimal alignments come from uniform-cost search over product markings
-(Dijkstra; the classical marking-equation heuristic is unsound under
-variable bindings, so no heuristic is applied).  Costs are integers:
-synchronous moves are free, silent model moves cost ``tau``, visible
-log/model moves cost ``visible``.  A search state is a tuple of token
-counts over (place, token) pairs interned per search, a (transition,
-mode) is bound once into a count delta, and only transitions whose input
-places are all marked are tried.  Equal-cost frontier entries pop in
-push order; transitions expand in net order and modes come sorted, so
-the search is fully deterministic and independent of string hashing.
+Optimal alignments come from best-first search over product markings.
+Costs are integers: synchronous moves are free, silent model moves cost
+``tau``, visible log/model moves cost ``visible``.  A search state is a
+tuple of token counts over (place, token) pairs interned per product, a
+(transition, mode) is bound once into a count delta, and only transitions
+whose input places are all marked are tried.  The frontier pops by
+(g + h, -g, push order); transitions expand in net order and modes come
+sorted, so the search is fully deterministic and independent of string
+hashing.
+
+Per-case, realignment and other searches run with h = 0, which is
+Dijkstra.  Whole-log searches (``align_log``, the CLI's exact mode) are A*
+on ``CaseHeuristic``: the sum over the log's cases of each case's optimal
+cost-to-go in its own single-case product, tabulated once per case
+variant (``case_variant``).  The classical marking-equation heuristic is
+unsound under variable bindings (compare van Dongen, BPM 2018); projecting
+onto single cases avoids bindings across cases.  The projection needs
+every firing to work on one case: where a transition has no unambiguous
+case variable, inscribes tokens of another case or creates its case by a
+fresh name, the net fails structural validation, or the markings are not
+the log's cases scaled from one pattern, h is 0 (``CaseHeuristic.reason``
+says which).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import count
 
 from .eventlog import Event, EventLog
-from .lognet import LogNet
+from .lognet import LogNet, build_log_net
 from .petri import FiringError
-from .poset import Multiset, Poset
+from .poset import Multiset, Poset, set_bits
 from .rcnu import (
     EPS,
     ColoredMarking,
@@ -45,10 +56,13 @@ from .rcnu import (
     Nu,
     RcNuNet,
     Var,
+    case_of_mode,
     enabled_modes,
     fire_mode,
     firing_effect,
+    scale_cases,
     token_key,
+    validate_structure,
 )
 
 
@@ -62,6 +76,8 @@ class CostTable:
 DEFAULT_COSTS = CostTable()
 
 DEFAULT_NODE_BUDGET = 2_000_000
+
+INF = float("inf")
 
 
 class SoundnessError(RuntimeError):
@@ -116,7 +132,12 @@ def move_cost(move: Move, costs: CostTable = DEFAULT_COSTS) -> int:
 
 
 class Alignment:
-    """Poset of moves; ``order`` relates move indices."""
+    """Poset of moves; ``order`` relates move indices.  A search's result
+    also records its effort: ``settled`` states (as ``SearchBudgetError``
+    counts them) and ``pushed`` frontier entries, the start's included."""
+
+    settled: int | None = None
+    pushed: int | None = None
 
     def __init__(self, moves, order: Poset):
         self.moves = tuple(moves)
@@ -372,37 +393,41 @@ def product_move_cost(prod: SyncProduct, t, costs: CostTable) -> int:
     return costs.tau if prod.labels[t] is None else costs.visible
 
 
-def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
-                      node_budget: int = DEFAULT_NODE_BUDGET,
-                      start: ColoredMarking | None = None,
-                      goal: ColoredMarking | None = None) -> Alignment:
-    """Minimum-cost run of the product from start to goal, as a chain poset.
+class _StateSpace:
+    """The interned token-count states of one product and their firings.
 
     A state is the tuple of token counts indexed by interned (place, token)
-    ids, trailing zeros stripped: the start's and goal's pairs sorted by
-    place and token, then new pairs as firings produce them.  A (transition,
+    ids, trailing zeros stripped: pairs are interned as markings are encoded
+    (sorted by place and token) and as firings produce them.  A (transition,
     mode) is bound once by ``firing_effect`` into interned (taken, given)
-    lists that every later firing of it applies.  At a settled state only
-    the transitions whose input places are all marked are tried, in net
-    order, with modes enumerated on the state decoded once.  Deterministic:
-    equal-cost frontier entries pop in push order.  Raises SearchBudgetError
-    with frontier statistics when the node budget is exhausted before the
-    goal settles, or when every marking reachable from the start settled
-    without reaching the goal.
+    lists that every later firing of it applies.
     """
-    pairs = []          # id -> (place, token)
-    ids = {}            # (place, token) -> id
 
-    def intern(pair):
-        i = ids.get(pair)
+    def __init__(self, prod: SyncProduct):
+        self.prod = prod
+        self.pairs = []         # id -> (place, token)
+        self.ids = {}           # (place, token) -> id
+        self.effects = {}       # (transition, mode items) -> (taken, given, length)
+        self.consumers = {}     # place -> positions of the transitions taking from it
+        self.inputs = []        # per transition position, its number of input places
+        self.unconditional = []  # positions of transitions with no input place
+        for k, t in enumerate(prod.transitions):
+            self.inputs.append(len(prod.input_places(t)))
+            if not self.inputs[k]:
+                self.unconditional.append(k)
+            for p in prod.input_places(t):
+                self.consumers.setdefault(p, []).append(k)
+
+    def intern(self, pair) -> int:
+        i = self.ids.get(pair)
         if i is None:
-            i = ids[pair] = len(pairs)
-            pairs.append(pair)
+            i = self.ids[pair] = len(self.pairs)
+            self.pairs.append(pair)
         return i
 
-    def encode(marking: ColoredMarking) -> tuple:
+    def encode(self, marking: ColoredMarking) -> tuple:
         counts = {
-            intern((p, tok)): n
+            self.intern((p, tok)): n
             for p in sorted(marking.places())
             for tok, n in sorted(marking.get(p).items(), key=lambda kv: token_key(kv[0]))
         }
@@ -411,45 +436,100 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
             state[i] = n
         return tuple(state)
 
-    def decode(state: tuple) -> dict:
+    def decode(self, state: tuple) -> dict:
         tokens = {}
-        for (p, tok), n in zip(pairs, state):
+        for (p, tok), n in zip(self.pairs, state):
             if n:
                 tokens.setdefault(p, {})[tok] = n
         return tokens
 
-    effects = {}        # (transition, mode items) -> (taken, given, length)
-
-    def effect(key):
-        entry = effects.get(key)
+    def fire(self, state: tuple, key) -> tuple:
+        entry = self.effects.get(key)
         if entry is None:
-            taken, given = firing_effect(prod, key[0], dict(key[1]))
-            taken = [(intern((p, tok)), n) for p, tok, n in taken]
-            given = [(intern((p, tok)), n) for p, tok, n in given]
-            entry = effects[key] = (
+            taken, given = firing_effect(self.prod, key[0], dict(key[1]))
+            taken = [(self.intern((p, tok)), n) for p, tok, n in taken]
+            given = [(self.intern((p, tok)), n) for p, tok, n in given]
+            entry = self.effects[key] = (
                 taken, given, 1 + max((i for i, _ in taken + given), default=-1))
-        return entry
+        taken, given, length = entry
+        counts = list(state)
+        counts.extend([0] * (length - len(counts)))
+        for i, n in taken:
+            if counts[i] < n:
+                p, tok = self.pairs[i]
+                raise FiringError(f"place {p} holds {counts[i]} of token {tok}, needs {n}")
+            counts[i] -= n
+        for i, n in given:
+            counts[i] += n
+        while counts and not counts[-1]:
+            counts.pop()
+        return tuple(counts)
 
-    consumers = {}      # place -> positions of the transitions taking from it
-    inputs = []         # per transition position, its number of input places
-    unconditional = []  # positions of transitions with no input place
-    for k, t in enumerate(prod.transitions):
-        inputs.append(len(prod.input_places(t)))
-        if not inputs[k]:
-            unconditional.append(k)
-        for p in prod.input_places(t):
-            consumers.setdefault(p, []).append(k)
+    def successors(self, state: tuple):
+        """``(transition, mode key, next state)`` of every firing enabled at
+        ``state``: only transitions whose input places are all marked, in
+        net order, each with its modes enumerated on the state decoded once,
+        in sorted order."""
+        prod = self.prod
+        tokens = self.decode(state)
+        hits = {}
+        for p in tokens:
+            for k in self.consumers.get(p, ()):
+                hits[k] = hits.get(k, 0) + 1
+        candidates = sorted(self.unconditional
+                            + [k for k, h in hits.items() if h == self.inputs[k]])
+        marking = ColoredMarking(tokens)
+        fresh = prod.fresh_candidates(marking)
+        for k in candidates:
+            t = prod.transitions[k]
+            for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
+                                      forced=prod.forced.get(t, {})):
+                key = (t, tuple(sorted(mode.items())))
+                yield t, key, self.fire(state, key)
 
-    start = encode(prod.initial if start is None else start)
-    goal = encode(prod.final if goal is None else goal)
+
+def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
+                      node_budget: int = DEFAULT_NODE_BUDGET,
+                      start: ColoredMarking | None = None,
+                      goal: ColoredMarking | None = None,
+                      heuristic: CaseHeuristic | None = None) -> Alignment:
+    """Minimum-cost run of the product from start to goal, as a chain poset.
+
+    States are interned token counts (``_StateSpace``); at a settled state
+    only the transitions whose input places are all marked are tried.  The
+    frontier pops by (g + h, -g, push order): the cheapest estimate first,
+    then the deepest, then the earliest pushed, so the search is fully
+    deterministic.  Without ``heuristic``, h is 0 and this is Dijkstra with
+    equal-cost entries in push order.  With a ``CaseHeuristic`` of this
+    product (its own initial and final markings only) it is A*: h is
+    consistent, so a state still settles at its final cost once, and a
+    state whose h is infinite (some case cannot finish even alone) is never
+    pushed.
+
+    The returned alignment records ``settled`` and ``pushed``.  Raises
+    SearchBudgetError with frontier statistics (the cheapest open g + h)
+    when the node budget is exhausted before the goal settles, or when
+    every marking reachable from the start settled without reaching the
+    goal.
+    """
+    if heuristic is not None and (heuristic.space.prod is not prod
+                                  or start is not None or goal is not None):
+        raise ValueError("a case heuristic prices its own product's initial "
+                         "and final markings only")
+    space = _StateSpace(prod) if heuristic is None else heuristic.space
+    start = space.encode(prod.initial if start is None else start)
+    goal = space.encode(prod.final if goal is None else goal)
+    step_cost = {t: product_move_cost(prod, t, costs) for t in prod.transitions}
+    info = {} if heuristic is None else {start: heuristic.start(start)}
     best = {start: 0}
     parent = {start: None}
-    pushes = count(1)
-    heap = [(0, 0, start)]
+    pushed = 1          # frontier entries made, and each entry's push order
+    heap = [(info[start][0] if info else 0, 0, pushed, start)]
     settled = 0
 
     while heap:
-        cost, _, state = heapq.heappop(heap)
+        bound, depth, _, state = heapq.heappop(heap)
+        cost = -depth
         if cost > best[state]:
             continue    # stale: pushes only lower a cost, so a state pops at its final cost once
         settled += 1
@@ -460,6 +540,7 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                 moves.append(_decode_move(prod, t, mode))
             moves.reverse()
             alignment = Alignment.chain(moves)
+            alignment.settled, alignment.pushed = settled, pushed
             tau_moves = sum(
                 1 for m in moves if m.kind == "model" and m.label is None
             )
@@ -471,39 +552,22 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                 )
             return alignment
         if settled > node_budget:
-            raise SearchBudgetError(settled, len(heap), cost)
-        tokens = decode(state)
-        hits = {}
-        for p in tokens:
-            for k in consumers.get(p, ()):
-                hits[k] = hits.get(k, 0) + 1
-        candidates = sorted(unconditional + [k for k, h in hits.items() if h == inputs[k]])
-        marking = ColoredMarking(tokens)
-        fresh = prod.fresh_candidates(marking)
-        for k in candidates:
-            t = prod.transitions[k]
-            cost2 = cost + product_move_cost(prod, t, costs)
-            for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
-                                      forced=prod.forced.get(t, {})):
-                key = (t, tuple(sorted(mode.items())))
-                taken, given, length = effect(key)
-                counts = list(state)
-                counts.extend([0] * (length - len(counts)))
-                for i, n in taken:
-                    if counts[i] < n:
-                        p, tok = pairs[i]
-                        raise FiringError(
-                            f"place {p} holds {counts[i]} of token {tok}, needs {n}")
-                    counts[i] -= n
-                for i, n in given:
-                    counts[i] += n
-                while counts and not counts[-1]:
-                    counts.pop()
-                state2 = tuple(counts)
-                if cost2 < best.get(state2, float("inf")):
-                    best[state2] = cost2
-                    parent[state2] = (state, key)
-                    heapq.heappush(heap, (cost2, next(pushes), state2))
+            raise SearchBudgetError(settled, len(heap), bound)
+        for t, key, state2 in space.successors(state):
+            cost2 = cost + step_cost[t]
+            if cost2 < best.get(state2, INF):
+                h2 = 0
+                if heuristic is not None:
+                    entry = info.get(state2)
+                    if entry is None:
+                        entry = info[state2] = heuristic.step(info[state], key, state2)
+                    h2 = entry[0]
+                    if h2 == INF:
+                        continue
+                best[state2] = cost2
+                parent[state2] = (state, key)
+                pushed += 1
+                heapq.heappush(heap, (cost2 + h2, -cost2, pushed, state2))
     raise SearchBudgetError(settled, 0, None)
 
 
@@ -511,13 +575,238 @@ def align_log(model: RcNuNet, log: EventLog,
               costs: CostTable = DEFAULT_COSTS,
               node_budget: int = DEFAULT_NODE_BUDGET) -> Alignment:
     """Exact complete-log alignment: scale the model to the log's cases,
-    build the product and search."""
-    from .lognet import build_log_net
-    from .rcnu import scale_cases
-
+    build the product and search it by A* on the case heuristic."""
     scaled = scale_cases(model, log.cases())
     prod = build_sync_product(scaled, build_log_net(log))
-    return optimal_alignment(prod, costs, node_budget)
+    return optimal_alignment(prod, costs, node_budget,
+                             heuristic=CaseHeuristic(prod, costs, node_budget))
+
+
+# ---------------------------------------------------------------------------
+# Case variants and the per-case heuristic
+# ---------------------------------------------------------------------------
+
+
+def case_variant(model: RcNuNet, log: EventLog, case) -> tuple:
+    """What the single-case search of ``case`` reads from the log and the
+    case id, as a key: cases with equal keys have the same search up to
+    renaming the k-th event to the k-th event and one case id to the other.
+
+    The first part is the trace's (activity, resource instances) sequence.
+    The second is how the case id compares with every other identifier the
+    search can meet: the spare fresh names ``_nu1..``, the declared and
+    caseless-marked resource instances and the arcs' constants.  Tie-breaks
+    sort modes, fresh-name pools and tokens by these comparisons, and
+    equality decides enabledness, so equal signs make the two searches push
+    in the same order."""
+    trace = log.trace(case)
+    others = {f"_nu{i + 1}" for i in range(len(trace) or 1)}
+    others.update(model.resource_instances().support())
+    for marking in (model.initial, model.final):
+        for p in marking.places():
+            others.update(r for c, r in marking.get(p).support() if c is None and r)
+    for arc in model.flow.values():
+        others.update(x for pair in arc.support() for x in pair if isinstance(x, str))
+    return (tuple((e.activity, tuple(sorted(e.resources.items()))) for e in trace),
+            tuple((case > x) - (case < x) for x in sorted(others)))
+
+
+def _projection_breaks(prod: SyncProduct) -> str | None:
+    """Why the per-case projection of ``prod`` is unsound, or None.
+
+    The projection needs every firing to work on one case, and every token
+    outside the availability places to carry that case: each transition
+    has one case variable (``_case_binding``), and every production and
+    busy arc inscribes exactly it.  No case is created by a fresh name:
+    a log case's id is fresh in the whole-log marking once its log token
+    moved to a place between cases, but never alone, where its own log
+    places keep it.  Durable resources (``validate_structure``) make an
+    instance's availability its capacity minus what the cases hold.  The
+    markings must be the log's cases scaled from one pattern, so each case
+    starts and ends as it does alone."""
+    model = prod.model
+    if validate_structure(model):
+        return "the net fails structural validation"
+    for t in model.transitions:
+        binding = _case_binding(model, t)
+        if binding is None:
+            return f"transition {t} has no unambiguous case variable"
+        if binding[1]:
+            return f"transition {t} creates its case by a fresh name"
+        arcs = ([model.arc(p, t) for p in model.input_places(t)
+                 if model.place_kind(p) != "resource"]
+                + [model.arc(t, p) for p in model.output_places(t)
+                   if model.place_kind(p) != "resource"])
+        for arc in arcs:
+            for cterm, _ in arc.support():
+                if not (isinstance(cterm, Var) and cterm.name == binding[0]):
+                    return f"transition {t} inscribes case term {cterm!r} besides its case"
+    try:
+        scaled = scale_cases(model, prod.log_case_ids)
+    except ValueError as exc:
+        return str(exc)
+    if (scaled.initial, scaled.final) != (model.initial, model.final):
+        return "the markings are not the log's cases scaled from one pattern"
+    return None
+
+
+def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
+    """Optimal cost-to-go of every state of a single-case product reachable
+    from its start, keyed by (the case's tokens on production and busy
+    places, events fired); INF where the goal is unreachable.  None when
+    more than ``node_budget`` states are reachable.
+
+    Every reachable state is explored once, then a backward Dijkstra from
+    the goal prices them.  The key identifies the state: the log net of one
+    case is a chain, so the events fired fix its tokens; durable resources
+    fix availability by what the case holds; and caseless production
+    tokens, which no transition touches (``_projection_breaks``), never
+    change."""
+    space = _StateSpace(single)
+    start = space.encode(single.initial)
+    goal = space.encode(single.final)
+    states, fired, into = [start], [0], [[]]
+    index = {start: 0}
+    i = 0
+    while i < len(states):
+        for t, _, state2 in space.successors(states[i]):
+            j = index.get(state2)
+            if j is None:
+                if len(states) >= node_budget:
+                    return None
+                j = index[state2] = len(states)
+                states.append(state2)
+                fired.append(fired[i] + (single.move_kind[t] != "model"))
+                into.append([])
+            into[j].append((i, product_move_cost(single, t, costs)))
+        i += 1
+    togo = {}
+    heap = [(0, index[goal])] if goal in index else []
+    while heap:
+        d, j = heapq.heappop(heap)
+        if j not in togo:
+            togo[j] = d
+            for i, c in into[j]:
+                if i not in togo:
+                    heapq.heappush(heap, (d + c, i))
+    owned = _owned_places(single.model)
+    table = {}
+    for j, state in enumerate(states):
+        tokens = frozenset((pair, n) for pair, n in zip(space.pairs, state)
+                           if n and pair[0] in owned and pair[1][0] is not None)
+        table[tokens, fired[j]] = togo.get(j, INF)
+    return table
+
+
+def _owned_places(model: RcNuNet) -> set:
+    """The product places whose tokens belong to a case: production and busy."""
+    return {f"m::{p}" for p in model.places if model.place_kind(p) != "resource"}
+
+
+class CaseHeuristic:
+    """h(state) = the sum over the log's cases c of h_c(pi_c(state)).
+
+    pi_c is c's tokens on production and busy places plus the number of
+    c's events fired; h_c is the optimal cost-to-go in c's own single-case
+    product (the net scaled to c alone against c's trace), with the
+    declared resources minus what c holds and without the cross-case log
+    order.  It is tabulated once per case variant (``case_variant``), on
+    the variant's representative, and read through the renaming.
+
+    Admissible: the moves of c in any completion of the whole-log run form
+    a run of c's single-case product from pi_c.  The preconditions
+    (``_projection_breaks``) make each move work on one case and leave
+    other cases' tokens alone; an instance c can claim in the full marking
+    is free alone too, since alone only c holds any; c's events keep their
+    trace order and resource places; and c's final tokens with all its
+    events fired are the single-case goal.  The cases' move sets are
+    disjoint, so the summed cost-to-go is at most the completion's cost.
+    Consistent: a move changes one case's projection by a move of that
+    case's single-case product at the same cost, every other term stays,
+    and an optimal cost-to-go obeys h_c(x) <= cost + h_c(y) along every
+    move.  By the same argument every projection the search meets is a
+    state the table explored.
+
+    When the projection's preconditions fail, ``reason`` says why and h is
+    0 everywhere, which is Dijkstra.  A variant whose single-case product
+    reaches more than ``node_budget`` states contributes 0.
+
+    The heuristic owns the product's interned state space, which the
+    search it informs shares.  A search state's entry is (h, per-case
+    terms, per-case events fired): a move recomputes only its own case's
+    term from that case's interned pairs, and the events fired advance
+    with each log or synchronous move.  Both are functions of the marking,
+    so an entry does not depend on the path.
+    """
+
+    def __init__(self, prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
+                 node_budget: int = DEFAULT_NODE_BUDGET):
+        self.space = _StateSpace(prod)
+        self.reason = _projection_breaks(prod)
+        self.rep = {}           # case -> its variant's representative
+        self.tables = {}        # representative -> its _cost_to_go table, or None
+        self._owned_places = _owned_places(prod.model)
+        self._owned = {}        # case -> its interned pair ids
+        self._renamed = {}      # pair id -> the pair on its case's representative
+        self._classified = 0    # interned pairs sorted into ``_owned`` so far
+        self._moves = {}        # mode key -> (its case, events it fires)
+        log = EventLog(prod.log_net.event_of.values())
+        variants = {}
+        for c in prod.log_case_ids if self.reason is None else ():
+            rep = self.rep[c] = variants.setdefault(case_variant(prod.model, log, c), c)
+            self._owned[c] = []
+            if rep == c:
+                single = build_sync_product(scale_cases(prod.model, [c]),
+                                            build_log_net(log.project_case(c)))
+                self.tables[c] = _cost_to_go(single, costs, node_budget)
+        self._position = {c: k for k, c in enumerate(self.rep)}    # in an entry's tuples
+
+    def value(self, marking: ColoredMarking, fired: dict):
+        """h at a marking of the product, given each case's number of fired
+        events (absent: none); INF when some case cannot finish alone."""
+        state = self.space.encode(marking)
+        return sum(self._term(c, state, fired.get(c, 0)) for c in self.rep)
+
+    def _term(self, case, state, fired):
+        pairs = self.space.pairs
+        for i in range(self._classified, len(pairs)):
+            p, tok = pairs[i]
+            if p in self._owned_places and tok[0] in self._owned:
+                self._owned[tok[0]].append(i)
+                self._renamed[i] = (p, (self.rep[tok[0]], tok[1]))
+        self._classified = len(pairs)
+        table = self.tables[self.rep[case]]
+        if table is None:
+            return 0
+        tokens = frozenset((self._renamed[i], state[i]) for i in self._owned[case]
+                           if i < len(state) and state[i])
+        return table.get((tokens, fired), 0)
+
+    def start(self, state):
+        """The entry of the product's initial state."""
+        terms = tuple(self._term(c, state, 0) for c in self.rep)
+        return sum(terms), terms, (0,) * len(terms)
+
+    def step(self, entry, key, state2):
+        """The entry of ``state2``, reached from ``entry``'s state by the
+        firing ``key``."""
+        move = self._moves.get(key)
+        if move is None:
+            prod = self.space.prod
+            t, mode = key
+            if prod.move_kind[t] == "model":
+                move = (case_of_mode(prod.model, prod.model_transition[t], dict(mode)), 0)
+            else:
+                move = (prod.event[t].case, 1)
+            self._moves[key] = move
+        case, advance = move
+        k = self._position.get(case)
+        if k is None:
+            return entry
+        _, terms, fired = entry
+        fired = fired[:k] + (fired[k] + advance,) + fired[k + 1:]
+        terms = terms[:k] + (self._term(case, state2, fired[k]),) + terms[k + 1:]
+        return sum(terms), terms, fired
 
 
 # ---------------------------------------------------------------------------
@@ -654,15 +943,24 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
             entry[0] += max(0, -delta)
             entry[1] += delta
     order = alignment.order
+    if order.elements != tuple(range(len(moves))):
+        raise ValueError("the alignment order must relate move indices in order")
+    after, before = order.rows(), order.predecessor_rows()
     for (p, tok), moved in use.items():
+        effect = {s: d for s, (_, d) in moved.items() if d}
+        users = sum(1 << s for s in effect)     # the moves with a net effect
         for t, (taken, _) in moved.items():
-            free = {s: d for s, (_, d) in moved.items() if d and order.incomparable(s, t)}
-            least = (net.initial.get(p).count(tok) + sum(min(d, 0) for d in free.values())
-                     + sum(d for s, (_, d) in moved.items() if order.precedes(s, t)))
-            if taken and least < taken:
-                supply = {c: -d for c, d in free.items() if d < 0}
-                capacity = {x: d for x, d in free.items() if d > 0}
-                arcs = {c: [x for x in capacity if order.precedes(x, c)] for c in supply}
+            if not taken:
+                continue
+            free = users & ~(after[t] | before[t] | 1 << t)     # incomparable to t
+            least = (net.initial.get(p).count(tok)
+                     + sum(min(effect[s], 0) for s in set_bits(free))
+                     + sum(effect[s] for s in set_bits(users & before[t])))
+            if least < taken:
+                supply = {c: -effect[c] for c in set_bits(free) if effect[c] < 0}
+                capacity = {x: effect[x] for x in set_bits(free) if effect[x] > 0}
+                producers = sum(1 << x for x in capacity)
+                arcs = {c: list(set_bits(producers & before[c])) for c in supply}
                 least += _max_flow(supply, capacity, arcs, taken - least)
                 if least < taken:
                     return False, (

@@ -44,7 +44,7 @@ objective instead of enumerating the doubly-exponential permutation space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .align import (
     Alignment,
@@ -57,6 +57,7 @@ from .align import (
     SoundnessError,
     _prefix_marking,
     build_sync_product,
+    case_variant,
     is_valid_alignment,
     optimal_alignment,
     pseudo_fire,
@@ -100,13 +101,35 @@ class ComposedAlignment:
 def align_cases(net: RcNuNet, log: EventLog,
                 costs: CostTable = DEFAULT_COSTS,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-    """Optimal alignment of each case's trace against the single-case model."""
+    """Optimal alignment of each case's trace against the single-case model.
+
+    Cases of one variant (``case_variant``) have the same search up to
+    renaming, so only the first case of each variant, in id order, is
+    searched; the others get its moves with the k-th event replaced by
+    their own k-th event and its case id by theirs."""
     out = {}
+    searched = {}           # variant -> (its first case, that case's alignment)
     for c in log.cases():
-        single = scale_cases(net, [c])
-        prod = build_sync_product(single, build_log_net(log.project_case(c)))
-        out[c] = optimal_alignment(prod, costs, node_budget)
+        variant = case_variant(net, log, c)
+        if variant not in searched:
+            single = scale_cases(net, [c])
+            prod = build_sync_product(single, build_log_net(log.project_case(c)))
+            searched[variant] = (c, optimal_alignment(prod, costs, node_budget))
+        rep, alignment = searched[variant]
+        out[c] = alignment if rep == c else _renamed(alignment, log, rep, c)
     return out
+
+
+def _renamed(alignment: Alignment, log: EventLog, rep, case) -> Alignment:
+    """``alignment`` of case ``rep`` moved to ``case``: each event to the
+    event at its trace position, and ``rep`` in every mode to ``case``."""
+    events = dict(zip(log.trace(rep), log.trace(case)))
+    moves = [
+        replace(mv, event=events.get(mv.event),
+                mode=tuple((v, case if x == rep else x) for v, x in mv.mode))
+        for mv in alignment.moves
+    ]
+    return Alignment(moves, alignment.order)
 
 
 def compose(per_case: dict, log: EventLog) -> ComposedAlignment:

@@ -21,6 +21,7 @@ import json
 import sys
 
 from .align import (
+    CaseHeuristic,
     CostTable,
     SearchBudgetError,
     SoundnessError,
@@ -112,7 +113,9 @@ def cmd_align(args) -> int:
     try:
         if args.mode == "exact":
             prod = build_sync_product(scaled, build_log_net(log))
-            alignment = optimal_alignment(prod, costs, args.node_budget)
+            alignment = optimal_alignment(
+                prod, costs, args.node_budget,
+                heuristic=CaseHeuristic(prod, costs, args.node_budget))
             report = build_report(alignment, "exact", costs, scaled,
                                   warnings=prod.warnings)
         else:

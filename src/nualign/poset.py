@@ -170,7 +170,7 @@ def combine(a: Multiset, b: Multiset, kind: str) -> Multiset:
 # Posets
 # ---------------------------------------------------------------------------
 
-def _bits(mask):
+def set_bits(mask):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
         low = mask & -mask
@@ -282,23 +282,28 @@ class Poset:
     def closed_pairs(self):
         elements = self._elements
         return [(elements[i], elements[j])
-                for i, row in enumerate(self._rows) for j in _bits(row)]
+                for i, row in enumerate(self._rows) for j in set_bits(row)]
 
-    def covering_pairs(self):
-        """The pairs of the transitive reduction, index-ordered: i covers
-        j when no successor of i precedes j."""
+    def _covers(self):
+        """Per element, the mask of the elements it covers: i covers j
+        when no successor of i precedes j."""
         rows = self._rows
-        elements = self._elements
         out = []
-        for i, row in enumerate(rows):
+        for row in rows:
             cover = pending = row
             while pending:
                 low = pending & -pending
                 beyond = rows[low.bit_length() - 1]
                 cover &= ~beyond
                 pending &= ~(low | beyond)
-            out.extend((elements[i], elements[j]) for j in _bits(cover))
+            out.append(cover)
         return out
+
+    def covering_pairs(self):
+        """The pairs of the transitive reduction, index-ordered."""
+        elements = self._elements
+        return [(elements[i], elements[j])
+                for i, cover in enumerate(self._covers()) for j in set_bits(cover)]
 
     def precedes(self, x, y):
         """Strict precedence."""
@@ -307,13 +312,15 @@ class Poset:
     def incomparable(self, x, y):
         return x != y and not self.precedes(x, y) and not self.precedes(y, x)
 
-    def _preds(self):
-        """Per element, the mask of its predecessors."""
-        preds = [0] * len(self._elements)
-        for i, row in enumerate(self._rows):
-            for j in _bits(row):
-                preds[j] |= 1 << i
-        return preds
+    def predecessor_rows(self):
+        """Per element, index-ordered, the mask of its predecessors: bit i
+        of entry j is set iff element i precedes element j.  The covering
+        pairs reversed, closed by the same depth-first pass as the rows."""
+        reverse = [0] * len(self._elements)
+        for i, cover in enumerate(self._covers()):
+            for j in set_bits(cover):
+                reverse[j] |= 1 << i
+        return _close(reverse)
 
     # -- antichains ----------------------------------------------------
 
@@ -352,7 +359,7 @@ class Poset:
             )
         full = (1 << n) - 1
         incomp = [full & ~(row | pred | 1 << i)
-                  for i, (row, pred) in enumerate(zip(self._rows, self._preds()))]
+                  for i, (row, pred) in enumerate(zip(self._rows, self.predecessor_rows()))]
 
         out = []
 
@@ -372,7 +379,7 @@ class Poset:
                 cand &= ~vbit
 
         expand(0, full, 0)
-        return {frozenset(self._elements[i] for i in _bits(mask)) for mask in out}
+        return {frozenset(self._elements[i] for i in set_bits(mask)) for mask in out}
 
     # -- intervals, prefixes, postfixes ---------------------------------
 
@@ -439,7 +446,7 @@ class Poset:
     def linearizations(self, cap=MAX_LINEARIZATIONS):
         """All topological orders, as tuples. Oracle use: small posets only."""
         n = len(self._elements)
-        preds = self._preds()
+        preds = self.predecessor_rows()
         out = []
 
         def backtrack(done_mask, acc):

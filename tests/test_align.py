@@ -1,7 +1,8 @@
 """Synchronous product and exact alignment search.
 
 The optimality tests compare the Dijkstra result against the exhaustive
-DFS oracle, which explores the product with no search-order assumptions.
+DFS oracle, which explores the product with no search-order assumptions,
+and the A* search on the case heuristic against Dijkstra.
 """
 
 import heapq
@@ -15,6 +16,7 @@ import nualign.approx as approx
 
 from nualign.align import (
     Alignment,
+    CaseHeuristic,
     CostTable,
     Move,
     PseudoMarking,
@@ -31,14 +33,15 @@ from nualign.align import (
 )
 from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, EventLog, parse_log
-from nualign.fixtures import hospital_log, hospital_net
-from nualign.lognet import build_log_net
+from nualign.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
+from nualign.lognet import build_log_net, transition_id
 from nualign.oracles import min_cost_exhaustive
 from nualign.petri import FiringError
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import EPS, ColoredMarking, RcNuNet, enabled_modes, fire_mode, scale_cases
+from nualign.rcnu import (EPS, ColoredMarking, Nu, RcNuNet, Var, enabled_modes, fire_mode,
+                          scale_cases)
 
-from test_acceptance import generate_pipeline_fixtures
+from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
 from test_approx import _differential_fixtures
 
 
@@ -178,6 +181,18 @@ def test_budget_error_carries_stats():
     assert "search exhausted after 4 settled markings" in str(exc)
 
 
+def test_search_records_its_effort():
+    # settled counts as the budget does: the goal settles within a budget
+    # one below it (the goal is tested before the budget), not two below
+    _, prod = product_for(hospital_log())
+    al = optimal_alignment(prod)
+    assert al.pushed >= al.settled > 2
+    assert optimal_alignment(prod, node_budget=al.settled - 1).moves == al.moves
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_alignment(prod, node_budget=al.settled - 2)
+    assert info.value.visited == al.settled - 1
+
+
 def test_unreachable_goal_says_so():
     # a token no firing produces: the frontier empties with the budget unspent
     _, prod = product_for(hospital_log())
@@ -311,6 +326,132 @@ def test_interned_search_matches_marking_reference(monkeypatch):
                 solved += 1
     realignments = sum(1 for _, start, _ in searches if start is not None)
     assert realignments >= 10 and exhausted >= 50 and solved >= 500
+
+
+def _product_path(prod, alignment):
+    """The product markings along the alignment's moves, each with every
+    case's number of fired events."""
+    marking, fired = prod.initial, {}
+    path = [(marking, dict(fired))]
+    for move in alignment.moves:
+        if move.kind == "log":
+            t = f"l::{transition_id(move.event)}"
+        elif move.kind == "model":
+            t = f"m::{move.transition}"
+        else:
+            t = next(t for t in prod.transitions
+                     if prod.event[t] == move.event and prod.move_kind[t] == "sync"
+                     and prod.model_transition[t] == move.transition
+                     and prod.forced[t].items() <= move.binding().items())
+        marking = fire_mode(prod, marking, t, move.binding())
+        if move.kind != "model":
+            fired[move.event.case] = fired.get(move.event.case, 0) + 1
+        path.append((marking, dict(fired)))
+    return path
+
+
+def _whole_log_searches():
+    """(net, log) of every whole-log search the A* test covers: the
+    differential fixtures with at most ten events (criterion 9's logs among
+    them), the oracle logs and criterion 3's logs."""
+    logs = [(net, log) for net, log in _differential_fixtures() if len(log) <= 10]
+    logs += [(hospital_net(), parse_log(csv)) for csv in SMALL_LOGS]
+    logs += [(builder(), parse_log(csv)) for builder, csv in OPTIMALITY_LOGS]
+    return logs
+
+
+def test_astar_matches_dijkstra():
+    """A* on the case heuristic against Dijkstra at the same budget: it
+    finishes wherever Dijkstra does, at the same cost, with a valid
+    alignment, h(start) at most that cost and h consistent along the
+    returned path, ending at 0 on the goal."""
+    budget = 20_000
+    solved = informed = fewer = 0
+    for net, log in _whole_log_searches():
+        prod = product_for_net(net, log)
+        heuristic = CaseHeuristic(prod, node_budget=budget)
+        try:
+            dijkstra = optimal_alignment(prod, node_budget=budget)
+        except SearchBudgetError:
+            dijkstra = None
+        try:
+            astar = optimal_alignment(prod, node_budget=budget, heuristic=heuristic)
+        except SearchBudgetError:
+            assert dijkstra is None
+            continue
+        solved += 1
+        informed += heuristic.reason is None
+        if dijkstra is not None:
+            assert astar.cost() == dijkstra.cost()
+            fewer += astar.settled < dijkstra.settled
+        assert is_valid_alignment(prod.model, log, astar) == (True, None)
+        path = _product_path(prod, astar)
+        values = [heuristic.value(marking, fired) for marking, fired in path]
+        assert path[-1][0] == prod.final and values[-1] == 0
+        assert values[0] <= astar.cost()
+        for move, h, h_next in zip(astar.moves, values, values[1:]):
+            assert h <= move_cost(move) + h_next
+    assert solved >= 210 and informed == solved and fewer >= 150
+
+
+def test_astar_finishes_clinic_ten_cases():
+    # Dijkstra runs out of these 10 000 nodes at open cost 10 001
+    log = clinic_log(10, overlap_at=5)
+    prod = product_for_net(clinic_net(), log)
+    heuristic = CaseHeuristic(prod, node_budget=10_000)
+    assert heuristic.reason is None and set(heuristic.rep.values()) == {"c1"}
+    al = optimal_alignment(prod, node_budget=10_000, heuristic=heuristic)
+    assert al.cost() == 20_000 and al.settled <= 500
+    assert is_valid_alignment(prod.model, log, al) == (True, None)
+
+
+def test_heuristic_ignores_caseless_production_tokens():
+    # a token no transition touches sits in every state, alone or not
+    base = hospital_net()
+    lobby = ColoredMarking({"lobby": Multiset({(EPS, EPS): 1})})
+    net = RcNuNet(base.production_places + ("lobby",), base.roles, base.transitions,
+                  base.labels, base.flow, base.initial | lobby, base.final | lobby)
+    prod = product_for_net(net, parse_log("c1,i_s,1,g:g1\nc2,o_p,2,\nc1,o_sc,3,s:s1\n"))
+    heuristic = CaseHeuristic(prod)
+    assert heuristic.reason is None
+    assert heuristic.value(prod.initial, {}) == 30_001
+    assert optimal_alignment(prod, heuristic=heuristic).cost() == 30_001
+
+
+def test_heuristic_is_zero_where_the_projection_breaks():
+    # ``gen`` binds no case variable: h is 0 and A* is Dijkstra, move for move
+    net = RcNuNet(["p"], [], ["gen"], {"gen": "a"},
+                  {("gen", "p"): Multiset({("c1", EPS): 1})},
+                  ColoredMarking(), ColoredMarking({"p": Multiset({("c1", EPS): 1})}))
+    prod = build_sync_product(net, build_log_net(parse_log("c1,b,1,\n")))
+    heuristic = CaseHeuristic(prod)
+    assert heuristic.reason == "transition gen has no unambiguous case variable"
+    assert heuristic.value(prod.initial, {}) == 0
+    astar = optimal_alignment(prod, heuristic=heuristic)
+    dijkstra = optimal_alignment(prod)
+    assert (astar.moves, astar.settled, astar.pushed) == (
+        dijkstra.moves, dijkstra.settled, dijkstra.pushed)
+    with pytest.raises(ValueError):
+        optimal_alignment(prod, heuristic=heuristic, goal=prod.final)
+
+
+def test_heuristic_is_zero_where_cases_are_created_by_fresh_names():
+    # c1's id leaves the marking when its only event fires (its log token
+    # moves to a place between cases), so ``s`` can then create c1; alone,
+    # c1's own log places keep the id and c1 could never start, which
+    # would price the reachable goal as unreachable
+    net = RcNuNet(["q0", "q1"], [], ["s", "a"], {"s": "s", "a": "a"},
+                  {("s", "q0"): Multiset([(Nu("n"), EPS)]),
+                   ("q0", "a"): Multiset([(Var("c"), EPS)]),
+                   ("a", "q1"): Multiset([(Var("c"), EPS)])},
+                  ColoredMarking(), ColoredMarking({"q1": Multiset({("c1", EPS): 1})}))
+    log = parse_log("c1,a,1,\nc2,a,2,\nc3,s,3,\n")
+    prod = product_for_net(net, log)
+    heuristic = CaseHeuristic(prod)
+    assert heuristic.reason == "transition s creates its case by a fresh name"
+    astar = optimal_alignment(prod, heuristic=heuristic)
+    assert astar.cost() == optimal_alignment(prod).cost() == 50_000
+    assert "model(s[n=c1])" in [repr(m) for m in astar.moves]
 
 
 def test_transition_without_input_place_is_always_tried():

@@ -21,6 +21,7 @@ from nualign.approx import (
     IntervalRealignment,
     _claims_and_releases,
     _pseudo_to_marking,
+    _renamed,
     _substitute,
     align_cases,
     approximate_alignment,
@@ -59,10 +60,10 @@ from nualign.oracles import (
     is_violating_by_linearizations,
     min_cost_exhaustive,
 )
-from nualign.align import build_sync_product, optimal_alignment
+from nualign.align import build_sync_product, case_variant, optimal_alignment
 from nualign.lognet import build_log_net
-from nualign.poset import Poset
-from nualign.rcnu import scale_cases
+from nualign.poset import Multiset, Poset
+from nualign.rcnu import EPS, ColoredMarking, Nu, RcNuNet, Var, scale_cases
 
 from test_acceptance import (
     block_triangular_assignment,
@@ -495,6 +496,66 @@ def _differential_fixtures():
     clinic = [(clinic_net(), clinic_log(4, overlap_at=0))]
     return (hospital + claim_release_fixtures() + clinic
             + generate_pipeline_fixtures(200))
+
+
+def _spare_name_fixture():
+    """A net whose tie-breaks compare the case id with the spare name
+    ``_nu1``: ``new`` (once, by its ``ctr`` token) puts a fresh-named token
+    beside the case's own on ``q0``, and ``a`` turns either into one of the
+    two final tokens, so the two orders of ``a`` cost the same.  Cases
+    ``A1`` and ``c1`` sort on both sides of ``_nu1``; ``c1`` and ``c2`` on
+    the same side."""
+    net = RcNuNet(["ctr", "q0", "done"], [], ["new", "a"], {"new": None, "a": None},
+                  {("ctr", "new"): Multiset([(EPS, EPS)]),
+                   ("new", "q0"): Multiset([(Nu("n"), EPS)]),
+                   ("q0", "a"): Multiset([(Var("c"), EPS)]),
+                   ("a", "done"): Multiset([(EPS, EPS)])},
+                  ColoredMarking({"ctr": Multiset({(EPS, EPS): 1}),
+                                  "q0": Multiset({("c1", EPS): 1})}),
+                  ColoredMarking({"done": Multiset({(EPS, EPS): 2})}))
+    return net, parse_log("A1,b,1,\nc1,b,2,\nc2,b,3,\n")
+
+
+def _searched_alone(net, log, case):
+    return optimal_alignment(build_sync_product(scale_cases(net, [case]),
+                                                build_log_net(log.project_case(case))))
+
+
+def test_variant_key_orders_the_case_id_against_spare_names():
+    net, log = _spare_name_fixture()
+    keys = {c: case_variant(net, log, c) for c in log.cases()}
+    assert keys["c1"] == keys["c2"] != keys["A1"]
+    alone = {c: _searched_alone(net, log, c) for c in log.cases()}
+    # the tie-break reads how the id sorts against _nu1, so renaming A1's
+    # alignment would not give c1's
+    assert _renamed(alone["A1"], log, "A1", "c1").moves != alone["c1"].moves
+    assert _renamed(alone["c1"], log, "c1", "c2").moves == alone["c2"].moves
+
+
+def test_align_cases_searches_each_variant_once(monkeypatch):
+    """Move for move the per-case searches, with one search per variant, on
+    every differential fixture, clinic n = 3..12 and the spare-name log."""
+    searches = []
+    search = approx.optimal_alignment
+
+    def counted(prod, *args, **kwargs):
+        searches.append(prod)
+        return search(prod, *args, **kwargs)
+
+    monkeypatch.setattr(approx, "optimal_alignment", counted)
+    fixtures = (_differential_fixtures()
+                + [(clinic_net(), clinic_log(n, overlap_at=n // 2)) for n in range(3, 13)]
+                + [_spare_name_fixture()])
+    reused = 0
+    for net, log in fixtures:
+        searches.clear()
+        per_case = align_cases(net, log)
+        variants = {case_variant(net, log, c) for c in log.cases()}
+        assert len(searches) == len(variants)
+        reused += len(log.cases()) - len(variants)
+        for c in log.cases():
+            assert per_case[c].moves == _searched_alone(net, log, c).moves
+    assert reused >= 100
 
 
 def test_claims_and_releases_match_oracle():

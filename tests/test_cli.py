@@ -334,7 +334,7 @@ PINNED_REPORTS = {
     ("hospital_forced_overlap", "approx"):
         "e532b269ea4ec4173da2b9d2d907c3b4794612cfae4498df21db336a35fa1f18",
     ("clinic_6_overlap_at_2", "exact"):
-        "667ef79bd244b9a63f056d2d2b9b6550889e0c2a936062110baf0ccf452d6a0b",
+        "7a7363610029398e2abba0e211d552f1bcf135d30b4f690fdd59624d284f02f7",
     ("clinic_6_overlap_at_2", "approx"):
         "69f450abd8d7a6aa725de6fe992df403329d767618fb36d478b167fd450077f6",
 }

@@ -164,6 +164,9 @@ def test_closure_matches_floyd_warshall_on_random_relations():
             continue
         outcomes["acyclic"] += 1
         assert Poset.of_rows(elements, rows).rows() == tuple(expected)
+        # predecessor masks are the closed rows' columns
+        assert Poset.of_rows(elements, rows).predecessor_rows() == tuple(
+            sum(1 << i for i in range(n) if expected[i] >> j & 1) for j in range(n))
         assert Poset(elements, pairs).rows() == tuple(expected)
         assert Poset.of_rows(elements, expected).rows() == tuple(expected)
     assert min(outcomes.values()) > 1000, outcomes
