@@ -629,6 +629,37 @@ def exhaustive_verdict(net, alignment):
     return True
 
 
+def pairwise_verdict(net, log, alignment):
+    """``is_valid_alignment`` with incomparability tested pair by pair
+    through ``Poset.incomparable`` and ``precedes``: the reference for its
+    bitmask loop, witness included."""
+    ok, why = is_valid_alignment(net, log, alignment)
+    if not ok and not why.startswith("move "):
+        return ok, why          # property 1 or the summed effects
+    moves, order = alignment.moves, alignment.order
+    use = {}
+    for i in alignment.transition_indices():
+        for p, tok, delta in align_module.move_effects(net, moves[i]):
+            entry = use.setdefault((p, tok), {}).setdefault(i, [0, 0])
+            entry[0] += max(0, -delta)
+            entry[1] += delta
+    for (p, tok), moved in use.items():
+        for t, (taken, _) in moved.items():
+            free = {s: d for s, (_, d) in moved.items() if d and order.incomparable(s, t)}
+            least = (net.initial.get(p).count(tok) + sum(min(d, 0) for d in free.values())
+                     + sum(d for s, (_, d) in moved.items() if order.precedes(s, t)))
+            if taken and least < taken:
+                supply = {c: -d for c, d in free.items() if d < 0}
+                capacity = {x: d for x, d in free.items() if d > 0}
+                arcs = {c: [x for x in capacity if order.precedes(x, c)] for c in supply}
+                least += align_module._max_flow(supply, capacity, arcs, taken - least)
+                if least < taken:
+                    return False, (
+                        f"move {t} takes {taken} of token {tok!r} on {p}, but a "
+                        f"linearization leaves only {least} available before it")
+    return True, None
+
+
 def _loosened(log, alignment, rng):
     """The alignment with a random subset of its order pairs, keeping every
     pair the log order needs, so property 1 still holds."""
@@ -699,6 +730,7 @@ def test_validity_matches_exhaustive_replay(monkeypatch):
     for net, log, al in cases:
         ok, why = is_valid_alignment(net, log, al)
         assert ok == exhaustive_verdict(net, al), why
+        assert (ok, why) == pairwise_verdict(net, log, al)
         assert ok or "available" in why or "summed effects" in why
         verdicts.append(ok)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
