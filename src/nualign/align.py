@@ -728,8 +728,9 @@ class CaseHeuristic:
     state the table explored.
 
     When the projection's preconditions fail, ``reason`` says why and h is
-    0 everywhere, which is Dijkstra.  A variant whose single-case product
-    reaches more than ``node_budget`` states contributes 0.
+    0 everywhere, which is Dijkstra.  The tables explore at most
+    ``node_budget`` states together; a variant whose single-case product
+    does not fit in what is left contributes 0.
 
     The heuristic owns the product's interned state space, which the
     search it informs shares.  A search state's entry is (h, per-case
@@ -752,13 +753,15 @@ class CaseHeuristic:
         self._moves = {}        # mode key -> (its case, events it fires)
         log = EventLog(prod.log_net.event_of.values())
         variants = {}
+        budget = node_budget    # states the tables may still explore
         for c in prod.log_case_ids if self.reason is None else ():
             rep = self.rep[c] = variants.setdefault(case_variant(prod.model, log, c), c)
             self._owned[c] = []
             if rep == c:
                 single = build_sync_product(scale_cases(prod.model, [c]),
                                             build_log_net(log.project_case(c)))
-                self.tables[c] = _cost_to_go(single, costs, node_budget)
+                table = self.tables[c] = _cost_to_go(single, costs, budget)
+                budget = 0 if table is None else budget - len(table)
         self._position = {c: k for k, c in enumerate(self.rep)}    # in an entry's tuples
 
     def value(self, marking: ColoredMarking, fired: dict):

@@ -418,6 +418,19 @@ def test_heuristic_ignores_caseless_production_tokens():
     assert optimal_alignment(prod, heuristic=heuristic).cost() == 30_001
 
 
+def test_heuristic_tables_explore_at_most_the_node_budget():
+    # every clinic case is one variant, whose single-case product has 49
+    # states; one state less and the variant contributes 0
+    prod = product_for_net(clinic_net(), clinic_log(3, overlap_at=1))
+    fits = CaseHeuristic(prod, node_budget=49)
+    short = CaseHeuristic(prod, node_budget=48)
+    assert len(fits.tables["c1"]) == 49 and short.tables == {"c1": None}
+    dijkstra = optimal_alignment(prod)
+    assert optimal_alignment(prod, heuristic=fits).settled < dijkstra.settled
+    uninformed = optimal_alignment(prod, heuristic=short)
+    assert (uninformed.moves, uninformed.settled) == (dijkstra.moves, dijkstra.settled)
+
+
 def test_heuristic_is_zero_where_the_projection_breaks():
     # ``gen`` binds no case variable: h is 0 and A* is Dijkstra, move for move
     net = RcNuNet(["p"], [], ["gen"], {"gen": "a"},
