@@ -17,6 +17,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -185,7 +186,9 @@ def cmd_dot(args) -> int:
         return EXIT_INPUT
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="nualign",
         description="Conformance checking with shared-resource awareness: "

@@ -187,7 +187,7 @@ class ColoredNet:
         self._reqs_cache = {}
 
     def arc(self, src, tgt) -> Multiset:
-        return self.flow.get((src, tgt), Multiset())
+        return self.flow.get((src, tgt), _EMPTY_MS)
 
     def input_places(self, t):
         return self._inputs[t]

@@ -3,15 +3,20 @@
 A report round-trips: loading it reconstructs the alignment (moves with
 their events, bindings and the full order closure), and re-serializing
 the reconstruction yields the identical document.
+
+The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+a newline.  ``dumps_report`` writes the closed order, by far the largest
+value, from one fixed template per pair instead of through the encoder.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .align import Alignment, CostTable, Move, move_cost
 from .eventlog import Event
-from .poset import Multiset, Poset
+from .poset import Multiset, Poset, set_bits
 from .rcnu import RcNuNet, case_of_mode
 
 SCHEMA = "nualign-report"
@@ -95,9 +100,8 @@ def build_report(alignment: Alignment, mode: str,
         "deviation_moves": deviations,
         "per_case_cost": dict(sorted(per_case.items())),
         "moves": moves,
-        "order": sorted(
-            [i, j] for i, j in alignment.order.closed_pairs()
-        ),
+        "order": [[i, j] for i, row in enumerate(alignment.order.rows())
+                  for j in set_bits(row)],
         "violations": list(violations),
         "warnings": list(warnings),
     }
@@ -146,8 +150,41 @@ def report_to_alignment(doc: dict) -> Alignment:
     return Alignment(tuple(moves), order)
 
 
+#: one order pair as ``json.dumps(indent=2)`` lays it out inside a
+#: top-level value
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+
+
+def _order_pieces(order) -> list:
+    """Pieces of ``order`` laid out as ``json.dumps(indent=2)`` lays out a
+    top-level value, for a list of two-int pairs; anything else raises
+    ReportError."""
+    if type(order) is not list:
+        raise ReportError("order must be a list of [i, j] pairs")
+    if not order:
+        return ["[]"]
+    if set(map(type, order)) != {list} or set(map(len, order)) != {2}:
+        raise ReportError("order pairs must be [i, j] lists")
+    flat = tuple(chain.from_iterable(order))
+    if set(map(type, flat)) != {int}:
+        raise ReportError("order pairs must hold two ints")
+    return ["[\n", ",\n".join([_PAIR] * len(order)) % flat, "\n  ]"]
+
+
 def dumps_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # the pieces are joined once, so the order's text is copied only once
+    parts = ["{"]
+    for key in sorted(doc):
+        parts += ["\n  " if len(parts) == 1 else ",\n  ", json.dumps(key), ": "]
+        if key == "order":
+            parts += _order_pieces(doc[key])
+        else:
+            # JSON strings escape newlines, so every raw newline starts an
+            # indented line, shifted one level under the top-level key
+            parts.append(json.dumps(doc[key], indent=2, sort_keys=True)
+                         .replace("\n", "\n  "))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def load_report(path) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 import nualign
 import nualign.approx
+import nualign.cli
 from nualign.cli import EXIT_INVALID, main
 from nualign.dot import log_to_dot, net_to_dot, report_to_dot
 from nualign.eventlog import serialize_log
@@ -31,8 +33,10 @@ from nualign.report import (
     load_report,
     ReportError,
 )
-from nualign.align import build_sync_product, optimal_alignment
+from nualign.align import Alignment, Move, build_sync_product, optimal_alignment
+from nualign.eventlog import Event
 from nualign.lognet import build_log_net
+from nualign.poset import Multiset, Poset
 from nualign.rcnu import scale_cases, validate_structure
 
 from test_eventlog import reference_order
@@ -354,3 +358,102 @@ def test_report_bytes_are_pinned(tmp_path, name, mode):
     assert main(["align", str(net_path), str(log_path), "--mode", mode,
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name, mode]
+
+
+# -- report writer against the JSON encoder ---------------------------------------
+
+def encoder_bytes(doc):
+    """The reference layout of a report: the standard library's encoder."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+DIFFERENTIAL_INPUTS = dict(PINNED_INPUTS, **{
+    f"clinic_{n}": (clinic_net, lambda n=n: clinic_log(n, overlap_at=n // 2))
+    for n in range(3, 13)
+})
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
+def test_report_writer_matches_the_encoder_on_cli_reports(tmp_path, monkeypatch, name):
+    make_net, make_log = DIFFERENTIAL_INPUTS[name]
+    net_path, log_path, out = tmp_path / "net.json", tmp_path / "log.csv", tmp_path / "r.json"
+    save_net(make_net(), net_path)
+    log_path.write_text(serialize_log(make_log()))
+    docs = []
+
+    def spy(doc):
+        docs.append(doc)
+        return dumps_report(doc)
+
+    monkeypatch.setattr(nualign.cli, "dumps_report", spy)
+    for mode in ("exact", "approx"):
+        assert main(["align", str(net_path), str(log_path), "--mode", mode,
+                     "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == encoder_bytes(docs[-1])
+    assert [doc["mode"] for doc in docs] == ["exact", "approx"]
+    assert all(doc["order"] for doc in docs)
+
+
+def _model_move(case):
+    return Move("model", transition="t", mode=(("c", case),), label=None)
+
+
+def test_report_writer_matches_the_encoder_on_small_orders():
+    two = (_model_move("c1"), _model_move("c2"))
+    for alignment in (Alignment((), Poset(())),
+                      Alignment(two[:1], Poset(range(1))),
+                      Alignment(two, Poset(range(2)))):
+        doc = build_report(alignment, "exact")
+        assert doc["order"] == []
+        assert dumps_report(doc) == encoder_bytes(doc)
+
+
+def test_report_writer_escapes_strings_like_the_encoder():
+    odd = ['caf\u00e9 "\u6d4b\u8bd5"', 'back\\slash\nnew\tline', "\U0001f600 \x00 \u2028"]
+    events = [Event(k, odd[k], float(k), odd[(k + 1) % 3], Multiset({odd[k]: 1}),
+                    ((odd[k], odd[(k + 2) % 3]),))
+              for k in range(3)]
+    alignment = Alignment.chain([Move("log", event=e) for e in events]
+                                + [Move("model", transition=odd[0], mode=(("c", odd[1]),),
+                                        label=odd[2])])
+    doc = build_report(alignment, "approx", warnings=odd,
+                       violations=[{"interval_lower": odd, odd[0]: None}])
+    assert len(doc["order"]) == 6
+    assert dumps_report(doc) == encoder_bytes(doc)
+    assert json.loads(dumps_report(doc)) == doc
+
+
+def test_report_order_lists_the_closed_pairs_in_order():
+    # random strict orders over move indices, half of them not following
+    # the index order, each listed as sorted closed pairs
+    rng = random.Random(13)
+    for trial in range(300):
+        n = rng.randrange(0, 26)
+        rank = list(range(n))
+        if trial % 2:
+            rng.shuffle(rank)
+        density = rng.choice([0.03, 0.1, 0.3])
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if rank[i] < rank[j] and rng.random() < density]
+        order = Poset(range(n), pairs)
+        doc = build_report(Alignment([_model_move("c1")] * n, order), "exact")
+        assert doc["order"] == sorted([i, j] for i, j in order.closed_pairs())
+        assert dumps_report(doc) == encoder_bytes(doc)
+
+
+@pytest.mark.parametrize("pair", [
+    [0, 1.0], [0, True], [0, "1"], [0, None], [0, 1, 2], [0], (0, 1), {0: 1, 1: 2}, 1,
+])
+def test_report_writer_rejects_pairs_that_are_not_two_ints(pair):
+    doc, _ = make_report()
+    doc["order"] = [[0, 1], pair]
+    with pytest.raises(ReportError):
+        dumps_report(doc)
+
+
+@pytest.mark.parametrize("order", [None, {}, (), "", ((0, 1),)])
+def test_report_writer_rejects_an_order_that_is_not_a_list(order):
+    doc, _ = make_report()
+    doc["order"] = order
+    with pytest.raises(ReportError):
+        dumps_report(doc)
