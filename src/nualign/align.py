@@ -47,18 +47,18 @@ from dataclasses import dataclass
 
 from .eventlog import Event, EventLog
 from .lognet import LogNet, build_log_net
-from .petri import FiringError
 from .poset import Multiset, Poset, set_bits
 from .rcnu import (
     EPS,
     ColoredMarking,
     ColoredNet,
+    FiringError,
     Nu,
     RcNuNet,
     Var,
     case_of_mode,
     enabled_modes,
-    fire_mode,
+    fire_mode,      # unused here: perfbench counts firings under this name
     firing_effect,
     scale_cases,
     token_key,
@@ -875,31 +875,9 @@ def pseudo_fire(net: RcNuNet, moves) -> PseudoMarking:
     return PseudoMarking(counts)
 
 
-def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> PseudoMarking:
-    """Pseudo-marking at an antichain: before its moves fire (pre) or after (post)."""
-    if side not in ("pre", "post"):
-        raise ValueError(f"side must be pre or post, not {side!r}")
-    g = frozenset(g)
-    if not alignment.order.is_antichain(g):
-        raise ValueError("not an antichain of the alignment")
-    prefix = alignment.order.prefix(g, closed=(side == "post"))
-    moves = [alignment.moves[i] for i in sorted(prefix.elements)]
-    return pseudo_fire(net, moves)
-
-
 # ---------------------------------------------------------------------------
 # Alignment validity
 # ---------------------------------------------------------------------------
-
-def replay(net: RcNuNet, moves) -> ColoredMarking:
-    """Fire the non-log moves in sequence from the net's initial marking."""
-    m = net.initial
-    for move in moves:
-        if move.kind == "log":
-            continue
-        m = fire_mode(net, m, move.transition, move.binding())
-    return m
-
 
 def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
     """Check the two alignment properties; returns (ok, first witness).

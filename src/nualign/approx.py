@@ -66,9 +66,8 @@ from .align import (
 from .eventlog import EventLog
 from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
-from .petri import FiringError
-from .poset import Multiset, Poset
-from .rcnu import ColoredMarking, RcNuNet, firing_effect, scale_cases
+from .poset import CycleError, Multiset, Poset
+from .rcnu import ColoredMarking, FiringError, RcNuNet, firing_effect, scale_cases
 
 REVERSAL_WEIGHT = 1000
 ADDITION_WEIGHT = 1
@@ -90,12 +89,6 @@ class ComposedAlignment:
 
     def __len__(self):
         return len(self.moves)
-
-    def case_indices(self):
-        by_case = {}
-        for i, c in enumerate(self.case_of):
-            by_case.setdefault(c, []).append(i)
-        return by_case
 
 
 def align_cases(net: RcNuNet, log: EventLog,
@@ -161,13 +154,13 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
         pairs.append((move_of_event[e1], move_of_event[e2]))
     try:
         order = Poset(range(len(moves)), pairs)
-    except Exception as exc:
+    except CycleError as exc:
         raise CompositionError(f"composed order is cyclic: {exc}") from None
     return ComposedAlignment(tuple(moves), order, tuple(case_of), dict(per_case))
 
 
 # ---------------------------------------------------------------------------
-# Violation criteria
+# The order-adjustment program
 # ---------------------------------------------------------------------------
 
 def _claims_and_releases(net: RcNuNet, move):
@@ -182,30 +175,6 @@ def _claims_and_releases(net: RcNuNet, move):
                 out[r] = out.get(r, 0) + n
     return claims, releases
 
-
-def violating_antichain(net: RcNuNet, comp: ComposedAlignment, g) -> bool:
-    """Whether the moves of antichain ``g`` jointly over-claim some instance
-    given the availability their open prefix leaves."""
-    g = frozenset(g)
-    if not comp.order.is_antichain(g):
-        raise ValueError("not an antichain of the composed alignment")
-    prefix = comp.order.prefix(g, closed=False)
-    pm = pseudo_fire(net, [comp.moves[i] for i in sorted(prefix.elements)])
-    demand = {}
-    for i in g:
-        for inst, n in _claims_and_releases(net, comp.moves[i])[0].items():
-            demand[inst] = demand.get(inst, 0) + n
-    for role in net.roles:
-        for inst, n in demand.items():
-            if net.role_of_instance(inst) == role.name:
-                if pm.value(role.available_place, (None, inst)) < n:
-                    return True
-    return False
-
-
-# ---------------------------------------------------------------------------
-# The order-adjustment program
-# ---------------------------------------------------------------------------
 
 @dataclass
 class CapacityRows:
@@ -707,13 +676,6 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
     if not groups:
         return extract_solution(comp, {}, 0)
     return solve_and_extract(net, comp, use, groups, node_budget)
-
-
-def is_violating(net: RcNuNet, comp: ComposedAlignment,
-                 node_budget: int = 2_000_000) -> bool:
-    """Composed-alignment violation, decided by the order program: some
-    reversal is unavoidable iff no permutation respects the capacities."""
-    return adjust_order(net, comp, node_budget).violating
 
 
 # ---------------------------------------------------------------------------

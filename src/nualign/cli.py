@@ -106,18 +106,18 @@ def cmd_align(args) -> int:
     try:
         costs = _parse_costs(args.costs)
         net, log = _load_inputs(args)
+        scaled = scale_cases(net, log.cases())
     except (NetFileError, LogParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    scaled = scale_cases(net, log.cases())
     try:
         if args.mode == "exact":
             prod = build_sync_product(scaled, build_log_net(log))
             alignment = optimal_alignment(
                 prod, costs, args.node_budget,
                 heuristic=CaseHeuristic(prod, costs, args.node_budget))
-            report = build_report(alignment, "exact", costs, scaled,
+            report = build_report(alignment, "exact", costs, net=scaled,
                                   warnings=prod.warnings)
         else:
             result = approximate_alignment(net, log, costs, args.node_budget,
@@ -129,7 +129,7 @@ def cmd_align(args) -> int:
             violations = [
                 violation_entry(r, result.composed) for r in result.realignments
             ]
-            report = build_report(result.alignment, "approx", costs, scaled,
+            report = build_report(result.alignment, "approx", costs, net=scaled,
                                   warnings=result.warnings, violations=violations)
     except (SearchBudgetError, IlpBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

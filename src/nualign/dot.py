@@ -10,7 +10,6 @@ purple model, yellow log moves.  Resource places are tinted per role.
 from __future__ import annotations
 
 from .eventlog import EventLog
-from .petri import LabeledNet
 from .poset import Poset
 from .rcnu import EPS, Nu, RcNuNet, Var
 
@@ -67,11 +66,7 @@ def net_to_dot(net) -> str:
         else:
             lines.append(f"  {_quote(t)} [shape=box label={_quote(label)}];")
     for (src, tgt) in sorted(net.flow, key=lambda k: (str(k[0]), str(k[1]))):
-        value = net.flow[(src, tgt)]
-        if isinstance(net, LabeledNet):
-            label = "" if value == 1 else str(value)
-        else:
-            label = _inscriptions(value)
+        label = _inscriptions(net.flow[(src, tgt)])
         attr = f" [label={_quote(label)}]" if label else ""
         lines.append(f"  {_quote(src)} -> {_quote(tgt)}{attr};")
     lines.append("}")

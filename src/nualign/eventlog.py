@@ -100,9 +100,6 @@ class EventLog:
         """The case's events in trace order (chronology + input position)."""
         return list(self._traces.get(case, ()))
 
-    def activities(self):
-        return sorted({e.activity for e in self.events})
-
     def precedes(self, e1, e2):
         """Strict precedence under the chronology rule."""
         if e1.case == e2.case:

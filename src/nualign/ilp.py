@@ -72,35 +72,12 @@ class BinaryProgram:
     preferred: dict = field(default_factory=dict)   # var -> value to try first
     lazy_rows: object = None   # callable(assignment) -> [Constraint] violated
     branch_order: list = None  # optional static variable order for branching
-    cap: Constraint = None     # row whose bound solve() raises until feasible;
-                               # an objective level, so check_feasible ignores it
+    cap: Constraint = None     # row whose bound solve() raises until feasible
 
     def objective_value(self, assignment):
         return self.constant + sum(
             c * assignment[v] for v, c in self.objective.items()
         )
-
-
-def check_feasible(program: BinaryProgram, assignment):
-    """Verify fixings, every materialized row, and the lazy family.
-
-    Returns (True, None) or (False, label of the first violated row).
-    """
-    if len(assignment) != program.n_vars:
-        return False, f"assignment length {len(assignment)} != {program.n_vars}"
-    if any(v not in (0, 1) for v in assignment):
-        return False, "assignment is not 0/1"
-    for var, value in sorted(program.fixings.items()):
-        if assignment[var] != value:
-            return False, f"fixing x{var}={value}"
-    for row in program.constraints:
-        if not row.holds(assignment):
-            return False, row.label or f"row {row.coeffs}"
-    if program.lazy_rows is not None:
-        violated = program.lazy_rows(assignment)
-        if violated:
-            return False, violated[0].label or "lazy row"
-    return True, None
 
 
 class _Engine:

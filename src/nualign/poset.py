@@ -8,8 +8,8 @@ two structures in this module:
   ``<=`` order.
 - ``Poset``: a finite set of elements with a strict (irreflexive, acyclic)
   precedence relation, plus the operations needed by the alignment engine:
-  covering pairs, antichains, intervals, prefixes, restriction and
-  linearizations.
+  covering pairs, antichains, intervals between antichains and
+  restriction.
 
 Posets assign each element a stable integer index at construction and
 hold the order only as its reachability rows, one int bitmask per element,
@@ -24,10 +24,6 @@ from itertools import combinations
 
 class CycleError(ValueError):
     """Raised when a relation that must be acyclic contains a cycle."""
-
-
-class SizeLimitError(RuntimeError):
-    """Raised when an enumeration would exceed its configured size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +58,6 @@ class Multiset:
             for x in items:
                 counts[x] = counts.get(x, 0) + 1
         self._counts = counts
-
-    @classmethod
-    def of(cls, *elems):
-        return cls(elems)
 
     def count(self, x):
         return self._counts.get(x, 0)
@@ -140,30 +132,12 @@ class Multiset:
                 out[x] = m
         return Multiset(out)
 
-    def scale(self, k):
-        if k < 0:
-            raise ValueError("negative scale")
-        return Multiset({x: n * k for x, n in self._counts.items()})
-
     def __repr__(self):
         inner = ", ".join(
             (f"{n}*{x!r}" if n > 1 else repr(x))
             for x, n in sorted(self._counts.items(), key=lambda kv: repr(kv[0]))
         )
         return f"[{inner}]"
-
-
-def combine(a: Multiset, b: Multiset, kind: str) -> Multiset:
-    """Elementwise combination: ``sum``, clamped ``diff``, ``join`` or ``meet``."""
-    if kind == "sum":
-        return a + b
-    if kind == "diff":
-        return a - b
-    if kind == "join":
-        return a | b
-    if kind == "meet":
-        return a & b
-    raise ValueError(f"unknown combination kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +151,6 @@ def set_bits(mask):
         yield low.bit_length() - 1
         mask ^= low
 
-
-#: Sentinels accepted by interval/prefix operations as artificial extremes.
-BOTTOM = object()
-TOP = object()
-
-MAX_ANTICHAIN_ELEMENTS = 25
-MAX_LINEARIZATIONS = 500_000
 
 
 def _close(rows):
@@ -345,43 +312,7 @@ class Poset:
             x for i, x in enumerate(self._elements) if not self._rows[i]
         )
 
-    def maximal_antichains(self, limit=MAX_ANTICHAIN_ELEMENTS):
-        """All maximal antichains, as frozensets.
-
-        Maximal antichains are exactly the maximal cliques of the
-        incomparability graph; enumerated with Bron-Kerbosch.  Guarded by a
-        size cap: this is only ever needed at alignment/oracle scale.
-        """
-        n = len(self._elements)
-        if limit is not None and n > limit:
-            raise SizeLimitError(
-                f"maximal_antichains limited to {limit} elements, got {n}"
-            )
-        full = (1 << n) - 1
-        incomp = [full & ~(row | pred | 1 << i)
-                  for i, (row, pred) in enumerate(zip(self._rows, self.predecessor_rows()))]
-
-        out = []
-
-        def expand(r, p, x):
-            if not p and not x:
-                out.append(r)
-                return
-            pivot_pool = p | x
-            pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-            cand = p & ~incomp[pivot]
-            while cand:
-                v = (cand & -cand).bit_length() - 1
-                vbit = 1 << v
-                expand(r | vbit, p & incomp[v], x & incomp[v])
-                p &= ~vbit
-                x |= vbit
-                cand &= ~vbit
-
-        expand(0, full, 0)
-        return {frozenset(self._elements[i] for i in set_bits(mask)) for mask in out}
-
-    # -- intervals, prefixes, postfixes ---------------------------------
+    # -- intervals ---------------------------------------------------------
 
     def _check_antichain(self, a, what):
         for x in a:
@@ -390,39 +321,15 @@ class Poset:
         if not self.is_antichain(a):
             raise ValueError(f"{what} is not an antichain")
 
-    def interval(self, a, b, bounds="closed"):
-        """Subposet of elements x with a <= x <= b.
-
-        ``a`` / ``b`` are antichains, or the BOTTOM / TOP sentinels for the
-        prefix/postfix forms.  ``bounds`` removes the endpoint antichains:
-        one of ``closed``, ``open_left``, ``open_right``, ``open``.
-        """
-        if bounds not in ("closed", "open_left", "open_right", "open"):
-            raise ValueError(f"unknown bounds {bounds!r}")
-        if a is not BOTTOM:
-            self._check_antichain(a, "lower antichain")
-        if b is not TOP:
-            self._check_antichain(b, "upper antichain")
-
-        def at_or_above(x):
-            return a is BOTTOM or any(y == x or self.precedes(y, x) for y in a)
-
-        def at_or_below(x):
-            return b is TOP or any(x == y or self.precedes(x, y) for y in b)
-
-        members = [x for x in self._elements if at_or_above(x) and at_or_below(x)]
-        if bounds in ("open_left", "open") and a is not BOTTOM:
-            members = [x for x in members if x not in a]
-        if bounds in ("open_right", "open") and b is not TOP:
-            members = [x for x in members if x not in b]
+    def interval(self, a, b):
+        """Subposet of the elements x with a <= x <= b, for antichains a
+        and b."""
+        self._check_antichain(a, "lower antichain")
+        self._check_antichain(b, "upper antichain")
+        members = [x for x in self._elements
+                   if any(y == x or self.precedes(y, x) for y in a)
+                   and any(x == y or self.precedes(x, y) for y in b)]
         return self.restrict(members)
-
-    def prefix(self, a, closed=True):
-        """Everything at-or-below (closed) / strictly below (open) antichain a."""
-        return self.interval(BOTTOM, a, "closed" if closed else "open_right")
-
-    def postfix(self, a, closed=True):
-        return self.interval(a, TOP, "closed" if closed else "open_left")
 
     def restrict(self, members):
         """Subposet on ``members``, in this poset's element order: the
@@ -440,35 +347,6 @@ class Poset:
         rows = [sum((self._rows[i] >> lo & width) << start for lo, width, start in runs)
                 for i in keep]
         return Poset.of_rows([self._elements[i] for i in keep], rows)
-
-    # -- linearizations --------------------------------------------------
-
-    def linearizations(self, cap=MAX_LINEARIZATIONS):
-        """All topological orders, as tuples. Oracle use: small posets only."""
-        n = len(self._elements)
-        preds = self.predecessor_rows()
-        out = []
-
-        def backtrack(done_mask, acc):
-            if len(acc) == n:
-                out.append(tuple(self._elements[i] for i in acc))
-                if len(out) > cap:
-                    raise SizeLimitError(f"more than {cap} linearizations")
-                return
-            for i in range(n):
-                if not (done_mask >> i) & 1 and preds[i] & ~done_mask == 0:
-                    backtrack(done_mask | (1 << i), acc + [i])
-
-        backtrack(0, [])
-        return out
-
-    def is_total(self):
-        n = len(self._elements)
-        return all(
-            not self.incomparable(self._elements[i], self._elements[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
 
     def __repr__(self):
         pairs = sum(row.bit_count() for row in self._rows)

@@ -26,10 +26,16 @@ import random
 from dataclasses import dataclass, replace
 
 from .eventlog import Event, EventLog
-from .petri import TAU, FiringError, LabeledNet
-from .poset import Multiset, SizeLimitError
+from .poset import Multiset
 
 EPS = None
+
+#: The label of a silent transition.
+TAU = None
+
+
+class FiringError(RuntimeError):
+    """Attempt to fire a transition that is not enabled."""
 
 
 @dataclass(frozen=True)
@@ -259,11 +265,6 @@ class RcNuNet(ColoredNet):
                 return role.name
         return None
 
-    def uncolored(self) -> LabeledNet:
-        """Forget colors: arc multiplicity = total inscription count."""
-        flow = {k: ms.total() for k, ms in self.flow.items()}
-        return LabeledNet(self.places, self.transitions, flow, self.labels)
-
 
 def bind_pairs(pairs: Multiset, mode: dict) -> Multiset:
     """Apply a mode to an inscription multiset, yielding concrete tokens."""
@@ -377,7 +378,7 @@ def validate_structure(net: RcNuNet):
                     "restriction2", role.name, p_b,
                     f"{label} marking leaves tokens on busy place: {marking.get(p_b)!r}",
                 ))
-        expected = Multiset({(EPS, inst): n for inst, n in role.instances.items()})
+        expected = resource_marking([role]).get(p_r)
         if net.initial.get(p_r) != expected:
             out.append(Violation(
                 "capacity", role.name, p_r,
@@ -583,41 +584,6 @@ def fire_mode(net: RcNuNet, marking: ColoredMarking, t, mode) -> ColoredMarking:
     tokens = dict(marking._tokens)
     tokens.update((p, Multiset(counts)) for p, counts in changed.items())
     return ColoredMarking(tokens)
-
-
-def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):
-    """All complete firing sequences [(t, mode), ...] of length <= max_len."""
-    out = []
-    explored = 0
-
-    def walk(m, acc):
-        nonlocal explored
-        explored += 1
-        if explored > cap:
-            raise SizeLimitError(f"execution enumeration exceeded {cap} nodes")
-        if m == net.final:
-            out.append(tuple(acc))
-        if len(acc) == max_len:
-            return
-        for t in net.transitions:
-            for mode in enabled_modes(net, m, t, fresh_pool):
-                walk(fire_mode(net, m, t, mode), acc + [(t, mode)])
-
-    walk(net.initial, [])
-    return out
-
-
-def annotated_language(net: RcNuNet, max_len: int, fresh_pool=()):
-    """Visible (label, case) sequences of all complete executions."""
-    out = set()
-    for run in enumerate_executions(net, max_len, fresh_pool):
-        seq = tuple(
-            (net.labels[t], case_of_mode(net, t, mode))
-            for t, mode in run
-            if not net.is_silent(t)
-        )
-        out.add(seq)
-    return out
 
 
 # ---------------------------------------------------------------------------

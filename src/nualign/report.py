@@ -52,23 +52,17 @@ def _event_from_json(doc) -> Event:
                  doc["case"], resources, roles)
 
 
-def _move_case(net: RcNuNet | None, move: Move):
+def _move_case(net: RcNuNet, move: Move):
     if move.event is not None:
         return move.event.case
-    if net is not None and move.transition is not None:
-        try:
-            return case_of_mode(net, move.transition, move.binding())
-        except (KeyError, ValueError):
-            return None
-    for var, value in move.mode:
-        if var == "c":
-            return value
-    return None
+    try:
+        return case_of_mode(net, move.transition, move.binding())
+    except (KeyError, ValueError):
+        return None
 
 
 def build_report(alignment: Alignment, mode: str,
-                 costs: CostTable = CostTable(),
-                 net: RcNuNet | None = None,
+                 costs: CostTable = CostTable(), *, net: RcNuNet,
                  violations=(), warnings=()) -> dict:
     moves = []
     per_case = {}

@@ -1,4 +1,4 @@
-"""Built-in example nets and logs used by the test suite and CLI demos.
+"""Built-in example nets and logs used by the test suite.
 
 The operation-process net models a small surgical workflow: preparation
 (o_p) forks an assistance branch (o_a) and a surgery branch where either
@@ -14,10 +14,11 @@ is the workhorse fixture for simulation, alignment and pipeline tests.
 
 from __future__ import annotations
 
-from .eventlog import EventLog, parse_log
+from nualign.eventlog import EventLog, parse_log
+from nualign.poset import Multiset
+from nualign.rcnu import EPS, ColoredMarking, RcNuNet, Role, Var, resource_marking
+
 from .petri import LabeledNet, NetSystem
-from .poset import Multiset
-from .rcnu import EPS, ColoredMarking, RcNuNet, Role, Var, resource_marking
 
 
 def operation_net() -> LabeledNet:

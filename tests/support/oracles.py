@@ -9,9 +9,12 @@ extensions for very small inputs).
 
 from __future__ import annotations
 
-from .align import CostTable, DEFAULT_COSTS, SyncProduct, product_move_cost
-from .poset import Multiset, Poset, SizeLimitError
-from .rcnu import RcNuNet, bind_pairs, enabled_modes, fire_mode
+from nualign.align import CostTable, DEFAULT_COSTS, SyncProduct, product_move_cost
+from nualign.ilp import BinaryProgram
+from nualign.poset import Poset
+from nualign.rcnu import RcNuNet, bind_pairs, enabled_modes, fire_mode
+
+from .orders import SizeLimitError, linearizations, maximal_antichains, prefix
 
 
 def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
@@ -96,7 +99,7 @@ def is_violating_by_linearizations(net: RcNuNet, moves, order: Poset,
     linearization is itself a non-violating permutation, and any
     non-violating permutation linearizes to a safe one.
     """
-    for lin in order.linearizations(cap=cap):
+    for lin in linearizations(order, cap=cap):
         if linearization_is_resource_safe(net, [moves[i] for i in lin]):
             return False
     return True
@@ -146,27 +149,27 @@ def order_extensions(order: Poset, cap: int = 200_000):
     return posets
 
 
+def over_claims(net: RcNuNet, moves, order: Poset, g) -> bool:
+    """Whether the moves of antichain ``g`` jointly claim more of some
+    resource instance than the availability its open prefix leaves."""
+    avail = {inst: n for inst, n in net.resource_instances().items()}
+    for i in prefix(order, g, closed=False).elements:
+        claims, releases = _claims_and_releases(net, moves[i])
+        for inst, n in claims.items():
+            avail[inst] = avail.get(inst, 0) - n
+        for inst, n in releases.items():
+            avail[inst] = avail.get(inst, 0) + n
+    demand = {}
+    for i in g:
+        claims, _ = _claims_and_releases(net, moves[i])
+        for inst, n in claims.items():
+            demand[inst] = demand.get(inst, 0) + n
+    return any(avail.get(inst, 0) < n for inst, n in demand.items())
+
+
 def has_violating_maximal_antichain(net: RcNuNet, moves, order: Poset) -> bool:
-    """Whether some maximal antichain's joint claims exceed the availability
-    left by its open prefix, per resource instance."""
-    capacities = {inst: n for inst, n in net.resource_instances().items()}
-    for g in order.maximal_antichains():
-        prefix = order.prefix(g, closed=False)
-        avail = dict(capacities)
-        for i in prefix.elements:
-            claims, releases = _claims_and_releases(net, moves[i])
-            for inst, n in claims.items():
-                avail[inst] = avail.get(inst, 0) - n
-            for inst, n in releases.items():
-                avail[inst] = avail.get(inst, 0) + n
-        demand = {}
-        for i in g:
-            claims, _ = _claims_and_releases(net, moves[i])
-            for inst, n in claims.items():
-                demand[inst] = demand.get(inst, 0) + n
-        if any(avail.get(inst, 0) < n for inst, n in demand.items()):
-            return True
-    return False
+    """Whether some maximal antichain over-claims (``over_claims``)."""
+    return any(over_claims(net, moves, order, g) for g in maximal_antichains(order))
 
 
 def is_violating_by_extension_enumeration(net: RcNuNet, moves, order: Poset) -> bool:
@@ -176,3 +179,30 @@ def is_violating_by_extension_enumeration(net: RcNuNet, moves, order: Poset) -> 
         has_violating_maximal_antichain(net, moves, ext)
         for ext in order_extensions(order)
     )
+
+
+# ---------------------------------------------------------------------------
+# Order-program solutions
+# ---------------------------------------------------------------------------
+
+def check_feasible(program: BinaryProgram, assignment):
+    """Verify fixings, every materialized row, and the lazy family.  The
+    cap row is an objective level, not a row, and is not checked.
+
+    Returns (True, None) or (False, label of the first violated row).
+    """
+    if len(assignment) != program.n_vars:
+        return False, f"assignment length {len(assignment)} != {program.n_vars}"
+    if any(v not in (0, 1) for v in assignment):
+        return False, "assignment is not 0/1"
+    for var, value in sorted(program.fixings.items()):
+        if assignment[var] != value:
+            return False, f"fixing x{var}={value}"
+    for row in program.constraints:
+        if not row.holds(assignment):
+            return False, row.label or f"row {row.coeffs}"
+    if program.lazy_rows is not None:
+        violated = program.lazy_rows(assignment)
+        if violated:
+            return False, violated[0].label or "lazy row"
+    return True, None

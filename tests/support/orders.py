@@ -1,0 +1,85 @@
+"""Exhaustive enumerations over a ``Poset``: maximal antichains, prefixes
+and linearizations, each guarded by a size cap."""
+
+from __future__ import annotations
+
+from nualign.poset import Poset, set_bits
+
+MAX_ANTICHAIN_ELEMENTS = 25
+MAX_LINEARIZATIONS = 500_000
+
+
+class SizeLimitError(RuntimeError):
+    """Raised when an enumeration would exceed its configured size cap."""
+
+
+def maximal_antichains(order: Poset, limit=MAX_ANTICHAIN_ELEMENTS):
+    """All maximal antichains, as frozensets.
+
+    Maximal antichains are exactly the maximal cliques of the
+    incomparability graph; enumerated with Bron-Kerbosch.  Guarded by a
+    size cap: this is only ever needed at alignment/oracle scale.
+    """
+    elements = order.elements
+    n = len(elements)
+    if limit is not None and n > limit:
+        raise SizeLimitError(
+            f"maximal_antichains limited to {limit} elements, got {n}"
+        )
+    full = (1 << n) - 1
+    incomp = [full & ~(row | pred | 1 << i)
+              for i, (row, pred) in enumerate(zip(order.rows(), order.predecessor_rows()))]
+
+    out = []
+
+    def expand(r, p, x):
+        if not p and not x:
+            out.append(r)
+            return
+        pivot_pool = p | x
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        cand = p & ~incomp[pivot]
+        while cand:
+            v = (cand & -cand).bit_length() - 1
+            vbit = 1 << v
+            expand(r | vbit, p & incomp[v], x & incomp[v])
+            p &= ~vbit
+            x |= vbit
+            cand &= ~vbit
+
+    expand(0, full, 0)
+    return {frozenset(elements[i] for i in set_bits(mask)) for mask in out}
+
+
+def prefix(order: Poset, a, closed=True) -> Poset:
+    """Everything at-or-below (closed) / strictly below (open) antichain a."""
+    for x in a:
+        if x not in order:
+            raise ValueError(f"upper antichain contains {x!r}, not an element")
+    if not order.is_antichain(a):
+        raise ValueError("upper antichain is not an antichain")
+    return order.restrict([
+        x for x in order.elements
+        if any(x == y or order.precedes(x, y) for y in a) and (closed or x not in a)
+    ])
+
+
+def linearizations(order: Poset, cap=MAX_LINEARIZATIONS):
+    """All topological orders, as tuples. Oracle use: small posets only."""
+    elements = order.elements
+    n = len(elements)
+    preds = order.predecessor_rows()
+    out = []
+
+    def backtrack(done_mask, acc):
+        if len(acc) == n:
+            out.append(tuple(elements[i] for i in acc))
+            if len(out) > cap:
+                raise SizeLimitError(f"more than {cap} linearizations")
+            return
+        for i in range(n):
+            if not (done_mask >> i) & 1 and preds[i] & ~done_mask == 0:
+                backtrack(done_mask | (1 << i), acc + [i])
+
+    backtrack(0, [])
+    return out

@@ -13,15 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poset import Multiset, SizeLimitError
+from nualign.poset import Multiset
+from nualign.rcnu import TAU, FiringError, RcNuNet
 
-TAU = None
+from .orders import SizeLimitError
 
 DEFAULT_STATE_CAP = 10**6
-
-
-class FiringError(RuntimeError):
-    """Attempt to fire a transition that is not enabled."""
 
 
 class LabeledNet:
@@ -77,6 +74,12 @@ class NetSystem:
         self.final = final
 
 
+def uncolored(net: RcNuNet) -> LabeledNet:
+    """Forget colors: arc multiplicity = total inscription count."""
+    flow = {k: ms.total() for k, ms in net.flow.items()}
+    return LabeledNet(net.places, net.transitions, flow, net.labels)
+
+
 def enabled(net: LabeledNet, m: Multiset, t) -> bool:
     if t not in net.labels:
         raise KeyError(f"unknown transition {t!r}")
@@ -92,12 +95,6 @@ def fire(net: LabeledNet, m: Multiset, t) -> Multiset:
                     f"{t} not enabled: place {p} holds {m.count(p)} token(s), needs {n}"
                 )
     return (m - pre) + net.post(t)
-
-
-def fire_sequence(net: LabeledNet, m: Multiset, seq) -> Multiset:
-    for t in seq:
-        m = fire(net, m, t)
-    return m
 
 
 def language(sys: NetSystem, max_len: int, state_cap: int = DEFAULT_STATE_CAP):

@@ -1,0 +1,66 @@
+"""Sequential firing: every complete execution of a net up to a length,
+and the replay of an alignment's moves or of an antichain's prefix."""
+
+from __future__ import annotations
+
+from nualign.align import Alignment, PseudoMarking, pseudo_fire
+from nualign.rcnu import ColoredMarking, RcNuNet, case_of_mode, enabled_modes, fire_mode
+
+from .orders import SizeLimitError, prefix
+
+
+def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):
+    """All complete firing sequences [(t, mode), ...] of length <= max_len."""
+    out = []
+    explored = 0
+
+    def walk(m, acc):
+        nonlocal explored
+        explored += 1
+        if explored > cap:
+            raise SizeLimitError(f"execution enumeration exceeded {cap} nodes")
+        if m == net.final:
+            out.append(tuple(acc))
+        if len(acc) == max_len:
+            return
+        for t in net.transitions:
+            for mode in enabled_modes(net, m, t, fresh_pool):
+                walk(fire_mode(net, m, t, mode), acc + [(t, mode)])
+
+    walk(net.initial, [])
+    return out
+
+
+def annotated_language(net: RcNuNet, max_len: int, fresh_pool=()):
+    """Visible (label, case) sequences of all complete executions."""
+    out = set()
+    for run in enumerate_executions(net, max_len, fresh_pool):
+        seq = tuple(
+            (net.labels[t], case_of_mode(net, t, mode))
+            for t, mode in run
+            if not net.is_silent(t)
+        )
+        out.add(seq)
+    return out
+
+
+def replay(net: RcNuNet, moves) -> ColoredMarking:
+    """Fire the non-log moves in sequence from the net's initial marking."""
+    m = net.initial
+    for move in moves:
+        if move.kind == "log":
+            continue
+        m = fire_mode(net, m, move.transition, move.binding())
+    return m
+
+
+def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> PseudoMarking:
+    """Pseudo-marking at an antichain: before its moves fire (pre) or after (post)."""
+    if side not in ("pre", "post"):
+        raise ValueError(f"side must be pre or post, not {side!r}")
+    g = frozenset(g)
+    if not alignment.order.is_antichain(g):
+        raise ValueError("not an antichain of the alignment")
+    below = prefix(alignment.order, g, closed=(side == "post"))
+    moves = [alignment.moves[i] for i in sorted(below.elements)]
+    return pseudo_fire(net, moves)

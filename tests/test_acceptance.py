@@ -14,20 +14,29 @@ from nualign.align import (
     build_sync_product,
     is_valid_alignment,
     optimal_alignment,
-    replay,
 )
 from nualign.approx import (
     ComposedAlignment,
+    adjust_order,
     align_cases,
     approximate_alignment,
     build_ilp,
     compose,
-    is_violating,
     solve_and_extract,
 )
 from nualign.cli import main
 from nualign.eventlog import parse_log
-from nualign.fixtures import (
+from nualign.lognet import build_log_net
+from nualign.netfile import save_net
+from nualign.poset import Multiset
+from nualign.rcnu import (
+    DeviationConfig,
+    enabled_modes,
+    fire_mode,
+    scale_cases,
+    simulate,
+)
+from support.fixtures import (
     HOSPITAL_FORCED_OVERLAP_CSV,
     HOSPITAL_LOG_CSV,
     OPERATION_MIXED_SEQUENCE,
@@ -42,24 +51,15 @@ from nualign.fixtures import (
     operation_rcnu,
     operation_system,
 )
-from nualign.ilp import check_feasible
-from nualign.lognet import build_log_net
-from nualign.netfile import save_net
-from nualign.oracles import (
+from support.oracles import (
+    check_feasible,
     is_violating_by_linearizations,
     linearization_is_resource_safe,
     min_cost_exhaustive,
 )
-from nualign.petri import in_invariant_span, language, place_invariants
-from nualign.poset import Multiset
-from nualign.rcnu import (
-    DeviationConfig,
-    annotated_language,
-    enabled_modes,
-    fire_mode,
-    scale_cases,
-    simulate,
-)
+from support.orders import linearizations, prefix
+from support.petri import in_invariant_span, language, place_invariants, uncolored
+from support.runs import annotated_language, replay
 
 
 def _pass(number, started, message):
@@ -199,7 +199,7 @@ def test_criterion_02_durability():
                 avail = Multiset({r: n for (c, r), n in m.get(role.available_place).items()})
                 busy = Multiset({r: n for (c, r), n in m.get(role.busy_place).items()})
                 assert avail + busy == reference[role.name]
-    basis = place_invariants(net.uncolored())
+    basis = place_invariants(uncolored(net))
     for role in net.roles:
         vec = [
             1 if p in (role.available_place, role.busy_place) else 0
@@ -261,10 +261,10 @@ def test_criterion_04_violating_unfirable():
     violating = 0
     for net, comp in fixtures:
         assert len(comp) <= 8
-        if not is_violating(net, comp):
+        if not adjust_order(net, comp).violating:
             continue
         violating += 1
-        for lin in comp.order.linearizations():
+        for lin in linearizations(comp.order):
             try:
                 final = replay(net, [comp.moves[i] for i in lin])
             except Exception:
@@ -296,11 +296,10 @@ def test_criterion_05_antichain_reachability():
     checked = 0
     for net, comp in small_composed_fixtures():
         for g in all_antichains(comp.order):
-            prefix = comp.order.prefix(g, closed=False)
-            indices = sorted(prefix.elements)
+            indices = sorted(prefix(comp.order, g, closed=False).elements)
             sub = comp.order.restrict(indices)
             reachable = False
-            for lin in sub.linearizations():
+            for lin in linearizations(sub):
                 try:
                     replay(net, [comp.moves[i] for i in lin])
                     reachable = True
@@ -328,7 +327,7 @@ def test_criterion_06_violation_decision():
     t0 = time.perf_counter()
     agree_violating = agree_clean = 0
     for net, comp in small_composed_fixtures():
-        by_program = is_violating(net, comp)
+        by_program = adjust_order(net, comp).violating
         by_oracle = is_violating_by_linearizations(net, comp.moves, comp.order)
         assert by_program == by_oracle
         if by_oracle:

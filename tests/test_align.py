@@ -23,23 +23,22 @@ from nualign.align import (
     SearchBudgetError,
     SoundnessError,
     align_log,
-    antichain_marking,
     build_sync_product,
     is_valid_alignment,
     move_cost,
     optimal_alignment,
     pseudo_fire,
-    replay,
 )
 from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, EventLog, parse_log
-from nualign.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
 from nualign.lognet import build_log_net, transition_id
-from nualign.oracles import min_cost_exhaustive
-from nualign.petri import FiringError
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import (EPS, ColoredMarking, Nu, RcNuNet, Var, enabled_modes, fire_mode,
-                          scale_cases)
+from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, enabled_modes,
+                          fire_mode, scale_cases)
+from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
+from support.oracles import min_cost_exhaustive
+from support.orders import linearizations
+from support.runs import antichain_marking, replay
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
 from test_approx import _differential_fixtures
@@ -538,7 +537,7 @@ def test_antichain_marking_matches_prefix_replay():
     log = hospital_log()
     net, prod = product_for(log)
     al = optimal_alignment(prod)
-    from nualign.align import replay, PseudoMarking
+    from nualign.align import PseudoMarking
     mid = frozenset([4])
     pm = antichain_marking(net, al, mid, "pre")
     prefix_moves = [al.moves[i] for i in range(4)]
@@ -633,7 +632,7 @@ def exhaustive_verdict(net, alignment):
     """Reference for validity property 2: replay every linearization of the
     transition moves and require each to fire and end at the final marking."""
     sub = alignment.order.restrict(alignment.transition_indices())
-    for lin in sub.linearizations():
+    for lin in linearizations(sub):
         try:
             if replay(net, [alignment.moves[i] for i in lin]) != net.final:
                 return False

@@ -14,10 +14,10 @@ from nualign.align import (
     _prefix_marking,
     is_valid_alignment,
     pseudo_fire,
-    replay,
 )
 from nualign.approx import (
     ComposedAlignment,
+    CompositionError,
     IntervalRealignment,
     _claims_and_releases,
     _pseudo_to_marking,
@@ -30,12 +30,22 @@ from nualign.approx import (
     capacity_rows,
     compose,
     extract_solution,
-    is_violating,
     realign_interval,
-    violating_antichain,
 )
 from nualign.eventlog import parse_log, serialize_log
-from nualign.fixtures import (
+from nualign.ilp import (
+    Constraint,
+    IlpBudgetError,
+    InfeasibleError,
+    NodeBudget,
+    constraint,
+    solve,
+)
+from nualign.align import build_sync_product, case_variant, optimal_alignment
+from nualign.lognet import build_log_net
+from nualign.poset import Multiset, Poset
+from nualign.rcnu import EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, scale_cases
+from support.fixtures import (
     claim_release_net,
     clinic_log,
     clinic_net,
@@ -44,26 +54,16 @@ from nualign.fixtures import (
     hospital_log,
     hospital_net,
 )
-from nualign.ilp import (
-    Constraint,
-    IlpBudgetError,
-    InfeasibleError,
-    NodeBudget,
+from support.oracles import _claims_and_releases as oracle_claims_and_releases
+from support.oracles import (
     check_feasible,
-    constraint,
-    solve,
-)
-from nualign.petri import FiringError
-from nualign.oracles import _claims_and_releases as oracle_claims_and_releases
-from nualign.oracles import (
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
     min_cost_exhaustive,
+    over_claims,
 )
-from nualign.align import build_sync_product, case_variant, optimal_alignment
-from nualign.lognet import build_log_net
-from nualign.poset import Multiset, Poset
-from nualign.rcnu import EPS, ColoredMarking, Nu, RcNuNet, Var, scale_cases
+from support.orders import linearizations, maximal_antichains, prefix
+from support.runs import replay
 
 from test_acceptance import (
     block_triangular_assignment,
@@ -107,7 +107,7 @@ def test_compose_hospital_structure():
     log = hospital_log()
     comp = compose(align_cases(net, log), log)
     assert len(comp) == 10
-    by_case = comp.case_indices()
+    by_case = {c: [i for i, x in enumerate(comp.case_of) if x == c] for c in comp.case_of}
     assert sorted(by_case) == ["c1", "c2"]
     # within a case the order is the individual chain
     for c, idxs in by_case.items():
@@ -163,7 +163,7 @@ def test_compose_no_cross_order_without_chronology():
     log = parse_log("c1,i_s,1,g:g1\nc1,i_p,2,g:g1\nc2,i_s,1,g:g1\nc2,i_p,2,g:g1\n")
     net = hospital_net()
     comp = compose(align_cases(net, log), log)
-    by_case = comp.case_indices()
+    by_case = {c: [i for i, x in enumerate(comp.case_of) if x == c] for c in comp.case_of}
     for i in by_case["c1"]:
         for j in by_case["c2"]:
             sync_pair = (
@@ -175,16 +175,25 @@ def test_compose_no_cross_order_without_chronology():
                     assert comp.order.incomparable(i, j)
 
 
+def test_compose_rejects_a_case_chain_against_the_log():
+    # c1's chain fires its events in reverse, against the log's order
+    log = hospital_log()
+    per_case = align_cases(hospital_net(), log)
+    per_case["c1"] = Alignment.chain(reversed(per_case["c1"].moves))
+    with pytest.raises(CompositionError, match="cyclic"):
+        compose(per_case, log)
+
+
 # -- violation criteria ----------------------------------------------------------
 
 def test_violating_antichain_two_claims_capacity_one():
     net, comp = hand_composed(overlap_forced=False)
-    assert violating_antichain(net, comp, {0, 2})
+    assert over_claims(net, comp.moves, comp.order, {0, 2})
 
 
 def test_violating_antichain_capacity_two_covers_both():
     net, comp = hand_composed(overlap_forced=False, instances={"x": 2})
-    assert not violating_antichain(net, comp, {0, 2})
+    assert not over_claims(net, comp.moves, comp.order, {0, 2})
 
 
 def test_violating_antichain_noncontended():
@@ -192,14 +201,14 @@ def test_violating_antichain_noncontended():
     log = hospital_log()
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
-    for g in comp.order.maximal_antichains():
-        assert not violating_antichain(scaled, comp, g)
+    for g in maximal_antichains(comp.order):
+        assert not over_claims(scaled, comp.moves, comp.order, g)
 
 
 def test_is_violating_matches_oracles_hand_fixtures():
     for forced in (False, True):
         net, comp = hand_composed(overlap_forced=forced)
-        got = is_violating(net, comp)
+        got = adjust_order(net, comp).violating
         assert got == is_violating_by_linearizations(net, comp.moves, comp.order)
         assert got == is_violating_by_extension_enumeration(net, comp.moves, comp.order)
         assert got == forced
@@ -207,14 +216,14 @@ def test_is_violating_matches_oracles_hand_fixtures():
 
 def test_is_violating_capacity_two_not_violating():
     net, comp = hand_composed(overlap_forced=True, instances={"x": 2})
-    assert not is_violating(net, comp)
+    assert not adjust_order(net, comp).violating
     assert not is_violating_by_linearizations(net, comp.moves, comp.order)
 
 
 def test_violating_composition_never_fires():
     net, comp = hand_composed(overlap_forced=True)
-    assert is_violating(net, comp)
-    for lin in comp.order.linearizations():
+    assert adjust_order(net, comp).violating
+    for lin in linearizations(comp.order):
         try:
             final = replay(net, [comp.moves[i] for i in lin])
         except Exception:
@@ -449,13 +458,13 @@ def test_prefix_reachability_matches_nonviolation():
     violating (checked on both hand fixtures)."""
     for forced in (False, True):
         net, comp = hand_composed(overlap_forced=forced)
-        for g in comp.order.maximal_antichains():
-            prefix = comp.order.prefix(g, closed=False)
-            moves = [comp.moves[i] for i in sorted(prefix.elements)]
-            sub = comp.order.restrict(sorted(prefix.elements))
+        for g in maximal_antichains(comp.order):
+            below = prefix(comp.order, g, closed=False)
+            moves = [comp.moves[i] for i in sorted(below.elements)]
+            sub = comp.order.restrict(sorted(below.elements))
             target = None
             reachable = False
-            for lin in sub.linearizations():
+            for lin in linearizations(sub):
                 try:
                     target = replay(net, [comp.moves[i] for i in lin])
                     reachable = True

@@ -16,15 +16,6 @@ import nualign.cli
 from nualign.cli import EXIT_INVALID, main
 from nualign.dot import log_to_dot, net_to_dot, report_to_dot
 from nualign.eventlog import serialize_log
-from nualign.fixtures import (
-    HOSPITAL_FORCED_OVERLAP_CSV,
-    HOSPITAL_LOG_CSV,
-    clinic_log,
-    clinic_net,
-    hospital_forced_overlap_log,
-    hospital_log,
-    hospital_net,
-)
 from nualign.netfile import NetFileError, load_net, net_from_dict, net_to_dict, save_net
 from nualign.report import (
     build_report,
@@ -37,7 +28,16 @@ from nualign.align import Alignment, Move, build_sync_product, optimal_alignment
 from nualign.eventlog import Event
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import scale_cases, validate_structure
+from nualign.rcnu import ColoredMarking, RcNuNet, scale_cases, validate_structure
+from support.fixtures import (
+    HOSPITAL_FORCED_OVERLAP_CSV,
+    HOSPITAL_LOG_CSV,
+    clinic_log,
+    clinic_net,
+    hospital_forced_overlap_log,
+    hospital_log,
+    hospital_net,
+)
 
 from test_eventlog import reference_order
 
@@ -233,6 +233,21 @@ def test_cli_align_undeclared_resource(net_file, tmp_path, capsys):
     assert "not declared" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_cli_align_mismatched_case_patterns(log_file, tmp_path, capsys, mode):
+    # valid structure, but c2 starts with one more token than c1, so the
+    # cases cannot be scaled from one pattern
+    net = hospital_net(["c1", "c2"])
+    initial = net.initial | ColoredMarking({"q1": Multiset({("c2", None): 1})})
+    path = tmp_path / "mismatched.json"
+    save_net(RcNuNet(net.production_places, net.roles, net.transitions, net.labels,
+                     net.flow, initial, net.final), path)
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["align", str(path), log_file, "--mode", mode]) == 2
+    assert "error: cases have differing start patterns" in capsys.readouterr().err
+
+
 def test_cli_align_cost_scaling_error_exit(net_file, tmp_path, capsys):
     log = tmp_path / "skip.csv"
     log.write_text("c1,o_p,1,\nc1,o_sc,2,s:s1\n")
@@ -403,7 +418,7 @@ def test_report_writer_matches_the_encoder_on_small_orders():
     for alignment in (Alignment((), Poset(())),
                       Alignment(two[:1], Poset(range(1))),
                       Alignment(two, Poset(range(2)))):
-        doc = build_report(alignment, "exact")
+        doc = build_report(alignment, "exact", net=hospital_net())
         assert doc["order"] == []
         assert dumps_report(doc) == encoder_bytes(doc)
 
@@ -416,7 +431,7 @@ def test_report_writer_escapes_strings_like_the_encoder():
     alignment = Alignment.chain([Move("log", event=e) for e in events]
                                 + [Move("model", transition=odd[0], mode=(("c", odd[1]),),
                                         label=odd[2])])
-    doc = build_report(alignment, "approx", warnings=odd,
+    doc = build_report(alignment, "approx", net=hospital_net(), warnings=odd,
                        violations=[{"interval_lower": odd, odd[0]: None}])
     assert len(doc["order"]) == 6
     assert dumps_report(doc) == encoder_bytes(doc)
@@ -436,7 +451,8 @@ def test_report_order_lists_the_closed_pairs_in_order():
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if rank[i] < rank[j] and rng.random() < density]
         order = Poset(range(n), pairs)
-        doc = build_report(Alignment([_model_move("c1")] * n, order), "exact")
+        doc = build_report(Alignment([_model_move("c1")] * n, order), "exact",
+                           net=hospital_net())
         assert doc["order"] == sorted([i, j] for i, j in order.closed_pairs())
         assert dumps_report(doc) == encoder_bytes(doc)
 

@@ -12,9 +12,9 @@ from nualign.eventlog import (
     parse_log,
     serialize_log,
 )
-from nualign.fixtures import clinic_log
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
+from support.fixtures import clinic_log
 
 
 def ev(index, activity, t, case, res=None, roles=()):

@@ -11,10 +11,10 @@ from nualign.ilp import (
     Constraint,
     IlpBudgetError,
     InfeasibleError,
-    check_feasible,
     constraint,
     solve,
 )
+from support.oracles import check_feasible
 
 
 def brute_force(program):

@@ -3,10 +3,12 @@
 import random
 
 from nualign.eventlog import Event, EventLog, parse_log
-from nualign.fixtures import hospital_log
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset
-from nualign.rcnu import EPS, enumerate_executions
+from nualign.rcnu import EPS
+from support.fixtures import hospital_log
+from support.orders import linearizations
+from support.runs import enumerate_executions
 
 from test_eventlog import reference_order
 
@@ -61,7 +63,7 @@ def test_executions_are_linearizations_two_cases():
     ])
     net = build_log_net(log)
     got = executions_as_events(net, len(log))
-    assert got == set(reference_order(log.events).linearizations())
+    assert got == set(linearizations(reference_order(log.events)))
 
 
 def test_executions_are_linearizations_random():
@@ -76,7 +78,7 @@ def test_executions_are_linearizations_random():
         log = EventLog(events)
         net = build_log_net(log)
         got = executions_as_events(net, n)
-        assert got == set(reference_order(log.events).linearizations())
+        assert got == set(linearizations(reference_order(log.events)))
 
 
 def test_every_transition_fires_exactly_once():

@@ -5,25 +5,25 @@ from fractions import Fraction
 
 import pytest
 
-from nualign.fixtures import (
+from nualign.poset import Multiset
+from nualign.rcnu import FiringError
+from support.fixtures import (
     OPERATION_MIXED_SEQUENCE,
     OPERATION_SINGLE_CASE_LANGUAGE,
     operation_net,
     operation_system,
 )
-from nualign.petri import (
-    FiringError,
+from support.orders import SizeLimitError
+from support.petri import (
     LabeledNet,
     NetSystem,
     enabled,
     fire,
-    fire_sequence,
     in_invariant_span,
     invariant_value,
     language,
     place_invariants,
 )
-from nualign.poset import Multiset, SizeLimitError
 
 
 def chain_net():
@@ -62,11 +62,6 @@ def test_fire():
 def test_fire_self_loop_preserves_marking():
     net = LabeledNet(["p"], ["t"], {("p", "t"): 1, ("t", "p"): 1}, {"t": "a"})
     assert fire(net, Multiset(["p"]), "t") == Multiset(["p"])
-
-
-def test_fire_sequence():
-    net = chain_net()
-    assert fire_sequence(net, Multiset(["p0"]), ["t1", "t2"]) == Multiset(["p2"])
 
 
 def test_fire_not_enabled_names_place():

@@ -4,29 +4,19 @@ import random
 
 import pytest
 
-from nualign.fixtures import (
-    OPERATION_MIXED_SEQUENCE,
-    OPERATION_SINGLE_CASE_LANGUAGE,
-    claim_release_net,
-    hospital_log,
-    hospital_net,
-    operation_rcnu,
-)
-from nualign.petri import FiringError, place_invariants, in_invariant_span
 from nualign.poset import Multiset
 from nualign.rcnu import (
     EPS,
     ColoredMarking,
     DeviationConfig,
+    FiringError,
     Nu,
     RcNuNet,
     Role,
     Var,
-    annotated_language,
     bind_pairs,
     case_of_mode,
     enabled_modes,
-    enumerate_executions,
     fire_mode,
     involved_resources,
     resource_marking,
@@ -35,6 +25,16 @@ from nualign.rcnu import (
     undeclared_log_resources,
     validate_structure,
 )
+from support.fixtures import (
+    OPERATION_MIXED_SEQUENCE,
+    OPERATION_SINGLE_CASE_LANGUAGE,
+    claim_release_net,
+    hospital_log,
+    hospital_net,
+    operation_rcnu,
+)
+from support.petri import in_invariant_span, place_invariants, uncolored
+from support.runs import annotated_language
 
 
 # -- validation ---------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_durability_along_random_walks():
 
 def test_uncolored_projection_has_role_invariants():
     net = hospital_net()
-    plain = net.uncolored()
+    plain = uncolored(net)
     basis = place_invariants(plain)
     for role in net.roles:
         vec = [

@@ -53,21 +53,49 @@ def test_readme_cli_section_matches_parser():
 
 
 def test_orders_pass_through_rows_not_closed_pairs():
-    # an order is its reachability rows: only the poset itself and the
-    # brute-force oracles list its closed pairs (the report writes the
-    # closed order straight from the rows), and the stored relation and its
-    # closure/reduction methods stay gone
+    # an order is its reachability rows: only the poset itself lists its
+    # closed pairs (the report writes the closed order straight from the
+    # rows), and the stored relation and its closure/reduction methods stay
+    # gone
     calls = []
     gone = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        if path.name not in ("poset.py", "oracles.py"):
+        if path.name != "poset.py":
             calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Call)
                       and isinstance(node.func, ast.Attribute)
                       and node.func.attr == "closed_pairs"]
         gone += [f"{path.name}: {name}" for name in re.findall(
             r"\b(?:transitive_closure|transitive_reduction|is_closed|_succ_raw)\b", text)]
-    assert not calls, f"closed_pairs() calls outside poset and oracles: {calls}"
+    assert not calls, f"closed_pairs() calls outside poset: {calls}"
     assert not gone, f"removed order representations named in the package: {gone}"
+
+
+#: public entry points that no module of the package calls
+ENTRY_POINTS = {"cli.main", "report.load_report", "report.report_to_alignment"}
+
+
+def _used_names(node):
+    """Names read inside ``node``: plain names and attribute names."""
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
+def test_package_holds_no_test_only_code():
+    # every module-level function and class runs in the package, is
+    # exported, or is an entry point: reference code lives in tests/support
+    uses = {}
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in _used_names(tree):
+            uses[name] = uses.get(name, 0) + 1
+        defined += [(path.stem, node) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unused = [f"{module}.{node.name}" for module, node in defined
+              if uses.get(node.name, 0) == _used_names(node).count(node.name)
+              and node.name not in nualign.__all__
+              and f"{module}.{node.name}" not in ENTRY_POINTS]
+    assert not unused, f"package code that only tests use: {unused}"
