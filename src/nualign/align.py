@@ -838,15 +838,6 @@ class PseudoMarking:
     def items(self):
         return self._counts.items()
 
-    def is_nonnegative(self):
-        return all(v >= 0 for v in self._counts.values())
-
-    def negatives(self):
-        return sorted(
-            ((p, tok, v) for (p, tok), v in self._counts.items() if v < 0),
-            key=lambda x: (str(x[0]), str(x[1])),
-        )
-
     def __eq__(self, other):
         return isinstance(other, PseudoMarking) and self._counts == other._counts
 

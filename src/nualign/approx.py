@@ -3,8 +3,8 @@
 Pipeline: align each case in isolation, union the per-case alignments
 under the log's chronology, then let a 0/1 program adjust the cross-case
 order so every resource capacity is respected.  Reversed order pairs mark
-regions that cannot merely be rescheduled; each such region becomes an
-interval that is re-aligned locally and substituted back.  The local
+regions that cannot merely be rescheduled; each such region, a convex set
+of moves, is re-aligned locally and substituted back.  The local
 search is exact between the region's boundary markings, projected onto the
 region's own cases: other cases' production tokens are dropped, every
 resource token stays (see ``realign_interval``).  The result is always a
@@ -66,7 +66,7 @@ from .align import (
 from .eventlog import EventLog
 from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
-from .poset import CycleError, Multiset, Poset
+from .poset import CycleError, Multiset, Poset, set_bits
 from .rcnu import ColoredMarking, FiringError, RcNuNet, firing_effect, scale_cases
 
 REVERSAL_WEIGHT = 1000
@@ -453,8 +453,7 @@ class OrderSolution:
     reversals: list          # (i, j) pairs newly ordered i before j, reversing j<i
     additions: list          # (i, j) pairs newly ordered with no prior relation
     x_order: Poset           # the adjusted order over move indices
-    intervals: list          # (A, B) antichain pairs under the adjusted order
-    regions: list            # per interval, the sorted move indices it spans
+    regions: list            # per realignment region, its sorted move indices
     free_cases: tuple        # sorted ids of the cases whose pairs were variables
     widenings: int           # widening steps before every lifted order held
 
@@ -570,7 +569,18 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
                      free_cases=(), widenings=0) -> OrderSolution:
     """Reversals, additions and realignment regions of an adjusted order:
     R with the composed pairs of ``changes`` (``(i, j) -> 0/1``, each
-    differing from R) set to their value."""
+    differing from R) set to their value.
+
+    Each reversal ``(i, j)`` disturbs the stretch of R from ``j`` to ``i``.
+    The disturbed moves fall into the weakly connected components of
+    comparability in the adjusted order, and each component ``C`` gives the
+    region ``(C | up(C)) & (C | down(C))``, its convex hull: the moves
+    above some member or in ``C``, and below some member or in ``C``.
+    That is the interval from ``C``'s minimal to its maximal members, since
+    every member lies above some minimal member and below some maximal
+    one.  Regions come in the order of their components' smallest moves,
+    each a sorted list of move indices.
+    """
     n = len(comp.moves)
     R = comp.order.precedes
     reversals = []
@@ -584,48 +594,42 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
             f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
             f"the two terms"
         )
-    rows = list(comp.order.rows())
+    R_rows = comp.order.rows()
+    rows = list(R_rows)
     for (i, j), value in changes.items():
         rows[i] = (rows[i] & ~(1 << j)) | (value << j)
     x_order = Poset.of_rows(range(n), rows)
 
-    # elements disturbed by reversals: the original-order stretch j..i
-    disturbed = set()
+    disturbed = 0
     for i, j in reversals:
-        disturbed.update((i, j))
-        disturbed.update(k for k in range(n) if R(j, k) and R(k, i))
+        disturbed |= 1 << i | 1 << j
+        disturbed |= sum(1 << k for k in set_bits(R_rows[j]) if R_rows[k] >> i & 1)
 
-    intervals = []
     regions = []
     if disturbed:
-        # weakly connected components under comparability in the new order
-        remaining = sorted(disturbed)
-        seen = set()
-        for seed in remaining:
-            if seed in seen:
-                continue
-            component = {seed}
-            frontier = [seed]
+        above, below = x_order.rows(), x_order.predecessor_rows()
+        covered = 0
+        while disturbed:
+            component = frontier = disturbed & -disturbed
             while frontier:
-                x = frontier.pop()
-                for y in remaining:
-                    if y not in component and (
-                        x_order.precedes(x, y) or x_order.precedes(y, x)
-                    ):
-                        component.add(y)
-                        frontier.append(y)
-            seen |= component
-            sub = x_order.restrict(sorted(component))
-            a, b = sub.minimum(), sub.maximum()
-            region = x_order.interval(a, b)
-            intervals.append((a, b))
-            regions.append(sorted(region.elements))
-    # regions are pairwise disjoint: overlap would merge the components
-    flat = [i for region in regions for i in region]
-    if len(flat) != len(set(flat)):
-        raise SoundnessError("interval regions overlap")
+                reach = 0
+                for x in set_bits(frontier):
+                    reach |= above[x] | below[x]
+                frontier = reach & disturbed & ~component
+                component |= frontier
+            disturbed &= ~component
+            up = down = 0
+            for x in set_bits(component):
+                up |= above[x]
+                down |= below[x]
+            hull = (component | up) & (component | down)
+            # regions are pairwise disjoint: overlap would merge the components
+            if hull & covered:
+                raise SoundnessError("interval regions overlap")
+            covered |= hull
+            regions.append(list(set_bits(hull)))
     return OrderSolution(changes, objective, reversals, additions,
-                         x_order, intervals, regions, free_cases, widenings)
+                         x_order, regions, free_cases, widenings)
 
 
 def adjust_order(net: RcNuNet, comp: ComposedAlignment,
@@ -693,8 +697,7 @@ def _pseudo_to_marking(pm: PseudoMarking) -> ColoredMarking:
 
 @dataclass
 class IntervalRealignment:
-    bounds: tuple            # (A, B) antichains of composed-move indices
-    region: tuple            # composed-move indices replaced
+    region: tuple            # composed-move indices replaced, sorted
     alignment: Alignment     # the substitute
     fallback: bool           # True when the split construction was used
 
@@ -742,16 +745,17 @@ def _without_cases(net: RcNuNet, marking: ColoredMarking, cases) -> ColoredMarki
 
 
 def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
-                     a, b, log: EventLog,
+                     region, log: EventLog,
                      costs: CostTable = DEFAULT_COSTS,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> IntervalRealignment:
-    """Optimal alignment of the interval's events between its boundary
-    markings; falls back to the sync-splitting construction when the local
-    search cannot connect them.
+    """Optimal alignment of the events of ``region`` (sorted composed-move
+    indices, convex in ``x_order``) between its boundary markings; falls
+    back to the sync-splitting construction when the local search cannot
+    connect them.
 
     The pre-marking fires every outside move ordered before *any* region
-    member, not just the lower antichain's prefix: the region's lower bound
-    need not be a full cut, and a lateral predecessor left out of the
+    member, not just the prefix of the region's minimal members: those
+    need not form a full cut, and a lateral predecessor left out of the
     boundary marking would be re-derived inside the realignment and then
     fire twice in the substituted alignment.  (The substitution orders
     exactly those moves before the block, so the boundary is consistent.)
@@ -773,11 +777,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
       kept, plus one spare, and the resource identifiers stay in the
       marking.
     """
-    region = sorted(x_order.interval(a, b).elements)
-    region_set = set(region)
+    region = tuple(region)
     region_mask = sum(1 << m for m in region)
-    pre_set = [x for x, row in enumerate(x_order.rows())
-               if x not in region_set and row & region_mask]
+    pre = [x for x, row in enumerate(x_order.rows())
+           if row & region_mask and not region_mask >> x & 1]
     events = sorted(
         (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
         key=lambda e: e.index,
@@ -785,11 +788,9 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     sub_log = log.restrict(events)
     idle = set(comp.case_of).difference(comp.case_of[i] for i in region)
     try:
-        m_a = _pseudo_to_marking(pseudo_fire(
-            net, [comp.moves[i] for i in sorted(pre_set)]
-        ))
+        m_a = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
         m_b = _pseudo_to_marking(pseudo_fire(
-            net, [comp.moves[i] for i in sorted(pre_set) + region]
+            net, [comp.moves[i] for i in (*pre, *region)]
         ))
         sub_net = build_log_net(sub_log)
         prod = build_sync_product(net, sub_net)
@@ -798,10 +799,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
         goal = (_prefix_marking(_without_cases(net, m_b, idle), "m::")
                 | _prefix_marking(sub_net.final, "l::"))
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
-        return IntervalRealignment((a, b), tuple(region), alignment, False)
+        return IntervalRealignment(region, alignment, False)
     except (SearchBudgetError, FiringError):
         alignment = _split_fallback(comp, x_order, region, sub_log)
-        return IntervalRealignment((a, b), tuple(region), alignment, True)
+        return IntervalRealignment(region, alignment, True)
 
 
 def _substitute(comp: ComposedAlignment, x_order: Poset,
@@ -860,14 +861,14 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
     comp = compose(per_case, log)
     sol = adjust_order(scaled, comp, ilp_budget)
 
-    if not sol.intervals:
+    if not sol.regions:
         gamma = Alignment(comp.moves, sol.x_order)
         realignments = []
     else:
         realignments = [
-            realign_interval(scaled, comp, sol.x_order, a, b, log, costs,
+            realign_interval(scaled, comp, sol.x_order, region, log, costs,
                              node_budget)
-            for a, b in sol.intervals
+            for region in sol.regions
         ]
         gamma = _substitute(comp, sol.x_order, realignments)
 

@@ -20,8 +20,10 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .align import (
+    DEFAULT_COSTS,
     CaseHeuristic,
     CostTable,
     SearchBudgetError,
@@ -52,7 +54,9 @@ EXIT_INVALID = 4
 
 
 def _parse_costs(text: str) -> CostTable:
-    values = {"sync": 0, "tau": 1, "visible": 10_000}
+    """The default costs with the ``kind=n`` entries of ``text`` applied;
+    a negative entry would break the searches' nonnegative edge costs."""
+    values = asdict(DEFAULT_COSTS)
     if text:
         for part in text.split(","):
             if "=" not in part:
@@ -62,6 +66,8 @@ def _parse_costs(text: str) -> CostTable:
             if key not in values:
                 raise ValueError(f"unknown cost kind {key!r}")
             values[key] = int(raw)
+            if values[key] < 0:
+                raise ValueError(f"negative cost entry {part!r}")
     return CostTable(**values)
 
 
@@ -127,7 +133,8 @@ def cmd_align(args) -> int:
                       f"{result.witness}", file=sys.stderr)
                 return EXIT_INVALID
             violations = [
-                violation_entry(r, result.composed) for r in result.realignments
+                violation_entry(r, result.composed, result.solution.x_order, costs)
+                for r in result.realignments
             ]
             report = build_report(result.alignment, "approx", costs, net=scaled,
                                   warnings=result.warnings, violations=violations)

@@ -50,12 +50,6 @@ class Constraint:
     bound: int
     label: str = ""
 
-    def lhs(self, assignment):
-        return sum(c * assignment[v] for v, c in self.coeffs)
-
-    def holds(self, assignment):
-        return self.lhs(assignment) <= self.bound
-
 
 def constraint(coeffs: dict, bound: int, label: str = "") -> Constraint:
     items = tuple(sorted((v, int(c)) for v, c in coeffs.items() if c))

@@ -8,8 +8,7 @@ two structures in this module:
   ``<=`` order.
 - ``Poset``: a finite set of elements with a strict (irreflexive, acyclic)
   precedence relation, plus the operations needed by the alignment engine:
-  covering pairs, antichains, intervals between antichains and
-  restriction.
+  covering pairs, predecessor rows and restriction.
 
 Posets assign each element a stable integer index at construction and
 hold the order only as its reachability rows, one int bitmask per element,
@@ -18,8 +17,6 @@ order, so results are deterministic.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 
 class CycleError(ValueError):
@@ -246,11 +243,6 @@ class Poset:
         element i precedes element j."""
         return self._rows
 
-    def closed_pairs(self):
-        elements = self._elements
-        return [(elements[i], elements[j])
-                for i, row in enumerate(self._rows) for j in set_bits(row)]
-
     def _covers(self):
         """Per element, the mask of the elements it covers: i covers j
         when no successor of i precedes j."""
@@ -276,9 +268,6 @@ class Poset:
         """Strict precedence."""
         return bool(self._rows[self._index[x]] & (1 << self._index[y]))
 
-    def incomparable(self, x, y):
-        return x != y and not self.precedes(x, y) and not self.precedes(y, x)
-
     def predecessor_rows(self):
         """Per element, index-ordered, the mask of its predecessors: bit i
         of entry j is set iff element i precedes element j.  The covering
@@ -288,48 +277,6 @@ class Poset:
             for j in set_bits(cover):
                 reverse[j] |= 1 << i
         return _close(reverse)
-
-    # -- antichains ----------------------------------------------------
-
-    def is_antichain(self, members):
-        members = list(members)
-        for x, y in combinations(members, 2):
-            if not self.incomparable(x, y):
-                return False
-        return True
-
-    def minimum(self):
-        """Elements with no predecessor (a maximal antichain)."""
-        preceded = 0
-        for row in self._rows:
-            preceded |= row
-        return frozenset(x for i, x in enumerate(self._elements)
-                         if not preceded & (1 << i))
-
-    def maximum(self):
-        """Elements with no successor (a maximal antichain)."""
-        return frozenset(
-            x for i, x in enumerate(self._elements) if not self._rows[i]
-        )
-
-    # -- intervals ---------------------------------------------------------
-
-    def _check_antichain(self, a, what):
-        for x in a:
-            if x not in self._index:
-                raise ValueError(f"{what} contains {x!r}, not an element")
-        if not self.is_antichain(a):
-            raise ValueError(f"{what} is not an antichain")
-
-    def interval(self, a, b):
-        """Subposet of the elements x with a <= x <= b, for antichains a
-        and b."""
-        self._check_antichain(a, "lower antichain")
-        self._check_antichain(b, "upper antichain")
-        members = [x for x in self._elements
-                   if any(y == x or self.precedes(y, x) for y in a)
-                   and any(x == y or self.precedes(x, y) for y in b)]
-        return self.restrict(members)
 
     def restrict(self, members):
         """Subposet on ``members``, in this poset's element order: the

@@ -475,7 +475,8 @@ def enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
 
     ``fresh_pool`` supplies candidate identifiers for fresh variables
     (filtered against the marking).  ``forced`` pre-binds variables, which
-    is how synchronous-product transitions pin observed identifiers.
+    is how synchronous-product transitions pin observed identifiers: forced
+    names are bound as given, a fresh one with no freshness check.
     Component injectivity: distinct case variables bind distinct case ids,
     same for resource variables.
     """
@@ -545,11 +546,7 @@ def enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
                 results.add(tuple(sorted(b.items())))
                 return
             name = missing[k]
-            if name in forced:
-                candidates = [forced[name]]
-            else:
-                candidates = sorted(set(fresh_pool))
-            for cand in candidates:
+            for cand in sorted(set(fresh_pool)):
                 if cand in marking_ids or cand in b.values():
                     continue
                 nb = dict(b)
@@ -558,15 +555,9 @@ def enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
 
         assign_fresh(0, binding)
 
-    # forced bindings participate from the start
-    start = dict(forced)
-    backtrack(0, start, {})
-
-    modes = [dict(items) for items in sorted(results)]
-    # a forced binding must actually be honored (e.g. forced case id matches)
-    return [
-        m for m in modes if all(m.get(k) == v for k, v in forced.items())
-    ]
+    # forced bindings participate from the start and are never rebound
+    backtrack(0, forced, {})
+    return [dict(items) for items in sorted(results)]
 
 
 def fire_mode(net: RcNuNet, marking: ColoredMarking, t, mode) -> ColoredMarking:

@@ -10,11 +10,17 @@ extensions for very small inputs).
 from __future__ import annotations
 
 from nualign.align import CostTable, DEFAULT_COSTS, SyncProduct, product_move_cost
-from nualign.ilp import BinaryProgram
+from nualign.ilp import BinaryProgram, Constraint
 from nualign.poset import Poset
 from nualign.rcnu import RcNuNet, bind_pairs, enabled_modes, fire_mode
 
-from .orders import SizeLimitError, linearizations, maximal_antichains, prefix
+from .orders import (
+    SizeLimitError,
+    closed_pairs,
+    linearizations,
+    maximal_antichains,
+    prefix,
+)
 
 
 def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
@@ -113,7 +119,7 @@ def order_extensions(order: Poset, cap: int = 200_000):
     """
     elems = list(order.elements)
     n = len(elems)
-    base = {(order.index(a), order.index(b)) for a, b in order.closed_pairs()}
+    base = {(order.index(a), order.index(b)) for a, b in closed_pairs(order)}
     undecided = [
         (i, j) for i in range(n) for j in range(i + 1, n)
         if (i, j) not in base and (j, i) not in base
@@ -185,6 +191,12 @@ def is_violating_by_extension_enumeration(net: RcNuNet, moves, order: Poset) -> 
 # Order-program solutions
 # ---------------------------------------------------------------------------
 
+def row_holds(row: Constraint, assignment) -> bool:
+    """Whether ``assignment`` satisfies ``row``: its left side, the sum of
+    coefficient times value, is at most its bound."""
+    return sum(c * assignment[v] for v, c in row.coeffs) <= row.bound
+
+
 def check_feasible(program: BinaryProgram, assignment):
     """Verify fixings, every materialized row, and the lazy family.  The
     cap row is an objective level, not a row, and is not checked.
@@ -199,7 +211,7 @@ def check_feasible(program: BinaryProgram, assignment):
         if assignment[var] != value:
             return False, f"fixing x{var}={value}"
     for row in program.constraints:
-        if not row.holds(assignment):
+        if not row_holds(row, assignment):
             return False, row.label or f"row {row.coeffs}"
     if program.lazy_rows is not None:
         violated = program.lazy_rows(assignment)

@@ -1,7 +1,11 @@
-"""Exhaustive enumerations over a ``Poset``: maximal antichains, prefixes
-and linearizations, each guarded by a size cap."""
+"""Queries and exhaustive enumerations over a ``Poset``: closed pairs,
+incomparability, antichains, minimal and maximal elements and intervals,
+plus maximal antichains, prefixes and linearizations, each enumeration
+guarded by a size cap."""
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from nualign.poset import Poset, set_bits
 
@@ -11,6 +15,53 @@ MAX_LINEARIZATIONS = 500_000
 
 class SizeLimitError(RuntimeError):
     """Raised when an enumeration would exceed its configured size cap."""
+
+
+def closed_pairs(order: Poset) -> list:
+    """Every pair ``(x, y)`` with x before y, in row order."""
+    elements = order.elements
+    return [(elements[i], elements[j])
+            for i, row in enumerate(order.rows()) for j in set_bits(row)]
+
+
+def incomparable(order: Poset, x, y) -> bool:
+    return x != y and not order.precedes(x, y) and not order.precedes(y, x)
+
+
+def is_antichain(order: Poset, members) -> bool:
+    return all(incomparable(order, x, y) for x, y in combinations(list(members), 2))
+
+
+def minimal(order: Poset) -> frozenset:
+    """Elements with no predecessor (a maximal antichain)."""
+    preceded = 0
+    for row in order.rows():
+        preceded |= row
+    return frozenset(x for i, x in enumerate(order.elements) if not preceded >> i & 1)
+
+
+def maximal(order: Poset) -> frozenset:
+    """Elements with no successor (a maximal antichain)."""
+    return frozenset(x for x, row in zip(order.elements, order.rows()) if not row)
+
+
+def _check_antichain(order: Poset, a, what):
+    for x in a:
+        if x not in order:
+            raise ValueError(f"{what} contains {x!r}, not an element")
+    if not is_antichain(order, a):
+        raise ValueError(f"{what} is not an antichain")
+
+
+def interval(order: Poset, a, b) -> Poset:
+    """Subposet of the elements x with a <= x <= b, for antichains a and b."""
+    _check_antichain(order, a, "lower antichain")
+    _check_antichain(order, b, "upper antichain")
+    return order.restrict([
+        x for x in order.elements
+        if any(y == x or order.precedes(y, x) for y in a)
+        and any(x == y or order.precedes(x, y) for y in b)
+    ])
 
 
 def maximal_antichains(order: Poset, limit=MAX_ANTICHAIN_ELEMENTS):
@@ -53,11 +104,7 @@ def maximal_antichains(order: Poset, limit=MAX_ANTICHAIN_ELEMENTS):
 
 def prefix(order: Poset, a, closed=True) -> Poset:
     """Everything at-or-below (closed) / strictly below (open) antichain a."""
-    for x in a:
-        if x not in order:
-            raise ValueError(f"upper antichain contains {x!r}, not an element")
-    if not order.is_antichain(a):
-        raise ValueError("upper antichain is not an antichain")
+    _check_antichain(order, a, "upper antichain")
     return order.restrict([
         x for x in order.elements
         if any(x == y or order.precedes(x, y) for y in a) and (closed or x not in a)

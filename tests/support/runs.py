@@ -6,7 +6,7 @@ from __future__ import annotations
 from nualign.align import Alignment, PseudoMarking, pseudo_fire
 from nualign.rcnu import ColoredMarking, RcNuNet, case_of_mode, enabled_modes, fire_mode
 
-from .orders import SizeLimitError, prefix
+from .orders import SizeLimitError, is_antichain, prefix
 
 
 def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):
@@ -59,7 +59,7 @@ def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> Pseu
     if side not in ("pre", "post"):
         raise ValueError(f"side must be pre or post, not {side!r}")
     g = frozenset(g)
-    if not alignment.order.is_antichain(g):
+    if not is_antichain(alignment.order, g):
         raise ValueError("not an antichain of the alignment")
     below = prefix(alignment.order, g, closed=(side == "post"))
     moves = [alignment.moves[i] for i in sorted(below.elements)]

@@ -57,7 +57,7 @@ from support.oracles import (
     linearization_is_resource_safe,
     min_cost_exhaustive,
 )
-from support.orders import linearizations, prefix
+from support.orders import is_antichain, linearizations, prefix
 from support.petri import in_invariant_span, language, place_invariants, uncolored
 from support.runs import annotated_language, replay
 
@@ -287,7 +287,7 @@ def all_antichains(order):
     elems = list(order.elements)
     for r in range(1, len(elems) + 1):
         for combo in combinations(elems, r):
-            if order.is_antichain(combo):
+            if is_antichain(order, combo):
                 yield frozenset(combo)
 
 

@@ -37,7 +37,7 @@ from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, en
                           fire_mode, scale_cases)
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
 from support.oracles import min_cost_exhaustive
-from support.orders import linearizations
+from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import antichain_marking, replay
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
@@ -500,8 +500,7 @@ def test_pseudo_fire_release_before_claim_goes_negative():
     release = Move("model", transition="i_p", mode=(("c", "c1"), ("w", "g1")), label="i_p")
     pm = pseudo_fire(net, [release])
     assert pm.value("p_g_busy", ("c1", "g1")) == -1
-    assert not pm.is_nonnegative()
-    assert ("p_g_busy", ("c1", "g1"), -1) in pm.negatives()
+    assert (("p_g_busy", ("c1", "g1")), -1) in pm.items()
 
 
 @pytest.mark.parametrize("cases", [["c1"], ["c1", "c2"], ["c1", "c2", "c3"]])
@@ -527,8 +526,8 @@ def test_antichain_marking_boundaries():
     net, prod = product_for(log)
     al = optimal_alignment(prod)
     from nualign.align import PseudoMarking
-    first = al.order.minimum()
-    last = al.order.maximum()
+    first = minimal(al.order)
+    last = maximal(al.order)
     assert antichain_marking(net, al, first, "pre") == PseudoMarking.from_marking(net.initial)
     assert antichain_marking(net, al, last, "post") == PseudoMarking.from_marking(net.final)
 
@@ -579,7 +578,7 @@ def test_validity_rejects_claim_before_availability():
     # the two intakes can now interleave claims on the single GP
     moves = al.moves
     keep = [
-        (i, j) for i, j in al.order.closed_pairs()
+        (i, j) for i, j in closed_pairs(al.order)
         if not (
             moves[i].label == "i_p" and moves[j].label == "i_s"
             and moves[i].event.case != moves[j].event.case
@@ -620,9 +619,9 @@ def test_validity_rejects_dropped_log_order_pair():
         (i, k) for k in range(len(comp.moves))
         if comp.order.precedes(i, k) and comp.order.precedes(k, j)
     }
-    kept = [p for p in comp.order.closed_pairs() if p not in dropped]
+    kept = [p for p in closed_pairs(comp.order) if p not in dropped]
     order = Poset(range(len(comp.moves)), kept)
-    assert order.closed_pairs() == kept and not order.precedes(i, j)
+    assert closed_pairs(order) == kept and not order.precedes(i, j)
     ok, why = is_valid_alignment(net, log, Alignment(comp.moves, order))
     assert not ok
     assert why.startswith(f"log order {e1!r} < ") and why.endswith("not preserved")
@@ -657,7 +656,7 @@ def pairwise_verdict(net, log, alignment):
             entry[1] += delta
     for (p, tok), moved in use.items():
         for t, (taken, _) in moved.items():
-            free = {s: d for s, (_, d) in moved.items() if d and order.incomparable(s, t)}
+            free = {s: d for s, (_, d) in moved.items() if d and incomparable(order, s, t)}
             least = (net.initial.get(p).count(tok) + sum(min(d, 0) for d in free.values())
                      + sum(d for s, (_, d) in moved.items() if order.precedes(s, t)))
             if taken and least < taken:
@@ -678,7 +677,7 @@ def _loosened(log, alignment, rng):
     keep_p = rng.random()
     event = {i: m.event for i, m in enumerate(alignment.moves) if m.kind != "model"}
     pairs = [
-        (i, j) for i, j in alignment.order.closed_pairs()
+        (i, j) for i, j in closed_pairs(alignment.order)
         if (i in event and j in event and log.precedes(event[i], event[j]))
         or rng.random() < keep_p
     ]
@@ -705,7 +704,7 @@ def test_validity_accepts_concurrent_self_loops(n):
     net, log, al = _concurrent_self_loops(n)
     assert len(al.transition_indices()) == 3 * n
     sc = [i for i, m in enumerate(al.moves) if m.label == "o_sc"]
-    assert all(al.order.incomparable(a, b) for a in sc for b in sc if a != b)
+    assert all(incomparable(al.order, a, b) for a in sc for b in sc if a != b)
     assert is_valid_alignment(net, log, al) == (True, None)
     assert exhaustive_verdict(net, al)
 

@@ -16,6 +16,7 @@ from nualign.align import (
     pseudo_fire,
 )
 from nualign.approx import (
+    REVERSAL_WEIGHT,
     ComposedAlignment,
     CompositionError,
     IntervalRealignment,
@@ -41,9 +42,10 @@ from nualign.ilp import (
     constraint,
     solve,
 )
-from nualign.align import build_sync_product, case_variant, optimal_alignment
+from nualign.align import DEFAULT_COSTS, build_sync_product, case_variant, optimal_alignment
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
+from nualign.report import violation_entry
 from nualign.rcnu import EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, scale_cases
 from support.fixtures import (
     claim_release_net,
@@ -61,8 +63,18 @@ from support.oracles import (
     is_violating_by_linearizations,
     min_cost_exhaustive,
     over_claims,
+    row_holds,
 )
-from support.orders import linearizations, maximal_antichains, prefix
+from support.orders import (
+    closed_pairs,
+    incomparable,
+    interval,
+    linearizations,
+    maximal,
+    maximal_antichains,
+    minimal,
+    prefix,
+)
 from support.runs import replay
 
 from test_acceptance import (
@@ -99,7 +111,7 @@ def test_compose_single_case_unchanged():
     per_case = align_cases(net, log)
     comp = compose(per_case, log)
     assert len(comp) == len(per_case["c1"].moves)
-    assert set(comp.order.closed_pairs()) == set(per_case["c1"].order.closed_pairs())
+    assert set(closed_pairs(comp.order)) == set(closed_pairs(per_case["c1"].order))
 
 
 def test_compose_hospital_structure():
@@ -129,8 +141,8 @@ def _assert_cases_keep_their_moves_and_order(per_case, comp):
         block = range(base, base + m)
         assert [comp.moves[base + i] for i in range(m)] == list(alignment.moves)
         assert {comp.case_of[k] for k in block} == {c}
-        assert set(comp.order.restrict(block).closed_pairs()) == {
-            (base + i, base + j) for i, j in alignment.order.closed_pairs()}
+        assert set(closed_pairs(comp.order.restrict(block))) == {
+            (base + i, base + j) for i, j in closed_pairs(alignment.order)}
         base += m
     assert base == len(comp.moves)
 
@@ -153,7 +165,7 @@ def test_compose_keeps_a_case_order_that_is_not_a_chain():
     per_case["c1"] = Alignment((release, claim, extra), Poset(range(3), [(1, 0)]))
     comp = compose(per_case, log)
     _assert_cases_keep_their_moves_and_order(per_case, comp)
-    assert comp.order.incomparable(0, 2) and comp.order.incomparable(1, 2)
+    assert incomparable(comp.order, 0, 2) and incomparable(comp.order, 1, 2)
     # the log order still reaches c2 from both of c1's events
     assert comp.order.precedes(0, 3) and comp.order.precedes(1, 3)
 
@@ -172,7 +184,7 @@ def test_compose_no_cross_order_without_chronology():
             if sync_pair:
                 e1, e2 = comp.moves[i].event, comp.moves[j].event
                 if e1.timestamp == e2.timestamp:
-                    assert comp.order.incomparable(i, j)
+                    assert incomparable(comp.order, i, j)
 
 
 def test_compose_rejects_a_case_chain_against_the_log():
@@ -275,8 +287,8 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
 
             X = [int(before(i, j)) for i in range(full.n) for j in range(full.n)]
             for site, row in zip(use.sites, dense):
-                assert use.fits(comp, site, before) == row.holds(X)
-                verdicts.append(row.holds(X))
+                assert use.fits(comp, site, before) == row_holds(row, X)
+                verdicts.append(row_holds(row, X))
             orders += 1
     assert orders > len(_differential_fixtures()) + 50
     assert verdicts.count(False) > 50 and verdicts.count(True) > 300
@@ -327,7 +339,7 @@ def test_solution_nonviolating_zero_cost():
     comp = compose(align_cases(net, log), log)
     sol = _full_program_solution(scale_cases(net, log.cases()), comp)
     assert sol.objective == 0
-    assert not sol.violating and sol.intervals == []
+    assert not sol.violating and sol.regions == []
 
 
 def test_solution_concurrent_contention_added_pairs_only():
@@ -339,7 +351,7 @@ def test_solution_concurrent_contention_added_pairs_only():
     sol = _full_program_solution(scaled, comp)
     assert not sol.violating
     assert sol.additions, "serializing the claims needs added pairs"
-    assert sol.intervals == []
+    assert sol.regions == []
 
 
 def test_solution_forced_overlap_reversal_and_interval():
@@ -350,7 +362,7 @@ def test_solution_forced_overlap_reversal_and_interval():
     assert is_violating_by_linearizations(scaled, comp.moves, comp.order)
     sol = _full_program_solution(scaled, comp)
     assert sol.violating
-    assert len(sol.intervals) >= 1
+    assert len(sol.regions) >= 1
     # the region covers the reversed claim/release pair
     labels = {
         (comp.moves[i].label, comp.case_of[i])
@@ -367,8 +379,7 @@ def test_realign_interval_forced_overlap_pays_one_split():
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
     sol = _full_program_solution(scaled, comp)
-    (a, b) = sol.intervals[0]
-    re = realign_interval(scaled, comp, sol.x_order, a, b, log)
+    re = realign_interval(scaled, comp, sol.x_order, sol.regions[0], log)
     assert not re.fallback
     assert re.alignment.cost() == 10_000 * 2
     kinds = sorted(m.kind for m in re.alignment.moves)
@@ -477,10 +488,10 @@ def test_prefix_reachability_matches_nonviolation():
             assert reachable == not_violating
 
 
-def _unprojected_realignment(net, comp, x_order, a, b, log, node_budget):
+def _unprojected_realignment(net, comp, x_order, region, log, node_budget):
     """The region's search from the full boundary markings, every case's
     tokens included: the reference for the case-projected search."""
-    region = sorted(x_order.interval(a, b).elements)
+    region = list(region)
     pre = sorted(
         x for x in x_order.elements
         if x not in region and any(x_order.precedes(x, m) for m in region)
@@ -596,13 +607,13 @@ def test_projected_realignment_matches_full_marking_search():
             regions += 1
             try:
                 full = _unprojected_realignment(scaled, result.composed, x_order,
-                                                *re.bounds, log, budget)
+                                                re.region, log, budget)
             except (SearchBudgetError, FiringError):
                 reference.append(re)
                 continue
             assert not re.fallback
             assert re.alignment.cost() == full.cost()
-            reference.append(IntervalRealignment(re.bounds, re.region, full, False))
+            reference.append(IntervalRealignment(re.region, full, False))
             compared += 1
         if reference:
             gamma = _substitute(result.composed, x_order, reference)
@@ -666,7 +677,7 @@ def _all_triples_reference(inst, node_budget):
 
 def _solution_fields(sol):
     return (sol.changes, sol.objective, sol.reversals, sol.additions,
-            sol.intervals, sol.regions)
+            sol.regions)
 
 
 def _slow_adjust_order(net, comp, node_budget=2_000_000):
@@ -710,8 +721,8 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         assert result.valid == slow.valid
         assert result.cost() == slow.cost()
         assert result.alignment.moves == slow.alignment.moves
-        assert (set(result.alignment.order.closed_pairs())
-                == set(slow.alignment.order.closed_pairs()))
+        assert (set(closed_pairs(result.alignment.order))
+                == set(closed_pairs(slow.alignment.order)))
         if len(log) <= 10:
             prod = build_sync_product(scaled, build_log_net(log))
             try:
@@ -869,7 +880,7 @@ def test_order_budget_spans_every_widening_step():
 def _x_order_from_pairs(comp, sol):
     """Reference adjusted order: R's closed pairs the changes keep, plus the
     reversals and additions, closed."""
-    kept = [p for p in comp.order.closed_pairs() if sol.changes.get(p, 1)]
+    kept = [p for p in closed_pairs(comp.order) if sol.changes.get(p, 1)]
     return Poset(range(len(comp.moves)), kept + sol.reversals + sol.additions)
 
 
@@ -890,10 +901,10 @@ def _substitute_from_pairs(comp, x_order, realignments):
     for r in realignments:
         blocks.append((len(moves), range(len(moves), len(moves) + len(r.alignment.moves))))
         moves.extend(r.alignment.moves)
-    pairs = [(new_index[i], new_index[j]) for i, j in x_order.closed_pairs()
+    pairs = [(new_index[i], new_index[j]) for i, j in closed_pairs(x_order)
              if i in new_index and j in new_index]
     for r, (base, members) in zip(realignments, blocks):
-        pairs.extend((base + i, base + j) for i, j in r.alignment.order.closed_pairs())
+        pairs.extend((base + i, base + j) for i, j in closed_pairs(r.alignment.order))
         for i in remainder:
             if any(x_order.precedes(i, k) for k in r.region):
                 pairs.extend((new_index[i], m) for m in members)
@@ -918,15 +929,15 @@ def test_derived_orders_match_their_pair_list_constructions():
         if not sol.changes:
             continue
         changed += 1
-        assert (sol.x_order.closed_pairs()
-                == _x_order_from_pairs(comp, sol).closed_pairs())
+        assert (closed_pairs(sol.x_order)
+                == closed_pairs(_x_order_from_pairs(comp, sol)))
         if result.realignments:
             substituted += 1
             fallbacks += any(r.fallback for r in result.realignments)
             reference = _substitute_from_pairs(comp, sol.x_order, result.realignments)
             assert result.alignment.moves == reference.moves
-            assert (result.alignment.order.closed_pairs()
-                    == reference.order.closed_pairs())
+            assert (closed_pairs(result.alignment.order)
+                    == closed_pairs(reference.order))
     assert changed >= 20 and substituted >= 10 and fallbacks >= 1, (
         changed, substituted, fallbacks)
 
@@ -936,15 +947,93 @@ def test_substitute_with_an_empty_realignment_keeps_the_remainder_order():
     net = scale_cases(hospital_net(), log.cases())
     comp = compose(align_cases(hospital_net(), log), log)
     sol = adjust_order(net, comp)
-    (a, b), = sol.intervals
     (region,) = sol.regions
-    empty = IntervalRealignment((a, b), tuple(region), Alignment((), Poset(())), False)
+    empty = IntervalRealignment(tuple(region), Alignment((), Poset(())), False)
     got = _substitute(comp, sol.x_order, [empty])
     reference = _substitute_from_pairs(comp, sol.x_order, [empty])
     assert got.moves == reference.moves
     assert len(got.moves) == len(comp.moves) - len(region)
-    assert got.order.closed_pairs() == reference.order.closed_pairs()
+    assert closed_pairs(got.order) == closed_pairs(reference.order)
     remainder = [i for i in range(len(comp.moves)) if i not in region]
-    assert got.order.closed_pairs() == [
+    assert closed_pairs(got.order) == [
         (p, q) for p, i in enumerate(remainder) for q, j in enumerate(remainder)
         if sol.x_order.precedes(i, j)]
+
+
+# -- regions against the antichain-interval walk --------------------------------
+
+def _walk_regions(comp, sol):
+    """Reference regions: the disturbed stretches' weakly connected
+    components under comparability in the adjusted order, walked pair by
+    pair, each giving the interval from its minimal to its maximal members.
+    Returns (region, minimal members, maximal members) per component."""
+    n = len(comp.moves)
+    R, x_order = comp.order.precedes, sol.x_order
+    disturbed = set()
+    for i, j in sol.reversals:
+        disturbed.update((i, j))
+        disturbed.update(k for k in range(n) if R(j, k) and R(k, i))
+    remaining = sorted(disturbed)
+    seen = set()
+    out = []
+    for seed in remaining:
+        if seed in seen:
+            continue
+        component = {seed}
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            for y in remaining:
+                if y not in component and (x_order.precedes(x, y)
+                                           or x_order.precedes(y, x)):
+                    component.add(y)
+                    frontier.append(y)
+        seen |= component
+        sub = x_order.restrict(sorted(component))
+        a, b = minimal(sub), maximal(sub)
+        out.append((sorted(interval(x_order, a, b).elements), a, b))
+    return out
+
+
+def test_regions_match_the_antichain_interval_walk():
+    """Every region is the interval of the old component walk, in the same
+    order, and the report's bounds are that interval's antichains: on the
+    differential fixtures, the hand fixtures, two clinic overlaps, and the
+    hand moves with both claims reversed past both releases, whose bounds
+    have two members each."""
+    runs = []
+    for net, log in _differential_fixtures():
+        comp = compose(align_cases(net, log, node_budget=20_000), log)
+        runs.append((comp, adjust_order(scale_cases(net, log.cases()), comp)))
+    for forced in (False, True):
+        for instances in (None, {"x": 2}):
+            net, comp = hand_composed(forced, instances)
+            runs.append((comp, adjust_order(net, comp)))
+    log = _clinic_two_overlaps(12, 3, 8)
+    comp = compose(align_cases(clinic_net(), log, node_budget=10_000), log)
+    runs.append((comp, adjust_order(scale_cases(clinic_net(), log.cases()), comp)))
+    _, hand = hand_composed(False)
+    crossed = replace(hand, order=Poset(range(4), [(1, 0), (1, 2), (3, 0), (3, 2)]))
+    changes = {pair: value for i in (0, 2) for j in (1, 3)
+               for pair, value in (((i, j), 1), ((j, i), 0))}
+    runs.append((crossed, extract_solution(crossed, changes, 4 * REVERSAL_WEIGHT)))
+
+    def describe(comp, members):
+        return [{"kind": comp.moves[i].kind, "activity": comp.moves[i].label,
+                 "case": comp.case_of[i]} for i in sorted(members)]
+
+    regions = []
+    bounds = []
+    for comp, sol in runs:
+        walked = _walk_regions(comp, sol)
+        assert sol.regions == [region for region, _, _ in walked]
+        for region, a, b in walked:
+            entry = violation_entry(
+                IntervalRealignment(tuple(region), Alignment((), Poset(())), False),
+                comp, sol.x_order, DEFAULT_COSTS)
+            assert entry["interval_lower"] == describe(comp, a)
+            assert entry["interval_upper"] == describe(comp, b)
+            regions.append(len(region))
+            bounds.append((len(a), len(b)))
+    assert len(regions) >= 20 and max(regions) == 32, regions
+    assert bounds[-1] == (2, 2)

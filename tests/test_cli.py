@@ -38,6 +38,7 @@ from support.fixtures import (
     hospital_log,
     hospital_net,
 )
+from support.orders import closed_pairs
 
 from test_eventlog import reference_order
 
@@ -263,6 +264,40 @@ def test_cli_align_custom_costs(net_file, log_file, tmp_path):
     assert load_report(out)["costs"] == {"sync": 0, "tau": 5, "visible": 777}
 
 
+def _clinic_overlap_inputs(tmp_path):
+    net_path, log_path = tmp_path / "clinic.json", tmp_path / "overlap.csv"
+    save_net(clinic_net(), net_path)
+    log_path.write_text(serialize_log(clinic_log(6, overlap_at=2)))
+    return str(net_path), str(log_path)
+
+
+def test_cli_align_realignment_cost_uses_the_run_costs(tmp_path):
+    # the one realigned region holds both visible moves of the overlap, so
+    # its cost is the total under the run's costs, not the default ones
+    net_path, log_path = _clinic_overlap_inputs(tmp_path)
+    totals = []
+    for visible in (10_000, 5_000):
+        out = tmp_path / f"report_{visible}.json"
+        assert main(["align", net_path, log_path, "--mode", "approx",
+                     "--costs", f"visible={visible}", "--out", str(out)]) == 0
+        doc = load_report(out)
+        (entry,) = doc["violations"]
+        assert entry["realignment_cost"] == doc["total_cost"] == 2 * visible
+        totals.append(doc["total_cost"])
+    assert totals == [20_000, 10_000]
+
+
+@pytest.mark.parametrize("entry", ["tau=-1", "sync=-5", "visible=-3"])
+def test_cli_align_rejects_a_negative_cost(tmp_path, capsys, entry):
+    # negative costs break the nonnegative edge costs the searches need
+    net_path, log_path = _clinic_overlap_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["align", net_path, log_path, "--mode", "approx",
+                 "--costs", entry, "--out", str(out)]) == 2
+    assert f"error: negative cost entry {entry!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_simulate_roundtrip(net_file, tmp_path):
     out = tmp_path / "sim.csv"
     assert main(["simulate", net_file, "--cases", "2", "--seed", "42",
@@ -453,7 +488,7 @@ def test_report_order_lists_the_closed_pairs_in_order():
         order = Poset(range(n), pairs)
         doc = build_report(Alignment([_model_move("c1")] * n, order), "exact",
                            net=hospital_net())
-        assert doc["order"] == sorted([i, j] for i, j in order.closed_pairs())
+        assert doc["order"] == sorted([i, j] for i, j in closed_pairs(order))
         assert dumps_report(doc) == encoder_bytes(doc)
 
 

@@ -15,6 +15,7 @@ from nualign.eventlog import (
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
 from support.fixtures import clinic_log
+from support.orders import maximal, minimal
 
 
 def ev(index, activity, t, case, res=None, roles=()):
@@ -51,8 +52,8 @@ def assert_matches_reference(log, ref):
     )
     entered = {b for _, b in covering}
     left = {a for a, _ in covering}
-    assert {e for e in log.events if e not in entered} == ref.minimum()
-    assert {e for e in log.events if e not in left} == ref.maximum()
+    assert {e for e in log.events if e not in entered} == minimal(ref)
+    assert {e for e in log.events if e not in left} == maximal(ref)
 
 
 # -- the chronology rule ----------------------------------------------------

@@ -14,7 +14,7 @@ from nualign.ilp import (
     constraint,
     solve,
 )
-from support.oracles import check_feasible
+from support.oracles import check_feasible, row_holds
 
 
 def brute_force(program):
@@ -220,7 +220,7 @@ def test_random_instances_with_lazy_rows_match_enumeration():
         preferred = {v: rng.randrange(2) for v in range(n)}
 
         def lazy(assignment, hidden=hidden):
-            return [row for row in hidden if not row.holds(assignment)]
+            return [row for row in hidden if not row_holds(row, assignment)]
 
         program = BinaryProgram(
             n, objective=objective, constraints=eager, fixings=fixings,

@@ -52,29 +52,47 @@ def test_readme_cli_section_matches_parser():
     assert not stale, f"README's CLI section names options no subcommand has: {stale}"
 
 
+#: order queries the package no longer has: the closed-pair listing, the
+#: antichain and interval queries, and a region's antichain bounds
+REMOVED_ORDER_API = {"closed_pairs", "is_antichain", "_check_antichain", "incomparable",
+                     "minimum", "maximum", "interval", "intervals", "bounds"}
+
+
+def _defined_or_read(node):
+    """The name a method or field definition defines, or an attribute
+    read reads; None for any other node."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
 def test_orders_pass_through_rows_not_closed_pairs():
-    # an order is its reachability rows: only the poset itself lists its
-    # closed pairs (the report writes the closed order straight from the
-    # rows), and the stored relation and its closure/reduction methods stay
-    # gone
-    calls = []
+    # an order is its reachability rows and a realignment region one set
+    # of moves: the package neither defines nor reads the removed order
+    # queries (the closed-pair listing lives in tests/support/orders.py),
+    # and the stored relation and its closure/reduction methods stay gone
+    named = []
     gone = []
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        if path.name != "poset.py":
-            calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                      if isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "closed_pairs"]
+        named += [f"{path.name}:{node.lineno} {_defined_or_read(node)}"
+                  for node in ast.walk(tree) if _defined_or_read(node) in REMOVED_ORDER_API]
         gone += [f"{path.name}: {name}" for name in re.findall(
             r"\b(?:transitive_closure|transitive_reduction|is_closed|_succ_raw)\b", text)]
-    assert not calls, f"closed_pairs() calls outside poset: {calls}"
+    assert not named, f"removed order queries in the package: {named}"
     assert not gone, f"removed order representations named in the package: {gone}"
 
 
 #: public entry points that no module of the package calls
-ENTRY_POINTS = {"cli.main", "report.load_report", "report.report_to_alignment"}
+ENTRY_POINTS = {
+    "cli.main", "report.load_report", "report.report_to_alignment",
+    "approx.OrderSolution.violating",       # the paper's violation decision
+}
 
 
 def _used_names(node):
@@ -84,18 +102,25 @@ def _used_names(node):
 
 
 def test_package_holds_no_test_only_code():
-    # every module-level function and class runs in the package, is
-    # exported, or is an entry point: reference code lives in tests/support
+    # every module-level function and class, and every method of a class
+    # but the dunders, runs in the package, is exported, or is an entry
+    # point: reference code lives in tests/support
     uses = {}
     defined = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for name in _used_names(tree):
             uses[name] = uses.get(name, 0) + 1
-        defined += [(path.stem, node) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unused = [f"{module}.{node.name}" for module, node in defined
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{node.name}", node))
+            if isinstance(node, ast.ClassDef):
+                defined += [(f"{path.stem}.{node.name}.{method.name}", method)
+                            for method in node.body
+                            if isinstance(method, ast.FunctionDef)
+                            and not method.name.startswith("__")]
+    unused = [qualified for qualified, node in defined
               if uses.get(node.name, 0) == _used_names(node).count(node.name)
               and node.name not in nualign.__all__
-              and f"{module}.{node.name}" not in ENTRY_POINTS]
+              and qualified not in ENTRY_POINTS]
     assert not unused, f"package code that only tests use: {unused}"
