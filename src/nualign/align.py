@@ -764,12 +764,6 @@ class CaseHeuristic:
                 budget = 0 if table is None else budget - len(table)
         self._position = {c: k for k, c in enumerate(self.rep)}    # in an entry's tuples
 
-    def value(self, marking: ColoredMarking, fired: dict):
-        """h at a marking of the product, given each case's number of fired
-        events (absent: none); INF when some case cannot finish alone."""
-        state = self.space.encode(marking)
-        return sum(self._term(c, state, fired.get(c, 0)) for c in self.rep)
-
     def _term(self, case, state, fired):
         pairs = self.space.pairs
         for i in range(self._classified, len(pairs)):
@@ -831,9 +825,6 @@ class PseudoMarking:
             for tok, n in marking.get(p).items():
                 counts[(p, tok)] = n
         return cls(counts)
-
-    def value(self, place, token) -> int:
-        return self._counts.get((place, token), 0)
 
     def items(self):
         return self._counts.items()

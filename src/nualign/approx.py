@@ -23,7 +23,10 @@ satisfies the full capacity rows and stays a partial order is the full
 optimum; one that does not widens its group by the cases the failing rows
 name, at most up to all cases (see ``adjust_order``).
 
-The program over the order matrix X of a group's moves:
+Every order is read as reachability rows (bit j of row i: move i before
+move j): R's, a group's (R's restricted to its moves) and a changed one
+(R's with the changed bits written in).  The program over the 0/1 order
+variables X_ij of a group's moves:
 
 - same-case entries are fixed to R: individual alignments are preserved;
 - removing a pair forces the reverse pair (reversal, objective weight
@@ -130,8 +133,8 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
 
     Move ``i`` of case ``c`` gets composed index ``base + i``, where
     ``base`` counts the moves of the cases before ``c``, and keeps its
-    case's order.  The log's covering pairs, restricted to the
-    event-carrying moves, order those moves across cases.
+    case's order, its rows shifted by ``base``.  Each covering pair of the
+    log, restricted to the event-carrying moves, sets one bit across cases.
     """
     if set(per_case) != set(log.cases()):
         raise CompositionError(
@@ -139,21 +142,21 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
         )
     moves = []
     case_of = []
-    pairs = []
+    rows = []
     for c in sorted(per_case):
         alignment = per_case[c]
         base = len(moves)
         moves.extend(alignment.moves)
         case_of.extend([c] * len(alignment.moves))
-        pairs.extend((base + i, base + j) for i, j in alignment.order.covering_pairs())
+        rows.extend(row << base for row in alignment.order.rows())
     move_of_event = {}
     for idx, mv in enumerate(moves):
         if mv.kind != "model":
             move_of_event[mv.event] = idx
     for e1, e2 in log.restrict(move_of_event).covering_pairs():
-        pairs.append((move_of_event[e1], move_of_event[e2]))
+        rows[move_of_event[e1]] |= 1 << move_of_event[e2]
     try:
-        order = Poset(range(len(moves)), pairs)
+        order = Poset.of_rows(range(len(moves)), rows)
     except CycleError as exc:
         raise CompositionError(f"composed order is cyclic: {exc}") from None
     return ComposedAlignment(tuple(moves), order, tuple(case_of), dict(per_case))
@@ -183,8 +186,9 @@ class CapacityRows:
 
     Computed once per ``adjust_order`` and shared by the fits check, the
     contending-case finder, every program built and the lift check.  A
-    row is read under an order ``before(i, j)``: R itself
-    (``comp.order.precedes``), or R with a program's changed pairs.
+    row is read under an order's rows, bit j of ``rows[i]`` set iff move i
+    is before move j: R's own (``comp.order.rows()``), or R's with a
+    program's changed pairs written in (``_with_changes``, not closed).
     """
 
     instances: tuple        # resource instance ids, fixed order
@@ -194,42 +198,44 @@ class CapacityRows:
     sites: list             # per capacity row, (its move, its instance's index)
     users: list             # per instance index, the moves that claim or release it
 
-    def net_claims(self, comp: ComposedAlignment, site, before) -> dict:
-        """Per case, its net claim in the row at ``site`` under ``before``:
+    def net_claims(self, comp: ComposedAlignment, site, rows) -> dict:
+        """Per case, its net claim in the row at ``site`` under ``rows``:
         the claims of its moves not ordered after the row's move, minus the
         releases ordered strictly before it.  The row's own move is left
         out, and a case whose terms cancel is absent."""
         i, k = site
+        after = rows[i]
         C_clm, C_rls = self.C_clm, self.C_rls
         claims = {}
         for j in self.users[k]:
             if j != i:
-                amount = (C_clm[j][k] * (not before(i, j))
-                          - C_rls[j][k] * before(j, i))
+                amount = (C_clm[j][k] * (not after >> j & 1)
+                          - C_rls[j][k] * (rows[j] >> i & 1))
                 if amount:
                     c = comp.case_of[j]
                     claims[c] = claims.get(c, 0) + amount
         return claims
 
-    def fits(self, comp: ComposedAlignment, site, before) -> bool:
-        """Whether the row at ``site`` holds under ``before``: the move's own
+    def fits(self, comp: ComposedAlignment, site, rows) -> bool:
+        """Whether the row at ``site`` holds under ``rows``: the move's own
         claim plus every case's net claim fit the instance's capacity."""
         i, k = site
-        return (self.C_clm[i][k] + sum(self.net_claims(comp, site, before).values())
+        return (self.C_clm[i][k] + sum(self.net_claims(comp, site, rows).values())
                 <= self.capacities[k])
 
     def broken(self, comp: ComposedAlignment) -> list:
         """The sites whose rows R itself violates."""
-        return [s for s in self.sites if not self.fits(comp, s, comp.order.precedes)]
+        rows = comp.order.rows()
+        return [s for s in self.sites if not self.fits(comp, s, rows)]
 
-    def named_cases(self, comp: ComposedAlignment, sites, before) -> set:
-        """The cases the rows at ``sites`` name under ``before``: the case of
+    def named_cases(self, comp: ComposedAlignment, sites, rows) -> set:
+        """The cases the rows at ``sites`` name under ``rows``: the case of
         each row's own move, and every case whose net claim in the row is
         positive."""
         named = set()
         for site in sites:
             named.add(comp.case_of[site[0]])
-            named.update(c for c, amount in self.net_claims(comp, site, before).items()
+            named.update(c for c, amount in self.net_claims(comp, site, rows).items()
                          if amount > 0)
         return named
 
@@ -275,8 +281,8 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
 @dataclass
 class IlpInstance:
     moves: tuple            # the composed move at each program position
-    R: list                 # m x m binary over positions, R[a][b] = 1 iff a before b
-    program: BinaryProgram
+    R: tuple                # per position a, its row: bit b set iff a before b in R
+    program: BinaryProgram = None
 
     @property
     def n(self) -> int:
@@ -294,21 +300,21 @@ class IlpInstance:
         out = {}
         for v, value in enumerate(assignment):
             a, b = self.pair(v)
-            if value != self.R[a][b]:
+            if value != self.R[a] >> b & 1:
                 out[self.moves[a], self.moves[b]] = value
         return out
 
 
-def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
-              use: CapacityRows | None = None) -> IlpInstance:
+def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInstance:
     """The order-adjustment program of the composed alignment restricted to
     the moves of ``cases`` (all cases when None: the full program).
 
     The program is exactly the full program of the composition that has
     only those cases' moves: its variables are the ordered pairs among
-    them, ``a * m + b`` over their positions, and its rows mention no other
-    move.  Row labels name the composed moves.  ``use`` is the composed
-    order's ``capacity_rows``, computed here when not given.
+    them, ``IlpInstance.var`` over their positions, and its rows mention no
+    other move.  Row labels name the composed moves.  ``use`` is the
+    composed order's ``capacity_rows``.  The group's order is read as R's
+    rows restricted to its moves, and its predecessor rows.
 
     Minimum reversals first, then additions: the program's cap row bounds
     the number of kept pairs of R that flip, starting at none, and the
@@ -327,17 +333,16 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     solver returns the first optimal leaf of its fixed branch order, and
     rows or cuts only prune subtrees that hold no feasible leaf.
     """
-    if use is None:
-        use = capacity_rows(net, comp)
     moves = tuple(i for i in range(len(comp.moves))
                   if cases is None or comp.case_of[i] in cases)
     n = len(moves)
-    R = [[int(comp.order.precedes(i, j)) for j in moves] for i in moves]
+    order = comp.order.restrict(moves)
+    R = order.rows()
+    below = order.predecessor_rows()
+    inst = IlpInstance(moves, R)
+    var = inst.var
     C_clm = [use.C_clm[i] for i in moves]
     C_rls = [use.C_rls[i] for i in moves]
-
-    def var(i, j):
-        return i * n + j
 
     objective = {}
     fixings = {}
@@ -346,21 +351,21 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     for i in range(n):
         for j in range(n):
             v = var(i, j)
-            preferred[v] = R[i][j]
+            bit = R[i] >> j & 1
+            preferred[v] = bit
             if case_of[i] == case_of[j]:
-                fixings[v] = R[i][j]
-            if R[i][j] == 0 and i != j:
-                objective[v] = REVERSAL_WEIGHT if R[j][i] else ADDITION_WEIGHT
+                fixings[v] = bit
+            if not bit and i != j:
+                objective[v] = REVERSAL_WEIGHT if below[i] >> j & 1 else ADDITION_WEIGHT
 
     rows = []
     # removing an ordered pair flips it: X_ij + X_ji >= 1 where R_ij = 1
     for i in range(n):
-        for j in range(n):
-            if i != j and R[i][j]:
-                rows.append(constraint(
-                    {var(i, j): -1, var(j, i): -1}, -1,
-                    f"const_rev_rem[{moves[i]},{moves[j]}]",
-                ))
+        for j in set_bits(R[i]):
+            rows.append(constraint(
+                {var(i, j): -1, var(j, i): -1}, -1,
+                f"const_rev_rem[{moves[i]},{moves[j]}]",
+            ))
     # antisymmetry (transitivity row with k = i)
     for i in range(n):
         for j in range(i + 1, n):
@@ -371,7 +376,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     # the capacity rows of these moves alone (see ``capacity_rows``)
     totals = [sum(claims[k] for claims in C_clm) for k in range(len(use.instances))]
     for i in range(n):
-        for k, inst in enumerate(use.instances):
+        for k, inst_id in enumerate(use.instances):
             if not C_clm[i][k] or totals[k] <= use.capacities[k]:
                 continue
             coeffs = {}
@@ -382,47 +387,38 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
                     if C_rls[j][k]:
                         coeffs[var(j, i)] = -C_rls[j][k]
             rows.append(constraint(coeffs, use.capacities[k] - totals[k],
-                                   f"const_vio[{moves[i]},{inst}]"))
+                                   f"const_vio[{moves[i]},{inst_id}]"))
 
     def transitivity(i, j, k):
         return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, 1,
                           f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
 
     def lazy_transitivity(assignment):
-        violated = []
-        before = [
-            [assignment[var(i, j)] for j in range(n)] for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                if i != j and before[i][j]:
-                    for k in range(n):
-                        if k not in (i, j) and before[j][k] and not before[i][k]:
-                            violated.append(transitivity(i, j, k))
-        return violated
+        # the candidate's rows, diagonal cleared: i before j before k, and
+        # i not before k
+        after = [sum(1 << j for j, x in enumerate(assignment[i * n:(i + 1) * n]) if x)
+                 & ~(1 << i) for i in range(n)]
+        return [transitivity(i, j, k)
+                for i in range(n) for j in set_bits(after[i])
+                for k in set_bits(after[j] & ~after[i] & ~(1 << i))]
 
-    # one witness transitivity row per transitively implied kept pair, so
-    # flipping an implied pair conflicts the moment its impliers are set
-    span = {}
-    keep_vars = []
+    # one witness transitivity row per transitively implied kept pair, the
+    # lowest move between them, so flipping an implied pair conflicts the
+    # moment its impliers are set
+    kept = []               # (span, variable) per kept pair the program leaves free
     for i in range(n):
-        for j in range(n):
-            if i != j and R[i][j] and var(i, j) not in fixings:
-                witness = next(
-                    (x for x in range(n) if x not in (i, j) and R[i][x] and R[x][j]),
-                    None,
-                )
-                mid = 0
-                if witness is not None:
-                    mid = sum(1 for x in range(n) if R[i][x] and R[x][j])
-                    rows.append(transitivity(i, witness, j))
-                span[var(i, j)] = mid
-                keep_vars.append(var(i, j))
+        for j in set_bits(R[i]):
+            v = var(i, j)
+            if v not in fixings:
+                between = R[i] & below[j]
+                if between:
+                    rows.append(transitivity(i, (between & -between).bit_length() - 1, j))
+                kept.append((between.bit_count(), v))
 
     # branch kept pairs by ascending span: direct (reduction) pairs are the
     # meaningful reversal candidates and get the expensive early flips,
     # implied pairs die instantly on their witness row
-    keep_vars.sort(key=lambda v: (span[v], v))
+    keep_vars = [v for _, v in sorted(kept)]
     additions = sorted(
         v for v, c in objective.items() if c == ADDITION_WEIGHT and v not in fixings
     )
@@ -433,7 +429,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
     )
     reversal_cap = constraint({v: -1 for v in keep_vars}, -len(keep_vars),
                               "reversal_cap")
-    program = BinaryProgram(
+    inst.program = BinaryProgram(
         n_vars=n * n,
         objective=objective,
         constraints=rows,
@@ -443,7 +439,7 @@ def build_ilp(net: RcNuNet, comp: ComposedAlignment, cases=None,
         branch_order=ordered,
         cap=reversal_cap,
     )
-    return IlpInstance(moves, R, program)
+    return inst
 
 
 @dataclass(frozen=True)
@@ -472,7 +468,7 @@ def contending_groups(comp: ComposedAlignment, use: CapacityRows) -> list:
     """
     groups = []
     for site in use.broken(comp):
-        cases = use.named_cases(comp, [site], comp.order.precedes)
+        cases = use.named_cases(comp, [site], comp.order.rows())
         for other in [g for g in groups if g & cases]:
             cases |= other
             groups.remove(other)
@@ -480,41 +476,46 @@ def contending_groups(comp: ComposedAlignment, use: CapacityRows) -> list:
     return sorted((frozenset(g) for g in groups), key=min)
 
 
+def _with_changes(rows, changes) -> list:
+    """``rows`` with bit j of row i set to ``value`` for every ``(i, j) ->
+    value`` of ``changes``; not closed."""
+    out = list(rows)
+    for (i, j), value in changes.items():
+        out[i] = out[i] & ~(1 << j) | value << j
+    return out
+
+
 def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance,
-                   changes: dict) -> set:
+                   changes: dict, below) -> set:
     """The outside cases named by the full-program rows that the lift of a
     local program's order breaks.
 
     The lift is R with the program's pairs set as in ``changes`` (composed
-    pair -> value).  Two kinds of rows can break there: a capacity row at
-    one of the program's moves, whose terms for outside moves the program
-    left out, and a transitivity triple with exactly one move outside the
-    program, through a changed pair.  Every other row is a row of the
-    program, or reads only pairs the lift keeps at R (a capacity row at an
-    outside move: R breaks it only if its move belongs to another group,
-    which settles it).  A broken capacity row names the cases with
-    positive net claim in it at the lift, a broken triple the case of its
-    outside move.
+    pair -> value); ``below`` is R's ``predecessor_rows``.  Two kinds of
+    rows can break there: a capacity row at one of the program's moves,
+    whose terms for outside moves the program left out, and a transitivity
+    triple with exactly one move outside the program, through a changed
+    pair.  Every other row is a row of the program, or reads only pairs the
+    lift keeps at R (a capacity row at an outside move: R breaks it only if
+    its move belongs to another group, which settles it).  A broken
+    capacity row names the cases with positive net claim in it at the
+    lift, a broken triple the case of its outside move: one R puts after
+    ``b`` but not ``a`` or before ``a`` but not ``b`` when ``(a, b)`` is
+    set to 1, between them when it is set to 0.  The program's own cases
+    are dropped from the names, so program moves there name nothing.
     """
-    R = comp.order.precedes
-
-    def lifted(i, j):
-        value = changes.get((i, j))
-        return R(i, j) if value is None else value
-
-    local = set(inst.moves)
+    after = comp.order.rows()
+    lifted = _with_changes(after, changes)
+    local = sum(1 << i for i in inst.moves)
     failing = [s for s in use.sites
-               if s[0] in local and not use.fits(comp, s, lifted)]
+               if local >> s[0] & 1 and not use.fits(comp, s, lifted)]
     named = use.named_cases(comp, failing, lifted)
-    outside = [o for o in range(len(comp.moves)) if o not in local]
     for (a, b), value in changes.items():
-        for o in outside:
-            if value:
-                broken = (R(b, o) and not R(a, o)) or (R(o, a) and not R(o, b))
-            else:
-                broken = R(a, o) and R(o, b)
-            if broken:
-                named.add(comp.case_of[o])
+        if value:
+            broken = after[b] & ~after[a] | below[a] & ~below[b]
+        else:
+            broken = after[a] & below[b]
+        named.update(comp.case_of[o] for o in set_bits(broken))
     named.difference_update(comp.case_of[i] for i in inst.moves)
     if failing and not named:
         labels = [f"const_vio[{i},{use.instances[k]}]" for i, k in failing]
@@ -525,23 +526,24 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
     return named
 
 
-def solve_and_extract(net: RcNuNet, comp: ComposedAlignment, use: CapacityRows,
-                      groups, node_budget: int = 2_000_000) -> OrderSolution:
+def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups,
+                      node_budget: int = 2_000_000) -> OrderSolution:
     """Solve the local order program of every group of contending cases
     (see ``adjust_order``), widening a group until its lifted order holds,
     and extract the adjusted order.  ``node_budget`` counts the nodes of
     every program solved, across groups, widening steps and reversal
     levels."""
     budget = NodeBudget(node_budget)
+    below = comp.order.predecessor_rows()
     pending = list(groups)
     solved = {}              # case set -> (changed pairs, objective)
     widenings = 0
     while pending:
         cases = pending.pop(0)
-        inst = build_ilp(net, comp, cases, use)
+        inst = build_ilp(comp, use, cases)
         local, objective = solve(inst.program, budget)
         changes = inst.changes(local)
-        named = _lift_failures(comp, use, inst, changes)
+        named = _lift_failures(comp, use, inst, changes, below)
         if not named:
             solved[cases] = (changes, objective)
             continue
@@ -582,23 +584,19 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
     each a sorted list of move indices.
     """
     n = len(comp.moves)
-    R = comp.order.precedes
+    R_rows = comp.order.rows()
     reversals = []
     additions = []
     for (i, j), value in sorted(changes.items()):
         if value:
-            (reversals if R(j, i) else additions).append((i, j))
+            (reversals if R_rows[j] >> i & 1 else additions).append((i, j))
     if len(additions) >= REVERSAL_WEIGHT:
         raise SoundnessError(
             f"{len(additions)} added pairs reached the reversal weight "
             f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
             f"the two terms"
         )
-    R_rows = comp.order.rows()
-    rows = list(R_rows)
-    for (i, j), value in changes.items():
-        rows[i] = (rows[i] & ~(1 << j)) | (value << j)
-    x_order = Poset.of_rows(range(n), rows)
+    x_order = Poset.of_rows(range(n), _with_changes(R_rows, changes))
 
     disturbed = 0
     for i, j in reversals:
@@ -679,7 +677,7 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
     groups = contending_groups(comp, use)
     if not groups:
         return extract_solution(comp, {}, 0)
-    return solve_and_extract(net, comp, use, groups, node_budget)
+    return solve_and_extract(comp, use, groups, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -723,11 +721,10 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
         else:
             log_part[i] = len(moves)
             moves.append(mv)
-    pairs = []
-    for i in region:
-        for j in region:
-            if i != j and i in model_part and j in model_part and x_order.precedes(i, j):
-                pairs.append((model_part[i], model_part[j]))
+    model = sum(1 << i for i in model_part)
+    rows = x_order.rows()
+    pairs = [(model_part[i], model_part[j])
+             for i in model_part for j in set_bits(rows[i] & model)]
     event_move = {comp.moves[i].event: k for i, k in log_part.items()}
     for e1, e2 in log.covering_pairs():
         pairs.append((event_move[e1], event_move[e2]))

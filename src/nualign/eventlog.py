@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -140,13 +141,15 @@ class EventLog:
 def _parse_timestamp(text, line):
     text = text.strip()
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text).timestamp()
-    except ValueError:
-        raise LogParseError(line, f"bad timestamp {text!r}") from None
+        try:
+            value = datetime.fromisoformat(text).timestamp()
+        except ValueError:
+            raise LogParseError(line, f"bad timestamp {text!r}") from None
+    if not math.isfinite(value):     # nan orders nothing, inf cannot be written back
+        raise LogParseError(line, f"non-finite timestamp {text!r}")
+    return value
 
 
 def _parse_resources(text, line):

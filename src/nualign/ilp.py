@@ -60,7 +60,6 @@ def constraint(coeffs: dict, bound: int, label: str = "") -> Constraint:
 class BinaryProgram:
     n_vars: int
     objective: dict = field(default_factory=dict)   # var -> integer coefficient
-    constant: int = 0
     constraints: list = field(default_factory=list)
     fixings: dict = field(default_factory=dict)     # var -> 0/1
     preferred: dict = field(default_factory=dict)   # var -> value to try first
@@ -69,9 +68,7 @@ class BinaryProgram:
     cap: Constraint = None     # row whose bound solve() raises until feasible
 
     def objective_value(self, assignment):
-        return self.constant + sum(
-            c * assignment[v] for v, c in self.objective.items()
-        )
+        return sum(c * assignment[v] for v, c in self.objective.items())
 
 
 class _Engine:
@@ -96,7 +93,7 @@ class _Engine:
         self.row_hi = []        # achievable maximum
         self.row_maxabs = []    # largest |coefficient| among active vars
         # objective lower bound, maintained incrementally
-        self.obj_lb = program.constant
+        self.obj_lb = 0
         self.obj_coeff = [0] * n
         for v, c in program.objective.items():
             self.obj_coeff[v] = c

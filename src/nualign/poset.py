@@ -156,7 +156,7 @@ def _close(rows):
     One depth-first pass, lowest index first.  A row is finished after its
     successors' rows, as their OR, skipping every successor that an earlier
     one reaches: a closed input in index order costs one OR per element.
-    Raises CycleError when a successor is still on the depth-first path."""
+    Raises CycleError, naming its indices, on a successor still on the path."""
     n = len(rows)
     closed = [0] * n
     done = 0
@@ -175,7 +175,9 @@ def _close(rows):
                 on_path |= low
                 continue
             if todo:
-                raise CycleError("order relation contains a cycle")
+                low = (todo & -todo).bit_length() - 1
+                cycle = " -> ".join(map(str, path[path.index(low):] + [low]))
+                raise CycleError(f"order relation contains a cycle: {cycle} (element indices)")
             reach = 0
             pending = rows[i]
             while pending:

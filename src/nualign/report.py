@@ -16,7 +16,7 @@ from itertools import chain
 
 from .align import Alignment, CostTable, Move, move_cost
 from .eventlog import Event
-from .poset import Multiset, Poset, set_bits
+from .poset import CycleError, Multiset, Poset, set_bits
 from .rcnu import RcNuNet, case_of_mode
 
 SCHEMA = "nualign-report"
@@ -142,7 +142,14 @@ def report_to_alignment(doc: dict) -> Alignment:
             mode=tuple(sorted(entry["bindings"].items())),
             label=entry["activity"],
         ))
-    order = Poset(range(len(moves)), [tuple(p) for p in doc["order"]])
+    n = len(moves)
+    try:
+        order = Poset(range(n), [tuple(p) for p in doc["order"]])
+    except KeyError:
+        pair = next(p for p in doc["order"] if any(x not in range(n) for x in p))
+        raise ReportError(f"order pair {pair} names a move outside the {n} moves") from None
+    except CycleError as exc:
+        raise ReportError(f"order pairs are cyclic: {exc}") from None
     return Alignment(tuple(moves), order)
 
 

@@ -4,12 +4,14 @@ These deliberately avoid the engine's search strategies: the product
 oracle enumerates firing sequences depth-first with only cost dominance
 pruning, and the violation oracles work directly on the permutation-space
 definition (linearization replay, or literal enumeration of all order
-extensions for very small inputs).
+extensions for very small inputs).  The order program's row reads are
+checked against loops over dense matrices and single moves.
 """
 
 from __future__ import annotations
 
-from nualign.align import CostTable, DEFAULT_COSTS, SyncProduct, product_move_cost
+from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
+                           product_move_cost)
 from nualign.ilp import BinaryProgram, Constraint
 from nualign.poset import Poset
 from nualign.rcnu import RcNuNet, bind_pairs, enabled_modes, fire_mode
@@ -218,3 +220,88 @@ def check_feasible(program: BinaryProgram, assignment):
         if violated:
             return False, violated[0].label or "lazy row"
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Order-program loops over dense matrices and single moves
+# ---------------------------------------------------------------------------
+
+def dense_witness_scan(comp, inst):
+    """The witness triples and the kept-pair branch order of the program
+    ``inst``, by the dense scan: R as an m x m matrix read through
+    ``precedes``; every kept pair ``(i, j)`` the program leaves free gets
+    the first move between them as its witness (none when none is) and
+    the number of moves between them as its span, and kept pairs branch by
+    ascending (span, variable).  Positions are the program's."""
+    moves, n = inst.moves, inst.n
+    R = [[int(comp.order.precedes(i, j)) for j in moves] for i in moves]
+    witnesses = []
+    span = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j and R[i][j] and inst.var(i, j) not in inst.program.fixings:
+                between = [x for x in range(n) if x not in (i, j) and R[i][x] and R[x][j]]
+                if between:
+                    witnesses.append((i, between[0], j))
+                span[inst.var(i, j)] = len(between)
+    return witnesses, sorted(span, key=lambda v: (span[v], v))
+
+
+def dense_lazy_cuts(n, assignment):
+    """The transitivity triples a 0/1 candidate over n x n pair variables
+    breaks, by the dense triple loop: ``(i, j, k)`` distinct with i before
+    j, j before k and not i before k, in lexicographic order."""
+    before = [[assignment[i * n + j] for j in range(n)] for i in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and before[i][j]:
+                for k in range(n):
+                    if k not in (i, j) and before[j][k] and not before[i][k]:
+                        out.append((i, j, k))
+    return out
+
+
+def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
+    """The outside cases named by the full-program rows that the lift of
+    ``changes`` (R with those composed pairs set) breaks, by the per-move
+    loops: every capacity row at a program move summed term by term under
+    ``precedes``, and every changed pair tested against every outside move
+    for a broken transitivity triple.  Raises SoundnessError when a
+    capacity row fails and no outside case is named."""
+    R = comp.order.precedes
+
+    def lifted(i, j):
+        value = changes.get((i, j))
+        return R(i, j) if value is None else value
+
+    local = set(inst.moves)
+    named = set()
+    failing = False
+    for i, k in use.sites:
+        if i not in local:
+            continue
+        claims = {}
+        for j in use.users[k]:
+            if j != i:
+                amount = (use.C_clm[j][k] * (not lifted(i, j))
+                          - use.C_rls[j][k] * lifted(j, i))
+                claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + amount
+        if use.C_clm[i][k] + sum(claims.values()) > use.capacities[k]:
+            failing = True
+            named.add(comp.case_of[i])
+            named.update(c for c, amount in claims.items() if amount > 0)
+    for (a, b), value in changes.items():
+        for o in range(len(comp.moves)):
+            if o in local:
+                continue
+            if value:
+                broken = (R(b, o) and not R(a, o)) or (R(o, a) and not R(o, b))
+            else:
+                broken = R(a, o) and R(o, b)
+            if broken:
+                named.add(comp.case_of[o])
+    named -= {comp.case_of[i] for i in inst.moves}
+    if failing and not named:
+        raise SoundnessError("a capacity row fails with no outside case named")
+    return named

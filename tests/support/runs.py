@@ -1,9 +1,11 @@
 """Sequential firing: every complete execution of a net up to a length,
-and the replay of an alignment's moves or of an antichain's prefix."""
+the replay of an alignment's moves or of an antichain's prefix, and the
+values a search reads at a marking (a pseudo-marking's count, the case
+heuristic's h)."""
 
 from __future__ import annotations
 
-from nualign.align import Alignment, PseudoMarking, pseudo_fire
+from nualign.align import Alignment, CaseHeuristic, PseudoMarking, pseudo_fire
 from nualign.rcnu import ColoredMarking, RcNuNet, case_of_mode, enabled_modes, fire_mode
 
 from .orders import SizeLimitError, is_antichain, prefix
@@ -64,3 +66,15 @@ def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> Pseu
     below = prefix(alignment.order, g, closed=(side == "post"))
     moves = [alignment.moves[i] for i in sorted(below.elements)]
     return pseudo_fire(net, moves)
+
+
+def pseudo_count(pm: PseudoMarking, place, token) -> int:
+    """The signed count of ``token`` on ``place`` in ``pm``, 0 when absent."""
+    return dict(pm.items()).get((place, token), 0)
+
+
+def heuristic_value(heuristic: CaseHeuristic, marking: ColoredMarking, fired: dict):
+    """h at a marking of the heuristic's product, given each case's number
+    of fired events (absent: none); INF when some case cannot finish alone."""
+    state = heuristic.space.encode(marking)
+    return sum(heuristic._term(c, state, fired.get(c, 0)) for c in heuristic.rep)

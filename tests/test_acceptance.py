@@ -21,6 +21,7 @@ from nualign.approx import (
     align_cases,
     approximate_alignment,
     build_ilp,
+    capacity_rows,
     compose,
     solve_and_extract,
 )
@@ -354,7 +355,7 @@ def block_triangular_assignment(inst, comp):
             if i == j:
                 continue
             if case_of[i] == case_of[j]:
-                assignment[inst.var(i, j)] = inst.R[i][j]
+                assignment[inst.var(i, j)] = inst.R[i] >> j & 1
             elif case_of[i] < case_of[j]:
                 assignment[inst.var(i, j)] = 1
     return assignment
@@ -367,7 +368,7 @@ def test_criterion_07_block_triangular_existence():
     for net, log in fixtures:
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log), log)
-        inst = build_ilp(scaled, comp)
+        inst = build_ilp(comp, capacity_rows(scaled, comp))
         ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp))
         assert ok, f"seed fixture {count}: {why}"
         count += 1

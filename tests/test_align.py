@@ -38,7 +38,7 @@ from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, en
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
 from support.oracles import min_cost_exhaustive
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
-from support.runs import antichain_marking, replay
+from support.runs import antichain_marking, heuristic_value, pseudo_count, replay
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
 from test_approx import _differential_fixtures
@@ -385,7 +385,7 @@ def test_astar_matches_dijkstra():
             fewer += astar.settled < dijkstra.settled
         assert is_valid_alignment(prod.model, log, astar) == (True, None)
         path = _product_path(prod, astar)
-        values = [heuristic.value(marking, fired) for marking, fired in path]
+        values = [heuristic_value(heuristic, marking, fired) for marking, fired in path]
         assert path[-1][0] == prod.final and values[-1] == 0
         assert values[0] <= astar.cost()
         for move, h, h_next in zip(astar.moves, values, values[1:]):
@@ -413,7 +413,7 @@ def test_heuristic_ignores_caseless_production_tokens():
     prod = product_for_net(net, parse_log("c1,i_s,1,g:g1\nc2,o_p,2,\nc1,o_sc,3,s:s1\n"))
     heuristic = CaseHeuristic(prod)
     assert heuristic.reason is None
-    assert heuristic.value(prod.initial, {}) == 30_001
+    assert heuristic_value(heuristic, prod.initial, {}) == 30_001
     assert optimal_alignment(prod, heuristic=heuristic).cost() == 30_001
 
 
@@ -438,7 +438,7 @@ def test_heuristic_is_zero_where_the_projection_breaks():
     prod = build_sync_product(net, build_log_net(parse_log("c1,b,1,\n")))
     heuristic = CaseHeuristic(prod)
     assert heuristic.reason == "transition gen has no unambiguous case variable"
-    assert heuristic.value(prod.initial, {}) == 0
+    assert heuristic_value(heuristic, prod.initial, {}) == 0
     astar = optimal_alignment(prod, heuristic=heuristic)
     dijkstra = optimal_alignment(prod)
     assert (astar.moves, astar.settled, astar.pushed) == (
@@ -499,7 +499,7 @@ def test_pseudo_fire_release_before_claim_goes_negative():
     net = scale_cases(hospital_net(), ["c1"])
     release = Move("model", transition="i_p", mode=(("c", "c1"), ("w", "g1")), label="i_p")
     pm = pseudo_fire(net, [release])
-    assert pm.value("p_g_busy", ("c1", "g1")) == -1
+    assert pseudo_count(pm, "p_g_busy", ("c1", "g1")) == -1
     assert (("p_g_busy", ("c1", "g1")), -1) in pm.items()
 
 
@@ -764,6 +764,6 @@ def test_pseudo_fire_linearity():
     pa, pb = pseudo_fire(net, half_a), pseudo_fire(net, half_b)
     keys = {k for pm in (union, pa, pb, base) for k, _ in pm.items()}
     for place, tok in keys:
-        assert union.value(place, tok) + base.value(place, tok) == (
-            pa.value(place, tok) + pb.value(place, tok)
+        assert pseudo_count(union, place, tok) + pseudo_count(base, place, tok) == (
+            pseudo_count(pa, place, tok) + pseudo_count(pb, place, tok)
         )

@@ -1,6 +1,7 @@
 """Composition + order-program pipeline, checked against the permutation
 oracles and the exact aligner."""
 
+import random
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -11,6 +12,7 @@ from nualign.align import (
     Alignment,
     Move,
     SearchBudgetError,
+    SoundnessError,
     _prefix_marking,
     is_valid_alignment,
     pseudo_fire,
@@ -59,8 +61,11 @@ from support.fixtures import (
 from support.oracles import _claims_and_releases as oracle_claims_and_releases
 from support.oracles import (
     check_feasible,
+    dense_lazy_cuts,
+    dense_witness_scan,
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
+    lift_failures_by_outside_moves,
     min_cost_exhaustive,
     over_claims,
     row_holds,
@@ -248,22 +253,22 @@ def test_violating_composition_never_fires():
 def _full_program_solution(net, comp, node_budget=2_000_000):
     """The all-cases order program solved on one engine, whether or not
     the composed order fits."""
-    inst = build_ilp(net, comp)
+    inst = build_ilp(comp, capacity_rows(net, comp))
     assignment, objective = solve(inst.program, node_budget)
     return extract_solution(comp, inst.changes(assignment), objective)
 
 
 def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
-    """The capacity rows read through ``precedes`` are the full program's
+    """The capacity rows read through order rows are the full program's
     dense ``const_vio`` rows: on every differential fixture the sites are
     those rows, in order, and at R and at every lifted order the pipeline
     checks, each site's check agrees with its row on the full program's
     assignment of that order."""
     lifts = []
 
-    def spy(comp, use, inst, changes):
+    def spy(comp, use, inst, changes, *args):
         lifts.append(dict(changes))
-        return lift_failures(comp, use, inst, changes)
+        return lift_failures(comp, use, inst, changes, *args)
 
     lift_failures = approx._lift_failures
     monkeypatch.setattr(approx, "_lift_failures", spy)
@@ -273,7 +278,7 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=20_000), log)
         use = capacity_rows(scaled, comp)
-        full = build_ilp(scaled, comp, use=use)
+        full = build_ilp(comp, use)
         dense = [row for row in full.program.constraints
                  if row.label.startswith("const_vio[")]
         assert [row.label for row in dense] == [
@@ -286,8 +291,10 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
                 return comp.order.precedes(i, j) if value is None else value
 
             X = [int(before(i, j)) for i in range(full.n) for j in range(full.n)]
+            rows = [sum(X[i * full.n + j] << j for j in range(full.n))
+                    for i in range(full.n)]
             for site, row in zip(use.sites, dense):
-                assert use.fits(comp, site, before) == row_holds(row, X)
+                assert use.fits(comp, site, rows) == row_holds(row, X)
                 verdicts.append(row_holds(row, X))
             orders += 1
     assert orders > len(_differential_fixtures()) + 50
@@ -298,7 +305,7 @@ def test_ilp_same_case_pairs_all_fixed():
     net = hospital_net()
     log = hospital_log().project_case("c1")
     comp = compose(align_cases(net, log), log)
-    inst = build_ilp(scale_cases(net, ["c1"]), comp)
+    inst = build_ilp(comp, capacity_rows(scale_cases(net, ["c1"]), comp))
     free = [
         v for v in range(inst.program.n_vars)
         if v not in inst.program.fixings
@@ -308,7 +315,7 @@ def test_ilp_same_case_pairs_all_fixed():
 
 def test_ilp_free_vars_are_cross_case_pairs():
     net, comp = hand_composed(overlap_forced=True)
-    inst = build_ilp(net, comp)
+    inst = build_ilp(comp, capacity_rows(net, comp))
     for v in range(inst.program.n_vars):
         i, j = inst.pair(v)
         if comp.case_of[i] == comp.case_of[j]:
@@ -328,7 +335,7 @@ def test_block_triangular_always_feasible():
         comp = compose(align_cases(net, log), log)
         cases.append((scale_cases(net, log.cases()), comp))
     for net_, comp_ in cases:
-        inst = build_ilp(net_, comp_)
+        inst = build_ilp(comp_, capacity_rows(net_, comp_))
         ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp_))
         assert ok, why
 
@@ -683,7 +690,7 @@ def _solution_fields(sol):
 def _slow_adjust_order(net, comp, node_budget=2_000_000):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
-    inst = build_ilp(net, comp)
+    inst = build_ilp(comp, capacity_rows(net, comp))
     assignment, objective = _per_level_reference(inst.program, node_budget)
     return extract_solution(comp, inst.changes(assignment), objective)
 
@@ -701,7 +708,7 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
     for net, log in fixtures:
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=budget), log)
-        inst = build_ilp(scaled, comp)
+        inst = build_ilp(comp, capacity_rows(scaled, comp))
         assignment, objective = _per_level_reference(inst.program, 2_000_000)
         reference = extract_solution(comp, inst.changes(assignment), objective)
         one_engine = _full_program_solution(scaled, comp)
@@ -742,7 +749,7 @@ def test_order_budget_spans_every_reversal_level():
     log = claim_release_log(((1, 4), (2, 5), (3, 6)))
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log), log)
-    inst = build_ilp(scaled, comp)
+    inst = build_ilp(comp, capacity_rows(scaled, comp))
     _per_level_reference(inst.program, 11)
     with pytest.raises(IlpBudgetError):
         adjust_order(scaled, comp, node_budget=11)
@@ -772,8 +779,8 @@ def _build_ilp_spy(monkeypatch):
     """Record the size and the case ids of every program ``build_ilp`` builds."""
     calls = []
 
-    def spy(net, comp, *args):
-        inst = build_ilp(net, comp, *args)
+    def spy(comp, *args):
+        inst = build_ilp(comp, *args)
         calls.append((inst.n, tuple(sorted({comp.case_of[i] for i in inst.moves}))))
         return inst
 
@@ -867,7 +874,7 @@ def test_order_budget_spans_every_widening_step():
     steps = []
     for cases in ({"c2", "c3"}, None):
         budget = NodeBudget(10_000)
-        solve(build_ilp(scaled, comp, cases).program, budget)
+        solve(build_ilp(comp, capacity_rows(scaled, comp), cases).program, budget)
         steps.append(budget.used)
     assert max(steps) < sum(steps)
     with pytest.raises(IlpBudgetError):
@@ -1037,3 +1044,98 @@ def test_regions_match_the_antichain_interval_walk():
             bounds.append((len(a), len(b)))
     assert len(regions) >= 20 and max(regions) == 32, regions
     assert bounds[-1] == (2, 2)
+
+
+# -- row reads against the dense and per-move loops --------------------------------
+
+def _transitivity_row(inst, i, j, k):
+    """The program's transitivity row ``X_ij + X_jk - X_ik <= 1`` at positions."""
+    moves = inst.moves
+    return constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1}, 1,
+                      f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
+
+
+def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
+    """The order program reads R and its candidates as rows, and the lift
+    check as two masks per changed pair.  On every group program the
+    pipeline builds for the differential fixtures, two clinic overlaps, one
+    clinic overlap and the widening log: the witness rows and the branch
+    order are those of the dense scan, the lazy cuts of 500 random
+    candidates (every other one keeping the program's fixings) are those
+    of the dense triple loop, and every lift the pipeline checks, and 20
+    random flips of each program's pairs, name the cases of the
+    per-outside-move loop or raise as it does."""
+    programs = []
+    lifts = []
+
+    def build_spy(comp, use, *args):
+        inst = build_ilp(comp, use, *args)
+        programs.append((comp, use, inst))
+        return inst
+
+    def lift_spy(comp, use, inst, changes, *args):
+        named = lift_failures(comp, use, inst, changes, *args)
+        lifts.append((named, lift_failures_by_outside_moves(comp, use, inst, changes)))
+        return named
+
+    lift_failures = approx._lift_failures
+    monkeypatch.setattr(approx, "build_ilp", build_spy)
+    monkeypatch.setattr(approx, "_lift_failures", lift_spy)
+    runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
+    runs += [(clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000),
+             (clinic_net(), clinic_log(30, overlap_at=15), 10_000),
+             (claim_release_net({"x": 1, "y": 1}), _widening_log(), 20_000)]
+    for net, log, budget in runs:
+        comp = compose(align_cases(net, log, node_budget=budget), log)
+        adjust_order(scale_cases(net, log.cases()), comp)
+
+    witnessed = 0
+    for comp, _, inst in programs:
+        witnesses, keep = dense_witness_scan(comp, inst)
+        # the antisymmetry rows share the label but have two terms
+        rows = [row for row in inst.program.constraints
+                if row.label.startswith("const_trans_clos[") and len(row.coeffs) == 3]
+        assert rows == [_transitivity_row(inst, *t) for t in witnesses]
+        assert inst.program.branch_order[:len(keep)] == keep
+        witnessed += bool(witnesses)
+
+    rng = random.Random(18)
+    cuts = 0
+    for trial in range(500):
+        _, _, inst = rng.choice(programs)
+        candidate = [rng.randrange(2) for _ in range(inst.program.n_vars)]
+        if trial % 2:
+            for v, value in inst.program.fixings.items():
+                candidate[v] = value
+        expected = dense_lazy_cuts(inst.n, candidate)
+        assert inst.program.lazy_rows(candidate) == [
+            _transitivity_row(inst, *t) for t in expected]
+        cuts += len(expected)
+
+    assert all(named == reference for named, reference in lifts)
+    assert len(lifts) == len(programs) and sum(bool(named) for named, _ in lifts) >= 3
+    assert len(programs) >= 50 and witnessed >= 50 and cuts > 5000, (
+        len(programs), witnessed, cuts)
+
+    def outcome(lift, *args):
+        try:
+            return lift(*args)
+        except SoundnessError:
+            return "unsound"
+
+    # lifts naming a case with only pairs set to 0, or some set to 1, and unsound lifts
+    outcomes = [0, 0, 0]
+    for comp, use, inst in programs:
+        below = comp.order.predecessor_rows()
+        for _ in range(20):
+            changes = {}
+            for _ in range(rng.randrange(1, 4)):
+                a, b = rng.sample(range(inst.n), 2)
+                changes[inst.moves[a], inst.moves[b]] = 1 - (inst.R[a] >> b & 1)
+            named = outcome(lift_failures, comp, use, inst, changes, below)
+            assert named == outcome(lift_failures_by_outside_moves, comp, use, inst, changes)
+            if named == "unsound":
+                outcomes[2] += 1
+            elif named:
+                outcomes[1 in changes.values()] += 1
+    assert min(outcomes) >= 20, outcomes

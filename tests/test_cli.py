@@ -122,6 +122,25 @@ def test_report_rejects_unknown_major_version():
     report_to_alignment(doc)  # minor bumps stay loadable
 
 
+def _report_doc(moves, order):
+    doc, _ = make_report()
+    return dict(doc, moves=doc["moves"][:moves], order=order)
+
+
+def test_report_rejects_an_order_pair_outside_the_moves():
+    with pytest.raises(ReportError, match=r"order pair \[0, 1\] names a move outside"):
+        report_to_alignment(_report_doc(0, [[0, 1]]))
+    with pytest.raises(ReportError, match=r"order pair \[1, 2\]"):
+        report_to_alignment(_report_doc(2, [[0, 1], [1, 2]]))
+
+
+def test_report_rejects_a_cyclic_order():
+    with pytest.raises(ReportError, match="cyclic: .*cycle: 0 -> 1 -> 2 -> 0"):
+        report_to_alignment(_report_doc(3, [[0, 1], [1, 2], [2, 0]]))
+    with pytest.raises(ReportError, match="cyclic: reflexive pair on 1"):
+        report_to_alignment(_report_doc(2, [[1, 1]]))
+
+
 # -- dot ------------------------------------------------------------------------
 
 def test_net_dot_mentions_every_node():
@@ -232,6 +251,14 @@ def test_cli_align_undeclared_resource(net_file, tmp_path, capsys):
     log.write_text("c1,i_s,1,g:nobody\n")
     assert main(["align", net_file, str(log)]) == 2
     assert "not declared" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_cli_align_rejects_a_non_finite_timestamp(net_file, tmp_path, capsys, stamp):
+    log = tmp_path / "stamp.csv"
+    log.write_text(f"c1,i_s,1,g:g1\nc1,i_p,{stamp},g:g1\n")
+    assert main(["align", net_file, str(log)]) == 2
+    assert f"line 2: non-finite timestamp '{stamp}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])

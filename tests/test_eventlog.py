@@ -201,6 +201,15 @@ def test_parse_malformed_row_line_number():
         parse_log("c1,a,1\n")
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_parse_rejects_a_non_finite_timestamp(stamp):
+    # nan would order nothing across cases, and inf cannot be written back
+    with pytest.raises(LogParseError, match=f"line 2: non-finite timestamp '{stamp}'"):
+        parse_log(f"c1,a,0,\nc1,b,{stamp},\n")
+    with pytest.raises(LogParseError, match="line 1"):
+        parse_log(f"c1,a,{stamp},\nc1,b,1,\n")
+
+
 def test_parse_duplicate_triple_warns_keeps_both():
     with pytest.warns(UserWarning, match="duplicate"):
         log = parse_log("c1,a,1,\nc1,a,1,\n")

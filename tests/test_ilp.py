@@ -251,8 +251,7 @@ def dump_lp(program):
     obj = " + ".join(
         f"{c} x{v}" for v, c in sorted(program.objective.items()) if c
     )
-    const = f" + {program.constant}" if program.constant else ""
-    lines.append(f"min {obj or '0'}{const}")
+    lines.append(f"min {obj or '0'}")
     for var, value in sorted(program.fixings.items()):
         lines.append(f"x{var} = {value}  ; fixing")
     for row in program.constraints:

@@ -124,3 +124,21 @@ def test_package_holds_no_test_only_code():
               and node.name not in nualign.__all__
               and qualified not in ENTRY_POINTS]
     assert not unused, f"package code that only tests use: {unused}"
+
+
+def test_order_program_reads_orders_as_rows():
+    # the order program holds every order as reachability rows: approx.py
+    # neither calls nor reads ``precedes`` and builds no square list of
+    # lists, one comprehension inside another over the same range (dense
+    # references live in tests/support/oracles.py)
+    path = PACKAGE / "approx.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    reads = [f"approx.py:{node.lineno}" for node in ast.walk(tree)
+             if (node.attr if isinstance(node, ast.Attribute)
+                 else node.id if isinstance(node, ast.Name) else None) == "precedes"]
+    dense = [f"approx.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.ListComp) and isinstance(node.elt, ast.ListComp)
+             and ast.dump(node.generators[0].iter)
+             == ast.dump(node.elt.generators[0].iter)]
+    assert not reads, f"approx.py reads an order through precedes: {reads}"
+    assert not dense, f"approx.py builds a square list of lists: {dense}"
