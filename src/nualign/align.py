@@ -21,7 +21,11 @@ Costs are integers: synchronous moves are free, silent model moves cost
 ``tau``, visible log/model moves cost ``visible``.  A search state is a
 tuple of token counts over (place, token) pairs interned per product, a
 (transition, mode) is bound once into a count delta, and only transitions
-whose input places are all marked are tried.  The frontier pops by
+whose input places are all marked are tried.  A transition's enabled
+firings are memoised per (transition, tokens on its input places), so a
+transition is enumerated only on input tokens its search has not met
+before; transitions with fresh variables, which read the whole marking,
+are exempt and enumerated at every state.  The frontier pops by
 (g + h, -g, push order); transitions expand in net order and modes come
 sorted, so the search is fully deterministic and independent of string
 hashing.
@@ -401,20 +405,31 @@ class _StateSpace:
     (sorted by place and token) and as firings produce them.  A (transition,
     mode) is bound once by ``firing_effect`` into interned (taken, given)
     lists that every later firing of it applies.
+
+    A transition's enabled firings are memoised on the tokens of its input
+    places, which is all ``enabled_modes`` reads of a marking unless the
+    transition has fresh variables; those read the whole marking's
+    identifiers and the fresh-name pool, so they are enumerated anew at
+    every state.
     """
 
     def __init__(self, prod: SyncProduct):
         self.prod = prod
         self.pairs = []         # id -> (place, token)
         self.ids = {}           # (place, token) -> id
+        self.place_of = []      # id -> its place
         self.effects = {}       # (transition, mode items) -> (taken, given, length)
+        self.firings = {}       # (position, input-place tokens) -> enabled firing keys
         self.consumers = {}     # place -> positions of the transitions taking from it
-        self.inputs = []        # per transition position, its number of input places
+        self.inputs = []        # per transition position, its input places
         self.unconditional = []  # positions of transitions with no input place
+        self.with_fresh = set()  # positions of transitions with fresh variables
         for k, t in enumerate(prod.transitions):
-            self.inputs.append(len(prod.input_places(t)))
+            self.inputs.append(tuple(prod.input_places(t)))
             if not self.inputs[k]:
                 self.unconditional.append(k)
+            if prod.transition_vars(t)[2]:
+                self.with_fresh.add(k)
             for p in prod.input_places(t):
                 self.consumers.setdefault(p, []).append(k)
 
@@ -423,6 +438,7 @@ class _StateSpace:
         if i is None:
             i = self.ids[pair] = len(self.pairs)
             self.pairs.append(pair)
+            self.place_of.append(pair[0])
         return i
 
     def encode(self, marking: ColoredMarking) -> tuple:
@@ -468,23 +484,39 @@ class _StateSpace:
     def successors(self, state: tuple):
         """``(transition, mode key, next state)`` of every firing enabled at
         ``state``: only transitions whose input places are all marked, in
-        net order, each with its modes enumerated on the state decoded once,
-        in sorted order."""
+        net order, each with its modes in sorted order.  A transition's
+        firing keys are looked up by (its position, the (id, count) pairs on
+        each of its input places); on a miss, and for a transition with
+        fresh variables, ``enabled_modes`` enumerates them on the state
+        decoded once."""
         prod = self.prod
-        tokens = self.decode(state)
+        place_of = self.place_of
+        groups = {}
+        for i, n in enumerate(state):
+            if n:
+                groups.setdefault(place_of[i], []).append((i, n))
         hits = {}
-        for p in tokens:
+        for p in groups:
             for k in self.consumers.get(p, ()):
                 hits[k] = hits.get(k, 0) + 1
         candidates = sorted(self.unconditional
-                            + [k for k, h in hits.items() if h == self.inputs[k]])
-        marking = ColoredMarking(tokens)
-        fresh = prod.fresh_candidates(marking)
+                            + [k for k, h in hits.items() if h == len(self.inputs[k])])
+        marking = fresh = None
         for k in candidates:
             t = prod.transitions[k]
-            for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
-                                      forced=prod.forced.get(t, {})):
-                key = (t, tuple(sorted(mode.items())))
+            memo = None if k in self.with_fresh else (
+                k, tuple(tuple(groups[p]) for p in self.inputs[k]))
+            keys = None if memo is None else self.firings.get(memo)
+            if keys is None:
+                if marking is None:
+                    marking = ColoredMarking(self.decode(state))
+                    fresh = prod.fresh_candidates(marking)
+                keys = [(t, tuple(sorted(mode.items())))
+                        for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
+                                                  forced=prod.forced.get(t, {}))]
+                if memo is not None:
+                    self.firings[memo] = keys
+            for key in keys:
                 yield t, key, self.fire(state, key)
 
 

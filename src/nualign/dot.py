@@ -10,8 +10,8 @@ purple model, yellow log moves.  Resource places are tinted per role.
 from __future__ import annotations
 
 from .eventlog import EventLog
-from .poset import Poset
 from .rcnu import EPS, Nu, RcNuNet, Var
+from .report import report_field, report_moves, report_order
 
 MOVE_COLORS = {"sync": "palegreen", "model": "plum", "log": "khaki"}
 
@@ -92,25 +92,29 @@ def log_to_dot(log: EventLog) -> str:
 
 
 def report_to_dot(doc: dict) -> str:
-    """Move poset of a report; edges are the transitive reduction."""
+    """Move poset of a report; edges are the transitive reduction.  A move
+    or order of the wrong shape raises ``report.ReportError``."""
     lines = ["digraph alignment {", "  rankdir=LR;"]
-    moves = doc["moves"]
-    for entry in moves:
-        i = entry["index"]
+    indexes = []
+    for k, entry in enumerate(report_moves(doc)):
+        where = f"move {k}"
+        i = report_field(entry, "index", (int,), where)
         kind = entry["kind"]
         color = MOVE_COLORS[kind]
+        activity = report_field(entry, "activity", (str, type(None)), where)
+        case = report_field(entry, "case", (str, type(None)), where)
         bits = [kind]
-        if entry["activity"]:
-            bits.append(entry["activity"])
-        if entry["case"]:
-            bits.append(f"[{entry['case']}]")
+        if activity:
+            bits.append(activity)
+        if case:
+            bits.append(f"[{case}]")
         label = " ".join(bits)
         lines.append(
             f"  m{i} [shape=box style=filled fillcolor={_quote(color)} "
             f"label={_quote(label)}];"
         )
-    order = Poset([m["index"] for m in moves], [tuple(p) for p in doc["order"]])
-    for i, j in sorted(order.covering_pairs()):
+        indexes.append(i)
+    for i, j in sorted(report_order(doc, indexes).covering_pairs()):
         lines.append(f"  m{i} -> m{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -41,17 +41,6 @@ def _event_to_json(event: Event):
     }
 
 
-def _event_from_json(doc) -> Event:
-    resources = Multiset({
-        entry["instance"]: int(entry["count"]) for entry in doc["resources"]
-    })
-    roles = tuple(sorted(
-        (entry["instance"], entry["role"]) for entry in doc["resources"]
-    ))
-    return Event(int(doc["index"]), doc["activity"], float(doc["timestamp"]),
-                 doc["case"], resources, roles)
-
-
 def _move_case(net: RcNuNet, move: Move):
     if move.event is not None:
         return move.event.case
@@ -126,31 +115,88 @@ def violation_entry(realignment, comp, order: Poset, costs: CostTable) -> dict:
     }
 
 
+_NULL = type(None)
+
+
+def report_field(doc: dict, key, kinds, where: str):
+    """``doc[key]`` when it is there with its type among ``kinds`` (exact
+    JSON types, so ``bool`` is no ``int``); anything else raises
+    ReportError naming the field."""
+    if key not in doc:
+        raise ReportError(f"{where} lacks {key!r}")
+    value = doc[key]
+    if type(value) not in kinds:
+        names = " or ".join("null" if k is _NULL else k.__name__ for k in kinds)
+        raise ReportError(f"{where}'s {key!r} must be {names}, not {type(value).__name__}")
+    return value
+
+
+def report_moves(doc: dict) -> list:
+    """The report's ``moves``: a list of objects, each with a log, model or
+    sync ``kind``; anything else raises ReportError."""
+    moves = report_field(doc, "moves", (list,), "report")
+    for i, entry in enumerate(moves):
+        if type(entry) is not dict:
+            raise ReportError(f"move {i} must be an object, not {type(entry).__name__}")
+        kind = report_field(entry, "kind", (str,), f"move {i}")
+        if kind not in ("log", "model", "sync"):
+            raise ReportError(f"move {i}'s 'kind' must be log, model or sync, not {kind!r}")
+    return moves
+
+
+def report_order(doc: dict, elements) -> Poset:
+    """The report's ``order`` over ``elements``; a malformed, outside or
+    cyclic pair raises ReportError."""
+    order = report_field(doc, "order", (list,), "report")
+    _order_ints(order)
+    try:
+        return Poset(elements, [tuple(p) for p in order])
+    except KeyError:
+        pair = next(p for p in order if any(x not in elements for x in p))
+        raise ReportError(f"order pair {pair} names a move outside the "
+                          f"{len(elements)} moves") from None
+    except CycleError as exc:
+        raise ReportError(f"order pairs are cyclic: {exc}") from None
+
+
+def _event_from_json(doc, where: str) -> Event:
+    resources = report_field(doc, "resources", (list,), where)
+    for k, entry in enumerate(resources):
+        resource = f"{where}'s resource {k}"
+        if type(entry) is not dict:
+            raise ReportError(f"{resource} must be an object")
+        report_field(entry, "instance", (str,), resource)
+        if report_field(entry, "count", (int,), resource) < 1:
+            raise ReportError(f"{resource}'s 'count' must be at least 1")
+        report_field(entry, "role", (str,), resource)
+    return Event(report_field(doc, "index", (int,), where),
+                 report_field(doc, "activity", (str,), where),
+                 float(report_field(doc, "timestamp", (int, float), where)),
+                 report_field(doc, "case", (str,), where),
+                 Multiset({entry["instance"]: entry["count"] for entry in resources}),
+                 tuple(sorted((entry["instance"], entry["role"]) for entry in resources)))
+
+
 def report_to_alignment(doc: dict) -> Alignment:
-    if doc.get("schema") != SCHEMA:
+    """The alignment a report document describes; a document that is not
+    a well-formed report raises ReportError naming what is wrong."""
+    if type(doc) is not dict or doc.get("schema") != SCHEMA:
         raise ReportError(f"not a {SCHEMA} document")
     major = str(doc.get("schema_version", "")).split(".")[0]
     if major != SCHEMA_VERSION.split(".")[0]:
         raise ReportError(f"unsupported schema_version {doc.get('schema_version')!r}")
     moves = []
-    for entry in doc["moves"]:
-        event = _event_from_json(entry["event"]) if entry["event"] else None
+    for i, entry in enumerate(report_moves(doc)):
+        where = f"move {i}"
+        event = report_field(entry, "event", (dict, _NULL), where)
         moves.append(Move(
             entry["kind"],
-            event=event,
-            transition=entry["transition"],
-            mode=tuple(sorted(entry["bindings"].items())),
-            label=entry["activity"],
+            event=None if event is None else _event_from_json(event, f"{where}'s event"),
+            transition=report_field(entry, "transition", (str, _NULL), where),
+            mode=tuple(sorted(report_field(entry, "bindings", (dict,), where).items())),
+            label=report_field(entry, "activity", (str, _NULL), where),
         ))
-    n = len(moves)
-    try:
-        order = Poset(range(n), [tuple(p) for p in doc["order"]])
-    except KeyError:
-        pair = next(p for p in doc["order"] if any(x not in range(n) for x in p))
-        raise ReportError(f"order pair {pair} names a move outside the {n} moves") from None
-    except CycleError as exc:
-        raise ReportError(f"order pairs are cyclic: {exc}") from None
-    return Alignment(tuple(moves), order)
+    return Alignment(tuple(moves), report_order(doc, range(len(moves))))
 
 
 #: one order pair as ``json.dumps(indent=2)`` lays it out inside a
@@ -158,19 +204,26 @@ def report_to_alignment(doc: dict) -> Alignment:
 _PAIR = "    [\n      %d,\n      %d\n    ]"
 
 
+def _order_ints(order) -> tuple:
+    """The ints of ``order``, a list of [i, j] lists of two ints, flattened;
+    anything else raises ReportError."""
+    if type(order) is not list:
+        raise ReportError("order must be a list of [i, j] pairs")
+    if set(map(type, order)) - {list} or set(map(len, order)) - {2}:
+        raise ReportError("order pairs must be [i, j] lists")
+    flat = tuple(chain.from_iterable(order))
+    if set(map(type, flat)) - {int}:
+        raise ReportError("order pairs must hold two ints")
+    return flat
+
+
 def _order_pieces(order) -> list:
     """Pieces of ``order`` laid out as ``json.dumps(indent=2)`` lays out a
     top-level value, for a list of two-int pairs; anything else raises
     ReportError."""
-    if type(order) is not list:
-        raise ReportError("order must be a list of [i, j] pairs")
+    flat = _order_ints(order)
     if not order:
         return ["[]"]
-    if set(map(type, order)) != {list} or set(map(len, order)) != {2}:
-        raise ReportError("order pairs must be [i, j] lists")
-    flat = tuple(chain.from_iterable(order))
-    if set(map(type, flat)) != {int}:
-        raise ReportError("order pairs must hold two ints")
     return ["[\n", ",\n".join([_PAIR] * len(order)) % flat, "\n  ]"]
 
 

@@ -327,6 +327,84 @@ def test_interned_search_matches_marking_reference(monkeypatch):
     assert realignments >= 10 and exhausted >= 50 and solved >= 500
 
 
+def _direct_successors(space, state):
+    """The firings enabled at ``state`` without the memo: ``enabled_modes``
+    over every transition whose input places are all marked, in net order,
+    each firing applied by ``fire_mode``."""
+    prod = space.prod
+    marking = ColoredMarking(space.decode(state))
+    fresh = prod.fresh_candidates(marking)
+    out = []
+    for t in prod.transitions:
+        if all(marking.get(p) for p in prod.input_places(t)):
+            for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
+                                      forced=prod.forced.get(t, {})):
+                out.append((t, (t, tuple(sorted(mode.items()))),
+                            fire_mode(prod, marking, t, mode)))
+    return out
+
+
+def _fresh_name_product():
+    # ``s`` creates a case by a fresh name, so its firings are not memoised
+    net = RcNuNet(["q0", "q1"], [], ["s", "a"], {"s": "s", "a": "a"},
+                  {("s", "q0"): Multiset([(Nu("n"), EPS)]),
+                   ("q0", "a"): Multiset([(Var("c"), EPS)]),
+                   ("a", "q1"): Multiset([(Var("c"), EPS)])},
+                  ColoredMarking(), ColoredMarking({"q1": Multiset({("c1", EPS): 1})}))
+    return product_for_net(net, parse_log("c1,a,1,\nc2,a,2,\nc3,s,3,\n"))
+
+
+def _two_token_product():
+    # ``pair`` needs two of one token, so a count on p (not only which
+    # tokens are there) decides whether it is enabled
+    net = RcNuNet(["p", "q"], [], ["dup", "pair"], {"dup": "dup", "pair": "pair"},
+                  {("p", "dup"): Multiset([(Var("c"), EPS)]),
+                   ("dup", "p"): Multiset({(Var("c"), EPS): 2}),
+                   ("p", "pair"): Multiset({(Var("c"), EPS): 2}),
+                   ("pair", "q"): Multiset([(Var("c"), EPS)])},
+                  ColoredMarking({"p": Multiset([("c1", EPS)])}),
+                  ColoredMarking({"q": Multiset([("c1", EPS)])}))
+    return product_for_net(net, parse_log("c1,pair,1,\n"))
+
+
+def test_memoised_successors_match_direct_enumeration(monkeypatch):
+    """At every state the differential searches, a fresh-name search and a
+    two-token search settle, the memoised successors are the direct
+    enumeration's, in the same order and with the same next markings."""
+    searches = _differential_searches(monkeypatch)
+    searches += [(_fresh_name_product(), None, None), (_two_token_product(), None, None)]
+    memoised = align_module._StateSpace.successors
+    checked = []
+
+    def compare(space, state):
+        out = list(memoised(space, state))
+        assert [(t, key, ColoredMarking(space.decode(state2))) for t, key, state2 in out] \
+            == _direct_successors(space, state)
+        checked.append(space.prod)
+        return iter(out)
+
+    monkeypatch.setattr(align_module._StateSpace, "successors", compare)
+    for prod, start, goal in searches:
+        _search_outcome(optimal_alignment, prod, 20_000, start, goal)
+    assert len(checked) >= 10_000
+    assert {prod for prod, _, _ in searches[-2:]} <= set(checked)
+
+
+def test_memo_spares_enabled_modes_calls(monkeypatch):
+    # without the memo every settled state that fires anything would call
+    # ``enabled_modes`` at least once
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return enabled_modes(*args, **kwargs)
+
+    monkeypatch.setattr(align_module, "enabled_modes", counting)
+    al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 342, 3_002)
+    assert len(calls) < al.settled
+
+
 def _product_path(prod, alignment):
     """The product markings along the alignment's moves, each with every
     case's number of fired events."""
@@ -452,13 +530,7 @@ def test_heuristic_is_zero_where_cases_are_created_by_fresh_names():
     # moves to a place between cases), so ``s`` can then create c1; alone,
     # c1's own log places keep the id and c1 could never start, which
     # would price the reachable goal as unreachable
-    net = RcNuNet(["q0", "q1"], [], ["s", "a"], {"s": "s", "a": "a"},
-                  {("s", "q0"): Multiset([(Nu("n"), EPS)]),
-                   ("q0", "a"): Multiset([(Var("c"), EPS)]),
-                   ("a", "q1"): Multiset([(Var("c"), EPS)])},
-                  ColoredMarking(), ColoredMarking({"q1": Multiset({("c1", EPS): 1})}))
-    log = parse_log("c1,a,1,\nc2,a,2,\nc3,s,3,\n")
-    prod = product_for_net(net, log)
+    prod = _fresh_name_product()
     heuristic = CaseHeuristic(prod)
     assert heuristic.reason == "transition s creates its case by a fresh name"
     astar = optimal_alignment(prod, heuristic=heuristic)

@@ -141,6 +141,46 @@ def test_report_rejects_a_cyclic_order():
         report_to_alignment(_report_doc(2, [[1, 1]]))
 
 
+def _drop(key):
+    return lambda part: part.pop(key)
+
+
+def _set(key, value):
+    return lambda part: part.__setitem__(key, value)
+
+
+#: (the part of a report changed, the change, the ReportError it raises)
+MALFORMED = [
+    ("doc", _drop("moves"), "report lacks 'moves'"),
+    ("doc", _set("moves", 5), "report's 'moves' must be list, not int"),
+    ("doc", _set("moves", [[]]), "move 0 must be an object, not list"),
+    ("move", _drop("kind"), "move 0 lacks 'kind'"),
+    ("move", _set("kind", "skip"), "move 0's 'kind' must be log, model or sync, not 'skip'"),
+    ("move", _drop("event"), "move 0 lacks 'event'"),
+    ("move", _drop("bindings"), "move 0 lacks 'bindings'"),
+    ("move", _set("bindings", []), "move 0's 'bindings' must be dict, not list"),
+    ("move", _set("transition", 3), "move 0's 'transition' must be str or null, not int"),
+    ("event", _set("index", "0"), "move 0's event's 'index' must be int, not str"),
+    ("event", _set("resources", [{"instance": "g1"}]),
+     "move 0's event's resource 0 lacks 'count'"),
+    ("event", _set("resources", [{"instance": "g1", "role": "gp", "count": 0}]),
+     "move 0's event's resource 0's 'count' must be at least 1"),
+    ("doc", _drop("order"), "report lacks 'order'"),
+    ("doc", _set("order", 5), "report's 'order' must be list, not int"),
+    ("doc", _set("order", [[0, 1, 2]]), r"order pairs must be \[i, j\] lists"),
+    ("doc", _set("order", [[0, "1"]]), "order pairs must hold two ints"),
+]
+
+
+@pytest.mark.parametrize("part, change, message", MALFORMED,
+                         ids=[message for _, _, message in MALFORMED])
+def test_report_rejects_a_malformed_document(part, change, message):
+    doc = json.loads(dumps_report(make_report()[0]))
+    change({"doc": doc, "move": doc["moves"][0], "event": doc["moves"][0]["event"]}[part])
+    with pytest.raises(ReportError, match=f"^{message}$"):
+        report_to_alignment(doc)
+
+
 # -- dot ------------------------------------------------------------------------
 
 def test_net_dot_mentions_every_node():
@@ -361,6 +401,22 @@ def test_cli_dot_bad_input(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("[1,2,3]")
     assert main(["dot", str(path)]) == 2
+
+
+def test_cli_dot_report_whose_moves_are_not_a_list(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"schema": "nualign-report", "moves": 5, "order": []}))
+    assert main(["dot", str(path)]) == 2
+    assert capsys.readouterr().err == "error: report's 'moves' must be list, not int\n"
+
+
+def test_cli_dot_report_with_a_move_without_index(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    doc = json.loads(dumps_report(make_report()[0]))
+    del doc["moves"][1]["index"]
+    path.write_text(json.dumps(doc))
+    assert main(["dot", str(path)]) == 2
+    assert capsys.readouterr().err == "error: move 1 lacks 'index'\n"
 
 
 def test_cli_outputs_deterministic(net_file, log_file, tmp_path):
