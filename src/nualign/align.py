@@ -156,9 +156,6 @@ class Alignment:
     def cost(self, costs: CostTable = DEFAULT_COSTS) -> int:
         return sum(move_cost(m, costs) for m in self.moves)
 
-    def transition_indices(self):
-        return [i for i, m in enumerate(self.moves) if m.kind != "log"]
-
     def __len__(self):
         return len(self.moves)
 
@@ -635,8 +632,7 @@ def case_variant(model: RcNuNet, log: EventLog, case) -> tuple:
     others = {f"_nu{i + 1}" for i in range(len(trace) or 1)}
     others.update(model.resource_instances().support())
     for marking in (model.initial, model.final):
-        for p in marking.places():
-            others.update(r for c, r in marking.get(p).support() if c is None and r)
+        others.update(r for _, (c, r) in token_counts(marking) if c is None and r)
     for arc in model.flow.values():
         others.update(x for pair in arc.support() for x in pair if isinstance(x, str))
     return (tuple((e.activity, tuple(sorted(e.resources.items()))) for e in trace),
@@ -839,54 +835,39 @@ class CaseHeuristic:
 
 
 # ---------------------------------------------------------------------------
-# Pseudo-markings
+# Per-token use
 # ---------------------------------------------------------------------------
 
-class PseudoMarking:
-    """Signed token counts per place; negative counts are meaningful."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts=None):
-        self._counts = {k: v for k, v in (counts or {}).items() if v}
-
-    @classmethod
-    def from_marking(cls, marking: ColoredMarking):
-        counts = {}
-        for p in marking.places():
-            for tok, n in marking.get(p).items():
-                counts[(p, tok)] = n
-        return cls(counts)
-
-    def items(self):
-        return self._counts.items()
-
-    def __eq__(self, other):
-        return isinstance(other, PseudoMarking) and self._counts == other._counts
-
-    def __hash__(self):
-        return hash(frozenset(self._counts.items()))
-
-    def __repr__(self):
-        return f"PseudoMarking({self._counts!r})"
+def token_counts(marking: ColoredMarking) -> dict:
+    """A marking's ``{(place, token): count}``."""
+    return {(p, tok): n for p in marking.places() for tok, n in marking.get(p).items()}
 
 
-def move_effects(net: RcNuNet, move: Move):
-    """Signed (place, token, delta) effects of a non-log move's firing:
-    what it takes, negated, then what it gives back."""
-    if move.kind == "log":
-        return []
-    taken, given = firing_effect(net, move.transition, move.binding())
-    return [(p, tok, -n) for p, tok, n in taken] + given
+def token_use(net: RcNuNet, moves) -> dict:
+    """``{(place, token): {move index: [taken, given]}}`` over the non-log
+    moves, from one ``firing_effect`` call per move: the table that
+    pseudo-markings, validity and the order program's capacity rows read."""
+    use = {}
+    for i, move in enumerate(moves):
+        if move.kind != "log":
+            for side, effect in enumerate(firing_effect(net, move.transition, move.binding())):
+                for p, tok, n in effect:
+                    use.setdefault((p, tok), {}).setdefault(i, [0, 0])[side] += n
+    return use
 
 
-def pseudo_fire(net: RcNuNet, moves) -> PseudoMarking:
-    """Initial marking plus the summed effects of the given moves."""
-    counts = dict(PseudoMarking.from_marking(net.initial).items())
-    for move in moves:
-        for p, tok, delta in move_effects(net, move):
-            counts[(p, tok)] = counts.get((p, tok), 0) + delta
-    return PseudoMarking(counts)
+def _pseudo_marking(net: RcNuNet, use: dict) -> dict:
+    """The initial marking plus the net effects of a ``token_use`` table."""
+    counts = token_counts(net.initial)
+    for pair, moved in use.items():
+        counts[pair] = counts.get(pair, 0) + sum(g - t for t, g in moved.values())
+    return {pair: n for pair, n in counts.items() if n}
+
+
+def pseudo_fire(net: RcNuNet, moves) -> dict:
+    """The initial marking plus the summed effects of ``moves``: signed
+    counts per (place, token), zeros left out; negative counts are meaningful."""
+    return _pseudo_marking(net, token_use(net, moves))
 
 
 # ---------------------------------------------------------------------------
@@ -928,21 +909,15 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
             return False, f"log order {e1!r} < {e2!r} not preserved"
 
     # property 2: every linearization of the transition moves fires
-    t_indices = alignment.transition_indices()
-    if pseudo_fire(net, [moves[i] for i in t_indices]) != PseudoMarking.from_marking(net.final):
+    use = token_use(net, moves)     # (place, token) -> {move: [taken, given]}
+    if _pseudo_marking(net, use) != token_counts(net.final):
         return False, "summed effects do not reach the final marking"
-    use = {}    # (place, token) -> {move: [taken, net effect]}
-    for i in t_indices:
-        for p, tok, delta in move_effects(net, moves[i]):
-            entry = use.setdefault((p, tok), {}).setdefault(i, [0, 0])
-            entry[0] += max(0, -delta)
-            entry[1] += delta
     order = alignment.order
     if order.elements != tuple(range(len(moves))):
         raise ValueError("the alignment order must relate move indices in order")
     after, before = order.rows(), order.predecessor_rows()
     for (p, tok), moved in use.items():
-        effect = {s: d for s, (_, d) in moved.items() if d}
+        effect = {s: given - taken for s, (taken, given) in moved.items() if given != taken}
         users = sum(1 << s for s in effect)     # the moves with a net effect
         for t, (taken, _) in moved.items():
             if not taken:

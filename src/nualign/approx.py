@@ -55,7 +55,6 @@ from .align import (
     DEFAULT_COSTS,
     DEFAULT_NODE_BUDGET,
     Move,
-    PseudoMarking,
     SearchBudgetError,
     SoundnessError,
     _prefix_marking,
@@ -65,12 +64,13 @@ from .align import (
     optimal_alignment,
     pseudo_fire,
     sync_warnings,
+    token_use,
 )
 from .eventlog import EventLog
 from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
-from .poset import CycleError, Multiset, Poset, set_bits
-from .rcnu import ColoredMarking, FiringError, RcNuNet, firing_effect, scale_cases
+from .poset import CycleError, Poset, set_bits
+from .rcnu import ColoredMarking, FiringError, RcNuNet, scale_cases
 
 REVERSAL_WEIGHT = 1000
 ADDITION_WEIGHT = 1
@@ -166,19 +166,6 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
 # The order-adjustment program
 # ---------------------------------------------------------------------------
 
-def _claims_and_releases(net: RcNuNet, move):
-    """Availability-place effects of a move: ({instance: claimed}, {instance: released})."""
-    claims, releases = {}, {}
-    if move.kind == "log":
-        return claims, releases
-    for effect, out in zip(firing_effect(net, move.transition, move.binding()),
-                           (claims, releases)):
-        for p, (_, r), n in effect:
-            if r is not None and net.place_kind(p) == "resource":
-                out[r] = out.get(r, 0) + n
-    return claims, releases
-
-
 @dataclass
 class CapacityRows:
     """Claim and release counts of the composed moves, and the sites of the
@@ -193,8 +180,8 @@ class CapacityRows:
 
     instances: tuple        # resource instance ids, fixed order
     capacities: tuple
-    C_clm: list             # n x n_r claim counts
-    C_rls: list             # n x n_r release counts
+    claimed: list           # per instance index, {move: count it claims}
+    released: list          # per instance index, {move: count it releases}
     sites: list             # per capacity row, (its move, its instance's index)
     users: list             # per instance index, the moves that claim or release it
 
@@ -205,12 +192,12 @@ class CapacityRows:
         out, and a case whose terms cancel is absent."""
         i, k = site
         after = rows[i]
-        C_clm, C_rls = self.C_clm, self.C_rls
+        claimed, released = self.claimed[k], self.released[k]
         claims = {}
         for j in self.users[k]:
             if j != i:
-                amount = (C_clm[j][k] * (not after >> j & 1)
-                          - C_rls[j][k] * (rows[j] >> i & 1))
+                amount = (claimed.get(j, 0) * (not after >> j & 1)
+                          - released.get(j, 0) * (rows[j] >> i & 1))
                 if amount:
                     c = comp.case_of[j]
                     claims[c] = claims.get(c, 0) + amount
@@ -220,7 +207,7 @@ class CapacityRows:
         """Whether the row at ``site`` holds under ``rows``: the move's own
         claim plus every case's net claim fit the instance's capacity."""
         i, k = site
-        return (self.C_clm[i][k] + sum(self.net_claims(comp, site, rows).values())
+        return (self.claimed[k][i] + sum(self.net_claims(comp, site, rows).values())
                 <= self.capacities[k])
 
     def broken(self, comp: ComposedAlignment) -> list:
@@ -259,23 +246,22 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
     not necessary: a self-loop's claim counts without its same-firing
     release, so concurrent self-loop uses get ordered anyway.
     """
-    n = len(comp.moves)
     instances = sorted(net.resource_instances().support())
     capacities = tuple(net.resource_instances().count(r) for r in instances)
-    inst_index = {r: k for k, r in enumerate(instances)}
-    C_clm = [[0] * len(instances) for _ in range(n)]
-    C_rls = [[0] * len(instances) for _ in range(n)]
-    for i, mv in enumerate(comp.moves):
-        claims, releases = _claims_and_releases(net, mv)
-        for r, c in claims.items():
-            C_clm[i][inst_index[r]] = c
-        for r, c in releases.items():
-            C_rls[i][inst_index[r]] = c
+    claimed = [{} for _ in instances]
+    released = [{} for _ in instances]
+    for (p, (_, r)), moved in token_use(net, comp.moves).items():
+        if r is not None and net.place_kind(p) == "resource":
+            k = instances.index(r)
+            for i, counts in moved.items():         # [taken, given]
+                for side, n in zip((claimed[k], released[k]), counts):
+                    if n:
+                        side[i] = side.get(i, 0) + n
     ks = range(len(instances))
-    over = [sum(claims[k] for claims in C_clm) > capacities[k] for k in ks]
-    sites = [(i, k) for i in range(n) for k in ks if C_clm[i][k] and over[k]]
-    users = [[i for i in range(n) if C_clm[i][k] or C_rls[i][k]] for k in ks]
-    return CapacityRows(tuple(instances), capacities, C_clm, C_rls, sites, users)
+    sites = sorted((i, k) for k in ks if sum(claimed[k].values()) > capacities[k]
+                   for i in claimed[k])
+    users = [sorted(claimed[k].keys() | released[k].keys()) for k in ks]
+    return CapacityRows(tuple(instances), capacities, claimed, released, sites, users)
 
 
 @dataclass
@@ -341,8 +327,6 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
     below = order.predecessor_rows()
     inst = IlpInstance(moves, R)
     var = inst.var
-    C_clm = [use.C_clm[i] for i in moves]
-    C_rls = [use.C_rls[i] for i in moves]
 
     objective = {}
     fixings = {}
@@ -373,21 +357,24 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
                 {var(i, j): 1, var(j, i): 1}, 1,
                 f"const_trans_clos[{moves[i]},{moves[j]},{moves[i]}]",
             ))
-    # the capacity rows of these moves alone (see ``capacity_rows``)
-    totals = [sum(claims[k] for claims in C_clm) for k in range(len(use.instances))]
-    for i in range(n):
-        for k, inst_id in enumerate(use.instances):
-            if not C_clm[i][k] or totals[k] <= use.capacities[k]:
-                continue
-            coeffs = {}
-            for j in range(n):
-                if j != i:
-                    if C_clm[j][k]:
-                        coeffs[var(i, j)] = -C_clm[j][k]
-                    if C_rls[j][k]:
-                        coeffs[var(j, i)] = -C_rls[j][k]
-            rows.append(constraint(coeffs, use.capacities[k] - totals[k],
-                                   f"const_vio[{moves[i]},{inst_id}]"))
+    # the capacity rows of these moves alone (see ``capacity_rows``): the
+    # sites among them, of instances these moves alone claim past capacity
+    position = {m: a for a, m in enumerate(moves)}
+    users = [[j for j in js if j in position] for js in use.users]
+    totals = [sum(claims.get(j, 0) for j in js) for claims, js in zip(use.claimed, users)]
+    for m, k in use.sites:
+        if m not in position or totals[k] <= use.capacities[k]:
+            continue
+        i, claimed, released = position[m], use.claimed[k], use.released[k]
+        coeffs = {}
+        for j in users[k]:
+            if j != m:
+                if j in claimed:
+                    coeffs[var(i, position[j])] = -claimed[j]
+                if j in released:
+                    coeffs[var(position[j], i)] = -released[j]
+        rows.append(constraint(coeffs, use.capacities[k] - totals[k],
+                               f"const_vio[{m},{use.instances[k]}]"))
 
     def transitivity(i, j, k):
         return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, 1,
@@ -684,15 +671,6 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
 # Local realignment and substitution
 # ---------------------------------------------------------------------------
 
-def _pseudo_to_marking(pm: PseudoMarking) -> ColoredMarking:
-    tokens = {}
-    for (p, tok), n in pm.items():
-        if n < 0:
-            raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
-        tokens.setdefault(p, {})[tok] = n
-    return ColoredMarking({p: Multiset(d) for p, d in tokens.items()})
-
-
 @dataclass
 class IntervalRealignment:
     region: tuple            # composed-move indices replaced, sorted
@@ -731,14 +709,17 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
     return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
 
 
-def _without_cases(net: RcNuNet, marking: ColoredMarking, cases) -> ColoredMarking:
-    """``marking`` minus the production-place tokens of ``cases``; resource
-    places, availability and busy alike, keep every token."""
-    return ColoredMarking({
-        p: Multiset({tok: n for tok, n in marking.get(p).items() if tok[0] not in cases})
-        if net.place_kind(p) == "production" else marking.get(p)
-        for p in marking.places()
-    })
+def _boundary_marking(net: RcNuNet, moves, idle) -> ColoredMarking:
+    """The ``m::`` marking of the pseudo-marking of ``moves`` without the
+    production-place tokens of the ``idle`` cases; resource places keep
+    every token.  Raises FiringError at a negative count."""
+    tokens = {}
+    for (p, tok), n in pseudo_fire(net, moves).items():
+        if n < 0:
+            raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
+        if net.place_kind(p) != "production" or tok[0] not in idle:
+            tokens.setdefault(f"m::{p}", {})[tok] = n
+    return ColoredMarking(tokens)
 
 
 def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
@@ -785,15 +766,11 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     sub_log = log.restrict(events)
     idle = set(comp.case_of).difference(comp.case_of[i] for i in region)
     try:
-        m_a = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
-        m_b = _pseudo_to_marking(pseudo_fire(
-            net, [comp.moves[i] for i in (*pre, *region)]
-        ))
         sub_net = build_log_net(sub_log)
         prod = build_sync_product(net, sub_net)
-        start = (_prefix_marking(_without_cases(net, m_a, idle), "m::")
+        start = (_boundary_marking(net, [comp.moves[i] for i in pre], idle)
                  | _prefix_marking(sub_net.initial, "l::"))
-        goal = (_prefix_marking(_without_cases(net, m_b, idle), "m::")
+        goal = (_boundary_marking(net, [comp.moves[i] for i in (*pre, *region)], idle)
                 | _prefix_marking(sub_net.final, "l::"))
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
         return IntervalRealignment(region, alignment, False)

@@ -36,7 +36,7 @@ from .dot import log_to_dot, net_to_dot, report_to_dot
 from .eventlog import LogParseError, parse_log, serialize_log
 from .ilp import IlpBudgetError
 from .lognet import build_log_net
-from .netfile import NetFileError, load_net
+from .netfile import NetFileError, load_net, net_from_dict
 from .report import build_report, dumps_report, violation_entry
 from .rcnu import (
     DeviationConfig,
@@ -184,7 +184,6 @@ def cmd_dot(args) -> int:
             if isinstance(doc, dict) and doc.get("schema") == "nualign-report":
                 text = report_to_dot(doc)
             else:
-                from .netfile import net_from_dict
                 text = net_to_dot(net_from_dict(doc, validate=False))
         _write(args.out, text)
         return EXIT_OK

@@ -41,17 +41,14 @@ def _inscriptions(pairs) -> str:
     return " ".join(parts)
 
 
-def net_to_dot(net) -> str:
+def net_to_dot(net: RcNuNet) -> str:
     lines = ["digraph net {", "  rankdir=LR;"]
-    role_tint = {}
-    if isinstance(net, RcNuNet):
-        for i, role in enumerate(net.roles):
-            role_tint[role.name] = ROLE_TINTS[i % len(ROLE_TINTS)]
+    role_tint = {role.name: ROLE_TINTS[i % len(ROLE_TINTS)]
+                 for i, role in enumerate(net.roles)}
     for p in net.places:
         attrs = ["shape=circle"]
-        if isinstance(net, RcNuNet) and net.place_kind(p) != "production":
-            role = net.place_role(p)
-            tint = role_tint[role.name]
+        if net.place_kind(p) != "production":
+            tint = role_tint[net.place_role(p).name]
             attrs.append(f"style=filled fillcolor={_quote(tint)}")
             if net.place_kind(p) == "busy":
                 attrs.append("peripheries=2")

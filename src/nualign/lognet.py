@@ -34,7 +34,6 @@ class LogNet(ColoredNet):
                  event_of):
         super().__init__(places, transitions, labels, flow, initial, final)
         self.event_of = dict(event_of)
-        self.transition_of = {e: t for t, e in self.event_of.items()}
 
 
 def transition_id(event) -> str:

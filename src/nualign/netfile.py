@@ -90,9 +90,18 @@ def _marking_to_json(marking: ColoredMarking):
     return out
 
 
+#: the keys ``net_to_dict`` writes; every net document has the first two
+NET_KEYS = ("places", "transitions", "roles", "arcs", "initial", "final")
+
+
 def net_from_dict(doc: dict, validate: bool = True) -> RcNuNet:
     if not isinstance(doc, dict):
         raise NetFileError(f"net document must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc).difference(NET_KEYS))
+    missing = [key for key in NET_KEYS[:2] if key not in doc]
+    if unknown or missing:
+        raise NetFileError(f"unknown net document keys: {', '.join(unknown)}" if unknown
+                           else f"net document lacks {' and '.join(missing)}")
     try:
         roles = []
         for role_doc in doc.get("roles", []):
@@ -127,7 +136,7 @@ def net_from_dict(doc: dict, validate: bool = True) -> RcNuNet:
         net = RcNuNet(production, roles, transitions, labels, flow, initial, final)
     except NetFileError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise NetFileError(f"malformed net document: {exc}") from exc
     if validate:
         violations = validate_structure(net)

@@ -31,8 +31,8 @@ class Multiset:
     """Finite multiset: elements mapped to counts >= 1.
 
     Zero counts are never stored, so ``support()`` is exactly the key set.
-    Subtraction clamps at zero; a signed variant for pseudo-markings lives
-    in the alignment module, keeping this class non-negative.
+    Subtraction clamps at zero; signed counts, such as pseudo-markings
+    (``align.pseudo_fire``), are plain dicts.
     """
 
     __slots__ = ("_counts",)

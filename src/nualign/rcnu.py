@@ -311,9 +311,10 @@ def firing_effect(net: ColoredNet, t, mode):
 
     Returns ``(taken, given)``: lists of ``(place, token, count)`` with one
     entry per input (output) place and bound token, in arc order.  This is
-    the one place where arc inscriptions are bound; firing, pseudo-markings,
-    resource claims and recorded resources all derive from it.  A token a
-    firing takes and returns (a self-loop) appears in both lists.
+    the one place where arc inscriptions are bound: ``fire_mode``, the
+    search's ``_StateSpace.fire``, ``involved_resources`` and the per-token
+    table ``align.token_use``, which pseudo-markings, validity and resource
+    claims read, derive from it.  A self-loop's token is in both lists.
     """
     taken = [
         (p, tok, n)

@@ -284,10 +284,10 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
         claims = {}
         for j in use.users[k]:
             if j != i:
-                amount = (use.C_clm[j][k] * (not lifted(i, j))
-                          - use.C_rls[j][k] * lifted(j, i))
+                amount = (use.claimed[k].get(j, 0) * (not lifted(i, j))
+                          - use.released[k].get(j, 0) * lifted(j, i))
                 claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + amount
-        if use.C_clm[i][k] + sum(claims.values()) > use.capacities[k]:
+        if use.claimed[k][i] + sum(claims.values()) > use.capacities[k]:
             failing = True
             named.add(comp.case_of[i])
             named.update(c for c, amount in claims.items() if amount > 0)

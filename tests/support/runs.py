@@ -1,11 +1,12 @@
 """Sequential firing: every complete execution of a net up to a length,
-the replay of an alignment's moves or of an antichain's prefix, and the
-values a search reads at a marking (a pseudo-marking's count, the case
-heuristic's h)."""
+the replay of an alignment's moves, the pseudo-marking of an antichain's
+prefix (signed counts per (place, token), as ``align.pseudo_fire`` returns
+them), and the values a search reads at a marking (a pseudo-marking's
+count, the case heuristic's h)."""
 
 from __future__ import annotations
 
-from nualign.align import Alignment, CaseHeuristic, PseudoMarking, pseudo_fire
+from nualign.align import Alignment, CaseHeuristic, pseudo_fire
 from nualign.rcnu import ColoredMarking, RcNuNet, case_of_mode, enabled_modes, fire_mode
 
 from .orders import SizeLimitError, is_antichain, prefix
@@ -56,7 +57,7 @@ def replay(net: RcNuNet, moves) -> ColoredMarking:
     return m
 
 
-def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> PseudoMarking:
+def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> dict:
     """Pseudo-marking at an antichain: before its moves fire (pre) or after (post)."""
     if side not in ("pre", "post"):
         raise ValueError(f"side must be pre or post, not {side!r}")
@@ -68,9 +69,9 @@ def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> Pseu
     return pseudo_fire(net, moves)
 
 
-def pseudo_count(pm: PseudoMarking, place, token) -> int:
+def pseudo_count(pm: dict, place, token) -> int:
     """The signed count of ``token`` on ``place`` in ``pm``, 0 when absent."""
-    return dict(pm.items()).get((place, token), 0)
+    return pm.get((place, token), 0)
 
 
 def heuristic_value(heuristic: CaseHeuristic, marking: ColoredMarking, fired: dict):

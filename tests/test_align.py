@@ -19,7 +19,6 @@ from nualign.align import (
     CaseHeuristic,
     CostTable,
     Move,
-    PseudoMarking,
     SearchBudgetError,
     SoundnessError,
     align_log,
@@ -28,13 +27,14 @@ from nualign.align import (
     move_cost,
     optimal_alignment,
     pseudo_fire,
+    token_counts,
 )
 from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, EventLog, parse_log
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset, Poset
 from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, enabled_modes,
-                          fire_mode, scale_cases)
+                          fire_mode, firing_effect, scale_cases)
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
 from support.oracles import min_cost_exhaustive
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
@@ -554,17 +554,14 @@ def test_transition_without_input_place_is_always_tried():
 
 def test_pseudo_fire_empty_is_initial():
     net = scale_cases(hospital_net(), ["c1"])
-    from nualign.align import PseudoMarking
-    assert pseudo_fire(net, []) == PseudoMarking.from_marking(net.initial)
+    assert pseudo_fire(net, []) == token_counts(net.initial)
 
 
 def test_pseudo_fire_full_alignment_reaches_final():
     log = hospital_log()
     net, prod = product_for(log)
     al = optimal_alignment(prod)
-    from nualign.align import PseudoMarking
-    pm = pseudo_fire(net, al.moves)
-    assert pm == PseudoMarking.from_marking(net.final)
+    assert pseudo_fire(net, al.moves) == token_counts(net.final)
 
 
 def test_pseudo_fire_release_before_claim_goes_negative():
@@ -590,29 +587,27 @@ def test_fire_mode_agrees_with_pseudo_fire_on_random_walks(cases):
             m = fire_mode(net, m, t, mode)
             moves.append(Move("model", transition=t, mode=tuple(sorted(mode.items())),
                               label=net.labels[t]))
-            assert PseudoMarking.from_marking(m) == pseudo_fire(net, moves)
+            assert token_counts(m) == pseudo_fire(net, moves)
 
 
 def test_antichain_marking_boundaries():
     log = hospital_log()
     net, prod = product_for(log)
     al = optimal_alignment(prod)
-    from nualign.align import PseudoMarking
     first = minimal(al.order)
     last = maximal(al.order)
-    assert antichain_marking(net, al, first, "pre") == PseudoMarking.from_marking(net.initial)
-    assert antichain_marking(net, al, last, "post") == PseudoMarking.from_marking(net.final)
+    assert antichain_marking(net, al, first, "pre") == token_counts(net.initial)
+    assert antichain_marking(net, al, last, "post") == token_counts(net.final)
 
 
 def test_antichain_marking_matches_prefix_replay():
     log = hospital_log()
     net, prod = product_for(log)
     al = optimal_alignment(prod)
-    from nualign.align import PseudoMarking
     mid = frozenset([4])
     pm = antichain_marking(net, al, mid, "pre")
     prefix_moves = [al.moves[i] for i in range(4)]
-    assert pm == PseudoMarking.from_marking(replay(net, prefix_moves))
+    assert pm == token_counts(replay(net, prefix_moves))
 
 
 def test_antichain_marking_rejects_non_antichain():
@@ -699,10 +694,15 @@ def test_validity_rejects_dropped_log_order_pair():
     assert why.startswith(f"log order {e1!r} < ") and why.endswith("not preserved")
 
 
+def transition_indices(alignment):
+    """The indices of the alignment's non-log moves."""
+    return [i for i, m in enumerate(alignment.moves) if m.kind != "log"]
+
+
 def exhaustive_verdict(net, alignment):
     """Reference for validity property 2: replay every linearization of the
     transition moves and require each to fire and end at the final marking."""
-    sub = alignment.order.restrict(alignment.transition_indices())
+    sub = alignment.order.restrict(transition_indices(alignment))
     for lin in linearizations(sub):
         try:
             if replay(net, [alignment.moves[i] for i in lin]) != net.final:
@@ -714,15 +714,17 @@ def exhaustive_verdict(net, alignment):
 
 def pairwise_verdict(net, log, alignment):
     """``is_valid_alignment`` with incomparability tested pair by pair
-    through ``Poset.incomparable`` and ``precedes``: the reference for its
-    bitmask loop, witness included."""
+    through ``Poset.incomparable`` and ``precedes``, on its own binding of
+    every move by ``firing_effect``: the reference for its bitmask loop and
+    its token table, witness included."""
     ok, why = is_valid_alignment(net, log, alignment)
     if not ok and not why.startswith("move "):
         return ok, why          # property 1 or the summed effects
     moves, order = alignment.moves, alignment.order
-    use = {}
-    for i in alignment.transition_indices():
-        for p, tok, delta in align_module.move_effects(net, moves[i]):
+    use = {}                    # (place, token) -> {move: [taken, net effect]}
+    for i in transition_indices(alignment):
+        taken, given = firing_effect(net, moves[i].transition, moves[i].binding())
+        for p, tok, delta in [(p, tok, -n) for p, tok, n in taken] + given:
             entry = use.setdefault((p, tok), {}).setdefault(i, [0, 0])
             entry[0] += max(0, -delta)
             entry[1] += delta
@@ -741,6 +743,25 @@ def pairwise_verdict(net, log, alignment):
                         f"move {t} takes {taken} of token {tok!r} on {p}, but a "
                         f"linearization leaves only {least} available before it")
     return True, None
+
+
+def test_validity_binds_each_transition_move_once(monkeypatch):
+    # one token table serves the summed-effects check and the per-token
+    # sums: ``is_valid_alignment`` binds every transition move by exactly
+    # one ``firing_effect`` call, valid verdicts and failing ones alike
+    calls = []
+    bind = align_module.firing_effect
+    monkeypatch.setattr(align_module, "firing_effect",
+                        lambda net, t, mode: calls.append(t) or bind(net, t, mode))
+    verdicts = []
+    for net, log in _differential_fixtures()[:40]:
+        scaled = scale_cases(net, log.cases())
+        result = approximate_alignment(net, log, node_budget=20_000)
+        for al in (result.alignment, Alignment(result.composed.moves, result.composed.order)):
+            calls.clear()
+            verdicts.append(is_valid_alignment(scaled, log, al)[0])
+            assert sorted(calls) == sorted(m.transition for m in al.moves if m.kind != "log")
+    assert verdicts.count(True) > 20 and verdicts.count(False) > 5
 
 
 def _loosened(log, alignment, rng):
@@ -774,7 +795,7 @@ def test_validity_accepts_concurrent_self_loops(n):
     # surgeon serves them all because each returns s1 as it takes it;
     # summing their claims (step semantics) wrongly rejected three cases
     net, log, al = _concurrent_self_loops(n)
-    assert len(al.transition_indices()) == 3 * n
+    assert len(transition_indices(al)) == 3 * n
     sc = [i for i, m in enumerate(al.moves) if m.label == "o_sc"]
     assert all(incomparable(al.order, a, b) for a in sc for b in sc if a != b)
     assert is_valid_alignment(net, log, al) == (True, None)
@@ -801,7 +822,7 @@ def test_validity_matches_exhaustive_replay(monkeypatch):
         scaled = scale_cases(net, log.cases())
         for base in (Alignment(comp.moves, comp.order),
                      approximate_alignment(net, log).alignment):
-            if len(base.transition_indices()) <= 8:
+            if len(transition_indices(base)) <= 8:
                 cases += [(scaled, log, base)] + [
                     (scaled, log, _loosened(log, base, rng)) for _ in range(3)]
     for n in (2, 3):
@@ -825,16 +846,15 @@ def test_validity_matches_exhaustive_replay(monkeypatch):
 def test_pseudo_fire_linearity():
     # effects add up: firing A then B equals firing A plus firing B minus
     # the initial marking, for disjoint move sets
-    from nualign.align import PseudoMarking
     log = hospital_log()
     net, prod = product_for(log)
     al = optimal_alignment(prod)
     half_a = [al.moves[i] for i in range(0, len(al.moves), 2)]
     half_b = [al.moves[i] for i in range(1, len(al.moves), 2)]
-    base = PseudoMarking.from_marking(net.initial)
+    base = token_counts(net.initial)
     union = pseudo_fire(net, half_a + half_b)
     pa, pb = pseudo_fire(net, half_a), pseudo_fire(net, half_b)
-    keys = {k for pm in (union, pa, pb, base) for k, _ in pm.items()}
+    keys = {k for pm in (union, pa, pb, base) for k in pm}
     for place, tok in keys:
         assert pseudo_count(union, place, tok) + pseudo_count(base, place, tok) == (
             pseudo_count(pa, place, tok) + pseudo_count(pb, place, tok)

@@ -22,8 +22,6 @@ from nualign.approx import (
     ComposedAlignment,
     CompositionError,
     IntervalRealignment,
-    _claims_and_releases,
-    _pseudo_to_marking,
     _renamed,
     _substitute,
     align_cases,
@@ -509,11 +507,22 @@ def _unprojected_realignment(net, comp, x_order, region, log, node_budget):
     )
     sub_net = build_log_net(log.restrict(events))
     prod = build_sync_product(net, sub_net)
-    m_a = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
-    m_b = _pseudo_to_marking(pseudo_fire(net, [comp.moves[i] for i in pre + region]))
+    m_a = _marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
+    m_b = _marking(pseudo_fire(net, [comp.moves[i] for i in pre + region]))
     start = _prefix_marking(m_a, "m::") | _prefix_marking(sub_net.initial, "l::")
     goal = _prefix_marking(m_b, "m::") | _prefix_marking(sub_net.final, "l::")
     return optimal_alignment(prod, node_budget=node_budget, start=start, goal=goal)
+
+
+def _marking(counts):
+    """The marking of a pseudo-marking's signed counts; FiringError when
+    one is negative."""
+    tokens = {}
+    for (p, tok), n in counts.items():
+        if n < 0:
+            raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
+        tokens.setdefault(p, {})[tok] = n
+    return ColoredMarking(tokens)
 
 
 def _differential_fixtures():
@@ -586,16 +595,25 @@ def test_align_cases_searches_each_variant_once(monkeypatch):
 
 
 def test_claims_and_releases_match_oracle():
-    """The firing effect's claims and releases equal the oracle's own
-    binding of the availability arcs, on every move of every composed and
-    approximated alignment."""
+    """The per-instance claim and release maps ``capacity_rows`` reads from
+    the token table equal the oracle's own binding of the availability
+    arcs, move by move, on every composed and approximated alignment; the
+    users of an instance are exactly the moves in either map."""
     moves = 0
     for net, log in _differential_fixtures():
         scaled = scale_cases(net, log.cases())
         result = approximate_alignment(net, log, node_budget=20_000)
-        for mv in result.composed.moves + result.alignment.moves:
-            assert _claims_and_releases(scaled, mv) == oracle_claims_and_releases(scaled, mv)
-            moves += 1
+        for al in (result.composed, result.alignment):
+            use = capacity_rows(scaled, ComposedAlignment(al.moves, al.order, (), {}))
+            expected = ([{} for _ in use.instances], [{} for _ in use.instances])
+            for i, mv in enumerate(al.moves):
+                for maps, amounts in zip(expected, oracle_claims_and_releases(scaled, mv)):
+                    for r, n in amounts.items():
+                        maps[use.instances.index(r)][i] = n
+            assert (use.claimed, use.released) == (expected[0], expected[1])
+            assert use.users == [sorted(c.keys() | r.keys())
+                                 for c, r in zip(use.claimed, use.released)]
+            moves += len(al.moves)
     assert moves > 1000
 
 

@@ -227,6 +227,43 @@ def test_cli_validate_malformed_json(tmp_path):
     assert main(["validate", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "dot"])
+@pytest.mark.parametrize("doc, message", [
+    ({"places": ["p"], "transitions": "ab"},
+     "malformed net document: 'str' object has no attribute 'get'"),
+    ({"places": [], "transitions": [], "initial": [1]},
+     "malformed net document: 'list' object has no attribute 'items'"),
+    ({"initial": []}, "net document lacks places and transitions"),
+])
+def test_cli_rejects_a_malformed_net_document(tmp_path, capsys, command, doc, message):
+    # a document of the wrong shape is an input error, not a traceback
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "dot"])
+def test_cli_rejects_a_net_document_with_an_unknown_key(tmp_path, capsys, command):
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps({"foo": 1}))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown net document keys: foo\n"
+    path.write_text(json.dumps(dict(net_to_dict(hospital_net()), name="h", foo=1)))
+    assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown net document keys: foo, name\n"
+
+
+@pytest.mark.parametrize("key", ["places", "transitions"])
+def test_cli_rejects_a_net_document_without_places_or_transitions(tmp_path, capsys, key):
+    doc = net_to_dict(hospital_net())
+    del doc[key]
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: net document lacks {key}\n"
+
+
 def test_cli_align_exact(net_file, log_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["align", net_file, log_file, "--out", str(out)])

@@ -142,3 +142,60 @@ def test_order_program_reads_orders_as_rows():
              == ast.dump(node.elt.generators[0].iter)]
     assert not reads, f"approx.py reads an order through precedes: {reads}"
     assert not dense, f"approx.py builds a square list of lists: {dense}"
+
+
+#: the per-token forms of a firing's effect that ``align.token_use`` replaced
+REMOVED_TOKEN_FORMS = {"PseudoMarking", "move_effects", "transition_indices",
+                       "_claims_and_releases", "_pseudo_to_marking", "_without_cases"}
+
+#: the only functions that bind arc inscriptions through ``firing_effect``
+FIRING_EFFECT_CALLERS = {"token_use", "_StateSpace.fire", "fire_mode", "involved_resources"}
+
+
+def _named(node):
+    """The name a definition, import, name or attribute node carries; None
+    for any other node."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        return node.name
+    if isinstance(node, ast.alias):
+        return node.asname or node.name
+    if isinstance(node, ast.Name):
+        return node.id
+    return _defined_or_read(node)
+
+
+def _callers(tree, callee):
+    """The dotted scopes (``Class.method``, ``function``) that call ``callee``
+    by name or attribute."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and _named(child.func) == callee:
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_firing_effects_pass_through_one_token_table():
+    # what a move takes and gives back per token is derived once, by
+    # ``align.token_use``: the package neither defines nor reads the forms
+    # it replaced, and besides it only the search's firings, ``fire_mode``
+    # and ``involved_resources`` bind inscriptions through ``firing_effect``
+    named = []
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')} {_named(node)}"
+                  for node in ast.walk(tree) if _named(node) in REMOVED_TOKEN_FORMS]
+        callers.update(_callers(tree, "firing_effect"))
+    assert not named, f"removed per-token forms in the package: {named}"
+    assert "token_use" in callers
+    assert callers <= FIRING_EFFECT_CALLERS, (
+        f"firing_effect called outside {sorted(FIRING_EFFECT_CALLERS)}: "
+        f"{sorted(callers - FIRING_EFFECT_CALLERS)}")
