@@ -34,7 +34,7 @@ Per-case, realignment and other searches run with h = 0, which is
 Dijkstra.  Whole-log searches (``align_log``, the CLI's exact mode) are A*
 on ``CaseHeuristic``: the sum over the log's cases of each case's optimal
 cost-to-go in its own single-case product, tabulated once per case
-variant (``case_variant``).  The classical marking-equation heuristic is
+variant (``case_variants``).  The classical marking-equation heuristic is
 unsound under variable bindings (compare van Dongen, BPM 2018); projecting
 onto single cases avoids bindings across cases.  The projection needs
 every firing to work on one case: where a transition has no unambiguous
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 from .eventlog import Event, EventLog
 from .lognet import LogNet, build_log_net
-from .poset import Multiset, Poset, set_bits
+from .poset import Multiset, Poset, masks_by_value, set_bits
 from .rcnu import (
     EPS,
     ColoredMarking,
@@ -616,27 +616,31 @@ def align_log(model: RcNuNet, log: EventLog,
 # ---------------------------------------------------------------------------
 
 
-def case_variant(model: RcNuNet, log: EventLog, case) -> tuple:
-    """What the single-case search of ``case`` reads from the log and the
+def case_variants(model: RcNuNet, log: EventLog) -> dict:
+    """Per case, what its single-case search reads from the log and the
     case id, as a key: cases with equal keys have the same search up to
     renaming the k-th event to the k-th event and one case id to the other.
 
     The first part is the trace's (activity, resource instances) sequence.
     The second is how the case id compares with every other identifier the
-    search can meet: the spare fresh names ``_nu1..``, the declared and
-    caseless-marked resource instances and the arcs' constants.  Tie-breaks
-    sort modes, fresh-name pools and tokens by these comparisons, and
-    equality decides enabledness, so equal signs make the two searches push
-    in the same order."""
-    trace = log.trace(case)
-    others = {f"_nu{i + 1}" for i in range(len(trace) or 1)}
-    others.update(model.resource_instances().support())
+    search can meet: the spare fresh names ``_nu1..``, and the declared and
+    caseless-marked resource instances and the arcs' constants, collected
+    once.  Tie-breaks sort modes, fresh-name pools and tokens by these
+    comparisons, and equality decides enabledness, so equal signs make the
+    two searches push in the same order."""
+    constants = set(model.resource_instances().support())
     for marking in (model.initial, model.final):
-        others.update(r for _, (c, r) in token_counts(marking) if c is None and r)
+        constants.update(r for _, (c, r) in token_counts(marking) if c is None and r)
     for arc in model.flow.values():
-        others.update(x for pair in arc.support() for x in pair if isinstance(x, str))
-    return (tuple((e.activity, tuple(sorted(e.resources.items()))) for e in trace),
+        constants.update(x for pair in arc.support() for x in pair if isinstance(x, str))
+    variants = {}
+    for case in log.cases():
+        trace = log.trace(case)
+        others = constants.union(f"_nu{i + 1}" for i in range(len(trace) or 1))
+        variants[case] = (
+            tuple((e.activity, tuple(sorted(e.resources.items()))) for e in trace),
             tuple((case > x) - (case < x) for x in sorted(others)))
+    return variants
 
 
 def _projection_breaks(prod: SyncProduct) -> str | None:
@@ -738,7 +742,7 @@ class CaseHeuristic:
     c's events fired; h_c is the optimal cost-to-go in c's own single-case
     product (the net scaled to c alone against c's trace), with the
     declared resources minus what c holds and without the cross-case log
-    order.  It is tabulated once per case variant (``case_variant``), on
+    order.  It is tabulated once per case variant (``case_variants``), on
     the variant's representative, and read through the renaming.
 
     Admissible: the moves of c in any completion of the whole-log run form
@@ -782,8 +786,9 @@ class CaseHeuristic:
         log = EventLog(prod.log_net.event_of.values())
         variants = {}
         budget = node_budget    # states the tables may still explore
-        for c in prod.log_case_ids if self.reason is None else ():
-            rep = self.rep[c] = variants.setdefault(case_variant(prod.model, log, c), c)
+        keys = {} if self.reason is not None else case_variants(prod.model, log)
+        for c in keys:
+            rep = self.rep[c] = variants.setdefault(keys[c], c)
             self._owned[c] = []
             if rep == c:
                 single = build_sync_product(scale_cases(prod.model, [c]),
@@ -843,15 +848,20 @@ def token_counts(marking: ColoredMarking) -> dict:
     return {(p, tok): n for p in marking.places() for tok, n in marking.get(p).items()}
 
 
-def token_use(net: RcNuNet, moves) -> dict:
+def token_use(net: RcNuNet, moves, bound: dict | None = None) -> dict:
     """``{(place, token): {move index: [taken, given]}}`` over the non-log
     moves, from one ``firing_effect`` call per move: the table that
-    pseudo-markings, validity and the order program's capacity rows read."""
+    pseudo-markings, validity and the order program's capacity rows read.
+    A move in ``bound`` (index -> ``firing_effect``) is not bound again."""
     use = {}
+    bound = {} if bound is None else bound
     for i, move in enumerate(moves):
         if move.kind != "log":
-            for side, effect in enumerate(firing_effect(net, move.transition, move.binding())):
-                for p, tok, n in effect:
+            effect = bound.get(i)
+            if effect is None:
+                effect = bound[i] = firing_effect(net, move.transition, move.binding())
+            for side, tokens in enumerate(effect):
+                for p, tok, n in tokens:
                     use.setdefault((p, tok), {}).setdefault(i, [0, 0])[side] += n
     return use
 
@@ -864,17 +874,12 @@ def _pseudo_marking(net: RcNuNet, use: dict) -> dict:
     return {pair: n for pair, n in counts.items() if n}
 
 
-def pseudo_fire(net: RcNuNet, moves) -> dict:
-    """The initial marking plus the summed effects of ``moves``: signed
-    counts per (place, token), zeros left out; negative counts are meaningful."""
-    return _pseudo_marking(net, token_use(net, moves))
-
-
 # ---------------------------------------------------------------------------
 # Alignment validity
 # ---------------------------------------------------------------------------
 
-def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
+def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment,
+                       tokens: dict | None = None):
     """Check the two alignment properties; returns (ok, first witness).
 
     Property 1: the log/sync moves carry exactly the log's events and the
@@ -888,6 +893,9 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
     moves incomparable to ``t``.  That minimum closure (Picard 1976) is every
     net consumer of the token, plus a minimum cut paying either for leaving
     a consumer out or for the net producers ordered before it.
+
+    The predecessor and consumer sums are popcounts of the token's moves
+    grouped by net effect.  ``tokens``: the alignment's ``token_use`` table.
     """
     moves = alignment.moves
     # property 1: event coverage
@@ -909,7 +917,7 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
             return False, f"log order {e1!r} < {e2!r} not preserved"
 
     # property 2: every linearization of the transition moves fires
-    use = token_use(net, moves)     # (place, token) -> {move: [taken, given]}
+    use = token_use(net, moves) if tokens is None else tokens
     if _pseudo_marking(net, use) != token_counts(net.final):
         return False, "summed effects do not reach the final marking"
     order = alignment.order
@@ -917,18 +925,19 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment):
         raise ValueError("the alignment order must relate move indices in order")
     after, before = order.rows(), order.predecessor_rows()
     for (p, tok), moved in use.items():
-        effect = {s: given - taken for s, (taken, given) in moved.items() if given != taken}
-        users = sum(1 << s for s in effect)     # the moves with a net effect
+        masks = masks_by_value({s: given - taken for s, (taken, given) in moved.items()})
+        initial = net.initial.get(p).count(tok)
         for t, (taken, _) in moved.items():
             if not taken:
                 continue
-            free = users & ~(after[t] | before[t] | 1 << t)     # incomparable to t
-            least = (net.initial.get(p).count(tok)
-                     + sum(min(effect[s], 0) for s in set_bits(free))
-                     + sum(effect[s] for s in set_bits(users & before[t])))
+            not_after = ~(after[t] | 1 << t)
+            least = initial + sum(e * (mask & (not_after if e < 0 else before[t])).bit_count()
+                                  for e, mask in masks.items())
             if least < taken:
-                supply = {c: -effect[c] for c in set_bits(free) if effect[c] < 0}
-                capacity = {x: effect[x] for x in set_bits(free) if effect[x] > 0}
+                free = not_after & ~before[t]       # incomparable to t
+                effect = {s: e for e, mask in masks.items() for s in set_bits(mask & free)}
+                supply = {c: -effect[c] for c in sorted(effect) if effect[c] < 0}
+                capacity = {x: effect[x] for x in sorted(effect) if effect[x] > 0}
                 producers = sum(1 << x for x in capacity)
                 arcs = {c: list(set_bits(producers & before[c])) for c in supply}
                 least += _max_flow(supply, capacity, arcs, taken - least)

@@ -59,17 +59,17 @@ from .align import (
     SoundnessError,
     _prefix_marking,
     build_sync_product,
-    case_variant,
+    case_variants,
     is_valid_alignment,
     optimal_alignment,
-    pseudo_fire,
     sync_warnings,
+    token_counts,
     token_use,
 )
 from .eventlog import EventLog
 from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
-from .poset import CycleError, Poset, set_bits
+from .poset import CycleError, Poset, masks_by_value, set_bits
 from .rcnu import ColoredMarking, FiringError, RcNuNet, scale_cases
 
 REVERSAL_WEIGHT = 1000
@@ -88,7 +88,6 @@ class ComposedAlignment:
     moves: tuple
     order: Poset            # over move indices, held as its reachability rows
     case_of: tuple          # per move, the owning case id
-    per_case: dict          # case id -> Alignment
 
     def __len__(self):
         return len(self.moves)
@@ -99,14 +98,13 @@ def align_cases(net: RcNuNet, log: EventLog,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
     """Optimal alignment of each case's trace against the single-case model.
 
-    Cases of one variant (``case_variant``) have the same search up to
+    Cases of one variant (``case_variants``) have the same search up to
     renaming, so only the first case of each variant, in id order, is
     searched; the others get its moves with the k-th event replaced by
     their own k-th event and its case id by theirs."""
     out = {}
     searched = {}           # variant -> (its first case, that case's alignment)
-    for c in log.cases():
-        variant = case_variant(net, log, c)
+    for c, variant in case_variants(net, log).items():
         if variant not in searched:
             single = scale_cases(net, [c])
             prod = build_sync_product(single, build_log_net(log.project_case(c)))
@@ -159,7 +157,7 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
         order = Poset.of_rows(range(len(moves)), rows)
     except CycleError as exc:
         raise CompositionError(f"composed order is cyclic: {exc}") from None
-    return ComposedAlignment(tuple(moves), order, tuple(case_of), dict(per_case))
+    return ComposedAlignment(tuple(moves), order, tuple(case_of))
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +169,11 @@ class CapacityRows:
     """Claim and release counts of the composed moves, and the sites of the
     capacity rows they induce.
 
-    Computed once per ``adjust_order`` and shared by the fits check, the
-    contending-case finder, every program built and the lift check.  A
-    row is read under an order's rows, bit j of ``rows[i]`` set iff move i
-    is before move j: R's own (``comp.order.rows()``), or R's with a
-    program's changed pairs written in (``_with_changes``, not closed).
+    Computed once per ``adjust_order`` and shared by the broken-row and
+    fits checks, the contending-case finder, every program built and the
+    lift check.  A row is read under an order's rows, bit j of ``rows[i]``
+    set iff move i is before move j: R's own (``comp.order.rows()``), or
+    R's with a program's changed pairs written in (``_with_changes``).
     """
 
     instances: tuple        # resource instance ids, fixed order
@@ -211,9 +209,19 @@ class CapacityRows:
                 <= self.capacities[k])
 
     def broken(self, comp: ComposedAlignment) -> list:
-        """The sites whose rows R itself violates."""
-        rows = comp.order.rows()
-        return [s for s in self.sites if not self.fits(comp, s, rows)]
+        """The sites whose rows R violates, each total at R a popcount sum:
+        the move's claim, plus each claim amount times its moves not after
+        the move, minus each release amount times its moves before it."""
+        after, below = comp.order.rows(), comp.order.predecessor_rows()
+        amounts = [tuple(map(masks_by_value, pair)) for pair in zip(self.claimed, self.released)]
+
+        def total(i, k):
+            claims, releases = amounts[k]
+            not_after = ~(after[i] | 1 << i)
+            return (self.claimed[k][i]
+                    + sum(a * (mask & not_after).bit_count() for a, mask in claims.items())
+                    - sum(a * (mask & below[i]).bit_count() for a, mask in releases.items()))
+        return [(i, k) for i, k in self.sites if total(i, k) > self.capacities[k]]
 
     def named_cases(self, comp: ComposedAlignment, sites, rows) -> set:
         """The cases the rows at ``sites`` name under ``rows``: the case of
@@ -227,13 +235,16 @@ class CapacityRows:
         return named
 
 
-def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
-    """Resource use of the composed moves and the sites of the capacity rows.
+def capacity_rows(net: RcNuNet, comp: ComposedAlignment,
+                  tokens: dict | None = None) -> CapacityRows:
+    """Resource use of the composed moves, read from their ``token_use``
+    table ``tokens`` (bound here when not given), and the capacity rows' sites.
 
     The row ``const_vio[i,inst]`` at site ``(i, inst)`` says that the claims
     of the moves not ordered after ``i``, minus the releases ordered
-    strictly before it, fit the capacity (``CapacityRows.fits``).  Only the
-    users of ``inst``, the moves that claim or release it, have terms in it.
+    strictly before it, fit the capacity: ``fits`` sums it per case,
+    ``broken`` at R by popcounts.  Only the users of ``inst``, the moves
+    that claim or release it, have terms in it.
 
     Rows exist only at moves that claim an instance whose claims, summed
     over every move, exceed its capacity.  This is sound: availability
@@ -250,7 +261,7 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment) -> CapacityRows:
     capacities = tuple(net.resource_instances().count(r) for r in instances)
     claimed = [{} for _ in instances]
     released = [{} for _ in instances]
-    for (p, (_, r)), moved in token_use(net, comp.moves).items():
+    for (p, (_, r)), moved in (token_use(net, comp.moves) if tokens is None else tokens).items():
         if r is not None and net.place_kind(p) == "resource":
             k = instances.index(r)
             for i, counts in moved.items():         # [taken, given]
@@ -583,7 +594,7 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
             f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
             f"the two terms"
         )
-    x_order = Poset.of_rows(range(n), _with_changes(R_rows, changes))
+    x_order = Poset.of_rows(range(n), _with_changes(R_rows, changes)) if changes else comp.order
 
     disturbed = 0
     for i, j in reversals:
@@ -618,8 +629,9 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
 
 
 def adjust_order(net: RcNuNet, comp: ComposedAlignment,
-                 node_budget: int = 2_000_000) -> OrderSolution:
-    """The optimal adjusted order of a composed alignment.
+                 node_budget: int = 2_000_000, tokens: dict | None = None) -> OrderSolution:
+    """The optimal adjusted order of a composed alignment; ``tokens`` is its
+    moves' ``token_use`` table, as ``capacity_rows`` reads it.
 
     When R satisfies its own capacity rows it is the optimum, and no
     program is built: every other row family holds at R by construction
@@ -660,7 +672,7 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
     adds a case, so the widening ends at all cases at the latest, where the
     program is the full program and its lift is its own optimum.
     """
-    use = capacity_rows(net, comp)
+    use = capacity_rows(net, comp, tokens)
     groups = contending_groups(comp, use)
     if not groups:
         return extract_solution(comp, {}, 0)
@@ -709,21 +721,32 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
     return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
 
 
-def _boundary_marking(net: RcNuNet, moves, idle) -> ColoredMarking:
-    """The ``m::`` marking of the pseudo-marking of ``moves`` without the
-    production-place tokens of the ``idle`` cases; resource places keep
-    every token.  Raises FiringError at a negative count."""
+def _effect_masks(tokens: dict) -> dict:
+    """Per (place, token) of a ``token_use`` table, ``{net effect: mask}``."""
+    return {pair: masks_by_value({i: given - taken for i, (taken, given) in moved.items()})
+            for pair, moved in tokens.items()}
+
+
+def _boundary_marking(net: RcNuNet, effects: dict, members, idle) -> ColoredMarking:
+    """The ``m::`` marking of the pseudo-marking of the moves in the mask
+    ``members`` (the initial count plus popcounts of ``_effect_masks``),
+    without the production-place tokens of the ``idle`` cases; resource
+    places keep every token.  Raises FiringError at a negative count."""
+    counts = token_counts(net.initial)
+    for pair, masks in effects.items():
+        counts[pair] = counts.get(pair, 0) + sum(
+            e * (mask & members).bit_count() for e, mask in masks.items())
     tokens = {}
-    for (p, tok), n in pseudo_fire(net, moves).items():
+    for (p, tok), n in counts.items():
         if n < 0:
             raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
-        if net.place_kind(p) != "production" or tok[0] not in idle:
+        if n and (net.place_kind(p) != "production" or tok[0] not in idle):
             tokens.setdefault(f"m::{p}", {})[tok] = n
     return ColoredMarking(tokens)
 
 
 def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
-                     region, log: EventLog,
+                     region, log: EventLog, effects: dict,
                      costs: CostTable = DEFAULT_COSTS,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> IntervalRealignment:
     """Optimal alignment of the events of ``region`` (sorted composed-move
@@ -737,6 +760,8 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     boundary marking would be re-derived inside the realignment and then
     fire twice in the substituted alignment.  (The substitution orders
     exactly those moves before the block, so the boundary is consistent.)
+    Both are read off the run's token table, as popcounts of its
+    ``_effect_masks`` (``effects``) with the boundary's move mask.
 
     The search runs over the region's own cases: both boundary markings
     drop the production-place tokens of every case that owns no move in
@@ -757,8 +782,7 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     """
     region = tuple(region)
     region_mask = sum(1 << m for m in region)
-    pre = [x for x, row in enumerate(x_order.rows())
-           if row & region_mask and not region_mask >> x & 1]
+    pre = sum(1 << x for x, row in enumerate(x_order.rows()) if row & region_mask) & ~region_mask
     events = sorted(
         (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
         key=lambda e: e.index,
@@ -768,9 +792,9 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     try:
         sub_net = build_log_net(sub_log)
         prod = build_sync_product(net, sub_net)
-        start = (_boundary_marking(net, [comp.moves[i] for i in pre], idle)
+        start = (_boundary_marking(net, effects, pre, idle)
                  | _prefix_marking(sub_net.initial, "l::"))
-        goal = (_boundary_marking(net, [comp.moves[i] for i in (*pre, *region)], idle)
+        goal = (_boundary_marking(net, effects, pre | region_mask, idle)
                 | _prefix_marking(sub_net.final, "l::"))
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
         return IntervalRealignment(region, alignment, False)
@@ -829,23 +853,31 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
                           node_budget: int = DEFAULT_NODE_BUDGET,
                           ilp_budget: int = 2_000_000) -> ApproxResult:
     """The full pipeline: per-case alignments, composition, order program,
-    local realignments, substitution, and a validity check of the result."""
+    local realignments, substitution, and a validity check of the result.
+
+    The composed moves are bound once, into the ``token_use`` table the
+    capacity rows, boundaries and validity read; validity binds only new moves."""
     scaled = scale_cases(net, log.cases())
     per_case = align_cases(net, log, costs, node_budget)
     comp = compose(per_case, log)
-    sol = adjust_order(scaled, comp, ilp_budget)
+    bound = {}              # move index -> its firing_effect
+    tokens = token_use(scaled, comp.moves, bound)
+    sol = adjust_order(scaled, comp, ilp_budget, tokens)
 
     if not sol.regions:
         gamma = Alignment(comp.moves, sol.x_order)
         realignments = []
     else:
-        realignments = [
-            realign_interval(scaled, comp, sol.x_order, region, log, costs,
-                             node_budget)
-            for region in sol.regions
-        ]
+        effects = _effect_masks(tokens)
+        realignments = [realign_interval(scaled, comp, sol.x_order, region, log, effects,
+                                         costs, node_budget) for region in sol.regions]
         gamma = _substitute(comp, sol.x_order, realignments)
+        del effects         # the masks span every move, too large to keep at 10^4 moves
+        replaced = {i for r in realignments for i in r.region}
+        kept = [i for i in range(len(comp.moves)) if i not in replaced]
+        tokens = token_use(scaled, gamma.moves,
+                           {k: bound[i] for k, i in enumerate(kept) if i in bound})
 
-    ok, witness = is_valid_alignment(scaled, log, gamma)
+    ok, witness = is_valid_alignment(scaled, log, gamma, tokens)
     return ApproxResult(gamma, comp, per_case, sol, realignments, ok, witness,
                         sync_warnings(net, log))

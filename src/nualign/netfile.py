@@ -67,14 +67,17 @@ def _token_to_json(tok, count):
 
 
 def _marking_from_json(doc, field):
-    tokens = {}
-    for place, entries in (doc or {}).items():
-        counts = {}
-        for entry in entries:
-            tok = _token_from_json(entry)
-            counts[tok] = counts.get(tok, 0) + int(entry.get("count", 1))
-        tokens[place] = Multiset(counts)
-    return ColoredMarking(tokens)
+    try:
+        tokens = {}
+        for place, entries in (doc or {}).items():
+            counts = {}
+            for entry in entries:
+                tok = _token_from_json(entry)
+                counts[tok] = counts.get(tok, 0) + int(entry.get("count", 1))
+            tokens[place] = Multiset(counts)
+        return ColoredMarking(tokens)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise NetFileError(f"malformed {field} marking: {exc}") from exc
 
 
 def _marking_to_json(marking: ColoredMarking):

@@ -31,8 +31,8 @@ class Multiset:
     """Finite multiset: elements mapped to counts >= 1.
 
     Zero counts are never stored, so ``support()`` is exactly the key set.
-    Subtraction clamps at zero; signed counts, such as pseudo-markings
-    (``align.pseudo_fire``), are plain dicts.
+    Subtraction clamps at zero; signed counts, such as pseudo-markings,
+    are plain dicts.
     """
 
     __slots__ = ("_counts",)
@@ -149,6 +149,15 @@ def set_bits(mask):
         mask ^= low
 
 
+def masks_by_value(values: dict) -> dict:
+    """``{value: mask}`` of an ``{index: value}`` map, zero values left out:
+    bit i of value v's mask is set iff index i has value v."""
+    masks = {}
+    for i, v in values.items():
+        if v:
+            masks[v] = masks.get(v, 0) | 1 << i
+    return masks
+
 
 def _close(rows):
     """Reachability rows of the relation ``rows`` (bit j of row i: i -> j).
@@ -209,7 +218,7 @@ class Poset:
             if i == j:
                 raise CycleError(f"reflexive pair on {a!r}")
             rows[i] |= 1 << j
-        self._rows = _close(rows)
+        self._rows = _close(rows) if pairs else tuple(rows)
 
     @classmethod
     def of_rows(cls, elements, rows):

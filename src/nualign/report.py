@@ -12,7 +12,7 @@ value, from one fixed template per pair instead of through the encoder.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, compress, count
 
 from .align import Alignment, CostTable, Move, move_cost
 from .eventlog import Event
@@ -50,6 +50,10 @@ def _move_case(net: RcNuNet, move: Move):
         return None
 
 
+#: ``bin``'s digits as 0/1 bytes: the order lists a row's set bits by ``compress``
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def build_report(alignment: Alignment, mode: str,
                  costs: CostTable = CostTable(), *, net: RcNuNet,
                  violations=(), warnings=()) -> dict:
@@ -84,7 +88,7 @@ def build_report(alignment: Alignment, mode: str,
         "per_case_cost": dict(sorted(per_case.items())),
         "moves": moves,
         "order": [[i, j] for i, row in enumerate(alignment.order.rows())
-                  for j in set_bits(row)],
+                  for j in compress(count(), bin(row)[:1:-1].encode().translate(_BITS))],
         "violations": list(violations),
         "warnings": list(warnings),
     }

@@ -5,16 +5,18 @@ oracle enumerates firing sequences depth-first with only cost dominance
 pruning, and the violation oracles work directly on the permutation-space
 definition (linearization replay, or literal enumeration of all order
 extensions for very small inputs).  The order program's row reads are
-checked against loops over dense matrices and single moves.
+checked against loops over dense matrices and single moves, and the
+popcount sums over a token table (validity, capacity rows, boundary
+markings) against the bit-by-bit loops they replaced.
 """
 
 from __future__ import annotations
 
 from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
-                           product_move_cost)
+                           _max_flow, is_valid_alignment, product_move_cost, token_use)
 from nualign.ilp import BinaryProgram, Constraint
-from nualign.poset import Poset
-from nualign.rcnu import RcNuNet, bind_pairs, enabled_modes, fire_mode
+from nualign.poset import Poset, set_bits
+from nualign.rcnu import ColoredMarking, FiringError, RcNuNet, bind_pairs, enabled_modes, fire_mode
 
 from .orders import (
     SizeLimitError,
@@ -305,3 +307,63 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
     if failing and not named:
         raise SoundnessError("a capacity row fails with no outside case named")
     return named
+
+
+# ---------------------------------------------------------------------------
+# Token-table sums bit by bit
+# ---------------------------------------------------------------------------
+
+def broken_by_fits(comp, use) -> list:
+    """The sites whose rows R breaks, each row summed term by term through
+    ``CapacityRows.fits`` (per case, over every user of its instance)."""
+    rows = comp.order.rows()
+    return [site for site in use.sites if not use.fits(comp, site, rows)]
+
+
+def validity_by_set_bits(net, log, alignment):
+    """``is_valid_alignment`` with every per-token sum taken move by move
+    over ``set_bits`` of the predecessor and incomparable masks, on a fresh
+    ``token_use`` table: the reference for the popcount sums, witness
+    included.  Property 1 and the summed-effects check are the package's."""
+    ok, why = is_valid_alignment(net, log, alignment)
+    if not ok and not why.startswith("move "):
+        return ok, why
+    after, before = alignment.order.rows(), alignment.order.predecessor_rows()
+    for (p, tok), moved in token_use(net, alignment.moves).items():
+        effect = {s: given - taken for s, (taken, given) in moved.items() if given != taken}
+        users = sum(1 << s for s in effect)
+        for t, (taken, _) in moved.items():
+            if not taken:
+                continue
+            free = users & ~(after[t] | before[t] | 1 << t)
+            least = (net.initial.get(p).count(tok)
+                     + sum(min(effect[s], 0) for s in set_bits(free))
+                     + sum(effect[s] for s in set_bits(users & before[t])))
+            if least < taken:
+                supply = {c: -effect[c] for c in set_bits(free) if effect[c] < 0}
+                capacity = {x: effect[x] for x in set_bits(free) if effect[x] > 0}
+                producers = sum(1 << x for x in capacity)
+                arcs = {c: list(set_bits(producers & before[c])) for c in supply}
+                least += _max_flow(supply, capacity, arcs, taken - least)
+                if least < taken:
+                    return False, (
+                        f"move {t} takes {taken} of token {tok!r} on {p}, but a "
+                        f"linearization leaves only {least} available before it")
+    return True, None
+
+
+def boundary_by_pseudo_fire(net: RcNuNet, moves, idle) -> ColoredMarking:
+    """The ``m::`` marking of the pseudo-marking of ``moves``, bound afresh
+    and summed move by move, without the production-place tokens of the
+    ``idle`` cases; FiringError at a negative count."""
+    counts = {(p, tok): n for p in net.initial.places() for tok, n in net.initial.get(p).items()}
+    for pair, moved in token_use(net, moves).items():
+        counts[pair] = counts.get(pair, 0) + sum(given - taken for taken, given in moved.values())
+    tokens = {}
+    for (p, tok), n in counts.items():
+        if n < 0:
+            raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
+        if n and (net.place_kind(p) != "production" or tok[0] not in idle):
+            tokens.setdefault(f"m::{p}", {})[tok] = n
+    return ColoredMarking(tokens)
+

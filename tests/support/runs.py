@@ -1,15 +1,17 @@
 """Sequential firing: every complete execution of a net up to a length,
-the replay of an alignment's moves, the pseudo-marking of an antichain's
-prefix (signed counts per (place, token), as ``align.pseudo_fire`` returns
-them), and the values a search reads at a marking (a pseudo-marking's
-count, the case heuristic's h)."""
+the replay of an alignment's moves, random loosenings of an alignment's
+order, pseudo-markings (signed counts per (place, token) of a list of
+moves, and of an antichain's prefix), and the values a search reads at a
+marking (a pseudo-marking's count, the case heuristic's h)."""
 
 from __future__ import annotations
 
-from nualign.align import Alignment, CaseHeuristic, pseudo_fire
+from nualign.align import Alignment, CaseHeuristic, _pseudo_marking, token_use
 from nualign.rcnu import ColoredMarking, RcNuNet, case_of_mode, enabled_modes, fire_mode
 
-from .orders import SizeLimitError, is_antichain, prefix
+from nualign.poset import Poset
+
+from .orders import SizeLimitError, closed_pairs, is_antichain, prefix
 
 
 def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):
@@ -55,6 +57,27 @@ def replay(net: RcNuNet, moves) -> ColoredMarking:
             continue
         m = fire_mode(net, m, move.transition, move.binding())
     return m
+
+
+def pseudo_fire(net: RcNuNet, moves) -> dict:
+    """The initial marking plus the summed effects of ``moves``: signed
+    counts per (place, token), zeros left out; negative counts are
+    meaningful.  The package reads such counts off its token table instead
+    (``approx._boundary_marking``)."""
+    return _pseudo_marking(net, token_use(net, moves))
+
+
+def loosened(log, alignment: Alignment, rng) -> Alignment:
+    """The alignment with a random subset of its order pairs, keeping every
+    pair the log order needs, so property 1 still holds."""
+    keep_p = rng.random()
+    event = {i: m.event for i, m in enumerate(alignment.moves) if m.kind != "model"}
+    pairs = [
+        (i, j) for i, j in closed_pairs(alignment.order)
+        if (i in event and j in event and log.precedes(event[i], event[j]))
+        or rng.random() < keep_p
+    ]
+    return Alignment(alignment.moves, Poset(range(len(alignment.moves)), pairs))
 
 
 def antichain_marking(net: RcNuNet, alignment: Alignment, g, side="pre") -> dict:

@@ -26,7 +26,6 @@ from nualign.align import (
     is_valid_alignment,
     move_cost,
     optimal_alignment,
-    pseudo_fire,
     token_counts,
 )
 from nualign.approx import align_cases, approximate_alignment, compose
@@ -38,7 +37,8 @@ from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, en
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
 from support.oracles import min_cost_exhaustive
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
-from support.runs import antichain_marking, heuristic_value, pseudo_count, replay
+from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
+                          replay)
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
 from test_approx import _differential_fixtures
@@ -764,19 +764,6 @@ def test_validity_binds_each_transition_move_once(monkeypatch):
     assert verdicts.count(True) > 20 and verdicts.count(False) > 5
 
 
-def _loosened(log, alignment, rng):
-    """The alignment with a random subset of its order pairs, keeping every
-    pair the log order needs, so property 1 still holds."""
-    keep_p = rng.random()
-    event = {i: m.event for i, m in enumerate(alignment.moves) if m.kind != "model"}
-    pairs = [
-        (i, j) for i, j in closed_pairs(alignment.order)
-        if (i in event and j in event and log.precedes(event[i], event[j]))
-        or rng.random() < keep_p
-    ]
-    return Alignment(alignment.moves, Poset(range(len(alignment.moves)), pairs))
-
-
 def _concurrent_self_loops(n):
     """``n`` hospital cases, each logging ``o_p`` at t=1 and a surgeon
     closing-up (``o_sc``, which takes and returns ``s1``) at t=2."""
@@ -824,12 +811,12 @@ def test_validity_matches_exhaustive_replay(monkeypatch):
                      approximate_alignment(net, log).alignment):
             if len(transition_indices(base)) <= 8:
                 cases += [(scaled, log, base)] + [
-                    (scaled, log, _loosened(log, base, rng)) for _ in range(3)]
+                    (scaled, log, loosened(log, base, rng)) for _ in range(3)]
     for n in (2, 3):
         net, log, al = _concurrent_self_loops(n)
         cases.append((net, log, al))
     net, log, al = _concurrent_self_loops(2)
-    cases += [(net, log, _loosened(log, al, rng)) for _ in range(20)]
+    cases += [(net, log, loosened(log, al, rng)) for _ in range(20)]
     verdicts = []
     for net, log, al in cases:
         ok, why = is_valid_alignment(net, log, al)

@@ -1,11 +1,14 @@
 """Composition + order-program pipeline, checked against the permutation
 oracles and the exact aligner."""
 
+import inspect
 import random
 from dataclasses import FrozenInstanceError, replace
+from functools import lru_cache
 
 import pytest
 
+import nualign.align as align_module
 import nualign.approx as approx
 
 from nualign.align import (
@@ -15,13 +18,16 @@ from nualign.align import (
     SoundnessError,
     _prefix_marking,
     is_valid_alignment,
-    pseudo_fire,
+    token_use,
 )
 from nualign.approx import (
     REVERSAL_WEIGHT,
     ComposedAlignment,
     CompositionError,
     IntervalRealignment,
+    _boundary_marking,
+    _effect_masks,
+    _lift_failures,
     _renamed,
     _substitute,
     align_cases,
@@ -42,10 +48,10 @@ from nualign.ilp import (
     constraint,
     solve,
 )
-from nualign.align import DEFAULT_COSTS, build_sync_product, case_variant, optimal_alignment
+from nualign.align import DEFAULT_COSTS, build_sync_product, case_variants, optimal_alignment
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
-from nualign.report import violation_entry
+from nualign.report import build_report, violation_entry
 from nualign.rcnu import EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, scale_cases
 from support.fixtures import (
     claim_release_net,
@@ -58,6 +64,8 @@ from support.fixtures import (
 )
 from support.oracles import _claims_and_releases as oracle_claims_and_releases
 from support.oracles import (
+    boundary_by_pseudo_fire,
+    broken_by_fits,
     check_feasible,
     dense_lazy_cuts,
     dense_witness_scan,
@@ -67,6 +75,7 @@ from support.oracles import (
     min_cost_exhaustive,
     over_claims,
     row_holds,
+    validity_by_set_bits,
 )
 from support.orders import (
     closed_pairs,
@@ -78,7 +87,7 @@ from support.orders import (
     minimal,
     prefix,
 )
-from support.runs import replay
+from support.runs import loosened, pseudo_fire, replay
 
 from test_acceptance import (
     block_triangular_assignment,
@@ -102,7 +111,7 @@ def hand_composed(overlap_forced, instances=None):
     if overlap_forced:
         pairs += [(0, 2), (2, 1), (1, 3)]
     order = Poset(range(4), pairs)
-    comp = ComposedAlignment(tuple(moves), order, ("c1", "c1", "c2", "c2"), {})
+    comp = ComposedAlignment(tuple(moves), order, ("c1", "c1", "c2", "c2"))
     return net, comp
 
 
@@ -384,7 +393,8 @@ def test_realign_interval_forced_overlap_pays_one_split():
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
     sol = _full_program_solution(scaled, comp)
-    re = realign_interval(scaled, comp, sol.x_order, sol.regions[0], log)
+    effects = _effect_masks(token_use(scaled, comp.moves))
+    re = realign_interval(scaled, comp, sol.x_order, sol.regions[0], log, effects)
     assert not re.fallback
     assert re.alignment.cost() == 10_000 * 2
     kinds = sorted(m.kind for m in re.alignment.moves)
@@ -559,7 +569,7 @@ def _searched_alone(net, log, case):
 
 def test_variant_key_orders_the_case_id_against_spare_names():
     net, log = _spare_name_fixture()
-    keys = {c: case_variant(net, log, c) for c in log.cases()}
+    keys = case_variants(net, log)
     assert keys["c1"] == keys["c2"] != keys["A1"]
     alone = {c: _searched_alone(net, log, c) for c in log.cases()}
     # the tie-break reads how the id sorts against _nu1, so renaming A1's
@@ -586,7 +596,7 @@ def test_align_cases_searches_each_variant_once(monkeypatch):
     for net, log in fixtures:
         searches.clear()
         per_case = align_cases(net, log)
-        variants = {case_variant(net, log, c) for c in log.cases()}
+        variants = set(case_variants(net, log).values())
         assert len(searches) == len(variants)
         reused += len(log.cases()) - len(variants)
         for c in log.cases():
@@ -604,7 +614,7 @@ def test_claims_and_releases_match_oracle():
         scaled = scale_cases(net, log.cases())
         result = approximate_alignment(net, log, node_budget=20_000)
         for al in (result.composed, result.alignment):
-            use = capacity_rows(scaled, ComposedAlignment(al.moves, al.order, (), {}))
+            use = capacity_rows(scaled, ComposedAlignment(al.moves, al.order, ()))
             expected = ([{} for _ in use.instances], [{} for _ in use.instances])
             for i, mv in enumerate(al.moves):
                 for maps, amounts in zip(expected, oracle_claims_and_releases(scaled, mv)):
@@ -705,10 +715,10 @@ def _solution_fields(sol):
             sol.regions)
 
 
-def _slow_adjust_order(net, comp, node_budget=2_000_000):
+def _slow_adjust_order(net, comp, node_budget=2_000_000, tokens=None):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
-    inst = build_ilp(comp, capacity_rows(net, comp))
+    inst = build_ilp(comp, capacity_rows(net, comp, tokens))
     assignment, objective = _per_level_reference(inst.program, node_budget)
     return extract_solution(comp, inst.changes(assignment), objective)
 
@@ -1157,3 +1167,207 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
             elif named:
                 outcomes[1 in changes.values()] += 1
     assert min(outcomes) >= 20, outcomes
+
+
+# -- one token table per run, summed by popcounts ------------------------------------
+
+@lru_cache(maxsize=None)
+def _token_table_runs():
+    """(net, log, node budget, scaled net, approx result) of the
+    differential fixtures, the clinic overlap logs and two clinic overlaps
+    whose joint region falls back."""
+    runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
+    runs += [(clinic_net(), clinic_log(n, overlap_at=n // 2), 10_000) for n in (4, 9, 17, 30)]
+    runs += [(clinic_net(), clinic_log(9, overlap_at=0), 10_000),
+             (clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000)]
+    return tuple((net, log, budget, scale_cases(net, log.cases()),
+                  approximate_alignment(net, log, node_budget=budget))
+                 for net, log, budget in runs)
+
+
+def _random_order(n, rng):
+    """A random strict order over ``n`` moves: each pair of a random
+    permutation kept in permutation order with one random probability."""
+    perm = rng.sample(range(n), n)
+    density = rng.choice((0.02, 0.1, 0.3))
+    return Poset(range(n), [(perm[a], perm[b]) for a in range(n) for b in range(a + 1, n)
+                            if rng.random() < density])
+
+
+def test_broken_rows_match_fits_over_every_site():
+    """The popcount totals of ``CapacityRows.broken`` break the rows that
+    ``fits`` breaks summing every site term by term, at R and at three
+    random orders of every run's composed moves."""
+    rng = random.Random(21)
+    verdicts = [0, 0]       # sites that fit, sites broken
+    for _, _, _, scaled, result in _token_table_runs():
+        comp = result.composed
+        use = capacity_rows(scaled, comp)
+        for order in [comp.order] + [_random_order(len(comp), rng) for _ in range(3)]:
+            ordered = replace(comp, order=order)
+            broken = use.broken(ordered)
+            assert broken == broken_by_fits(ordered, use)
+            verdicts[0] += len(use.sites) - len(broken)
+            verdicts[1] += len(broken)
+    assert min(verdicts) >= 500, verdicts
+
+
+def test_validity_popcount_sums_match_the_set_bit_loop():
+    """Verdict and witness of ``is_valid_alignment`` equal the set-bit loop's
+    on every run's composed and approximated alignment and on three random
+    loosenings of each, which keep the log order."""
+    rng = random.Random(22)
+    verdicts = [0, 0]       # valid, invalid at a move
+    for _, log, _, scaled, result in _token_table_runs():
+        comp = result.composed
+        for base in (Alignment(comp.moves, comp.order), result.alignment):
+            for al in [base] + [loosened(log, base, rng) for _ in range(3)]:
+                ok, why = is_valid_alignment(scaled, log, al)
+                assert (ok, why) == validity_by_set_bits(scaled, log, al)
+                if ok or why.startswith("move "):
+                    verdicts[not ok] += 1
+    assert min(verdicts) >= 500, verdicts
+
+
+def test_boundary_markings_match_pseudo_fire():
+    """``_boundary_marking`` over the composed table's effect masks gives
+    the projected pseudo-marking of the moves bound afresh, or raises
+    FiringError as it does: at both bounds of every realigned region and at
+    20 random move sets of every run with a region."""
+    rng = random.Random(23)
+
+    def outcome(build, *args):
+        try:
+            return build(*args)
+        except FiringError:
+            return "negative"
+
+    bounds = []
+    outcomes = [0, 0]       # markings, negative counts
+    for _, _, _, scaled, result in _token_table_runs():
+        comp, rows = result.composed, result.solution.x_order.rows()
+        effects = _effect_masks(token_use(scaled, comp.moves))
+        sets = []
+        for re in result.realignments:
+            region = set(re.region)
+            pre = [x for x, row in enumerate(rows)
+                   if x not in region and any(row >> m & 1 for m in region)]
+            idle = set(comp.case_of).difference(comp.case_of[i] for i in region)
+            sets += [(pre, idle), (sorted(pre + list(region)), idle)]
+        bounds += sets
+        if result.realignments:
+            cases = sorted(set(comp.case_of))
+            sets += [(sorted(rng.sample(range(len(comp)), rng.randrange(len(comp) + 1))),
+                      set(rng.sample(cases, rng.randrange(len(cases) + 1))))
+                     for _ in range(20)]
+        for members, idle in sets:
+            got = outcome(_boundary_marking, scaled, effects, sum(1 << i for i in members), idle)
+            assert got == outcome(boundary_by_pseudo_fire, scaled,
+                                  [comp.moves[i] for i in members], idle)
+            outcomes[got == "negative"] += 1
+    assert len(bounds) >= 50 and min(outcomes) >= 100, (len(bounds), outcomes)
+
+
+def test_validity_reads_a_fresh_table_of_the_substituted_alignment(monkeypatch):
+    """The table validity reads after a substitution, the remainder's
+    bindings re-indexed and the realignments' moves bound, is the
+    substituted alignment's fresh table, tokens and moves in the same
+    order, so it gives the fresh table's verdict and witness there and on
+    three random loosenings of its order."""
+    runs = _token_table_runs()
+    tables = []
+
+    def spy(net, log, alignment, tokens=None):
+        tables.append(tokens)
+        return is_valid_alignment(net, log, alignment, tokens)
+
+    monkeypatch.setattr(approx, "is_valid_alignment", spy)
+    rng = random.Random(24)
+    verdicts = [0, 0]       # valid, invalid at a move
+    for net, log, budget, scaled, result in runs:
+        if not result.realignments:
+            continue
+        tables.clear()
+        gamma = approximate_alignment(net, log, node_budget=budget).alignment
+        (tokens,) = tables
+        fresh = token_use(scaled, gamma.moves)
+        assert [(pair, list(moved.items())) for pair, moved in tokens.items()] == [
+            (pair, list(moved.items())) for pair, moved in fresh.items()]
+        for al in [gamma] + [loosened(log, gamma, rng) for _ in range(3)]:
+            ok, why = is_valid_alignment(scaled, log, al, tokens)
+            assert (ok, why) == is_valid_alignment(scaled, log, al)
+            if ok or why.startswith("move "):
+                verdicts[not ok] += 1
+    assert min(verdicts) >= 40, verdicts
+
+
+def test_report_lists_the_closed_order_row_by_row():
+    """The report's order is the set-bit listing of the closed order, pair
+    for pair and in order, on every run's alignments and on random orders."""
+    rng = random.Random(25)
+    listed = 0
+    for _, _, _, scaled, result in _token_table_runs():
+        for al in (result.alignment, Alignment(result.composed.moves,
+                                               _random_order(len(result.composed), rng))):
+            order = build_report(al, "approx", net=scaled)["order"]
+            assert order == [list(pair) for pair in closed_pairs(al.order)]
+            listed += len(order)
+    assert listed > 40_000
+
+
+def test_each_move_is_bound_once_per_run(monkeypatch):
+    """``approximate_alignment`` binds, through ``token_use``, every
+    composed transition move once and every transition move a realignment
+    puts in once: the capacity rows, the boundary markings and validity
+    share one table."""
+    calls = []
+    bind = align_module.firing_effect
+
+    def spy(net, t, mode):
+        if inspect.currentframe().f_back.f_code.co_name == "token_use":
+            calls.append(t)
+        return bind(net, t, mode)
+
+    monkeypatch.setattr(align_module, "firing_effect", spy)
+    result = approximate_alignment(clinic_net(), clinic_log(17, overlap_at=8),
+                                   node_budget=10_000)
+    (re,) = result.realignments
+    composed = [m.transition for m in result.composed.moves if m.kind != "log"]
+    put_in = [m.transition for m in re.alignment.moves if m.kind != "log"]
+    assert sorted(calls) == sorted(composed + put_in)
+    assert result.valid and not re.fallback and put_in
+
+
+def _outside_holder(instances, outside_instance):
+    """Three claim/release cases: c1, outside every program, claims its
+    instance before c2 claims x and releases it after c3 claims x; c2 then
+    c3 claim and release x."""
+    net = scale_cases(claim_release_net(instances), ["c1", "c2", "c3"])
+    cases = (("c1", outside_instance), ("c2", "x"), ("c3", "x"))
+    moves = [Move("model", transition=t, mode=(("c", c), ("v", r)), label=t)
+             for c, r in cases for t in ("claim", "release")]
+    order = Poset(range(6), [(0, 2), (2, 3), (3, 4), (4, 1), (4, 5)])
+    return net, ComposedAlignment(tuple(moves), order, ("c1", "c1", "c2", "c2", "c3", "c3"))
+
+
+def test_lift_names_an_outside_case_that_holds_the_instance():
+    """A lift that puts a program case's claim where an outside case still
+    holds the instance breaks the capacity row there and names the outside
+    case.  With the outside case on another instance the same lift breaks
+    the row with no outside case claiming, which raises."""
+    # c3 claims before c2's claim and releases after it, so the row at c2's
+    # claim counts c1's hold, c3's claim and its own; no transitivity triple
+    # through a changed pair has an outside move
+    changes = {(2, 4): 0, (4, 2): 1}
+    for instances, outside, capacity in (({"x": 2, "y": 1}, "x", 2), ({"x": 1, "y": 1}, "y", 1)):
+        net, comp = _outside_holder(instances, outside)
+        use = capacity_rows(net, comp)
+        assert use.broken(comp) == [] and use.capacities[0] == capacity
+        inst = build_ilp(comp, use, {"c2", "c3"})
+        below = comp.order.predecessor_rows()
+        if outside == "x":
+            assert _lift_failures(comp, use, inst, changes, below) == {"c1"}
+            assert lift_failures_by_outside_moves(comp, use, inst, changes) == {"c1"}
+        else:
+            with pytest.raises(SoundnessError, match=r"const_vio\[2,x\]"):
+                _lift_failures(comp, use, inst, changes, below)

@@ -232,8 +232,10 @@ def test_cli_validate_malformed_json(tmp_path):
     ({"places": ["p"], "transitions": "ab"},
      "malformed net document: 'str' object has no attribute 'get'"),
     ({"places": [], "transitions": [], "initial": [1]},
-     "malformed net document: 'list' object has no attribute 'items'"),
+     "malformed initial marking: 'list' object has no attribute 'items'"),
     ({"initial": []}, "net document lacks places and transitions"),
+    ({"places": [], "transitions": [], "final": {"p": [{"count": "x"}]}},
+     "malformed final marking: invalid literal for int() with base 10: 'x'"),
 ])
 def test_cli_rejects_a_malformed_net_document(tmp_path, capsys, command, doc, message):
     # a document of the wrong shape is an input error, not a traceback
