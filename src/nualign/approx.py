@@ -25,8 +25,11 @@ name, at most up to all cases (see ``adjust_order``).
 
 Every order is read as reachability rows (bit j of row i: move i before
 move j): R's, a group's (R's restricted to its moves) and a changed one
-(R's with the changed bits written in).  The program over the 0/1 order
-variables X_ij of a group's moves:
+(R's with the changed bits written in, and in its predecessor rows
+transposed).  Every capacity row is summed by one evaluator,
+``CapacityRows.total``, from its instance's claim and release masks: at R
+to find the contending cases, and at every lifted order to check it.  The
+program over the 0/1 order variables X_ij of a group's moves:
 
 - same-case entries are fixed to R: individual alignments are preserved;
 - removing a pair forces the reverse pair (reversal, objective weight
@@ -166,85 +169,62 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
 
 @dataclass
 class CapacityRows:
-    """Claim and release counts of the composed moves, and the sites of the
-    capacity rows they induce.
+    """The capacity rows of the composed moves: per resource instance, the
+    moves that claim and release it, as masks by amount, and the rows'
+    sites.
 
-    Computed once per ``adjust_order`` and shared by the broken-row and
-    fits checks, the contending-case finder, every program built and the
-    lift check.  A row is read under an order's rows, bit j of ``rows[i]``
-    set iff move i is before move j: R's own (``comp.order.rows()``), or
-    R's with a program's changed pairs written in (``_with_changes``).
+    Computed once per ``adjust_order`` and shared by the contending-case
+    finder, every program built and the lift check.  A row is read under
+    an order's rows ``after`` (bit j of ``after[i]`` set iff move i is
+    before move j) and predecessor rows ``before`` (bit j of ``before[i]``
+    set iff move j is before move i): R's own, or R's with a program's
+    changed pairs written in (``_with_changes``).
     """
 
     instances: tuple        # resource instance ids, fixed order
     capacities: tuple
-    claimed: list           # per instance index, {move: count it claims}
-    released: list          # per instance index, {move: count it releases}
+    claims: list            # per instance index, {amount: mask of the moves claiming that much}
+    releases: list          # per instance index, {amount: mask of the moves releasing that much}
     sites: list             # per capacity row, (its move, its instance's index)
-    users: list             # per instance index, the moves that claim or release it
 
-    def net_claims(self, comp: ComposedAlignment, site, rows) -> dict:
-        """Per case, its net claim in the row at ``site`` under ``rows``:
-        the claims of its moves not ordered after the row's move, minus the
-        releases ordered strictly before it.  The row's own move is left
-        out, and a case whose terms cancel is absent."""
+    def total(self, site, after, before) -> int:
+        """The left side of the row at ``site``: the claims of the moves
+        not ordered after its move, minus the releases ordered strictly
+        before it.  A move is never in its own rows, so its claim counts."""
         i, k = site
-        after = rows[i]
-        claimed, released = self.claimed[k], self.released[k]
-        claims = {}
-        for j in self.users[k]:
-            if j != i:
-                amount = (claimed.get(j, 0) * (not after >> j & 1)
-                          - released.get(j, 0) * (rows[j] >> i & 1))
-                if amount:
-                    c = comp.case_of[j]
-                    claims[c] = claims.get(c, 0) + amount
-        return claims
+        not_after, below = ~after[i], before[i]
+        return (sum(a * (mask & not_after).bit_count() for a, mask in self.claims[k].items())
+                - sum(a * (mask & below).bit_count() for a, mask in self.releases[k].items()))
 
-    def fits(self, comp: ComposedAlignment, site, rows) -> bool:
-        """Whether the row at ``site`` holds under ``rows``: the move's own
-        claim plus every case's net claim fit the instance's capacity."""
-        i, k = site
-        return (self.claimed[k][i] + sum(self.net_claims(comp, site, rows).values())
-                <= self.capacities[k])
+    def broken(self, after, before) -> list:
+        """The sites whose rows break under ``after`` and ``before``."""
+        return [s for s in self.sites if self.total(s, after, before) > self.capacities[s[1]]]
 
-    def broken(self, comp: ComposedAlignment) -> list:
-        """The sites whose rows R violates, each total at R a popcount sum:
-        the move's claim, plus each claim amount times its moves not after
-        the move, minus each release amount times its moves before it."""
-        after, below = comp.order.rows(), comp.order.predecessor_rows()
-        amounts = [tuple(map(masks_by_value, pair)) for pair in zip(self.claimed, self.released)]
-
-        def total(i, k):
-            claims, releases = amounts[k]
-            not_after = ~(after[i] | 1 << i)
-            return (self.claimed[k][i]
-                    + sum(a * (mask & not_after).bit_count() for a, mask in claims.items())
-                    - sum(a * (mask & below[i]).bit_count() for a, mask in releases.items()))
-        return [(i, k) for i, k in self.sites if total(i, k) > self.capacities[k]]
-
-    def named_cases(self, comp: ComposedAlignment, sites, rows) -> set:
-        """The cases the rows at ``sites`` name under ``rows``: the case of
-        each row's own move, and every case whose net claim in the row is
+    def named_cases(self, comp: ComposedAlignment, sites, after, before) -> set:
+        """The cases the rows at ``sites`` name under ``after`` and
+        ``before``: the case of each row's own move, and every case whose
+        net claim in the row, the terms of ``total`` of its moves, is
         positive."""
         named = set()
-        for site in sites:
-            named.add(comp.case_of[site[0]])
-            named.update(c for c, amount in self.net_claims(comp, site, rows).items()
-                         if amount > 0)
+        for i, k in sites:
+            named.add(comp.case_of[i])
+            claims = {}
+            for masks, sign, within in ((self.claims[k], 1, ~after[i]),
+                                        (self.releases[k], -1, before[i])):
+                for a, mask in masks.items():
+                    for j in set_bits(mask & within):
+                        claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + sign * a
+            named.update(c for c, amount in claims.items() if amount > 0)
         return named
 
 
-def capacity_rows(net: RcNuNet, comp: ComposedAlignment,
-                  tokens: dict | None = None) -> CapacityRows:
-    """Resource use of the composed moves, read from their ``token_use``
-    table ``tokens`` (bound here when not given), and the capacity rows' sites.
+def capacity_rows(net: RcNuNet, tokens: dict) -> CapacityRows:
+    """The capacity rows of the moves of the ``token_use`` table ``tokens``.
 
     The row ``const_vio[i,inst]`` at site ``(i, inst)`` says that the claims
     of the moves not ordered after ``i``, minus the releases ordered
-    strictly before it, fit the capacity: ``fits`` sums it per case,
-    ``broken`` at R by popcounts.  Only the users of ``inst``, the moves
-    that claim or release it, have terms in it.
+    strictly before it, fit the capacity (``CapacityRows.total``).  Only
+    the moves that claim or release ``inst`` have terms in it.
 
     Rows exist only at moves that claim an instance whose claims, summed
     over every move, exceed its capacity.  This is sound: availability
@@ -259,20 +239,19 @@ def capacity_rows(net: RcNuNet, comp: ComposedAlignment,
     """
     instances = sorted(net.resource_instances().support())
     capacities = tuple(net.resource_instances().count(r) for r in instances)
-    claimed = [{} for _ in instances]
+    claimed = [{} for _ in instances]       # per instance index, {move: count}
     released = [{} for _ in instances]
-    for (p, (_, r)), moved in (token_use(net, comp.moves) if tokens is None else tokens).items():
+    for (p, (_, r)), moved in tokens.items():
         if r is not None and net.place_kind(p) == "resource":
             k = instances.index(r)
             for i, counts in moved.items():         # [taken, given]
                 for side, n in zip((claimed[k], released[k]), counts):
                     if n:
                         side[i] = side.get(i, 0) + n
-    ks = range(len(instances))
-    sites = sorted((i, k) for k in ks if sum(claimed[k].values()) > capacities[k]
-                   for i in claimed[k])
-    users = [sorted(claimed[k].keys() | released[k].keys()) for k in ks]
-    return CapacityRows(tuple(instances), capacities, claimed, released, sites, users)
+    sites = sorted((i, k) for k, claims in enumerate(claimed)
+                   if sum(claims.values()) > capacities[k] for i in claims)
+    return CapacityRows(tuple(instances), capacities, list(map(masks_by_value, claimed)),
+                        list(map(masks_by_value, released)), sites)
 
 
 @dataclass
@@ -371,19 +350,18 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
     # the capacity rows of these moves alone (see ``capacity_rows``): the
     # sites among them, of instances these moves alone claim past capacity
     position = {m: a for a, m in enumerate(moves)}
-    users = [[j for j in js if j in position] for js in use.users]
-    totals = [sum(claims.get(j, 0) for j in js) for claims, js in zip(use.claimed, users)]
+    local = sum(1 << m for m in moves)
+    totals = [sum(a * (mask & local).bit_count() for a, mask in claims.items())
+              for claims in use.claims]
     for m, k in use.sites:
-        if m not in position or totals[k] <= use.capacities[k]:
+        if not local >> m & 1 or totals[k] <= use.capacities[k]:
             continue
-        i, claimed, released = position[m], use.claimed[k], use.released[k]
+        i, others = position[m], local & ~(1 << m)
         coeffs = {}
-        for j in users[k]:
-            if j != m:
-                if j in claimed:
-                    coeffs[var(i, position[j])] = -claimed[j]
-                if j in released:
-                    coeffs[var(position[j], i)] = -released[j]
+        for a, mask in use.claims[k].items():
+            coeffs.update((var(i, position[j]), -a) for j in set_bits(mask & others))
+        for a, mask in use.releases[k].items():
+            coeffs.update((var(position[j], i), -a) for j in set_bits(mask & others))
         rows.append(constraint(coeffs, use.capacities[k] - totals[k],
                                f"const_vio[{m},{use.instances[k]}]"))
 
@@ -456,17 +434,19 @@ class OrderSolution:
         return bool(self.reversals)
 
 
-def contending_groups(comp: ComposedAlignment, use: CapacityRows) -> list:
-    """The case sets of the broken capacity rows, merged where they meet.
+def contending_groups(comp: ComposedAlignment, use: CapacityRows, below) -> list:
+    """The case sets of the capacity rows R breaks, merged where they meet;
+    ``below`` is R's ``predecessor_rows``.
 
     A broken row's cases are the case of its own move and every case whose
     net claim in it, counted at R, is positive (``named_cases``).  Rows
     whose case sets share a case fall into one group; the groups are
     disjoint, sorted by their smallest case id, and empty when R fits.
     """
+    after = comp.order.rows()
     groups = []
-    for site in use.broken(comp):
-        cases = use.named_cases(comp, [site], comp.order.rows())
+    for site in use.broken(after, below):
+        cases = use.named_cases(comp, [site], after, below)
         for other in [g for g in groups if g & cases]:
             cases |= other
             groups.remove(other)
@@ -489,8 +469,9 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
     local program's order breaks.
 
     The lift is R with the program's pairs set as in ``changes`` (composed
-    pair -> value); ``below`` is R's ``predecessor_rows``.  Two kinds of
-    rows can break there: a capacity row at one of the program's moves,
+    pair -> value): R's rows with the changed pairs written in, and R's
+    predecessor rows ``below`` with each written in transposed.  Two kinds
+    of rows can break there: a capacity row at one of the program's moves,
     whose terms for outside moves the program left out, and a transitivity
     triple with exactly one move outside the program, through a changed
     pair.  Every other row is a row of the program, or reads only pairs the
@@ -504,10 +485,10 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
     """
     after = comp.order.rows()
     lifted = _with_changes(after, changes)
+    lifted_below = _with_changes(below, {(j, i): v for (i, j), v in changes.items()})
     local = sum(1 << i for i in inst.moves)
-    failing = [s for s in use.sites
-               if local >> s[0] & 1 and not use.fits(comp, s, lifted)]
-    named = use.named_cases(comp, failing, lifted)
+    failing = [s for s in use.broken(lifted, lifted_below) if local >> s[0] & 1]
+    named = use.named_cases(comp, failing, lifted, lifted_below)
     for (a, b), value in changes.items():
         if value:
             broken = after[b] & ~after[a] | below[a] & ~below[b]
@@ -524,15 +505,14 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
     return named
 
 
-def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups,
+def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups, below,
                       node_budget: int = 2_000_000) -> OrderSolution:
     """Solve the local order program of every group of contending cases
     (see ``adjust_order``), widening a group until its lifted order holds,
-    and extract the adjusted order.  ``node_budget`` counts the nodes of
-    every program solved, across groups, widening steps and reversal
-    levels."""
+    and extract the adjusted order.  ``below`` is R's ``predecessor_rows``.
+    ``node_budget`` counts the nodes of every program solved, across
+    groups, widening steps and reversal levels."""
     budget = NodeBudget(node_budget)
-    below = comp.order.predecessor_rows()
     pending = list(groups)
     solved = {}              # case set -> (changed pairs, objective)
     widenings = 0
@@ -628,10 +608,11 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
                          x_order, regions, free_cases, widenings)
 
 
-def adjust_order(net: RcNuNet, comp: ComposedAlignment,
-                 node_budget: int = 2_000_000, tokens: dict | None = None) -> OrderSolution:
+def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
+                 node_budget: int = 2_000_000) -> OrderSolution:
     """The optimal adjusted order of a composed alignment; ``tokens`` is its
-    moves' ``token_use`` table, as ``capacity_rows`` reads it.
+    moves' ``token_use`` table, which ``capacity_rows`` reads.  R's
+    predecessor rows are computed once, for the broken rows and every lift.
 
     When R satisfies its own capacity rows it is the optimum, and no
     program is built: every other row family holds at R by construction
@@ -672,11 +653,12 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment,
     adds a case, so the widening ends at all cases at the latest, where the
     program is the full program and its lift is its own optimum.
     """
-    use = capacity_rows(net, comp, tokens)
-    groups = contending_groups(comp, use)
+    use = capacity_rows(net, tokens)
+    below = comp.order.predecessor_rows()
+    groups = contending_groups(comp, use, below)
     if not groups:
         return extract_solution(comp, {}, 0)
-    return solve_and_extract(comp, use, groups, node_budget)
+    return solve_and_extract(comp, use, groups, below, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -862,7 +844,7 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
     comp = compose(per_case, log)
     bound = {}              # move index -> its firing_effect
     tokens = token_use(scaled, comp.moves, bound)
-    sol = adjust_order(scaled, comp, ilp_budget, tokens)
+    sol = adjust_order(scaled, comp, tokens, ilp_budget)
 
     if not sol.regions:
         gamma = Alignment(comp.moves, sol.x_order)

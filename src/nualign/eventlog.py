@@ -25,9 +25,10 @@ CSV format (one event per row, optional header)::
 
     case,activity,timestamp,resources
 
-with ``timestamp`` an ISO-8601 datetime or a number, and ``resources``
-a semicolon-separated list of ``role:instance`` entries, each with an
-optional ``*count`` multiplicity suffix.
+with ``timestamp`` an ISO-8601 datetime (UTC when it names no zone) or a
+number, and ``resources`` a semicolon-separated list of ``role:instance``
+entries, each with an optional ``*count`` multiplicity suffix.  A leading
+byte-order mark is ignored.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import io
 import math
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 
 from .poset import Multiset
 
@@ -144,9 +145,11 @@ def _parse_timestamp(text, line):
         value = float(text)
     except ValueError:
         try:
-            value = datetime.fromisoformat(text).timestamp()
+            stamp = datetime.fromisoformat(text)
         except ValueError:
             raise LogParseError(line, f"bad timestamp {text!r}") from None
+        # a naive time is UTC, so the order does not depend on the machine's zone
+        value = (stamp if stamp.tzinfo else stamp.replace(tzinfo=timezone.utc)).timestamp()
     if not math.isfinite(value):     # nan orders nothing, inf cannot be written back
         raise LogParseError(line, f"non-finite timestamp {text!r}")
     return value
@@ -190,6 +193,8 @@ def parse_log(source) -> EventLog:
     events = []
     seen = {}
     for line, row in enumerate(csv.reader(source), start=1):
+        if line == 1 and row and row[0].startswith("\ufeff"):
+            row[0] = row[0][1:]     # the byte-order mark of a "CSV UTF-8" export
         if not row or all(not cell.strip() for cell in row):
             continue
         if line == 1 and [c.strip().lower() for c in row] == LOG_HEADER:

@@ -246,9 +246,6 @@ class Poset:
     def __iter__(self):
         return iter(self._elements)
 
-    def index(self, x):
-        return self._index[x]
-
     def rows(self):
         """Reachability rows, index-ordered: bit j of row i is set iff
         element i precedes element j."""
@@ -292,7 +289,8 @@ class Poset:
     def restrict(self, members):
         """Subposet on ``members``, in this poset's element order: the
         members' rows with every non-member's bit deleted, run by run of
-        consecutive member indices."""
+        consecutive member indices.  A restricted closed order is closed,
+        so the rows are stored as they are."""
         kept = set(members)
         keep = [i for i, x in enumerate(self._elements) if x in kept]
         runs = []           # (first index, width mask, first new index)
@@ -304,7 +302,9 @@ class Poset:
                 runs.append((i, 1, new))
         rows = [sum((self._rows[i] >> lo & width) << start for lo, width, start in runs)
                 for i in keep]
-        return Poset.of_rows([self._elements[i] for i in keep], rows)
+        poset = Poset(self._elements[i] for i in keep)
+        poset._rows = tuple(rows)
+        return poset
 
     def __repr__(self):
         pairs = sum(row.bit_count() for row in self._rows)

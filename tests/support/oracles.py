@@ -123,7 +123,8 @@ def order_extensions(order: Poset, cap: int = 200_000):
     """
     elems = list(order.elements)
     n = len(elems)
-    base = {(order.index(a), order.index(b)) for a, b in closed_pairs(order)}
+    index = {x: i for i, x in enumerate(elems)}
+    base = {(index[a], index[b]) for a, b in closed_pairs(order)}
     undecided = [
         (i, j) for i in range(n) for j in range(i + 1, n)
         if (i, j) not in base and (j, i) not in base
@@ -264,6 +265,26 @@ def dense_lazy_cuts(n, assignment):
     return out
 
 
+def _row_claims(comp, use, site, before) -> tuple:
+    """The row at ``site`` summed move by move under ``before(i, j)`` (move
+    i before move j), each move's amounts read bit by bit from its
+    instance's masks: the row's own claim, and per case its net claim, the
+    claims of its other moves not ordered after the row's move minus their
+    releases ordered before it."""
+    i, k = site
+
+    def amount(masks, j):
+        return sum(a for a, mask in masks.items() if mask >> j & 1)
+
+    claims = {}
+    for j in range(len(comp.moves)):
+        if j != i:
+            net = (amount(use.claims[k], j) * (not before(i, j))
+                   - amount(use.releases[k], j) * before(j, i))
+            claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + net
+    return amount(use.claims[k], i), claims
+
+
 def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
     """The outside cases named by the full-program rows that the lift of
     ``changes`` (R with those composed pairs set) breaks, by the per-move
@@ -283,13 +304,8 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
     for i, k in use.sites:
         if i not in local:
             continue
-        claims = {}
-        for j in use.users[k]:
-            if j != i:
-                amount = (use.claimed[k].get(j, 0) * (not lifted(i, j))
-                          - use.released[k].get(j, 0) * lifted(j, i))
-                claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + amount
-        if use.claimed[k][i] + sum(claims.values()) > use.capacities[k]:
+        own, claims = _row_claims(comp, use, (i, k), lifted)
+        if own + sum(claims.values()) > use.capacities[k]:
             failing = True
             named.add(comp.case_of[i])
             named.update(c for c, amount in claims.items() if amount > 0)
@@ -314,10 +330,14 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
 # ---------------------------------------------------------------------------
 
 def broken_by_fits(comp, use) -> list:
-    """The sites whose rows R breaks, each row summed term by term through
-    ``CapacityRows.fits`` (per case, over every user of its instance)."""
-    rows = comp.order.rows()
-    return [site for site in use.sites if not use.fits(comp, site, rows)]
+    """The sites whose rows R breaks, each row summed term by term under
+    ``precedes``: its own claim plus every case's net claim."""
+    broken = []
+    for site in use.sites:
+        own, claims = _row_claims(comp, use, site, comp.order.precedes)
+        if own + sum(claims.values()) > use.capacities[site[1]]:
+            broken.append(site)
+    return broken
 
 
 def validity_by_set_bits(net, log, alignment):

@@ -1,8 +1,9 @@
 """Sequential firing: every complete execution of a net up to a length,
 the replay of an alignment's moves, random loosenings of an alignment's
 order, pseudo-markings (signed counts per (place, token) of a list of
-moves, and of an antichain's prefix), and the values a search reads at a
-marking (a pseudo-marking's count, the case heuristic's h)."""
+moves, and of an antichain's prefix), the token table of a composed
+alignment, and the values a search reads at a marking (a pseudo-marking's
+count, the case heuristic's h)."""
 
 from __future__ import annotations
 
@@ -65,6 +66,13 @@ def pseudo_fire(net: RcNuNet, moves) -> dict:
     meaningful.  The package reads such counts off its token table instead
     (``approx._boundary_marking``)."""
     return _pseudo_marking(net, token_use(net, moves))
+
+
+def composed_tokens(net: RcNuNet, comp) -> dict:
+    """The ``token_use`` table of a composed alignment's moves, which
+    ``capacity_rows`` and ``adjust_order`` read; ``approximate_alignment``
+    binds it once per run."""
+    return token_use(net, comp.moves)
 
 
 def loosened(log, alignment: Alignment, rng) -> Alignment:

@@ -60,7 +60,7 @@ from support.oracles import (
 )
 from support.orders import is_antichain, linearizations, prefix
 from support.petri import in_invariant_span, language, place_invariants, uncolored
-from support.runs import annotated_language, replay
+from support.runs import annotated_language, composed_tokens, replay
 
 
 def _pass(number, started, message):
@@ -262,7 +262,7 @@ def test_criterion_04_violating_unfirable():
     violating = 0
     for net, comp in fixtures:
         assert len(comp) <= 8
-        if not adjust_order(net, comp).violating:
+        if not adjust_order(net, comp, composed_tokens(net, comp)).violating:
             continue
         violating += 1
         for lin in linearizations(comp.order):
@@ -328,7 +328,7 @@ def test_criterion_06_violation_decision():
     t0 = time.perf_counter()
     agree_violating = agree_clean = 0
     for net, comp in small_composed_fixtures():
-        by_program = adjust_order(net, comp).violating
+        by_program = adjust_order(net, comp, composed_tokens(net, comp)).violating
         by_oracle = is_violating_by_linearizations(net, comp.moves, comp.order)
         assert by_program == by_oracle
         if by_oracle:
@@ -368,7 +368,7 @@ def test_criterion_07_block_triangular_existence():
     for net, log in fixtures:
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log), log)
-        inst = build_ilp(comp, capacity_rows(scaled, comp))
+        inst = build_ilp(comp, capacity_rows(scaled, composed_tokens(scaled, comp)))
         ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp))
         assert ok, f"seed fixture {count}: {why}"
         count += 1

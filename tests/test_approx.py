@@ -87,7 +87,7 @@ from support.orders import (
     minimal,
     prefix,
 )
-from support.runs import loosened, pseudo_fire, replay
+from support.runs import composed_tokens, loosened, pseudo_fire, replay
 
 from test_acceptance import (
     block_triangular_assignment,
@@ -232,7 +232,7 @@ def test_violating_antichain_noncontended():
 def test_is_violating_matches_oracles_hand_fixtures():
     for forced in (False, True):
         net, comp = hand_composed(overlap_forced=forced)
-        got = adjust_order(net, comp).violating
+        got = adjust_order(net, comp, composed_tokens(net, comp)).violating
         assert got == is_violating_by_linearizations(net, comp.moves, comp.order)
         assert got == is_violating_by_extension_enumeration(net, comp.moves, comp.order)
         assert got == forced
@@ -240,13 +240,13 @@ def test_is_violating_matches_oracles_hand_fixtures():
 
 def test_is_violating_capacity_two_not_violating():
     net, comp = hand_composed(overlap_forced=True, instances={"x": 2})
-    assert not adjust_order(net, comp).violating
+    assert not adjust_order(net, comp, composed_tokens(net, comp)).violating
     assert not is_violating_by_linearizations(net, comp.moves, comp.order)
 
 
 def test_violating_composition_never_fires():
     net, comp = hand_composed(overlap_forced=True)
-    assert adjust_order(net, comp).violating
+    assert adjust_order(net, comp, composed_tokens(net, comp)).violating
     for lin in linearizations(comp.order):
         try:
             final = replay(net, [comp.moves[i] for i in lin])
@@ -260,7 +260,7 @@ def test_violating_composition_never_fires():
 def _full_program_solution(net, comp, node_budget=2_000_000):
     """The all-cases order program solved on one engine, whether or not
     the composed order fits."""
-    inst = build_ilp(comp, capacity_rows(net, comp))
+    inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
     assignment, objective = solve(inst.program, node_budget)
     return extract_solution(comp, inst.changes(assignment), objective)
 
@@ -269,8 +269,8 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
     """The capacity rows read through order rows are the full program's
     dense ``const_vio`` rows: on every differential fixture the sites are
     those rows, in order, and at R and at every lifted order the pipeline
-    checks, each site's check agrees with its row on the full program's
-    assignment of that order."""
+    checks, each site's ``total`` is its row's value on the full program's
+    assignment of that order, both taken relative to the capacity."""
     lifts = []
 
     def spy(comp, use, inst, changes, *args):
@@ -284,14 +284,14 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
     for net, log in _differential_fixtures():
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=20_000), log)
-        use = capacity_rows(scaled, comp)
+        use = capacity_rows(scaled, composed_tokens(scaled, comp))
         full = build_ilp(comp, use)
         dense = [row for row in full.program.constraints
                  if row.label.startswith("const_vio[")]
         assert [row.label for row in dense] == [
             f"const_vio[{i},{use.instances[k]}]" for i, k in use.sites]
         lifts.clear()
-        adjust_order(scaled, comp)
+        adjust_order(scaled, comp, composed_tokens(scaled, comp))
         for changes in [{}] + lifts:
             def before(i, j, changes=changes):
                 value = changes.get((i, j))
@@ -300,8 +300,12 @@ def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
             X = [int(before(i, j)) for i in range(full.n) for j in range(full.n)]
             rows = [sum(X[i * full.n + j] << j for j in range(full.n))
                     for i in range(full.n)]
+            preds = [sum(X[j * full.n + i] << j for j in range(full.n))
+                     for i in range(full.n)]
             for site, row in zip(use.sites, dense):
-                assert use.fits(comp, site, rows) == row_holds(row, X)
+                value = sum(c * X[v] for v, c in row.coeffs)
+                assert (use.total(site, rows, preds) - use.capacities[site[1]]
+                        == value - row.bound)
                 verdicts.append(row_holds(row, X))
             orders += 1
     assert orders > len(_differential_fixtures()) + 50
@@ -312,7 +316,8 @@ def test_ilp_same_case_pairs_all_fixed():
     net = hospital_net()
     log = hospital_log().project_case("c1")
     comp = compose(align_cases(net, log), log)
-    inst = build_ilp(comp, capacity_rows(scale_cases(net, ["c1"]), comp))
+    scaled = scale_cases(net, ["c1"])
+    inst = build_ilp(comp, capacity_rows(scaled, composed_tokens(scaled, comp)))
     free = [
         v for v in range(inst.program.n_vars)
         if v not in inst.program.fixings
@@ -322,7 +327,7 @@ def test_ilp_same_case_pairs_all_fixed():
 
 def test_ilp_free_vars_are_cross_case_pairs():
     net, comp = hand_composed(overlap_forced=True)
-    inst = build_ilp(comp, capacity_rows(net, comp))
+    inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
     for v in range(inst.program.n_vars):
         i, j = inst.pair(v)
         if comp.case_of[i] == comp.case_of[j]:
@@ -342,7 +347,7 @@ def test_block_triangular_always_feasible():
         comp = compose(align_cases(net, log), log)
         cases.append((scale_cases(net, log.cases()), comp))
     for net_, comp_ in cases:
-        inst = build_ilp(comp_, capacity_rows(net_, comp_))
+        inst = build_ilp(comp_, capacity_rows(net_, composed_tokens(net_, comp_)))
         ok, why = check_feasible(inst.program, block_triangular_assignment(inst, comp_))
         assert ok, why
 
@@ -605,24 +610,24 @@ def test_align_cases_searches_each_variant_once(monkeypatch):
 
 
 def test_claims_and_releases_match_oracle():
-    """The per-instance claim and release maps ``capacity_rows`` reads from
-    the token table equal the oracle's own binding of the availability
-    arcs, move by move, on every composed and approximated alignment; the
-    users of an instance are exactly the moves in either map."""
+    """The per-instance claim and release masks ``capacity_rows`` reads
+    from the token table equal the oracle's own binding of the availability
+    arcs, move by move, on every composed and approximated alignment: bit i
+    of an instance's mask for amount n is set iff move i claims (releases)
+    n of it."""
     moves = 0
     for net, log in _differential_fixtures():
         scaled = scale_cases(net, log.cases())
         result = approximate_alignment(net, log, node_budget=20_000)
         for al in (result.composed, result.alignment):
-            use = capacity_rows(scaled, ComposedAlignment(al.moves, al.order, ()))
+            use = capacity_rows(scaled, token_use(scaled, al.moves))
             expected = ([{} for _ in use.instances], [{} for _ in use.instances])
             for i, mv in enumerate(al.moves):
-                for maps, amounts in zip(expected, oracle_claims_and_releases(scaled, mv)):
+                for masks, amounts in zip(expected, oracle_claims_and_releases(scaled, mv)):
                     for r, n in amounts.items():
-                        maps[use.instances.index(r)][i] = n
-            assert (use.claimed, use.released) == (expected[0], expected[1])
-            assert use.users == [sorted(c.keys() | r.keys())
-                                 for c, r in zip(use.claimed, use.released)]
+                        k = use.instances.index(r)
+                        masks[k][n] = masks[k].get(n, 0) | 1 << i
+            assert (use.claims, use.releases) == (expected[0], expected[1])
             moves += len(al.moves)
     assert moves > 1000
 
@@ -715,10 +720,10 @@ def _solution_fields(sol):
             sol.regions)
 
 
-def _slow_adjust_order(net, comp, node_budget=2_000_000, tokens=None):
+def _slow_adjust_order(net, comp, tokens, node_budget=2_000_000):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
-    inst = build_ilp(comp, capacity_rows(net, comp, tokens))
+    inst = build_ilp(comp, capacity_rows(net, tokens))
     assignment, objective = _per_level_reference(inst.program, node_budget)
     return extract_solution(comp, inst.changes(assignment), objective)
 
@@ -736,7 +741,7 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
     for net, log in fixtures:
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=budget), log)
-        inst = build_ilp(comp, capacity_rows(scaled, comp))
+        inst = build_ilp(comp, capacity_rows(scaled, composed_tokens(scaled, comp)))
         assignment, objective = _per_level_reference(inst.program, 2_000_000)
         reference = extract_solution(comp, inst.changes(assignment), objective)
         one_engine = _full_program_solution(scaled, comp)
@@ -744,7 +749,8 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         assignment, objective = _all_triples_reference(inst, 2_000_000)
         assert ((inst.changes(assignment), objective)
                 == (one_engine.changes, one_engine.objective))
-        fits = not capacity_rows(scaled, comp).broken(comp)
+        fits = not capacity_rows(scaled, composed_tokens(scaled, comp)).broken(
+            comp.order.rows(), comp.order.predecessor_rows())
         assert fits == (reference.changes == {} and reference.objective == 0)
         fitting += fits
 
@@ -777,11 +783,11 @@ def test_order_budget_spans_every_reversal_level():
     log = claim_release_log(((1, 4), (2, 5), (3, 6)))
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log), log)
-    inst = build_ilp(comp, capacity_rows(scaled, comp))
+    inst = build_ilp(comp, capacity_rows(scaled, composed_tokens(scaled, comp)))
     _per_level_reference(inst.program, 11)
     with pytest.raises(IlpBudgetError):
-        adjust_order(scaled, comp, node_budget=11)
-    sol = adjust_order(scaled, comp, node_budget=100)
+        adjust_order(scaled, comp, composed_tokens(scaled, comp), node_budget=11)
+    sol = adjust_order(scaled, comp, composed_tokens(scaled, comp), node_budget=100)
     assert len(sol.reversals) == 3
 
 
@@ -844,7 +850,7 @@ def test_local_program_matches_full_program_on_clinic_overlaps():
         log = clinic_log(n, overlap_at=n // 2)
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=10_000), log)
-        sol = adjust_order(scaled, comp)
+        sol = adjust_order(scaled, comp, composed_tokens(scaled, comp))
         assert _solution_fields(sol) == _solution_fields(
             _full_program_solution(scaled, comp)), n
         overlap = n // 2 + 1 < n
@@ -873,7 +879,7 @@ def test_separate_overlaps_give_separate_programs(monkeypatch):
     comp = compose(align_cases(net, log, node_budget=10_000), log)
     reference = _full_program_solution(scaled, comp)
     calls = _build_ilp_spy(monkeypatch)
-    sol = adjust_order(scaled, comp)
+    sol = adjust_order(scaled, comp, composed_tokens(scaled, comp))
     assert calls == [(12, ("c2", "c3")), (12, ("c6", "c7"))]
     assert sol.free_cases == ("c2", "c3", "c6", "c7") and sol.widenings == 0
     assert len(sol.reversals) == 2
@@ -881,13 +887,24 @@ def test_separate_overlaps_give_separate_programs(monkeypatch):
 
 
 def test_failing_lift_widens_to_the_full_program(monkeypatch):
+    # R's predecessor rows are computed once, for the broken rows, both
+    # programs and both lifts
     net = claim_release_net({"x": 1, "y": 1})
     log = _widening_log()
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log), log)
     reference = _full_program_solution(scaled, comp)
     calls = _build_ilp_spy(monkeypatch)
-    sol = adjust_order(scaled, comp)
+    readers = []
+    predecessor_rows = Poset.predecessor_rows
+
+    def spy(order):
+        readers.append(order is comp.order)
+        return predecessor_rows(order)
+
+    monkeypatch.setattr(Poset, "predecessor_rows", spy)
+    sol = adjust_order(scaled, comp, composed_tokens(scaled, comp))
+    assert readers.count(True) == 1
     assert calls == [(4, ("c2", "c3")), (6, ("c1", "c2", "c3"))]
     assert sol.free_cases == ("c1", "c2", "c3") and sol.widenings == 1
     assert _solution_fields(sol) == _solution_fields(reference)
@@ -899,15 +916,16 @@ def test_order_budget_spans_every_widening_step():
     log = _widening_log()
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log), log)
+    tokens = composed_tokens(scaled, comp)
     steps = []
     for cases in ({"c2", "c3"}, None):
         budget = NodeBudget(10_000)
-        solve(build_ilp(comp, capacity_rows(scaled, comp), cases).program, budget)
+        solve(build_ilp(comp, capacity_rows(scaled, tokens), cases).program, budget)
         steps.append(budget.used)
     assert max(steps) < sum(steps)
     with pytest.raises(IlpBudgetError):
-        adjust_order(scaled, comp, node_budget=max(steps))
-    assert adjust_order(scaled, comp, node_budget=sum(steps)).widenings == 1
+        adjust_order(scaled, comp, tokens, node_budget=max(steps))
+    assert adjust_order(scaled, comp, tokens, node_budget=sum(steps)).widenings == 1
 
 
 # -- derived orders against their pair-list constructions -------------------
@@ -981,7 +999,7 @@ def test_substitute_with_an_empty_realignment_keeps_the_remainder_order():
     log = hospital_forced_overlap_log()
     net = scale_cases(hospital_net(), log.cases())
     comp = compose(align_cases(hospital_net(), log), log)
-    sol = adjust_order(net, comp)
+    sol = adjust_order(net, comp, composed_tokens(net, comp))
     (region,) = sol.regions
     empty = IntervalRealignment(tuple(region), Alignment((), Poset(())), False)
     got = _substitute(comp, sol.x_order, [empty])
@@ -1039,14 +1057,16 @@ def test_regions_match_the_antichain_interval_walk():
     runs = []
     for net, log in _differential_fixtures():
         comp = compose(align_cases(net, log, node_budget=20_000), log)
-        runs.append((comp, adjust_order(scale_cases(net, log.cases()), comp)))
+        scaled = scale_cases(net, log.cases())
+        runs.append((comp, adjust_order(scaled, comp, composed_tokens(scaled, comp))))
     for forced in (False, True):
         for instances in (None, {"x": 2}):
             net, comp = hand_composed(forced, instances)
-            runs.append((comp, adjust_order(net, comp)))
+            runs.append((comp, adjust_order(net, comp, composed_tokens(net, comp))))
     log = _clinic_two_overlaps(12, 3, 8)
     comp = compose(align_cases(clinic_net(), log, node_budget=10_000), log)
-    runs.append((comp, adjust_order(scale_cases(clinic_net(), log.cases()), comp)))
+    scaled = scale_cases(clinic_net(), log.cases())
+    runs.append((comp, adjust_order(scaled, comp, composed_tokens(scaled, comp))))
     _, hand = hand_composed(False)
     crossed = replace(hand, order=Poset(range(4), [(1, 0), (1, 2), (3, 0), (3, 2)]))
     changes = {pair: value for i in (0, 2) for j in (1, 3)
@@ -1115,7 +1135,8 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
              (claim_release_net({"x": 1, "y": 1}), _widening_log(), 20_000)]
     for net, log, budget in runs:
         comp = compose(align_cases(net, log, node_budget=budget), log)
-        adjust_order(scale_cases(net, log.cases()), comp)
+        scaled = scale_cases(net, log.cases())
+        adjust_order(scaled, comp, composed_tokens(scaled, comp))
 
     witnessed = 0
     for comp, _, inst in programs:
@@ -1196,16 +1217,16 @@ def _random_order(n, rng):
 
 def test_broken_rows_match_fits_over_every_site():
     """The popcount totals of ``CapacityRows.broken`` break the rows that
-    ``fits`` breaks summing every site term by term, at R and at three
-    random orders of every run's composed moves."""
+    the per-move reference breaks summing every site term by term, at R
+    and at three random orders of every run's composed moves."""
     rng = random.Random(21)
     verdicts = [0, 0]       # sites that fit, sites broken
     for _, _, _, scaled, result in _token_table_runs():
         comp = result.composed
-        use = capacity_rows(scaled, comp)
+        use = capacity_rows(scaled, composed_tokens(scaled, comp))
         for order in [comp.order] + [_random_order(len(comp), rng) for _ in range(3)]:
             ordered = replace(comp, order=order)
-            broken = use.broken(ordered)
+            broken = use.broken(order.rows(), order.predecessor_rows())
             assert broken == broken_by_fits(ordered, use)
             verdicts[0] += len(use.sites) - len(broken)
             verdicts[1] += len(broken)
@@ -1361,10 +1382,10 @@ def test_lift_names_an_outside_case_that_holds_the_instance():
     changes = {(2, 4): 0, (4, 2): 1}
     for instances, outside, capacity in (({"x": 2, "y": 1}, "x", 2), ({"x": 1, "y": 1}, "y", 1)):
         net, comp = _outside_holder(instances, outside)
-        use = capacity_rows(net, comp)
-        assert use.broken(comp) == [] and use.capacities[0] == capacity
-        inst = build_ilp(comp, use, {"c2", "c3"})
+        use = capacity_rows(net, composed_tokens(net, comp))
         below = comp.order.predecessor_rows()
+        assert use.broken(comp.order.rows(), below) == [] and use.capacities[0] == capacity
+        inst = build_ilp(comp, use, {"c2", "c3"})
         if outside == "x":
             assert _lift_failures(comp, use, inst, changes, below) == {"c1"}
             assert lift_failures_by_outside_moves(comp, use, inst, changes) == {"c1"}

@@ -274,6 +274,17 @@ def test_cli_align_exact(net_file, log_file, tmp_path, capsys):
     assert doc["mode"] == "exact" and doc["total_cost"] == 0
 
 
+def test_cli_align_reads_a_log_with_a_byte_order_mark(net_file, log_file, tmp_path):
+    marked = tmp_path / "marked.csv"
+    marked.write_text("\ufeff" + HOSPITAL_LOG_CSV, encoding="utf-8")
+    reports = []
+    for log in (log_file, marked):
+        out = tmp_path / f"{Path(log).stem}.json"
+        assert main(["align", net_file, str(log), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cli_align_approx_with_violations(net_file, tmp_path):
     log = tmp_path / "overlap.csv"
     log.write_text(HOSPITAL_FORCED_OVERLAP_CSV)

@@ -1,6 +1,8 @@
 """Event log model: ordering rules, projections, CSV round-trips."""
 
+import os
 import random
+import time
 from itertools import permutations
 
 import pytest
@@ -192,6 +194,37 @@ def test_parse_iso_timestamp():
     log = parse_log("c1,a,2024-01-01T10:00:00,\nc1,b,2024-01-01T10:05:00,\n")
     e1, e2 = log.trace("c1")
     assert e2.timestamp - e1.timestamp == 300.0
+
+
+def test_parse_naive_iso_timestamps_as_utc_in_any_zone():
+    # 02:30 on 2024-03-10 does not exist in New York (clocks skip to 03:00),
+    # so a local reading puts c1's b before its a; UTC keeps the file's order
+    text = ("c1,a,2024-03-10T02:30:00,\nc1,b,2024-03-10T03:10:00,\n"
+            "c2,a,2024-03-10T01:50:00,\n")
+    saved = os.environ.get("TZ")
+    try:
+        for zone in ("UTC", "EST5EDT,M3.2.0,M11.1.0"):
+            os.environ["TZ"] = zone
+            time.tzset()
+            log = parse_log(text)
+            assert [e.timestamp for e in log.events] == [1710037800, 1710040200, 1710035400]
+            assert [e.activity for e in log.trace("c1")] == ["a", "b"]
+            assert [(a.index, b.index) for a, b in log.covering_pairs()] == [(0, 1), (2, 0)]
+            aware = parse_log("c1,a,2024-03-10T02:30:00-05:00,\n")
+            assert aware.events[0].timestamp == 1710055800
+    finally:
+        if saved is None:
+            os.environ.pop("TZ", None)
+        else:
+            os.environ["TZ"] = saved
+        time.tzset()
+
+
+def test_parse_strips_a_byte_order_mark():
+    # Excel's "CSV UTF-8" starts the file with U+FEFF, with or without a header
+    for text in ("\ufeffcase,activity,timestamp,resources\nc1,a,1,\n", "\ufeffc1,a,1,\n"):
+        (e,) = parse_log(text).events
+        assert (e.case, e.activity, e.timestamp) == ("c1", "a", 1)
 
 
 def test_parse_malformed_row_line_number():

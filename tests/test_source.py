@@ -92,7 +92,13 @@ def test_orders_pass_through_rows_not_closed_pairs():
 ENTRY_POINTS = {
     "cli.main", "report.load_report", "report.report_to_alignment",
     "approx.OrderSolution.violating",       # the paper's violation decision
+    "approx.ApproxResult.cost",             # README's approximate_alignment example
+    "eventlog.EventLog.precedes",           # README's log order
 }
+
+#: attributes of builtin values, which a read through a receiver of unknown
+#: class may mean instead of a package method of the same name
+BUILTIN_ATTRIBUTES = set().union(*map(dir, (list, dict, set, tuple, str, int, float, bytes)))
 
 
 def _used_names(node):
@@ -101,28 +107,144 @@ def _used_names(node):
             if isinstance(n, (ast.Name, ast.Attribute))]
 
 
+class _MethodReads:
+    """Per package method, keyed on its owning class, the reads outside
+    its own body that may reach it.
+
+    A read ``x.m`` reaches the class of ``x`` where annotations and
+    constructors tell it: ``self``, a class name, an annotated parameter,
+    a local assigned a typed value, a field annotated or assigned a typed
+    value in ``__init__``, a call of a class, a classmethod or anything
+    with a return annotation; a class without ``m`` passes the read to its
+    base.  A read through an unknown receiver reaches ``m``'s one owning
+    class, unless another class has an attribute ``m`` or a builtin value
+    has one.
+    """
+
+    def __init__(self, trees):
+        self.classes = {node.name: node for tree in trees for node in tree.body
+                        if isinstance(node, ast.ClassDef)}
+        self.functions = {node.name: node for tree in trees for node in tree.body
+                          if isinstance(node, ast.FunctionDef)}
+        self.bases = {c: [b.id for b in node.bases if getattr(b, "id", None) in self.classes]
+                      for c, node in self.classes.items()}
+        self.types = {}     # (class, attribute) -> package class of its value
+        self.owners = {}    # attribute -> classes with a method or field of that name
+        inits = []
+        for c, node in self.classes.items():
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    self._own(c, item.target.id, self._annotated(item.annotation))
+                elif isinstance(item, ast.FunctionDef):
+                    classmethod = any(getattr(d, "id", None) == "classmethod"
+                                      for d in item.decorator_list)
+                    self._own(c, item.name, c if classmethod else self._annotated(item.returns))
+                    if item.name == "__init__":
+                        inits.append((c, item))
+        for c, init in inits:
+            local = self._parameters(init, {})
+            for sub in ast.walk(init):
+                for target in sub.targets if isinstance(sub, ast.Assign) else ():
+                    if isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+                        self._own(c, target.attr, self._class_of(sub.value, c, local))
+        self.reads = {}     # (class, method) -> reads
+        for tree in trees:
+            self._visit(tree, None, None, {})
+
+    def _own(self, c, attribute, value_class):
+        self.owners.setdefault(attribute, set()).add(c)
+        self.types[c, attribute] = self.types.get((c, attribute)) or value_class
+
+    def _annotated(self, node):
+        """The package class an annotation names (``X``, ``"X"``, ``X | None``)."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            node = ast.parse(node.value, mode="eval").body
+        if isinstance(node, ast.BinOp):
+            node = node.left
+        return node.id if isinstance(node, ast.Name) and node.id in self.classes else None
+
+    def _parameters(self, function, outer):
+        local = dict(outer)
+        local.update((a.arg, self._annotated(a.annotation)) for a in function.args.args)
+        return local
+
+    def _defining(self, c, attribute):
+        """``c`` or the nearest base of it that defines ``attribute``."""
+        while c is not None and (c, attribute) not in self.types:
+            c = next(iter(self.bases[c]), None)
+        return c
+
+    def _class_of(self, node, cls, local):
+        if isinstance(node, ast.Name):
+            return cls if node.id == "self" else (
+                node.id if node.id in self.classes else local.get(node.id))
+        if isinstance(node, ast.IfExp):
+            return self._class_of(node.body, cls, local) or self._class_of(node.orelse, cls, local)
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and node.func.id in self.functions:
+                return self._annotated(self.functions[node.func.id].returns)
+            node = node.func
+            if isinstance(node, ast.Name):
+                return self._class_of(node, cls, local)
+        if isinstance(node, ast.Attribute):
+            owner = self._defining(self._class_of(node.value, cls, local), node.attr)
+            return self.types.get((owner, node.attr))
+        return None
+
+    def _visit(self, node, cls, method, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                self._visit(child, child.name, None, {})
+                continue
+            if isinstance(child, ast.FunctionDef):
+                inner = (cls, child.name) if method is None and cls else method
+                self._visit(child, cls, inner, self._parameters(child, local))
+                continue
+            if isinstance(child, ast.Assign) and len(child.targets) == 1 \
+                    and isinstance(child.targets[0], ast.Name):
+                local[child.targets[0].id] = self._class_of(child.value, cls, local)
+            if isinstance(child, ast.Attribute) and child.attr in self.owners:
+                owner = self._class_of(child.value, cls, local)
+                if owner is not None:
+                    reached = {self._defining(owner, child.attr)} - {None}
+                elif child.attr in BUILTIN_ATTRIBUTES or len(self.owners[child.attr]) > 1:
+                    reached = set()
+                else:
+                    reached = set(self.owners[child.attr])
+                if method is not None and method[1] == child.attr:
+                    reached.discard(method[0])      # a method reading itself
+                for c in reached:
+                    self.reads[c, child.attr] = self.reads.get((c, child.attr), 0) + 1
+            self._visit(child, cls, method, local)
+
+
 def test_package_holds_no_test_only_code():
     # every module-level function and class, and every method of a class
     # but the dunders, runs in the package, is exported, or is an entry
-    # point: reference code lives in tests/support
+    # point: reference code lives in tests/support.  A function or class
+    # runs when its name is read outside its own body, a method when a
+    # read that may reach its class does (``_MethodReads``)
+    trees = {}
     uses = {}
-    defined = []
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for name in _used_names(tree):
+        trees[path.stem] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name in _used_names(trees[path.stem]):
             uses[name] = uses.get(name, 0) + 1
+    reads = _MethodReads(list(trees.values())).reads
+    unused = []
+    for stem, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{node.name}", node))
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if uses.get(node.name, 0) == _used_names(node).count(node.name):
+                unused.append((f"{stem}.{node.name}", node.name))
             if isinstance(node, ast.ClassDef):
-                defined += [(f"{path.stem}.{node.name}.{method.name}", method)
-                            for method in node.body
-                            if isinstance(method, ast.FunctionDef)
-                            and not method.name.startswith("__")]
-    unused = [qualified for qualified, node in defined
-              if uses.get(node.name, 0) == _used_names(node).count(node.name)
-              and node.name not in nualign.__all__
-              and qualified not in ENTRY_POINTS]
+                unused += [(f"{stem}.{node.name}.{method.name}", method.name)
+                           for method in node.body if isinstance(method, ast.FunctionDef)
+                           and not method.name.startswith("__")
+                           and not reads.get((node.name, method.name))]
+    unused = [qualified for qualified, name in unused
+              if name not in nualign.__all__ and qualified not in ENTRY_POINTS]
     assert not unused, f"package code that only tests use: {unused}"
 
 
