@@ -47,19 +47,19 @@ says which).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import permutations
 
 from .eventlog import Event, EventLog
 from .lognet import LogNet, build_log_net
 from .poset import Multiset, Poset, masks_by_value, set_bits
 from .rcnu import (
-    EPS,
     ColoredMarking,
     ColoredNet,
     FiringError,
-    Nu,
     RcNuNet,
     Var,
+    case_names,
     case_of_mode,
     enabled_modes,
     fire_mode,      # unused here: perfbench counts firings under this name
@@ -174,15 +174,17 @@ def _prefix_marking(marking: ColoredMarking, prefix: str) -> ColoredMarking:
 
 
 class SyncProduct(ColoredNet):
-    def __init__(self, model: RcNuNet, log_net: LogNet, places, transitions,
-                 labels, flow, initial, final, meta, warnings):
-        super().__init__(places, transitions, labels, flow, initial, final)
+    """The product net; ``moves`` maps each transition, in order, to the move
+    a firing of it makes, mode left empty, and ``forced`` to the bindings it pins."""
+
+    def __init__(self, model: RcNuNet, log_net: LogNet, places, flow,
+                 initial, final, moves, forced, warnings):
+        super().__init__(places, moves, {t: m.label for t, m in moves.items()},
+                         flow, initial, final)
         self.model = model
         self.log_net = log_net
-        self.move_kind = {t: meta[t][0] for t in meta}
-        self.model_transition = {t: meta[t][1] for t in meta}
-        self.event = {t: meta[t][2] for t in meta}
-        self.forced = {t: meta[t][3] for t in meta}
+        self.moves = moves
+        self.forced = forced
         self.warnings = list(warnings)
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
@@ -205,12 +207,7 @@ class SyncProduct(ColoredNet):
 
 def _case_binding(model: RcNuNet, t) -> tuple[str, bool] | None:
     """The variable receiving the case id on a sync firing, if unambiguous."""
-    case_vars, _, fresh = model.transition_vars(t)
-    fresh_case = set()
-    for p in model.output_places(t):
-        for cterm, _ in model.arc(t, p).support():
-            if isinstance(cterm, Nu):
-                fresh_case.add(cterm.name)
+    case_vars, fresh_case = case_names(model, t)
     if len(case_vars) == 1:
         return next(iter(case_vars)), False
     if not case_vars and len(fresh_case) == 1:
@@ -264,26 +261,14 @@ def _resource_assignments(model: RcNuNet, t, event: Event):
         insts_here = sorted(need.items())
         if len(vars_here) != len(insts_here):
             return []
-        role_options = []
-
-        def assign(i, acc, remaining):
-            if i == len(vars_here):
-                if not remaining:
-                    role_options.append(dict(acc))
-                return
-            var, mult = vars_here[i]
-            for inst, n in list(remaining.items()):
-                if n == mult:
-                    rest = dict(remaining)
-                    del rest[inst]
-                    assign(i + 1, {**acc, var: inst}, rest)
-
-        assign(0, {}, dict(insts_here))
+        role_options = [
+            {var: inst for (var, _), (inst, _) in zip(vars_here, insts)}
+            for insts in permutations(insts_here)
+            if all(mult == n for (_, mult), (_, n) in zip(vars_here, insts))
+        ]
         if not role_options:
             return []
-        assignments = [
-            {**base, **opt} for base in assignments for opt in role_options
-        ]
+        assignments = [{**base, **opt} for base in assignments for opt in role_options]
     return assignments
 
 
@@ -317,81 +302,39 @@ def sync_warnings(model: RcNuNet, log: EventLog) -> list:
 
 def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
-    transitions = []
-    labels = {}
-    flow = {}
-    meta = {}
-    warnings = []
+    flow, moves, forced, warnings = {}, {}, {}, []
+
+    def add(tid, move, binding, *parts):
+        """Add ``tid`` making ``move``, with each (net, prefix, transition)'s arcs."""
+        moves[tid] = move
+        forced[tid] = binding
+        for net, prefix, t in parts:
+            for p in net.input_places(t):
+                flow[(prefix + p, tid)] = net.arc(p, t)
+            for p in net.output_places(t):
+                flow[(tid, prefix + p)] = net.arc(t, p)
 
     for t in model.transitions:
-        tid = f"m::{t}"
-        transitions.append(tid)
-        labels[tid] = model.labels[t]
-        meta[tid] = ("model", t, None, {})
-        for p in model.input_places(t):
-            flow[(f"m::{p}", tid)] = model.arc(p, t)
-        for p in model.output_places(t):
-            flow[(tid, f"m::{p}")] = model.arc(t, p)
-
+        add(f"m::{t}", Move("model", transition=t, label=model.labels[t]), {},
+            (model, "m::", t))
     for lt in log_net.transitions:
-        tid = f"l::{lt}"
-        transitions.append(tid)
-        labels[tid] = log_net.labels[lt]
-        meta[tid] = ("log", None, log_net.event_of[lt], {})
-        for p in log_net.input_places(lt):
-            flow[(f"l::{p}", tid)] = log_net.arc(p, lt)
-        for p in log_net.output_places(lt):
-            flow[(tid, f"l::{p}")] = log_net.arc(lt, p)
-
+        event = log_net.event_of[lt]
+        add(f"l::{lt}", Move("log", event=event, label=event.activity), {},
+            (log_net, "l::", lt))
     for lt in log_net.transitions:
         event = log_net.event_of[lt]
         partners, notes = _sync_partners(model, event)
         warnings.extend(notes)
         for t, case_var in partners:
             for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
-                tid = f"s::{t}::e{event.index}" + (f"::{k}" if k else "")
-                transitions.append(tid)
-                labels[tid] = event.activity
-                forced = {case_var: event.case, **res_assignment}
-                meta[tid] = ("sync", t, event, forced)
-                for p in model.input_places(t):
-                    flow[(f"m::{p}", tid)] = model.arc(p, t)
-                for p in model.output_places(t):
-                    flow[(tid, f"m::{p}")] = model.arc(t, p)
-                for p in log_net.input_places(lt):
-                    flow[(f"l::{p}", tid)] = log_net.arc(p, lt)
-                for p in log_net.output_places(lt):
-                    flow[(tid, f"l::{p}")] = log_net.arc(lt, p)
+                add(f"s::{t}::e{event.index}" + (f"::{k}" if k else ""),
+                    Move("sync", event=event, transition=t, label=event.activity),
+                    {case_var: event.case, **res_assignment},
+                    (model, "m::", t), (log_net, "l::", lt))
 
     initial = _prefix_marking(model.initial, "m::") | _prefix_marking(log_net.initial, "l::")
     final = _prefix_marking(model.final, "m::") | _prefix_marking(log_net.final, "l::")
-    return SyncProduct(model, log_net, places, transitions, labels, flow,
-                       initial, final, meta, warnings)
-
-
-def _decode_move(prod: SyncProduct, t, mode: tuple) -> Move:
-    """The move of firing product transition ``t``; ``mode`` is sorted
-    (variable, identifier) pairs."""
-    kind = prod.move_kind[t]
-    if kind == "log":
-        event = prod.event[t]
-        return Move("log", event=event, label=event.activity)
-    model_t = prod.model_transition[t]
-    if kind == "model":
-        return Move("model", transition=model_t, mode=mode,
-                    label=prod.model.labels[model_t])
-    event = prod.event[t]
-    return Move("sync", event=event, transition=model_t, mode=mode,
-                label=event.activity)
-
-
-def product_move_cost(prod: SyncProduct, t, costs: CostTable) -> int:
-    kind = prod.move_kind[t]
-    if kind == "sync":
-        return costs.sync
-    if kind == "log":
-        return costs.visible
-    return costs.tau if prod.labels[t] is None else costs.visible
+    return SyncProduct(model, log_net, places, flow, initial, final, moves, forced, warnings)
 
 
 class _StateSpace:
@@ -548,7 +491,7 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     space = _StateSpace(prod) if heuristic is None else heuristic.space
     start = space.encode(prod.initial if start is None else start)
     goal = space.encode(prod.final if goal is None else goal)
-    step_cost = {t: product_move_cost(prod, t, costs) for t in prod.transitions}
+    step_cost = {t: move_cost(prod.moves[t], costs) for t in prod.transitions}
     info = {} if heuristic is None else {start: heuristic.start(start)}
     best = {start: 0}
     parent = {start: None}
@@ -566,7 +509,7 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
             moves = []
             while parent[state] is not None:
                 state, (t, mode) = parent[state]
-                moves.append(_decode_move(prod, t, mode))
+                moves.append(replace(prod.moves[t], mode=mode))
             moves.reverse()
             alignment = Alignment.chain(moves)
             alignment.settled, alignment.pushed = settled, pushed
@@ -708,9 +651,9 @@ def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
                     return None
                 j = index[state2] = len(states)
                 states.append(state2)
-                fired.append(fired[i] + (single.move_kind[t] != "model"))
+                fired.append(fired[i] + (single.moves[t].kind != "model"))
                 into.append([])
-            into[j].append((i, product_move_cost(single, t, costs)))
+            into[j].append((i, move_cost(single.moves[t], costs)))
         i += 1
     togo = {}
     heap = [(0, index[goal])] if goal in index else []
@@ -822,13 +765,11 @@ class CaseHeuristic:
         firing ``key``."""
         move = self._moves.get(key)
         if move is None:
-            prod = self.space.prod
             t, mode = key
-            if prod.move_kind[t] == "model":
-                move = (case_of_mode(prod.model, prod.model_transition[t], dict(mode)), 0)
-            else:
-                move = (prod.event[t].case, 1)
-            self._moves[key] = move
+            made = self.space.prod.moves[t]
+            move = self._moves[key] = (
+                (made.event.case, 1) if made.kind != "model" else
+                (case_of_mode(self.space.prod.model, made.transition, dict(mode)), 0))
         case, advance = move
         k = self._position.get(case)
         if k is None:

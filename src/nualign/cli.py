@@ -71,6 +71,13 @@ def _parse_costs(text: str) -> CostTable:
     return CostTable(**values)
 
 
+def nonnegative(text: str) -> int:
+    """A count or budget option's value: an integer that is not negative."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text}")
+    return int(text)
+
+
 def _write(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -212,8 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p_align.add_argument("--out", default="-", help="report path (default stdout)")
     p_align.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p_align.add_argument("--node-budget", type=int, default=2_000_000)
-    p_align.add_argument("--ilp-budget", type=int, default=2_000_000)
+    p_align.add_argument("--node-budget", type=nonnegative, default=2_000_000)
+    p_align.add_argument("--ilp-budget", type=nonnegative, default=2_000_000)
     p_align.add_argument("--costs", default="",
                          help="e.g. sync=0,tau=1,visible=10000")
     p_align.add_argument("--fail-on-deviation", action="store_true",
@@ -222,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a log by random firing")
     p_sim.add_argument("net")
-    p_sim.add_argument("--cases", type=int, default=2)
+    p_sim.add_argument("--cases", type=nonnegative, default=2)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", default="-")
-    p_sim.add_argument("--drop-events", type=int, default=0)
-    p_sim.add_argument("--swap-resources", type=int, default=0)
-    p_sim.add_argument("--relax-capacity", type=int, default=0)
+    p_sim.add_argument("--drop-events", type=nonnegative, default=0)
+    p_sim.add_argument("--swap-resources", type=nonnegative, default=0)
+    p_sim.add_argument("--relax-capacity", type=nonnegative, default=0)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_dot = sub.add_parser("dot", help="render a net, log or report as DOT")

@@ -56,8 +56,9 @@ class Event:
     """One recorded activity execution.
 
     ``index`` is the position in the source log and makes events with
-    identical payloads distinct objects.  ``roles`` records the role each
-    resource instance was logged under, for validation and round-trips.
+    identical payloads distinct objects; it is the hash, while equality
+    compares every field.  ``roles`` records the role each resource
+    instance was logged under, for validation and round-trips.
     """
 
     index: int
@@ -69,6 +70,9 @@ class Event:
 
     def role_of(self, instance):
         return dict(self.roles).get(instance)
+
+    def __hash__(self):
+        return hash(self.index)
 
     def __repr__(self):
         return f"<e{self.index} {self.activity}@{self.timestamp:g} case={self.case}>"

@@ -286,24 +286,19 @@ def _bind_term(term, mode):
     return value
 
 
+def case_names(net: ColoredNet, t):
+    """A transition's case variables and the fresh names it gives as case ids."""
+    fresh = {cterm.name for p in net.output_places(t)
+             for cterm, _ in net.arc(t, p).support() if isinstance(cterm, Nu)}
+    return net.transition_vars(t)[0], fresh
+
+
 def case_of_mode(net: RcNuNet, t, mode) -> str | None:
-    """The case a firing works on: the id bound by t's case variables."""
-    case_vars, _, fresh = net.transition_vars(t)
-    ids = {mode[v] for v in case_vars if v in mode}
-    for f in fresh:
-        if f in mode and _fresh_is_case(net, t, f):
-            ids.add(mode[f])
+    """The case a firing works on: the id bound by t's case names."""
+    ids = {mode[v] for names in case_names(net, t) for v in names if v in mode}
     if len(ids) > 1:
         raise ValueError(f"firing of {t} mixes cases {sorted(ids)}")
     return next(iter(ids), None)
-
-
-def _fresh_is_case(net, t, name):
-    for p in net.output_places(t):
-        for cterm, _ in net.arc(t, p).support():
-            if isinstance(cterm, Nu) and cterm.name == name:
-                return True
-    return False
 
 
 def firing_effect(net: ColoredNet, t, mode):

@@ -7,15 +7,18 @@ definition (linearization replay, or literal enumeration of all order
 extensions for very small inputs).  The order program's row reads are
 checked against loops over dense matrices and single moves, and the
 popcount sums over a token table (validity, capacity rows, boundary
-markings) against the bit-by-bit loops they replaced.
+markings) against the bit-by-bit loops they replaced.  The product's
+resource assignments are checked against the recursive enumeration that
+``itertools.permutations`` replaced.
 """
 
 from __future__ import annotations
 
 from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
-                           _max_flow, is_valid_alignment, product_move_cost, token_use)
+                           _max_flow, _role_var_multiplicities, is_valid_alignment,
+                           move_cost, token_use)
 from nualign.ilp import BinaryProgram, Constraint
-from nualign.poset import Poset, set_bits
+from nualign.poset import Multiset, Poset, set_bits
 from nualign.rcnu import ColoredMarking, FiringError, RcNuNet, bind_pairs, enabled_modes, fire_mode
 
 from .orders import (
@@ -58,10 +61,57 @@ def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
                                       forced=prod.forced.get(t, {})):
                 dfs(fire_mode(prod, m, t, mode),
-                    cost + product_move_cost(prod, t, costs))
+                    cost + move_cost(prod.moves[t], costs))
 
     dfs(prod.initial, 0)
     return best[0]
+
+
+def reference_resource_assignments(model: RcNuNet, t, event):
+    """``align._resource_assignments`` as a recursive enumeration: per
+    role, the resource variables in name order each take, in instance
+    order, a remaining observed instance of their multiplicity."""
+    var_mult, consts = _role_var_multiplicities(model, t)
+    observed = {}
+    for inst in event.resources.support():
+        role = model.role_of_instance(inst)
+        if role is None:
+            return []
+        observed.setdefault(role, {})[inst] = event.resources.count(inst)
+
+    roles = sorted(set(var_mult) | set(consts) | set(observed))
+    assignments = [{}]
+    for role in roles:
+        need = dict(observed.get(role, {}))
+        for inst, n in consts.get(role, Multiset()).items():
+            if need.get(inst, 0) != n:
+                return []
+            need.pop(inst)
+        vars_here = sorted(var_mult.get(role, {}).items())
+        insts_here = sorted(need.items())
+        if len(vars_here) != len(insts_here):
+            return []
+        role_options = []
+
+        def assign(i, acc, remaining):
+            if i == len(vars_here):
+                if not remaining:
+                    role_options.append(dict(acc))
+                return
+            var, mult = vars_here[i]
+            for inst, n in list(remaining.items()):
+                if n == mult:
+                    rest = dict(remaining)
+                    del rest[inst]
+                    assign(i + 1, {**acc, var: inst}, rest)
+
+        assign(0, {}, dict(insts_here))
+        if not role_options:
+            return []
+        assignments = [
+            {**base, **opt} for base in assignments for opt in role_options
+        ]
+    return assignments
 
 
 # ---------------------------------------------------------------------------

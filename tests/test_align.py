@@ -8,6 +8,7 @@ and the A* search on the case heuristic against Dijkstra.
 import heapq
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -32,10 +33,10 @@ from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, EventLog, parse_log
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, enabled_modes,
-                          fire_mode, firing_effect, scale_cases)
+from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, Var,
+                          enabled_modes, fire_mode, firing_effect, scale_cases)
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
-from support.oracles import min_cost_exhaustive
+from support.oracles import min_cost_exhaustive, reference_resource_assignments
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
                           replay)
@@ -64,7 +65,7 @@ def test_move_costs():
 def test_empty_log_product_is_model():
     log = EventLog([])
     net, prod = product_for(log, cases=["c1"])
-    kinds = set(prod.move_kind.values())
+    kinds = {m.kind for m in prod.moves.values()}
     assert kinds == {"model"}
     assert len(prod.transitions) == len(net.transitions)
 
@@ -72,14 +73,14 @@ def test_empty_log_product_is_model():
 def test_single_event_single_sync_transition():
     log = parse_log("c1,o_p,1,\n")
     _, prod = product_for(log)
-    syncs = [t for t in prod.transitions if prod.move_kind[t] == "sync"]
+    syncs = [t for t in prod.transitions if prod.moves[t].kind == "sync"]
     assert len(syncs) == 1
 
 
 def test_sync_transition_count_hospital():
     log = hospital_log()
     net, prod = product_for(log)
-    syncs = [t for t in prod.transitions if prod.move_kind[t] == "sync"]
+    syncs = [t for t in prod.transitions if prod.moves[t].kind == "sync"]
     per_label = {}
     for t in net.transitions:
         if net.labels[t]:
@@ -91,14 +92,73 @@ def test_unknown_activity_warns_and_stays_log_move():
     log = parse_log("c1,mystery,1,\n")
     _, prod = product_for(log)
     assert any("mystery" in w for w in prod.warnings)
-    assert all(prod.move_kind[t] != "sync" for t in prod.transitions)
+    assert all(prod.moves[t].kind != "sync" for t in prod.transitions)
 
 
 def test_sync_requires_matching_resources():
     # observed GP instance does not exist: no sync transition for the event
     log = parse_log("c1,i_s,1,g:g9\n")
     _, prod = product_for(log)
-    assert all(prod.move_kind[t] != "sync" for t in prod.transitions)
+    assert all(prod.moves[t].kind != "sync" for t in prod.transitions)
+
+
+def test_product_records_the_move_of_each_transition():
+    log = hospital_log()
+    net, prod = product_for(log)
+    for name in ("move_kind", "model_transition", "event", "meta"):
+        assert not hasattr(prod, name)
+    assert list(prod.moves) == list(prod.transitions) == list(prod.forced)
+    for t in prod.transitions:
+        move = prod.moves[t]
+        assert move.mode == () and prod.labels[t] == move.label
+        if move.kind == "log":
+            assert t == f"l::{transition_id(move.event)}" and prod.forced[t] == {}
+        elif move.kind == "model":
+            assert t == f"m::{move.transition}" and prod.forced[t] == {}
+            assert move.label == net.labels[move.transition]
+        else:
+            assert t.startswith(f"s::{move.transition}::e{move.event.index}")
+            assert move.label == move.event.activity == net.labels[move.transition]
+            assert prod.forced[t] and move.event.case in prod.forced[t].values()
+
+
+def _random_role_transition(rng):
+    """A net whose one transition claims, from each of one or two roles,
+    1-3 resource variables of multiplicity 1-2 (names in random order),
+    and an event observing as many instances of the role, with the
+    variables' multiplicities shuffled, one of them changed at random."""
+    roles, flow, observed = [], {}, {}
+    for r in range(rng.randint(1, 2)):
+        role = Role(f"r{r}", Multiset({f"i{r}{k}": 2 for k in range(4)}),
+                    f"avail{r}", f"busy{r}")
+        roles.append(role)
+        mults = {Var(f"{v}{r}"): rng.randint(1, 2) for v in rng.sample("wxyz", rng.randint(1, 3))}
+        flow[(role.available_place, "t")] = Multiset({(EPS, v): n for v, n in mults.items()})
+        counts = rng.sample(list(mults.values()), len(mults))
+        counts[0] = rng.choice([counts[0], counts[0], 1, 2])
+        observed.update(zip(rng.sample(sorted(role.instances.support()), len(counts)), counts))
+    net = RcNuNet(["p"], roles, ["t"], {"t": "a"}, flow, ColoredMarking(), ColoredMarking())
+    return net, Event(0, "a", 1.0, "c1", Multiset(observed))
+
+
+def test_resource_assignments_match_the_recursive_reference():
+    # the product's forced bindings, in order, are the recursive
+    # enumeration's on every (transition, event) pair of the fixtures and
+    # on random roles; enough of them have several to check the order
+    several = 0
+    for net, log in _differential_fixtures():
+        for t in net.transitions:
+            for event in log.events:
+                got = align_module._resource_assignments(net, t, event)
+                assert got == reference_resource_assignments(net, t, event)
+                several += len(got) > 1
+    rng = random.Random(11)
+    for _ in range(600):
+        net, event = _random_role_transition(rng)
+        got = align_module._resource_assignments(net, "t", event)
+        assert got == reference_resource_assignments(net, "t", event)
+        several += len(got) > 1
+    assert several >= 100
 
 
 # -- exact alignment -----------------------------------------------------------
@@ -255,7 +315,7 @@ def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
             moves = []
             while parent[m] is not None:
                 m, t, mode = parent[m]
-                moves.append(align_module._decode_move(prod, t, tuple(sorted(mode.items()))))
+                moves.append(replace(prod.moves[t], mode=tuple(sorted(mode.items()))))
             return Alignment.chain(reversed(moves))
         if len(settled) > node_budget:
             raise SearchBudgetError(len(settled), len(heap), cost)
@@ -264,7 +324,7 @@ def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
                                       forced=prod.forced.get(t, {})):
                 m2 = fire_mode(prod, m, t, mode)
-                cost2 = cost + align_module.product_move_cost(prod, t, costs)
+                cost2 = cost + move_cost(prod.moves[t], costs)
                 if cost2 < best.get(m2, float("inf")):
                     best[m2] = cost2
                     parent[m2] = (m, t, mode)
@@ -417,8 +477,7 @@ def _product_path(prod, alignment):
             t = f"m::{move.transition}"
         else:
             t = next(t for t in prod.transitions
-                     if prod.event[t] == move.event and prod.move_kind[t] == "sync"
-                     and prod.model_transition[t] == move.transition
+                     if prod.moves[t] == replace(move, mode=())
                      and prod.forced[t].items() <= move.binding().items())
         marking = fire_mode(prod, marking, t, move.binding())
         if move.kind != "model":

@@ -540,6 +540,24 @@ def _marking(counts):
     return ColoredMarking(tokens)
 
 
+def test_approximation_hashes_no_multiset(monkeypatch):
+    # events hash by index: no lookup builds a frozenset of resources
+    calls = []
+    unhooked = Multiset.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return unhooked(self)
+
+    monkeypatch.setattr(Multiset, "__hash__", counted)
+    hash(Multiset({"x": 1}))
+    assert len(calls) == 1
+    calls.clear()
+    result = approximate_alignment(clinic_net(), clinic_log(17, overlap_at=8))
+    assert result.valid and result.cost() == 20_000
+    assert not calls
+
+
 def _differential_fixtures():
     hospital = [(hospital_net(), log) for log in (
         hospital_log(), hospital_forced_overlap_log(), hospital_concurrent_log(),

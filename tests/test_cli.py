@@ -106,6 +106,19 @@ def test_report_roundtrip_identity():
     assert dumps_report(doc2) == text
 
 
+def test_report_events_equal_and_hash_as_the_parsed_ones():
+    doc, alignment = make_report()
+    rebuilt = report_to_alignment(json.loads(dumps_report(doc)))
+    parsed = [m.event for m in alignment.moves if m.event is not None]
+    loaded = [m.event for m in rebuilt.moves if m.event is not None]
+    assert len(loaded) == len(hospital_log().events)
+    assert loaded == parsed and all(a is not b for a, b in zip(loaded, parsed))
+    assert [hash(e) for e in loaded] == [hash(e) for e in parsed]
+    assert set(loaded) == set(parsed)
+    # equality still compares every field, not only the index
+    assert Event(0, "a", 1.0, "c1") != Event(0, "a", 1.0, "c2")
+
+
 def test_report_per_case_costs():
     doc, alignment = make_report()
     assert doc["total_cost"] == 0
@@ -413,6 +426,27 @@ def test_cli_align_rejects_a_negative_cost(tmp_path, capsys, entry):
                  "--costs", entry, "--out", str(out)]) == 2
     assert f"error: negative cost entry {entry!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("simulate", "--cases"),
+    ("simulate", "--drop-events"),
+    ("simulate", "--swap-resources"),
+    ("simulate", "--relax-capacity"),
+    ("align", "--node-budget"),
+    ("align", "--ilp-budget"),
+])
+def test_cli_rejects_a_negative_count(net_file, log_file, tmp_path, capsys, command, option):
+    inputs = [net_file] if command == "simulate" else [net_file, log_file, "--mode", "approx"]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main([command, *inputs, option, "-1", "--out", str(out)])
+    assert stop.value.code == 2
+    assert f"argument {option}: must not be negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    # zero stays a count
+    args = nualign.cli.build_parser().parse_args([command, *inputs, option, "0"])
+    assert getattr(args, option[2:].replace("-", "_")) == 0
 
 
 def test_cli_simulate_roundtrip(net_file, tmp_path):

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import re
+import sys
 from pathlib import Path
 
 import nualign
@@ -321,3 +322,42 @@ def test_firing_effects_pass_through_one_token_table():
     assert callers <= FIRING_EFFECT_CALLERS, (
         f"firing_effect called outside {sorted(FIRING_EFFECT_CALLERS)}: "
         f"{sorted(callers - FIRING_EFFECT_CALLERS)}")
+
+
+#: what the product's ``moves`` records replaced: the per-transition kind,
+#: model transition and event dicts, their decoder and a second pricing
+#: rule beside ``move_cost``, and the fresh-case scan ``case_names`` replaced
+REMOVED_PRODUCT_FORMS = {"_decode_move", "product_move_cost", "move_kind",
+                         "model_transition", "_fresh_is_case"}
+
+
+def test_product_transitions_pass_through_their_move_records():
+    # what a firing of a product transition makes is ``prod.moves[t]``,
+    # priced by ``move_cost``: the package neither defines nor reads the
+    # forms it replaced
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')} {_named(node)}"
+                  for node in ast.walk(tree) if _named(node) in REMOVED_PRODUCT_FORMS]
+    assert not named, f"removed product forms in the package: {named}"
+
+
+def _imported_modules(tree):
+    """The top-level module of every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.partition(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    # the package is pure standard library: every import, at any depth, is
+    # of a standard module or of the package itself
+    foreign = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        foreign += [f"{path.name}: {name}" for name in _imported_modules(tree)
+                    if name not in sys.stdlib_module_names and name != "nualign"]
+    assert not foreign, f"imports outside the standard library: {foreign}"
