@@ -484,6 +484,8 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     every marking reachable from the start settled without reaching the
     goal.
     """
+    if node_budget < 0:
+        raise ValueError(f"node_budget must be nonnegative, got {node_budget}")
     if heuristic is not None and (heuristic.space.prod is not prod
                                   or start is not None or goal is not None):
         raise ValueError("a case heuristic prices its own product's initial "
@@ -807,6 +809,24 @@ def token_use(net: RcNuNet, moves, bound: dict | None = None) -> dict:
     return use
 
 
+def effect_masks(moved: dict) -> dict:
+    """``{net effect: mask}`` of one (place, token)'s ``token_use`` entry:
+    bit i of effect e's mask is set iff move i gives back e more than it takes."""
+    return masks_by_value({i: given - taken for i, (taken, given) in moved.items()})
+
+
+def least_left(effects: dict, i, after, before) -> int:
+    """The linear bound on what a linearization leaves of a token before
+    move ``i``, less its initial count: the net effects of ``i``'s
+    predecessors plus those of every net consumer not ordered after ``i``,
+    by popcounts of the token's ``effect_masks``.  ``after`` and ``before``
+    are an order's rows and predecessor rows (bit j of ``after[i]``: i
+    before j; of ``before[i]``: j before i)."""
+    not_after = ~(after[i] | 1 << i)
+    return sum(e * (mask & (not_after if e < 0 else before[i])).bit_count()
+               for e, mask in effects.items())
+
+
 def _pseudo_marking(net: RcNuNet, use: dict) -> dict:
     """The initial marking plus the net effects of a ``token_use`` table."""
     counts = token_counts(net.initial)
@@ -832,11 +852,9 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment,
     linearization can leave: the initial count, plus the effects of ``t``'s
     predecessors, plus the least summed effect of a down-closed set of the
     moves incomparable to ``t``.  That minimum closure (Picard 1976) is every
-    net consumer of the token, plus a minimum cut paying either for leaving
-    a consumer out or for the net producers ordered before it.
-
-    The predecessor and consumer sums are popcounts of the token's moves
-    grouped by net effect.  ``tokens``: the alignment's ``token_use`` table.
+    net consumer of the token (``least_left``), plus a minimum cut paying
+    either for leaving a consumer out or for the net producers ordered
+    before it.  ``tokens``: the alignment's ``token_use`` table.
     """
     moves = alignment.moves
     # property 1: event coverage
@@ -866,16 +884,14 @@ def is_valid_alignment(net: RcNuNet, log: EventLog, alignment: Alignment,
         raise ValueError("the alignment order must relate move indices in order")
     after, before = order.rows(), order.predecessor_rows()
     for (p, tok), moved in use.items():
-        masks = masks_by_value({s: given - taken for s, (taken, given) in moved.items()})
+        masks = effect_masks(moved)
         initial = net.initial.get(p).count(tok)
         for t, (taken, _) in moved.items():
             if not taken:
                 continue
-            not_after = ~(after[t] | 1 << t)
-            least = initial + sum(e * (mask & (not_after if e < 0 else before[t])).bit_count()
-                                  for e, mask in masks.items())
+            least = initial + least_left(masks, t, after, before)
             if least < taken:
-                free = not_after & ~before[t]       # incomparable to t
+                free = ~(after[t] | before[t] | 1 << t)     # incomparable to t
                 effect = {s: e for e, mask in masks.items() for s in set_bits(mask & free)}
                 supply = {c: -effect[c] for c in sorted(effect) if effect[c] < 0}
                 capacity = {x: effect[x] for x in sorted(effect) if effect[x] > 0}

@@ -12,24 +12,18 @@ valid alignment, with cost at least the exact optimum.
 
 The order program is local to the contention.  R is the composed order;
 when it breaks no capacity row it is the optimum and no program is built.
-Otherwise the contending cases are the case of each broken row's own move
-and every case whose net claim in a broken row, counted at R, is positive.
-Groups of them that share no case get separate programs, each the full
-program of the composition restricted to the group's moves: a variable per
-ordered pair of those moves, and every pair with a move outside the group
-keeps R's value.  The local optimum is a lower bound on the full
-program's, and R scores 0 on the outside pairs, so a lifted order that
-satisfies the full capacity rows and stays a partial order is the full
-optimum; one that does not widens its group by the cases the failing rows
-name, at most up to all cases (see ``adjust_order``).
+Otherwise each group of contending cases gets the full program restricted
+to its moves, every pair with a move outside the group keeping R's value,
+and widens until that lifted order holds (see ``adjust_order``).
 
 Every order is read as reachability rows (bit j of row i: move i before
 move j): R's, a group's (R's restricted to its moves) and a changed one
 (R's with the changed bits written in, and in its predecessor rows
 transposed).  Every capacity row is summed by one evaluator,
-``CapacityRows.total``, from its instance's claim and release masks: at R
-to find the contending cases, and at every lifted order to check it.  The
-program over the 0/1 order variables X_ij of a group's moves:
+``CapacityRows.total``, validity's linear bound ``align.least_left`` on its
+instance's availability token: at R to find the contending cases, and at
+every lifted order to check it.  The program over the 0/1 order variables
+X_ij of a group's moves:
 
 - same-case entries are fixed to R: individual alignments are preserved;
 - removing a pair forces the reverse pair (reversal, objective weight
@@ -39,9 +33,9 @@ program over the 0/1 order variables X_ij of a group's moves:
   adds fewer than 1000 pairs, which is checked);
 - transitivity closes the order: antisymmetry rows, one witness row per
   transitively implied pair of R, and lazy cuts for every other triple;
-- per move and resource instance the move claims, the claims of everything
-  not ordered after the move, minus the releases ordered strictly before
-  it, fit the capacity.
+- per move and resource instance the move takes, what it takes, plus the
+  net claims of the net claimers not ordered after the move, minus the
+  net releases of the net releasers ordered before it, fits the capacity.
 
 The composed alignment is violating exactly when the optimum needs a
 reversal, so the violation decision reads the reversal component of the
@@ -63,7 +57,9 @@ from .align import (
     _prefix_marking,
     build_sync_product,
     case_variants,
+    effect_masks,
     is_valid_alignment,
+    least_left,
     optimal_alignment,
     sync_warnings,
     token_counts,
@@ -72,7 +68,7 @@ from .align import (
 from .eventlog import EventLog
 from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
-from .poset import CycleError, Poset, masks_by_value, set_bits
+from .poset import CycleError, Poset, set_bits
 from .rcnu import ColoredMarking, FiringError, RcNuNet, scale_cases
 
 REVERSAL_WEIGHT = 1000
@@ -170,8 +166,7 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
 @dataclass
 class CapacityRows:
     """The capacity rows of the composed moves: per resource instance, the
-    moves that claim and release it, as masks by amount, and the rows'
-    sites.
+    ``effect_masks`` of its availability token, and the rows' sites.
 
     Computed once per ``adjust_order`` and shared by the contending-case
     finder, every program built and the lift check.  A row is read under
@@ -183,18 +178,13 @@ class CapacityRows:
 
     instances: tuple        # resource instance ids, fixed order
     capacities: tuple
-    claims: list            # per instance index, {amount: mask of the moves claiming that much}
-    releases: list          # per instance index, {amount: mask of the moves releasing that much}
-    sites: list             # per capacity row, (its move, its instance's index)
+    effects: list           # per instance index, its availability token's effect masks
+    sites: dict             # per row, (its move, its instance's index) -> what the move takes
 
     def total(self, site, after, before) -> int:
-        """The left side of the row at ``site``: the claims of the moves
-        not ordered after its move, minus the releases ordered strictly
-        before it.  A move is never in its own rows, so its claim counts."""
-        i, k = site
-        not_after, below = ~after[i], before[i]
-        return (sum(a * (mask & not_after).bit_count() for a, mask in self.claims[k].items())
-                - sum(a * (mask & below).bit_count() for a, mask in self.releases[k].items()))
+        """The left side of the row at ``site``: what its move takes, less
+        ``least_left`` of its instance's availability token."""
+        return self.sites[site] - least_left(self.effects[site[1]], site[0], after, before)
 
     def broken(self, after, before) -> list:
         """The sites whose rows break under ``after`` and ``before``."""
@@ -203,55 +193,44 @@ class CapacityRows:
     def named_cases(self, comp: ComposedAlignment, sites, after, before) -> set:
         """The cases the rows at ``sites`` name under ``after`` and
         ``before``: the case of each row's own move, and every case whose
-        net claim in the row, the terms of ``total`` of its moves, is
+        net claim in the row, ``least_left`` over its own moves negated, is
         positive."""
         named = set()
         for i, k in sites:
             named.add(comp.case_of[i])
-            claims = {}
-            for masks, sign, within in ((self.claims[k], 1, ~after[i]),
-                                        (self.releases[k], -1, before[i])):
-                for a, mask in masks.items():
-                    for j in set_bits(mask & within):
-                        claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + sign * a
-            named.update(c for c, amount in claims.items() if amount > 0)
+            owned = {}      # per case, its moves with a net effect on the token
+            for j in set_bits(sum(self.effects[k].values())):
+                owned[comp.case_of[j]] = owned.get(comp.case_of[j], 0) | 1 << j
+            named.update(c for c, mask in owned.items() if least_left(
+                {e: m & mask for e, m in self.effects[k].items()}, i, after, before) < 0)
         return named
 
 
 def capacity_rows(net: RcNuNet, tokens: dict) -> CapacityRows:
     """The capacity rows of the moves of the ``token_use`` table ``tokens``.
 
-    The row ``const_vio[i,inst]`` at site ``(i, inst)`` says that the claims
-    of the moves not ordered after ``i``, minus the releases ordered
-    strictly before it, fit the capacity (``CapacityRows.total``).  Only
-    the moves that claim or release ``inst`` have terms in it.
-
-    Rows exist only at moves that claim an instance whose claims, summed
-    over every move, exceed its capacity.  This is sound: availability
-    falls only at a claim, so in every linearization an instance's usage
-    peaks right after some claim fires.  When move ``i`` claims, the moves
-    fired so far are among those not ordered after ``i``, and every release
-    ordered strictly before ``i`` has fired, so the row's left side (claims
-    not after ``i`` minus releases strictly before ``i``) bounds that usage.
-    The rows at claims therefore bound every peak.  They are sufficient,
-    not necessary: a self-loop's claim counts without its same-firing
-    release, so concurrent self-loop uses get ordered anyway.
+    The row ``const_vio[i,inst]`` at site ``(i, inst)`` is validity's linear
+    bound on ``inst``'s availability token: what ``i`` takes, less
+    ``least_left``, fits the capacity (``CapacityRows.total``).  The
+    capacity plus ``least_left`` is at most what any linearization leaves
+    before ``i``, so the rows are sufficient.  A row exists only where it
+    can break, at a move that takes ``inst`` and exceeds the capacity with
+    no order: an order only drops net consumers from ``least_left`` and
+    adds net producers.
     """
     instances = sorted(net.resource_instances().support())
     capacities = tuple(net.resource_instances().count(r) for r in instances)
-    claimed = [{} for _ in instances]       # per instance index, {move: count}
-    released = [{} for _ in instances]
+    effects = [{} for _ in instances]
+    sites = {}
     for (p, (_, r)), moved in tokens.items():
         if r is not None and net.place_kind(p) == "resource":
             k = instances.index(r)
-            for i, counts in moved.items():         # [taken, given]
-                for side, n in zip((claimed[k], released[k]), counts):
-                    if n:
-                        side[i] = side.get(i, 0) + n
-    sites = sorted((i, k) for k, claims in enumerate(claimed)
-                   if sum(claims.values()) > capacities[k] for i in claims)
-    return CapacityRows(tuple(instances), capacities, list(map(masks_by_value, claimed)),
-                        list(map(masks_by_value, released)), sites)
+            effects[k] = effect_masks(moved)
+            for i, (taken, _) in moved.items():
+                unordered = {i: 0}          # i's rows in the empty order
+                if taken and taken - least_left(effects[k], i, unordered, unordered) > capacities[k]:
+                    sites[i, k] = taken
+    return CapacityRows(tuple(instances), capacities, effects, dict(sorted(sites.items())))
 
 
 @dataclass
@@ -347,23 +326,21 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
                 {var(i, j): 1, var(j, i): 1}, 1,
                 f"const_trans_clos[{moves[i]},{moves[j]},{moves[i]}]",
             ))
-    # the capacity rows of these moves alone (see ``capacity_rows``): the
-    # sites among them, of instances these moves alone claim past capacity
+    # the capacity rows of these moves alone (see ``capacity_rows``), where
+    # they exceed the capacity with no order: a net consumer j of the
+    # token counts unless X_mj, a net producer only if X_jm
     position = {m: a for a, m in enumerate(moves)}
     local = sum(1 << m for m in moves)
-    totals = [sum(a * (mask & local).bit_count() for a, mask in claims.items())
-              for claims in use.claims]
-    for m, k in use.sites:
-        if not local >> m & 1 or totals[k] <= use.capacities[k]:
-            continue
-        i, others = position[m], local & ~(1 << m)
-        coeffs = {}
-        for a, mask in use.claims[k].items():
-            coeffs.update((var(i, position[j]), -a) for j in set_bits(mask & others))
-        for a, mask in use.releases[k].items():
-            coeffs.update((var(position[j], i), -a) for j in set_bits(mask & others))
-        rows.append(constraint(coeffs, use.capacities[k] - totals[k],
-                               f"const_vio[{m},{use.instances[k]}]"))
+    for (m, k), taken in use.sites.items():
+        if local >> m & 1:
+            effects = {e: mask & local for e, mask in use.effects[k].items()}
+            unordered = {m: 0}          # m's rows in the empty order
+            unfit = taken - least_left(effects, m, unordered, unordered) - use.capacities[k]
+            if unfit > 0:
+                a = position[m]
+                coeffs = {var(a, position[j]) if e < 0 else var(position[j], a): -abs(e)
+                          for e, mask in effects.items() for j in set_bits(mask & ~(1 << m))}
+                rows.append(constraint(coeffs, -unfit, f"const_vio[{m},{use.instances[k]}]"))
 
     def transitivity(i, j, k):
         return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, 1,
@@ -634,10 +611,10 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
       reversal-removal, antisymmetry, transitivity and same-case rows are
       rows of the full program, and in a capacity row every outside case's
       net claim is nonnegative (its moves ordered before the row's move
-      form a prefix of the case's own order, whose releases never exceed
-      its claims, and the row counts all those claims), so dropping those
-      terms keeps the row.  Its objective counts a subset of the full
-      order's changed pairs, and its reversals a subset of the full
+      form a prefix of the case's own order, which never releases more
+      than it claims, and its other net claimers only add), so dropping
+      those terms keeps the row.  Its objective counts a subset of the
+      full order's changed pairs, and its reversals a subset of the full
       order's reversals.  Groups are disjoint in cases, hence in pairs, so
       the bounds add up;
     - the lift attains the bound: outside pairs keep R's values, which
@@ -703,15 +680,9 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
     return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
 
 
-def _effect_masks(tokens: dict) -> dict:
-    """Per (place, token) of a ``token_use`` table, ``{net effect: mask}``."""
-    return {pair: masks_by_value({i: given - taken for i, (taken, given) in moved.items()})
-            for pair, moved in tokens.items()}
-
-
 def _boundary_marking(net: RcNuNet, effects: dict, members, idle) -> ColoredMarking:
     """The ``m::`` marking of the pseudo-marking of the moves in the mask
-    ``members`` (the initial count plus popcounts of ``_effect_masks``),
+    ``members`` (the initial count plus popcounts of ``effect_masks``),
     without the production-place tokens of the ``idle`` cases; resource
     places keep every token.  Raises FiringError at a negative count."""
     counts = token_counts(net.initial)
@@ -743,7 +714,8 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     fire twice in the substituted alignment.  (The substitution orders
     exactly those moves before the block, so the boundary is consistent.)
     Both are read off the run's token table, as popcounts of its
-    ``_effect_masks`` (``effects``) with the boundary's move mask.
+    ``effect_masks`` per (place, token) (``effects``) with the boundary's
+    move mask.
 
     The search runs over the region's own cases: both boundary markings
     drop the production-place tokens of every case that owns no move in
@@ -850,11 +822,11 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
         gamma = Alignment(comp.moves, sol.x_order)
         realignments = []
     else:
-        effects = _effect_masks(tokens)
+        effects = {pair: effect_masks(moved) for pair, moved in tokens.items()}
         realignments = [realign_interval(scaled, comp, sol.x_order, region, log, effects,
                                          costs, node_budget) for region in sol.regions]
-        gamma = _substitute(comp, sol.x_order, realignments)
         del effects         # the masks span every move, too large to keep at 10^4 moves
+        gamma = _substitute(comp, sol.x_order, realignments)
         replaced = {i for r in realignments for i in r.region}
         kept = [i for i in range(len(comp.moves)) if i not in replaced]
         tokens = token_use(scaled, gamma.moves,

@@ -43,6 +43,10 @@ class NodeBudget:
     limit: int
     used: int = 0
 
+    def __post_init__(self):
+        if self.limit < 0:
+            raise ValueError(f"limit must be nonnegative, got {self.limit}")
+
 
 @dataclass(frozen=True)
 class Constraint:

@@ -634,6 +634,11 @@ class DeviationConfig:
     swap_resources: int = 0
     relax_capacity: int = 0
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
 
 def _relaxed(net: RcNuNet, extra: int) -> RcNuNet:
     roles = []
@@ -656,6 +661,8 @@ def simulate(net: RcNuNet, n_cases: int, seed: int,
              deviations: DeviationConfig | None = None,
              max_attempts: int = 25) -> EventLog:
     """Generate a log of ``n_cases`` completed cases by random firing."""
+    if n_cases < 0:
+        raise ValueError(f"n_cases must be nonnegative, got {n_cases}")
     problems = validate_structure(net)
     if problems:
         raise ValueError(f"net fails validation: {problems[0]}")

@@ -315,33 +315,47 @@ def dense_lazy_cuts(n, assignment):
     return out
 
 
-def _row_claims(comp, use, site, before) -> tuple:
-    """The row at ``site`` summed move by move under ``before(i, j)`` (move
-    i before move j), each move's amounts read bit by bit from its
-    instance's masks: the row's own claim, and per case its net claim, the
-    claims of its other moves not ordered after the row's move minus their
-    releases ordered before it."""
-    i, k = site
-
-    def amount(masks, j):
-        return sum(a for a, mask in masks.items() if mask >> j & 1)
-
+def _row_claims(comp, bindings, site, before) -> tuple:
+    """The row at ``site``, a move and a resource instance, summed move by
+    move under ``before(i, j)`` from the moves' own ``bindings``
+    (``_claims_and_releases``): what the row's move takes of the instance,
+    and per case its net claim, the claimed minus released of each of its
+    other moves, counted when positive and not ordered after the row's
+    move, when negative and ordered before it."""
+    i, r = site
     claims = {}
-    for j in range(len(comp.moves)):
-        if j != i:
-            net = (amount(use.claims[k], j) * (not before(i, j))
-                   - amount(use.releases[k], j) * before(j, i))
+    for j, (claimed, released) in enumerate(bindings):
+        net = claimed.get(r, 0) - released.get(r, 0)
+        if j != i and (before(j, i) if net < 0 else not before(i, j)):
             claims[comp.case_of[j]] = claims.get(comp.case_of[j], 0) + net
-    return amount(use.claims[k], i), claims
+    return bindings[i][0].get(r, 0), claims
 
 
-def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
+def _rows_by_fits(net, comp, moves, before) -> dict:
+    """Per capacity row that breaks under ``before(i, j)`` at one of
+    ``moves``, ``(move, instance index) -> {case: net claim}``: every move
+    that takes a resource instance, its row summed term by term
+    (``_row_claims``) against the instance's capacity, instances indexed in
+    sorted order."""
+    instances = net.resource_instances()
+    bindings = [_claims_and_releases(net, mv) for mv in comp.moves]
+    failing = {}
+    for k, r in enumerate(sorted(instances.support())):
+        for i in moves:
+            if bindings[i][0].get(r):
+                own, claims = _row_claims(comp, bindings, (i, r), before)
+                if own + sum(claims.values()) > instances.count(r):
+                    failing[i, k] = claims
+    return dict(sorted(failing.items()))
+
+
+def lift_failures_by_outside_moves(net, comp, inst, changes) -> set:
     """The outside cases named by the full-program rows that the lift of
     ``changes`` (R with those composed pairs set) breaks, by the per-move
     loops: every capacity row at a program move summed term by term under
-    ``precedes``, and every changed pair tested against every outside move
-    for a broken transitivity triple.  Raises SoundnessError when a
-    capacity row fails and no outside case is named."""
+    ``precedes`` (``_rows_by_fits``), and every changed pair tested against
+    every outside move for a broken transitivity triple.  Raises
+    SoundnessError when a capacity row fails and no outside case is named."""
     R = comp.order.precedes
 
     def lifted(i, j):
@@ -350,15 +364,10 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
 
     local = set(inst.moves)
     named = set()
-    failing = False
-    for i, k in use.sites:
-        if i not in local:
-            continue
-        own, claims = _row_claims(comp, use, (i, k), lifted)
-        if own + sum(claims.values()) > use.capacities[k]:
-            failing = True
-            named.add(comp.case_of[i])
-            named.update(c for c, amount in claims.items() if amount > 0)
+    failing = _rows_by_fits(net, comp, inst.moves, lifted)
+    for (i, _), claims in failing.items():
+        named.add(comp.case_of[i])
+        named.update(c for c, amount in claims.items() if amount > 0)
     for (a, b), value in changes.items():
         for o in range(len(comp.moves)):
             if o in local:
@@ -379,15 +388,22 @@ def lift_failures_by_outside_moves(comp, use, inst, changes) -> set:
 # Token-table sums bit by bit
 # ---------------------------------------------------------------------------
 
-def broken_by_fits(comp, use) -> list:
-    """The sites whose rows R breaks, each row summed term by term under
-    ``precedes``: its own claim plus every case's net claim."""
-    broken = []
-    for site in use.sites:
-        own, claims = _row_claims(comp, use, site, comp.order.precedes)
-        if own + sum(claims.values()) > use.capacities[site[1]]:
-            broken.append(site)
-    return broken
+def broken_by_fits(net, comp) -> list:
+    """The (move, instance index) sites whose capacity rows the composed
+    order breaks, each row summed term by term under ``precedes`` from the
+    oracle's own binding: what its move takes plus every case's net claim."""
+    return list(_rows_by_fits(net, comp, range(len(comp.moves)), comp.order.precedes))
+
+
+def least_left_by_set_bits(effect, t, after, before) -> int:
+    """``align.least_left`` summed move by move over ``set_bits``: the net
+    effects on a token of ``t``'s predecessors and of its incomparable net
+    consumers; ``effect`` is the token's ``{move: net effect}``, zero
+    effects left out."""
+    users = sum(1 << s for s in effect)
+    free = users & ~(after[t] | before[t] | 1 << t)
+    return (sum(min(effect[s], 0) for s in set_bits(free))
+            + sum(effect[s] for s in set_bits(users & before[t])))
 
 
 def validity_by_set_bits(net, log, alignment):
@@ -405,11 +421,10 @@ def validity_by_set_bits(net, log, alignment):
         for t, (taken, _) in moved.items():
             if not taken:
                 continue
-            free = users & ~(after[t] | before[t] | 1 << t)
             least = (net.initial.get(p).count(tok)
-                     + sum(min(effect[s], 0) for s in set_bits(free))
-                     + sum(effect[s] for s in set_bits(users & before[t])))
+                     + least_left_by_set_bits(effect, t, after, before))
             if least < taken:
+                free = users & ~(after[t] | before[t] | 1 << t)
                 supply = {c: -effect[c] for c in set_bits(free) if effect[c] < 0}
                 capacity = {x: effect[x] for x in set_bits(free) if effect[x] > 0}
                 producers = sum(1 << x for x in capacity)

@@ -17,6 +17,8 @@ from nualign.align import (
     SearchBudgetError,
     SoundnessError,
     _prefix_marking,
+    align_log,
+    effect_masks,
     is_valid_alignment,
     token_use,
 )
@@ -26,7 +28,6 @@ from nualign.approx import (
     CompositionError,
     IntervalRealignment,
     _boundary_marking,
-    _effect_masks,
     _lift_failures,
     _renamed,
     _substitute,
@@ -61,6 +62,7 @@ from support.fixtures import (
     hospital_forced_overlap_log,
     hospital_log,
     hospital_net,
+    operation_rcnu,
 )
 from support.oracles import _claims_and_releases as oracle_claims_and_releases
 from support.oracles import (
@@ -71,6 +73,7 @@ from support.oracles import (
     dense_witness_scan,
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
+    least_left_by_set_bits,
     lift_failures_by_outside_moves,
     min_cost_exhaustive,
     over_claims,
@@ -398,7 +401,7 @@ def test_realign_interval_forced_overlap_pays_one_split():
     comp = compose(align_cases(net, log), log)
     scaled = scale_cases(net, log.cases())
     sol = _full_program_solution(scaled, comp)
-    effects = _effect_masks(token_use(scaled, comp.moves))
+    effects = {pair: effect_masks(moved) for pair, moved in token_use(scaled, comp.moves).items()}
     re = realign_interval(scaled, comp, sol.x_order, sol.regions[0], log, effects)
     assert not re.fallback
     assert re.alignment.cost() == 10_000 * 2
@@ -471,6 +474,38 @@ def test_missing_discharge_solves_within_a_small_order_budget():
     result = approximate_alignment(clinic_net(), _clinic_missing_discharge(5),
                                    ilp_budget=2_000)
     assert result.valid and result.cost() == 10_000
+
+
+#: three hospital cases closing up concurrently: ``o_sc`` takes the
+#: surgeon s1 and gives it back in one firing
+CONCURRENT_CLOSING_UPS = "".join(f"c{k},o_p,1,\n" for k in (1, 2, 3)) + "".join(
+    f"c{k},o_sc,2,s:s1\n" for k in (1, 2, 3))
+
+#: the batch benchmark's ``b047_operation`` log: c1 and c3 close up on x
+#: while c2's open surgery still holds it
+B047_OPERATION = ("c3,o_p,5,\nc1,o_p,7,\nc2,o_p,7,\nc2,o_a,16,\nc3,o_a,16,\n"
+                  "c2,o_so,24,s:x\nc2,o_c,25,s:x\nc1,o_sc,25,s:x\nc3,o_sc,25,s:x\nc1,o_a,25,\n")
+
+
+def test_concurrent_self_loops_break_no_capacity_row():
+    # the composed order is valid as it is, so no program runs and no pair
+    # is added (a claim counted without its same-firing release added three)
+    net, log = hospital_net(), parse_log(CONCURRENT_CLOSING_UPS)
+    result = approximate_alignment(net, log)
+    assert result.solution.free_cases == () and result.solution.additions == []
+    assert result.valid and result.cost() == align_log(net, log).cost() == 3
+
+
+def test_concurrent_self_loops_are_left_unordered_by_the_program():
+    # c2's release o_c (move 7) goes before both closing-ups and what
+    # follows them; the closing-ups of c1 (move 1) and c3 (move 10) stay
+    # unordered, where a claim counted without its release ordered them
+    net, log = operation_rcnu(), parse_log(B047_OPERATION)
+    result = approximate_alignment(net, log)
+    assert [result.composed.moves[i].label for i in (1, 7, 10)] == ["o_sc", "o_c", "o_sc"]
+    assert result.solution.additions == [(7, 1), (7, 2), (7, 3), (7, 10), (7, 11)]
+    assert result.solution.reversals == []
+    assert result.valid and result.cost() == align_log(net, log).cost() == 2
 
 
 def test_approximate_valid_on_simulated_deviations():
@@ -628,26 +663,36 @@ def test_align_cases_searches_each_variant_once(monkeypatch):
 
 
 def test_claims_and_releases_match_oracle():
-    """The per-instance claim and release masks ``capacity_rows`` reads
-    from the token table equal the oracle's own binding of the availability
-    arcs, move by move, on every composed and approximated alignment: bit i
-    of an instance's mask for amount n is set iff move i claims (releases)
-    n of it."""
-    moves = 0
+    """The per-instance effect masks and the sites ``capacity_rows`` reads
+    from the token table follow the oracle's own binding of the
+    availability arcs, move by move, on every composed and approximated
+    alignment: bit i of an instance's mask for effect e is set iff move i
+    releases e more of it than it claims, and site (i, k) holds what move i
+    claims of instance k wherever that, plus the net claims of every other
+    net claimer, exceeds the capacity."""
+    moves = sites_seen = 0
     for net, log in _differential_fixtures():
         scaled = scale_cases(net, log.cases())
         result = approximate_alignment(net, log, node_budget=20_000)
         for al in (result.composed, result.alignment):
             use = capacity_rows(scaled, token_use(scaled, al.moves))
-            expected = ([{} for _ in use.instances], [{} for _ in use.instances])
-            for i, mv in enumerate(al.moves):
-                for masks, amounts in zip(expected, oracle_claims_and_releases(scaled, mv)):
-                    for r, n in amounts.items():
-                        k = use.instances.index(r)
-                        masks[k][n] = masks[k].get(n, 0) | 1 << i
-            assert (use.claims, use.releases) == (expected[0], expected[1])
+            bound = [oracle_claims_and_releases(scaled, mv) for mv in al.moves]
+            effects = [{} for _ in use.instances]
+            sites = {}
+            for k, r in enumerate(use.instances):
+                claims = [claimed.get(r, 0) - released.get(r, 0) for claimed, released in bound]
+                for i, n in enumerate(claims):
+                    if n:
+                        effects[k][-n] = effects[k].get(-n, 0) | 1 << i
+                for i, (claimed, _) in enumerate(bound):
+                    others = sum(n for j, n in enumerate(claims) if j != i and n > 0)
+                    if claimed.get(r) and claimed[r] + others > use.capacities[k]:
+                        sites[i, k] = claimed[r]
+            assert use.effects == effects
+            assert list(use.sites.items()) == sorted(sites.items())
             moves += len(al.moves)
-    assert moves > 1000
+            sites_seen += len(sites)
+    assert moves > 1000 and sites_seen > 100, (moves, sites_seen)
 
 
 def test_projected_realignment_matches_full_marking_search():
@@ -1133,15 +1178,16 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
     per-outside-move loop or raise as it does."""
     programs = []
     lifts = []
+    nets = []               # the scaled net of each run, the last one adjusting
 
     def build_spy(comp, use, *args):
         inst = build_ilp(comp, use, *args)
-        programs.append((comp, use, inst))
+        programs.append((nets[-1], comp, use, inst))
         return inst
 
     def lift_spy(comp, use, inst, changes, *args):
         named = lift_failures(comp, use, inst, changes, *args)
-        lifts.append((named, lift_failures_by_outside_moves(comp, use, inst, changes)))
+        lifts.append((named, lift_failures_by_outside_moves(nets[-1], comp, inst, changes)))
         return named
 
     lift_failures = approx._lift_failures
@@ -1153,11 +1199,11 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
              (claim_release_net({"x": 1, "y": 1}), _widening_log(), 20_000)]
     for net, log, budget in runs:
         comp = compose(align_cases(net, log, node_budget=budget), log)
-        scaled = scale_cases(net, log.cases())
-        adjust_order(scaled, comp, composed_tokens(scaled, comp))
+        nets.append(scale_cases(net, log.cases()))
+        adjust_order(nets[-1], comp, composed_tokens(nets[-1], comp))
 
     witnessed = 0
-    for comp, _, inst in programs:
+    for _, comp, _, inst in programs:
         witnesses, keep = dense_witness_scan(comp, inst)
         # the antisymmetry rows share the label but have two terms
         rows = [row for row in inst.program.constraints
@@ -1169,7 +1215,7 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
     rng = random.Random(18)
     cuts = 0
     for trial in range(500):
-        _, _, inst = rng.choice(programs)
+        _, _, _, inst = rng.choice(programs)
         candidate = [rng.randrange(2) for _ in range(inst.program.n_vars)]
         if trial % 2:
             for v, value in inst.program.fixings.items():
@@ -1192,7 +1238,7 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
 
     # lifts naming a case with only pairs set to 0, or some set to 1, and unsound lifts
     outcomes = [0, 0, 0]
-    for comp, use, inst in programs:
+    for net, comp, use, inst in programs:
         below = comp.order.predecessor_rows()
         for _ in range(20):
             changes = {}
@@ -1200,7 +1246,7 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
                 a, b = rng.sample(range(inst.n), 2)
                 changes[inst.moves[a], inst.moves[b]] = 1 - (inst.R[a] >> b & 1)
             named = outcome(lift_failures, comp, use, inst, changes, below)
-            assert named == outcome(lift_failures_by_outside_moves, comp, use, inst, changes)
+            assert named == outcome(lift_failures_by_outside_moves, net, comp, inst, changes)
             if named == "unsound":
                 outcomes[2] += 1
             elif named:
@@ -1245,10 +1291,42 @@ def test_broken_rows_match_fits_over_every_site():
         for order in [comp.order] + [_random_order(len(comp), rng) for _ in range(3)]:
             ordered = replace(comp, order=order)
             broken = use.broken(order.rows(), order.predecessor_rows())
-            assert broken == broken_by_fits(ordered, use)
+            assert broken == broken_by_fits(scaled, ordered)
             verdicts[0] += len(use.sites) - len(broken)
             verdicts[1] += len(broken)
     assert min(verdicts) >= 500, verdicts
+
+
+def test_capacity_rows_are_validity_linear_bound_on_availability():
+    """Differential over the differential fixtures: at R and at three random
+    orders of each composed alignment, ``CapacityRows.broken`` is exactly
+    the (move, instance) pairs where the set-bit reference of validity's
+    linear sum leaves less of the instance's availability token than the
+    move takes; the approximation is valid, by the set-bit reference too,
+    and never beats the exact optimum."""
+    rng = random.Random(25)
+    verdicts = [0, 0]       # orders that fit, orders short somewhere
+    for net, log in _differential_fixtures():
+        scaled = scale_cases(net, log.cases())
+        result = approximate_alignment(net, log, node_budget=20_000)
+        comp = result.composed
+        tokens = token_use(scaled, comp.moves)
+        use = capacity_rows(scaled, tokens)
+        for order in [comp.order] + [_random_order(len(comp), rng) for _ in range(3)]:
+            after, before = order.rows(), order.predecessor_rows()
+            short = []
+            for (p, tok), moved in tokens.items():
+                if scaled.place_kind(p) == "resource":
+                    effect = {s: g - t for s, (t, g) in moved.items() if g != t}
+                    initial = scaled.initial.get(p).count(tok)
+                    short += [(t, use.instances.index(tok[1])) for t, (taken, _) in moved.items()
+                              if taken and initial + least_left_by_set_bits(
+                                  effect, t, after, before) < taken]
+            assert use.broken(after, before) == sorted(short)
+            verdicts[bool(short)] += 1
+        assert result.valid and validity_by_set_bits(scaled, log, result.alignment) == (True, None)
+        assert result.cost() >= align_log(net, log, node_budget=20_000).cost()
+    assert min(verdicts) >= 100, verdicts
 
 
 def test_validity_popcount_sums_match_the_set_bit_loop():
@@ -1285,7 +1363,8 @@ def test_boundary_markings_match_pseudo_fire():
     outcomes = [0, 0]       # markings, negative counts
     for _, _, _, scaled, result in _token_table_runs():
         comp, rows = result.composed, result.solution.x_order.rows()
-        effects = _effect_masks(token_use(scaled, comp.moves))
+        effects = {pair: effect_masks(moved)
+                   for pair, moved in token_use(scaled, comp.moves).items()}
         sets = []
         for re in result.realignments:
             region = set(re.region)
@@ -1406,7 +1485,7 @@ def test_lift_names_an_outside_case_that_holds_the_instance():
         inst = build_ilp(comp, use, {"c2", "c3"})
         if outside == "x":
             assert _lift_failures(comp, use, inst, changes, below) == {"c1"}
-            assert lift_failures_by_outside_moves(comp, use, inst, changes) == {"c1"}
+            assert lift_failures_by_outside_moves(net, comp, inst, changes) == {"c1"}
         else:
             with pytest.raises(SoundnessError, match=r"const_vio\[2,x\]"):
                 _lift_failures(comp, use, inst, changes, below)

@@ -28,7 +28,9 @@ from nualign.align import Alignment, Move, build_sync_product, optimal_alignment
 from nualign.eventlog import Event
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import ColoredMarking, RcNuNet, scale_cases, validate_structure
+from nualign.ilp import NodeBudget
+from nualign.rcnu import (ColoredMarking, DeviationConfig, RcNuNet, scale_cases, simulate,
+                          validate_structure)
 from support.fixtures import (
     HOSPITAL_FORCED_OVERLAP_CSV,
     HOSPITAL_LOG_CSV,
@@ -447,6 +449,25 @@ def test_cli_rejects_a_negative_count(net_file, log_file, tmp_path, capsys, comm
     # zero stays a count
     args = nualign.cli.build_parser().parse_args([command, *inputs, option, "0"])
     assert getattr(args, option[2:].replace("-", "_")) == 0
+
+
+def _product():
+    log = hospital_log()
+    return build_sync_product(scale_cases(hospital_net(), log.cases()), build_log_net(log))
+
+
+@pytest.mark.parametrize("call, argument", [
+    (lambda: simulate(hospital_net(), -3, 1), "n_cases"),
+    (lambda: DeviationConfig(drop_events=-2), "drop_events"),
+    (lambda: DeviationConfig(swap_resources=-1), "swap_resources"),
+    (lambda: DeviationConfig(relax_capacity=-1), "relax_capacity"),
+    (lambda: optimal_alignment(_product(), node_budget=-1), "node_budget"),
+    (lambda: NodeBudget(-5), "limit"),
+])
+def test_library_rejects_a_negative_count(call, argument):
+    # the library calls behind the options above refuse what the CLI refuses
+    with pytest.raises(ValueError, match=rf"^{argument} must be nonnegative, got -\d+$"):
+        call()
 
 
 def test_cli_simulate_roundtrip(net_file, tmp_path):

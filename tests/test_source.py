@@ -324,6 +324,20 @@ def test_firing_effects_pass_through_one_token_table():
         f"{sorted(callers - FIRING_EFFECT_CALLERS)}")
 
 
+def test_effect_masks_are_grouped_in_one_place():
+    # a token's moves grouped by net effect, which validity, the capacity
+    # rows and the realignment boundaries sum by popcounts, come from
+    # ``align.effect_masks`` alone, and no module passes the grouping on
+    callers = []
+    passed = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        callers += [f"{path.stem}.{scope}" for scope in _callers(tree, "masks_by_value")]
+        passed += sum(isinstance(node, (ast.Name, ast.Attribute))
+                      and _named(node) == "masks_by_value" for node in ast.walk(tree))
+    assert callers == ["align.effect_masks"] and passed == len(callers), (callers, passed)
+
+
 #: what the product's ``moves`` records replaced: the per-transition kind,
 #: model transition and event dicts, their decoder and a second pricing
 #: rule beside ``move_cost``, and the fresh-case scan ``case_names`` replaced
