@@ -178,14 +178,13 @@ class SyncProduct(ColoredNet):
     a firing of it makes, mode left empty, and ``forced`` to the bindings it pins."""
 
     def __init__(self, model: RcNuNet, log_net: LogNet, places, flow,
-                 initial, final, moves, forced, warnings):
+                 initial, final, moves, forced):
         super().__init__(places, moves, {t: m.label for t, m in moves.items()},
                          flow, initial, final)
         self.model = model
         self.log_net = log_net
         self.moves = moves
         self.forced = forced
-        self.warnings = list(warnings)
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
         self.spare_ids = [f"_nu{i + 1}" for i in range(len(log_events) or 1)]
@@ -296,13 +295,15 @@ def _sync_partners(model: RcNuNet, event: Event):
 
 
 def sync_warnings(model: RcNuNet, log: EventLog) -> list:
-    """The warnings of the log's synchronous product, in the same order."""
+    """The log's synchronization warnings, event by event: an activity no
+    model transition carries, or a matching transition with no unambiguous
+    case variable.  Reports of both modes carry this list."""
     return [w for e in log.events for w in _sync_partners(model, e)[1]]
 
 
 def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
-    flow, moves, forced, warnings = {}, {}, {}, []
+    flow, moves, forced = {}, {}, {}
 
     def add(tid, move, binding, *parts):
         """Add ``tid`` making ``move``, with each (net, prefix, transition)'s arcs."""
@@ -323,9 +324,7 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
             (log_net, "l::", lt))
     for lt in log_net.transitions:
         event = log_net.event_of[lt]
-        partners, notes = _sync_partners(model, event)
-        warnings.extend(notes)
-        for t, case_var in partners:
+        for t, case_var in _sync_partners(model, event)[0]:
             for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
                 add(f"s::{t}::e{event.index}" + (f"::{k}" if k else ""),
                     Move("sync", event=event, transition=t, label=event.activity),
@@ -334,7 +333,7 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
 
     initial = _prefix_marking(model.initial, "m::") | _prefix_marking(log_net.initial, "l::")
     final = _prefix_marking(model.final, "m::") | _prefix_marking(log_net.final, "l::")
-    return SyncProduct(model, log_net, places, flow, initial, final, moves, forced, warnings)
+    return SyncProduct(model, log_net, places, flow, initial, final, moves, forced)
 
 
 class _StateSpace:

@@ -26,11 +26,13 @@ every lifted order to check it.  The program over the 0/1 order variables
 X_ij of a group's moves:
 
 - same-case entries are fixed to R: individual alignments are preserved;
-- removing a pair forces the reverse pair (reversal, objective weight
-  1000);
-- pairs absent from R cost 1 when added (the infinitesimal tie-breaker of
-  the underlying scheme, scaled to integers -- sound while any solution
-  adds fewer than 1000 pairs, which is checked);
+- removing a pair forces the reverse pair (a reversal); a cap row bounds
+  the number of reversals, and the solver raises it from none to the first
+  level that admits an order, so reversals are minimised first;
+- the objective counts the cross-case pairs absent from R that an order
+  adds (the infinitesimal tie-breaker of the underlying scheme); every
+  order feasible at the first level reverses the same number of pairs, so
+  no weight need rank reversals above additions;
 - transitivity closes the order: antisymmetry rows, one witness row per
   transitively implied pair of R, and lazy cuts for every other triple;
 - per move and resource instance the move takes, what it takes, plus the
@@ -38,8 +40,8 @@ X_ij of a group's moves:
   net releases of the net releasers ordered before it, fits the capacity.
 
 The composed alignment is violating exactly when the optimum needs a
-reversal, so the violation decision reads the reversal component of the
-objective instead of enumerating the doubly-exponential permutation space.
+reversal, so the violation decision reads the first feasible reversal
+level instead of enumerating the doubly-exponential permutation space.
 """
 
 from __future__ import annotations
@@ -70,9 +72,6 @@ from .ilp import BinaryProgram, NodeBudget, constraint, solve
 from .lognet import build_log_net
 from .poset import CycleError, Poset, set_bits
 from .rcnu import ColoredMarking, FiringError, RcNuNet, scale_cases
-
-REVERSAL_WEIGHT = 1000
-ADDITION_WEIGHT = 1
 
 
 class CompositionError(RuntimeError):
@@ -246,15 +245,12 @@ class IlpInstance:
     def var(self, a, b) -> int:
         return a * self.n + b
 
-    def pair(self, v) -> tuple:
-        return divmod(v, self.n)
-
     def changes(self, assignment) -> dict:
         """The composed pairs whose value ``assignment`` changes from R,
         ``(i, j) -> 0/1``."""
         out = {}
         for v, value in enumerate(assignment):
-            a, b = self.pair(v)
+            a, b = divmod(v, self.n)
             if value != self.R[a] >> b & 1:
                 out[self.moves[a], self.moves[b]] = value
         return out
@@ -273,11 +269,13 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
 
     Minimum reversals first, then additions: the program's cap row bounds
     the number of kept pairs of R that flip, starting at none, and the
-    solver raises it until the program is feasible.  A reversal (weight
-    1000) always outweighs the additions it could save (fewer than 1000,
-    checked), so this is the optimum of the weighted objective; the cap
-    lets propagation fix every other kept pair the moment one flips, which
-    collapses the search tree that a single flat solve would explore.
+    solver raises it until the program is feasible.  At that first feasible
+    level every feasible order flips exactly that many pairs (one flipping
+    fewer would be feasible a level lower), so the objective need only
+    count the added pairs: coefficient 1 on each cross-case pair that R
+    leaves unordered both ways.  The cap lets propagation fix every other
+    kept pair the moment one flips, which collapses the search tree that a
+    single flat solve would explore.
 
     Transitivity is enforced by the antisymmetry rows, one witness row per
     transitively implied kept pair, and lazy cuts for every other triple,
@@ -308,8 +306,8 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
             preferred[v] = bit
             if case_of[i] == case_of[j]:
                 fixings[v] = bit
-            if not bit and i != j:
-                objective[v] = REVERSAL_WEIGHT if below[i] >> j & 1 else ADDITION_WEIGHT
+            elif not (bit or below[i] >> j & 1):
+                objective[v] = 1
 
     rows = []
     # removing an ordered pair flips it: X_ij + X_ji >= 1 where R_ij = 1
@@ -370,16 +368,9 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
 
     # branch kept pairs by ascending span: direct (reduction) pairs are the
     # meaningful reversal candidates and get the expensive early flips,
-    # implied pairs die instantly on their witness row
+    # implied pairs die instantly on their witness row; then the additions,
+    # and (``solve`` appends them) the reversed pairs in index order
     keep_vars = [v for _, v in sorted(kept)]
-    additions = sorted(
-        v for v, c in objective.items() if c == ADDITION_WEIGHT and v not in fixings
-    )
-    ordered = keep_vars + additions
-    placed = set(ordered)
-    ordered.extend(
-        v for v in range(n * n) if v not in fixings and v not in placed
-    )
     reversal_cap = constraint({v: -1 for v in keep_vars}, -len(keep_vars),
                               "reversal_cap")
     inst.program = BinaryProgram(
@@ -389,7 +380,7 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
         fixings=fixings,
         preferred=preferred,
         lazy_rows=lazy_transitivity,
-        branch_order=ordered,
+        branch_order=keep_vars + sorted(objective),
         cap=reversal_cap,
     )
     return inst
@@ -398,7 +389,6 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
 @dataclass(frozen=True)
 class OrderSolution:
     changes: dict            # composed pairs (i, j) -> 0/1 whose value differs from R
-    objective: int
     reversals: list          # (i, j) pairs newly ordered i before j, reversing j<i
     additions: list          # (i, j) pairs newly ordered with no prior relation
     x_order: Poset           # the adjusted order over move indices
@@ -491,16 +481,15 @@ def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups, below,
     groups, widening steps and reversal levels."""
     budget = NodeBudget(node_budget)
     pending = list(groups)
-    solved = {}              # case set -> (changed pairs, objective)
+    solved = {}              # case set -> its changed pairs
     widenings = 0
     while pending:
         cases = pending.pop(0)
         inst = build_ilp(comp, use, cases)
-        local, objective = solve(inst.program, budget)
-        changes = inst.changes(local)
+        changes = inst.changes(solve(inst.program, budget)[0])
         named = _lift_failures(comp, use, inst, changes, below)
         if not named:
-            solved[cases] = (changes, objective)
+            solved[cases] = changes
             continue
         # a wider group absorbs every group it meets, solved ones included
         widenings += 1
@@ -514,15 +503,12 @@ def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups, below,
         pending.insert(0, wider)
 
     changes = {}
-    for group_changes, _ in solved.values():
+    for group_changes in solved.values():
         changes.update(group_changes)
-    return extract_solution(
-        comp, changes, sum(objective for _, objective in solved.values()),
-        tuple(sorted(set().union(*solved))), widenings,
-    )
+    return extract_solution(comp, changes, tuple(sorted(set().union(*solved))), widenings)
 
 
-def extract_solution(comp: ComposedAlignment, changes, objective,
+def extract_solution(comp: ComposedAlignment, changes,
                      free_cases=(), widenings=0) -> OrderSolution:
     """Reversals, additions and realignment regions of an adjusted order:
     R with the composed pairs of ``changes`` (``(i, j) -> 0/1``, each
@@ -545,12 +531,6 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
     for (i, j), value in sorted(changes.items()):
         if value:
             (reversals if R_rows[j] >> i & 1 else additions).append((i, j))
-    if len(additions) >= REVERSAL_WEIGHT:
-        raise SoundnessError(
-            f"{len(additions)} added pairs reached the reversal weight "
-            f"{REVERSAL_WEIGHT}; the integer objective no longer separates "
-            f"the two terms"
-        )
     x_order = Poset.of_rows(range(n), _with_changes(R_rows, changes)) if changes else comp.order
 
     disturbed = 0
@@ -581,7 +561,7 @@ def extract_solution(comp: ComposedAlignment, changes, objective,
                 raise SoundnessError("interval regions overlap")
             covered |= hull
             regions.append(list(set_bits(hull)))
-    return OrderSolution(changes, objective, reversals, additions,
+    return OrderSolution(changes, reversals, additions,
                          x_order, regions, free_cases, widenings)
 
 
@@ -614,7 +594,7 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
       form a prefix of the case's own order, which never releases more
       than it claims, and its other net claimers only add), so dropping
       those terms keeps the row.  Its objective counts a subset of the
-      full order's changed pairs, and its reversals a subset of the full
+      full order's added pairs, and its reversals a subset of the full
       order's reversals.  Groups are disjoint in cases, hence in pairs, so
       the bounds add up;
     - the lift attains the bound: outside pairs keep R's values, which
@@ -634,7 +614,7 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
     below = comp.order.predecessor_rows()
     groups = contending_groups(comp, use, below)
     if not groups:
-        return extract_solution(comp, {}, 0)
+        return extract_solution(comp, {})
     return solve_and_extract(comp, use, groups, below, node_budget)
 
 
@@ -796,7 +776,7 @@ class ApproxResult:
     realignments: list
     valid: bool
     witness: str | None
-    warnings: list           # the sync product's warnings, as the exact engine reports them
+    warnings: list           # ``sync_warnings`` of the net and log
 
     def cost(self, costs: CostTable = DEFAULT_COSTS) -> int:
         return self.alignment.cost(costs)

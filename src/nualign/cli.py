@@ -6,10 +6,10 @@ Subcommands: ``validate`` (structural checks on a net file), ``align``
 export of a net, log, or report).
 
 Exit codes: 0 success, 1 deviations found (``align --fail-on-deviation``)
-or validation violations (``validate``), 2 input/parse errors and broken
-soundness conditions (for example a cost table whose visible cost no
-longer outweighs the tau moves), 3 search or solver budget exhausted,
-4 approximated alignment failed its validity check.
+or validation violations (``validate``), 2 input/parse errors, unwritable
+outputs and broken soundness conditions (for example a cost table whose
+visible cost no longer outweighs the tau moves), 3 search or solver budget
+exhausted, 4 approximated alignment failed its validity check.
 All randomness flows through ``--seed``; repeated runs produce
 byte-identical outputs.
 """
@@ -30,6 +30,7 @@ from .align import (
     SoundnessError,
     build_sync_product,
     optimal_alignment,
+    sync_warnings,
 )
 from .approx import approximate_alignment
 from .dot import log_to_dot, net_to_dot, report_to_dot
@@ -78,12 +79,19 @@ def nonnegative(text: str) -> int:
     return int(text)
 
 
-def _write(path, text: str):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+def _write(path, text: str) -> int:
+    """Write ``text`` to ``path`` (stdout for None or ``-``): EXIT_OK, or
+    EXIT_INPUT with an ``error:`` line when it cannot be written."""
+    try:
+        if path in (None, "-"):
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return EXIT_OK
 
 
 def cmd_validate(args) -> int:
@@ -131,7 +139,7 @@ def cmd_align(args) -> int:
                 prod, costs, args.node_budget,
                 heuristic=CaseHeuristic(prod, costs, args.node_budget))
             report = build_report(alignment, "exact", costs, net=scaled,
-                                  warnings=prod.warnings)
+                                  warnings=sync_warnings(net, log))
         else:
             result = approximate_alignment(net, log, costs, args.node_budget,
                                            args.ilp_budget)
@@ -152,9 +160,11 @@ def cmd_align(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    _write(args.out, dumps_report(report))
-    if args.dot:
-        _write(args.dot, report_to_dot(report))
+    status = _write(args.out, dumps_report(report))
+    if not status and args.dot:
+        status = _write(args.dot, report_to_dot(report))
+    if status:
+        return status
     if args.fail_on_deviation and report["deviation_moves"] > 0:
         return EXIT_DEVIATIONS
     return EXIT_OK
@@ -176,8 +186,7 @@ def cmd_simulate(args) -> int:
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _write(args.out, serialize_log(log))
-    return EXIT_OK
+    return _write(args.out, serialize_log(log))
 
 
 def cmd_dot(args) -> int:
@@ -192,11 +201,10 @@ def cmd_dot(args) -> int:
                 text = report_to_dot(doc)
             else:
                 text = net_to_dot(net_from_dict(doc, validate=False))
-        _write(args.out, text)
-        return EXIT_OK
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return _write(args.out, text)
 
 
 @functools.cache

@@ -71,9 +71,6 @@ class BinaryProgram:
     branch_order: list = None  # optional static variable order for branching
     cap: Constraint = None     # row whose bound solve() raises until feasible
 
-    def objective_value(self, assignment):
-        return sum(c * assignment[v] for v, c in self.objective.items())
-
 
 class _Engine:
     """Trailed assignment, watch lists, incremental row bounds.
@@ -308,10 +305,10 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
                     for row in violated:
                         engine.add_row(row)
                     return  # leaf closed; the cuts persist
-                value = program.objective_value(candidate)
-                if best_value is None or value < best_value:
-                    best_assignment = candidate
-                    best_value = value
+                # every variable is set, so the bound is the value, which
+                # the bound check above found strictly better
+                best_assignment = candidate
+                best_value = engine.obj_lb
             return
         var = order[pos]
         first = program.preferred.get(var, 0)

@@ -351,8 +351,16 @@ def validate_structure(net: RcNuNet):
     conserved literally.
     """
     out = []
+    declared = {}            # instance -> the first role declaring it
     for role in net.roles:
         p_r, p_b = role.available_place, role.busy_place
+        for inst in sorted(role.instances.support()):
+            first = declared.setdefault(inst, role.name)
+            if first != role.name:
+                out.append(Violation(
+                    "capacity", role.name, p_r,
+                    f"instance {inst!r} is declared in roles {first} and {role.name}",
+                ))
         for t in net.transitions:
             consumed = net.arc(p_r, t) + net.arc(p_b, t)
             produced = net.arc(t, p_r) + net.arc(t, p_b)

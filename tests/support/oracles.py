@@ -9,10 +9,13 @@ checked against loops over dense matrices and single moves, and the
 popcount sums over a token table (validity, capacity rows, boundary
 markings) against the bit-by-bit loops they replaced.  The product's
 resource assignments are checked against the recursive enumeration that
-``itertools.permutations`` replaced.
+``itertools.permutations`` replaced, and the order program's additions-only
+objective against the weighted objective it replaced.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
                            _max_flow, _role_var_multiplicities, is_valid_alignment,
@@ -273,6 +276,26 @@ def check_feasible(program: BinaryProgram, assignment):
         if violated:
             return False, violated[0].label or "lazy row"
     return True, None
+
+
+#: the weight of a reversal in ``weighted_order_program``'s objective
+REVERSAL_WEIGHT = 1000
+
+
+def weighted_order_program(inst) -> BinaryProgram:
+    """A copy of the order program of ``inst`` (an ``IlpInstance``) whose
+    objective weighs each cross-case reversal variable (``X_ij`` where R
+    orders ``j`` before ``i``) at ``REVERSAL_WEIGHT`` and each addition
+    (``X_ij`` where R orders the two neither way) at 1: reversals first,
+    then additions, sound while an order adds fewer than
+    ``REVERSAL_WEIGHT`` pairs."""
+    objective = {}
+    for v in range(inst.program.n_vars):
+        i, j = divmod(v, inst.n)
+        if v in inst.program.fixings or inst.R[i] >> j & 1:
+            continue
+        objective[v] = REVERSAL_WEIGHT if inst.R[j] >> i & 1 else 1
+    return replace(inst.program, objective=objective)
 
 
 # ---------------------------------------------------------------------------

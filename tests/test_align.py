@@ -27,6 +27,7 @@ from nualign.align import (
     is_valid_alignment,
     move_cost,
     optimal_alignment,
+    sync_warnings,
     token_counts,
 )
 from nualign.approx import align_cases, approximate_alignment, compose
@@ -90,8 +91,8 @@ def test_sync_transition_count_hospital():
 
 def test_unknown_activity_warns_and_stays_log_move():
     log = parse_log("c1,mystery,1,\n")
-    _, prod = product_for(log)
-    assert any("mystery" in w for w in prod.warnings)
+    net, prod = product_for(log)
+    assert any("mystery" in w for w in sync_warnings(net, log))
     assert all(prod.moves[t].kind != "sync" for t in prod.transitions)
 
 

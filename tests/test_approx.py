@@ -23,7 +23,6 @@ from nualign.align import (
     token_use,
 )
 from nualign.approx import (
-    REVERSAL_WEIGHT,
     ComposedAlignment,
     CompositionError,
     IntervalRealignment,
@@ -77,8 +76,10 @@ from support.oracles import (
     lift_failures_by_outside_moves,
     min_cost_exhaustive,
     over_claims,
+    REVERSAL_WEIGHT,
     row_holds,
     validity_by_set_bits,
+    weighted_order_program,
 )
 from support.orders import (
     closed_pairs,
@@ -264,8 +265,8 @@ def _full_program_solution(net, comp, node_budget=2_000_000):
     """The all-cases order program solved on one engine, whether or not
     the composed order fits."""
     inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
-    assignment, objective = solve(inst.program, node_budget)
-    return extract_solution(comp, inst.changes(assignment), objective)
+    assignment, _ = solve(inst.program, node_budget)
+    return extract_solution(comp, inst.changes(assignment))
 
 
 def test_capacity_sites_match_the_dense_program_rows(monkeypatch):
@@ -332,7 +333,7 @@ def test_ilp_free_vars_are_cross_case_pairs():
     net, comp = hand_composed(overlap_forced=True)
     inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
     for v in range(inst.program.n_vars):
-        i, j = inst.pair(v)
+        i, j = divmod(v, inst.n)
         if comp.case_of[i] == comp.case_of[j]:
             assert v in inst.program.fixings
         else:
@@ -360,7 +361,7 @@ def test_solution_nonviolating_zero_cost():
     log = hospital_log()
     comp = compose(align_cases(net, log), log)
     sol = _full_program_solution(scale_cases(net, log.cases()), comp)
-    assert sol.objective == 0
+    assert len(sol.additions) == 0
     assert not sol.violating and sol.regions == []
 
 
@@ -779,7 +780,7 @@ def _all_triples_reference(inst, node_budget):
 
 
 def _solution_fields(sol):
-    return (sol.changes, sol.objective, sol.reversals, sol.additions,
+    return (sol.changes, len(sol.additions), sol.reversals, sol.additions,
             sol.regions)
 
 
@@ -787,8 +788,8 @@ def _slow_adjust_order(net, comp, tokens, node_budget=2_000_000):
     """The order program built and solved level by level, whether or not
     the composed order fits."""
     inst = build_ilp(comp, capacity_rows(net, tokens))
-    assignment, objective = _per_level_reference(inst.program, node_budget)
-    return extract_solution(comp, inst.changes(assignment), objective)
+    assignment, _ = _per_level_reference(inst.program, node_budget)
+    return extract_solution(comp, inst.changes(assignment))
 
 
 def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
@@ -805,16 +806,16 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         scaled = scale_cases(net, log.cases())
         comp = compose(align_cases(net, log, node_budget=budget), log)
         inst = build_ilp(comp, capacity_rows(scaled, composed_tokens(scaled, comp)))
-        assignment, objective = _per_level_reference(inst.program, 2_000_000)
-        reference = extract_solution(comp, inst.changes(assignment), objective)
+        assignment, _ = _per_level_reference(inst.program, 2_000_000)
+        reference = extract_solution(comp, inst.changes(assignment))
         one_engine = _full_program_solution(scaled, comp)
         assert _solution_fields(one_engine) == _solution_fields(reference)
         assignment, objective = _all_triples_reference(inst, 2_000_000)
         assert ((inst.changes(assignment), objective)
-                == (one_engine.changes, one_engine.objective))
+                == (one_engine.changes, len(one_engine.additions)))
         fits = not capacity_rows(scaled, composed_tokens(scaled, comp)).broken(
             comp.order.rows(), comp.order.predecessor_rows())
-        assert fits == (reference.changes == {} and reference.objective == 0)
+        assert fits == (reference.changes == {} and len(reference.additions) == 0)
         fitting += fits
 
         result = approximate_alignment(net, log, node_budget=budget)
@@ -852,6 +853,51 @@ def test_order_budget_spans_every_reversal_level():
         adjust_order(scaled, comp, composed_tokens(scaled, comp), node_budget=11)
     sol = adjust_order(scaled, comp, composed_tokens(scaled, comp), node_budget=100)
     assert len(sol.reversals) == 3
+
+
+def test_additions_objective_matches_the_weighted_reference():
+    """Ranking reversals by the cap alone keeps the optimum: on the full
+    program of every differential fixture and of two clinic overlaps, the
+    additions-only program and its weighted copy (reversals at 1000,
+    additions at 1) solve to the same assignment, the weighted value is
+    1000 per extracted reversal plus 1 per addition, and the additions-only
+    solves take no more nodes in total."""
+    compositions = [
+        (scale_cases(net, log.cases()), compose(align_cases(net, log, node_budget=20_000), log))
+        for net, log in _differential_fixtures()
+    ]
+    log = _clinic_two_overlaps(12, 3, 8)
+    compositions.append((scale_cases(clinic_net(), log.cases()),
+                         compose(align_cases(clinic_net(), log, node_budget=10_000), log)))
+    nodes, weighted_nodes = NodeBudget(10_000_000), NodeBudget(10_000_000)
+    reversing = adding = 0
+    for net, comp in compositions:
+        inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
+        assignment, additions = solve(inst.program, nodes)
+        weighted, value = solve(weighted_order_program(inst), weighted_nodes)
+        assert weighted == assignment
+        sol = extract_solution(comp, inst.changes(assignment))
+        assert additions == len(sol.additions)
+        assert value == REVERSAL_WEIGHT * len(sol.reversals) + len(sol.additions)
+        reversing += sol.violating
+        adding += bool(sol.additions)
+    assert sol.violating        # the two clinic overlaps
+    assert reversing >= 10 and adding >= 10
+    assert nodes.used <= weighted_nodes.used
+
+
+def test_extract_solution_takes_any_number_of_additions():
+    # two 32-move chains of different cases, the first ordered wholly
+    # before the second: 1 024 added pairs, past what a reversal weight of
+    # 1000 could outweigh
+    moves = tuple(Move("model", transition="t", mode=(("c", c),), label="t")
+                  for c in ("c1", "c2") for _ in range(32))
+    chains = [(i, i + 1) for base in (0, 32) for i in range(base, base + 31)]
+    comp = ComposedAlignment(moves, Poset(range(64), chains), ("c1",) * 32 + ("c2",) * 32)
+    sol = extract_solution(comp, {(i, j): 1 for i in range(32) for j in range(32, 64)})
+    assert len(sol.additions) == 1024
+    assert sol.reversals == [] and sol.regions == [] and not sol.violating
+    assert sol.x_order.precedes(31, 32)
 
 
 def test_fitting_composed_order_skips_the_order_program(monkeypatch):
@@ -1134,7 +1180,7 @@ def test_regions_match_the_antichain_interval_walk():
     crossed = replace(hand, order=Poset(range(4), [(1, 0), (1, 2), (3, 0), (3, 2)]))
     changes = {pair: value for i in (0, 2) for j in (1, 3)
                for pair, value in (((i, j), 1), ((j, i), 0))}
-    runs.append((crossed, extract_solution(crossed, changes, 4 * REVERSAL_WEIGHT)))
+    runs.append((crossed, extract_solution(crossed, changes)))
 
     def describe(comp, members):
         return [{"kind": comp.moves[i].kind, "activity": comp.moves[i].label,

@@ -236,6 +236,27 @@ def test_cli_validate_broken_net(tmp_path, capsys):
     assert "restriction1" in capsys.readouterr().out
 
 
+def test_an_instance_declared_in_two_roles_is_rejected(tmp_path, log_file, capsys):
+    # ``hospital_net()`` with its surgeon ``s1`` renamed ``g1``, the GP's
+    # id: the two roles' availability places each hold one ``g1`` token,
+    # but a capacity row keyed by instance would count capacity 2
+    doc = json.loads(json.dumps(net_to_dict(hospital_net())).replace('"s1"', '"g1"'))
+    (violation,) = validate_structure(net_from_dict(doc, validate=False))
+    assert violation.kind == "capacity"
+    assert "'g1'" in violation.detail and "roles g and s" in violation.detail
+    with pytest.raises(NetFileError) as info:
+        net_from_dict(doc)
+    assert info.value.violations == [violation]
+    path = tmp_path / "dual.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(NetFileError):
+        load_net(path)
+    assert main(["validate", str(path)]) == 1
+    assert "roles g and s" in capsys.readouterr().out
+    assert main(["align", str(path), log_file, "--mode", "approx"]) == 2
+    assert "roles g and s" in capsys.readouterr().err
+
+
 def test_cli_validate_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")
@@ -491,6 +512,22 @@ def test_cli_simulate_drop_deviation_costs_model_move(net_file, tmp_path):
     doc = load_report(report)
     assert doc["deviation_moves"] == 1
     assert 10_000 <= doc["total_cost"] < 20_000
+
+
+@pytest.mark.parametrize("command", [
+    ["align", "{net}", "{log}", "--out", "{missing}"],
+    ["align", "{net}", "{log}", "--out", "{report}", "--dot", "{missing}"],
+    ["simulate", "{net}", "--out", "{missing}"],
+])
+def test_cli_unwritable_output_exits_2(net_file, log_file, tmp_path, capsys, command):
+    # exit 1 from ``align`` means deviations found, so an output path in a
+    # missing directory is an input error
+    missing = tmp_path / "no-such-dir" / "out"
+    argv = [part.format(net=net_file, log=log_file, missing=missing,
+                        report=tmp_path / "report.json") for part in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no-such-dir" in err
 
 
 def test_cli_dot_commands(net_file, log_file, tmp_path):

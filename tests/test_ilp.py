@@ -23,7 +23,7 @@ def brute_force(program):
     for bits in iproduct((0, 1), repeat=program.n_vars):
         ok, _ = check_feasible(program, list(bits))
         if ok:
-            val = program.objective_value(bits)
+            val = sum(c * bits[v] for v, c in program.objective.items())
             if best is None or val < best[1]:
                 best = (bits, val)
     return best

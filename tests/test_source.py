@@ -4,9 +4,11 @@ import argparse
 import ast
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import nualign
+from nualign.approx import OrderSolution
 from nualign.cli import build_parser
 
 PACKAGE = Path(nualign.__file__).resolve().parent
@@ -355,6 +357,23 @@ def test_product_transitions_pass_through_their_move_records():
         named += [f"{path.name}:{getattr(node, 'lineno', '?')} {_named(node)}"
                   for node in ast.walk(tree) if _named(node) in REMOVED_PRODUCT_FORMS]
     assert not named, f"removed product forms in the package: {named}"
+
+
+#: the weighted order-program objective that the reversal cap alone replaced
+REMOVED_OBJECTIVE_FORMS = {"REVERSAL_WEIGHT", "ADDITION_WEIGHT", "objective_value"}
+
+
+def test_order_program_ranks_reversals_by_the_cap_alone():
+    # the reversal cap puts fewer reversals first, so the objective counts
+    # added pairs only: the package defines no weight separating the two,
+    # no second evaluation of a leaf's value, and no weighted solution value
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')} {_named(node)}"
+                  for node in ast.walk(tree) if _named(node) in REMOVED_OBJECTIVE_FORMS]
+    assert not named, f"removed objective forms in the package: {named}"
+    assert "objective" not in {f.name for f in fields(OrderSolution)}
 
 
 def _imported_modules(tree):
