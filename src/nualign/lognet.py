@@ -1,12 +1,9 @@
 """Build the colored net representation of an event log.
 
-One transition per event, labeled with the event's activity.  Three kinds
-of places wire the observed behavior together:
+The log net is the log order.  One transition per event, labeled with the
+event's activity, and two kinds of places wire the observed behavior
+together:
 
-- ``res_<event>_<instance>``: per event and observed resource instance, an
-  input place holding ``(eps, instance)`` tokens with the observed
-  multiplicity, consumed entirely by the event's transition -- the
-  recorded resource demand;
 - ``ord_<e1>_<e2>``: per covering pair of the log order (its transitive
   reduction, ``EventLog.covering_pairs``), a connecting place whose token
   carries the case id when both events belong to one case and is plain
@@ -14,6 +11,14 @@ of places wire the observed behavior together:
 - ``src_<case>`` / ``snk_<case>``: a source place per event no covering
   pair enters (marked initially) and a sink place per event none leaves
   (required finally), carrying the event's case id.
+
+The recorded resource demand has no place: the synchronous product makes
+each event's observed instances its sync transitions' forced bindings
+(``align._resource_assignments``).  So the log net's tokens name only case
+ids.  A search draws fresh names outside the marking's identifiers; it
+still avoids every recorded instance when each is a declared instance of
+a durable resource (as the CLI requires), since such an instance always
+sits on a model place.
 
 Inscriptions use concrete identifiers, so log transitions have no
 variables and fire with the empty mode.  Complete executions of the log
@@ -54,12 +59,6 @@ def build_log_net(log: EventLog) -> LogNet:
         transitions.append(t)
         labels[t] = e.activity
         event_of[t] = e
-        for inst in sorted(e.resources.support()):
-            n = e.resources.count(inst)
-            p = f"res_e{e.index}_{inst}"
-            places.append(p)
-            flow[(p, t)] = Multiset({(EPS, inst): n})
-            initial_tokens[p] = Multiset({(EPS, inst): n})
 
     covering = log.covering_pairs()
     for e1, e2 in covering:

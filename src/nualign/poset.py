@@ -3,9 +3,8 @@
 Everything downstream (markings, event logs, alignments) is built on the
 two structures in this module:
 
-- ``Multiset``: a mapping from elements to positive counts, with the usual
-  elementwise sum / clamped difference / join / meet and the pointwise
-  ``<=`` order.
+- ``Multiset``: a mapping from elements to positive counts, with the
+  elementwise sum, the clamped difference and the pointwise ``<=`` order.
 - ``Poset``: a finite set of elements with a strict (irreflexive, acyclic)
   precedence relation, plus the operations needed by the alignment engine:
   covering pairs, predecessor rows and restriction.
@@ -59,8 +58,6 @@ class Multiset:
     def count(self, x):
         return self._counts.get(x, 0)
 
-    __getitem__ = count
-
     def support(self):
         return set(self._counts)
 
@@ -69,12 +66,6 @@ class Multiset:
 
     def total(self):
         return sum(self._counts.values())
-
-    def __iter__(self):
-        """Iterate elements with multiplicity."""
-        for x, n in self._counts.items():
-            for _ in range(n):
-                yield x
 
     def __len__(self):
         return self.total()
@@ -94,9 +85,6 @@ class Multiset:
     def __le__(self, other):
         return all(n <= other.count(x) for x, n in self._counts.items())
 
-    def __lt__(self, other):
-        return self <= other and self != other
-
     def __add__(self, other):
         out = dict(self._counts)
         for x, n in other._counts.items():
@@ -108,23 +96,6 @@ class Multiset:
         out = {}
         for x, n in self._counts.items():
             m = n - other.count(x)
-            if m > 0:
-                out[x] = m
-        return Multiset(out)
-
-    def __or__(self, other):
-        """Elementwise max (join)."""
-        out = dict(self._counts)
-        for x, n in other._counts.items():
-            if n > out.get(x, 0):
-                out[x] = n
-        return Multiset(out)
-
-    def __and__(self, other):
-        """Elementwise min (meet)."""
-        out = {}
-        for x, n in self._counts.items():
-            m = min(n, other.count(x))
             if m > 0:
                 out[x] = m
         return Multiset(out)

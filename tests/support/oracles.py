@@ -9,8 +9,10 @@ checked against loops over dense matrices and single moves, and the
 popcount sums over a token table (validity, capacity rows, boundary
 markings) against the bit-by-bit loops they replaced.  The product's
 resource assignments are checked against the recursive enumeration that
-``itertools.permutations`` replaced, and the order program's additions-only
-objective against the weighted objective it replaced.
+``itertools.permutations`` replaced, the order program's additions-only
+objective against the weighted objective it replaced, and the searches
+over the log net against those over the log net with the resource-demand
+places it dropped.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from dataclasses import replace
 from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
                            _max_flow, _role_var_multiplicities, is_valid_alignment,
                            move_cost, token_use)
+from nualign.eventlog import EventLog
 from nualign.ilp import BinaryProgram, Constraint
+from nualign.lognet import LogNet, build_log_net, transition_id
 from nualign.poset import Multiset, Poset, set_bits
-from nualign.rcnu import ColoredMarking, FiringError, RcNuNet, bind_pairs, enabled_modes, fire_mode
+from nualign.rcnu import (EPS, ColoredMarking, FiringError, RcNuNet, bind_pairs, enabled_modes,
+                          fire_mode)
 
 from .orders import (
     SizeLimitError,
@@ -115,6 +120,25 @@ def reference_resource_assignments(model: RcNuNet, t, event):
             {**base, **opt} for base in assignments for opt in role_options
         ]
     return assignments
+
+
+def demand_log_net(log: EventLog) -> LogNet:
+    """The log net with one resource-demand place per event and recorded
+    instance added back, as the package once built it: ``res_e<i>_<inst>``
+    holds the observed multiplicity of ``(EPS, inst)`` tokens, is marked
+    initially and only the event's transition consumes it.  Its products
+    have the plain log net's states one to one, since each of those
+    transitions also consumes the event's order or source token."""
+    net = build_log_net(log)
+    places, flow, tokens = [], {}, {}
+    for e in log.events:
+        for inst, n in sorted(e.resources.items()):
+            p = f"res_e{e.index}_{inst}"
+            places.append(p)
+            flow[(p, transition_id(e))] = tokens[p] = Multiset({(EPS, inst): n})
+    return LogNet(places + list(net.places), net.transitions, net.labels,
+                  {**flow, **net.flow}, ColoredMarking(tokens) | net.initial, net.final,
+                  net.event_of)
 
 
 # ---------------------------------------------------------------------------

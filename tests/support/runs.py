@@ -16,9 +16,13 @@ from .orders import SizeLimitError, closed_pairs, is_antichain, prefix
 
 
 def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000):
-    """All complete firing sequences [(t, mode), ...] of length <= max_len."""
+    """All complete firing sequences [(t, mode), ...] of length <= max_len.
+
+    Walks share markings, so each marking's firings (transition, mode,
+    next marking), in net order, are enumerated once."""
     out = []
     explored = 0
+    firings = {}
 
     def walk(m, acc):
         nonlocal explored
@@ -29,9 +33,12 @@ def enumerate_executions(net: RcNuNet, max_len: int, fresh_pool=(), cap=200_000)
             out.append(tuple(acc))
         if len(acc) == max_len:
             return
-        for t in net.transitions:
-            for mode in enabled_modes(net, m, t, fresh_pool):
-                walk(fire_mode(net, m, t, mode), acc + [(t, mode)])
+        if m not in firings:
+            firings[m] = [(t, mode, fire_mode(net, m, t, mode))
+                          for t in net.transitions
+                          for mode in enabled_modes(net, m, t, fresh_pool)]
+        for t, mode, m2 in firings[m]:
+            walk(m2, acc + [(t, mode)])
 
     walk(net.initial, [])
     return out

@@ -37,7 +37,7 @@ from nualign.poset import Multiset, Poset
 from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, Var,
                           enabled_modes, fire_mode, firing_effect, scale_cases)
 from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
-from support.oracles import min_cost_exhaustive, reference_resource_assignments
+from support.oracles import demand_log_net, min_cost_exhaustive, reference_resource_assignments
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
                           replay)
@@ -464,6 +464,51 @@ def test_memo_spares_enabled_modes_calls(monkeypatch):
     al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
     assert (al.cost(), al.settled, al.pushed) == (20_000, 342, 3_002)
     assert len(calls) < al.settled
+
+
+def test_astar_clinic_twenty_cases_effort():
+    al = align_log(clinic_net(), clinic_log(20, overlap_at=10), node_budget=10_000)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 1_047, 17_357)
+
+
+def _searches_on(monkeypatch, build, net, log, budget=20_000):
+    """Whole-log A* on the case heuristic, whole-log Dijkstra and each
+    case's search of ``log``, every product's log side made by ``build``:
+    per search its moves, order, cost, settled and pushed counts, or the
+    budget error's fields."""
+    monkeypatch.setattr(align_module, "build_log_net", build)
+
+    def outcome(search, *args):
+        try:
+            al = search(*args, node_budget=budget)
+        except SearchBudgetError as exc:
+            return "budget", exc.visited, exc.frontier, exc.best_cost
+        return al.moves, al.order.rows(), al.cost(), al.settled, al.pushed
+
+    out = [outcome(align_log, net, log),
+           outcome(optimal_alignment,
+                   build_sync_product(scale_cases(net, log.cases()), build(log)))]
+    for c in log.cases():
+        single = build_sync_product(scale_cases(net, [c]), build(log.project_case(c)))
+        out.append(outcome(optimal_alignment, single))
+    return out
+
+
+def test_searches_match_the_log_net_with_demand_places(monkeypatch):
+    """Dropping the log net's resource-demand places changes no search: on
+    every differential fixture of at most ten events, whole-log A* (its
+    heuristic's tables included), whole-log Dijkstra and each case's
+    search give the same moves, order, cost, settled and pushed counts as
+    on the products of ``demand_log_net``."""
+    compared = with_demand = 0
+    for net, log in _differential_fixtures():
+        if len(log) > 10:
+            continue
+        assert (_searches_on(monkeypatch, build_log_net, net, log)
+                == _searches_on(monkeypatch, demand_log_net, net, log))
+        compared += 1
+        with_demand += any(e.resources for e in log.events)
+    assert compared >= 150 and with_demand == compared
 
 
 def _product_path(prod, alignment):

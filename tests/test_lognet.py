@@ -2,7 +2,7 @@
 
 import random
 
-from nualign.eventlog import Event, EventLog, parse_log
+from nualign.eventlog import Event, EventLog
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset
 from nualign.rcnu import EPS
@@ -29,14 +29,6 @@ def test_single_event_no_resources():
     assert set(net.places) == {"src_c1", "snk_c1"}
     assert net.initial.get("src_c1") == Multiset({("c1", EPS): 1})
     assert net.final.get("snk_c1") == Multiset({("c1", EPS): 1})
-
-
-def test_resource_multiplicity():
-    log = EventLog([ev(0, "a", 1, "c1", {"x": 2})])
-    net = build_log_net(log)
-    p = "res_e0_x"
-    assert net.initial.get(p) == Multiset({(EPS, "x"): 2})
-    assert net.arc(p, transition_id(log.events[0])) == Multiset({(EPS, "x"): 2})
 
 
 def test_order_place_inscriptions():
@@ -66,19 +58,36 @@ def test_executions_are_linearizations_two_cases():
     assert got == set(linearizations(reference_order(log.events)))
 
 
-def test_executions_are_linearizations_random():
+def _random_resource_logs():
     rng = random.Random(31)
     for _ in range(10):
         n = rng.randrange(2, 7)
-        events = [
+        yield EventLog([
             ev(i, f"a{i}", rng.randrange(4), f"c{rng.randrange(2) + 1}",
                {"x": 1} if rng.random() < 0.3 else None)
             for i in range(n)
-        ]
-        log = EventLog(events)
+        ])
+
+
+def test_executions_are_linearizations_random():
+    for log in _random_resource_logs():
         net = build_log_net(log)
-        got = executions_as_events(net, n)
+        got = executions_as_events(net, len(log))
         assert got == set(linearizations(reference_order(log.events)))
+
+
+def test_places_are_the_log_order():
+    # recorded resources make no place: the sync transitions pin them
+    logs = [hospital_log(), *_random_resource_logs()]
+    assert sum(any(e.resources for e in log.events) for log in logs) >= 5
+    for log in logs:
+        covering = log.covering_pairs()
+        entered = {e2 for _, e2 in covering}
+        left = {e1 for e1, _ in covering}
+        assert sorted(build_log_net(log).places) == sorted(
+            [f"ord_e{e1.index}_e{e2.index}" for e1, e2 in covering]
+            + [f"src_{e.case}" for e in log.events if e not in entered]
+            + [f"snk_{e.case}" for e in log.events if e not in left])
 
 
 def test_every_transition_fires_exactly_once():
@@ -89,14 +98,3 @@ def test_every_transition_fires_exactly_once():
     for run in runs:
         fired = [t for t, _ in run]
         assert sorted(fired) == sorted(net.transitions)
-
-
-def test_resource_demand_totals():
-    log = parse_log("c1,a,1,s:x*2\nc2,b,2,s:x\nc1,c,3,g:g1\n")
-    net = build_log_net(log)
-    consumed = Multiset()
-    for (src, tgt), ms in net.flow.items():
-        if src.startswith("res_"):
-            for (c, r), n in ms.items():
-                consumed = consumed + Multiset({r: n})
-    assert consumed == Multiset({"x": 3, "g1": 1})
