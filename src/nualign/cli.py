@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict
 
@@ -38,7 +37,7 @@ from .eventlog import LogParseError, parse_log, serialize_log
 from .ilp import IlpBudgetError
 from .lognet import build_log_net
 from .netfile import NetFileError, load_net, net_from_dict
-from .report import build_report, dumps_report, violation_entry
+from .report import build_report, dumps_report, load_report, violation_entry
 from .rcnu import (
     DeviationConfig,
     scale_cases,
@@ -195,8 +194,7 @@ def cmd_dot(args) -> int:
             with open(args.input, encoding="utf-8") as handle:
                 text = log_to_dot(parse_log(handle))
         else:
-            with open(args.input, encoding="utf-8") as handle:
-                doc = json.load(handle)
+            doc = load_report(args.input)
             if isinstance(doc, dict) and doc.get("schema") == "nualign-report":
                 text = report_to_dot(doc)
             else:

@@ -198,7 +198,7 @@ def load_net(path, validate: bool = True) -> RcNuNet:
     with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise NetFileError(f"{path}: invalid JSON: {exc}") from exc
     return net_from_dict(doc, validate)
 

@@ -4,15 +4,21 @@ A report round-trips: loading it reconstructs the alignment (moves with
 their events, bindings and the full order closure), and re-serializing
 the reconstruction yields the identical document.
 
-The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
-a newline.  ``dumps_report`` writes the closed order, by far the largest
-value, from one fixed template per pair instead of through the encoder.
+The document ``build_report`` makes holds JSON values, but its ``order``
+is the alignment's ``Poset``.  The bytes are those of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline, with the
+order listed as its closed ``[i, j]`` pairs row by row.  ``dumps_report``
+lays out the two largest values, the order and the moves, from fixed
+templates in time linear in its output: one string join per row of the
+order, and per move a template each for the move, its event, a resource
+entry and a binding entry.  The other values go through the encoder.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain, compress, count
+import math
+from itertools import chain, compress
 
 from .align import Alignment, CostTable, Move, move_cost
 from .eventlog import Event
@@ -50,10 +56,6 @@ def _move_case(net: RcNuNet, move: Move):
         return None
 
 
-#: ``bin``'s digits as 0/1 bytes: the order lists a row's set bits by ``compress``
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def build_report(alignment: Alignment, mode: str,
                  costs: CostTable = CostTable(), *, net: RcNuNet,
                  violations=(), warnings=()) -> dict:
@@ -87,8 +89,7 @@ def build_report(alignment: Alignment, mode: str,
         "deviation_moves": deviations,
         "per_case_cost": dict(sorted(per_case.items())),
         "moves": moves,
-        "order": [[i, j] for i, row in enumerate(alignment.order.rows())
-                  for j in compress(count(), bin(row)[:1:-1].encode().translate(_BITS))],
+        "order": alignment.order,
         "violations": list(violations),
         "warnings": list(warnings),
     }
@@ -149,8 +150,11 @@ def report_moves(doc: dict) -> list:
 
 
 def report_order(doc: dict, elements) -> Poset:
-    """The report's ``order`` over ``elements``; a malformed, outside or
-    cyclic pair raises ReportError."""
+    """The report's ``order`` over ``elements``: the ``Poset`` a built
+    document holds, or a loaded document's pairs closed; a malformed,
+    outside or cyclic pair raises ReportError."""
+    if type(doc.get("order")) is Poset:
+        return doc["order"]
     order = report_field(doc, "order", (list,), "report")
     _order_ints(order)
     try:
@@ -173,9 +177,15 @@ def _event_from_json(doc, where: str) -> Event:
         if report_field(entry, "count", (int,), resource) < 1:
             raise ReportError(f"{resource}'s 'count' must be at least 1")
         report_field(entry, "role", (str,), resource)
+    # the log parser refuses a non-finite timestamp, and the writer lays
+    # timestamps out by ``float.__repr__``, which the encoder does only for
+    # finite ones
+    timestamp = float(report_field(doc, "timestamp", (int, float), where))
+    if not math.isfinite(timestamp):
+        raise ReportError(f"{where}'s 'timestamp' must be finite")
     return Event(report_field(doc, "index", (int,), where),
                  report_field(doc, "activity", (str,), where),
-                 float(report_field(doc, "timestamp", (int, float), where)),
+                 timestamp,
                  report_field(doc, "case", (str,), where),
                  Multiset({entry["instance"]: entry["count"] for entry in resources}),
                  tuple(sorted((entry["instance"], entry["role"]) for entry in resources)))
@@ -193,51 +203,101 @@ def report_to_alignment(doc: dict) -> Alignment:
     for i, entry in enumerate(report_moves(doc)):
         where = f"move {i}"
         event = report_field(entry, "event", (dict, _NULL), where)
+        bindings = report_field(entry, "bindings", (dict,), where)
+        if set(map(type, bindings.values())) - {str}:
+            raise ReportError(f"{where}'s 'bindings' must map names to strings")
         moves.append(Move(
             entry["kind"],
             event=None if event is None else _event_from_json(event, f"{where}'s event"),
             transition=report_field(entry, "transition", (str, _NULL), where),
-            mode=tuple(sorted(report_field(entry, "bindings", (dict,), where).items())),
+            mode=tuple(sorted(bindings.items())),
             label=report_field(entry, "activity", (str, _NULL), where),
         ))
     return Alignment(tuple(moves), report_order(doc, range(len(moves))))
 
 
-#: one order pair as ``json.dumps(indent=2)`` lays it out inside a
-#: top-level value
-_PAIR = "    [\n      %d,\n      %d\n    ]"
-
-
-def _order_ints(order) -> tuple:
-    """The ints of ``order``, a list of [i, j] lists of two ints, flattened;
-    anything else raises ReportError."""
+def _order_ints(order) -> None:
+    """Raises ReportError unless ``order`` is a list of [i, j] lists of two
+    ints."""
     if type(order) is not list:
         raise ReportError("order must be a list of [i, j] pairs")
     if set(map(type, order)) - {list} or set(map(len, order)) - {2}:
         raise ReportError("order pairs must be [i, j] lists")
-    flat = tuple(chain.from_iterable(order))
-    if set(map(type, flat)) - {int}:
+    if set(map(type, chain.from_iterable(order))) - {int}:
         raise ReportError("order pairs must hold two ints")
-    return flat
 
 
-def _order_pieces(order) -> list:
-    """Pieces of ``order`` laid out as ``json.dumps(indent=2)`` lays out a
-    top-level value, for a list of two-int pairs; anything else raises
-    ReportError."""
-    flat = _order_ints(order)
-    if not order:
+#: ``bin``'s digits as 0/1 bytes, to pick a row's set bits by ``compress``
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _order_text(order: Poset) -> list:
+    """Pieces of ``order``'s closed pairs, row by row, as ``json.dumps``
+    lays out a top-level list of [i, j] lists: each pair is its row's
+    head, ``",\n    [\n      i,\n      "``, and the cell ``"j\n    ]"``."""
+    cells = [f"{j}\n    ]" for j in range(len(order))]
+    pieces = ["["]
+    for i, row in enumerate(order.rows()):
+        if row:
+            head = ",\n    [\n      %d,\n      " % i
+            pieces += [head, head.join(compress(cells, bin(row)[:1:-1].encode().translate(_BITS)))]
+    if len(pieces) == 1:
         return ["[]"]
-    return ["[\n", ",\n".join([_PAIR] * len(order)) % flat, "\n  ]"]
+    pieces[1] = pieces[1][1:]       # the first pair follows the bracket
+    pieces.append("\n  ]")
+    return pieces
+
+
+#: a move, an event, a resource entry and a binding entry as
+#: ``json.dumps(indent=2, sort_keys=True)`` lays them out inside the
+#: top-level ``moves`` list
+_MOVE = ('    {\n      "activity": %s,\n      "bindings": %s,\n      "case": %s,\n'
+         '      "cost": %d,\n      "event": %s,\n      "index": %d,\n'
+         '      "kind": %s,\n      "transition": %s\n    }')
+_EVENT = ('{\n        "activity": %s,\n        "case": %s,\n        "index": %d,\n'
+          '        "resources": %s,\n        "timestamp": %r\n      }')
+_RESOURCE = ('          {\n            "count": %d,\n            "instance": %s,\n'
+             '            "role": %s\n          }')
+_BINDING = '        %s: %s'
+
+_str = json.encoder.encode_basestring_ascii
+
+
+def _text(value) -> str:
+    """A string or None as the encoder writes it."""
+    return "null" if value is None else _str(value)
+
+
+def _move_text(move: dict) -> str:
+    bindings = "{}"
+    if move["bindings"]:
+        bindings = "{\n%s\n      }" % ",\n".join(
+            [_BINDING % (_str(k), _str(v)) for k, v in sorted(move["bindings"].items())])
+    event = move["event"]
+    if event is None:
+        event = "null"
+    else:
+        resources = "[]"
+        if event["resources"]:
+            resources = "[\n%s\n        ]" % ",\n".join(
+                [_RESOURCE % (r["count"], _str(r["instance"]), _str(r["role"]))
+                 for r in event["resources"]])
+        event = _EVENT % (_str(event["activity"]), _str(event["case"]), event["index"],
+                          resources, event["timestamp"])
+    return _MOVE % (_text(move["activity"]), bindings, _text(move["case"]), move["cost"],
+                    event, move["index"], _str(move["kind"]), _text(move["transition"]))
 
 
 def dumps_report(doc: dict) -> str:
+    """The report's bytes, as text: see the module docstring."""
     # the pieces are joined once, so the order's text is copied only once
     parts = ["{"]
     for key in sorted(doc):
         parts += ["\n  " if len(parts) == 1 else ",\n  ", json.dumps(key), ": "]
         if key == "order":
-            parts += _order_pieces(doc[key])
+            parts += _order_text(doc[key])
+        elif key == "moves" and doc[key]:
+            parts += ["[\n", ",\n".join(map(_move_text, doc[key])), "\n  ]"]
         else:
             # JSON strings escape newlines, so every raw newline starts an
             # indented line, shifted one level under the top-level key
@@ -248,8 +308,10 @@ def dumps_report(doc: dict) -> str:
 
 
 def load_report(path) -> dict:
+    """The JSON document at ``path``; a file that is not UTF-8 JSON raises
+    ReportError naming the path."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ReportError(f"{path}: invalid JSON: {exc}") from exc

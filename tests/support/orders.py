@@ -1,4 +1,5 @@
-"""Queries and exhaustive enumerations over a ``Poset``: closed pairs,
+"""Queries and exhaustive enumerations over a ``Poset``: closed pairs (and
+the JSON form of a report that holds its order as a ``Poset``),
 incomparability, antichains, minimal and maximal elements and intervals,
 plus maximal antichains, prefixes and linearizations, each enumeration
 guarded by a size cap."""
@@ -22,6 +23,12 @@ def closed_pairs(order: Poset) -> list:
     elements = order.elements
     return [(elements[i], elements[j])
             for i, row in enumerate(order.rows()) for j in set_bits(row)]
+
+
+def report_json(doc: dict) -> dict:
+    """The JSON-equal form of a report document that ``build_report``
+    made: its ``order``, a ``Poset``, listed as the closed [i, j] pairs."""
+    return dict(doc, order=[list(p) for p in closed_pairs(doc["order"])])
 
 
 def incomparable(order: Poset, x, y) -> bool:

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ from support.fixtures import (
     hospital_log,
     hospital_net,
 )
-from support.orders import closed_pairs
+from support.orders import closed_pairs, report_json
 
 from test_eventlog import reference_order
 
@@ -87,6 +88,14 @@ def test_net_file_malformed(tmp_path):
     path.write_text("{not json")
     with pytest.raises(NetFileError):
         load_net(str(path))
+
+
+@pytest.mark.parametrize("load, error", [(load_net, NetFileError), (load_report, ReportError)])
+def test_loaders_name_a_file_that_is_not_utf8(tmp_path, load, error):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: invalid JSON: .*utf-8"):
+        load(path)
 
 
 # -- report ---------------------------------------------------------------------
@@ -175,7 +184,9 @@ MALFORMED = [
     ("move", _drop("bindings"), "move 0 lacks 'bindings'"),
     ("move", _set("bindings", []), "move 0's 'bindings' must be dict, not list"),
     ("move", _set("transition", 3), "move 0's 'transition' must be str or null, not int"),
+    ("move", _set("bindings", {"c": 1}), "move 0's 'bindings' must map names to strings"),
     ("event", _set("index", "0"), "move 0's event's 'index' must be int, not str"),
+    ("event", _set("timestamp", float("inf")), "move 0's event's 'timestamp' must be finite"),
     ("event", _set("resources", [{"instance": "g1"}]),
      "move 0's event's resource 0 lacks 'count'"),
     ("event", _set("resources", [{"instance": "g1", "role": "gp", "count": 0}]),
@@ -530,6 +541,17 @@ def test_cli_unwritable_output_exits_2(net_file, log_file, tmp_path, capsys, com
     assert err.startswith("error: ") and "no-such-dir" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["align", "{bad}", "{log}"],
+    ["dot", "{bad}"],
+])
+def test_cli_names_an_input_that_is_not_utf8(net_file, log_file, tmp_path, capsys, command):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert main([part.format(bad=bad, log=log_file) for part in command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
+
+
 def test_cli_dot_commands(net_file, log_file, tmp_path):
     report = tmp_path / "report.json"
     main(["align", net_file, log_file, "--out", str(report)])
@@ -635,6 +657,22 @@ def test_report_bytes_are_pinned(tmp_path, name, mode):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name, mode]
 
 
+@pytest.mark.parametrize("name, mode", sorted(PINNED_REPORTS))
+def test_align_dot_equals_the_dot_of_its_report(tmp_path, name, mode):
+    # ``align --dot`` renders the built report, whose order is the
+    # alignment's Poset; ``nualign dot`` renders the written pair list
+    make_net, make_log = PINNED_INPUTS[name]
+    net_path, log_path = tmp_path / "net.json", tmp_path / "log.csv"
+    save_net(make_net(), net_path)
+    log_path.write_text(serialize_log(make_log()))
+    report, direct, loaded = tmp_path / "r.json", tmp_path / "align.dot", tmp_path / "dot.dot"
+    assert main(["align", str(net_path), str(log_path), "--mode", mode,
+                 "--out", str(report), "--dot", str(direct)]) == 0
+    assert main(["dot", str(report), "--out", str(loaded)]) == 0
+    assert direct.read_bytes() == loaded.read_bytes()
+    assert direct.read_text().count("->") > 0
+
+
 # -- report writer against the JSON encoder ---------------------------------------
 
 def encoder_bytes(doc):
@@ -664,9 +702,9 @@ def test_report_writer_matches_the_encoder_on_cli_reports(tmp_path, monkeypatch,
     for mode in ("exact", "approx"):
         assert main(["align", str(net_path), str(log_path), "--mode", mode,
                      "--out", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == encoder_bytes(docs[-1])
+        assert out.read_text(encoding="utf-8") == encoder_bytes(report_json(docs[-1]))
     assert [doc["mode"] for doc in docs] == ["exact", "approx"]
-    assert all(doc["order"] for doc in docs)
+    assert all(closed_pairs(doc["order"]) for doc in docs)
 
 
 def _model_move(case):
@@ -679,8 +717,8 @@ def test_report_writer_matches_the_encoder_on_small_orders():
                       Alignment(two[:1], Poset(range(1))),
                       Alignment(two, Poset(range(2)))):
         doc = build_report(alignment, "exact", net=hospital_net())
-        assert doc["order"] == []
-        assert dumps_report(doc) == encoder_bytes(doc)
+        assert report_json(doc)["order"] == []
+        assert dumps_report(doc) == encoder_bytes(report_json(doc))
 
 
 def test_report_writer_escapes_strings_like_the_encoder():
@@ -693,9 +731,45 @@ def test_report_writer_escapes_strings_like_the_encoder():
                                         label=odd[2])])
     doc = build_report(alignment, "approx", net=hospital_net(), warnings=odd,
                        violations=[{"interval_lower": odd, odd[0]: None}])
-    assert len(doc["order"]) == 6
-    assert dumps_report(doc) == encoder_bytes(doc)
-    assert json.loads(dumps_report(doc)) == doc
+    assert len(report_json(doc)["order"]) == 6
+    assert dumps_report(doc) == encoder_bytes(report_json(doc))
+    assert json.loads(dumps_report(doc)) == report_json(doc)
+
+
+def test_report_writer_matches_the_encoder_on_every_move_layout():
+    # each template branch: a log move (no transition, no bindings), a tau
+    # and a visible model move, sync moves whose events hold several
+    # instances with counts above 1 or none, an instance without a role,
+    # timestamps the float repr writes in each form, and non-ASCII and
+    # escaped text in binding keys and values, instances and roles
+    odd = ['caf\u00e9', 'q"uote\\', 'tab\tnl\n', '\U0001f600\u2028', '\x00\x7f']
+    events = [
+        Event(0, "a", 0.1, "c1"),
+        Event(1, odd[0], 1e16, odd[1], Multiset({odd[2]: 2, "g1": 3, odd[4]: 1}),
+              ((odd[2], odd[3]), ("g1", "g"))),
+        Event(2, "b", 1234567.125, "c2", Multiset({"s1": 1})),
+        Event(3, odd[3], -3.5, "c2", Multiset({odd[0]: 4}), ((odd[0], odd[1]),)),
+    ]
+    moves = [
+        Move("log", event=events[0]),
+        Move("model", transition="t_skip_op", mode=(("c", "c1"),), label=None),
+        Move("model", transition=odd[1], mode=((odd[0], odd[2]), ("b", odd[3])), label=odd[4]),
+        Move("sync", event=events[1], transition="i_s", mode=((odd[3], odd[4]), ("c", odd[1])),
+             label=odd[0]),
+        Move("sync", event=events[2], transition="o_so", mode=(("c", "c2"), ("s", "s1")),
+             label="b"),
+        Move("sync", event=events[3], transition="o_c", mode=(("c", "c2"),), label=odd[3]),
+    ]
+    alignments = [Alignment((), Poset(())), Alignment(moves[:1], Poset(range(1))),
+                  Alignment.chain(moves[1:2]),
+                  Alignment(moves, Poset(range(6), [(0, 3), (1, 2), (3, 5), (4, 5)]))]
+    for alignment in alignments:
+        doc = build_report(alignment, "approx", net=hospital_net(), warnings=odd)
+        text = dumps_report(doc)
+        assert text == encoder_bytes(report_json(doc))
+        assert json.loads(text) == report_json(doc)
+    assert {m["case"] for m in doc["moves"]} >= {None, "c1", odd[1]}
+    assert "?" in text and "1e+16" in text
 
 
 def test_report_order_lists_the_closed_pairs_in_order():
@@ -713,23 +787,37 @@ def test_report_order_lists_the_closed_pairs_in_order():
         order = Poset(range(n), pairs)
         doc = build_report(Alignment([_model_move("c1")] * n, order), "exact",
                            net=hospital_net())
-        assert doc["order"] == sorted([i, j] for i, j in closed_pairs(order))
-        assert dumps_report(doc) == encoder_bytes(doc)
+        text = dumps_report(doc)
+        assert json.loads(text)["order"] == sorted([i, j] for i, j in closed_pairs(order))
+        assert text == encoder_bytes(report_json(doc))
 
+
+def _rejects_the_order(tmp_path, capsys, order):
+    """A loaded report with ``order`` is refused: ``report_to_alignment``
+    raises ReportError, and ``nualign dot`` exits 2 on its file, unless
+    JSON cannot hold the order as it is (a tuple, an int key)."""
+    doc = json.loads(dumps_report(make_report()[0]))
+    doc["order"] = order
+    with pytest.raises(ReportError):
+        report_to_alignment(doc)
+    if json.loads(json.dumps(order)) == order:
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        assert main(["dot", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "order" in err
+
+
+# the writer takes the alignment's ``Poset``; pair lists come only from
+# loaded documents, so the reader is the one that refuses malformed ones
 
 @pytest.mark.parametrize("pair", [
     [0, 1.0], [0, True], [0, "1"], [0, None], [0, 1, 2], [0], (0, 1), {0: 1, 1: 2}, 1,
 ])
-def test_report_writer_rejects_pairs_that_are_not_two_ints(pair):
-    doc, _ = make_report()
-    doc["order"] = [[0, 1], pair]
-    with pytest.raises(ReportError):
-        dumps_report(doc)
+def test_report_writer_rejects_pairs_that_are_not_two_ints(tmp_path, capsys, pair):
+    _rejects_the_order(tmp_path, capsys, [[0, 1], pair])
 
 
 @pytest.mark.parametrize("order", [None, {}, (), "", ((0, 1),)])
-def test_report_writer_rejects_an_order_that_is_not_a_list(order):
-    doc, _ = make_report()
-    doc["order"] = order
-    with pytest.raises(ReportError):
-        dumps_report(doc)
+def test_report_writer_rejects_an_order_that_is_not_a_list(tmp_path, capsys, order):
+    _rejects_the_order(tmp_path, capsys, order)

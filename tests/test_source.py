@@ -93,7 +93,7 @@ def test_orders_pass_through_rows_not_closed_pairs():
 
 #: public entry points that no module of the package calls
 ENTRY_POINTS = {
-    "cli.main", "report.load_report", "report.report_to_alignment",
+    "cli.main", "report.report_to_alignment",
     "approx.OrderSolution.violating",       # the paper's violation decision
     "approx.ApproxResult.cost",             # README's approximate_alignment example
     "eventlog.EventLog.precedes",           # README's log order
