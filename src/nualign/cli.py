@@ -109,10 +109,19 @@ def cmd_validate(args) -> int:
     return EXIT_DEVIATIONS
 
 
+def _read_log(path):
+    """The log at ``path``; a file that is not a UTF-8 log raises
+    ValueError naming the path, as ``load_net`` does for a net."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return parse_log(handle)
+    except (LogParseError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _load_inputs(args):
     net = load_net(args.net)
-    with open(args.log, encoding="utf-8") as handle:
-        log = parse_log(handle)
+    log = _read_log(args.log)
     problems = undeclared_log_resources(net, log)
     if problems:
         raise NetFileError(
@@ -127,7 +136,7 @@ def cmd_align(args) -> int:
         costs = _parse_costs(args.costs)
         net, log = _load_inputs(args)
         scaled = scale_cases(net, log.cases())
-    except (NetFileError, LogParseError, OSError, ValueError) as exc:
+    except (NetFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -191,8 +200,7 @@ def cmd_simulate(args) -> int:
 def cmd_dot(args) -> int:
     try:
         if args.input.endswith(".csv"):
-            with open(args.input, encoding="utf-8") as handle:
-                text = log_to_dot(parse_log(handle))
+            text = log_to_dot(_read_log(args.input))
         else:
             doc = load_report(args.input)
             if isinstance(doc, dict) and doc.get("schema") == "nualign-report":

@@ -452,23 +452,45 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
 
 
 def test_memo_spares_enabled_modes_calls(monkeypatch):
-    # without the memo every settled state that fires anything would call
-    # ``enabled_modes`` at least once
+    # the same search through ``_direct_successors``, which calls
+    # ``enabled_modes`` at every marked transition of every state it
+    # expands, the heuristic's tables included, makes the same moves with
+    # more calls
     calls = []
+    real = enabled_modes
 
     def counting(*args, **kwargs):
         calls.append(args[2])
-        return enabled_modes(*args, **kwargs)
+        return real(*args, **kwargs)
+
+    def direct(space, state):
+        for t, key, _ in _direct_successors(space, state):
+            yield t, key, space.fire(state, key)
 
     monkeypatch.setattr(align_module, "enabled_modes", counting)
+    monkeypatch.setitem(globals(), "enabled_modes", counting)
     al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 342, 3_002)
-    assert len(calls) < al.settled
+    memoised = len(calls)
+    calls.clear()
+    monkeypatch.setattr(align_module._StateSpace, "successors", direct)
+    unmemoised = align_log(clinic_net(), clinic_log(10, overlap_at=5))
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 724)
+    assert (unmemoised.moves, unmemoised.settled, unmemoised.pushed) == (
+        al.moves, al.settled, al.pushed)
+    assert memoised < len(calls)
 
 
 def test_astar_clinic_twenty_cases_effort():
     al = align_log(clinic_net(), clinic_log(20, overlap_at=10), node_budget=10_000)
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 1_047, 17_357)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 130, 2_594)
+
+
+def test_astar_clinic_fifty_cases_effort():
+    # frontier ties go to the longer path, so A* follows one interleaving
+    # of the cases' free moves instead of settling all of them (5 412
+    # states when ties went in push order)
+    al = align_log(clinic_net(), clinic_log(50, overlap_at=25), node_budget=10_000)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 325, 15_104)
 
 
 def _searches_on(monkeypatch, build, net, log, budget=20_000):
@@ -544,9 +566,9 @@ def _whole_log_searches():
 
 def test_astar_matches_dijkstra():
     """A* on the case heuristic against Dijkstra at the same budget: it
-    finishes wherever Dijkstra does, at the same cost, with a valid
-    alignment, h(start) at most that cost and h consistent along the
-    returned path, ending at 0 on the goal."""
+    finishes wherever Dijkstra does, at the same cost and settling no more
+    states, with a valid alignment, h(start) at most that cost and h
+    consistent along the returned path, ending at 0 on the goal."""
     budget = 20_000
     solved = informed = fewer = 0
     for net, log in _whole_log_searches():
@@ -565,6 +587,7 @@ def test_astar_matches_dijkstra():
         informed += heuristic.reason is None
         if dijkstra is not None:
             assert astar.cost() == dijkstra.cost()
+            assert astar.settled <= dijkstra.settled
             fewer += astar.settled < dijkstra.settled
         assert is_valid_alignment(prod.model, log, astar) == (True, None)
         path = _product_path(prod, astar)
@@ -610,7 +633,8 @@ def test_heuristic_tables_explore_at_most_the_node_budget():
     dijkstra = optimal_alignment(prod)
     assert optimal_alignment(prod, heuristic=fits).settled < dijkstra.settled
     uninformed = optimal_alignment(prod, heuristic=short)
-    assert (uninformed.moves, uninformed.settled) == (dijkstra.moves, dijkstra.settled)
+    assert (uninformed.moves, uninformed.settled, uninformed.pushed) == (
+        dijkstra.moves, dijkstra.settled, dijkstra.pushed)
 
 
 def test_heuristic_is_zero_where_the_projection_breaks():

@@ -552,6 +552,21 @@ def test_cli_names_an_input_that_is_not_utf8(net_file, log_file, tmp_path, capsy
     assert capsys.readouterr().err.startswith(f"error: {bad}: invalid JSON: ")
 
 
+@pytest.mark.parametrize("command", [
+    ["align", "{net}", "{bad}"],
+    ["dot", "{bad}"],
+])
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfec1,i_s,1,g:g1\n", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b"c1,i_s,1,g:g1\nc1,i_p,abc,g:g1\n", "line 2: bad timestamp 'abc'"),
+])
+def test_cli_names_a_log_it_cannot_read(net_file, tmp_path, capsys, command, content, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    assert main([part.format(net=net_file, bad=bad) for part in command]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {message}")
+
+
 def test_cli_dot_commands(net_file, log_file, tmp_path):
     report = tmp_path / "report.json"
     main(["align", net_file, log_file, "--out", str(report)])
