@@ -74,6 +74,9 @@ from .poset import CycleError, Poset, set_bits
 from .rcnu import ColoredMarking, FiringError, RcNuNet, scale_cases
 
 
+DEFAULT_ILP_BUDGET = 2_000_000      # order-program nodes of one run, by default
+
+
 class CompositionError(RuntimeError):
     pass
 
@@ -136,15 +139,10 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
         raise CompositionError(
             f"per-case keys {sorted(per_case)} != log cases {log.cases()}"
         )
-    moves = []
-    case_of = []
-    rows = []
-    for c in sorted(per_case):
-        alignment = per_case[c]
-        base = len(moves)
-        moves.extend(alignment.moves)
-        case_of.extend([c] * len(alignment.moves))
-        rows.extend(row << base for row in alignment.order.rows())
+    cases = sorted(per_case)
+    moves, rows = _place([(per_case[c].moves, per_case[c].order.rows(), 0, 0)
+                          for c in cases])
+    case_of = [c for c in cases for _ in per_case[c].moves]
     move_of_event = {}
     for idx, mv in enumerate(moves):
         if mv.kind != "model":
@@ -156,6 +154,23 @@ def compose(per_case: dict, log: EventLog) -> ComposedAlignment:
     except CycleError as exc:
         raise CompositionError(f"composed order is cyclic: {exc}") from None
     return ComposedAlignment(tuple(moves), order, tuple(case_of))
+
+
+def _place(blocks) -> tuple:
+    """The moves and rows, not closed, of ``blocks`` laid out in turn.  A
+    block ``(moves, rows, preceding, following)`` keeps its rows, shifted
+    to its positions, after the earlier positions in ``preceding`` and
+    before those in ``following``."""
+    moves = []
+    rows = []
+    for block_moves, block_rows, preceding, following in blocks:
+        base = len(moves)
+        block = ((1 << len(block_moves)) - 1) << base
+        for p in set_bits(preceding):
+            rows[p] |= block
+        moves.extend(block_moves)
+        rows.extend(row << base | following for row in block_rows)
+    return moves, rows
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +407,7 @@ class OrderSolution:
     reversals: list          # (i, j) pairs newly ordered i before j, reversing j<i
     additions: list          # (i, j) pairs newly ordered with no prior relation
     x_order: Poset           # the adjusted order over move indices
-    regions: list            # per realignment region, its sorted move indices
+    regions: list            # per realignment region, (members, before mask, after mask)
     free_cases: tuple        # sorted ids of the cases whose pairs were variables
     widenings: int           # widening steps before every lifted order held
 
@@ -473,7 +488,7 @@ def _lift_failures(comp: ComposedAlignment, use: CapacityRows, inst: IlpInstance
 
 
 def solve_and_extract(comp: ComposedAlignment, use: CapacityRows, groups, below,
-                      node_budget: int = 2_000_000) -> OrderSolution:
+                      node_budget: int = DEFAULT_ILP_BUDGET) -> OrderSolution:
     """Solve the local order program of every group of contending cases
     (see ``adjust_order``), widening a group until its lifted order holds,
     and extract the adjusted order.  ``below`` is R's ``predecessor_rows``.
@@ -522,7 +537,10 @@ def extract_solution(comp: ComposedAlignment, changes,
     That is the interval from ``C``'s minimal to its maximal members, since
     every member lies above some minimal member and below some maximal
     one.  Regions come in the order of their components' smallest moves,
-    each a sorted list of move indices.
+    each ``(members, down(C), up(C))``: its sorted move indices and the
+    masks of the moves before, and after, some member (every member lies
+    in ``C`` or between two of its members).  Boundary markings,
+    substitution and report all read this one neighbourhood.
     """
     n = len(comp.moves)
     R_rows = comp.order.rows()
@@ -560,13 +578,13 @@ def extract_solution(comp: ComposedAlignment, changes,
             if hull & covered:
                 raise SoundnessError("interval regions overlap")
             covered |= hull
-            regions.append(list(set_bits(hull)))
+            regions.append((list(set_bits(hull)), down, up))
     return OrderSolution(changes, reversals, additions,
                          x_order, regions, free_cases, widenings)
 
 
 def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
-                 node_budget: int = 2_000_000) -> OrderSolution:
+                 node_budget: int = DEFAULT_ILP_BUDGET) -> OrderSolution:
     """The optimal adjusted order of a composed alignment; ``tokens`` is its
     moves' ``token_use`` table, which ``capacity_rows`` reads.  R's
     predecessor rows are computed once, for the broken rows and every lift.
@@ -625,6 +643,8 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
 @dataclass
 class IntervalRealignment:
     region: tuple            # composed-move indices replaced, sorted
+    before: int              # mask of the composed moves before some region move
+    after: int               # mask of the composed moves after some region move
     alignment: Alignment     # the substitute
     fallback: bool           # True when the split construction was used
 
@@ -651,13 +671,13 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
             log_part[i] = len(moves)
             moves.append(mv)
     model = sum(1 << i for i in model_part)
-    rows = x_order.rows()
-    pairs = [(model_part[i], model_part[j])
-             for i in model_part for j in set_bits(rows[i] & model)]
+    rows = [0] * len(moves)
+    for i, k in model_part.items():
+        rows[k] = sum(1 << model_part[j] for j in set_bits(x_order.rows()[i] & model))
     event_move = {comp.moves[i].event: k for i, k in log_part.items()}
     for e1, e2 in log.covering_pairs():
-        pairs.append((event_move[e1], event_move[e2]))
-    return Alignment(tuple(moves), Poset(range(len(moves)), pairs))
+        rows[event_move[e1]] |= 1 << event_move[e2]
+    return Alignment(tuple(moves), Poset.of_rows(range(len(moves)), rows))
 
 
 def _boundary_marking(net: RcNuNet, effects: dict, members, idle) -> ColoredMarking:
@@ -682,20 +702,18 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
                      region, log: EventLog, effects: dict,
                      costs: CostTable = DEFAULT_COSTS,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> IntervalRealignment:
-    """Optimal alignment of the events of ``region`` (sorted composed-move
-    indices, convex in ``x_order``) between its boundary markings; falls
-    back to the sync-splitting construction when the local search cannot
-    connect them.
+    """Optimal alignment of the events of ``region``, an entry of
+    ``OrderSolution.regions`` (convex in ``x_order``), between its boundary
+    markings; falls back to the sync-splitting construction when the local
+    search cannot connect them.
 
-    The pre-marking fires every outside move ordered before *any* region
-    member, not just the prefix of the region's minimal members: those
-    need not form a full cut, and a lateral predecessor left out of the
-    boundary marking would be re-derived inside the realignment and then
-    fire twice in the substituted alignment.  (The substitution orders
-    exactly those moves before the block, so the boundary is consistent.)
-    Both are read off the run's token table, as popcounts of its
-    ``effect_masks`` per (place, token) (``effects``) with the boundary's
-    move mask.
+    The pre-marking fires the region's ``before`` mask, every outside move
+    before *any* member, not just the prefix of the minimal members: those
+    need not form a full cut, and a lateral predecessor left out would be
+    re-derived inside the realignment and fire twice in the substituted
+    alignment.  ``_substitute`` places the block after exactly those
+    moves.  Both markings are popcounts of the run's ``effect_masks`` per
+    (place, token) (``effects``) with the boundary's move mask.
 
     The search runs over the region's own cases: both boundary markings
     drop the production-place tokens of every case that owns no move in
@@ -714,9 +732,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
       kept, plus one spare, and the resource identifiers stay in the
       marking.
     """
-    region = tuple(region)
+    members, before, after = region
+    region = tuple(members)
     region_mask = sum(1 << m for m in region)
-    pre = sum(1 << x for x, row in enumerate(x_order.rows()) if row & region_mask) & ~region_mask
+    pre = before & ~region_mask
     events = sorted(
         (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
         key=lambda e: e.index,
@@ -731,40 +750,28 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
         goal = (_boundary_marking(net, effects, pre | region_mask, idle)
                 | _prefix_marking(sub_net.final, "l::"))
         alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
-        return IntervalRealignment(region, alignment, False)
+        return IntervalRealignment(region, before, after, alignment, False)
     except (SearchBudgetError, FiringError):
         alignment = _split_fallback(comp, x_order, region, sub_log)
-        return IntervalRealignment(region, alignment, True)
+        return IntervalRealignment(region, before, after, alignment, True)
 
 
-def _substitute(comp: ComposedAlignment, x_order: Poset,
-                realignments) -> Alignment:
-    """Replace each region by its realignment; the remainder keeps the
-    adjusted order, and each region is ordered as a block relative to it."""
-    replaced = set()
-    for r in realignments:
-        replaced.update(r.region)
-    remainder = [i for i in range(len(comp.moves)) if i not in replaced]
-    moves = [comp.moves[i] for i in remainder]
-    rows = list(x_order.restrict(remainder).rows())
-    x_rows = x_order.rows()
-    for r in realignments:
-        base = len(moves)
-        moves.extend(r.alignment.moves)
-        block = ((1 << len(r.alignment.moves)) - 1) << base
-        region = 0
-        follows = 0          # what some region move precedes
-        for k in r.region:
-            region |= 1 << k
-            follows |= x_rows[k]
-        after = 0            # the remainder moves after the region
-        for p, i in enumerate(remainder):
-            if x_rows[i] & region:
-                rows[p] |= block
-            elif follows & (1 << i):
-                after |= 1 << p
-        rows.extend((row << base) | after for row in r.alignment.order.rows())
-    return Alignment(tuple(moves), Poset.of_rows(range(len(moves)), rows))
+def _substitute(comp: ComposedAlignment, x_order: Poset, realignments) -> tuple:
+    """Replace each region by its realignment, placed (``_place``) after the
+    remainder moves in its ``before`` mask and before those in its
+    ``after`` mask; the remainder keeps the adjusted order.  Returns the
+    alignment and the remainder's composed indices, its first moves."""
+    replaced = sum(1 << i for r in realignments for i in r.region)
+    remainder = [i for i in range(len(comp.moves)) if not replaced >> i & 1]
+
+    def positions(mask):
+        return sum(1 << p for p, i in enumerate(remainder) if mask >> i & 1)
+
+    blocks = [([comp.moves[i] for i in remainder], x_order.restrict(remainder).rows(), 0, 0)]
+    blocks += [(r.alignment.moves, r.alignment.order.rows(), positions(r.before),
+                positions(r.after)) for r in realignments]
+    moves, rows = _place(blocks)
+    return Alignment(tuple(moves), Poset.of_rows(range(len(moves)), rows)), remainder
 
 
 @dataclass
@@ -785,7 +792,7 @@ class ApproxResult:
 def approximate_alignment(net: RcNuNet, log: EventLog,
                           costs: CostTable = DEFAULT_COSTS,
                           node_budget: int = DEFAULT_NODE_BUDGET,
-                          ilp_budget: int = 2_000_000) -> ApproxResult:
+                          ilp_budget: int = DEFAULT_ILP_BUDGET) -> ApproxResult:
     """The full pipeline: per-case alignments, composition, order program,
     local realignments, substitution, and a validity check of the result.
 
@@ -806,9 +813,7 @@ def approximate_alignment(net: RcNuNet, log: EventLog,
         realignments = [realign_interval(scaled, comp, sol.x_order, region, log, effects,
                                          costs, node_budget) for region in sol.regions]
         del effects         # the masks span every move, too large to keep at 10^4 moves
-        gamma = _substitute(comp, sol.x_order, realignments)
-        replaced = {i for r in realignments for i in r.region}
-        kept = [i for i in range(len(comp.moves)) if i not in replaced]
+        gamma, kept = _substitute(comp, sol.x_order, realignments)
         tokens = token_use(scaled, gamma.moves,
                            {k: bound[i] for k, i in enumerate(kept) if i in bound})
 

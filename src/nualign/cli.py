@@ -23,6 +23,7 @@ from dataclasses import asdict
 
 from .align import (
     DEFAULT_COSTS,
+    DEFAULT_NODE_BUDGET,
     CaseHeuristic,
     CostTable,
     SearchBudgetError,
@@ -31,7 +32,7 @@ from .align import (
     optimal_alignment,
     sync_warnings,
 )
-from .approx import approximate_alignment
+from .approx import DEFAULT_ILP_BUDGET, approximate_alignment
 from .dot import log_to_dot, net_to_dot, report_to_dot
 from .eventlog import LogParseError, parse_log, serialize_log
 from .ilp import IlpBudgetError
@@ -156,7 +157,7 @@ def cmd_align(args) -> int:
                       f"{result.witness}", file=sys.stderr)
                 return EXIT_INVALID
             violations = [
-                violation_entry(r, result.composed, result.solution.x_order, costs)
+                violation_entry(r, result.composed, costs)
                 for r in result.realignments
             ]
             report = build_report(result.alignment, "approx", costs, net=scaled,
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_align.add_argument("--mode", choices=("exact", "approx"), default="exact")
     p_align.add_argument("--out", default="-", help="report path (default stdout)")
     p_align.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p_align.add_argument("--node-budget", type=nonnegative, default=2_000_000)
-    p_align.add_argument("--ilp-budget", type=nonnegative, default=2_000_000)
+    p_align.add_argument("--node-budget", type=nonnegative, default=DEFAULT_NODE_BUDGET)
+    p_align.add_argument("--ilp-budget", type=nonnegative, default=DEFAULT_ILP_BUDGET)
     p_align.add_argument("--costs", default="",
                          help="e.g. sync=0,tau=1,visible=10000")
     p_align.add_argument("--fail-on-deviation", action="store_true",

@@ -95,25 +95,18 @@ def build_report(alignment: Alignment, mode: str,
     }
 
 
-def violation_entry(realignment, comp, order: Poset, costs: CostTable) -> dict:
-    """Report entry for one realigned region of the adjusted ``order``: its
-    lower bound is the members no member precedes, its upper bound the
-    members that precede no member."""
+def violation_entry(realignment, comp, costs: CostTable) -> dict:
+    """Report entry for one realigned region: its lower bound is the
+    members no member precedes, its upper bound the members that precede
+    no member, read off the region's ``after`` and ``before`` masks."""
     def describe(mask):
         return [{"kind": comp.moves[i].kind, "activity": comp.moves[i].label,
                  "case": comp.case_of[i]} for i in set_bits(mask)]
 
-    rows = order.rows()
     region = sum(1 << i for i in realignment.region)
-    follows = 0
-    upper = 0
-    for i in realignment.region:
-        follows |= rows[i]
-        if not rows[i] & region:
-            upper |= 1 << i
     return {
-        "interval_lower": describe(region & ~follows),
-        "interval_upper": describe(upper),
+        "interval_lower": describe(region & ~realignment.after),
+        "interval_upper": describe(region & ~realignment.before),
         "moves_replaced": len(realignment.region),
         "realignment_cost": realignment.alignment.cost(costs),
         "fallback": realignment.fallback,

@@ -14,7 +14,7 @@ is the workhorse fixture for simulation, alignment and pipeline tests.
 
 from __future__ import annotations
 
-from nualign.eventlog import EventLog, parse_log
+from nualign.eventlog import EventLog, parse_log, serialize_log
 from nualign.poset import Multiset
 from nualign.rcnu import EPS, ColoredMarking, RcNuNet, Role, Var, resource_marking
 
@@ -273,6 +273,18 @@ def clinic_log(n_cases: int, overlap_at: int | None = None) -> EventLog:
         ]
         for (activity, res), ts in zip(acts, stamps):
             rows.append(f"{case},{activity},{ts:g},{res}")
+    return parse_log("\n".join(rows) + "\n")
+
+
+def clinic_two_overlaps_log(n_cases: int, first: int, second: int) -> EventLog:
+    """``clinic_log(n_cases)`` with the surgeon overlaps of both
+    ``clinic_log(n_cases, overlap_at=first)`` and
+    ``clinic_log(n_cases, overlap_at=second)``."""
+    late = f"c{second + 2},"
+    rows = [row for row in serialize_log(clinic_log(n_cases, overlap_at=first)).splitlines()
+            if not row.startswith(late)]
+    rows += [row for row in serialize_log(clinic_log(n_cases, overlap_at=second)).splitlines()
+             if row.startswith(late)]
     return parse_log("\n".join(rows) + "\n")
 
 

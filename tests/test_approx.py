@@ -40,7 +40,7 @@ from nualign.approx import (
     extract_solution,
     realign_interval,
 )
-from nualign.eventlog import parse_log, serialize_log
+from nualign.eventlog import parse_log
 from nualign.ilp import (
     Constraint,
     IlpBudgetError,
@@ -58,6 +58,7 @@ from support.fixtures import (
     claim_release_net,
     clinic_log,
     clinic_net,
+    clinic_two_overlaps_log,
     hospital_concurrent_log,
     hospital_forced_overlap_log,
     hospital_log,
@@ -391,7 +392,7 @@ def test_solution_forced_overlap_reversal_and_interval():
     # the region covers the reversed claim/release pair
     labels = {
         (comp.moves[i].label, comp.case_of[i])
-        for region in sol.regions for i in region
+        for region, _, _ in sol.regions for i in region
     }
     assert ("o_so", "c2") in labels and ("o_c", "c1") in labels
 
@@ -719,10 +720,10 @@ def test_projected_realignment_matches_full_marking_search():
                 continue
             assert not re.fallback
             assert re.alignment.cost() == full.cost()
-            reference.append(IntervalRealignment(re.region, full, False))
+            reference.append(IntervalRealignment(re.region, re.before, re.after, full, False))
             compared += 1
         if reference:
-            gamma = _substitute(result.composed, x_order, reference)
+            gamma, _ = _substitute(result.composed, x_order, reference)
             assert is_valid_alignment(scaled, log, gamma)[0] == result.valid
         if len(log) <= 10:
             prod = build_sync_product(scaled, build_log_net(log))
@@ -868,7 +869,7 @@ def test_additions_objective_matches_the_weighted_reference():
         (scale_cases(net, log.cases()), compose(align_cases(net, log, node_budget=20_000), log))
         for net, log in _differential_fixtures()
     ]
-    log = _clinic_two_overlaps(12, 3, 8)
+    log = clinic_two_overlaps_log(12, 3, 8)
     compositions.append((scale_cases(clinic_net(), log.cases()),
                          compose(align_cases(clinic_net(), log, node_budget=10_000), log)))
     nodes, weighted_nodes = NodeBudget(10_000_000), NodeBudget(10_000_000)
@@ -933,17 +934,6 @@ def _build_ilp_spy(monkeypatch):
     return calls
 
 
-def _clinic_two_overlaps(n, first, second):
-    """``clinic_log(n)`` with the surgeon overlaps of both
-    ``clinic_log(n, overlap_at=first)`` and ``clinic_log(n, overlap_at=second)``."""
-    late = f"c{second + 2},"
-    rows = [row for row in serialize_log(clinic_log(n, overlap_at=first)).splitlines()
-            if not row.startswith(late)]
-    rows += [row for row in serialize_log(clinic_log(n, overlap_at=second)).splitlines()
-             if row.startswith(late)]
-    return parse_log("\n".join(rows) + "\n")
-
-
 def _widening_log():
     """c2 and c3 overlap on instance x; c1 claims and releases y in between
     (c3's claim < c1's moves < c2's release), so the local program's
@@ -985,7 +975,7 @@ def test_clinic_overlap_program_spans_the_two_overlapping_cases(monkeypatch):
 
 def test_separate_overlaps_give_separate_programs(monkeypatch):
     net = clinic_net()
-    log = _clinic_two_overlaps(8, 1, 5)
+    log = clinic_two_overlaps_log(8, 1, 5)
     scaled = scale_cases(net, log.cases())
     comp = compose(align_cases(net, log, node_budget=10_000), log)
     reference = _full_program_solution(scaled, comp)
@@ -1084,7 +1074,7 @@ def test_derived_orders_match_their_pair_list_constructions():
     on every differential fixture the programs change, on two clinic
     overlaps whose joint region falls back, and on one clinic overlap."""
     runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
-    runs += [(clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000),
+    runs += [(clinic_net(), clinic_two_overlaps_log(12, 3, 8), 10_000),
              (clinic_net(), clinic_log(30, overlap_at=15), 10_000)]
     changed = substituted = fallbacks = 0
     for net, log, budget in runs:
@@ -1111,14 +1101,14 @@ def test_substitute_with_an_empty_realignment_keeps_the_remainder_order():
     net = scale_cases(hospital_net(), log.cases())
     comp = compose(align_cases(hospital_net(), log), log)
     sol = adjust_order(net, comp, composed_tokens(net, comp))
-    (region,) = sol.regions
-    empty = IntervalRealignment(tuple(region), Alignment((), Poset(())), False)
-    got = _substitute(comp, sol.x_order, [empty])
+    ((region, before, after),) = sol.regions
+    empty = IntervalRealignment(tuple(region), before, after, Alignment((), Poset(())), False)
+    got, remainder = _substitute(comp, sol.x_order, [empty])
     reference = _substitute_from_pairs(comp, sol.x_order, [empty])
     assert got.moves == reference.moves
     assert len(got.moves) == len(comp.moves) - len(region)
     assert closed_pairs(got.order) == closed_pairs(reference.order)
-    remainder = [i for i in range(len(comp.moves)) if i not in region]
+    assert remainder == [i for i in range(len(comp.moves)) if i not in region]
     assert closed_pairs(got.order) == [
         (p, q) for p, i in enumerate(remainder) for q, j in enumerate(remainder)
         if sol.x_order.precedes(i, j)]
@@ -1174,7 +1164,7 @@ def test_regions_match_the_antichain_interval_walk():
         for instances in (None, {"x": 2}):
             net, comp = hand_composed(forced, instances)
             runs.append((comp, adjust_order(net, comp, composed_tokens(net, comp))))
-    log = _clinic_two_overlaps(12, 3, 8)
+    log = clinic_two_overlaps_log(12, 3, 8)
     comp = compose(align_cases(clinic_net(), log, node_budget=10_000), log)
     scaled = scale_cases(clinic_net(), log.cases())
     runs.append((comp, adjust_order(scaled, comp, composed_tokens(scaled, comp))))
@@ -1192,17 +1182,46 @@ def test_regions_match_the_antichain_interval_walk():
     bounds = []
     for comp, sol in runs:
         walked = _walk_regions(comp, sol)
-        assert sol.regions == [region for region, _, _ in walked]
-        for region, a, b in walked:
-            entry = violation_entry(
-                IntervalRealignment(tuple(region), Alignment((), Poset(())), False),
-                comp, sol.x_order, DEFAULT_COSTS)
+        assert [members for members, _, _ in sol.regions] == [
+            region for region, _, _ in walked]
+        for (_, before, after), (region, a, b) in zip(sol.regions, walked):
+            entry = violation_entry(IntervalRealignment(
+                tuple(region), before, after, Alignment((), Poset(())), False),
+                comp, DEFAULT_COSTS)
             assert entry["interval_lower"] == describe(comp, a)
             assert entry["interval_upper"] == describe(comp, b)
             regions.append(len(region))
             bounds.append((len(a), len(b)))
     assert len(regions) >= 20 and max(regions) == 32, regions
     assert bounds[-1] == (2, 2)
+
+
+def test_region_masks_match_the_scans_they_replace():
+    """Each region carries the moves before and after some member, the
+    neighbourhood its boundary markings, its substitution and its report
+    entry read: on every region of the differential fixtures, one clinic
+    overlap and two two-overlap logs, ``before`` is the scan of every row
+    of the adjusted order for a member, and ``after`` the OR of the
+    members' rows."""
+    runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
+    runs += [(clinic_net(), clinic_log(17, overlap_at=8), 10_000),
+             (clinic_net(), clinic_two_overlaps_log(12, 3, 8), 10_000),
+             (clinic_net(), clinic_two_overlaps_log(20, 3, 14), 10_000)]
+    regions = 0
+    for net, log, budget in runs:
+        scaled = scale_cases(net, log.cases())
+        comp = compose(align_cases(net, log, node_budget=budget), log)
+        sol = adjust_order(scaled, comp, composed_tokens(scaled, comp))
+        rows = sol.x_order.rows()
+        for members, before, after in sol.regions:
+            region = sum(1 << i for i in members)
+            assert before == sum(1 << x for x, row in enumerate(rows) if row & region)
+            follows = 0
+            for i in members:
+                follows |= rows[i]
+            assert after == follows
+            regions += 1
+    assert regions == 31, regions
 
 
 # -- row reads against the dense and per-move loops --------------------------------
@@ -1242,7 +1261,7 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
     monkeypatch.setattr(approx, "build_ilp", build_spy)
     monkeypatch.setattr(approx, "_lift_failures", lift_spy)
     runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
-    runs += [(clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000),
+    runs += [(clinic_net(), clinic_two_overlaps_log(12, 3, 8), 10_000),
              (clinic_net(), clinic_log(30, overlap_at=15), 10_000),
              (claim_release_net({"x": 1, "y": 1}), _widening_log(), 20_000)]
     for net, log, budget in runs:
@@ -1312,7 +1331,7 @@ def _token_table_runs():
     runs = [(net, log, 20_000) for net, log in _differential_fixtures()]
     runs += [(clinic_net(), clinic_log(n, overlap_at=n // 2), 10_000) for n in (4, 9, 17, 30)]
     runs += [(clinic_net(), clinic_log(9, overlap_at=0), 10_000),
-             (clinic_net(), _clinic_two_overlaps(12, 3, 8), 10_000)]
+             (clinic_net(), clinic_two_overlaps_log(12, 3, 8), 10_000)]
     return tuple((net, log, budget, scale_cases(net, log.cases()),
                   approximate_alignment(net, log, node_budget=budget))
                  for net, log, budget in runs)

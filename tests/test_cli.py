@@ -37,6 +37,7 @@ from support.fixtures import (
     HOSPITAL_LOG_CSV,
     clinic_log,
     clinic_net,
+    clinic_two_overlaps_log,
     hospital_forced_overlap_log,
     hospital_log,
     hospital_net,
@@ -642,8 +643,9 @@ def test_cli_reports_independent_of_hash_seed(tmp_path, make_net, csv):
         assert reports["1", mode] == reports["2", mode]
 
 
-#: sha256 of the report bytes of ``nualign align`` at its default options;
-#: a change to the report bytes has to update these on purpose
+#: sha256 of the report bytes of ``nualign align`` at its default options
+#: but for its input's own (``PINNED_INPUTS``); a change to the report
+#: bytes has to update these on purpose
 PINNED_REPORTS = {
     ("hospital_forced_overlap", "exact"):
         "cec165e9084439c3066838bb3f4a332872daa154ff8504da77d3f10c4d0a29e2",
@@ -653,22 +655,28 @@ PINNED_REPORTS = {
         "7a7363610029398e2abba0e211d552f1bcf135d30b4f690fdd59624d284f02f7",
     ("clinic_6_overlap_at_2", "approx"):
         "69f450abd8d7a6aa725de6fe992df403329d767618fb36d478b167fd450077f6",
+    ("clinic_12_overlaps_at_3_and_8", "approx"):
+        "8fbe23e9ea29ce7dbcf4063e5eae9c76692f2a7e3f60d14c2a284bf8de3a178e",
 }
 
+#: per pinned input, its net, its log and its options; under a node
+#: budget of 10 000 the two overlaps' merged region falls back
 PINNED_INPUTS = {
-    "hospital_forced_overlap": (hospital_net, hospital_forced_overlap_log),
-    "clinic_6_overlap_at_2": (clinic_net, lambda: clinic_log(6, overlap_at=2)),
+    "hospital_forced_overlap": (hospital_net, hospital_forced_overlap_log, []),
+    "clinic_6_overlap_at_2": (clinic_net, lambda: clinic_log(6, overlap_at=2), []),
+    "clinic_12_overlaps_at_3_and_8": (clinic_net, lambda: clinic_two_overlaps_log(12, 3, 8),
+                                      ["--node-budget", "10000"]),
 }
 
 
 @pytest.mark.parametrize("name, mode", sorted(PINNED_REPORTS))
 def test_report_bytes_are_pinned(tmp_path, name, mode):
-    make_net, make_log = PINNED_INPUTS[name]
+    make_net, make_log, options = PINNED_INPUTS[name]
     net_path, log_path, out = tmp_path / "net.json", tmp_path / "log.csv", tmp_path / "r.json"
     save_net(make_net(), net_path)
     log_path.write_text(serialize_log(make_log()))
     assert main(["align", str(net_path), str(log_path), "--mode", mode,
-                 "--out", str(out)]) == 0
+                 "--out", str(out), *options]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_REPORTS[name, mode]
 
 
@@ -676,13 +684,13 @@ def test_report_bytes_are_pinned(tmp_path, name, mode):
 def test_align_dot_equals_the_dot_of_its_report(tmp_path, name, mode):
     # ``align --dot`` renders the built report, whose order is the
     # alignment's Poset; ``nualign dot`` renders the written pair list
-    make_net, make_log = PINNED_INPUTS[name]
+    make_net, make_log, options = PINNED_INPUTS[name]
     net_path, log_path = tmp_path / "net.json", tmp_path / "log.csv"
     save_net(make_net(), net_path)
     log_path.write_text(serialize_log(make_log()))
     report, direct, loaded = tmp_path / "r.json", tmp_path / "align.dot", tmp_path / "dot.dot"
     assert main(["align", str(net_path), str(log_path), "--mode", mode,
-                 "--out", str(report), "--dot", str(direct)]) == 0
+                 "--out", str(report), "--dot", str(direct), *options]) == 0
     assert main(["dot", str(report), "--out", str(loaded)]) == 0
     assert direct.read_bytes() == loaded.read_bytes()
     assert direct.read_text().count("->") > 0
@@ -696,14 +704,14 @@ def encoder_bytes(doc):
 
 
 DIFFERENTIAL_INPUTS = dict(PINNED_INPUTS, **{
-    f"clinic_{n}": (clinic_net, lambda n=n: clinic_log(n, overlap_at=n // 2))
+    f"clinic_{n}": (clinic_net, lambda n=n: clinic_log(n, overlap_at=n // 2), [])
     for n in range(3, 13)
 })
 
 
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_INPUTS))
 def test_report_writer_matches_the_encoder_on_cli_reports(tmp_path, monkeypatch, name):
-    make_net, make_log = DIFFERENTIAL_INPUTS[name]
+    make_net, make_log, options = DIFFERENTIAL_INPUTS[name]
     net_path, log_path, out = tmp_path / "net.json", tmp_path / "log.csv", tmp_path / "r.json"
     save_net(make_net(), net_path)
     log_path.write_text(serialize_log(make_log()))
@@ -716,7 +724,7 @@ def test_report_writer_matches_the_encoder_on_cli_reports(tmp_path, monkeypatch,
     monkeypatch.setattr(nualign.cli, "dumps_report", spy)
     for mode in ("exact", "approx"):
         assert main(["align", str(net_path), str(log_path), "--mode", mode,
-                     "--out", str(out)]) == 0
+                     "--out", str(out), *options]) == 0
         assert out.read_text(encoding="utf-8") == encoder_bytes(report_json(docs[-1]))
     assert [doc["mode"] for doc in docs] == ["exact", "approx"]
     assert all(closed_pairs(doc["order"]) for doc in docs)
