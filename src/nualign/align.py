@@ -181,7 +181,8 @@ def _prefix_marking(marking: ColoredMarking, prefix: str) -> ColoredMarking:
 
 class SyncProduct(ColoredNet):
     """The product net; ``moves`` maps each transition, in order, to the move
-    a firing of it makes, mode left empty, and ``forced`` to the bindings it pins."""
+    a firing of it makes, mode left empty, ``forced`` to the bindings it pins,
+    and ``owned`` holds the places of case tokens: production and busy."""
 
     def __init__(self, model: RcNuNet, log_net: LogNet, places, flow,
                  initial, final, moves, forced):
@@ -191,6 +192,7 @@ class SyncProduct(ColoredNet):
         self.log_net = log_net
         self.moves = moves
         self.forced = forced
+        self.owned = {f"m::{p}" for p in model.places if model.place_kind(p) != "resource"}
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
         self.spare_ids = [f"_nu{i + 1}" for i in range(len(log_events) or 1)]
@@ -467,10 +469,10 @@ class _StateSpace:
 
 def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                       node_budget: int = DEFAULT_NODE_BUDGET,
-                      start: ColoredMarking | None = None,
-                      goal: ColoredMarking | None = None,
                       heuristic: CaseHeuristic | None = None) -> Alignment:
-    """Minimum-cost run of the product from start to goal, as a chain poset.
+    """Minimum-cost run of the product from its initial to its final
+    marking, as a chain poset; a search between other markings runs on the
+    product of the model ``with_markings`` them.
 
     States are interned token counts (``_StateSpace``); at a settled state
     only the transitions whose input places are all marked are tried.  The
@@ -478,10 +480,10 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     estimate first, then the most cost paid, then the longest path, then
     the earliest pushed, so the search is fully deterministic.  Without
     ``heuristic``, h is 0 and this is Dijkstra with equal-cost entries in
-    push order.  With a ``CaseHeuristic`` of this product (its own initial
-    and final markings only) it is A*: h is consistent, so a state still
-    settles at its final cost once, and a state whose h is infinite (some
-    case cannot finish even alone) is never pushed.
+    push order.  With a ``CaseHeuristic`` of this product it is A*: h is
+    consistent, so a state still settles at its final cost once, and a
+    state whose h is infinite (some case cannot finish even alone) is never
+    pushed.
 
     moves counts only when the heuristic prices at least one case; it
     sends A* down one interleaving of an equal-cost plateau of free moves
@@ -494,17 +496,14 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     SearchBudgetError with frontier statistics (the cheapest open g + h)
     when the node budget is exhausted before the goal settles, or when
     every marking reachable from the start settled without reaching the
-    goal.
+    goal.  Raises ValueError for a heuristic of another product.
     """
     if node_budget < 0:
         raise ValueError(f"node_budget must be nonnegative, got {node_budget}")
-    if heuristic is not None and (heuristic.space.prod is not prod
-                                  or start is not None or goal is not None):
-        raise ValueError("a case heuristic prices its own product's initial "
-                         "and final markings only")
+    if heuristic is not None and heuristic.space.prod is not prod:
+        raise ValueError("a case heuristic prices its own product only")
     space = _StateSpace(prod) if heuristic is None else heuristic.space
-    start = space.encode(prod.initial if start is None else start)
-    goal = space.encode(prod.final if goal is None else goal)
+    start, goal = space.encode(prod.initial), space.encode(prod.final)
     step_cost = {t: move_cost(prod.moves[t], costs) for t in prod.transitions}
     info = {} if heuristic is None else {start: heuristic.start(start)}
     dive = int(heuristic is not None
@@ -680,18 +679,12 @@ def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
             for i, c in into[j]:
                 if i not in togo:
                     heapq.heappush(heap, (d + c, i))
-    owned = _owned_places(single.model)
     table = {}
     for j, state in enumerate(states):
         tokens = frozenset((pair, n) for pair, n in zip(space.pairs, state)
-                           if n and pair[0] in owned and pair[1][0] is not None)
+                           if n and pair[0] in single.owned and pair[1][0] is not None)
         table[tokens, fired[j]] = togo.get(j, INF)
     return table
-
-
-def _owned_places(model: RcNuNet) -> set:
-    """The product places whose tokens belong to a case: production and busy."""
-    return {f"m::{p}" for p in model.places if model.place_kind(p) != "resource"}
 
 
 class CaseHeuristic:
@@ -737,7 +730,6 @@ class CaseHeuristic:
         self.reason = _projection_breaks(prod)
         self.rep = {}           # case -> its variant's representative
         self.tables = {}        # representative -> its _cost_to_go table, or None
-        self._owned_places = _owned_places(prod.model)
         self._owned = {}        # case -> its interned pair ids
         self._renamed = {}      # pair id -> the pair on its case's representative
         self._classified = 0    # interned pairs sorted into ``_owned`` so far
@@ -760,7 +752,7 @@ class CaseHeuristic:
         pairs = self.space.pairs
         for i in range(self._classified, len(pairs)):
             p, tok = pairs[i]
-            if p in self._owned_places and tok[0] in self._owned:
+            if p in self.space.prod.owned and tok[0] in self._owned:
                 self._owned[tok[0]].append(i)
                 self._renamed[i] = (p, (self.rep[tok[0]], tok[1]))
         self._classified = len(pairs)

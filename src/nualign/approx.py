@@ -56,7 +56,6 @@ from .align import (
     Move,
     SearchBudgetError,
     SoundnessError,
-    _prefix_marking,
     build_sync_product,
     case_variants,
     effect_masks,
@@ -681,8 +680,8 @@ def _split_fallback(comp: ComposedAlignment, x_order: Poset, region, log: EventL
 
 
 def _boundary_marking(net: RcNuNet, effects: dict, members, idle) -> ColoredMarking:
-    """The ``m::`` marking of the pseudo-marking of the moves in the mask
-    ``members`` (the initial count plus popcounts of ``effect_masks``),
+    """The net's marking after the moves in the mask ``members``, their
+    pseudo-marking (the initial count plus popcounts of ``effect_masks``),
     without the production-place tokens of the ``idle`` cases; resource
     places keep every token.  Raises FiringError at a negative count."""
     counts = token_counts(net.initial)
@@ -694,7 +693,7 @@ def _boundary_marking(net: RcNuNet, effects: dict, members, idle) -> ColoredMark
         if n < 0:
             raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
         if n and (net.place_kind(p) != "production" or tok[0] not in idle):
-            tokens.setdefault(f"m::{p}", {})[tok] = n
+            tokens.setdefault(p, {})[tok] = n
     return ColoredMarking(tokens)
 
 
@@ -703,9 +702,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
                      costs: CostTable = DEFAULT_COSTS,
                      node_budget: int = DEFAULT_NODE_BUDGET) -> IntervalRealignment:
     """Optimal alignment of the events of ``region``, an entry of
-    ``OrderSolution.regions`` (convex in ``x_order``), between its boundary
-    markings; falls back to the sync-splitting construction when the local
-    search cannot connect them.
+    ``OrderSolution.regions`` (convex in ``x_order``): a search of the
+    product of the sub-log's net and ``net.with_markings`` the region's
+    boundary markings, or the sync-splitting construction when the search
+    cannot connect them.
 
     The pre-marking fires the region's ``before`` mask, every outside move
     before *any* member, not just the prefix of the minimal members: those
@@ -743,13 +743,10 @@ def realign_interval(net: RcNuNet, comp: ComposedAlignment, x_order: Poset,
     sub_log = log.restrict(events)
     idle = set(comp.case_of).difference(comp.case_of[i] for i in region)
     try:
-        sub_net = build_log_net(sub_log)
-        prod = build_sync_product(net, sub_net)
-        start = (_boundary_marking(net, effects, pre, idle)
-                 | _prefix_marking(sub_net.initial, "l::"))
-        goal = (_boundary_marking(net, effects, pre | region_mask, idle)
-                | _prefix_marking(sub_net.final, "l::"))
-        alignment = optimal_alignment(prod, costs, node_budget, start=start, goal=goal)
+        bounded = net.with_markings(_boundary_marking(net, effects, pre, idle),
+                                    _boundary_marking(net, effects, pre | region_mask, idle))
+        prod = build_sync_product(bounded, build_log_net(sub_log))
+        alignment = optimal_alignment(prod, costs, node_budget)
         return IntervalRealignment(region, before, after, alignment, False)
     except (SearchBudgetError, FiringError):
         alignment = _split_fallback(comp, x_order, region, sub_log)

@@ -102,6 +102,7 @@ class _Engine:
             self.obj_lb += min(0, c) if val is None else c * val
         for row in program.constraints:
             self.add_row(row)
+        self.built = len(self.rows)     # rows installed before the search
 
     def add_row(self, row: Constraint):
         """Install a row; its bounds reflect the current assignment."""
@@ -201,8 +202,11 @@ class _Engine:
                     return False
         return True
 
-    def all_rows_hold(self):
-        return not any(self.row_conflict(i) for i in range(len(self.rows)))
+    def added_rows_hold(self):
+        """Whether the rows added after construction, the cap and cuts, hold:
+        ``assign`` reports every other row as it breaks, but a cut can stay
+        broken through variables set above the next branch point."""
+        return not any(self.row_conflict(i) for i in range(self.built, len(self.rows)))
 
     def _force_row(self, idx, queue):
         """Assign every variable row ``idx`` forces, queueing each; False on conflict."""
@@ -297,7 +301,7 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
         pos = next_free(hint)
         if pos is None:
             candidate = list(engine.assignment)
-            if engine.all_rows_hold():
+            if engine.added_rows_hold():
                 violated = (
                     program.lazy_rows(candidate) if program.lazy_rows else []
                 )

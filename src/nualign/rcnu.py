@@ -22,6 +22,7 @@ raising, so a CLI can show all of them at once.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass, replace
 
@@ -191,6 +192,13 @@ class ColoredNet:
                 self._outputs[src].append(tgt)
         self._vars_cache = {}
         self._reqs_cache = {}
+
+    def with_markings(self, initial: ColoredMarking, final: ColoredMarking):
+        """This net between other markings: a shallow copy sharing the
+        structure, fixed once built, and the caches that read only the arcs."""
+        net = copy.copy(self)
+        net.initial, net.final = initial, final
+        return net
 
     def arc(self, src, tgt) -> Multiset:
         return self.flow.get((src, tgt), _EMPTY_MS)
@@ -600,7 +608,7 @@ def _case_template(marking: ColoredMarking, production_places):
 
 
 def scale_cases(net: RcNuNet, case_ids) -> RcNuNet:
-    """Re-instantiate the net for the given case ids.
+    """The net between markings for the given case ids (``with_markings``).
 
     The per-case production-token pattern of the declared initial/final
     markings is replicated for each requested case; resource availability
@@ -621,10 +629,7 @@ def scale_cases(net: RcNuNet, case_ids) -> RcNuNet:
             for p, n in template:
                 tokens[p] = tokens.get(p, Multiset()) + Multiset({(c, EPS): n})
         new_markings.append(ColoredMarking(tokens))
-    return RcNuNet(
-        net.production_places, net.roles, net.transitions, net.labels,
-        net.flow, new_markings[0], new_markings[1],
-    )
+    return net.with_markings(*new_markings)
 
 
 @dataclass(frozen=True)

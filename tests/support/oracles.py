@@ -485,7 +485,7 @@ def validity_by_set_bits(net, log, alignment):
 
 
 def boundary_by_pseudo_fire(net: RcNuNet, moves, idle) -> ColoredMarking:
-    """The ``m::`` marking of the pseudo-marking of ``moves``, bound afresh
+    """The net's marking after ``moves``, their pseudo-marking bound afresh
     and summed move by move, without the production-place tokens of the
     ``idle`` cases; FiringError at a negative count."""
     counts = {(p, tok): n for p in net.initial.places() for tok, n in net.initial.get(p).items()}
@@ -496,6 +496,6 @@ def boundary_by_pseudo_fire(net: RcNuNet, moves, idle) -> ColoredMarking:
         if n < 0:
             raise FiringError(f"pseudo-marking negative at {p}/{tok!r}")
         if n and (net.place_kind(p) != "production" or tok[0] not in idle):
-            tokens.setdefault(f"m::{p}", {})[tok] = n
+            tokens.setdefault(p, {})[tok] = n
     return ColoredMarking(tokens)
 

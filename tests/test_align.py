@@ -254,11 +254,15 @@ def test_search_records_its_effort():
 
 
 def test_unreachable_goal_says_so():
-    # a token no firing produces: the frontier empties with the budget unspent
-    _, prod = product_for(hospital_log())
-    goal = prod.final | ColoredMarking({"m::q5": Multiset({("zz", EPS): 1})})
+    # a final token no firing produces: the frontier empties with the
+    # budget unspent
+    log = hospital_log()
+    net = scale_cases(hospital_net(), log.cases())
+    net = net.with_markings(net.initial,
+                            net.final | ColoredMarking({"q5": Multiset({("zz", EPS): 1})}))
+    prod = build_sync_product(net, build_log_net(log))
     with pytest.raises(SearchBudgetError) as info:
-        optimal_alignment(prod, goal=goal)
+        optimal_alignment(prod)
     exc = info.value
     assert (exc.visited, exc.frontier, exc.best_cost) == (374, 0, None)
     assert str(exc) == ("goal unreachable from the start: all 374 reachable "
@@ -295,13 +299,11 @@ def test_exact_matches_exhaustive_oracle(csv):
 # -- interned-state search against the marking-keyed reference ------------------
 
 def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
-                                node_budget=align_module.DEFAULT_NODE_BUDGET,
-                                start=None, goal=None):
+                                node_budget=align_module.DEFAULT_NODE_BUDGET):
     """The search with markings as states: every transition is tried at every
     settled marking, and each push binds its arcs anew through
     ``fire_mode``.  The reference for ``optimal_alignment``."""
-    start = prod.initial if start is None else start
-    goal = prod.final if goal is None else goal
+    start, goal = prod.initial, prod.final
     best = {start: 0}
     parent = {start: None}
     pushes = itertools.count(1)
@@ -333,9 +335,9 @@ def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
     raise SearchBudgetError(len(settled), 0, None)
 
 
-def _search_outcome(search, prod, node_budget, start=None, goal=None):
+def _search_outcome(search, prod, node_budget):
     try:
-        al = search(prod, node_budget=node_budget, start=start, goal=goal)
+        al = search(prod, node_budget=node_budget)
     except SearchBudgetError as exc:
         return "budget", exc.visited, exc.frontier, exc.best_cost
     return al.moves, al.cost()
@@ -346,25 +348,33 @@ def product_for_net(net, log):
 
 
 def _differential_searches(monkeypatch):
-    """(product, start, goal) of every search the differential fixtures give:
+    """(product, realigned) of every search the differential fixtures give:
     the whole-log product of logs with at most ten events, each case's own
-    product, and each realignment region's projected boundary markings as
-    ``realign_interval`` builds them."""
+    product, and each realignment region's product between its projected
+    boundary markings as ``realign_interval`` builds it (``realigned``)."""
     searches = []
-    search = approx.optimal_alignment
+    realigning = []         # non-empty while ``realign_interval`` runs
+    search, realign = approx.optimal_alignment, approx.realign_interval
 
-    def record(prod, costs=align_module.DEFAULT_COSTS,
-               node_budget=align_module.DEFAULT_NODE_BUDGET, start=None, goal=None):
-        if start is not None:
-            searches.append((prod, start, goal))
-        return search(prod, costs, node_budget, start=start, goal=goal)
+    def record(prod, *args, **kwargs):
+        if realigning:
+            searches.append((prod, True))
+        return search(prod, *args, **kwargs)
+
+    def realign_recorded(*args, **kwargs):
+        realigning.append(True)
+        try:
+            return realign(*args, **kwargs)
+        finally:
+            realigning.pop()
 
     monkeypatch.setattr(approx, "optimal_alignment", record)
+    monkeypatch.setattr(approx, "realign_interval", realign_recorded)
     for net, log in _differential_fixtures():
         if len(log) <= 10:
-            searches.append((product_for_net(net, log), None, None))
+            searches.append((product_for_net(net, log), False))
         for c in log.cases():
-            searches.append((product_for_net(net, log.project_case(c)), None, None))
+            searches.append((product_for_net(net, log.project_case(c)), False))
         approximate_alignment(net, log, node_budget=20_000)
     return searches
 
@@ -375,16 +385,16 @@ def test_interned_search_matches_marking_reference(monkeypatch):
     same budget-error fields where a small budget runs out."""
     searches = _differential_searches(monkeypatch)
     solved = exhausted = 0
-    for prod, start, goal in searches:
+    for prod, _ in searches:
         for budget in (20_000, 50):
-            new = _search_outcome(optimal_alignment, prod, budget, start, goal)
-            ref = _search_outcome(reference_optimal_alignment, prod, budget, start, goal)
+            new = _search_outcome(optimal_alignment, prod, budget)
+            ref = _search_outcome(reference_optimal_alignment, prod, budget)
             assert new == ref
             if new[0] == "budget":
                 exhausted += 1
             else:
                 solved += 1
-    realignments = sum(1 for _, start, _ in searches if start is not None)
+    realignments = sum(realigned for _, realigned in searches)
     assert realignments >= 10 and exhausted >= 50 and solved >= 500
 
 
@@ -433,7 +443,7 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
     two-token search settle, the memoised successors are the direct
     enumeration's, in the same order and with the same next markings."""
     searches = _differential_searches(monkeypatch)
-    searches += [(_fresh_name_product(), None, None), (_two_token_product(), None, None)]
+    searches += [(_fresh_name_product(), False), (_two_token_product(), False)]
     memoised = align_module._StateSpace.successors
     checked = []
 
@@ -445,10 +455,10 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
         return iter(out)
 
     monkeypatch.setattr(align_module._StateSpace, "successors", compare)
-    for prod, start, goal in searches:
-        _search_outcome(optimal_alignment, prod, 20_000, start, goal)
+    for prod, _ in searches:
+        _search_outcome(optimal_alignment, prod, 20_000)
     assert len(checked) >= 10_000
-    assert {prod for prod, _, _ in searches[-2:]} <= set(checked)
+    assert {prod for prod, _ in searches[-2:]} <= set(checked)
 
 
 def test_memo_spares_enabled_modes_calls(monkeypatch):
@@ -650,8 +660,10 @@ def test_heuristic_is_zero_where_the_projection_breaks():
     dijkstra = optimal_alignment(prod)
     assert (astar.moves, astar.settled, astar.pushed) == (
         dijkstra.moves, dijkstra.settled, dijkstra.pushed)
+    # a heuristic prices its own product only
+    other = build_sync_product(net, build_log_net(parse_log("c1,b,1,\n")))
     with pytest.raises(ValueError):
-        optimal_alignment(prod, heuristic=heuristic, goal=prod.final)
+        optimal_alignment(other, heuristic=heuristic)
 
 
 def test_heuristic_is_zero_where_cases_are_created_by_fresh_names():
@@ -957,6 +969,48 @@ def test_validity_matches_exhaustive_replay(monkeypatch):
     # some valid verdicts need producers ordered before incomparable
     # consumers, not just the floor of every consumer firing first
     assert any(decided_by_cut)
+
+
+def _brute_force_flow(supply, capacity, arcs):
+    """The maximum flow of ``_max_flow``'s network, by trying every split
+    of each consumer's supply over its producers' remaining capacity."""
+    consumers = list(supply)
+
+    def best(k, left):
+        if k == len(consumers):
+            return 0
+        c, top = consumers[k], 0
+        for split in itertools.product(*(range(min(supply[c], left[x]) + 1) for x in arcs[c])):
+            if sum(split) <= supply[c]:
+                rest = dict(left)
+                for x, f in zip(arcs[c], split):
+                    rest[x] -= f
+                top = max(top, sum(split) + best(k + 1, rest))
+        return top
+
+    return best(0, dict(capacity))
+
+
+def test_max_flow_matches_brute_force():
+    # c1 first takes x1, the only producer c2 reaches, and the residual
+    # path through the reverse edge moves it to x2
+    supply, capacity = {"c1": 1, "c2": 1}, {"x1": 1, "x2": 1}
+    arcs = {"c1": ["x1", "x2"], "c2": ["x1"]}
+    assert align_module._max_flow(supply, capacity, arcs, 2) == 2
+    rng = random.Random(31)
+    flows = []
+    for _ in range(300):
+        consumers = [f"c{k}" for k in range(rng.randrange(1, 4))]
+        producers = [f"x{k}" for k in range(rng.randrange(1, 4))]
+        supply = {c: rng.randrange(1, 3) for c in consumers}
+        capacity = {x: rng.randrange(1, 3) for x in producers}
+        arcs = {c: [x for x in producers if rng.random() < 0.6] for c in consumers}
+        flow = _brute_force_flow(supply, capacity, arcs)
+        # ``enough`` stops the search early: at it, below it and past it
+        for enough in range(max(flow, 1) + 2):
+            assert align_module._max_flow(supply, capacity, arcs, enough) == min(flow, enough)
+        flows.append(flow)
+    assert min(flows) == 0 and max(flows) >= 4
 
 
 def test_pseudo_fire_linearity():

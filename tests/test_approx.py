@@ -17,7 +17,6 @@ from nualign.align import (
     Move,
     SearchBudgetError,
     SoundnessError,
-    _prefix_marking,
     align_log,
     effect_masks,
     is_valid_alignment,
@@ -559,13 +558,10 @@ def _unprojected_realignment(net, comp, x_order, region, log, node_budget):
         (comp.moves[i].event for i in region if comp.moves[i].kind != "model"),
         key=lambda e: e.index,
     )
-    sub_net = build_log_net(log.restrict(events))
-    prod = build_sync_product(net, sub_net)
     m_a = _marking(pseudo_fire(net, [comp.moves[i] for i in pre]))
     m_b = _marking(pseudo_fire(net, [comp.moves[i] for i in pre + region]))
-    start = _prefix_marking(m_a, "m::") | _prefix_marking(sub_net.initial, "l::")
-    goal = _prefix_marking(m_b, "m::") | _prefix_marking(sub_net.final, "l::")
-    return optimal_alignment(prod, node_budget=node_budget, start=start, goal=goal)
+    prod = build_sync_product(net.with_markings(m_a, m_b), build_log_net(log.restrict(events)))
+    return optimal_alignment(prod, node_budget=node_budget)
 
 
 def _marking(counts):
@@ -1010,6 +1006,34 @@ def test_failing_lift_widens_to_the_full_program(monkeypatch):
     assert sol.free_cases == ("c1", "c2", "c3") and sol.widenings == 1
     assert _solution_fields(sol) == _solution_fields(reference)
     assert len(sol.reversals) == 3
+
+
+@pytest.mark.parametrize("y_cases, x_cases, programs", [
+    # {c1, c4} is solved first; widening {c2, c3} by c1 absorbs it
+    (("c1", "c4"), ("c2", "c3"),
+     [(4, ("c1", "c4")), (4, ("c2", "c3")), (8, ("c1", "c2", "c3", "c4"))]),
+    # {c1, c2} comes first; widening it by c3 absorbs the pending {c3, c4}
+    (("c3", "c4"), ("c1", "c2"),
+     [(4, ("c1", "c2")), (8, ("c1", "c2", "c3", "c4"))]),
+])
+def test_widening_absorbs_the_groups_it_meets(monkeypatch, y_cases, x_cases, programs):
+    # two cases overlap on y inside the stretch where two overlap on x, so
+    # the x group's reversal closes a cycle through a y case
+    (a, b), (c, d) = y_cases, x_cases
+    log = parse_log(f"{a},claim,2.5,r:y\n{a},release,2.7,r:y\n"
+                    f"{b},claim,2.6,r:y\n{b},release,2.8,r:y\n"
+                    f"{c},claim,1,r:x\n{c},release,3,r:x\n"
+                    f"{d},claim,2,r:x\n{d},release,4,r:x\n")
+    net = claim_release_net({"x": 1, "y": 1})
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log), log)
+    reference = _full_program_solution(scaled, comp)
+    calls = _build_ilp_spy(monkeypatch)
+    sol = adjust_order(scaled, comp, composed_tokens(scaled, comp))
+    assert calls == programs
+    assert sol.free_cases == ("c1", "c2", "c3", "c4") and sol.widenings == 1
+    assert len(sol.reversals) == 6
+    assert _solution_fields(sol) == _solution_fields(reference)
 
 
 def test_order_budget_spans_every_widening_step():

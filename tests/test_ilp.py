@@ -6,15 +6,22 @@ from itertools import product as iproduct
 
 import pytest
 
+import nualign.approx as approx
+from nualign.approx import adjust_order, align_cases, compose
 from nualign.ilp import (
     BinaryProgram,
     Constraint,
     IlpBudgetError,
     InfeasibleError,
+    NodeBudget,
+    _Engine,
     constraint,
     solve,
 )
+from nualign.rcnu import scale_cases
 from support.oracles import check_feasible, row_holds
+from support.runs import composed_tokens
+from test_approx import _differential_fixtures
 
 
 def brute_force(program):
@@ -231,6 +238,86 @@ def test_random_instances_with_lazy_rows_match_enumeration():
         free = [v for v in range(n) if v not in fixings]
         _assert_levels_match_enumeration(replace(program, cap=constraint(
             {v: -1 for v in free}, -len(free), "cap")))
+
+
+def _random_programs(seed, count):
+    """Random programs with and without lazy rows, each also under a cap
+    that starts at every free variable set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(1, 8)
+
+        def random_row():
+            coeffs = {v: rng.randrange(-2, 3) for v in range(n) if rng.random() < 0.7}
+            return constraint(coeffs, rng.randrange(-1, 3))
+
+        hidden = [random_row() for _ in range(rng.randrange(0, 4))]
+        fixings = {v: rng.randrange(2) for v in range(n) if rng.random() < 0.2}
+        free = [v for v in range(n) if v not in fixings]
+        program = BinaryProgram(
+            n, objective={v: rng.randrange(-4, 5) for v in range(n)},
+            constraints=[random_row() for _ in range(rng.randrange(0, 4))],
+            fixings=fixings, preferred={v: rng.randrange(2) for v in range(n)},
+            lazy_rows=(lambda a, hidden=hidden: [r for r in hidden if not row_holds(r, a)])
+            if hidden else None)
+        yield program
+        yield replace(program, cap=constraint({v: -1 for v in free}, -len(free), "cap"))
+
+
+def _order_programs(monkeypatch):
+    """Every order program ``adjust_order`` solves on the differential fixtures."""
+    programs = []
+    real = approx.solve
+
+    def record(program, budget):
+        programs.append(program)
+        return real(program, budget)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(approx, "solve", record)
+        for net, log in _differential_fixtures():
+            scaled = scale_cases(net, log.cases())
+            comp = compose(align_cases(net, log, node_budget=20_000), log)
+            adjust_order(scaled, comp, composed_tokens(scaled, comp))
+    return programs
+
+
+def _full_scan(engine):
+    return not any(engine.row_conflict(i) for i in range(len(engine.rows)))
+
+
+def _solved(program):
+    """``solve``'s assignment and value, or its error, and the nodes used."""
+    budget = NodeBudget(2_000_000)
+    try:
+        return solve(program, budget), budget.used
+    except InfeasibleError:
+        return "infeasible", budget.used
+
+
+def test_leaf_scan_of_added_rows_matches_a_full_scan(monkeypatch):
+    """At every leaf, whether the rows added after construction hold is
+    whether every row holds, on random programs with and without lazy
+    rows and caps and on the order programs of the differential fixtures;
+    and ``solve`` returns what it returns with a full scan, nodes used
+    included."""
+    programs = list(_random_programs(13, 150)) + _order_programs(monkeypatch)
+    scanned = _Engine.added_rows_hold
+    leaves = []
+
+    def checked(engine):
+        held = scanned(engine)
+        assert held == _full_scan(engine)
+        leaves.append(held)
+        return held
+
+    for program in programs:
+        monkeypatch.setattr(_Engine, "added_rows_hold", checked)
+        got = _solved(program)
+        monkeypatch.setattr(_Engine, "added_rows_hold", _full_scan)
+        assert got == _solved(program)
+    # a cut stays broken at later leaves, which only the scan rejects
+    assert len(programs) >= 350 and len(leaves) >= 500 and leaves.count(False) >= 100
 
 
 def test_determinism():

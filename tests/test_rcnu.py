@@ -271,6 +271,11 @@ def test_scale_cases():
     )
     assert scaled.initial.get("p_g") == net.initial.get("p_g")
     assert validate_structure(scaled) == []
+    # a copy between other markings (``with_markings``): the structure and
+    # the per-transition caches are shared, and the net keeps its markings
+    assert type(scaled) is type(net) and scaled.flow is net.flow
+    assert scaled._vars_cache is net._vars_cache and scaled._reqs_cache is net._reqs_cache
+    assert net.initial.get("q0") == Multiset({("c1", EPS): 1, ("c2", EPS): 1})
 
 
 def test_simulate_deterministic_and_complete():

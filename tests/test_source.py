@@ -2,12 +2,14 @@
 
 import argparse
 import ast
+import inspect
 import re
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import nualign
+import nualign.align
 from nualign.approx import OrderSolution
 from nualign.cli import build_parser
 
@@ -394,3 +396,25 @@ def test_package_imports_only_the_standard_library():
         foreign += [f"{path.name}: {name}" for name in _imported_modules(tree)
                     if name not in sys.stdlib_module_names and name != "nualign"]
     assert not foreign, f"imports outside the standard library: {foreign}"
+
+
+def test_a_search_runs_its_product_from_the_products_markings():
+    # the product is the whole search problem: only align.py writes the
+    # product's place prefixes, and the product itself holds its owned
+    # places; ``optimal_alignment`` takes no other start or goal, and nets
+    # between other markings are ``with_markings`` copies
+    prefixed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        prefixed += [f"{path.name}: {name}" for name in re.findall(
+            r"\b_owned_places\b" if path.name == "align.py"
+            else r"\b[ml]::|\b_prefix_marking\b|\b_owned_places\b", text)]
+    assert not prefixed, f"product place names outside the product: {prefixed}"
+    parameters = inspect.signature(nualign.align.optimal_alignment).parameters
+    assert not {"start", "goal"} & set(parameters), list(parameters)
+    path = PACKAGE / "rcnu.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (scale,) = [node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "scale_cases"]
+    called = {_named(node.func) for node in ast.walk(scale) if isinstance(node, ast.Call)}
+    assert "with_markings" in called and "RcNuNet" not in called, sorted(called)
