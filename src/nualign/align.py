@@ -18,14 +18,16 @@ exactly what was observed.
 
 Optimal alignments come from best-first search over product markings.
 Costs are integers: synchronous moves are free, silent model moves cost
-``tau``, visible log/model moves cost ``visible``.  A search state is a
-tuple of token counts over (place, token) pairs interned per product, a
-(transition, mode) is bound once into a count delta, and only transitions
-whose input places are all marked are tried.  A transition's enabled
-firings are memoised per (transition, tokens on its input places), so a
-transition is enumerated only on input tokens its search has not met
-before; transitions with fresh variables, which read the whole marking,
-are exempt and enumerated at every state.  The frontier pops by
+``tau``, visible log/model moves cost ``visible``.  A search state holds
+the token counts over (place, token) pairs interned per product, as bytes
+(a tuple once a count passes 255), a (transition, mode) is bound once into
+a count delta, and only transitions whose input places are all marked are
+tried.  A log or synchronous transition has one firing, pinned by its
+forced bindings, and fires where the state holds what it takes.  Another
+transition's enabled firings are memoised per (transition, tokens on its
+input places), so it is enumerated only on input tokens its search has
+not met before; transitions with fresh variables, which read the whole
+marking, are exempt and enumerated at every state.  The frontier pops by
 (g + h, -g, -moves, push order), where moves is the length of the
 entry's path and counts only on A* (below); transitions expand in net
 order and modes come sorted, so the search is fully deterministic and
@@ -211,6 +213,11 @@ class SyncProduct(ColoredNet):
                 break
         return pool
 
+    def transition_vars(self, t):
+        """The variables of ``t``'s model transition; a log move has none."""
+        made = self.moves[t].transition
+        return (set(), set(), set()) if made is None else self.model.transition_vars(made)
+
 
 def _case_binding(model: RcNuNet, t) -> tuple[str, bool] | None:
     """The variable receiving the case id on a sync firing, if unambiguous."""
@@ -344,16 +351,27 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     return SyncProduct(model, log_net, places, flow, initial, final, moves, forced)
 
 
+def _packed(counts):
+    """A state's one form of ``counts``: bytes while every count fits in a
+    byte, else the tuple of counts."""
+    return bytes(counts) if max(counts, default=0) < 256 else tuple(counts)
+
+
 class _StateSpace:
     """The interned token-count states of one product and their firings.
 
-    A state is the tuple of token counts indexed by interned (place, token)
-    ids, trailing zeros stripped: pairs are interned as markings are encoded
-    (sorted by place and token) and as firings produce them.  A (transition,
-    mode) is bound once by ``firing_effect`` into interned (taken, given)
-    lists that every later firing of it applies.
+    A state is the token counts indexed by interned (place, token) ids,
+    trailing zeros stripped: one byte per pair (``_packed``), or the tuple
+    of counts while some count passes 255.  Bytes cache their hash, and
+    each marking has exactly one state.  Pairs are interned as markings are
+    encoded (sorted by place and token) and as firings produce them.  A
+    (transition, mode) is bound once by ``firing_effect`` into interned
+    (taken, given) lists (``effect``) that every later firing of it applies.
 
-    A transition's enabled firings are memoised on the tokens of its input
+    A transition whose forced bindings bind all its variables (every log
+    and synchronous transition) is ground: its one firing is enabled iff
+    the state holds what its bound ``taken`` list names.  Any other
+    transition's enabled firings are memoised on the tokens of its input
     places, which is all ``enabled_modes`` reads of a marking unless the
     transition has fresh variables; those read the whole marking's
     identifiers and the fresh-name pool, so they are enumerated anew at
@@ -370,12 +388,17 @@ class _StateSpace:
         self.consumers = {}     # place -> positions of the transitions taking from it
         self.inputs = []        # per transition position, its input places
         self.unconditional = []  # positions of transitions with no input place
-        self.with_fresh = set()  # positions of transitions with fresh variables
+        self.ground = {}        # position of a ground transition -> its one firing key
+        self.with_fresh = set()  # positions of other transitions with fresh variables
         for k, t in enumerate(prod.transitions):
             self.inputs.append(tuple(prod.input_places(t)))
             if not self.inputs[k]:
                 self.unconditional.append(k)
-            if prod.transition_vars(t)[2]:
+            case_vars, res_vars, fresh = prod.transition_vars(t)
+            forced = prod.forced.get(t, {})
+            if forced.keys() >= case_vars | res_vars | fresh:
+                self.ground[k] = (t, tuple(sorted(forced.items())))
+            elif fresh:
                 self.with_fresh.add(k)
             for p in prod.input_places(t):
                 self.consumers.setdefault(p, []).append(k)
@@ -388,7 +411,7 @@ class _StateSpace:
             self.place_of.append(pair[0])
         return i
 
-    def encode(self, marking: ColoredMarking) -> tuple:
+    def encode(self, marking: ColoredMarking):
         counts = {
             self.intern((p, tok)): n
             for p in sorted(marking.places())
@@ -397,16 +420,17 @@ class _StateSpace:
         state = [0] * (max(counts, default=-1) + 1)
         for i, n in counts.items():
             state[i] = n
-        return tuple(state)
+        return _packed(state)
 
-    def decode(self, state: tuple) -> dict:
+    def decode(self, state) -> dict:
         tokens = {}
         for (p, tok), n in zip(self.pairs, state):
             if n:
                 tokens.setdefault(p, {})[tok] = n
         return tokens
 
-    def fire(self, state: tuple, key) -> tuple:
+    def effect(self, key):
+        """The firing ``key``'s interned (taken, given, length), bound once."""
         entry = self.effects.get(key)
         if entry is None:
             taken, given = firing_effect(self.prod, key[0], dict(key[1]))
@@ -414,9 +438,19 @@ class _StateSpace:
             given = [(self.intern((p, tok)), n) for p, tok, n in given]
             entry = self.effects[key] = (
                 taken, given, 1 + max((i for i, _ in taken + given), default=-1))
+        return entry
+
+    def fire(self, state, key):
+        entry = self.effect(key)
+        try:
+            return bytes(self._moved(bytearray(state), entry))
+        except ValueError:      # a tuple state, or a count past 255
+            return _packed(self._moved(list(state), entry))
+
+    def _moved(self, counts, entry):
         taken, given, length = entry
-        counts = list(state)
-        counts.extend([0] * (length - len(counts)))
+        if len(counts) < length:
+            counts.extend(bytes(length - len(counts)))
         for i, n in taken:
             if counts[i] < n:
                 p, tok = self.pairs[i]
@@ -426,16 +460,17 @@ class _StateSpace:
             counts[i] += n
         while counts and not counts[-1]:
             counts.pop()
-        return tuple(counts)
+        return counts
 
-    def successors(self, state: tuple):
+    def successors(self, state):
         """``(transition, mode key, next state)`` of every firing enabled at
         ``state``: only transitions whose input places are all marked, in
-        net order, each with its modes in sorted order.  A transition's
-        firing keys are looked up by (its position, the (id, count) pairs on
-        each of its input places); on a miss, and for a transition with
-        fresh variables, ``enabled_modes`` enumerates them on the state
-        decoded once."""
+        net order, each with its modes in sorted order.  A ground
+        transition fires when the state holds its bound ``taken`` counts.
+        Another transition's firing keys are looked up by (its position,
+        the (id, count) pairs on each of its input places); on a miss, and
+        for a transition with fresh variables, ``enabled_modes`` enumerates
+        them on the state decoded once."""
         prod = self.prod
         place_of = self.place_of
         groups = {}
@@ -451,6 +486,11 @@ class _StateSpace:
         marking = fresh = None
         for k in candidates:
             t = prod.transitions[k]
+            key = self.ground.get(k)
+            if key is not None:
+                if all(i < len(state) and state[i] >= n for i, n in self.effect(key)[0]):
+                    yield t, key, self.fire(state, key)
+                continue
             memo = None if k in self.with_fresh else (
                 k, tuple(tuple(groups[p]) for p in self.inputs[k]))
             keys = None if memo is None else self.firings.get(memo)

@@ -224,7 +224,7 @@ def parse_log(source) -> EventLog:
 
 
 def _format_timestamp(value: float) -> str:
-    return f"{value:g}" if value != int(value) else str(int(value))
+    return repr(value) if value != int(value) else str(int(value))
 
 
 def _format_resources(event: Event) -> str:

@@ -274,15 +274,6 @@ class RcNuNet(ColoredNet):
         return None
 
 
-def bind_pairs(pairs: Multiset, mode: dict) -> Multiset:
-    """Apply a mode to an inscription multiset, yielding concrete tokens."""
-    out = {}
-    for (cterm, rterm), n in pairs.items():
-        tok = (_bind_term(cterm, mode), _bind_term(rterm, mode))
-        out[tok] = out.get(tok, 0) + n
-    return Multiset(out)
-
-
 def _bind_term(term, mode):
     if term is EPS:
         return EPS
@@ -315,21 +306,19 @@ def firing_effect(net: ColoredNet, t, mode):
     Returns ``(taken, given)``: lists of ``(place, token, count)`` with one
     entry per input (output) place and bound token, in arc order.  This is
     the one place where arc inscriptions are bound: ``fire_mode``, the
-    search's ``_StateSpace.fire``, ``involved_resources`` and the per-token
+    search's ``_StateSpace.effect``, ``involved_resources`` and the per-token
     table ``align.token_use``, which pseudo-markings, validity and resource
     claims read, derive from it.  A self-loop's token is in both lists.
     """
-    taken = [
-        (p, tok, n)
-        for p in net.input_places(t)
-        for tok, n in bind_pairs(net.arc(p, t), mode).items()
-    ]
-    given = [
-        (p, tok, n)
-        for p in net.output_places(t)
-        for tok, n in bind_pairs(net.arc(t, p), mode).items()
-    ]
-    return taken, given
+    def bound(p, pairs):
+        tokens = {}
+        for (cterm, rterm), n in pairs.items():
+            tok = (_bind_term(cterm, mode), _bind_term(rterm, mode))
+            tokens[tok] = tokens.get(tok, 0) + n
+        return [(p, tok, n) for tok, n in tokens.items()]
+
+    return ([entry for p in net.input_places(t) for entry in bound(p, net.arc(p, t))],
+            [entry for p in net.output_places(t) for entry in bound(p, net.arc(t, p))])
 
 
 def involved_resources(net: RcNuNet, t, mode) -> Multiset:

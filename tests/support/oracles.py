@@ -26,8 +26,7 @@ from nualign.eventlog import EventLog
 from nualign.ilp import BinaryProgram, Constraint
 from nualign.lognet import LogNet, build_log_net, transition_id
 from nualign.poset import Multiset, Poset, set_bits
-from nualign.rcnu import (EPS, ColoredMarking, FiringError, RcNuNet, bind_pairs, enabled_modes,
-                          fire_mode)
+from nualign.rcnu import EPS, ColoredMarking, FiringError, RcNuNet, enabled_modes, fire_mode
 
 from .orders import (
     SizeLimitError,
@@ -144,6 +143,24 @@ def demand_log_net(log: EventLog) -> LogNet:
 # ---------------------------------------------------------------------------
 # Resource-violation oracles on move posets
 # ---------------------------------------------------------------------------
+
+def bind_pairs(pairs: Multiset, mode: dict) -> Multiset:
+    """Apply a mode to an inscription multiset, yielding concrete tokens:
+    a binding of its own, apart from ``rcnu.firing_effect``."""
+    def bind(term):
+        if term is EPS or isinstance(term, str):
+            return term
+        value = mode.get(term.name)
+        if value is None:
+            raise KeyError(f"mode does not bind {term!r}")
+        return value
+
+    out = {}
+    for (cterm, rterm), n in pairs.items():
+        tok = (bind(cterm), bind(rterm))
+        out[tok] = out.get(tok, 0) + n
+    return Multiset(out)
+
 
 def _claims_and_releases(net: RcNuNet, move):
     """Availability-place effects of a move: ({instance: claimed}, {instance: released})."""

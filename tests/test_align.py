@@ -36,7 +36,8 @@ from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset, Poset
 from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, Var,
                           enabled_modes, fire_mode, firing_effect, scale_cases)
-from support.fixtures import clinic_log, clinic_net, hospital_log, hospital_net
+from support.fixtures import (claim_release_net, clinic_log, clinic_net, hospital_log,
+                               hospital_net)
 from support.oracles import demand_log_net, min_cost_exhaustive, reference_resource_assignments
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
@@ -446,12 +447,14 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
     searches += [(_fresh_name_product(), False), (_two_token_product(), False)]
     memoised = align_module._StateSpace.successors
     checked = []
+    ground = []             # per state, its firings of ground transitions
 
     def compare(space, state):
         out = list(memoised(space, state))
         assert [(t, key, ColoredMarking(space.decode(state2))) for t, key, state2 in out] \
             == _direct_successors(space, state)
         checked.append(space.prod)
+        ground.append(sum(key in space.ground.values() for _, key, _ in out))
         return iter(out)
 
     monkeypatch.setattr(align_module._StateSpace, "successors", compare)
@@ -459,6 +462,7 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
         _search_outcome(optimal_alignment, prod, 20_000)
     assert len(checked) >= 10_000
     assert {prod for prod, _ in searches[-2:]} <= set(checked)
+    assert sum(ground) > 0
 
 
 def test_memo_spares_enabled_modes_calls(monkeypatch):
@@ -488,6 +492,84 @@ def test_memo_spares_enabled_modes_calls(monkeypatch):
     assert (unmemoised.moves, unmemoised.settled, unmemoised.pushed) == (
         al.moves, al.settled, al.pushed)
     assert memoised < len(calls)
+
+
+def test_ground_sync_firing_waits_for_its_busy_instance():
+    # after c1's synchronous claim of x, c2's claim of x is next in the log:
+    # every input place of its synchronous transition is marked, but x is busy
+    net = scale_cases(claim_release_net({"x": 1, "y": 1}), ["c1", "c2"])
+    prod = build_sync_product(net, build_log_net(parse_log(
+        "c1,claim,1,r:x\nc2,claim,2,r:x\nc1,release,3,r:x\nc2,release,4,r:x\n")))
+    space = align_module._StateSpace(prod)
+    k = prod.transitions.index("s::claim::e1")
+    state = space.fire(space.encode(prod.initial),
+                       space.ground[prod.transitions.index("s::claim::e0")])
+    assert k in space.ground and all(space.decode(state).get(p) for p in space.inputs[k])
+    out = list(space.successors(state))
+    assert "l::t_e1" in [t for t, _, _ in out]
+    assert "s::claim::e1" not in [t for t, _, _ in out]
+    assert [(t, key, ColoredMarking(space.decode(state2))) for t, key, state2 in out] \
+        == _direct_successors(space, state)
+
+
+def test_whole_log_search_enumerates_model_transitions_only(monkeypatch):
+    # log and synchronous transitions bind every variable by their forced
+    # bindings, so their one firing is checked by counts, never enumerated
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return enabled_modes(*args, **kwargs)
+
+    monkeypatch.setattr(align_module, "enabled_modes", counting)
+    al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 724)
+    assert calls and all(t.startswith("m::") for t in calls)
+
+
+def _grow_and_shrink_product():
+    # ``add`` puts a 256th token on p and ``drop`` takes one back
+    case = Multiset([(Var("c"), EPS)])
+    net = RcNuNet(["q0", "q1", "q2", "p"], [], ["add", "drop"], {"add": "add", "drop": "drop"},
+                  {("q0", "add"): case, ("add", "q1"): case, ("add", "p"): case,
+                   ("q1", "drop"): case, ("p", "drop"): case, ("drop", "q2"): case},
+                  ColoredMarking({"q0": Multiset([("c1", EPS)]),
+                                  "p": Multiset({("c1", EPS): 255})}),
+                  ColoredMarking({"q2": Multiset([("c1", EPS)]),
+                                  "p": Multiset({("c1", EPS): 255})}))
+    return product_for_net(net, parse_log("c1,add,1,\nc1,drop,2,\n"))
+
+
+def test_states_past_255_tokens_keep_one_form():
+    prod = _grow_and_shrink_product()
+    space = align_module._StateSpace(prod)
+    mode = {"c": "c1"}
+    start = space.encode(prod.initial)
+    up = space.fire(start, ("m::add", tuple(mode.items())))
+    back = space.fire(up, ("m::drop", tuple(mode.items())))
+    grown = fire_mode(prod, prod.initial, "m::add", mode)
+    shrunk = fire_mode(prod, grown, "m::drop", mode)
+    assert (type(start), type(up), type(back)) == (bytes, tuple, bytes)
+    for state, marking in ((start, prod.initial), (up, grown), (back, shrunk)):
+        assert state == align_module._packed(list(state))
+        assert {space.encode(marking): marking}[state] == marking
+        assert ColoredMarking(space.decode(state)) == marking
+    assert _search_outcome(optimal_alignment, prod, 1_000) \
+        == _search_outcome(reference_optimal_alignment, prod, 1_000)
+
+
+@pytest.mark.parametrize("capacity", [2, 255, 256, 300])
+def test_search_alike_below_and_past_255_tokens(capacity):
+    # c1 and c2 hold x together and c3 never releases y: from capacity 256
+    # on, the states where x's availability count passes 255 are tuples
+    net = claim_release_net({"x": capacity, "y": 1})
+    log = parse_log("c3,claim,1,r:y\nc1,claim,2,r:x\nc2,claim,2,r:x\n"
+                    "c1,release,3,r:x\nc2,release,3,r:x\n")
+    al = align_log(net, log, node_budget=10_000)
+    valid = is_valid_alignment(scale_cases(net, log.cases()), log, al)[0]
+    assert (al.cost(), al.settled, al.pushed, valid) == (10_000, 7, 38, True)
+    result = approximate_alignment(net, log, node_budget=10_000)
+    assert (result.cost(), result.valid) == (10_000, True)
 
 
 def test_astar_clinic_twenty_cases_effort():

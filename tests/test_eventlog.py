@@ -273,6 +273,16 @@ def test_roundtrip_identity_on_model():
     assert serialize_log(log1) == serialize_log(log2)
 
 
+def test_roundtrip_keeps_fractional_timestamps():
+    # six significant digits would write all three as 1.6978e+09, and the
+    # re-parsed log would order only c1's two events
+    log1 = parse_log("c1,a,1697801234.25,\nc2,b,1697801234.5,\nc1,c,1697801234.75,\n")
+    log2 = parse_log(serialize_log(log1))
+    assert [e.timestamp for e in log2.events] == [e.timestamp for e in log1.events]
+    pairs = [[(a.index, b.index) for a, b in log.covering_pairs()] for log in (log1, log2)]
+    assert pairs[0] == pairs[1] == [(0, 1), (1, 2)]
+
+
 def test_quoting_rfc4180():
     log = EventLog([ev(0, 'say "hi"', 1, "c,1")])
     text = serialize_log(log)

@@ -14,7 +14,6 @@ from nualign.rcnu import (
     RcNuNet,
     Role,
     Var,
-    bind_pairs,
     case_of_mode,
     enabled_modes,
     fire_mode,
@@ -33,6 +32,7 @@ from support.fixtures import (
     hospital_net,
     operation_rcnu,
 )
+from support.oracles import bind_pairs
 from support.petri import in_invariant_span, place_invariants, uncolored
 from support.runs import annotated_language
 

@@ -276,7 +276,7 @@ REMOVED_TOKEN_FORMS = {"PseudoMarking", "move_effects", "transition_indices",
                        "_claims_and_releases", "_pseudo_to_marking", "_without_cases"}
 
 #: the only functions that bind arc inscriptions through ``firing_effect``
-FIRING_EFFECT_CALLERS = {"token_use", "_StateSpace.fire", "fire_mode", "involved_resources"}
+FIRING_EFFECT_CALLERS = {"token_use", "_StateSpace.effect", "fire_mode", "involved_resources"}
 
 
 def _named(node):
