@@ -12,8 +12,8 @@ with the log net (``l::``) and adds one transition per compatible
 (model transition, event) pair.  Compatibility requires equal labels plus
 an assignment of the event's observed resource instances to the model
 transition's resource variables, role by role and with matching
-multiplicities; the assignment and the event's case id become forced
-bindings on the product transition, so a synchronous firing replays
+multiplicities; the assignment and the event's case id are the mode of
+the product transition's move record, so a synchronous firing replays
 exactly what was observed.
 
 Optimal alignments come from best-first search over product markings.
@@ -23,7 +23,7 @@ the token counts over (place, token) pairs interned per product, as bytes
 (a tuple once a count passes 255), a (transition, mode) is bound once into
 a count delta, and only transitions whose input places are all marked are
 tried.  A log or synchronous transition has one firing, pinned by its
-forced bindings, and fires where the state holds what it takes.  Another
+move record's mode, and fires where the state holds what it takes.  Another
 transition's enabled firings are memoised per (transition, tokens on its
 input places), so it is enumerated only on input tokens its search has
 not met before; transitions with fresh variables, which read the whole
@@ -80,9 +80,19 @@ from .rcnu import (
 
 @dataclass(frozen=True)
 class CostTable:
+    """Move costs: nonnegative, as the searches' edge costs must be, and a
+    visible move costs at least 1, so tau moves stay below it."""
+
     sync: int = 0
     tau: int = 1
     visible: int = 10_000
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError(f"negative cost entry '{name}={value}'")
+        if self.visible < 1:
+            raise ValueError(f"the visible-move cost must be at least 1, got {self.visible}")
 
 
 DEFAULT_COSTS = CostTable()
@@ -183,17 +193,17 @@ def _prefix_marking(marking: ColoredMarking, prefix: str) -> ColoredMarking:
 
 class SyncProduct(ColoredNet):
     """The product net; ``moves`` maps each transition, in order, to the move
-    a firing of it makes, mode left empty, ``forced`` to the bindings it pins,
-    and ``owned`` holds the places of case tokens: production and busy."""
+    a firing of it makes, its mode holding the sorted bindings the transition
+    pins (a synchronous transition's case id and instances, else none), and
+    ``owned`` holds the places of case tokens: production and busy."""
 
     def __init__(self, model: RcNuNet, log_net: LogNet, places, flow,
-                 initial, final, moves, forced):
+                 initial, final, moves):
         super().__init__(places, moves, {t: m.label for t, m in moves.items()},
                          flow, initial, final)
         self.model = model
         self.log_net = log_net
         self.moves = moves
-        self.forced = forced
         self.owned = {f"m::{p}" for p in model.places if model.place_kind(p) != "resource"}
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
@@ -250,7 +260,7 @@ def _role_var_multiplicities(model: RcNuNet, t):
 
 
 def _resource_assignments(model: RcNuNet, t, event: Event):
-    """All forced-binding dicts matching the event's observed resources.
+    """All resource-variable bindings matching the event's observed resources.
 
     Returns [] when the observation cannot be explained by the transition
     (role or multiplicity mismatch).
@@ -318,12 +328,11 @@ def sync_warnings(model: RcNuNet, log: EventLog) -> list:
 
 def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
-    flow, moves, forced = {}, {}, {}
+    flow, moves = {}, {}
 
-    def add(tid, move, binding, *parts):
+    def add(tid, move, *parts):
         """Add ``tid`` making ``move``, with each (net, prefix, transition)'s arcs."""
         moves[tid] = move
-        forced[tid] = binding
         for net, prefix, t in parts:
             for p in net.input_places(t):
                 flow[(prefix + p, tid)] = net.arc(p, t)
@@ -331,24 +340,24 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
                 flow[(tid, prefix + p)] = net.arc(t, p)
 
     for t in model.transitions:
-        add(f"m::{t}", Move("model", transition=t, label=model.labels[t]), {},
+        add(f"m::{t}", Move("model", transition=t, label=model.labels[t]),
             (model, "m::", t))
     for lt in log_net.transitions:
         event = log_net.event_of[lt]
-        add(f"l::{lt}", Move("log", event=event, label=event.activity), {},
+        add(f"l::{lt}", Move("log", event=event, label=event.activity),
             (log_net, "l::", lt))
     for lt in log_net.transitions:
         event = log_net.event_of[lt]
         for t, case_var in _sync_partners(model, event)[0]:
             for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
+                mode = tuple(sorted({case_var: event.case, **res_assignment}.items()))
                 add(f"s::{t}::e{event.index}" + (f"::{k}" if k else ""),
-                    Move("sync", event=event, transition=t, label=event.activity),
-                    {case_var: event.case, **res_assignment},
+                    Move("sync", event=event, transition=t, mode=mode, label=event.activity),
                     (model, "m::", t), (log_net, "l::", lt))
 
     initial = _prefix_marking(model.initial, "m::") | _prefix_marking(log_net.initial, "l::")
     final = _prefix_marking(model.final, "m::") | _prefix_marking(log_net.final, "l::")
-    return SyncProduct(model, log_net, places, flow, initial, final, moves, forced)
+    return SyncProduct(model, log_net, places, flow, initial, final, moves)
 
 
 def _packed(counts):
@@ -368,14 +377,14 @@ class _StateSpace:
     (transition, mode) is bound once by ``firing_effect`` into interned
     (taken, given) lists (``effect``) that every later firing of it applies.
 
-    A transition whose forced bindings bind all its variables (every log
-    and synchronous transition) is ground: its one firing is enabled iff
-    the state holds what its bound ``taken`` list names.  Any other
-    transition's enabled firings are memoised on the tokens of its input
-    places, which is all ``enabled_modes`` reads of a marking unless the
-    transition has fresh variables; those read the whole marking's
-    identifiers and the fresh-name pool, so they are enumerated anew at
-    every state.
+    A transition whose move record's mode binds all its variables (every
+    log and synchronous transition) is ground: its one firing, keyed by
+    that mode, is enabled iff the state holds what its ``taken`` list names.
+    Any other transition's enabled firings, forced to its mode, are memoised
+    on the tokens of its input places, which is all ``enabled_modes`` reads
+    of a marking unless the transition has fresh variables; those read the
+    whole marking's identifiers and the fresh-name pool, so they are
+    enumerated anew at every state.
     """
 
     def __init__(self, prod: SyncProduct):
@@ -395,9 +404,9 @@ class _StateSpace:
             if not self.inputs[k]:
                 self.unconditional.append(k)
             case_vars, res_vars, fresh = prod.transition_vars(t)
-            forced = prod.forced.get(t, {})
-            if forced.keys() >= case_vars | res_vars | fresh:
-                self.ground[k] = (t, tuple(sorted(forced.items())))
+            move = prod.moves[t]
+            if move.binding().keys() >= case_vars | res_vars | fresh:
+                self.ground[k] = (t, move.mode)
             elif fresh:
                 self.with_fresh.add(k)
             for p in prod.input_places(t):
@@ -500,7 +509,7 @@ class _StateSpace:
                     fresh = prod.fresh_candidates(marking)
                 keys = [(t, tuple(sorted(mode.items())))
                         for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
-                                                  forced=prod.forced.get(t, {}))]
+                                                  forced=prod.moves[t].binding())]
                 if memo is not None:
                     self.firings[memo] = keys
             for key in keys:

@@ -56,7 +56,7 @@ EXIT_INVALID = 4
 
 def _parse_costs(text: str) -> CostTable:
     """The default costs with the ``kind=n`` entries of ``text`` applied;
-    a negative entry would break the searches' nonnegative edge costs."""
+    ``CostTable`` rejects a negative entry or a visible cost below 1."""
     values = asdict(DEFAULT_COSTS)
     if text:
         for part in text.split(","):
@@ -67,8 +67,6 @@ def _parse_costs(text: str) -> CostTable:
             if key not in values:
                 raise ValueError(f"unknown cost kind {key!r}")
             values[key] = int(raw)
-            if values[key] < 0:
-                raise ValueError(f"negative cost entry {part!r}")
     return CostTable(**values)
 
 

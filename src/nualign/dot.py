@@ -9,7 +9,7 @@ purple model, yellow log moves.  Resource places are tinted per role.
 
 from __future__ import annotations
 
-from .eventlog import EventLog
+from .eventlog import EventLog, _format_timestamp
 from .rcnu import EPS, Nu, RcNuNet, Var
 from .report import report_field, report_moves, report_order
 
@@ -73,7 +73,7 @@ def net_to_dot(net: RcNuNet) -> str:
 def log_to_dot(log: EventLog) -> str:
     lines = ["digraph log {", "  rankdir=LR;", "  node [shape=box];"]
     for e in log.events:
-        label = f"{e.case}: {e.activity} @ {e.timestamp:g}"
+        label = f"{e.case}: {e.activity} @ {_format_timestamp(e.timestamp)}"
         if e.resources:
             res = " ".join(
                 f"{inst}" + (f"*{n}" if n > 1 else "")

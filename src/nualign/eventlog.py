@@ -75,7 +75,8 @@ class Event:
         return hash(self.index)
 
     def __repr__(self):
-        return f"<e{self.index} {self.activity}@{self.timestamp:g} case={self.case}>"
+        stamp = _format_timestamp(self.timestamp)
+        return f"<e{self.index} {self.activity}@{stamp} case={self.case}>"
 
 
 class EventLog:
@@ -214,7 +215,7 @@ def parse_log(source) -> EventLog:
         if key in seen:
             warnings.warn(
                 f"line {line}: duplicate of line {seen[key]} "
-                f"({case}, {activity}, {timestamp:g}); keeping both"
+                f"({case}, {activity}, {_format_timestamp(timestamp)}); keeping both"
             )
         seen.setdefault(key, line)
         events.append(

@@ -13,8 +13,8 @@ together:
   (required finally), carrying the event's case id.
 
 The recorded resource demand has no place: the synchronous product makes
-each event's observed instances its sync transitions' forced bindings
-(``align._resource_assignments``).  So the log net's tokens name only case
+each event's observed instances the mode of its sync transitions' move
+records (``align._resource_assignments``).  So the log net's tokens name only case
 ids.  A search draws fresh names outside the marking's identifiers; it
 still avoids every recorded instance when each is a declared instance of
 a durable resource (as the CLI requires), since such an instance always

@@ -52,6 +52,15 @@ def _term_to_json(term):
     raise NetFileError(f"constant inscription {term!r} not representable")
 
 
+def _count(entry, key, where):
+    """``entry[key]``, 1 where absent: a JSON integer of at least 1 (a
+    ``bool`` is no integer here), else NetFileError naming the field."""
+    value = entry.get(key, 1)
+    if type(value) is not int or value < 1:
+        raise NetFileError(f"{where}: {key!r} must be an integer of at least 1, not {value!r}")
+    return value
+
+
 def _token_from_json(entry):
     case = entry.get("case", "eps")
     resource = entry.get("resource", "eps")
@@ -73,7 +82,7 @@ def _marking_from_json(doc, field):
             counts = {}
             for entry in entries:
                 tok = _token_from_json(entry)
-                counts[tok] = counts.get(tok, 0) + int(entry.get("count", 1))
+                counts[tok] = counts.get(tok, 0) + _count(entry, "count", f"place {place!r}")
             tokens[place] = Multiset(counts)
         return ColoredMarking(tokens)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -109,7 +118,7 @@ def net_from_dict(doc: dict, validate: bool = True) -> RcNuNet:
         roles = []
         for role_doc in doc.get("roles", []):
             instances = Multiset({
-                inst["id"]: int(inst.get("capacity", 1))
+                inst["id"]: _count(inst, "capacity", f"instance {inst['id']!r}")
                 for inst in role_doc["instances"]
             })
             roles.append(Role(role_doc["name"], instances,
@@ -125,12 +134,12 @@ def net_from_dict(doc: dict, validate: bool = True) -> RcNuNet:
             labels[t["id"]] = t.get("label")
         flow = {}
         for arc in doc.get("arcs", []):
+            key = (arc["source"], arc["target"])
             counts = {}
             for ins in arc.get("inscriptions", []):
                 pair = (_term_from_json(ins.get("case", "eps"), "case"),
                         _term_from_json(ins.get("resource", "eps"), "resource"))
-                counts[pair] = counts.get(pair, 0) + int(ins.get("count", 1))
-            key = (arc["source"], arc["target"])
+                counts[pair] = counts.get(pair, 0) + _count(ins, "count", f"arc {key}")
             if key in flow:
                 raise NetFileError(f"duplicate arc {key}")
             flow[key] = Multiset(counts)

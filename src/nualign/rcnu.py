@@ -25,6 +25,7 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass, replace
+from itertools import permutations
 
 from .eventlog import Event, EventLog
 from .poset import Multiset
@@ -178,7 +179,11 @@ class ColoredNet:
         }
         self.initial = initial
         self.final = final
-        known = set(self.places) | set(self.transitions)
+        nodes = self.places + self.transitions
+        known = set(nodes)
+        if len(known) < len(nodes):
+            twin = min((n for n in nodes if nodes.count(n) > 1), key=str)
+            raise ValueError(f"node id {twin!r} is used more than once")
         for (src, tgt) in self.flow:
             if src not in known or tgt not in known:
                 raise ValueError(f"arc ({src}, {tgt}) references unknown node")
@@ -212,23 +217,24 @@ class ColoredNet:
     def transition_vars(self, t):
         """(case var names, resource var names, fresh var names) on t's arcs."""
         cached = self._vars_cache.get(t)
-        if cached is not None:
-            return cached
-        case_vars, res_vars, fresh = set(), set(), set()
-        for places, getter in ((self.input_places(t), 0), (self.output_places(t), 1)):
-            for p in places:
-                arc = self.arc(p, t) if getter == 0 else self.arc(t, p)
-                for cterm, rterm in arc.support():
-                    if isinstance(cterm, Var):
-                        case_vars.add(cterm.name)
-                    elif isinstance(cterm, Nu):
-                        fresh.add(cterm.name)
-                    if isinstance(rterm, Var):
-                        res_vars.add(rterm.name)
-                    elif isinstance(rterm, Nu):
-                        fresh.add(rterm.name)
-        self._vars_cache[t] = (case_vars, res_vars, fresh)
-        return case_vars, res_vars, fresh
+        if cached is None:
+            pairs = [pair for p in self.input_places(t) for pair in self.arc(p, t).support()]
+            pairs += [pair for p in self.output_places(t) for pair in self.arc(t, p).support()]
+            cached = self._vars_cache[t] = (
+                {c.name for c, _ in pairs if isinstance(c, Var)},
+                {r.name for _, r in pairs if isinstance(r, Var)},
+                {term.name for pair in pairs for term in pair if isinstance(term, Nu)})
+        return cached
+
+    def requirements(self, t):
+        """``(place, pair, count)`` of every inscription on t's input arcs,
+        sorted by place and pair."""
+        reqs = self._reqs_cache.get(t)
+        if reqs is None:
+            reqs = self._reqs_cache[t] = sorted(
+                ((p, pair, n) for p in self.input_places(t) for pair, n in self.arc(p, t).items()),
+                key=lambda r: (str(r[0]), pair_key(r[1])))
+        return reqs
 
     def is_silent(self, t):
         return self.labels.get(t) is TAU
@@ -479,86 +485,49 @@ def enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
     is how synchronous-product transitions pin observed identifiers: forced
     names are bound as given, a fresh one with no freshness check.
     Component injectivity: distinct case variables bind distinct case ids,
-    same for resource variables.
+    same for resource variables; fresh names differ from every other value.
     """
+    if not all(marking.get(p) for p in net.input_places(t)):
+        return []
     case_vars, res_vars, fresh_vars = net.transition_vars(t)
-    for p in net.input_places(t):
-        if p not in marking._tokens:
-            return []
-    forced = dict(forced or {})
-    reqs = net._reqs_cache.get(t)
-    if reqs is None:
-        reqs = []
-        for p in net.input_places(t):
-            for pair, n in sorted(net.arc(p, t).items(), key=lambda kv: pair_key(kv[0])):
-                reqs.append((p, pair, n))
-        reqs.sort(key=lambda r: (str(r[0]), pair_key(r[1])))
-        net._reqs_cache[t] = reqs
+    reqs = net.requirements(t)
+    marking_ids = marking.identifiers() if fresh_vars else ()
+    taken = {}      # (place, token) -> count the requirements matched so far take
+    found = set()
 
-    results = set()
-
-    def match(binding, term, value, var_kind):
-        if term is EPS:
-            return binding if value is EPS else None
-        if isinstance(term, str):
+    def bind(binding, term, value, component):
+        if term is EPS or isinstance(term, str):
             return binding if value == term else None
-        if isinstance(term, Nu):
-            return None  # validated away; inputs never carry fresh vars
-        if value is EPS:
+        if value is EPS or isinstance(term, Nu):    # inputs never carry fresh vars
             return None
-        name = term.name
-        if name in binding:
-            return binding if binding[name] == value else None
-        vars_of_kind = case_vars if var_kind == "case" else res_vars
-        for other, bound in binding.items():
-            if other in vars_of_kind and bound == value:
-                return None  # injectivity within the component
-        nb = dict(binding)
-        nb[name] = value
-        return nb
+        if term.name in binding:
+            return binding if binding[term.name] == value else None
+        if len(component) > 1 and any(binding.get(v) == value for v in component):
+            return None     # injectivity within the component
+        return {**binding, term.name: value}
 
-    def backtrack(i, binding, consumed):
+    def match(i, binding):
         if i == len(reqs):
-            finish(binding)
+            missing = sorted(fresh_vars.difference(binding))
+            pool = missing and sorted(set(fresh_pool).difference(marking_ids, binding.values()))
+            for names in permutations(pool, len(missing)):
+                found.add(tuple(sorted([*binding.items(), *zip(missing, names)])))
             return
         p, (cterm, rterm), need = reqs[i]
         have = marking.get(p)
         for tok in sorted(have.support(), key=token_key):
-            taken = consumed.get((p, tok), 0)
-            if have.count(tok) - taken < need:
+            used = taken.get((p, tok), 0)
+            if have.count(tok) - used < need:
                 continue
-            nb = match(binding, cterm, tok[0], "case")
-            if nb is None:
-                continue
-            nb = match(nb, rterm, tok[1], "res")
-            if nb is None:
-                continue
-            consumed[(p, tok)] = taken + need
-            backtrack(i + 1, nb, consumed)
-            consumed[(p, tok)] = taken
+            nb = bind(binding, cterm, tok[0], case_vars)
+            nb = None if nb is None else bind(nb, rterm, tok[1], res_vars)
+            if nb is not None:
+                taken[p, tok] = used + need
+                match(i + 1, nb)
+                taken[p, tok] = used
 
-    marking_ids = marking.identifiers() if fresh_vars else ()
-
-    def finish(binding):
-        missing = sorted(v for v in fresh_vars if v not in binding)
-
-        def assign_fresh(k, b):
-            if k == len(missing):
-                results.add(tuple(sorted(b.items())))
-                return
-            name = missing[k]
-            for cand in sorted(set(fresh_pool)):
-                if cand in marking_ids or cand in b.values():
-                    continue
-                nb = dict(b)
-                nb[name] = cand
-                assign_fresh(k + 1, nb)
-
-        assign_fresh(0, binding)
-
-    # forced bindings participate from the start and are never rebound
-    backtrack(0, forced, {})
-    return [dict(items) for items in sorted(results)]
+    match(0, forced or {})
+    return [dict(items) for items in sorted(found)]
 
 
 def fire_mode(net: RcNuNet, marking: ColoredMarking, t, mode) -> ColoredMarking:
@@ -573,7 +542,7 @@ def fire_mode(net: RcNuNet, marking: ColoredMarking, t, mode) -> ColoredMarking:
             if have + sign * n < 0:
                 raise FiringError(f"place {p} holds {have} of token {tok}, needs {n}")
             changed[p][tok] = have + sign * n
-    tokens = dict(marking._tokens)
+    tokens = {p: marking.get(p) for p in marking.places()}
     tokens.update((p, Multiset(counts)) for p, counts in changed.items())
     return ColoredMarking(tokens)
 

@@ -12,12 +12,14 @@ resource assignments are checked against the recursive enumeration that
 ``itertools.permutations`` replaced, the order program's additions-only
 objective against the weighted objective it replaced, and the searches
 over the log net against those over the log net with the resource-demand
-places it dropped.
+places it dropped.  The mode matcher is checked against a brute force over
+whole bindings.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import product
 
 from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
                            _max_flow, _role_var_multiplicities, is_valid_alignment,
@@ -26,7 +28,8 @@ from nualign.eventlog import EventLog
 from nualign.ilp import BinaryProgram, Constraint
 from nualign.lognet import LogNet, build_log_net, transition_id
 from nualign.poset import Multiset, Poset, set_bits
-from nualign.rcnu import EPS, ColoredMarking, FiringError, RcNuNet, enabled_modes, fire_mode
+from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, enabled_modes,
+                          fire_mode, firing_effect)
 
 from .orders import (
     SizeLimitError,
@@ -66,12 +69,52 @@ def min_cost_exhaustive(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
         fresh = prod.fresh_candidates(m)
         for t in prod.transitions:
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
-                                      forced=prod.forced.get(t, {})):
+                                      forced=prod.moves[t].binding()):
                 dfs(fire_mode(prod, m, t, mode),
                     cost + move_cost(prod.moves[t], costs))
 
     dfs(prod.initial, 0)
     return best[0]
+
+
+def reference_enabled_modes(net: RcNuNet, marking: ColoredMarking, t, fresh_pool=(),
+                            forced=None):
+    """``rcnu.enabled_modes`` by brute force over whole bindings.
+
+    Each variable on t's input arcs that ``forced`` does not bind ranges
+    over the marking's identifiers, and each such fresh variable of its
+    output arcs over ``fresh_pool`` less them.  A binding is kept where
+    the case variables bind distinct values, so do the resource variables,
+    every fresh name differs from every other value bound, and the marking
+    holds every token ``firing_effect`` says the firing takes.  Forced
+    names are bound as given.  The variables are read off the arcs here,
+    not from ``transition_vars``.
+    """
+    if not all(marking.get(p) for p in net.input_places(t)):
+        return []       # every input arc takes a token
+    forced = dict(forced or {})
+    inputs = [pair for p in net.input_places(t) for pair in net.arc(p, t).support()]
+    outputs = [pair for p in net.output_places(t) for pair in net.arc(t, p).support()]
+    components = ({c.name for c, _ in inputs + outputs if isinstance(c, Var)},
+                  {r.name for _, r in inputs + outputs if isinstance(r, Var)})
+    free = sorted({x.name for pair in inputs for x in pair if isinstance(x, Var)} - forced.keys())
+    fresh = sorted({x.name for pair in outputs for x in pair if isinstance(x, Nu)} - forced.keys())
+    ids = sorted(marking.identifiers())
+    pool = sorted(set(fresh_pool) - set(ids))
+    modes = []
+    for values in product(ids, repeat=len(free)):
+        for names in product(pool, repeat=len(fresh)):
+            mode = {**forced, **dict(zip(free, values)), **dict(zip(fresh, names))}
+            if any(len({mode[v] for v in comp & mode.keys()}) < len(comp & mode.keys())
+                   for comp in components):
+                continue
+            bound = list(mode.values())
+            if any(bound.count(mode[v]) > 1 for v in fresh):
+                continue
+            taken = firing_effect(net, t, mode)[0]
+            if all(marking.get(p).count(tok) >= n for p, tok, n in taken):
+                modes.append(mode)
+    return sorted(modes, key=lambda mode: sorted(mode.items()))
 
 
 def reference_resource_assignments(model: RcNuNet, t, event):

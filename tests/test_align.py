@@ -38,7 +38,8 @@ from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, V
                           enabled_modes, fire_mode, firing_effect, scale_cases)
 from support.fixtures import (claim_release_net, clinic_log, clinic_net, hospital_log,
                                hospital_net)
-from support.oracles import demand_log_net, min_cost_exhaustive, reference_resource_assignments
+from support.oracles import (demand_log_net, min_cost_exhaustive, reference_enabled_modes,
+                             reference_resource_assignments)
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
                           replay)
@@ -60,6 +61,18 @@ def test_move_costs():
     assert move_cost(Move("model", transition="t", label="a")) == 10_000
     assert move_cost(Move("model", transition="t", label=None)) == 1
     assert move_cost(Move("log", event=e, label="a")) == 10_000
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"tau": -1}, "negative cost entry 'tau=-1'"),
+    ({"sync": -5, "visible": 0}, "negative cost entry 'sync=-5'"),
+    ({"visible": 0}, "the visible-move cost must be at least 1, got 0"),
+])
+def test_cost_table_rejects_costs_a_search_cannot_use(entries, message):
+    # a negative edge cost breaks Dijkstra, and tau moves must stay below visible
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CostTable(**entries)
+    assert CostTable(sync=0, tau=0, visible=1).visible == 1
 
 
 # -- product construction ------------------------------------------------------
@@ -107,21 +120,22 @@ def test_sync_requires_matching_resources():
 def test_product_records_the_move_of_each_transition():
     log = hospital_log()
     net, prod = product_for(log)
-    for name in ("move_kind", "model_transition", "event", "meta"):
+    for name in ("move_kind", "model_transition", "event", "meta", "forced"):
         assert not hasattr(prod, name)
-    assert list(prod.moves) == list(prod.transitions) == list(prod.forced)
+    assert list(prod.moves) == list(prod.transitions)
     for t in prod.transitions:
         move = prod.moves[t]
-        assert move.mode == () and prod.labels[t] == move.label
+        assert prod.labels[t] == move.label
         if move.kind == "log":
-            assert t == f"l::{transition_id(move.event)}" and prod.forced[t] == {}
+            assert t == f"l::{transition_id(move.event)}" and move.mode == ()
         elif move.kind == "model":
-            assert t == f"m::{move.transition}" and prod.forced[t] == {}
+            assert t == f"m::{move.transition}" and move.mode == ()
             assert move.label == net.labels[move.transition]
         else:
             assert t.startswith(f"s::{move.transition}::e{move.event.index}")
             assert move.label == move.event.activity == net.labels[move.transition]
-            assert prod.forced[t] and move.event.case in prod.forced[t].values()
+            assert move.mode == tuple(sorted(move.mode))
+            assert move.event.case in move.binding().values()
 
 
 def _random_role_transition(rng):
@@ -144,7 +158,7 @@ def _random_role_transition(rng):
 
 
 def test_resource_assignments_match_the_recursive_reference():
-    # the product's forced bindings, in order, are the recursive
+    # the product's resource bindings, in order, are the recursive
     # enumeration's on every (transition, event) pair of the fixtures and
     # on random roles; enough of them have several to check the order
     several = 0
@@ -161,6 +175,45 @@ def test_resource_assignments_match_the_recursive_reference():
         assert got == reference_resource_assignments(net, "t", event)
         several += len(got) > 1
     assert several >= 100
+
+
+def _settled_markings(prod, monkeypatch):
+    """The markings ``optimal_alignment`` settles on ``prod`` before its goal,
+    or all reachable ones where the goal is unreachable."""
+    settled = []
+    successors = align_module._StateSpace.successors
+
+    def recording(space, state):
+        settled.append(ColoredMarking(space.decode(state)))
+        return successors(space, state)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(align_module._StateSpace, "successors", recording)
+        try:
+            optimal_alignment(prod)
+        except SearchBudgetError:
+            pass
+    return settled
+
+
+def test_enabled_modes_match_the_brute_force_on_settled_markings(monkeypatch):
+    # on every marking the search settles for the fixtures' logs of at most
+    # 10 events, each product transition's modes, with the product's fresh
+    # pool and pinned bindings, are the brute force's over whole bindings
+    compared = enabled = 0
+    for net, log in _differential_fixtures():
+        if len(log) > 10:
+            continue
+        prod = build_sync_product(scale_cases(net, log.cases()), build_log_net(log))
+        for marking in _settled_markings(prod, monkeypatch):
+            fresh = prod.fresh_candidates(marking)
+            for t in prod.transitions:
+                forced = prod.moves[t].binding()
+                got = enabled_modes(prod, marking, t, fresh_pool=fresh, forced=forced)
+                assert got == reference_enabled_modes(prod, marking, t, fresh, forced), t
+                compared += 1
+                enabled += len(got)
+    assert compared >= 100_000 and enabled >= 30_000, (compared, enabled)
 
 
 # -- exact alignment -----------------------------------------------------------
@@ -326,7 +379,7 @@ def reference_optimal_alignment(prod, costs=align_module.DEFAULT_COSTS,
         fresh = prod.fresh_candidates(m)
         for t in prod.transitions:
             for mode in enabled_modes(prod, m, t, fresh_pool=fresh,
-                                      forced=prod.forced.get(t, {})):
+                                      forced=prod.moves[t].binding()):
                 m2 = fire_mode(prod, m, t, mode)
                 cost2 = cost + move_cost(prod.moves[t], costs)
                 if cost2 < best.get(m2, float("inf")):
@@ -410,7 +463,7 @@ def _direct_successors(space, state):
     for t in prod.transitions:
         if all(marking.get(p) for p in prod.input_places(t)):
             for mode in enabled_modes(prod, marking, t, fresh_pool=fresh,
-                                      forced=prod.forced.get(t, {})):
+                                      forced=prod.moves[t].binding()):
                 out.append((t, (t, tuple(sorted(mode.items()))),
                             fire_mode(prod, marking, t, mode)))
     return out
@@ -637,8 +690,8 @@ def _product_path(prod, alignment):
             t = f"m::{move.transition}"
         else:
             t = next(t for t in prod.transitions
-                     if prod.moves[t] == replace(move, mode=())
-                     and prod.forced[t].items() <= move.binding().items())
+                     if prod.moves[t] == replace(move, mode=prod.moves[t].mode)
+                     and set(prod.moves[t].mode) <= set(move.mode))
         marking = fire_mode(prod, marking, t, move.binding())
         if move.kind != "model":
             fired[move.event.case] = fired.get(move.event.case, 0) + 1

@@ -16,7 +16,7 @@ import nualign.approx
 import nualign.cli
 from nualign.cli import EXIT_INVALID, main
 from nualign.dot import log_to_dot, net_to_dot, report_to_dot
-from nualign.eventlog import serialize_log
+from nualign.eventlog import parse_log, serialize_log
 from nualign.netfile import NetFileError, load_net, net_from_dict, net_to_dict, save_net
 from nualign.report import (
     build_report,
@@ -224,6 +224,23 @@ def test_log_dot_uses_reduction():
     assert text.count("->") == len(reference_order(log.events).covering_pairs())
 
 
+def test_log_dot_and_messages_keep_every_digit_of_a_timestamp(tmp_path):
+    # ISO times of one day differ in their last digits, which ``:g`` dropped:
+    # 10:00, 10:05 and 11:00 all read 1.7041e+09
+    rows = "c1,a,2024-01-01T10:00:00,\nc1,b,2024-01-01T10:05:00,\nc2,a,2024-01-01T11:00:00,\n"
+    path, out = tmp_path / "log.csv", tmp_path / "log.dot"
+    path.write_text(rows)
+    assert main(["dot", str(path), "--out", str(out)]) == 0
+    labels = re.findall(r"@ ([^\\\"]*)", out.read_text())
+    assert labels == ["1704103200", "1704103500", "1704106800"]
+    log = parse_log(rows)
+    assert [repr(e) for e in log.events[:2]] == ["<e0 a@1704103200 case=c1>",
+                                                 "<e1 b@1704103500 case=c1>"]
+    with pytest.warns(UserWarning, match=r"\(c1, b, 1704103500\); keeping both"):
+        parse_log(rows + "c1,b,2024-01-01T10:05:00,\n")
+    assert repr(parse_log("c1,a,1.5,\n").events[0]) == "<e0 a@1.5 case=c1>"
+
+
 def test_report_dot_reduction_edges():
     doc, alignment = make_report()
     text = report_to_dot(doc)
@@ -283,13 +300,37 @@ def test_cli_validate_malformed_json(tmp_path):
      "malformed initial marking: 'list' object has no attribute 'items'"),
     ({"initial": []}, "net document lacks places and transitions"),
     ({"places": [], "transitions": [], "final": {"p": [{"count": "x"}]}},
-     "malformed final marking: invalid literal for int() with base 10: 'x'"),
+     "malformed final marking: place 'p': 'count' must be an integer of at least 1, not 'x'"),
 ])
 def test_cli_rejects_a_malformed_net_document(tmp_path, capsys, command, doc, message):
     # a document of the wrong shape is an input error, not a traceback
     path = tmp_path / "net.json"
     path.write_text(json.dumps(doc))
     assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1", 0, -1, None])
+@pytest.mark.parametrize("where, field, change", [
+    ("instance 'g1'", "capacity",
+     lambda doc, v: doc["roles"][0]["instances"][0].update(capacity=v)),
+    ("arc ('i_s', 'q1')", "count",
+     lambda doc, v: next(a for a in doc["arcs"] if a["source"] == "i_s"
+                         and a["target"] == "q1")["inscriptions"][0].update(count=v)),
+    ("place 'p_g'", "count", lambda doc, v: doc["initial"]["p_g"][0].update(count=v)),
+])
+def test_cli_rejects_a_net_count_that_is_no_positive_integer(tmp_path, capsys, value, where,
+                                                             field, change):
+    # ``int(...)`` read 1.9 as 1 and took true and "1"; a count is a JSON
+    # integer of at least 1, and the message names the field
+    doc = net_to_dict(hospital_net())
+    change(doc, value)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    message = f"{where}: {field!r} must be an integer of at least 1, not {value!r}"
+    if where.startswith("place"):
+        message = f"malformed initial marking: {message}"
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
@@ -436,6 +477,26 @@ def _clinic_overlap_inputs(tmp_path):
     return str(net_path), str(log_path)
 
 
+@pytest.mark.parametrize("section, node, twin", [
+    ("places", {"id": "q0", "kind": "production"}, "q0"),
+    ("transitions", {"id": "i_s", "label": "i_s"}, "i_s"),
+    ("transitions", {"id": "q1", "label": "x"}, "q1"),
+])
+def test_cli_rejects_a_net_document_that_repeats_a_node_id(tmp_path, capsys, section, node,
+                                                           twin):
+    # a second production place q0 used to pass validation and give every
+    # scaled case two start tokens, so the search ran out of markings
+    net_path, log_path = _clinic_overlap_inputs(tmp_path)
+    doc = json.loads(Path(net_path).read_text())
+    doc[section].append(node)
+    Path(net_path).write_text(json.dumps(doc))
+    message = f"error: malformed net document: node id {twin!r} is used more than once\n"
+    assert main(["validate", net_path]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert main(["align", net_path, log_path, "--mode", "exact"]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_cli_align_realignment_cost_uses_the_run_costs(tmp_path):
     # the one realigned region holds both visible moves of the overlap, so
     # its cost is the total under the run's costs, not the default ones
@@ -460,6 +521,17 @@ def test_cli_align_rejects_a_negative_cost(tmp_path, capsys, entry):
     assert main(["align", net_path, log_path, "--mode", "approx",
                  "--costs", entry, "--out", str(out)]) == 2
     assert f"error: negative cost entry {entry!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_align_rejects_a_visible_cost_below_one(tmp_path, capsys):
+    # with visible 0 the search used to run to the end before its tau-move
+    # soundness check failed; the cost table now refuses it up front
+    net_path, log_path = _clinic_overlap_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["align", net_path, log_path, "--mode", "exact",
+                 "--costs", "visible=0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the visible-move cost must be at least 1, got 0\n"
     assert not out.exists()
 
 

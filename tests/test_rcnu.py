@@ -32,7 +32,7 @@ from support.fixtures import (
     hospital_net,
     operation_rcnu,
 )
-from support.oracles import bind_pairs
+from support.oracles import bind_pairs, reference_enabled_modes
 from support.petri import in_invariant_span, place_invariants, uncolored
 from support.runs import annotated_language
 
@@ -55,6 +55,14 @@ def test_removed_release_arc_breaks_durability():
                      net.labels, flow, net.initial, net.final)
     reports = validate_structure(broken)
     assert any(v.kind == "restriction1" and v.where == "o_c" for v in reports)
+
+
+@pytest.mark.parametrize("places, transitions, twin", [
+    (["p", "p"], ["t"], "p"), (["p"], ["t", "t"], "t"), (["p", "t"], ["t"], "t"),
+])
+def test_a_node_id_names_one_node(places, transitions, twin):
+    with pytest.raises(ValueError, match=f"node id '{twin}' is used more than once"):
+        RcNuNet(places, [], transitions, {}, {}, ColoredMarking(), ColoredMarking())
 
 
 def test_token_on_busy_place_in_final_marking():
@@ -92,29 +100,62 @@ def test_release_mode_forced_by_correlation():
     assert modes == [{"c": "c1", "v": "x"}]
 
 
-def test_nu_transition_needs_fresh_pool():
+def _nu_net(marking):
+    """``t_new`` takes a caseless ``ctr`` token and gives a fresh-named one."""
     flow = {
         ("ctr", "t_new"): Multiset([(EPS, EPS)]),
         ("t_new", "out"): Multiset([(Nu("n"), EPS)]),
     }
-    net = RcNuNet(["ctr", "out"], [], ["t_new"], {"t_new": "new"}, flow,
-                  ColoredMarking({"ctr": Multiset({(EPS, EPS): 1})}),
-                  ColoredMarking({"out": Multiset({(EPS, EPS): 1})}))
+    return RcNuNet(["ctr", "out"], [], ["t_new"], {"t_new": "new"}, flow, marking,
+                   ColoredMarking({"out": Multiset({(EPS, EPS): 1})}))
+
+
+def _spawn_net():
+    """``spawn`` takes case c1's token and gives two fresh-named ones."""
+    flow = {
+        ("ctr", "spawn"): Multiset([(Var("c"), EPS)]),
+        ("spawn", "out"): Multiset([(Nu("n"), EPS), (Nu("m"), EPS)]),
+    }
+    marking = ColoredMarking({"ctr": Multiset({("c1", EPS): 1})})
+    return RcNuNet(["ctr", "out"], [], ["spawn"], {"spawn": "spawn"}, flow, marking, marking)
+
+
+def _merge_net():
+    """``t`` takes one token from each of ``a`` and ``b``, by two case variables."""
+    flow = {
+        ("a", "t"): Multiset([(Var("c1"), EPS)]),
+        ("b", "t"): Multiset([(Var("c2"), EPS)]),
+        ("t", "c"): Multiset([(Var("c1"), EPS), (Var("c2"), EPS)]),
+    }
+    return RcNuNet(["a", "b", "c"], [], ["t"], {"t": "merge"}, flow,
+                   ColoredMarking(), ColoredMarking())
+
+
+def test_nu_transition_needs_fresh_pool():
+    net = _nu_net(ColoredMarking({"ctr": Multiset({(EPS, EPS): 1})}))
     assert enabled_modes(net, net.initial, "t_new", fresh_pool=[]) == []
     modes = enabled_modes(net, net.initial, "t_new", fresh_pool=["k1", "k2"])
     assert modes == [{"n": "k1"}, {"n": "k2"}]
 
 
 def test_nu_binding_must_be_absent_from_marking():
-    flow = {
-        ("ctr", "t_new"): Multiset([(EPS, EPS)]),
-        ("t_new", "out"): Multiset([(Nu("n"), EPS)]),
-    }
     m = ColoredMarking({"ctr": Multiset({(EPS, EPS): 1}),
                         "out": Multiset({("k1", EPS): 1})})
-    net = RcNuNet(["ctr", "out"], [], ["t_new"], {"t_new": "new"}, flow, m, m)
+    net = _nu_net(m)
     modes = enabled_modes(net, m, "t_new", fresh_pool=["k1", "k2"])
     assert modes == [{"n": "k2"}]
+
+
+def test_fresh_names_differ_from_each_other_and_from_every_bound_value():
+    net = _spawn_net()
+    pool = ["c1", "k1", "k2"]
+    assert enabled_modes(net, net.initial, "spawn", fresh_pool=pool) == [
+        {"c": "c1", "m": "k1", "n": "k2"}, {"c": "c1", "m": "k2", "n": "k1"}]
+    # a forced name, here one the marking lacks, is bound as given, and no
+    # other fresh name takes it
+    assert enabled_modes(net, net.initial, "spawn", fresh_pool=pool, forced={"n": "k1"}) == [
+        {"c": "c1", "m": "k2", "n": "k1"}]
+    assert enabled_modes(net, net.initial, "spawn", fresh_pool=["k1"]) == []
 
 
 def test_forced_bindings_restrict_modes():
@@ -126,18 +167,53 @@ def test_forced_bindings_restrict_modes():
 
 def test_mode_injectivity_within_component():
     # two case variables on one transition must bind distinct ids
-    flow = {
-        ("a", "t"): Multiset([(Var("c1"), EPS)]),
-        ("b", "t"): Multiset([(Var("c2"), EPS)]),
-        ("t", "c"): Multiset([(Var("c1"), EPS), (Var("c2"), EPS)]),
-    }
-    net = RcNuNet(["a", "b", "c"], [], ["t"], {"t": "merge"}, flow,
-                  ColoredMarking(), ColoredMarking())
+    net = _merge_net()
     m = ColoredMarking({"a": Multiset({("k", EPS): 1}),
                         "b": Multiset({("k", EPS): 1})})
     assert enabled_modes(net, m, "t") == []
     m2 = m | ColoredMarking({"b": Multiset({("j", EPS): 1})})
     assert enabled_modes(net, m2, "t") == [{"c1": "k", "c2": "j"}]
+
+
+def test_enabled_modes_match_the_brute_force_on_the_mode_tests():
+    # the nets, markings, pools and forced names of the tests above, and
+    # every marking of a short walk of the claim/release and hospital nets
+    claim = claim_release_net()
+    claimed = fire_mode(claim, claim.initial, "claim", {"c": "c1", "v": "x"})
+    merge = ColoredMarking({"a": Multiset({("k", EPS): 1}),
+                            "b": Multiset({("k", EPS): 1, ("j", EPS): 2})})
+    nu = ColoredMarking({"ctr": Multiset({(EPS, EPS): 2}), "out": Multiset({("k1", EPS): 1})})
+    spawn = _spawn_net()
+    cases = [
+        (claim, claim.initial, "claim", (), {}),
+        (claim, claimed, "release", (), {}),
+        (claim, claim.initial, "claim", (), {"v": "y"}),
+        (claim, claim.initial, "claim", (), {"v": "zz"}),
+        (claim, claimed, "release", (), {"c": "c1"}),
+        (_merge_net(), merge, "t", (), {}),
+        (_merge_net(), merge, "t", (), {"c2": "k"}),
+        (_nu_net(nu), nu, "t_new", [], {}),
+        (_nu_net(nu), nu, "t_new", ["k1", "k2", "k3"], {}),
+        (_nu_net(nu), nu, "t_new", ["k1"], {"n": "k1"}),
+        (spawn, spawn.initial, "spawn", ["c1", "k1", "k2", "k3"], {}),
+        (spawn, spawn.initial, "spawn", ["c1", "k1", "k2"], {"n": "k1"}),
+        (spawn, spawn.initial, "spawn", ["k1"], {"c": "c1"}),
+    ]
+    rng = random.Random(3)
+    for net in (claim, scale_cases(hospital_net(), ["c1", "c2"])):
+        m = net.initial
+        for _ in range(12):
+            cases += [(net, m, t, ["c1", "k1"], {}) for t in net.transitions]
+            options = [(t, mode) for t in net.transitions for mode in enabled_modes(net, m, t)]
+            if not options:
+                break
+            m = fire_mode(net, m, *rng.choice(options))
+    several = 0
+    for net, marking, t, pool, forced in cases:
+        got = enabled_modes(net, marking, t, fresh_pool=pool, forced=forced)
+        assert got == reference_enabled_modes(net, marking, t, pool, forced), (t, forced)
+        several += len(got) > 1
+    assert several >= 5
 
 
 # -- firing ---------------------------------------------------------------------

@@ -361,6 +361,27 @@ def test_product_transitions_pass_through_their_move_records():
     assert not named, f"removed product forms in the package: {named}"
 
 
+#: private state, and the one class that reads it
+PRIVATE_STATE = {"_tokens": "ColoredMarking", "_vars_cache": "ColoredNet",
+                 "_reqs_cache": "ColoredNet"}
+
+
+def test_markings_and_net_caches_are_read_by_their_own_class():
+    # the mode matcher reads a marking by ``get`` and an arc's requirements
+    # by ``ColoredNet.requirements``: no code outside a marking's or a net's
+    # class reads its tokens or its caches
+    outside = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                  and PRIVATE_STATE.get(node.attr) == cls.name}
+        outside += [f"{path.name}:{node.lineno} {node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr in PRIVATE_STATE
+                    and id(node) not in inside]
+    assert not outside, f"private state read outside its class: {outside}"
+
+
 #: the weighted order-program objective that the reversal cap alone replaced
 REMOVED_OBJECTIVE_FORMS = {"REVERSAL_WEIGHT", "ADDITION_WEIGHT", "objective_value"}
 
