@@ -42,14 +42,19 @@ unsound under variable bindings (compare van Dongen, BPM 2018); projecting
 onto single cases avoids bindings across cases.  The projection needs
 every firing to work on one case: where a transition has no unambiguous
 case variable, inscribes tokens of another case or creates its case by a
-fresh name, the net fails structural validation, or the markings are not
-the log's cases scaled from one pattern, h is 0 (``CaseHeuristic.reason``
-says which).  Synchronous moves are free, so A* meets plateaus of equal
-g + h and equal g that span every interleaving of the cases' free moves;
-popping the longer path first dives along one of them to the goal
-instead of expanding the plateau breadth-first (Asai and Fukunaga, AAAI
-2016).  Where h is 0 the move count stays out of the key, so Dijkstra
-keeps its push order.
+fresh name, the net fails structural validation, the markings are not
+the log's cases scaled from one pattern, or the tables do not fit in the
+node budget, h is 0 (``CaseHeuristic.reason`` says which).  Synchronous
+moves are free, so A* meets plateaus of equal g + h and equal g that span
+every interleaving of the cases' free moves; popping the longer path
+first dives along one of them to the goal instead of expanding the
+plateau breadth-first (Asai and Fukunaga, AAAI 2016).  Where h is 0 the
+move count stays out of the key, so Dijkstra keeps its push order.
+
+A* expands partially (Felner et al., AAAI 2012; Goldenberg et al., JAIR
+2014): a state popped at g + h + offset makes only the children whose f
+rises by that offset, read off the case tables' edges, and is re-queued
+at its next larger offset; no other child is made, bound or priced.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ from .rcnu import (
     RcNuNet,
     Var,
     case_names,
-    case_of_mode,
     enabled_modes,
     fire_mode,      # unused here: perfbench counts firings under this name
     firing_effect,
@@ -156,7 +160,8 @@ def move_cost(move: Move, costs: CostTable = DEFAULT_COSTS) -> int:
 class Alignment:
     """Poset of moves; ``order`` relates move indices.  A search's result
     also records its effort: ``settled`` states (as ``SearchBudgetError``
-    counts them) and ``pushed`` frontier entries, the start's included."""
+    counts them) and ``pushed`` frontier entries, the start's and A*'s
+    re-entries included."""
 
     settled: int | None = None
     pushed: int | None = None
@@ -449,6 +454,10 @@ class _StateSpace:
                 taken, given, 1 + max((i for i, _ in taken + given), default=-1))
         return entry
 
+    def enables(self, state, key) -> bool:
+        """Whether ``state`` holds what the firing ``key`` takes."""
+        return all(i < len(state) and state[i] >= n for i, n in self.effect(key)[0])
+
     def fire(self, state, key):
         entry = self.effect(key)
         try:
@@ -497,7 +506,7 @@ class _StateSpace:
             t = prod.transitions[k]
             key = self.ground.get(k)
             if key is not None:
-                if all(i < len(state) and state[i] >= n for i, n in self.effect(key)[0]):
+                if self.enables(state, key):
                     yield t, key, self.fire(state, key)
                 continue
             memo = None if k in self.with_fresh else (
@@ -523,29 +532,31 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     marking, as a chain poset; a search between other markings runs on the
     product of the model ``with_markings`` them.
 
-    States are interned token counts (``_StateSpace``); at a settled state
-    only the transitions whose input places are all marked are tried.  The
-    frontier pops by (g + h, -g, -moves, push order): the cheapest
-    estimate first, then the most cost paid, then the longest path, then
-    the earliest pushed, so the search is fully deterministic.  Without
-    ``heuristic``, h is 0 and this is Dijkstra with equal-cost entries in
-    push order.  With a ``CaseHeuristic`` of this product it is A*: h is
-    consistent, so a state still settles at its final cost once, and a
-    state whose h is infinite (some case cannot finish even alone) is never
-    pushed.
+    States are interned token counts (``_StateSpace``).  The frontier pops
+    by (g + h + offset, -g, -moves, push order): the cheapest estimate
+    first, then the most cost paid, then the longest path, then the
+    earliest pushed, so the search is fully deterministic.  Without
+    ``heuristic``, or with one that prices no case, h and offsets are 0:
+    Dijkstra, where a settled state makes every enabled firing.
 
-    moves counts only when the heuristic prices at least one case; it
-    sends A* down one interleaving of an equal-cost plateau of free moves
-    instead of across all of them.  A heuristic that prices no case is
-    h = 0, and the search keeps Dijkstra's push order: applied to Dijkstra
-    too, the move count made A* settle fewer states than Dijkstra on 125
-    of the 218 whole-log test fixtures instead of 165, and more on 7.
+    With a ``CaseHeuristic`` that prices every case it is A* by partial
+    expansion: each pop of a state makes the children whose g + h exceeds
+    the state's by the entry's offset (``CaseHeuristic.expand``) and
+    re-queues the state, with its own g and moves, at its next larger
+    offset.  h is consistent, so a state settles at its final cost on its
+    first pop, at offset 0; a state whose h is infinite is never made.
+    moves counts only on A*, sending it down one interleaving of an
+    equal-cost plateau of free moves; on Dijkstra it made A* settle fewer
+    states than Dijkstra on 125 of the 218 whole-log test fixtures instead
+    of 165, and more on 7.
 
-    The returned alignment records ``settled`` and ``pushed``.  Raises
-    SearchBudgetError with frontier statistics (the cheapest open g + h)
-    when the node budget is exhausted before the goal settles, or when
-    every marking reachable from the start settled without reaching the
-    goal.  Raises ValueError for a heuristic of another product.
+    The returned alignment records ``settled`` (first expansions, which
+    ``node_budget`` counts) and ``pushed``.  Raises SearchBudgetError with
+    frontier statistics (every open entry, re-queued states included, and
+    the cheapest open g + h + offset) when the budget is exhausted before
+    the goal settles, or when every marking reachable from the start
+    settled without reaching the goal.
+    Raises ValueError for a heuristic of another product.
     """
     if node_budget < 0:
         raise ValueError(f"node_budget must be nonnegative, got {node_budget}")
@@ -554,56 +565,56 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
     space = _StateSpace(prod) if heuristic is None else heuristic.space
     start, goal = space.encode(prod.initial), space.encode(prod.final)
     step_cost = {t: move_cost(prod.moves[t], costs) for t in prod.transitions}
-    info = {} if heuristic is None else {start: heuristic.start(start)}
-    dive = int(heuristic is not None
-               and any(table is not None for table in heuristic.tables.values()))
+    informed = heuristic is not None and heuristic.priced
+    info = {start: heuristic.start()} if informed else {}
     best = {start: 0}
     parent = {start: None}
     pushed = 1          # frontier entries made, and each entry's push order
-    heap = [(info[start][0] if info else 0, 0, 0, pushed, start)]
+    heap = [(info[start][0] if informed else 0, 0, 0, pushed, start, 0)]
     settled = 0
 
     while heap:
-        bound, paid, depth, _, state = heapq.heappop(heap)
+        bound, paid, depth, _, state, offset = heapq.heappop(heap)
         cost = -paid
-        if cost > best[state]:
-            continue    # stale: pushes only lower a cost, so a state pops at its final cost once
-        settled += 1
-        if state == goal:
-            moves = []
-            while parent[state] is not None:
-                state, (t, mode) = parent[state]
-                moves.append(replace(prod.moves[t], mode=mode))
-            moves.reverse()
-            alignment = Alignment.chain(moves)
-            alignment.settled, alignment.pushed = settled, pushed
-            tau_moves = sum(
-                1 for m in moves if m.kind == "model" and m.label is None
-            )
-            if tau_moves >= costs.visible:
-                raise SoundnessError(
-                    f"{tau_moves} tau moves reached the visible-move cost "
-                    f"{costs.visible}; integer cost scaling no longer mirrors "
-                    f"the infinitesimal scheme"
+        if not offset:      # a state's first expansion; a re-entry's offset is above 0
+            if cost > best[state]:
+                continue    # stale: pushes only lower a cost, so a state pops at its final cost once
+            settled += 1
+            if state == goal:
+                moves = []
+                while parent[state] is not None:
+                    state, (t, mode) = parent[state]
+                    moves.append(replace(prod.moves[t], mode=mode))
+                moves.reverse()
+                alignment = Alignment.chain(moves)
+                alignment.settled, alignment.pushed = settled, pushed
+                tau_moves = sum(
+                    1 for m in moves if m.kind == "model" and m.label is None
                 )
-            return alignment
-        if settled > node_budget:
-            raise SearchBudgetError(settled, len(heap), bound)
-        for t, key, state2 in space.successors(state):
+                if tau_moves >= costs.visible:
+                    raise SoundnessError(
+                        f"{tau_moves} tau moves reached the visible-move cost "
+                        f"{costs.visible}; integer cost scaling no longer mirrors "
+                        f"the infinitesimal scheme"
+                    )
+                return alignment
+            if settled > node_budget:
+                raise SearchBudgetError(settled, len(heap), bound)
+        if informed:
+            children, later = heuristic.expand(state, offset, info)
+        else:
+            children, later = space.successors(state), None
+        for t, key, state2 in children:
             cost2 = cost + step_cost[t]
             if cost2 < best.get(state2, INF):
-                h2 = 0
-                if heuristic is not None:
-                    entry = info.get(state2)
-                    if entry is None:
-                        entry = info[state2] = heuristic.step(info[state], key, state2)
-                    h2 = entry[0]
-                    if h2 == INF:
-                        continue
                 best[state2] = cost2
                 parent[state2] = (state, key)
                 pushed += 1
-                heapq.heappush(heap, (cost2 + h2, -cost2, depth - dive, pushed, state2))
+                heapq.heappush(heap, (cost2 + info[state2][0] if informed else cost2,
+                                      -cost2, depth - informed, pushed, state2, 0))
+        if later is not None:
+            pushed += 1
+            heapq.heappush(heap, (bound - offset + later, paid, depth, pushed, state, later))
     raise SearchBudgetError(settled, 0, None)
 
 
@@ -690,61 +701,55 @@ def _projection_breaks(prod: SyncProduct) -> str | None:
 
 
 def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
-    """Optimal cost-to-go of every state of a single-case product reachable
-    from its start, keyed by (the case's tokens on production and busy
-    places, events fired); INF where the goal is unreachable.  None when
-    more than ``node_budget`` states are reachable.
-
-    Every reachable state is explored once, then a backward Dijkstra from
-    the goal prices them.  The key identifies the state: the log net of one
-    case is a chain, so the events fired fix its tokens; durable resources
-    fix availability by what the case holds; and caseless production
-    tokens, which no transition touches (``_projection_breaks``), never
-    change."""
+    """``(togo, edges)`` over the states of a single-case product reachable
+    from its start (state 0), or None past ``node_budget`` states: state
+    i's optimal cost-to-go ``togo[i]`` (INF where the goal is unreachable)
+    and its firings ``edges[i]``, ``(df, key, j)`` into states j of finite
+    cost-to-go, stably sorted by df = cost + togo[j] - togo[i], the rise of
+    g + h.  Every reachable state is explored once, then a backward
+    Dijkstra from the goal prices them."""
     space = _StateSpace(single)
     start = space.encode(single.initial)
     goal = space.encode(single.final)
-    states, fired, into = [start], [0], [[]]
+    states, out, into = [start], [], [[]]
     index = {start: 0}
-    i = 0
-    while i < len(states):
-        for t, _, state2 in space.successors(states[i]):
+    for state in states:
+        out.append([])
+        for t, key, state2 in space.successors(state):
             j = index.get(state2)
             if j is None:
                 if len(states) >= node_budget:
                     return None
                 j = index[state2] = len(states)
                 states.append(state2)
-                fired.append(fired[i] + (single.moves[t].kind != "model"))
                 into.append([])
-            into[j].append((i, move_cost(single.moves[t], costs)))
-        i += 1
-    togo = {}
+            cost = move_cost(single.moves[t], costs)
+            into[j].append((len(out) - 1, cost))
+            out[-1].append((cost, key, j))
+    togo = [INF] * len(states)
     heap = [(0, index[goal])] if goal in index else []
     while heap:
         d, j = heapq.heappop(heap)
-        if j not in togo:
+        if togo[j] == INF:
             togo[j] = d
             for i, c in into[j]:
-                if i not in togo:
+                if togo[i] == INF:
                     heapq.heappush(heap, (d + c, i))
-    table = {}
-    for j, state in enumerate(states):
-        tokens = frozenset((pair, n) for pair, n in zip(space.pairs, state)
-                           if n and pair[0] in single.owned and pair[1][0] is not None)
-        table[tokens, fired[j]] = togo.get(j, INF)
-    return table
+    edges = [sorted(((c + togo[j] - togo[i], key, j) for c, key, j in made if togo[j] < INF),
+                    key=lambda edge: edge[0])
+             for i, made in enumerate(out)]
+    return togo, edges
 
 
 class CaseHeuristic:
     """h(state) = the sum over the log's cases c of h_c(pi_c(state)).
 
-    pi_c is c's tokens on production and busy places plus the number of
-    c's events fired; h_c is the optimal cost-to-go in c's own single-case
-    product (the net scaled to c alone against c's trace), with the
-    declared resources minus what c holds and without the cross-case log
-    order.  It is tabulated once per case variant (``case_variants``), on
-    the variant's representative, and read through the renaming.
+    pi_c is c's tokens on production and busy places plus c's log tokens;
+    h_c is the optimal cost-to-go in c's own single-case product (the net
+    scaled to c alone against c's trace), with the declared resources
+    minus what c holds and without the cross-case log order.  It is
+    tabulated once per case variant (``case_variants``), on the variant's
+    representative, and read through the renaming.
 
     Admissible: the moves of c in any completion of the whole-log run form
     a run of c's single-case product from pi_c.  The preconditions
@@ -758,19 +763,21 @@ class CaseHeuristic:
     case's single-case product at the same cost, every other term stays,
     and an optimal cost-to-go obeys h_c(x) <= cost + h_c(y) along every
     move.  By the same argument every projection the search meets is a
-    state the table explored.
+    state the table explored, and every firing at a whole-log state is an
+    edge of one case's table that the state's counts enable.
 
-    When the projection's preconditions fail, ``reason`` says why and h is
-    0 everywhere, which is Dijkstra.  The tables explore at most
-    ``node_budget`` states together; a variant whose single-case product
-    does not fit in what is left contributes 0.
+    The tables price every case or none: when the projection's
+    preconditions fail or the tables would explore more than
+    ``node_budget`` states together, ``reason`` says why, ``priced`` is
+    false and h is 0, which is Dijkstra.
 
     The heuristic owns the product's interned state space, which the
-    search it informs shares.  A search state's entry is (h, per-case
-    terms, per-case events fired): a move recomputes only its own case's
-    term from that case's interned pairs, and the events fired advance
-    with each log or synchronous move.  Both are functions of the marking,
-    so an entry does not depend on the path.
+    search it informs shares.  A search state's entry is (h, indices):
+    pi_c(state) is state ``indices[k]`` of case k's table, a function of
+    the marking.  ``expand`` makes the children that raise g + h by an
+    offset from the tables' edges: an edge of case k becomes the product's
+    firing key by the variant's renaming, is checked against the state's
+    counts and gives the child's entry in O(1).
     """
 
     def __init__(self, prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
@@ -778,63 +785,78 @@ class CaseHeuristic:
         self.space = _StateSpace(prod)
         self.reason = _projection_breaks(prod)
         self.rep = {}           # case -> its variant's representative
-        self.tables = {}        # representative -> its _cost_to_go table, or None
-        self._owned = {}        # case -> its interned pair ids
-        self._renamed = {}      # pair id -> the pair on its case's representative
-        self._classified = 0    # interned pairs sorted into ``_owned`` so far
-        self._moves = {}        # mode key -> (its case, events it fires)
+        self.tables = {}        # representative -> its _cost_to_go (togo, edges)
+        self._moves = {}        # representative -> its single-case product's move records
+        self._keys = {}         # (case index, representative's key) -> (net position, key)
         log = EventLog(prod.log_net.event_of.values())
         variants = {}
         budget = node_budget    # states the tables may still explore
         keys = {} if self.reason is not None else case_variants(prod.model, log)
         for c in keys:
             rep = self.rep[c] = variants.setdefault(keys[c], c)
-            self._owned[c] = []
             if rep == c:
                 single = build_sync_product(scale_cases(prod.model, [c]),
                                             build_log_net(log.project_case(c)))
-                table = self.tables[c] = _cost_to_go(single, costs, budget)
-                budget = 0 if table is None else budget - len(table)
-        self._position = {c: k for k, c in enumerate(self.rep)}    # in an entry's tuples
+                table = _cost_to_go(single, costs, budget)
+                if table is None:
+                    self.reason = f"the case tables explore more than {node_budget} states"
+                    break
+                self.tables[c], self._moves[c] = table, single.moves
+                budget -= len(table[0])
+        self.priced = self.reason is None and bool(self.rep)
+        cases = list(self.rep) if self.priced else []
+        # per case: (it, its representative, {representative's event: its event})
+        self._cases = [(c, self.rep[c], dict(zip(log.trace(self.rep[c]), log.trace(c))))
+                       for c in cases]
+        self._togo = [self.tables[self.rep[c]][0] for c in cases]
+        self._edges = [self.tables[self.rep[c]][1] for c in cases]
+        self._made = {move: t for t, move in prod.moves.items()} if self.priced else {}
+        self._order = {t: k for k, t in enumerate(prod.transitions)}
 
-    def _term(self, case, state, fired):
-        pairs = self.space.pairs
-        for i in range(self._classified, len(pairs)):
-            p, tok = pairs[i]
-            if p in self.space.prod.owned and tok[0] in self._owned:
-                self._owned[tok[0]].append(i)
-                self._renamed[i] = (p, (self.rep[tok[0]], tok[1]))
-        self._classified = len(pairs)
-        table = self.tables[self.rep[case]]
-        if table is None:
-            return 0
-        tokens = frozenset((self._renamed[i], state[i]) for i in self._owned[case]
-                           if i < len(state) and state[i])
-        return table.get((tokens, fired), 0)
+    def start(self):
+        """The entry of the product's initial state, where every case is at
+        its table's start."""
+        return sum(togo[0] for togo in self._togo), (0,) * len(self._cases)
 
-    def start(self, state):
-        """The entry of the product's initial state."""
-        terms = tuple(self._term(c, state, 0) for c in self.rep)
-        return sum(terms), terms, (0,) * len(terms)
+    def _ground(self, k, key):
+        """(net position, firing key) in the product of the firing ``key``
+        on case k's representative: the representative's j-th event is the
+        case's j-th event, and its case id is renamed to the case's."""
+        got = self._keys.get((k, key))
+        if got is None:
+            case, rep, events = self._cases[k]
+            move = self._moves[rep][key[0]]
+            pinned, mode = (tuple((v, case if x == rep else x) for v, x in m)
+                            for m in (move.mode, key[1]))
+            t = self._made[replace(move, event=events.get(move.event), mode=pinned)]
+            got = self._keys[k, key] = (self._order[t], (t, mode))
+        return got
 
-    def step(self, entry, key, state2):
-        """The entry of ``state2``, reached from ``entry``'s state by the
-        firing ``key``."""
-        move = self._moves.get(key)
-        if move is None:
-            t, mode = key
-            made = self.space.prod.moves[t]
-            move = self._moves[key] = (
-                (made.event.case, 1) if made.kind != "model" else
-                (case_of_mode(self.space.prod.model, made.transition, dict(mode)), 0))
-        case, advance = move
-        k = self._position.get(case)
-        if k is None:
-            return entry
-        _, terms, fired = entry
-        fired = fired[:k] + (fired[k] + advance,) + fired[k + 1:]
-        terms = terms[:k] + (self._term(case, state2, fired[k]),) + terms[k + 1:]
-        return sum(terms), terms, fired
+    def expand(self, state, offset, info):
+        """The firings at ``state`` that raise g + h by ``offset``, as
+        ``(transition, key, next state)`` in net order with sorted modes, and
+        the next larger rise of the state's table edges, None past the last.
+        ``info`` maps states to their entries and gains each next state's."""
+        h, at = info[state]
+        made, later = [], None
+        for k, (edges, i) in enumerate(zip(self._edges, at)):
+            for df, key, j in edges[i]:
+                if df == offset:
+                    made.append((*self._ground(k, key), k, j))
+                elif df > offset:
+                    if later is None or df < later:
+                        later = df
+                    break
+        made.sort()
+        children = []
+        for _, key, k, j in made:
+            if self.space.enables(state, key):
+                state2 = self.space.fire(state, key)
+                if state2 not in info:
+                    togo = self._togo[k]
+                    info[state2] = h - togo[at[k]] + togo[j], at[:k] + (j,) + at[k + 1:]
+                children.append((key[0], key, state2))
+        return children, later
 
 
 # ---------------------------------------------------------------------------

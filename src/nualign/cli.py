@@ -66,7 +66,10 @@ def _parse_costs(text: str) -> CostTable:
             key = key.strip()
             if key not in values:
                 raise ValueError(f"unknown cost kind {key!r}")
-            values[key] = int(raw)
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                raise ValueError(f"--costs: entry {part!r} is not an integer cost") from None
     return CostTable(**values)
 
 

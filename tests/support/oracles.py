@@ -13,23 +13,27 @@ resource assignments are checked against the recursive enumeration that
 objective against the weighted objective it replaced, and the searches
 over the log net against those over the log net with the resource-demand
 places it dropped.  The mode matcher is checked against a brute force over
-whole bindings.
+whole bindings, and whole-log A*'s expansion from the case tables' edges
+against the full expansion over frozenset tables it replaced.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import replace
 from itertools import product
 
-from nualign.align import (CostTable, DEFAULT_COSTS, SoundnessError, SyncProduct,
-                           _max_flow, _role_var_multiplicities, is_valid_alignment,
+from nualign.align import (INF, Alignment, CostTable, DEFAULT_COSTS, DEFAULT_NODE_BUDGET,
+                           SearchBudgetError, SoundnessError, SyncProduct, _StateSpace,
+                           _max_flow, _projection_breaks, _role_var_multiplicities,
+                           build_sync_product, case_variants, is_valid_alignment,
                            move_cost, token_use)
 from nualign.eventlog import EventLog
 from nualign.ilp import BinaryProgram, Constraint
 from nualign.lognet import LogNet, build_log_net, transition_id
 from nualign.poset import Multiset, Poset, set_bits
-from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, enabled_modes,
-                          fire_mode, firing_effect)
+from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, case_of_mode,
+                          enabled_modes, fire_mode, firing_effect, scale_cases)
 
 from .orders import (
     SizeLimitError,
@@ -181,6 +185,160 @@ def demand_log_net(log: EventLog) -> LogNet:
     return LogNet(places + list(net.places), net.transitions, net.labels,
                   {**flow, **net.flow}, ColoredMarking(tokens) | net.initial, net.final,
                   net.event_of)
+
+
+# ---------------------------------------------------------------------------
+# Full-expansion A* on frozenset case tables
+# ---------------------------------------------------------------------------
+
+def _reference_case_table(single: SyncProduct, costs: CostTable, node_budget: int):
+    """Optimal cost-to-go of every state of a single-case product reachable
+    from its start, keyed by (the case's tokens on production and busy
+    places, events fired); INF where the goal is unreachable.  None when
+    more than ``node_budget`` states are reachable."""
+    space = _StateSpace(single)
+    start = space.encode(single.initial)
+    goal = space.encode(single.final)
+    states, fired, into = [start], [0], [[]]
+    index = {start: 0}
+    for i, state in enumerate(states):
+        for t, _, state2 in space.successors(state):
+            j = index.get(state2)
+            if j is None:
+                if len(states) >= node_budget:
+                    return None
+                j = index[state2] = len(states)
+                states.append(state2)
+                fired.append(fired[i] + (single.moves[t].kind != "model"))
+                into.append([])
+            into[j].append((i, move_cost(single.moves[t], costs)))
+    togo = {}
+    heap = [(0, index[goal])] if goal in index else []
+    while heap:
+        d, j = heapq.heappop(heap)
+        if j not in togo:
+            togo[j] = d
+            for i, c in into[j]:
+                if i not in togo:
+                    heapq.heappush(heap, (d + c, i))
+    table = {}
+    for j, state in enumerate(states):
+        tokens = frozenset((pair, n) for pair, n in zip(space.pairs, state)
+                           if n and pair[0] in single.owned and pair[1][0] is not None)
+        table[tokens, fired[j]] = togo.get(j, INF)
+    return table
+
+
+class ReferenceCaseHeuristic:
+    """The case heuristic as the whole-log search once read it: per case
+    variant a dict from (the case's tokens, events fired) to cost-to-go,
+    and a search state's entry (h, per-case terms, per-case events fired),
+    where a move recomputes its case's term from the case's interned pairs.
+    It prices every case or none, as ``CaseHeuristic`` does, and reads the
+    states of ``space``, the heuristic under test's, so states compare."""
+
+    def __init__(self, prod: SyncProduct, space, costs: CostTable = DEFAULT_COSTS,
+                 node_budget: int = DEFAULT_NODE_BUDGET):
+        self.space = space
+        self.rep = {}
+        self.tables = {}
+        self._owned = {}        # case -> its interned pair ids
+        self._renamed = {}      # pair id -> the pair on its case's representative
+        self._classified = 0    # interned pairs sorted into ``_owned`` so far
+        log = EventLog(prod.log_net.event_of.values())
+        variants, budget = {}, node_budget
+        keys = {} if _projection_breaks(prod) else case_variants(prod.model, log)
+        for c in keys:
+            rep = self.rep[c] = variants.setdefault(keys[c], c)
+            self._owned[c] = []
+            if rep == c:
+                single = build_sync_product(scale_cases(prod.model, [c]),
+                                            build_log_net(log.project_case(c)))
+                table = self.tables[c] = _reference_case_table(single, costs, budget)
+                budget = 0 if table is None else budget - len(table)
+        self.priced = bool(self.rep) and None not in self.tables.values()
+        self._position = {c: k for k, c in enumerate(self.rep)}
+
+    def _term(self, case, state, fired):
+        pairs = self.space.pairs
+        for i in range(self._classified, len(pairs)):
+            p, tok = pairs[i]
+            if p in self.space.prod.owned and tok[0] in self._owned:
+                self._owned[tok[0]].append(i)
+                self._renamed[i] = (p, (self.rep[tok[0]], tok[1]))
+        self._classified = len(pairs)
+        tokens = frozenset((self._renamed[i], state[i]) for i in self._owned[case]
+                           if i < len(state) and state[i])
+        return self.tables[self.rep[case]].get((tokens, fired), 0)
+
+    def start(self, state):
+        """The entry of the product's initial state."""
+        terms = tuple(self._term(c, state, 0) for c in self.rep)
+        return sum(terms), terms, (0,) * len(terms)
+
+    def step(self, entry, key, state2):
+        """The entry of ``state2``, reached from ``entry``'s state by the
+        firing ``key``."""
+        t, mode = key
+        made = self.space.prod.moves[t]
+        case = (made.event.case if made.kind != "model" else
+                case_of_mode(self.space.prod.model, made.transition, dict(mode)))
+        k = self._position.get(case)
+        if k is None:
+            return entry
+        _, terms, fired = entry
+        fired = fired[:k] + (fired[k] + (made.kind != "model"),) + fired[k + 1:]
+        terms = terms[:k] + (self._term(case, state2, fired[k]),) + terms[k + 1:]
+        return sum(terms), terms, fired
+
+
+def reference_astar(prod: SyncProduct, heuristic: ReferenceCaseHeuristic,
+                    costs: CostTable = DEFAULT_COSTS,
+                    node_budget: int = DEFAULT_NODE_BUDGET) -> Alignment:
+    """Whole-log A* with full expansion, the reference for
+    ``optimal_alignment`` on a ``CaseHeuristic``: every firing at a settled
+    state is made, priced by the frozenset tables and pushed unless its h
+    is infinite.  The frontier pops by (g + h, -g, -moves, push order);
+    with a heuristic that prices no case, h is 0 and moves stay out of the
+    key.  The result records ``settled`` and ``pushed``."""
+    space = heuristic.space
+    start, goal = space.encode(prod.initial), space.encode(prod.final)
+    priced = heuristic.priced
+    info = {start: heuristic.start(start) if priced else (0,)}
+    best, parent = {start: 0}, {start: None}
+    pushed = 1
+    heap = [(info[start][0], 0, 0, pushed, start)]
+    settled = 0
+    while heap:
+        bound, paid, depth, _, state = heapq.heappop(heap)
+        cost = -paid
+        if cost > best[state]:
+            continue
+        settled += 1
+        if state == goal:
+            moves = []
+            while parent[state] is not None:
+                state, (t, mode) = parent[state]
+                moves.append(replace(prod.moves[t], mode=mode))
+            alignment = Alignment.chain(reversed(moves))
+            alignment.settled, alignment.pushed = settled, pushed
+            return alignment
+        if settled > node_budget:
+            raise SearchBudgetError(settled, len(heap), bound)
+        for t, key, state2 in space.successors(state):
+            cost2 = cost + move_cost(prod.moves[t], costs)
+            if cost2 < best.get(state2, INF):
+                entry = info.get(state2)
+                if entry is None:
+                    entry = info[state2] = (heuristic.step(info[state], key, state2)
+                                            if priced else (0,))
+                if entry[0] == INF:
+                    continue
+                best[state2] = cost2
+                parent[state2] = (state, key)
+                pushed += 1
+                heapq.heappush(heap, (cost2 + entry[0], -cost2, depth - priced, pushed, state2))
+    raise SearchBudgetError(settled, 0, None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 the replay of an alignment's moves, random loosenings of an alignment's
 order, pseudo-markings (signed counts per (place, token) of a list of
 moves, and of an antichain's prefix), the token table of a composed
-alignment, and the values a search reads at a marking (a pseudo-marking's
-count, the case heuristic's h)."""
+alignment, the values a search reads (a pseudo-marking's count, the case
+heuristic's h along a run) and the children the case tables make at a
+state."""
 
 from __future__ import annotations
 
@@ -112,8 +113,27 @@ def pseudo_count(pm: dict, place, token) -> int:
     return pm.get((place, token), 0)
 
 
-def heuristic_value(heuristic: CaseHeuristic, marking: ColoredMarking, fired: dict):
-    """h at a marking of the heuristic's product, given each case's number
-    of fired events (absent: none); INF when some case cannot finish alone."""
-    state = heuristic.space.encode(marking)
-    return sum(heuristic._term(c, state, fired.get(c, 0)) for c in heuristic.rep)
+def edge_children(heuristic: CaseHeuristic, state, info: dict) -> dict:
+    """``{firing key: next state}`` of every child the heuristic's tables
+    make at ``state``, over all offsets; ``info`` maps states to their
+    entries (``state``'s among them) and gains each child's."""
+    children, offset = {}, 0
+    while offset is not None:
+        made, offset = heuristic.expand(state, offset, info)
+        children.update((key, state2) for _, key, state2 in made)
+    return children
+
+
+def heuristic_values(heuristic: CaseHeuristic, keys) -> list:
+    """h along the run of firing ``keys`` of the heuristic's product from
+    its initial marking, read from the entries its tables' edges give each
+    state; 0 throughout where the heuristic prices no case."""
+    if not heuristic.priced:
+        return [0] * (len(keys) + 1)
+    state = heuristic.space.encode(heuristic.space.prod.initial)
+    info = {state: heuristic.start()}
+    values = [info[state][0]]
+    for key in keys:
+        state = edge_children(heuristic, state, info)[key]
+        values.append(info[state][0])
+    return values

@@ -36,13 +36,14 @@ from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset, Poset
 from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, Var,
                           enabled_modes, fire_mode, firing_effect, scale_cases)
-from support.fixtures import (claim_release_net, clinic_log, clinic_net, hospital_log,
-                               hospital_net)
-from support.oracles import (demand_log_net, min_cost_exhaustive, reference_enabled_modes,
+from support.fixtures import (claim_release_net, clinic_log, clinic_net, clinic_two_overlaps_log,
+                               hospital_log, hospital_net)
+from support.oracles import (ReferenceCaseHeuristic, demand_log_net, min_cost_exhaustive,
+                             reference_astar, reference_enabled_modes,
                              reference_resource_assignments)
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
-from support.runs import (antichain_marking, heuristic_value, loosened, pseudo_count, pseudo_fire,
-                          replay)
+from support.runs import (antichain_marking, edge_children, heuristic_values, loosened,
+                          pseudo_count, pseudo_fire, replay)
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
 from test_approx import _differential_fixtures
@@ -519,10 +520,10 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
 
 
 def test_memo_spares_enabled_modes_calls(monkeypatch):
-    # the same search through ``_direct_successors``, which calls
-    # ``enabled_modes`` at every marked transition of every state it
-    # expands, the heuristic's tables included, makes the same moves with
-    # more calls
+    # whole-log Dijkstra and the exploration of the case heuristic's tables,
+    # the two places the memo runs, make the same moves and tables through
+    # ``_direct_successors``, which calls ``enabled_modes`` at every marked
+    # transition of every state it expands, with more calls each
     calls = []
     real = enabled_modes
 
@@ -534,17 +535,22 @@ def test_memo_spares_enabled_modes_calls(monkeypatch):
         for t, key, _ in _direct_successors(space, state):
             yield t, key, space.fire(state, key)
 
+    def run():
+        calls.clear()
+        al = optimal_alignment(prod, node_budget=10_000)
+        searched = len(calls)
+        heuristic = CaseHeuristic(prod, node_budget=10_000)
+        return (al.moves, al.settled, al.pushed, heuristic.tables), (searched, len(calls) - searched)
+
     monkeypatch.setattr(align_module, "enabled_modes", counting)
     monkeypatch.setitem(globals(), "enabled_modes", counting)
-    al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
-    memoised = len(calls)
-    calls.clear()
+    prod = product_for_net(clinic_net(), clinic_log(3, overlap_at=1))
+    memoised, memoised_calls = run()
     monkeypatch.setattr(align_module._StateSpace, "successors", direct)
-    unmemoised = align_log(clinic_net(), clinic_log(10, overlap_at=5))
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 724)
-    assert (unmemoised.moves, unmemoised.settled, unmemoised.pushed) == (
-        al.moves, al.settled, al.pushed)
-    assert memoised < len(calls)
+    unmemoised, direct_calls = run()
+    assert memoised == unmemoised
+    assert 0 < memoised_calls[0] < direct_calls[0]
+    assert 0 < memoised_calls[1] < direct_calls[1]
 
 
 def test_ground_sync_firing_waits_for_its_busy_instance():
@@ -576,7 +582,7 @@ def test_whole_log_search_enumerates_model_transitions_only(monkeypatch):
 
     monkeypatch.setattr(align_module, "enabled_modes", counting)
     al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 724)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 131)
     assert calls and all(t.startswith("m::") for t in calls)
 
 
@@ -620,22 +626,30 @@ def test_search_alike_below_and_past_255_tokens(capacity):
                     "c1,release,3,r:x\nc2,release,3,r:x\n")
     al = align_log(net, log, node_budget=10_000)
     valid = is_valid_alignment(scale_cases(net, log.cases()), log, al)[0]
-    assert (al.cost(), al.settled, al.pushed, valid) == (10_000, 7, 38, True)
+    assert (al.cost(), al.settled, al.pushed, valid) == (10_000, 7, 17, True)
     result = approximate_alignment(net, log, node_budget=10_000)
     assert (result.cost(), result.valid) == (10_000, True)
 
 
 def test_astar_clinic_twenty_cases_effort():
+    # each settled state pushes about one child and one re-entry
     al = align_log(clinic_net(), clinic_log(20, overlap_at=10), node_budget=10_000)
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 130, 2_594)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 130, 261)
 
 
 def test_astar_clinic_fifty_cases_effort():
     # frontier ties go to the longer path, so A* follows one interleaving
     # of the cases' free moves instead of settling all of them (5 412
-    # states when ties went in push order)
+    # states when ties went in push order); full expansion pushed 15 104
     al = align_log(clinic_net(), clinic_log(50, overlap_at=25), node_budget=10_000)
-    assert (al.cost(), al.settled, al.pushed) == (20_000, 325, 15_104)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 325, 651)
+
+
+def test_astar_clinic_two_hundred_cases_effort():
+    # the children A* makes are the ones it pops: settled grows with the
+    # path, and pushed stays about twice that
+    al = align_log(clinic_net(), clinic_log(200, overlap_at=100), node_budget=10_000)
+    assert (al.cost(), al.settled, al.pushed) == (20_000, 1_300, 2_601)
 
 
 def _searches_on(monkeypatch, build, net, log, budget=20_000):
@@ -678,11 +692,10 @@ def test_searches_match_the_log_net_with_demand_places(monkeypatch):
     assert compared >= 150 and with_demand == compared
 
 
-def _product_path(prod, alignment):
-    """The product markings along the alignment's moves, each with every
-    case's number of fired events."""
-    marking, fired = prod.initial, {}
-    path = [(marking, dict(fired))]
+def _product_keys(prod, alignment):
+    """The product's firing keys of the alignment's moves, checked to run
+    from the product's initial to its final marking."""
+    marking, keys = prod.initial, []
     for move in alignment.moves:
         if move.kind == "log":
             t = f"l::{transition_id(move.event)}"
@@ -693,10 +706,9 @@ def _product_path(prod, alignment):
                      if prod.moves[t] == replace(move, mode=prod.moves[t].mode)
                      and set(prod.moves[t].mode) <= set(move.mode))
         marking = fire_mode(prod, marking, t, move.binding())
-        if move.kind != "model":
-            fired[move.event.case] = fired.get(move.event.case, 0) + 1
-        path.append((marking, dict(fired)))
-    return path
+        keys.append((t, move.mode))
+    assert marking == prod.final
+    return keys
 
 
 def _whole_log_searches():
@@ -735,13 +747,128 @@ def test_astar_matches_dijkstra():
             assert astar.settled <= dijkstra.settled
             fewer += astar.settled < dijkstra.settled
         assert is_valid_alignment(prod.model, log, astar) == (True, None)
-        path = _product_path(prod, astar)
-        values = [heuristic_value(heuristic, marking, fired) for marking, fired in path]
-        assert path[-1][0] == prod.final and values[-1] == 0
+        values = heuristic_values(heuristic, _product_keys(prod, astar))
+        assert values[-1] == 0
         assert values[0] <= astar.cost()
         for move, h, h_next in zip(astar.moves, values, values[1:]):
             assert h <= move_cost(move) + h_next
     assert solved >= 210 and informed == solved and fewer >= 150
+
+
+def _astar_outcome(search, prod, heuristic, budget):
+    """Moves, cost and settled count of an A* search, or its budget error's
+    settled count and cheapest open cost."""
+    try:
+        al = search(prod, node_budget=budget, heuristic=heuristic)
+    except SearchBudgetError as exc:
+        return "budget", exc.visited, exc.best_cost
+    return al.moves, al.cost(), al.settled
+
+
+def test_edge_expansion_matches_full_expansion(monkeypatch):
+    """At every state whole-log A* expands, the children the case tables'
+    edges make over all offsets are the generic successors whose h is
+    finite, as (key, next state), with the full expansion's h; and the
+    search returns the full-expansion reference's moves, cost and settled
+    count, on the A* test's logs, clinic n = 3..12 and a two-overlap log."""
+    budget = 20_000
+    logs = _whole_log_searches()
+    logs += [(clinic_net(), clinic_log(n, overlap_at=n // 2)) for n in range(3, 13)]
+    logs += [(clinic_net(), clinic_two_overlaps_log(12, 3, 8))]
+    expand = CaseHeuristic.expand
+    expanded = []          # states in the order of their first expansion
+
+    def recording(self, state, offset, info):
+        if not offset:
+            expanded.append(state)
+        return expand(self, state, offset, info)
+
+    states = children = 0
+    for net, log in logs:
+        prod = product_for_net(net, log)
+        heuristic = CaseHeuristic(prod, node_budget=budget)
+        reference = ReferenceCaseHeuristic(prod, heuristic.space, node_budget=budget)
+        assert heuristic.priced == reference.priced
+        expanded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(CaseHeuristic, "expand", recording)
+            got = _astar_outcome(optimal_alignment, prod, heuristic, budget)
+        assert got == _astar_outcome(reference_astar, prod, reference, budget)
+        if not heuristic.priced:
+            continue
+        space = heuristic.space
+        start = space.encode(prod.initial)
+        info, ref = {start: heuristic.start()}, {start: reference.start(start)}
+        assert info[start][0] == ref[start][0]
+        for state in expanded:
+            finite = set()
+            for _, key, state2 in space.successors(state):
+                ref[state2] = reference.step(ref[state], key, state2)
+                if ref[state2][0] < align_module.INF:
+                    finite.add((key, state2))
+            made = edge_children(heuristic, state, info)
+            assert set(made.items()) == finite
+            assert all(info[state2][0] == ref[state2][0] for state2 in made.values())
+            states += 1
+            children += len(made)
+    assert states >= 2_500 and children >= 20_000, (states, children)
+
+
+def test_only_a_first_expansion_counts_as_settled():
+    # A* re-expands states at larger offsets, but only first expansions are
+    # settled and count against the node budget: the goal settles within a
+    # budget one below the settled count, not two below
+    prod = product_for_net(clinic_net(), clinic_log(10, overlap_at=5))
+    heuristic = CaseHeuristic(prod, node_budget=10_000)
+    al = optimal_alignment(prod, node_budget=10_000, heuristic=heuristic)
+    assert (al.settled, al.pushed) == (65, 131)
+    expansions = []
+    expand = CaseHeuristic.expand
+
+    def counting(self, state, offset, info):
+        expansions.append(offset)
+        return expand(self, state, offset, info)
+
+    heuristic.expand = counting.__get__(heuristic)
+    again = optimal_alignment(prod, node_budget=al.settled - 1, heuristic=heuristic)
+    assert again.moves == al.moves and again.settled == al.settled
+    assert expansions.count(0) == al.settled - 1 < len(expansions)
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_alignment(prod, node_budget=al.settled - 2, heuristic=heuristic)
+    assert info.value.visited == al.settled - 1
+
+
+def test_budget_frontier_counts_requeued_states(monkeypatch):
+    # the frontier a budget error reports is every open entry, states
+    # waiting to be expanded again at a larger offset included: here A*
+    # dives along one interleaving of free moves at f = 0, and each state
+    # on it waits to make its children at f = 20 000
+    class Recording:
+        heap = None
+
+        def heappush(self, heap, entry):
+            self.heap = heap
+            heapq.heappush(heap, entry)
+
+        def heappop(self, heap):
+            self.heap = heap
+            return heapq.heappop(heap)
+
+    frontier, expanded = Recording(), set()
+    expand = CaseHeuristic.expand
+
+    def recording(self, state, offset, info):
+        expanded.add(state)
+        return expand(self, state, offset, info)
+
+    monkeypatch.setattr(align_module, "heapq", frontier)
+    monkeypatch.setattr(CaseHeuristic, "expand", recording)
+    prod = product_for_net(clinic_net(), clinic_log(10, overlap_at=5))
+    with pytest.raises(SearchBudgetError) as info:
+        optimal_alignment(prod, node_budget=30,
+                          heuristic=CaseHeuristic(prod, node_budget=10_000))
+    assert (info.value.visited, info.value.frontier, info.value.best_cost) == (31, 30, 0)
+    assert len(frontier.heap) == 30 and {entry[4] for entry in frontier.heap} <= expanded
 
 
 def test_astar_finishes_clinic_ten_cases():
@@ -763,21 +890,44 @@ def test_heuristic_ignores_caseless_production_tokens():
                   base.labels, base.flow, base.initial | lobby, base.final | lobby)
     prod = product_for_net(net, parse_log("c1,i_s,1,g:g1\nc2,o_p,2,\nc1,o_sc,3,s:s1\n"))
     heuristic = CaseHeuristic(prod)
-    assert heuristic.reason is None
-    assert heuristic_value(heuristic, prod.initial, {}) == 30_001
+    assert heuristic.reason is None and heuristic.priced
+    assert heuristic.start()[0] == 30_001
     assert optimal_alignment(prod, heuristic=heuristic).cost() == 30_001
 
 
 def test_heuristic_tables_explore_at_most_the_node_budget():
     # every clinic case is one variant, whose single-case product has 49
-    # states; one state less and the variant contributes 0
+    # states; one state less and no case is priced
     prod = product_for_net(clinic_net(), clinic_log(3, overlap_at=1))
     fits = CaseHeuristic(prod, node_budget=49)
     short = CaseHeuristic(prod, node_budget=48)
-    assert len(fits.tables["c1"]) == 49 and short.tables == {"c1": None}
+    assert fits.priced and len(fits.tables["c1"][0]) == 49
+    assert not short.priced and short.tables == {}
+    assert short.reason == "the case tables explore more than 48 states"
     dijkstra = optimal_alignment(prod)
     assert optimal_alignment(prod, heuristic=fits).settled < dijkstra.settled
     uninformed = optimal_alignment(prod, heuristic=short)
+    assert (uninformed.moves, uninformed.settled, uninformed.pushed) == (
+        dijkstra.moves, dijkstra.settled, dijkstra.pushed)
+
+
+def test_heuristic_prices_every_case_or_none():
+    # c1 and c2 are one variant (49 states); c3 lacks its discharge, a
+    # second variant.  A budget that fits c1's table but not c3's as well
+    # prices no case: the search is Dijkstra, move for move
+    log = clinic_log(3, overlap_at=1)
+    log = log.restrict(e for e in log.events if (e.case, e.activity) != ("c3", "d_c"))
+    prod = product_for_net(clinic_net(), log)
+    whole = CaseHeuristic(prod, node_budget=10_000)
+    assert whole.priced and set(whole.rep.values()) == {"c1", "c3"}
+    both = len(whole.tables["c1"][0]) + len(whole.tables["c3"][0])
+    fits = CaseHeuristic(prod, node_budget=both)
+    short = CaseHeuristic(prod, node_budget=both - 1)
+    assert fits.priced and not short.priced and list(short.tables) == ["c1"]
+    dijkstra = optimal_alignment(prod, node_budget=10_000)
+    informed = optimal_alignment(prod, node_budget=10_000, heuristic=fits)
+    uninformed = optimal_alignment(prod, node_budget=10_000, heuristic=short)
+    assert informed.cost() == dijkstra.cost() and informed.settled < dijkstra.settled
     assert (uninformed.moves, uninformed.settled, uninformed.pushed) == (
         dijkstra.moves, dijkstra.settled, dijkstra.pushed)
 
@@ -790,7 +940,7 @@ def test_heuristic_is_zero_where_the_projection_breaks():
     prod = build_sync_product(net, build_log_net(parse_log("c1,b,1,\n")))
     heuristic = CaseHeuristic(prod)
     assert heuristic.reason == "transition gen has no unambiguous case variable"
-    assert heuristic_value(heuristic, prod.initial, {}) == 0
+    assert not heuristic.priced and heuristic.start()[0] == 0
     astar = optimal_alignment(prod, heuristic=heuristic)
     dijkstra = optimal_alignment(prod)
     assert (astar.moves, astar.settled, astar.pushed) == (

@@ -524,6 +524,18 @@ def test_cli_align_rejects_a_negative_cost(tmp_path, capsys, entry):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("entry", ["tau=1.5", "visible=", "sync=x"])
+def test_cli_align_rejects_a_cost_that_is_no_integer(tmp_path, capsys, entry):
+    # the message names the option and the entry, not only int()'s complaint
+    net_path, log_path = _clinic_overlap_inputs(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["align", net_path, log_path, "--costs", f"sync=0,{entry}",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --costs: entry {entry!r} is not an integer cost\n")
+    assert not out.exists()
+
+
 def test_cli_align_rejects_a_visible_cost_below_one(tmp_path, capsys):
     # with visible 0 the search used to run to the end before its tau-move
     # soundness check failed; the cost table now refuses it up front
