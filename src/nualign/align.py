@@ -9,52 +9,35 @@ initial to the final marking, checked exactly at every size.
 
 The synchronous product unions the process net (places prefixed ``m::``)
 with the log net (``l::``) and adds one transition per compatible
-(model transition, event) pair.  Compatibility requires equal labels plus
-an assignment of the event's observed resource instances to the model
+(model transition, event) pair (``_sync_moves``): equal labels plus an
+assignment of the event's observed resource instances to the model
 transition's resource variables, role by role and with matching
-multiplicities; the assignment and the event's case id are the mode of
-the product transition's move record, so a synchronous firing replays
-exactly what was observed.
+multiplicities, which with the event's case id is the mode of the
+transition's move record.  A single case's product is never built: its
+``CaseSpace`` pairs its trace positions with the reachability graph of
+the model scaled to it (``_ModelGraph``, one per case-id signature), as
+automata-based conformance checking does (Reissner et al., OTM 2017).
 
-Optimal alignments come from best-first search over product markings.
-Costs are integers: synchronous moves are free, silent model moves cost
-``tau``, visible log/model moves cost ``visible``.  A search state holds
-the token counts over (place, token) pairs interned per product, as bytes
-(a tuple once a count passes 255), a (transition, mode) is bound once into
-a count delta, and only transitions whose input places are all marked are
-tried.  A log or synchronous transition has one firing, pinned by its
-move record's mode, and fires where the state holds what it takes.  Another
-transition's enabled firings are memoised per (transition, tokens on its
-input places), so it is enumerated only on input tokens its search has
-not met before; transitions with fresh variables, which read the whole
-marking, are exempt and enumerated at every state.  The frontier pops by
-(g + h, -g, -moves, push order), where moves is the length of the
-entry's path and counts only on A* (below); transitions expand in net
-order and modes come sorted, so the search is fully deterministic and
-independent of string hashing.
+Optimal alignments come from one best-first frontier loop (``_search``)
+over a product's interned token-count states (``_StateSpace``) or a case
+space's.  Costs are integers: synchronous moves are free, silent model
+moves cost ``tau``, visible log/model moves cost ``visible``.
+Transitions expand in net order and modes come sorted, so every search
+is fully deterministic and independent of string hashing.
 
-Per-case, realignment and other searches run with h = 0, which is
-Dijkstra.  Whole-log searches (``align_log``, the CLI's exact mode) are A*
-on ``CaseHeuristic``: the sum over the log's cases of each case's optimal
-cost-to-go in its own single-case product, tabulated once per case
-variant (``case_variants``).  The classical marking-equation heuristic is
-unsound under variable bindings (compare van Dongen, BPM 2018); projecting
-onto single cases avoids bindings across cases.  The projection needs
-every firing to work on one case: where a transition has no unambiguous
-case variable, inscribes tokens of another case or creates its case by a
-fresh name, the net fails structural validation, the markings are not
-the log's cases scaled from one pattern, or the tables do not fit in the
-node budget, h is 0 (``CaseHeuristic.reason`` says which).  Synchronous
-moves are free, so A* meets plateaus of equal g + h and equal g that span
-every interleaving of the cases' free moves; popping the longer path
-first dives along one of them to the goal instead of expanding the
-plateau breadth-first (Asai and Fukunaga, AAAI 2016).  Where h is 0 the
-move count stays out of the key, so Dijkstra keeps its push order.
-
-A* expands partially (Felner et al., AAAI 2012; Goldenberg et al., JAIR
-2014): a state popped at g + h + offset makes only the children whose f
-rises by that offset, read off the case tables' edges, and is re-queued
-at its next larger offset; no other child is made, bound or priced.
+Per-case searches (``align_case``), realignments and other searches run
+with h = 0, which is Dijkstra.  Whole-log searches (``align_log``, the
+CLI's exact mode) are A* on ``CaseHeuristic``: the sum of each case's
+optimal cost-to-go on its case space, tabulated per variant.  The classical
+marking-equation heuristic is unsound under variable bindings (compare
+van Dongen, BPM 2018); projecting onto single cases avoids bindings
+across cases, where every firing works on one case (else h is 0, and
+``CaseHeuristic.reason`` says why).  Synchronous moves are free, so A*
+meets plateaus of equal g + h and equal g that span every interleaving
+of the cases' free moves; popping the longer path first dives along one
+of them to the goal instead of expanding the plateau breadth-first (Asai
+and Fukunaga, AAAI 2016).  A* expands partially (Felner et al., AAAI
+2012; Goldenberg et al., JAIR 2014), from the case tables' edges.
 """
 
 from __future__ import annotations
@@ -64,7 +47,7 @@ from dataclasses import dataclass, replace
 from itertools import permutations
 
 from .eventlog import Event, EventLog
-from .lognet import LogNet, build_log_net
+from .lognet import LogNet, build_log_net, transition_id
 from .poset import Multiset, Poset, masks_by_value, set_bits
 from .rcnu import (
     ColoredMarking,
@@ -74,7 +57,7 @@ from .rcnu import (
     Var,
     case_names,
     enabled_modes,
-    fire_mode,      # unused here: perfbench counts firings under this name
+    fire_mode,
     firing_effect,
     scale_cases,
     token_key,
@@ -331,6 +314,17 @@ def sync_warnings(model: RcNuNet, log: EventLog) -> list:
     return [w for e in log.events for w in _sync_partners(model, e)[1]]
 
 
+def _sync_moves(model: RcNuNet, event: Event):
+    """``(name, move)`` of each synchronous transition of ``event``, in
+    product order: per partner transition ``t`` and resource assignment
+    ``k``, ``s::<t>::e<i>[::k]`` pinning the case id and the instances."""
+    for t, case_var in _sync_partners(model, event)[0]:
+        for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
+            mode = tuple(sorted({case_var: event.case, **res_assignment}.items()))
+            yield (f"s::{t}::e{event.index}" + (f"::{k}" if k else ""),
+                   Move("sync", event=event, transition=t, mode=mode, label=event.activity))
+
+
 def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
     places = [f"m::{p}" for p in model.places] + [f"l::{p}" for p in log_net.places]
     flow, moves = {}, {}
@@ -352,13 +346,8 @@ def build_sync_product(model: RcNuNet, log_net: LogNet) -> SyncProduct:
         add(f"l::{lt}", Move("log", event=event, label=event.activity),
             (log_net, "l::", lt))
     for lt in log_net.transitions:
-        event = log_net.event_of[lt]
-        for t, case_var in _sync_partners(model, event)[0]:
-            for k, res_assignment in enumerate(_resource_assignments(model, t, event)):
-                mode = tuple(sorted({case_var: event.case, **res_assignment}.items()))
-                add(f"s::{t}::e{event.index}" + (f"::{k}" if k else ""),
-                    Move("sync", event=event, transition=t, mode=mode, label=event.activity),
-                    (model, "m::", t), (log_net, "l::", lt))
+        for name, move in _sync_moves(model, log_net.event_of[lt]):
+            add(name, move, (model, "m::", move.transition), (log_net, "l::", lt))
 
     initial = _prefix_marking(model.initial, "m::") | _prefix_marking(log_net.initial, "l::")
     final = _prefix_marking(model.final, "m::") | _prefix_marking(log_net.final, "l::")
@@ -394,6 +383,7 @@ class _StateSpace:
 
     def __init__(self, prod: SyncProduct):
         self.prod = prod
+        self.moves = prod.moves
         self.pairs = []         # id -> (place, token)
         self.ids = {}           # (place, token) -> id
         self.place_of = []      # id -> its place
@@ -416,6 +406,7 @@ class _StateSpace:
                 self.with_fresh.add(k)
             for p in prod.input_places(t):
                 self.consumers.setdefault(p, []).append(k)
+        self.start, self.goal = self.encode(prod.initial), self.encode(prod.final)
 
     def intern(self, pair) -> int:
         i = self.ids.get(pair)
@@ -483,12 +474,8 @@ class _StateSpace:
     def successors(self, state):
         """``(transition, mode key, next state)`` of every firing enabled at
         ``state``: only transitions whose input places are all marked, in
-        net order, each with its modes in sorted order.  A ground
-        transition fires when the state holds its bound ``taken`` counts.
-        Another transition's firing keys are looked up by (its position,
-        the (id, count) pairs on each of its input places); on a miss, and
-        for a transition with fresh variables, ``enabled_modes`` enumerates
-        them on the state decoded once."""
+        net order, each with its modes in sorted order; a memo miss, or a
+        transition with fresh variables, decodes the state once."""
         prod = self.prod
         place_of = self.place_of
         groups = {}
@@ -529,49 +516,48 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                       node_budget: int = DEFAULT_NODE_BUDGET,
                       heuristic: CaseHeuristic | None = None) -> Alignment:
     """Minimum-cost run of the product from its initial to its final
-    marking, as a chain poset; a search between other markings runs on the
-    product of the model ``with_markings`` them.
+    marking, as a chain poset: ``_search`` on the product's interned states,
+    A* on a ``heuristic`` that prices every case, else Dijkstra.  A search
+    between other markings runs on the product of the model
+    ``with_markings`` them.  Raises ValueError for another product's
+    heuristic."""
+    if heuristic is not None and heuristic.space.prod is not prod:
+        raise ValueError("a case heuristic prices its own product only")
+    return _search(_StateSpace(prod) if heuristic is None else heuristic.space,
+                   costs, node_budget, heuristic)
 
-    States are interned token counts (``_StateSpace``).  The frontier pops
-    by (g + h + offset, -g, -moves, push order): the cheapest estimate
-    first, then the most cost paid, then the longest path, then the
-    earliest pushed, so the search is fully deterministic.  Without
-    ``heuristic``, or with one that prices no case, h and offsets are 0:
-    Dijkstra, where a settled state makes every enabled firing.
 
-    With a ``CaseHeuristic`` that prices every case it is A* by partial
-    expansion: each pop of a state makes the children whose g + h exceeds
-    the state's by the entry's offset (``CaseHeuristic.expand``) and
-    re-queues the state, with its own g and moves, at its next larger
-    offset.  h is consistent, so a state settles at its final cost on its
-    first pop, at offset 0; a state whose h is infinite is never made.
-    moves counts only on A*, sending it down one interleaving of an
-    equal-cost plateau of free moves; on Dijkstra it made A* settle fewer
-    states than Dijkstra on 125 of the 218 whole-log test fixtures instead
-    of 165, and more on 7.
+def _search(space: _StateSpace | CaseSpace, costs: CostTable, node_budget: int,
+            heuristic: CaseHeuristic | None = None) -> Alignment:
+    """The minimum-cost path from ``space.start`` to ``space.goal`` as a
+    chain of moves: ``space.successors(state)`` gives each firing's
+    ``(transition, key, next state)``, which makes ``space.moves[transition]``
+    with the key's mode.
 
-    The returned alignment records ``settled`` (first expansions, which
+    The frontier pops by (g + h + offset, -g, -moves, push order), so the
+    search is fully deterministic.  Without a heuristic that prices every
+    case, h and offsets are 0: Dijkstra, where a settled state makes every
+    enabled firing.  With one, it is A* by partial expansion: a pop makes
+    the children whose g + h exceeds the state's by the entry's offset
+    (``CaseHeuristic.expand``) and re-queues the state, with its own g and
+    moves, at its next larger offset.  h is consistent, so a state settles
+    at its final cost on its first pop, at offset 0.  moves counts only on
+    A*, sending it down one interleaving of a plateau of free moves.
+
+    The alignment records ``settled`` (first expansions, which
     ``node_budget`` counts) and ``pushed``.  Raises SearchBudgetError with
     frontier statistics (every open entry, re-queued states included, and
     the cheapest open g + h + offset) when the budget is exhausted before
-    the goal settles, or when every marking reachable from the start
-    settled without reaching the goal.
-    Raises ValueError for a heuristic of another product.
-    """
+    the goal settles, or when every reachable state settled first."""
     if node_budget < 0:
         raise ValueError(f"node_budget must be nonnegative, got {node_budget}")
-    if heuristic is not None and heuristic.space.prod is not prod:
-        raise ValueError("a case heuristic prices its own product only")
-    space = _StateSpace(prod) if heuristic is None else heuristic.space
-    start, goal = space.encode(prod.initial), space.encode(prod.final)
-    step_cost = {t: move_cost(prod.moves[t], costs) for t in prod.transitions}
+    start, goal = space.start, space.goal
+    step_cost = {t: move_cost(move, costs) for t, move in space.moves.items()}
     informed = heuristic is not None and heuristic.priced
     info = {start: heuristic.start()} if informed else {}
-    best = {start: 0}
-    parent = {start: None}
+    best, parent, settled = {start: 0}, {start: None}, 0
     pushed = 1          # frontier entries made, and each entry's push order
     heap = [(info[start][0] if informed else 0, 0, 0, pushed, start, 0)]
-    settled = 0
 
     while heap:
         bound, paid, depth, _, state, offset = heapq.heappop(heap)
@@ -584,13 +570,11 @@ def optimal_alignment(prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                 moves = []
                 while parent[state] is not None:
                     state, (t, mode) = parent[state]
-                    moves.append(replace(prod.moves[t], mode=mode))
+                    moves.append(replace(space.moves[t], mode=mode))
                 moves.reverse()
                 alignment = Alignment.chain(moves)
                 alignment.settled, alignment.pushed = settled, pushed
-                tau_moves = sum(
-                    1 for m in moves if m.kind == "model" and m.label is None
-                )
+                tau_moves = sum(1 for m in moves if m.kind == "model" and m.label is None)
                 if tau_moves >= costs.visible:
                     raise SoundnessError(
                         f"{tau_moves} tau moves reached the visible-move cost "
@@ -700,19 +684,132 @@ def _projection_breaks(prod: SyncProduct) -> str | None:
     return None
 
 
-def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
-    """``(togo, edges)`` over the states of a single-case product reachable
-    from its start (state 0), or None past ``node_budget`` states: state
-    i's optimal cost-to-go ``togo[i]`` (INF where the goal is unreachable)
-    and its firings ``edges[i]``, ``(df, key, j)`` into states j of finite
-    cost-to-go, stably sorted by df = cost + togo[j] - togo[i], the rise of
-    g + h.  Every reachable state is explored once, then a backward
-    Dijkstra from the goal prices them."""
-    space = _StateSpace(single)
-    start = space.encode(single.initial)
-    goal = space.encode(single.final)
-    states, out, into = [start], [], [[]]
-    index = {start: 0}
+class _ModelGraph:
+    """The markings of a model scaled to one case, numbered as first met;
+    ``out(i)`` maps each firing ``("m::<t>", mode items)`` at marking i, in
+    net order with sorted modes and enumerated once, to the marking it
+    reaches.  Fresh names come from the first spare of ``_nu1.._nuK`` (K
+    the trace length, at least 1) that is neither among the marking's
+    identifiers nor the case id, which the product's one log token holds."""
+
+    def __init__(self, net: RcNuNet, case, length):
+        self.net, self.case, self.markings, self.index, self.edges = net, case, [], {}, {}
+        self.spares = [f"_nu{i + 1}" for i in range(length or 1)]
+
+    def node(self, marking: ColoredMarking) -> int:
+        key = frozenset(token_counts(marking).items())
+        if key not in self.index:
+            self.index[key] = len(self.markings)
+            self.markings.append(marking)
+        return self.index[key]
+
+    def firings(self, i, t, forced=None) -> list:
+        marking, pool = self.markings[i], ()
+        if self.net.transition_vars(t)[2]:
+            ids = marking.identifiers() | {self.case}
+            pool = [s for s in self.spares if s not in ids][:1]
+        return [(tuple(sorted(mode.items())), self.node(fire_mode(self.net, marking, t, mode)))
+                for mode in enabled_modes(self.net, marking, t, fresh_pool=pool, forced=forced)]
+
+    def out(self, i) -> dict:
+        if i not in self.edges:
+            self.edges[i] = {(f"m::{t}", mode): j for t in self.net.transitions
+                             for mode, j in self.firings(i, t)}
+        return self.edges[i]
+
+
+class CaseSpace:
+    """One case's single-case product as the pairs (marking i of a
+    ``_ModelGraph``, trace position p), numbered i * (K + 1) + p, with the
+    product's firings, keys and move records but neither of its nets.
+
+    The case's log net is a chain, and exactly one log token carries the
+    case id, so (marking, p) maps one-to-one onto product markings; the
+    start is (initial, 0) and the goal (final, K).  At (i, p) the product
+    fires, in its transition order, the model firings at i, event p's log
+    move ``l::t_e<index>``, then each synchronous transition of event p
+    (``_sync_moves``) whose pinned mode is a model firing at i: a pin binds
+    distinct instances, so that lookup is the product's ground count check.
+    Where the transition has fresh variables, or the pin leaves one free,
+    ``enabled_modes`` forced to the pin enumerates the firings instead.  A
+    graph shared by a case-id signature (equal comparisons with every other
+    identifier) is read by renaming its case id to the space's."""
+
+    def __init__(self, graph: _ModelGraph, trace: EventLog):
+        model, events = graph.net, trace.events
+        self.graph, self.case, self.width = graph, events[0].case, len(events) + 1
+        self.start = graph.node(model.initial) * self.width
+        self.goal = graph.node(model.final) * self.width + len(events)
+        self.moves = {f"m::{t}": Move("model", transition=t, label=model.labels[t])
+                      for t in model.transitions}
+        self.steps = []         # per trace position: (log move name, sync entries)
+        for e in events:
+            name, syncs = f"l::{transition_id(e)}", []
+            self.moves[name] = Move("log", event=e, label=e.activity)
+            for sync, move in _sync_moves(model, e):
+                self.moves[sync], t = move, move.transition
+                case_vars, res_vars, fresh = model.transition_vars(t)
+                pin = tuple((v, graph.case if x == self.case else x) for v, x in move.mode)
+                syncs.append((sync, t, (f"m::{t}", pin),
+                              not fresh and move.binding().keys() >= case_vars | res_vars))
+            self.steps.append((name, syncs))
+
+    def _renamed(self, mode) -> tuple:
+        return tuple((v, self.case if x == self.graph.case else x) for v, x in mode)
+
+    def successors(self, state):
+        """``(transition, key, next state)`` of every firing at ``state``, in
+        the single-case product's order."""
+        i, p = divmod(state, self.width)
+        out = self.graph.out(i)
+        for (t, mode), j in out.items():
+            yield t, (t, self._renamed(mode)), j * self.width + p
+        if p < len(self.steps):
+            name, syncs = self.steps[p]
+            yield name, (name, ()), state + 1
+            for sync, t, key, exact in syncs:
+                found = [(key[1], out.get(key))] if exact else self.graph.firings(i, t, dict(key[1]))
+                for mode, j in found:
+                    if j is not None:
+                        yield sync, (sync, self._renamed(mode)), j * self.width + p + 1
+
+
+def case_spaces(model: RcNuNet, log: EventLog):
+    """``(case, representative, space)`` per case of ``log`` in id order: its
+    variant's first case (``case_variants``) and, for that case itself, the
+    ``CaseSpace`` of ``log.project_case(case)``, else None.  One
+    ``_ModelGraph`` serves a case-id signature and trace length."""
+    graphs, reps = {}, {}
+    for c, variant in case_variants(model, log).items():
+        space = None
+        if reps.setdefault(variant, c) == c:
+            trace = log.project_case(c)
+            signature = (variant[1], len(trace))
+            if signature not in graphs:
+                graphs[signature] = _ModelGraph(scale_cases(model, [c]), c, len(trace))
+            space = CaseSpace(graphs[signature], trace)
+        yield c, reps[variant], space
+
+
+def align_case(space: CaseSpace, costs: CostTable = DEFAULT_COSTS,
+               node_budget: int = DEFAULT_NODE_BUDGET) -> Alignment:
+    """Dijkstra on one case's space, as ``optimal_alignment`` on its
+    single-case product; a budget error names the case."""
+    try:
+        return _search(space, costs, node_budget)
+    except SearchBudgetError as exc:
+        exc.args = (f"case {space.case}: {exc}",)
+        raise
+
+
+def _cost_to_go(space: CaseSpace, costs: CostTable, node_budget: int):
+    """``(togo, edges)`` over the states of a case space reachable from its
+    start, numbered as met (the start is 0), or None past ``node_budget``
+    states: state i's optimal cost-to-go ``togo[i]`` (INF where the goal is
+    unreachable) and its firings ``edges[i]``, ``(df, key, j)`` into states
+    j of finite cost-to-go, stably sorted by df = cost + togo[j] - togo[i],
+    the rise of g + h."""
+    states, out, into, index = [space.start], [], [[]], {space.start: 0}
     for state in states:
         out.append([])
         for t, key, state2 in space.successors(state):
@@ -723,11 +820,11 @@ def _cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
                 j = index[state2] = len(states)
                 states.append(state2)
                 into.append([])
-            cost = move_cost(single.moves[t], costs)
+            cost = move_cost(space.moves[t], costs)
             into[j].append((len(out) - 1, cost))
             out[-1].append((cost, key, j))
     togo = [INF] * len(states)
-    heap = [(0, index[goal])] if goal in index else []
+    heap = [(0, index[space.goal])] if space.goal in index else []
     while heap:
         d, j = heapq.heappop(heap)
         if togo[j] == INF:
@@ -745,11 +842,10 @@ class CaseHeuristic:
     """h(state) = the sum over the log's cases c of h_c(pi_c(state)).
 
     pi_c is c's tokens on production and busy places plus c's log tokens;
-    h_c is the optimal cost-to-go in c's own single-case product (the net
-    scaled to c alone against c's trace), with the declared resources
-    minus what c holds and without the cross-case log order.  It is
-    tabulated once per case variant (``case_variants``), on the variant's
-    representative, and read through the renaming.
+    h_c is the optimal cost-to-go in c's single-case product (the net
+    scaled to c alone against c's trace, so with the declared resources
+    minus what c holds and without the cross-case log order), tabulated on
+    the case space of each variant's representative (``case_spaces``).
 
     Admissible: the moves of c in any completion of the whole-log run form
     a run of c's single-case product from pi_c.  The preconditions
@@ -760,25 +856,19 @@ class CaseHeuristic:
     events fired are the single-case goal.  The cases' move sets are
     disjoint, so the summed cost-to-go is at most the completion's cost.
     Consistent: a move changes one case's projection by a move of that
-    case's single-case product at the same cost, every other term stays,
-    and an optimal cost-to-go obeys h_c(x) <= cost + h_c(y) along every
-    move.  By the same argument every projection the search meets is a
+    case's single-case product at the same cost, and h_c(x) <= cost +
+    h_c(y) along every move.  So every projection the search meets is a
     state the table explored, and every firing at a whole-log state is an
     edge of one case's table that the state's counts enable.
 
-    The tables price every case or none: when the projection's
-    preconditions fail or the tables would explore more than
-    ``node_budget`` states together, ``reason`` says why, ``priced`` is
-    false and h is 0, which is Dijkstra.
-
-    The heuristic owns the product's interned state space, which the
-    search it informs shares.  A search state's entry is (h, indices):
-    pi_c(state) is state ``indices[k]`` of case k's table, a function of
-    the marking.  ``expand`` makes the children that raise g + h by an
-    offset from the tables' edges: an edge of case k becomes the product's
-    firing key by the variant's renaming, is checked against the state's
-    counts and gives the child's entry in O(1).
-    """
+    The tables price every case or none: where the preconditions fail or
+    the tables would explore more than ``node_budget`` states together,
+    ``reason`` says why and h is 0 (``priced`` is false).  The heuristic
+    owns the product's state space, which its search shares.  A state's
+    entry is (h, indices): pi_c(state) is state ``indices[k]`` of case k's
+    table.  ``expand`` maps an edge of case k's table to the product's
+    firing key by the variant's renaming and checks it by the state's
+    counts."""
 
     def __init__(self, prod: SyncProduct, costs: CostTable = DEFAULT_COSTS,
                  node_budget: int = DEFAULT_NODE_BUDGET):
@@ -786,22 +876,18 @@ class CaseHeuristic:
         self.reason = _projection_breaks(prod)
         self.rep = {}           # case -> its variant's representative
         self.tables = {}        # representative -> its _cost_to_go (togo, edges)
-        self._moves = {}        # representative -> its single-case product's move records
+        self._moves = {}        # representative -> its case space's move records
         self._keys = {}         # (case index, representative's key) -> (net position, key)
         log = EventLog(prod.log_net.event_of.values())
-        variants = {}
         budget = node_budget    # states the tables may still explore
-        keys = {} if self.reason is not None else case_variants(prod.model, log)
-        for c in keys:
-            rep = self.rep[c] = variants.setdefault(keys[c], c)
-            if rep == c:
-                single = build_sync_product(scale_cases(prod.model, [c]),
-                                            build_log_net(log.project_case(c)))
-                table = _cost_to_go(single, costs, budget)
+        for c, rep, space in () if self.reason is not None else case_spaces(prod.model, log):
+            self.rep[c] = rep
+            if space is not None:
+                table = _cost_to_go(space, costs, budget)
                 if table is None:
                     self.reason = f"the case tables explore more than {node_budget} states"
                     break
-                self.tables[c], self._moves[c] = table, single.moves
+                self.tables[c], self._moves[c] = table, space.moves
                 budget -= len(table[0])
         self.priced = self.reason is None and bool(self.rep)
         cases = list(self.rep) if self.priced else []

@@ -56,8 +56,9 @@ from .align import (
     Move,
     SearchBudgetError,
     SoundnessError,
+    align_case,
     build_sync_product,
-    case_variants,
+    case_spaces,
     effect_masks,
     is_valid_alignment,
     least_left,
@@ -96,21 +97,14 @@ class ComposedAlignment:
 def align_cases(net: RcNuNet, log: EventLog,
                 costs: CostTable = DEFAULT_COSTS,
                 node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
-    """Optimal alignment of each case's trace against the single-case model.
-
-    Cases of one variant (``case_variants``) have the same search up to
-    renaming, so only the first case of each variant, in id order, is
-    searched; the others get its moves with the k-th event replaced by
-    their own k-th event and its case id by theirs."""
+    """Optimal alignment of each case's trace against the single-case model:
+    ``align_case`` on the space of each variant's first case in id order
+    (``case_spaces``); the variant's other cases get its moves with the k-th
+    event replaced by their own k-th event and its case id by theirs."""
     out = {}
-    searched = {}           # variant -> (its first case, that case's alignment)
-    for c, variant in case_variants(net, log).items():
-        if variant not in searched:
-            single = scale_cases(net, [c])
-            prod = build_sync_product(single, build_log_net(log.project_case(c)))
-            searched[variant] = (c, optimal_alignment(prod, costs, node_budget))
-        rep, alignment = searched[variant]
-        out[c] = alignment if rep == c else _renamed(alignment, log, rep, c)
+    for c, rep, space in case_spaces(net, log):
+        out[c] = (align_case(space, costs, node_budget) if space is not None
+                  else _renamed(out[rep], log, rep, c))
     return out
 
 

@@ -14,7 +14,9 @@ objective against the weighted objective it replaced, and the searches
 over the log net against those over the log net with the resource-demand
 places it dropped.  The mode matcher is checked against a brute force over
 whole bindings, and whole-log A*'s expansion from the case tables' edges
-against the full expansion over frozenset tables it replaced.
+against the full expansion over frozenset tables it replaced.  A case's
+search and its cost-to-go table on its case space are checked against
+the same on the case's single-case product, which the space replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from nualign.align import (INF, Alignment, CostTable, DEFAULT_COSTS, DEFAULT_NOD
                            SearchBudgetError, SoundnessError, SyncProduct, _StateSpace,
                            _max_flow, _projection_breaks, _role_var_multiplicities,
                            build_sync_product, case_variants, is_valid_alignment,
-                           move_cost, token_use)
+                           move_cost, optimal_alignment, token_use)
 from nualign.eventlog import EventLog
 from nualign.ilp import BinaryProgram, Constraint
 from nualign.lognet import LogNet, build_log_net, transition_id
@@ -188,6 +190,59 @@ def demand_log_net(log: EventLog) -> LogNet:
 
 
 # ---------------------------------------------------------------------------
+# Single-case products, the references for case spaces
+# ---------------------------------------------------------------------------
+
+def case_product(net: RcNuNet, log: EventLog, case) -> SyncProduct:
+    """The single-case product of ``case``: the net scaled to it alone
+    against the net of its trace."""
+    return build_sync_product(scale_cases(net, [case]), build_log_net(log.project_case(case)))
+
+
+def reference_case_alignment(net: RcNuNet, log: EventLog, case,
+                             costs: CostTable = DEFAULT_COSTS,
+                             node_budget: int = DEFAULT_NODE_BUDGET) -> Alignment:
+    """A case's optimal alignment as ``align_case`` made it before case
+    spaces: Dijkstra on the case's single-case product."""
+    return optimal_alignment(case_product(net, log, case), costs, node_budget)
+
+
+def reference_cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int):
+    """``align._cost_to_go`` on the interned states of a single-case
+    product: ``(togo, edges)`` with states numbered as the exploration
+    meets them, or None past ``node_budget`` states."""
+    space = _StateSpace(single)
+    states, out, into = [space.start], [], [[]]
+    index = {space.start: 0}
+    for state in states:
+        out.append([])
+        for t, key, state2 in space.successors(state):
+            j = index.get(state2)
+            if j is None:
+                if len(states) >= node_budget:
+                    return None
+                j = index[state2] = len(states)
+                states.append(state2)
+                into.append([])
+            cost = move_cost(single.moves[t], costs)
+            into[j].append((len(out) - 1, cost))
+            out[-1].append((cost, key, j))
+    togo = [INF] * len(states)
+    heap = [(0, index[space.goal])] if space.goal in index else []
+    while heap:
+        d, j = heapq.heappop(heap)
+        if togo[j] == INF:
+            togo[j] = d
+            for i, c in into[j]:
+                if togo[i] == INF:
+                    heapq.heappush(heap, (d + c, i))
+    edges = [sorted(((c + togo[j] - togo[i], key, j) for c, key, j in made if togo[j] < INF),
+                    key=lambda edge: edge[0])
+             for i, made in enumerate(out)]
+    return togo, edges
+
+
+# ---------------------------------------------------------------------------
 # Full-expansion A* on frozenset case tables
 # ---------------------------------------------------------------------------
 
@@ -252,9 +307,8 @@ class ReferenceCaseHeuristic:
             rep = self.rep[c] = variants.setdefault(keys[c], c)
             self._owned[c] = []
             if rep == c:
-                single = build_sync_product(scale_cases(prod.model, [c]),
-                                            build_log_net(log.project_case(c)))
-                table = self.tables[c] = _reference_case_table(single, costs, budget)
+                table = self.tables[c] = _reference_case_table(
+                    case_product(prod.model, log, c), costs, budget)
                 budget = 0 if table is None else budget - len(table)
         self.priced = bool(self.rep) and None not in self.tables.values()
         self._position = {c: k for k, c in enumerate(self.rep)}

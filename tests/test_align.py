@@ -16,14 +16,17 @@ import nualign.align as align_module
 import nualign.approx as approx
 
 from nualign.align import (
+    DEFAULT_COSTS,
     Alignment,
     CaseHeuristic,
     CostTable,
     Move,
     SearchBudgetError,
     SoundnessError,
+    align_case,
     align_log,
     build_sync_product,
+    case_spaces,
     is_valid_alignment,
     move_cost,
     optimal_alignment,
@@ -34,19 +37,20 @@ from nualign.approx import align_cases, approximate_alignment, compose
 from nualign.eventlog import Event, EventLog, parse_log
 from nualign.lognet import build_log_net, transition_id
 from nualign.poset import Multiset, Poset
-from nualign.rcnu import (EPS, ColoredMarking, FiringError, Nu, RcNuNet, Role, Var,
-                          enabled_modes, fire_mode, firing_effect, scale_cases)
+from nualign.rcnu import (EPS, ColoredMarking, DeviationConfig, FiringError, Nu, RcNuNet, Role,
+                          Var, enabled_modes, fire_mode, firing_effect, resource_marking,
+                          scale_cases, simulate)
 from support.fixtures import (claim_release_net, clinic_log, clinic_net, clinic_two_overlaps_log,
-                               hospital_log, hospital_net)
-from support.oracles import (ReferenceCaseHeuristic, demand_log_net, min_cost_exhaustive,
-                             reference_astar, reference_enabled_modes,
-                             reference_resource_assignments)
+                               hospital_log, hospital_net, operation_rcnu)
+from support.oracles import (ReferenceCaseHeuristic, case_product, demand_log_net,
+                             min_cost_exhaustive, reference_astar, reference_cost_to_go,
+                             reference_enabled_modes, reference_resource_assignments)
 from support.orders import closed_pairs, incomparable, linearizations, maximal, minimal
 from support.runs import (antichain_marking, edge_children, heuristic_values, loosened,
                           pseudo_count, pseudo_fire, replay)
 
 from test_acceptance import OPTIMALITY_LOGS, generate_pipeline_fixtures
-from test_approx import _differential_fixtures
+from test_approx import _differential_fixtures, _spare_name_fixture
 
 
 def product_for(log, cases=None):
@@ -470,17 +474,17 @@ def _direct_successors(space, state):
     return out
 
 
-def _fresh_name_product():
+def _fresh_name_fixture():
     # ``s`` creates a case by a fresh name, so its firings are not memoised
     net = RcNuNet(["q0", "q1"], [], ["s", "a"], {"s": "s", "a": "a"},
                   {("s", "q0"): Multiset([(Nu("n"), EPS)]),
                    ("q0", "a"): Multiset([(Var("c"), EPS)]),
                    ("a", "q1"): Multiset([(Var("c"), EPS)])},
                   ColoredMarking(), ColoredMarking({"q1": Multiset({("c1", EPS): 1})}))
-    return product_for_net(net, parse_log("c1,a,1,\nc2,a,2,\nc3,s,3,\n"))
+    return net, parse_log("c1,a,1,\nc2,a,2,\nc3,s,3,\n")
 
 
-def _two_token_product():
+def _two_token_fixture():
     # ``pair`` needs two of one token, so a count on p (not only which
     # tokens are there) decides whether it is enabled
     net = RcNuNet(["p", "q"], [], ["dup", "pair"], {"dup": "dup", "pair": "pair"},
@@ -490,7 +494,7 @@ def _two_token_product():
                    ("pair", "q"): Multiset([(Var("c"), EPS)])},
                   ColoredMarking({"p": Multiset([("c1", EPS)])}),
                   ColoredMarking({"q": Multiset([("c1", EPS)])}))
-    return product_for_net(net, parse_log("c1,pair,1,\n"))
+    return net, parse_log("c1,pair,1,\n")
 
 
 def test_memoised_successors_match_direct_enumeration(monkeypatch):
@@ -498,7 +502,8 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
     two-token search settle, the memoised successors are the direct
     enumeration's, in the same order and with the same next markings."""
     searches = _differential_searches(monkeypatch)
-    searches += [(_fresh_name_product(), False), (_two_token_product(), False)]
+    searches += [(product_for_net(*_fresh_name_fixture()), False),
+                 (product_for_net(*_two_token_fixture()), False)]
     memoised = align_module._StateSpace.successors
     checked = []
     ground = []             # per state, its firings of ground transitions
@@ -520,10 +525,11 @@ def test_memoised_successors_match_direct_enumeration(monkeypatch):
 
 
 def test_memo_spares_enabled_modes_calls(monkeypatch):
-    # whole-log Dijkstra and the exploration of the case heuristic's tables,
-    # the two places the memo runs, make the same moves and tables through
+    # whole-log Dijkstra, where the memo runs, makes the same moves through
     # ``_direct_successors``, which calls ``enabled_modes`` at every marked
-    # transition of every state it expands, with more calls each
+    # transition of every state it expands, with more calls; the case
+    # heuristic's tables, explored on a case space that enumerates each
+    # model marking's modes once, are the same and call it as often
     calls = []
     real = enabled_modes
 
@@ -550,7 +556,11 @@ def test_memo_spares_enabled_modes_calls(monkeypatch):
     unmemoised, direct_calls = run()
     assert memoised == unmemoised
     assert 0 < memoised_calls[0] < direct_calls[0]
-    assert 0 < memoised_calls[1] < direct_calls[1]
+    log = EventLog(prod.log_net.event_of.values())
+    (space,) = [space for _, _, space in align_module.case_spaces(prod.model, log) if space]
+    align_module._cost_to_go(space, align_module.DEFAULT_COSTS, 10_000)
+    markings = len(space.graph.markings)
+    assert memoised_calls[1] == direct_calls[1] == markings * len(clinic_net().transitions)
 
 
 def test_ground_sync_firing_waits_for_its_busy_instance():
@@ -573,17 +583,21 @@ def test_ground_sync_firing_waits_for_its_busy_instance():
 
 def test_whole_log_search_enumerates_model_transitions_only(monkeypatch):
     # log and synchronous transitions bind every variable by their forced
-    # bindings, so their one firing is checked by counts, never enumerated
+    # bindings, so their one firing is checked by counts, never enumerated:
+    # A* makes its children from the case tables' edges, and the tables
+    # enumerate only the model's own transitions, unforced
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append((args[0], args[2], kwargs.get("forced")))
         return enabled_modes(*args, **kwargs)
 
     monkeypatch.setattr(align_module, "enabled_modes", counting)
     al = align_log(clinic_net(), clinic_log(10, overlap_at=5))
     assert (al.cost(), al.settled, al.pushed) == (20_000, 65, 131)
-    assert calls and all(t.startswith("m::") for t in calls)
+    assert calls and all(not isinstance(net, align_module.SyncProduct)
+                         and t in clinic_net().transitions and forced is None
+                         for net, t, forced in calls)
 
 
 def _grow_and_shrink_product():
@@ -690,6 +704,84 @@ def test_searches_match_the_log_net_with_demand_places(monkeypatch):
         compared += 1
         with_demand += any(e.resources for e in log.events)
     assert compared >= 150 and with_demand == compared
+
+
+def _two_surgeon_net():
+    # ``op`` holds two surgeons at once, so an event naming two has two
+    # resource assignments, ``s::op::e<i>`` and ``s::op::e<i>::1``; ``check``
+    # holds one, which a swapped instance can replace
+    role = Role("s", Multiset({"x": 1, "y": 1, "z": 1}), "p_s", "p_busy")
+    case, pair = Multiset([(Var("c"), EPS)]), Multiset([(EPS, Var("v")), (EPS, Var("w"))])
+    return RcNuNet(["q0", "q1", "q2"], [role], ["op", "check"], {"op": "op", "check": "check"},
+                   {("q0", "op"): case, ("p_s", "op"): pair, ("op", "p_s"): pair,
+                    ("op", "q1"): case, ("q1", "check"): case,
+                    ("p_s", "check"): Multiset([(EPS, Var("v"))]),
+                    ("check", "q2"): case, ("check", "p_s"): Multiset([(EPS, Var("v"))])},
+                   ColoredMarking({"q0": Multiset([("c1", EPS)])}) | resource_marking([role]),
+                   ColoredMarking({"q2": Multiset([("c1", EPS)])}) | resource_marking([role]))
+
+
+def _search_effort(search, space, budget):
+    """Moves, settled and pushed counts of a search, or its budget error's
+    fields."""
+    try:
+        al = search(space, node_budget=budget)
+    except SearchBudgetError as exc:
+        return "budget", exc.visited, exc.frontier, exc.best_cost
+    return al.moves, al.settled, al.pushed
+
+
+def _case_space_fixtures():
+    """(net, log) of the case-space differential: the differential
+    fixtures, clinic n = 3..12 and a two-overlap log, the spare-name,
+    fresh-name and two-token nets, and seeded simulated logs with a dropped
+    event and a swapped instance on four nets."""
+    fixtures = list(_differential_fixtures())
+    fixtures += [(clinic_net(), clinic_log(n, overlap_at=n // 2)) for n in range(3, 13)]
+    fixtures += [(clinic_net(), clinic_two_overlaps_log(12, 3, 8)), _spare_name_fixture(),
+                 _fresh_name_fixture(), _two_token_fixture()]
+    for builder in (hospital_net, claim_release_net, operation_rcnu, _two_surgeon_net):
+        for seed in range(4):
+            fixtures.append((builder(), simulate(builder(), 3, seed,
+                                                 DeviationConfig(drop_events=1, swap_resources=1))))
+    return fixtures
+
+
+def test_case_spaces_match_single_case_products():
+    """A case's search on its case space makes the moves, settled and pushed
+    counts of Dijkstra on its single-case product, raises the same budget
+    error fields at a budget two below its settled count, and tabulates the
+    same cost-to-go table, state numbering included, on every case of the
+    case-space fixtures: alone, and as ``case_spaces`` shares model graphs
+    between the variants of a log."""
+    cases = shared = pinned = forced = 0
+    for net, log in _case_space_fixtures():
+        spaces = [(c, space) for c, _, space in case_spaces(net, log) if space is not None]
+        for c in log.cases():
+            ((_, _, alone),) = case_spaces(net, log.project_case(c))
+            spaces.append((c, alone))
+        references = {}
+        for c, space in spaces:
+            if c not in references:
+                single = case_product(net, log, c)
+                found = _search_effort(optimal_alignment, single, 20_000)
+                short = found[0] != "budget" and max(found[1] - 2, 0)
+                references[c] = (found, short, short is not False and _search_effort(
+                    optimal_alignment, single, short), reference_cost_to_go(
+                    single, DEFAULT_COSTS, 2_000))
+                pinned += any(name.count("::") == 3 for name in single.moves)
+            found, short, exhausted, table = references[c]
+            assert _search_effort(align_case, space, 20_000) == found
+            if short is not False:
+                assert _search_effort(align_case, space, short) == exhausted
+            assert align_module._cost_to_go(space, DEFAULT_COSTS, 2_000) == table
+            if table is not None:
+                assert align_module._cost_to_go(space, DEFAULT_COSTS, len(table[0]) - 1) is None
+            cases += 1
+            shared += space.graph.case != c
+            forced += any(not exact for _, syncs in space.steps for *_, exact in syncs)
+    assert cases >= 1_000 and shared >= 100 and pinned >= 10 and forced >= 2, (
+        cases, shared, pinned, forced)
 
 
 def _product_keys(prod, alignment):
@@ -956,7 +1048,7 @@ def test_heuristic_is_zero_where_cases_are_created_by_fresh_names():
     # moves to a place between cases), so ``s`` can then create c1; alone,
     # c1's own log places keep the id and c1 could never start, which
     # would price the reachable goal as unreachable
-    prod = _fresh_name_product()
+    prod = product_for_net(*_fresh_name_fixture())
     heuristic = CaseHeuristic(prod)
     assert heuristic.reason == "transition s creates its case by a fresh name"
     astar = optimal_alignment(prod, heuristic=heuristic)

@@ -77,6 +77,7 @@ from support.oracles import (
     lift_failures_by_outside_moves,
     min_cost_exhaustive,
     over_claims,
+    reference_case_alignment,
     REVERSAL_WEIGHT,
     row_holds,
     validity_by_set_bits,
@@ -620,16 +621,11 @@ def _spare_name_fixture():
     return net, parse_log("A1,b,1,\nc1,b,2,\nc2,b,3,\n")
 
 
-def _searched_alone(net, log, case):
-    return optimal_alignment(build_sync_product(scale_cases(net, [case]),
-                                                build_log_net(log.project_case(case))))
-
-
 def test_variant_key_orders_the_case_id_against_spare_names():
     net, log = _spare_name_fixture()
     keys = case_variants(net, log)
     assert keys["c1"] == keys["c2"] != keys["A1"]
-    alone = {c: _searched_alone(net, log, c) for c in log.cases()}
+    alone = {c: reference_case_alignment(net, log, c) for c in log.cases()}
     # the tie-break reads how the id sorts against _nu1, so renaming A1's
     # alignment would not give c1's
     assert _renamed(alone["A1"], log, "A1", "c1").moves != alone["c1"].moves
@@ -637,29 +633,38 @@ def test_variant_key_orders_the_case_id_against_spare_names():
 
 
 def test_align_cases_searches_each_variant_once(monkeypatch):
-    """Move for move the per-case searches, with one search per variant, on
-    every differential fixture, clinic n = 3..12 and the spare-name log."""
-    searches = []
-    search = approx.optimal_alignment
+    """Move for move, settled and pushed the single-case products'
+    searches, with one ``align_case`` per variant and one model graph per
+    case-id signature, on every differential fixture, clinic n = 3..12 and
+    the spare-name log."""
+    spaces = []
+    search = approx.align_case
 
-    def counted(prod, *args, **kwargs):
-        searches.append(prod)
-        return search(prod, *args, **kwargs)
+    def counted(space, *args, **kwargs):
+        spaces.append(space)
+        return search(space, *args, **kwargs)
 
-    monkeypatch.setattr(approx, "optimal_alignment", counted)
+    monkeypatch.setattr(approx, "align_case", counted)
     fixtures = (_differential_fixtures()
                 + [(clinic_net(), clinic_log(n, overlap_at=n // 2)) for n in range(3, 13)]
                 + [_spare_name_fixture()])
-    reused = 0
+    reused = shared = 0
     for net, log in fixtures:
-        searches.clear()
+        spaces.clear()
         per_case = align_cases(net, log)
-        variants = set(case_variants(net, log).values())
-        assert len(searches) == len(variants)
-        reused += len(log.cases()) - len(variants)
+        variants = case_variants(net, log)
+        signatures = {(variant[1], len(log.trace(c))) for c, variant in variants.items()}
+        assert len(spaces) == len(set(variants.values()))
+        assert len({id(space.graph) for space in spaces}) == len(signatures)
+        reused += len(log.cases()) - len(spaces)
+        shared += len(spaces) - len(signatures)
+        searched = {space.case for space in spaces}
         for c in log.cases():
-            assert per_case[c].moves == _searched_alone(net, log, c).moves
-    assert reused >= 100
+            alone = reference_case_alignment(net, log, c)
+            assert per_case[c].moves == alone.moves
+            if c in searched:
+                assert (per_case[c].settled, per_case[c].pushed) == (alone.settled, alone.pushed)
+    assert reused >= 100 and shared >= 80, (reused, shared)
 
 
 def test_claims_and_releases_match_oracle():

@@ -25,7 +25,8 @@ from nualign.report import (
     load_report,
     ReportError,
 )
-from nualign.align import Alignment, Move, build_sync_product, optimal_alignment
+from nualign.align import (Alignment, Move, SearchBudgetError, build_sync_product,
+                           optimal_alignment)
 from nualign.eventlog import Event
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
@@ -416,6 +417,18 @@ def test_cli_align_budget_exit(net_file, log_file, tmp_path):
     code = main(["align", net_file, log_file, "--node-budget", "2",
                  "--out", str(out)])
     assert code == 3
+
+
+def test_cli_approx_budget_error_names_its_case(net_file, log_file, capsys):
+    # a case's own search that runs out says which case it was, keeping the
+    # error's type, counts and exit code
+    assert main(["align", net_file, log_file, "--mode", "approx",
+                 "--node-budget", "3"]) == 3
+    assert capsys.readouterr().err == ("error: case c1: search exhausted after 4 settled "
+                                       "markings (frontier 8, cheapest open cost 0)\n")
+    with pytest.raises(SearchBudgetError) as info:
+        nualign.approx.align_cases(hospital_net(), parse_log(HOSPITAL_LOG_CSV), node_budget=3)
+    assert (info.value.visited, info.value.frontier, info.value.best_cost) == (4, 8, 0)
 
 
 def test_cli_align_invalid_approximation_exit(net_file, log_file, monkeypatch, capsys):

@@ -439,3 +439,48 @@ def test_a_search_runs_its_product_from_the_products_markings():
                 if isinstance(node, ast.FunctionDef) and node.name == "scale_cases"]
     called = {_named(node.func) for node in ast.walk(scale) if isinstance(node, ast.Call)}
     assert "with_markings" in called and "RcNuNet" not in called, sorted(called)
+
+
+def _forward_searches(tree):
+    """The dotted scopes of every ``while`` loop that pops a heap and makes
+    the popped state's children (``successors`` or ``expand``)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.While):
+                called = {_named(n.func) for n in ast.walk(child) if isinstance(n, ast.Call)}
+                if "heappop" in called and called & {"successors", "expand"}:
+                    found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+#: the single-case searches and tables, which run on case spaces
+SINGLE_CASE_SCOPES = ("approx.align_cases", "align.case_spaces", "align.align_case",
+                      "align._cost_to_go", "align.CaseHeuristic", "align.CaseSpace",
+                      "align._ModelGraph")
+
+
+def test_single_case_searches_build_no_product():
+    # a case's search and its cost-to-go table run on its case space, which
+    # builds neither a product nor a log net; a product's state space is
+    # built only for whole-log and other product searches, and every
+    # search, on a product or a case space, pops through one frontier loop
+    built, spaces, searches = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for callee in ("build_sync_product", "build_log_net"):
+            built += [f"{path.stem}.{scope}" for scope in _callers(tree, callee)]
+        spaces += [f"{path.stem}.{scope}" for scope in _callers(tree, "_StateSpace")]
+        searches += [f"{path.stem}.{scope}" for scope in _forward_searches(tree)]
+    single = [scope for scope in built if scope.startswith(SINGLE_CASE_SCOPES)]
+    assert not single, f"single-case code builds a product: {single}"
+    assert "approx.realign_interval" in built
+    assert sorted(spaces) == ["align.CaseHeuristic.__init__", "align.optimal_alignment"], spaces
+    assert searches == ["align._search"], searches
