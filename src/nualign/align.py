@@ -182,8 +182,7 @@ def _prefix_marking(marking: ColoredMarking, prefix: str) -> ColoredMarking:
 class SyncProduct(ColoredNet):
     """The product net; ``moves`` maps each transition, in order, to the move
     a firing of it makes, its mode holding the sorted bindings the transition
-    pins (a synchronous transition's case id and instances, else none), and
-    ``owned`` holds the places of case tokens: production and busy."""
+    pins (a synchronous transition's case id and instances, else none)."""
 
     def __init__(self, model: RcNuNet, log_net: LogNet, places, flow,
                  initial, final, moves):
@@ -192,7 +191,6 @@ class SyncProduct(ColoredNet):
         self.model = model
         self.log_net = log_net
         self.moves = moves
-        self.owned = {f"m::{p}" for p in model.places if model.place_kind(p) != "resource"}
         log_events = sorted(log_net.event_of.values(), key=lambda e: e.index)
         self.log_case_ids = sorted({e.case for e in log_events})
         self.spare_ids = [f"_nu{i + 1}" for i in range(len(log_events) or 1)]

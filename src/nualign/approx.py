@@ -33,8 +33,8 @@ X_ij of a group's moves:
   adds (the infinitesimal tie-breaker of the underlying scheme); every
   order feasible at the first level reverses the same number of pairs, so
   no weight need rank reversals above additions;
-- transitivity closes the order: antisymmetry rows, one witness row per
-  transitively implied pair of R, and lazy cuts for every other triple;
+- the solver keeps the order antisymmetric and transitive by propagation
+  (``BinaryProgram.order``), with no row for either;
 - per move and resource instance the move takes, what it takes, plus the
   net claims of the net claimers not ordered after the move, minus the
   net releases of the net releasers ordered before it, fits the capacity.
@@ -285,14 +285,12 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
     kept pair the moment one flips, which collapses the search tree that a
     single flat solve would explore.
 
-    Transitivity is enforced by the antisymmetry rows, one witness row per
-    transitively implied kept pair, and lazy cuts for every other triple,
-    added when a complete candidate breaks one (the separation scheme of
-    Groetschel, Juenger and Reinelt's cutting-plane algorithm for linear
-    ordering, Oper. Res. 32(6), 1984).  How many triples are rows up front
-    does not change the answer: at the first feasible reversal level the
-    solver returns the first optimal leaf of its fixed branch order, and
-    rows or cuts only prune subtrees that hold no feasible leaf.
+    The program is an order program (``BinaryProgram.order``): the solver
+    keeps every assignment antisymmetric and transitive by propagation, so
+    no row states either.  How the order is closed does not change the
+    answer: at the first feasible reversal level the solver returns the
+    first optimal leaf of its fixed branch order, and propagation only
+    prunes subtrees that hold no feasible leaf.
     """
     moves = tuple(i for i in range(len(comp.moves))
                   if cases is None or comp.case_of[i] in cases)
@@ -325,13 +323,6 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
                 {var(i, j): -1, var(j, i): -1}, -1,
                 f"const_rev_rem[{moves[i]},{moves[j]}]",
             ))
-    # antisymmetry (transitivity row with k = i)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(constraint(
-                {var(i, j): 1, var(j, i): 1}, 1,
-                f"const_trans_clos[{moves[i]},{moves[j]},{moves[i]}]",
-            ))
     # the capacity rows of these moves alone (see ``capacity_rows``), where
     # they exceed the capacity with no order: a net consumer j of the
     # token counts unless X_mj, a net producer only if X_jm
@@ -348,37 +339,15 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
                           for e, mask in effects.items() for j in set_bits(mask & ~(1 << m))}
                 rows.append(constraint(coeffs, -unfit, f"const_vio[{m},{use.instances[k]}]"))
 
-    def transitivity(i, j, k):
-        return constraint({var(i, j): 1, var(j, k): 1, var(i, k): -1}, 1,
-                          f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
-
-    def lazy_transitivity(assignment):
-        # the candidate's rows, diagonal cleared: i before j before k, and
-        # i not before k
-        after = [sum(1 << j for j, x in enumerate(assignment[i * n:(i + 1) * n]) if x)
-                 & ~(1 << i) for i in range(n)]
-        return [transitivity(i, j, k)
-                for i in range(n) for j in set_bits(after[i])
-                for k in set_bits(after[j] & ~after[i] & ~(1 << i))]
-
-    # one witness transitivity row per transitively implied kept pair, the
-    # lowest move between them, so flipping an implied pair conflicts the
-    # moment its impliers are set
-    kept = []               # (span, variable) per kept pair the program leaves free
-    for i in range(n):
-        for j in set_bits(R[i]):
-            v = var(i, j)
-            if v not in fixings:
-                between = R[i] & below[j]
-                if between:
-                    rows.append(transitivity(i, (between & -between).bit_length() - 1, j))
-                kept.append((between.bit_count(), v))
-
-    # branch kept pairs by ascending span: direct (reduction) pairs are the
+    # branch the kept pairs the program leaves free by ascending span, the
+    # number of moves between them: direct (reduction) pairs are the
     # meaningful reversal candidates and get the expensive early flips,
-    # implied pairs die instantly on their witness row; then the additions,
-    # and (``solve`` appends them) the reversed pairs in index order
-    keep_vars = [v for _, v in sorted(kept)]
+    # implied pairs are mostly forced by the pairs through the moves between
+    # them; then the additions, and (``solve`` appends them) the reversed
+    # pairs in index order
+    keep_vars = [v for _, v in sorted(((R[i] & below[j]).bit_count(), var(i, j))
+                                      for i in range(n) for j in set_bits(R[i])
+                                      if var(i, j) not in fixings)]
     reversal_cap = constraint({v: -1 for v in keep_vars}, -len(keep_vars),
                               "reversal_cap")
     inst.program = BinaryProgram(
@@ -387,7 +356,7 @@ def build_ilp(comp: ComposedAlignment, use: CapacityRows, cases=None) -> IlpInst
         constraints=rows,
         fixings=fixings,
         preferred=preferred,
-        lazy_rows=lazy_transitivity,
+        order=n,
         branch_order=keep_vars + sorted(objective),
         cap=reversal_cap,
     )
@@ -583,10 +552,10 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
     predecessor rows are computed once, for the broken rows and every lift.
 
     When R satisfies its own capacity rows it is the optimum, and no
-    program is built: every other row family holds at R by construction
-    (the reversal-removal rows keep R's pairs, antisymmetry and
-    transitivity hold in a closed partial order, the same-case fixings and
-    the level-0 reversal cap are R's own values), every objective
+    program is built: every other constraint holds at R by construction
+    (the reversal-removal rows keep R's pairs, R is a strict partial order,
+    the same-case fixings and the level-0 reversal cap are R's own
+    values), every objective
     coefficient is nonnegative, and R scores 0.  The solver would return
     exactly R too: its preferred values are R, and propagation cannot force
     a value R contradicts.
@@ -598,8 +567,8 @@ def adjust_order(net: RcNuNet, comp: ComposedAlignment, tokens: dict,
     satisfies the full program's rows, for two reasons:
 
     - the local optimum is a lower bound.  Restricting any feasible full
-      order to the group's pairs satisfies the local program: its
-      reversal-removal, antisymmetry, transitivity and same-case rows are
+      order to the group's pairs satisfies the local program: it is a
+      strict partial order, its reversal-removal and same-case rows are
       rows of the full program, and in a capacity row every outside case's
       net claim is nonnegative (its moves ordered before the row's move
       form a prefix of the case's own order, which never releases more

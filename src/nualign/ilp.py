@@ -7,22 +7,27 @@ quadratic per-node work: rows are indexed by variable (watch lists), the
 assignment lives in a single trailed array, and each row keeps running
 lower/upper bounds that are updated incrementally.
 
-Constraints are linear rows ``coeffs . x <= bound``.  Rows can also
-be generated lazily: a callback inspects complete candidate assignments
-and returns violated rows, which are added as cuts (used for the cubic
-family of transitivity constraints, where eagerly materializing every
-triple would dominate build time).
+Constraints are linear rows ``coeffs . x <= bound``.  An order program
+(``BinaryProgram.order = n``: variable ``a*n + b`` is 1 iff a comes
+before b) is kept a strict partial order by propagation, not by the cubic
+family of transitivity rows (Groetschel, Juenger and Reinelt, Oper. Res.
+32(6), 1984): each pair set, fixings included, forces what antisymmetry
+and transitivity imply from the pairs set to 1.  A pair or triple that
+breaks the order conflicts when its last variable is propagated, so a
+leaf needs no check.
 
 A program may carry a cap row that is minimised before the objective:
 the solver raises the cap's bound one step at a time and returns the
 optimum at the first bound that admits a feasible assignment.  Every
 level runs on the same engine, so rows are installed and the root is
-propagated once, and lazy cuts found at one level prune the next.
+propagated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from .poset import set_bits
 
 
 class InfeasibleError(RuntimeError):
@@ -67,26 +72,32 @@ class BinaryProgram:
     constraints: list = field(default_factory=list)
     fixings: dict = field(default_factory=dict)     # var -> 0/1
     preferred: dict = field(default_factory=dict)   # var -> value to try first
-    lazy_rows: object = None   # callable(assignment) -> [Constraint] violated
+    order: int = 0             # n > 0: the n*n variables are pairs of an order
     branch_order: list = None  # optional static variable order for branching
     cap: Constraint = None     # row whose bound solve() raises until feasible
 
 
 class _Engine:
-    """Trailed assignment, watch lists, incremental row bounds.
+    """Trailed assignment, watch lists, incremental row bounds, and an
+    order program's pairs set to 1 as bit rows.
 
     Variables fixed by the program are folded into row constants and never
     watched.  Every other variable of a row is watched, also one that is
-    already assigned when the row is installed (a lazy cut added at a
-    leaf), so undoing the assignment restores the row exactly.
+    already assigned when the row is installed (the cap, after root
+    propagation), so undoing the assignment restores the row exactly.
     """
 
     def __init__(self, program: BinaryProgram):
         self.program = program
         n = program.n_vars
+        self.n = program.order
+        self.after = [0] * self.n       # bit b of after[a] and bit a of
+        self.before = [0] * self.n      # before[b] while (a, b) holds 1
         self.assignment = [None] * n
         for var, value in program.fixings.items():
             self.assignment[var] = value
+            if self.n and value:
+                self._toggle(var)
         self.trail = []
         self.watch = [[] for _ in range(n)]
         self.rows = []          # [active coeff-list, bound, label]
@@ -102,7 +113,11 @@ class _Engine:
             self.obj_lb += min(0, c) if val is None else c * val
         for row in program.constraints:
             self.add_row(row)
-        self.built = len(self.rows)     # rows installed before the search
+
+    def _toggle(self, var):
+        a, b = divmod(var, self.n)
+        self.after[a] ^= 1 << b
+        self.before[b] ^= 1 << a
 
     def add_row(self, row: Constraint):
         """Install a row; its bounds reflect the current assignment."""
@@ -133,9 +148,6 @@ class _Engine:
         self.row_maxabs.append(maxabs)
         return idx
 
-    def row_conflict(self, idx):
-        return self.row_lo[idx] > self.rows[idx][1]
-
     def assign(self, var, value):
         """Set a variable; returns False on immediate row conflict.
 
@@ -143,6 +155,8 @@ class _Engine:
         """
         self.assignment[var] = value
         self.trail.append(var)
+        if self.n and value:
+            self._toggle(var)
         c = self.obj_coeff[var]
         self.obj_lb += c * value - min(0, c)
         ok = True
@@ -167,6 +181,8 @@ class _Engine:
             var = self.trail.pop()
             value = self.assignment[var]
             self.assignment[var] = None
+            if self.n and value:
+                self._toggle(var)
             c = self.obj_coeff[var]
             self.obj_lb -= c * value - min(0, c)
             row_lo, row_hi = self.row_lo, self.row_hi
@@ -200,20 +216,39 @@ class _Engine:
                     continue
                 if not self._force_row(idx, queue):
                     return False
+            if self.n and not self._force_order(var, queue):
+                return False
         return True
 
-    def added_rows_hold(self):
-        """Whether the rows added after construction, the cap and cuts, hold:
-        ``assign`` reports every other row as it breaks, but a cut can stay
-        broken through variables set above the next branch point."""
-        return not any(self.row_conflict(i) for i in range(self.built, len(self.rows)))
+    def _force_order(self, var, queue):
+        """Assign the pairs that pair ``var`` = (a, b) forces, queueing each;
+        False on conflict.  a before b puts b not before a, a before all
+        after b and all before a before b; a not before b puts nothing after
+        a before b, and a before nothing before b."""
+        n = self.n
+        a, b = divmod(var, n)
+        if self.assignment[var]:
+            forced = [(b * n + a, 0)] + [(a * n + k, 1) for k in set_bits(self.after[b])]
+            forced += [(k * n + b, 1) for k in set_bits(self.before[a])]
+        else:
+            forced = [(k * n + b, 0) for k in set_bits(self.after[a])]
+            forced += [(a * n + k, 0) for k in set_bits(self.before[b])]
+        for v, value in forced:
+            held = self.assignment[v]
+            if held is None:
+                if not self.assign(v, value):
+                    return False
+                queue.append(v)
+            elif held != value:
+                return False
+        return True
 
     def _force_row(self, idx, queue):
         """Assign every variable row ``idx`` forces, queueing each; False on conflict."""
-        if self.row_conflict(idx):
-            return False
         coeffs, bound, _ = self.rows[idx]
         lo = self.row_lo[idx]
+        if lo > bound:
+            return False
         for v, c in coeffs:
             if self.assignment[v] is not None:
                 continue
@@ -230,8 +265,9 @@ class _Engine:
         return True
 
     def propagate_all(self):
-        """One full sweep followed by queue propagation (root node)."""
-        queue = []
+        """One full sweep followed by queue propagation (root node); an
+        order program's fixings are queued like assignments."""
+        queue = list(self.program.fixings) if self.n else []
         for idx in range(len(self.rows)):
             if not self._force_row(idx, queue):
                 return False
@@ -300,19 +336,10 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
             return
         pos = next_free(hint)
         if pos is None:
-            candidate = list(engine.assignment)
-            if engine.added_rows_hold():
-                violated = (
-                    program.lazy_rows(candidate) if program.lazy_rows else []
-                )
-                if violated:
-                    for row in violated:
-                        engine.add_row(row)
-                    return  # leaf closed; the cuts persist
-                # every variable is set, so the bound is the value, which
-                # the bound check above found strictly better
-                best_assignment = candidate
-                best_value = engine.obj_lb
+            # every variable is set and every row holds, so the bound is
+            # the value, which the bound check above found strictly better
+            best_assignment = list(engine.assignment)
+            best_value = engine.obj_lb
             return
         var = order[pos]
         first = program.preferred.get(var, 0)

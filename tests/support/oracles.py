@@ -246,6 +246,12 @@ def reference_cost_to_go(single: SyncProduct, costs: CostTable, node_budget: int
 # Full-expansion A* on frozenset case tables
 # ---------------------------------------------------------------------------
 
+def case_places(prod: SyncProduct) -> set:
+    """The product places whose tokens belong to a case: the model's
+    production and busy places, under the product's ``m::`` prefix."""
+    return {f"m::{p}" for p in prod.model.places if prod.model.place_kind(p) != "resource"}
+
+
 def _reference_case_table(single: SyncProduct, costs: CostTable, node_budget: int):
     """Optimal cost-to-go of every state of a single-case product reachable
     from its start, keyed by (the case's tokens on production and busy
@@ -277,9 +283,10 @@ def _reference_case_table(single: SyncProduct, costs: CostTable, node_budget: in
                 if i not in togo:
                     heapq.heappush(heap, (d + c, i))
     table = {}
+    owned = case_places(single)
     for j, state in enumerate(states):
         tokens = frozenset((pair, n) for pair, n in zip(space.pairs, state)
-                           if n and pair[0] in single.owned and pair[1][0] is not None)
+                           if n and pair[0] in owned and pair[1][0] is not None)
         table[tokens, fired[j]] = togo.get(j, INF)
     return table
 
@@ -298,6 +305,7 @@ class ReferenceCaseHeuristic:
         self.rep = {}
         self.tables = {}
         self._owned = {}        # case -> its interned pair ids
+        self._case_places = case_places(space.prod)
         self._renamed = {}      # pair id -> the pair on its case's representative
         self._classified = 0    # interned pairs sorted into ``_owned`` so far
         log = EventLog(prod.log_net.event_of.values())
@@ -317,7 +325,7 @@ class ReferenceCaseHeuristic:
         pairs = self.space.pairs
         for i in range(self._classified, len(pairs)):
             p, tok = pairs[i]
-            if p in self.space.prod.owned and tok[0] in self._owned:
+            if p in self._case_places and tok[0] in self._owned:
                 self._owned[tok[0]].append(i)
                 self._renamed[i] = (p, (self.rep[tok[0]], tok[1]))
         self._classified = len(pairs)
@@ -552,10 +560,13 @@ def row_holds(row: Constraint, assignment) -> bool:
 
 
 def check_feasible(program: BinaryProgram, assignment):
-    """Verify fixings, every materialized row, and the lazy family.  The
-    cap row is an objective level, not a row, and is not checked.
+    """Verify fixings, every row, and for an order program
+    (``program.order`` = n) that the pairs set to 1 form a strict partial
+    order: irreflexive, antisymmetric and transitive.  The cap row is an
+    objective level, not a row, and is not checked.
 
-    Returns (True, None) or (False, label of the first violated row).
+    Returns (True, None) or (False, label of the first violated row, or
+    the first broken order condition).
     """
     if len(assignment) != program.n_vars:
         return False, f"assignment length {len(assignment)} != {program.n_vars}"
@@ -567,10 +578,16 @@ def check_feasible(program: BinaryProgram, assignment):
     for row in program.constraints:
         if not row_holds(row, assignment):
             return False, row.label or f"row {row.coeffs}"
-    if program.lazy_rows is not None:
-        violated = program.lazy_rows(assignment)
-        if violated:
-            return False, violated[0].label or "lazy row"
+    n = program.order
+    for i in range(n):
+        for j in range(n):
+            if not assignment[i * n + j]:
+                continue
+            if i == j or assignment[j * n + i]:
+                return False, f"antisymmetry[{i},{j}]"
+            for k in range(n):
+                if assignment[j * n + k] and not assignment[i * n + k]:
+                    return False, f"transitivity[{i},{j},{k}]"
     return True, None
 
 
@@ -598,40 +615,21 @@ def weighted_order_program(inst) -> BinaryProgram:
 # Order-program loops over dense matrices and single moves
 # ---------------------------------------------------------------------------
 
-def dense_witness_scan(comp, inst):
-    """The witness triples and the kept-pair branch order of the program
-    ``inst``, by the dense scan: R as an m x m matrix read through
-    ``precedes``; every kept pair ``(i, j)`` the program leaves free gets
-    the first move between them as its witness (none when none is) and
-    the number of moves between them as its span, and kept pairs branch by
-    ascending (span, variable).  Positions are the program's."""
+def dense_branch_scan(comp, inst):
+    """The kept-pair branch order of the program ``inst``, by the dense
+    scan: R as an m x m matrix read through ``precedes``; every kept pair
+    ``(i, j)`` the program leaves free gets the number of moves between
+    them as its span, and kept pairs branch by ascending (span, variable).
+    Positions are the program's."""
     moves, n = inst.moves, inst.n
     R = [[int(comp.order.precedes(i, j)) for j in moves] for i in moves]
-    witnesses = []
     span = {}
     for i in range(n):
         for j in range(n):
             if i != j and R[i][j] and inst.var(i, j) not in inst.program.fixings:
-                between = [x for x in range(n) if x not in (i, j) and R[i][x] and R[x][j]]
-                if between:
-                    witnesses.append((i, between[0], j))
-                span[inst.var(i, j)] = len(between)
-    return witnesses, sorted(span, key=lambda v: (span[v], v))
-
-
-def dense_lazy_cuts(n, assignment):
-    """The transitivity triples a 0/1 candidate over n x n pair variables
-    breaks, by the dense triple loop: ``(i, j, k)`` distinct with i before
-    j, j before k and not i before k, in lexicographic order."""
-    before = [[assignment[i * n + j] for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and before[i][j]:
-                for k in range(n):
-                    if k not in (i, j) and before[j][k] and not before[i][k]:
-                        out.append((i, j, k))
-    return out
+                span[inst.var(i, j)] = sum(1 for x in range(n)
+                                           if x not in (i, j) and R[i][x] and R[x][j])
+    return sorted(span, key=lambda v: (span[v], v))
 
 
 def _row_claims(comp, bindings, site, before) -> tuple:

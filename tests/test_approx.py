@@ -36,6 +36,7 @@ from nualign.approx import (
     build_ilp,
     capacity_rows,
     compose,
+    contending_groups,
     extract_solution,
     realign_interval,
 )
@@ -52,7 +53,8 @@ from nualign.align import DEFAULT_COSTS, build_sync_product, case_variants, opti
 from nualign.lognet import build_log_net
 from nualign.poset import Multiset, Poset
 from nualign.report import build_report, dumps_report, violation_entry
-from nualign.rcnu import EPS, ColoredMarking, FiringError, Nu, RcNuNet, Var, scale_cases
+from nualign.rcnu import (EPS, ColoredMarking, DeviationConfig, FiringError, Nu, RcNuNet,
+                          Var, scale_cases, simulate)
 from support.fixtures import (
     claim_release_net,
     clinic_log,
@@ -69,8 +71,7 @@ from support.oracles import (
     boundary_by_pseudo_fire,
     broken_by_fits,
     check_feasible,
-    dense_lazy_cuts,
-    dense_witness_scan,
+    dense_branch_scan,
     is_violating_by_extension_enumeration,
     is_violating_by_linearizations,
     least_left_by_set_bits,
@@ -513,7 +514,6 @@ def test_concurrent_self_loops_are_left_unordered_by_the_program():
 
 
 def test_approximate_valid_on_simulated_deviations():
-    from nualign.rcnu import DeviationConfig, simulate
     net = hospital_net()
     for seed in range(6):
         log = simulate(net, 2, seed=seed,
@@ -769,18 +769,29 @@ def _per_level_reference(program, node_budget):
     raise InfeasibleError("no feasible order at any reversal count")
 
 
-def _all_triples_reference(inst, node_budget):
-    """The program with every transitivity triple as an eager row and no
-    lazy cuts."""
-    n = inst.n
-    triples = [
-        constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1},
-                   1, f"triple[{i},{j},{k}]")
-        for i in range(n) for j in range(n) for k in range(n) if len({i, j, k}) == 3
-    ]
-    program = replace(inst.program, lazy_rows=None,
-                      constraints=inst.program.constraints + triples)
-    return solve(program, node_budget)
+def _all_triples_reference(program, node_budget):
+    """The order program solved without propagation: ``order`` 0, with
+    every antisymmetry pair and every ordered triple of distinct elements
+    as a plain row."""
+    n = program.order
+
+    def pair(i, j):
+        return i * n + j
+
+    rows = [constraint({pair(i, j): 1, pair(j, i): 1}, 1, f"antisymmetry[{i},{j}]")
+            for i in range(n) for j in range(i + 1, n)]
+    rows += [constraint({pair(i, j): 1, pair(j, k): 1, pair(i, k): -1}, 1,
+                        f"triple[{i},{j},{k}]")
+             for i in range(n) for j in range(n) for k in range(n) if len({i, j, k}) == 3]
+    return solve(replace(program, order=0, constraints=program.constraints + rows),
+                 node_budget)
+
+
+def _solved_with_nodes(program, reference=solve):
+    """``reference``'s assignment and objective on ``program``, and the
+    nodes it used."""
+    budget = NodeBudget(2_000_000)
+    return reference(program, budget), budget.used
 
 
 def _solution_fields(sol):
@@ -798,11 +809,12 @@ def _slow_adjust_order(net, comp, tokens, node_budget=2_000_000):
 
 def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
     """On every differential fixture: the one-engine solve and the pipeline's
-    order (shortcut or program) equal the per-level reference, the lazy
-    transitivity cuts give the same optimum as every triple as an eager row,
-    the fits check holds exactly when that reference is R at objective 0, and
-    the pipeline gives the same result and validity verdict as with the
-    reference order, at no less than the exact cost."""
+    order (shortcut or program) equal the per-level reference, propagating
+    the order gives the same assignment, objective and nodes as every pair
+    and triple as a plain row, the fits check holds exactly when that
+    reference is R at objective 0, and the pipeline gives the same result
+    and validity verdict as with the reference order, at no less than the
+    exact cost."""
     budget = 20_000
     fixtures = _differential_fixtures()
     fitting = 0
@@ -814,8 +826,9 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
         reference = extract_solution(comp, inst.changes(assignment))
         one_engine = _full_program_solution(scaled, comp)
         assert _solution_fields(one_engine) == _solution_fields(reference)
-        assignment, objective = _all_triples_reference(inst, 2_000_000)
-        assert ((inst.changes(assignment), objective)
+        propagated = _solved_with_nodes(inst.program)
+        assert propagated == _solved_with_nodes(inst.program, _all_triples_reference)
+        assert ((inst.changes(propagated[0][0]), propagated[0][1])
                 == (one_engine.changes, len(one_engine.additions)))
         fits = not capacity_rows(scaled, composed_tokens(scaled, comp)).broken(
             comp.order.rows(), comp.order.predecessor_rows())
@@ -840,6 +853,47 @@ def test_one_engine_and_shortcut_match_per_level_reference(monkeypatch):
                 continue
             assert result.cost() >= exact.cost()
     assert 10 <= fitting < len(fixtures) - 10
+
+
+def _contended_log(n_cases, seed):
+    """A hospital log drawn with one extra unit of every capacity and two
+    dropped events: overlaps are many and dense."""
+    return simulate(hospital_net(), n_cases, seed,
+                    DeviationConfig(drop_events=2, relax_capacity=1))
+
+
+def _group_programs(log):
+    """The order program of every group of contending cases of ``log``'s
+    composed alignment, before any widening."""
+    net = hospital_net()
+    scaled = scale_cases(net, log.cases())
+    comp = compose(align_cases(net, log), log)
+    use = capacity_rows(scaled, composed_tokens(scaled, comp))
+    return [build_ilp(comp, use, cases).program
+            for cases in contending_groups(comp, use, comp.order.predecessor_rows())]
+
+
+def test_order_propagation_matches_every_triple_as_a_row_on_contended_programs():
+    """On the order programs of contended hospital n = 6 seed 1 and the
+    first, 18-move, program of n = 10 seed 2, propagating the order gives
+    the same assignment, objective and nodes as every pair and triple as a
+    plain row."""
+    programs = _group_programs(_contended_log(6, 1)) + _group_programs(_contended_log(10, 2))[:1]
+    assert [p.order for p in programs] == [9, 18]
+    for program in programs:
+        propagated = _solved_with_nodes(program)
+        assert propagated == _solved_with_nodes(program, _all_triples_reference)
+    assert propagated[1] == 548
+
+
+def test_contended_log_answers_at_default_options():
+    # every transitivity implication is propagated as pairs are set, so the
+    # infeasible reversal levels are refuted without enumerating leaves
+    net = hospital_net()
+    log = _contended_log(10, 2)
+    result = approximate_alignment(net, log)
+    assert result.valid, result.witness
+    assert result.cost() == align_log(net, log, node_budget=50_000).cost() == 40_006
 
 
 def test_order_budget_spans_every_reversal_level():
@@ -1255,23 +1309,14 @@ def test_region_masks_match_the_scans_they_replace():
 
 # -- row reads against the dense and per-move loops --------------------------------
 
-def _transitivity_row(inst, i, j, k):
-    """The program's transitivity row ``X_ij + X_jk - X_ik <= 1`` at positions."""
-    moves = inst.moves
-    return constraint({inst.var(i, j): 1, inst.var(j, k): 1, inst.var(i, k): -1}, 1,
-                      f"const_trans_clos[{moves[i]},{moves[j]},{moves[k]}]")
-
-
 def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
     """The order program reads R and its candidates as rows, and the lift
     check as two masks per changed pair.  On every group program the
     pipeline builds for the differential fixtures, two clinic overlaps, one
-    clinic overlap and the widening log: the witness rows and the branch
-    order are those of the dense scan, the lazy cuts of 500 random
-    candidates (every other one keeping the program's fixings) are those
-    of the dense triple loop, and every lift the pipeline checks, and 20
-    random flips of each program's pairs, name the cases of the
-    per-outside-move loop or raise as it does."""
+    clinic overlap and the widening log: the branch order is that of the
+    dense scan, and every lift the pipeline checks, and 20 random flips of
+    each program's pairs, name the cases of the per-outside-move loop or
+    raise as it does."""
     programs = []
     lifts = []
     nets = []               # the scaled net of each run, the last one adjusting
@@ -1298,33 +1343,16 @@ def test_row_reads_match_the_dense_and_per_move_loops(monkeypatch):
         nets.append(scale_cases(net, log.cases()))
         adjust_order(nets[-1], comp, composed_tokens(nets[-1], comp))
 
-    witnessed = 0
+    kept = 0
     for _, comp, _, inst in programs:
-        witnesses, keep = dense_witness_scan(comp, inst)
-        # the antisymmetry rows share the label but have two terms
-        rows = [row for row in inst.program.constraints
-                if row.label.startswith("const_trans_clos[") and len(row.coeffs) == 3]
-        assert rows == [_transitivity_row(inst, *t) for t in witnesses]
+        keep = dense_branch_scan(comp, inst)
         assert inst.program.branch_order[:len(keep)] == keep
-        witnessed += bool(witnesses)
+        kept += len(keep)
 
     rng = random.Random(18)
-    cuts = 0
-    for trial in range(500):
-        _, _, _, inst = rng.choice(programs)
-        candidate = [rng.randrange(2) for _ in range(inst.program.n_vars)]
-        if trial % 2:
-            for v, value in inst.program.fixings.items():
-                candidate[v] = value
-        expected = dense_lazy_cuts(inst.n, candidate)
-        assert inst.program.lazy_rows(candidate) == [
-            _transitivity_row(inst, *t) for t in expected]
-        cuts += len(expected)
-
     assert all(named == reference for named, reference in lifts)
     assert len(lifts) == len(programs) and sum(bool(named) for named, _ in lifts) >= 3
-    assert len(programs) >= 50 and witnessed >= 50 and cuts > 5000, (
-        len(programs), witnessed, cuts)
+    assert len(programs) >= 50 and kept >= 500, (len(programs), kept)
 
     def outcome(lift, *args):
         try:

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from functools import lru_cache
 from itertools import product as iproduct
 
 import pytest
@@ -13,21 +14,37 @@ from nualign.ilp import (
     Constraint,
     IlpBudgetError,
     InfeasibleError,
-    NodeBudget,
     _Engine,
     constraint,
     solve,
 )
 from nualign.rcnu import scale_cases
-from support.oracles import check_feasible, row_holds
+from support.oracles import check_feasible
 from support.runs import composed_tokens
 from test_approx import _differential_fixtures
 
 
+@lru_cache(maxsize=None)
+def strict_partial_orders(n):
+    """Every strict partial order of n elements as its n*n pair values,
+    ``a*n + b`` set iff a comes before b."""
+    orders = []
+    for bits in iproduct((0, 1), repeat=n * n):
+        if all(not bits[a * n + b] or (a != b and not bits[b * n + a]
+                                       and all(bits[a * n + k] for k in range(n)
+                                               if bits[b * n + k]))
+               for a in range(n) for b in range(n)):
+            orders.append(bits)
+    return orders
+
+
 def brute_force(program):
-    """Oracle: enumerate all 2^n assignments."""
+    """Oracle: enumerate all 2^n assignments, or every strict partial order
+    of an order program."""
     best = None
-    for bits in iproduct((0, 1), repeat=program.n_vars):
+    candidates = (strict_partial_orders(program.order) if program.order
+                  else iproduct((0, 1), repeat=program.n_vars))
+    for bits in candidates:
         ok, _ = check_feasible(program, list(bits))
         if ok:
             val = sum(c * bits[v] for v, c in program.objective.items())
@@ -177,91 +194,44 @@ def test_empty_program_feasible():
     assert solve(p) == ((), 0)
 
 
-def test_lazy_rows_added_as_cuts():
-    calls = []
-
-    def lazy(assignment):
-        calls.append(tuple(assignment))
-        # forbid the all-ones corner lazily
-        if all(v == 1 for v in assignment):
-            return [constraint({0: 1, 1: 1}, 1, "lazy-cut")]
-        return []
-
-    p = BinaryProgram(
-        2,
-        objective={0: -1, 1: -1},
-        lazy_rows=lazy,
-    )
-    assignment, value = solve(p)
-    assert sum(assignment) == 1 and value == -1
-    assert calls, "lazy family must have been consulted"
-
-
-def test_lazy_cut_at_a_full_leaf_is_undone():
-    # the cut arrives when every variable is set; once backtracked, it must
-    # reject only the assignments that violate it
-    def lazy(assignment):
-        if all(assignment):
-            return [constraint({0: 1, 1: 1, 2: 1}, 2, "not-all-three")]
-        return []
-
-    p = BinaryProgram(3, objective={0: -1, 1: -1, 2: -1},
-                      preferred={0: 1, 1: 1, 2: 1}, lazy_rows=lazy)
-    assignment, value = solve(p)
-    assert value == -2 and sum(assignment) == 2
-
-
-def test_random_instances_with_lazy_rows_match_enumeration():
-    rng = random.Random(11)
-    for _ in range(150):
-        n = rng.randrange(1, 8)
-        objective = {v: rng.randrange(-4, 5) for v in range(n)}
-
-        def random_row():
-            coeffs = {v: rng.randrange(-2, 3) for v in range(n) if rng.random() < 0.7}
-            return constraint(coeffs, rng.randrange(-1, 3))
-
-        eager = [random_row() for _ in range(rng.randrange(0, 3))]
-        hidden = [random_row() for _ in range(rng.randrange(1, 4))]
-        fixings = {v: rng.randrange(2) for v in range(n) if rng.random() < 0.2}
-        preferred = {v: rng.randrange(2) for v in range(n)}
-
-        def lazy(assignment, hidden=hidden):
-            return [row for row in hidden if not row_holds(row, assignment)]
-
-        program = BinaryProgram(
-            n, objective=objective, constraints=eager, fixings=fixings,
-            preferred=preferred, lazy_rows=lazy)
-        _assert_matches_enumeration(program)
-        # the same program under a cap that starts at all free variables
-        # set, so cuts found at the infeasible levels stay for the next
-        free = [v for v in range(n) if v not in fixings]
-        _assert_levels_match_enumeration(replace(program, cap=constraint(
-            {v: -1 for v in free}, -len(free), "cap")))
-
-
-def _random_programs(seed, count):
-    """Random programs with and without lazy rows, each also under a cap
-    that starts at every free variable set."""
+def _random_order_programs(seed, count):
+    """Random order programs of at most 4 elements: random fixings (the
+    diagonal among them or not), rows, objective and preferred values, and
+    every other one under a cap over its free variables."""
     rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randrange(1, 8)
+    for k in range(count):
+        n = rng.randrange(1, 5)
+        m = n * n
 
         def random_row():
-            coeffs = {v: rng.randrange(-2, 3) for v in range(n) if rng.random() < 0.7}
+            coeffs = {v: rng.randrange(-2, 3) for v in range(m) if rng.random() < 0.4}
             return constraint(coeffs, rng.randrange(-1, 3))
 
-        hidden = [random_row() for _ in range(rng.randrange(0, 4))]
-        fixings = {v: rng.randrange(2) for v in range(n) if rng.random() < 0.2}
-        free = [v for v in range(n) if v not in fixings]
-        program = BinaryProgram(
-            n, objective={v: rng.randrange(-4, 5) for v in range(n)},
+        fixings = {v: rng.randrange(2) for v in range(m) if rng.random() < 0.2}
+        if rng.random() < 0.5:
+            fixings.update((a * n + a, 0) for a in range(n))
+        free = [v for v in range(m) if v not in fixings]
+        yield BinaryProgram(
+            m, objective={v: rng.randrange(-4, 5) for v in range(m)},
             constraints=[random_row() for _ in range(rng.randrange(0, 4))],
-            fixings=fixings, preferred={v: rng.randrange(2) for v in range(n)},
-            lazy_rows=(lambda a, hidden=hidden: [r for r in hidden if not row_holds(r, a)])
-            if hidden else None)
-        yield program
-        yield replace(program, cap=constraint({v: -1 for v in free}, -len(free), "cap"))
+            fixings=fixings, preferred={v: rng.randrange(2) for v in range(m)},
+            order=n,
+            cap=constraint({v: -1 for v in free}, -rng.randrange(len(free) + 1), "cap")
+            if k % 2 else None)
+
+
+def test_random_order_programs_match_enumeration_over_strict_partial_orders():
+    """Propagation keeps every leaf a strict partial order: on random order
+    programs the solver's optimum is the best strict partial order that
+    keeps the fixings and rows, at the first feasible cap level."""
+    infeasible = 0
+    for program in _random_order_programs(23, 300):
+        if program.cap is None:
+            _assert_matches_enumeration(program)
+        else:
+            _assert_levels_match_enumeration(program)
+        infeasible += brute_force(replace(program, cap=None)) is None
+    assert 30 <= infeasible <= 270, infeasible
 
 
 def _order_programs(monkeypatch):
@@ -282,42 +252,45 @@ def _order_programs(monkeypatch):
     return programs
 
 
-def _full_scan(engine):
-    return not any(engine.row_conflict(i) for i in range(len(engine.rows)))
+def _pair_bits(n, ones):
+    """Per element a, the mask of its pairs (a, b) among ``ones``, and per
+    element b the mask of its pairs (a, b)."""
+    after, before = [0] * n, [0] * n
+    for v in ones:
+        a, b = divmod(v, n)
+        after[a] |= 1 << b
+        before[b] |= 1 << a
+    return after, before
 
 
-def _solved(program):
-    """``solve``'s assignment and value, or its error, and the nodes used."""
-    budget = NodeBudget(2_000_000)
-    try:
-        return solve(program, budget), budget.used
-    except InfeasibleError:
-        return "infeasible", budget.used
-
-
-def test_leaf_scan_of_added_rows_matches_a_full_scan(monkeypatch):
-    """At every leaf, whether the rows added after construction hold is
-    whether every row holds, on random programs with and without lazy
-    rows and caps and on the order programs of the differential fixtures;
-    and ``solve`` returns what it returns with a full scan, nodes used
-    included."""
-    programs = list(_random_programs(13, 150)) + _order_programs(monkeypatch)
-    scanned = _Engine.added_rows_hold
-    leaves = []
-
-    def checked(engine):
-        held = scanned(engine)
-        assert held == _full_scan(engine)
-        leaves.append(held)
-        return held
-
+def test_order_bits_follow_the_trail_back_to_the_fixings(monkeypatch):
+    """The engine's ``after`` and ``before`` rows hold exactly the pairs
+    set to 1 through root propagation and random branching on the order
+    programs of the differential fixtures and random ones, and
+    ``undo_to(0)`` restores the fixings' bits."""
+    rng = random.Random(7)
+    programs = _order_programs(monkeypatch) + list(_random_order_programs(29, 100))
+    undone = 0
     for program in programs:
-        monkeypatch.setattr(_Engine, "added_rows_hold", checked)
-        got = _solved(program)
-        monkeypatch.setattr(_Engine, "added_rows_hold", _full_scan)
-        assert got == _solved(program)
-    # a cut stays broken at later leaves, which only the scan rejects
-    assert len(programs) >= 350 and len(leaves) >= 500 and leaves.count(False) >= 100
+        engine = _Engine(program)
+        n = program.order
+        fixed = _pair_bits(n, [v for v, value in program.fixings.items() if value])
+        assert (engine.after, engine.before) == fixed
+        engine.propagate_all()
+        for _ in range(8):
+            free = [v for v, value in enumerate(engine.assignment) if value is None]
+            if not free:
+                break
+            var = rng.choice(free)
+            engine.assign(var, rng.randrange(2))
+            engine.propagate([var])
+            ones = [v for v, value in enumerate(engine.assignment) if value]
+            assert (engine.after, engine.before) == _pair_bits(n, ones)
+        undone += len(engine.trail) > 0
+        engine.undo_to(0)
+        assert (engine.after, engine.before) == fixed
+        assert all(engine.assignment[v] == program.fixings.get(v) for v in range(n * n))
+    assert len(programs) >= 150 and undone >= 100, (len(programs), undone)
 
 
 def test_determinism():

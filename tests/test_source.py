@@ -399,6 +399,30 @@ def test_order_program_ranks_reversals_by_the_cap_alone():
     assert "objective" not in {f.name for f in fields(OrderSolution)}
 
 
+#: the transitivity mechanisms that propagating the order in the solver
+#: replaced: a lazy-row callback, its row builder and the leaf re-scan
+REMOVED_TRANSITIVITY_FORMS = {"lazy_rows", "added_rows_hold", "lazy_transitivity"}
+
+
+def test_order_programs_close_the_order_by_propagation_alone():
+    # the solver keeps an order program (``BinaryProgram.order``) a strict
+    # partial order by propagation: the package neither defines, passes nor
+    # reads the forms it replaced, and builds no transitivity row
+    named = []
+    texts = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+                  for node in ast.walk(tree)
+                  for name in [node.arg if isinstance(node, ast.keyword) else _named(node)]
+                  if name in REMOVED_TRANSITIVITY_FORMS]
+        texts += [f"{path.name}:{n}" for n, line in enumerate(text.splitlines(), 1)
+                  if "const_trans_clos" in line]
+    assert not named, f"removed transitivity forms in the package: {named}"
+    assert not texts, f"transitivity rows built in the package: {texts}"
+
+
 def _imported_modules(tree):
     """The top-level module of every absolute import in ``tree``."""
     for node in ast.walk(tree):
@@ -421,8 +445,8 @@ def test_package_imports_only_the_standard_library():
 
 def test_a_search_runs_its_product_from_the_products_markings():
     # the product is the whole search problem: only align.py writes the
-    # product's place prefixes, and the product itself holds its owned
-    # places; ``optimal_alignment`` takes no other start or goal, and nets
+    # product's place prefixes, and no ``_owned_places`` helper reads them;
+    # ``optimal_alignment`` takes no other start or goal, and nets
     # between other markings are ``with_markings`` copies
     prefixed = []
     for path in sorted(PACKAGE.glob("*.py")):
