@@ -3,18 +3,26 @@
 Instances are small but not tiny (the free variables are the cross-case
 order pairs of a composed alignment), so exactness and determinism beat
 LP-relaxation sophistication while the implementation still has to avoid
-quadratic per-node work: rows are indexed by variable (watch lists), the
-assignment lives in a single trailed array, and each row keeps running
-lower/upper bounds that are updated incrementally.
+quadratic per-node work: rows are indexed by variable (watch lists) and
+the assignment lives in a single trailed array.
 
-Constraints are linear rows ``coeffs . x <= bound``.  An order program
-(``BinaryProgram.order = n``: variable ``a*n + b`` is 1 iff a comes
-before b) is kept a strict partial order by propagation, not by the cubic
-family of transitivity rows (Groetschel, Juenger and Reinelt, Oper. Res.
-32(6), 1984): each pair set, fixings included, forces what antisymmetry
-and transitivity imply from the pairs set to 1.  A pair or triple that
-breaks the order conflicts when its last variable is propagated, so a
-leaf needs no check.
+Every row ``coeffs . x <= bound`` is a cover (ValueError for any other):
+its coefficients are negative, so the variables set to 1 must weigh at
+least ``-bound``, each weighing ``-c``.  A row keeps one slack, the weight
+of its variables not set to 0 less that need.  Only a zero can break a
+cover, so only zeros are watched (Moskewicz et al., "Chaff", DAC 2001): a
+zero lowers its rows' slacks, a negative slack is a conflict, and a free
+variable heavier than its row's slack is set to 1.  The objective is
+nonnegative (ValueError otherwise), so its lower bound is the value of
+the variables set to 1.
+
+An order program (``BinaryProgram.order = n``: variable ``a*n + b`` is 1
+iff a comes before b) is kept a strict partial order by propagation, not
+by the cubic family of transitivity rows (Groetschel, Juenger and
+Reinelt, Oper. Res. 32(6), 1984): each pair set, fixings included, forces
+what antisymmetry and transitivity imply from the pairs set to 1.  A pair
+or triple that breaks the order conflicts when its last variable is
+propagated, so a leaf needs no check.
 
 A program may carry a cap row that is minimised before the objective:
 the solver raises the cap's bound one step at a time and returns the
@@ -36,7 +44,7 @@ class InfeasibleError(RuntimeError):
 
 class IlpBudgetError(RuntimeError):
     def __init__(self, nodes, incumbent):
-        super().__init__(f"node budget exhausted after {nodes} nodes")
+        super().__init__(f"order-program budget exhausted after {nodes} branch-and-bound nodes")
         self.nodes = nodes
         self.incumbent = incumbent
 
@@ -78,10 +86,10 @@ class BinaryProgram:
 
 
 class _Engine:
-    """Trailed assignment, watch lists, incremental row bounds, and an
-    order program's pairs set to 1 as bit rows.
+    """Trailed assignment, cover rows with one slack each, and an order
+    program's pairs set to 1 as bit rows.
 
-    Variables fixed by the program are folded into row constants and never
+    Variables fixed by the program are folded into row slacks and never
     watched.  Every other variable of a row is watched, also one that is
     already assigned when the row is installed (the cap, after root
     propagation), so undoing the assignment restores the row exactly.
@@ -99,18 +107,17 @@ class _Engine:
             if self.n and value:
                 self._toggle(var)
         self.trail = []
-        self.watch = [[] for _ in range(n)]
-        self.rows = []          # [active coeff-list, bound, label]
-        self.row_lo = []        # achievable minimum of the lhs
-        self.row_hi = []        # achievable maximum
-        self.row_maxabs = []    # largest |coefficient| among active vars
-        # objective lower bound, maintained incrementally
-        self.obj_lb = 0
+        self.watch = [[] for _ in range(n)]     # (row, weight) per row of a variable
+        self.rows = []          # a row's free (variable, weight) pairs
+        self.slack = []         # weight of its variables not set to 0, less its need
+        self.heaviest = []      # its largest free weight
         self.obj_coeff = [0] * n
         for v, c in program.objective.items():
+            if c < 0:
+                raise ValueError(f"objective coefficient {c} of x{v} is negative")
             self.obj_coeff[v] = c
-            val = self.assignment[v]
-            self.obj_lb += min(0, c) if val is None else c * val
+        # objective lower bound: the value of the variables set to 1
+        self.obj_lb = sum(self.obj_coeff[v] for v, value in program.fixings.items() if value)
         for row in program.constraints:
             self.add_row(row)
 
@@ -120,102 +127,72 @@ class _Engine:
         self.before[b] ^= 1 << a
 
     def add_row(self, row: Constraint):
-        """Install a row; its bounds reflect the current assignment."""
+        """Install a cover row; its slack reflects the current assignment."""
         idx = len(self.rows)
-        fixings = self.program.fixings
-        active = []
-        lo = hi = 0
-        maxabs = 0
+        free = []
+        slack = row.bound
         for v, c in row.coeffs:
-            if v in fixings:
-                lo += c * fixings[v]
-                hi += c * fixings[v]
-                continue
-            lo += min(0, c)
-            hi += max(0, c)
-            active.append((v, c))
-            maxabs = max(maxabs, abs(c))
-            # deltas applied to (lo, hi) when v is set to 1 or 0
-            entry = (idx, c - min(0, c), c - max(0, c), -min(0, c), -max(0, c))
-            self.watch[v].append(entry)
-            val = self.assignment[v]
-            if val is not None:
-                lo += entry[1] if val else entry[3]
-                hi += entry[2] if val else entry[4]
-        self.rows.append((active, row.bound, row.label))
-        self.row_lo.append(lo)
-        self.row_hi.append(hi)
-        self.row_maxabs.append(maxabs)
+            if c > 0:
+                raise ValueError(f"row {row.label!r} has coefficient {c} on x{v}: "
+                                 f"the solver takes cover rows only")
+            if self.assignment[v] != 0:
+                slack -= c
+            if v not in self.program.fixings:
+                free.append((v, -c))
+                self.watch[v].append((idx, -c))
+        self.rows.append(free)
+        self.slack.append(slack)
+        self.heaviest.append(max((w for _, w in free), default=0))
         return idx
 
     def assign(self, var, value):
-        """Set a variable; returns False on immediate row conflict.
+        """Set a variable; returns False when a zero breaks a row.
 
-        All watched rows are updated even on conflict, so undo stays exact.
+        A one reads no row.  A zero lowers the slack of every watched row,
+        even on conflict, so undo stays exact.
         """
         self.assignment[var] = value
         self.trail.append(var)
-        if self.n and value:
-            self._toggle(var)
-        c = self.obj_coeff[var]
-        self.obj_lb += c * value - min(0, c)
-        ok = True
-        row_lo, row_hi = self.row_lo, self.row_hi
-        rows = self.rows
         if value:
-            for idx, dlo1, dhi1, _, _ in self.watch[var]:
-                lo = row_lo[idx] = row_lo[idx] + dlo1
-                row_hi[idx] += dhi1
-                if ok and lo > rows[idx][1]:
-                    ok = False
-        else:
-            for idx, _, _, dlo0, dhi0 in self.watch[var]:
-                lo = row_lo[idx] = row_lo[idx] + dlo0
-                row_hi[idx] += dhi0
-                if ok and lo > rows[idx][1]:
-                    ok = False
+            self.obj_lb += self.obj_coeff[var]
+            if self.n:
+                self._toggle(var)
+            return True
+        slack = self.slack
+        ok = True
+        for idx, weight in self.watch[var]:
+            slack[idx] -= weight
+            if slack[idx] < 0:
+                ok = False
         return ok
 
     def undo_to(self, mark):
+        slack = self.slack
         while len(self.trail) > mark:
             var = self.trail.pop()
-            value = self.assignment[var]
-            self.assignment[var] = None
-            if self.n and value:
-                self._toggle(var)
-            c = self.obj_coeff[var]
-            self.obj_lb -= c * value - min(0, c)
-            row_lo, row_hi = self.row_lo, self.row_hi
-            if value:
-                for idx, dlo1, dhi1, _, _ in self.watch[var]:
-                    row_lo[idx] -= dlo1
-                    row_hi[idx] -= dhi1
+            if self.assignment[var]:
+                self.obj_lb -= self.obj_coeff[var]
+                if self.n:
+                    self._toggle(var)
             else:
-                for idx, _, _, dlo0, dhi0 in self.watch[var]:
-                    row_lo[idx] -= dlo0
-                    row_hi[idx] -= dhi0
+                for idx, weight in self.watch[var]:
+                    slack[idx] += weight
+            self.assignment[var] = None
 
     def propagate(self, queue):
-        """Unit-style propagation from the queued variables; False on conflict."""
+        """Unit-style propagation from the queued variables; False on conflict.
+
+        Only a zero lowers a slack, so only zeros re-read their rows.
+        """
+        slack, heaviest = self.slack, self.heaviest
         while queue:
             var = queue.pop()
-            for entry in self.watch[var]:
-                idx = entry[0]
-                lo = self.row_lo[idx]
-                hi = self.row_hi[idx]
-                # a settled row (every variable with a nonzero coefficient
-                # is set) can force nothing, and assign() already reported
-                # any conflict it has (a tight cardinality row forces all
-                # its free variables, and each would rescan it otherwise)
-                if lo == hi:
-                    continue
-                # nothing can be forced while every coefficient fits the
-                # slack; a conflicting row never fits, and _force_row
-                # reports it
-                if self.rows[idx][1] - lo >= self.row_maxabs[idx]:
-                    continue
-                if not self._force_row(idx, queue):
-                    return False
+            if not self.assignment[var]:
+                for idx, _ in self.watch[var]:
+                    # nothing is forced while every weight fits the slack;
+                    # a broken row never fits, and _force_row reports it
+                    if slack[idx] < heaviest[idx] and not self._force_row(idx, queue):
+                        return False
             if self.n and not self._force_order(var, queue):
                 return False
         return True
@@ -244,24 +221,15 @@ class _Engine:
         return True
 
     def _force_row(self, idx, queue):
-        """Assign every variable row ``idx`` forces, queueing each; False on conflict."""
-        coeffs, bound, _ = self.rows[idx]
-        lo = self.row_lo[idx]
-        if lo > bound:
+        """Set to 1 every free variable of row ``idx`` heavier than its
+        slack, queueing each; False if the row is broken."""
+        slack = self.slack[idx]
+        if slack < 0:
             return False
-        for v, c in coeffs:
-            if self.assignment[v] is not None:
-                continue
-            if c > 0 and lo + c > bound:
-                forced = 0
-            elif c < 0 and lo - c > bound:
-                forced = 1
-            else:
-                continue
-            if not self.assign(v, forced):
-                return False
-            queue.append(v)
-            lo = self.row_lo[idx]
+        for v, weight in self.rows[idx]:
+            if weight > slack and self.assignment[v] is None:
+                self.assign(v, 1)
+                queue.append(v)
         return True
 
     def propagate_all(self):
@@ -273,33 +241,30 @@ class _Engine:
                 return False
         return self.propagate(queue)
 
-    def set_bound(self, idx, bound):
-        """Give row ``idx`` a new bound and propagate it; False on conflict."""
-        coeffs, _, label = self.rows[idx]
-        self.rows[idx] = (coeffs, bound, label)
+    def propagate_row(self, idx):
+        """Force row ``idx`` and propagate what it sets; False on conflict."""
         queue = []
         return self._force_row(idx, queue) and self.propagate(queue)
 
 
-def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
+def solve(program: BinaryProgram, budget: NodeBudget):
     """Provably optimal 0/1 assignment, or raises InfeasibleError.
 
     Deterministic: branches on the first free variable of the branch order,
     preferred value first.  With a cap row, the optimum at the first
-    feasible cap bound (see the module docstring).  ``node_budget`` counts
-    the nodes of every level, and a ``NodeBudget`` also those of earlier
-    solves that drew from it; IlpBudgetError (carrying the best incumbent
-    and the nodes counted) is raised when it runs out before optimality is
-    proven.
+    feasible cap bound (see the module docstring).  ``budget`` counts the
+    nodes of every level and of earlier solves that drew from it;
+    IlpBudgetError (carrying the best incumbent and the nodes counted) is
+    raised when it runs out before optimality is proven.  Raises
+    ValueError for a row that is not a cover or a negative objective
+    coefficient.
     """
-    budget = (node_budget if isinstance(node_budget, NodeBudget)
-              else NodeBudget(node_budget))
     n = program.n_vars
     engine = _Engine(program)
     cap = program.cap
 
-    # fixings were folded into the rows at engine construction; apply the
-    # root implications they trigger
+    # fixings were folded into the row slacks at engine construction; apply
+    # the root implications they trigger
     if not engine.propagate_all():
         raise InfeasibleError("fixings conflict with constraints")
 
@@ -346,10 +311,14 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
         stack.append([len(engine.trail), var, [first, 1 - first], pos])
 
     root_mark = len(engine.trail)
-    cap_row = None if cap is None else engine.add_row(cap)
-    bound = None if cap is None else cap.bound
+    if cap is not None:
+        cap_row = engine.add_row(cap)
+        # once its slack covers the weight of its variables free at the
+        # root, no assignment breaks the cap, and a higher bound changes
+        # nothing
+        loose = sum(w for v, w in engine.rows[cap_row] if engine.assignment[v] is None)
     while True:
-        if cap is None or engine.set_bound(cap_row, bound):
+        if cap is None or engine.propagate_row(cap_row):
             open_node(0)
         while stack:
             mark, var, values, hint = stack[-1]
@@ -364,7 +333,6 @@ def solve(program: BinaryProgram, node_budget: int | NodeBudget = 1_000_000):
         engine.undo_to(root_mark)
         if best_assignment is not None:
             return tuple(best_assignment), best_value
-        # past the row's largest lhs a higher bound changes nothing
-        if cap is None or bound >= engine.row_hi[cap_row]:
+        if cap is None or engine.slack[cap_row] >= loose:
             raise InfeasibleError("no feasible assignment")
-        bound += 1
+        engine.slack[cap_row] += 1

@@ -79,6 +79,7 @@ from support.oracles import (
     min_cost_exhaustive,
     over_claims,
     reference_case_alignment,
+    reference_solve,
     REVERSAL_WEIGHT,
     row_holds,
     validity_by_set_bits,
@@ -269,7 +270,7 @@ def _full_program_solution(net, comp, node_budget=2_000_000):
     """The all-cases order program solved on one engine, whether or not
     the composed order fits."""
     inst = build_ilp(comp, capacity_rows(net, composed_tokens(net, comp)))
-    assignment, _ = solve(inst.program, node_budget)
+    assignment, _ = solve(inst.program, NodeBudget(node_budget))
     return extract_solution(comp, inst.changes(assignment))
 
 
@@ -763,7 +764,7 @@ def _per_level_reference(program, node_budget):
             Constraint(cap.coeffs, k - kept, f"reversal_cap[{k}]"),
         ])
         try:
-            return solve(level, node_budget)
+            return solve(level, NodeBudget(node_budget))
         except InfeasibleError:
             continue
     raise InfeasibleError("no feasible order at any reversal count")
@@ -772,7 +773,8 @@ def _per_level_reference(program, node_budget):
 def _all_triples_reference(program, node_budget):
     """The order program solved without propagation: ``order`` 0, with
     every antisymmetry pair and every ordered triple of distinct elements
-    as a plain row."""
+    as a plain row, on the reference engine, which takes rows of any
+    signs."""
     n = program.order
 
     def pair(i, j):
@@ -783,8 +785,8 @@ def _all_triples_reference(program, node_budget):
     rows += [constraint({pair(i, j): 1, pair(j, k): 1, pair(i, k): -1}, 1,
                         f"triple[{i},{j},{k}]")
              for i in range(n) for j in range(n) for k in range(n) if len({i, j, k}) == 3]
-    return solve(replace(program, order=0, constraints=program.constraints + rows),
-                 node_budget)
+    return reference_solve(replace(program, order=0, constraints=program.constraints + rows),
+                           node_budget)
 
 
 def _solved_with_nodes(program, reference=solve):

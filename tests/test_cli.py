@@ -431,6 +431,21 @@ def test_cli_approx_budget_error_names_its_case(net_file, log_file, capsys):
     assert (info.value.visited, info.value.frontier, info.value.best_cost) == (4, 8, 0)
 
 
+def test_cli_ilp_budget_error_names_the_order_program(tmp_path, capsys):
+    # an exhausted --ilp-budget names the order program and its
+    # branch-and-bound nodes, not a search, and keeps exit code 3; an
+    # exhausted --node-budget still names the case whose search ran out
+    net_path, log_path = tmp_path / "clinic.json", tmp_path / "clinic.csv"
+    save_net(clinic_net(), net_path)
+    log_path.write_text(serialize_log(clinic_log(4, overlap_at=1)))
+    args = ["align", str(net_path), str(log_path), "--mode", "approx"]
+    assert main(args + ["--ilp-budget", "1"]) == 3
+    assert capsys.readouterr().err == ("error: order-program budget exhausted after 2 "
+                                       "branch-and-bound nodes\n")
+    assert main(args + ["--node-budget", "1"]) == 3
+    assert capsys.readouterr().err.startswith("error: case c1: search exhausted after ")
+
+
 def test_cli_align_invalid_approximation_exit(net_file, log_file, monkeypatch, capsys):
     monkeypatch.setattr(nualign.approx, "is_valid_alignment",
                         lambda *args, **kwargs: (False, "forced witness"))

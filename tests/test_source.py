@@ -423,6 +423,22 @@ def test_order_programs_close_the_order_by_propagation_alone():
     assert not texts, f"transitivity rows built in the package: {texts}"
 
 
+#: the per-row bounds of the general engine that one slack per cover row
+#: replaced (``oracles.ReferenceEngine`` keeps them)
+REMOVED_ROW_BOUNDS = {"row_lo", "row_hi", "row_maxabs"}
+
+
+def test_order_program_rows_keep_one_slack_each():
+    # every row the solver takes is a cover, kept as one slack: the package
+    # neither defines nor reads the general engine's row bounds
+    named = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        named += [f"{path.name}:{getattr(node, 'lineno', '?')} {_named(node)}"
+                  for node in ast.walk(tree) if _named(node) in REMOVED_ROW_BOUNDS]
+    assert not named, f"removed row bounds in the package: {named}"
+
+
 def _imported_modules(tree):
     """The top-level module of every absolute import in ``tree``."""
     for node in ast.walk(tree):
